@@ -338,8 +338,8 @@ def run_rewriting_experiment(
     """One PrCurve per (seed, query, method) that produced rewrites.
 
     Methods that do not apply to a query (no AFD, overlapping determining
-    sets) are skipped with a warning, as are queries with no uncertain
-    relevant tuples after null injection.
+    sets, ``afd`` on a conjunction) are skipped with a warning, as are
+    queries with no uncertain relevant tuples after null injection.
     """
     cfg.validate()
     if cfg.mode != "rewriting":

@@ -441,13 +441,13 @@ def afd_rewrite_single(
 
     Raises
     ------
-    ValueError
+    NotApplicableError
         If the query constrains more than one attribute.
     NoRuleError
         If no usable AFD exists for the constrained attribute.
     """
     if len(query) != 1:
-        raise ValueError("afd_rewrite_single takes a single-attribute query")
+        raise NotApplicableError("afd_rewrite_single takes a single-attribute query")
     if k < 1:
         raise ValueError("k must be >= 1")
     query.validate(model.schema)

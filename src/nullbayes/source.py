@@ -58,12 +58,9 @@ class AutonomousSource:
             raise QueryBudgetError(
                 f"query budget of {self._limit} exhausted after {self._used} queries"
             )
-        schema = self._table.schema
-        unseen = any(value not in schema.domain(attr) for attr, value in query.items)
+        mask = self._table.mask(query)
         self._used += 1
-        if unseen:
-            return []
-        return [r for r in self._table.rows if query.matches(schema, r)]
+        return self._table.rows_where(mask)
 
     def estimate_ratio(self, sample: Table) -> float:
         """|source| / |sample|, measured with one unconstrained probe.

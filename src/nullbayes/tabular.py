@@ -43,7 +43,7 @@ class Schema:
     order everywhere downstream (argmax tie-breaking relies on this).
     """
 
-    __slots__ = ("attributes", "domains", "_index")
+    __slots__ = ("attributes", "domains", "_index", "_label_codes")
 
     def __init__(self, attributes: Iterable[str], domains: Mapping[str, Iterable[str]]):
         self.attributes: tuple[str, ...] = tuple(attributes)
@@ -66,6 +66,10 @@ class Schema:
             fixed[attr] = tuple(sorted(labels))
         self.domains: dict[str, tuple[str, ...]] = fixed
         self._index = {a: i for i, a in enumerate(self.attributes)}
+        # label -> position in the sorted domain; None (a null cell) -> -1
+        self._label_codes = [
+            {None: -1, **{v: k for k, v in enumerate(fixed[a])}} for a in self.attributes
+        ]
 
     def index(self, attr: str) -> int:
         try:
@@ -107,13 +111,18 @@ class Table:
 
     Invariants checked on construction: unique row ids, one cell per
     attribute, and every non-null cell inside its attribute's domain.
+
+    Selections run over a ``(d, N)`` int32 matrix of domain indices (-1 for
+    null), built on the first ``mask`` call and cached against the identity
+    of ``rows``, so rebinding ``rows`` rebuilds it.
     """
 
-    __slots__ = ("schema", "rows")
+    __slots__ = ("schema", "rows", "_coded")
 
     def __init__(self, schema: Schema, rows: Iterable[Row]):
         self.schema = schema
         self.rows: tuple[Row, ...] = tuple(rows)
+        self._coded: tuple[tuple[Row, ...], np.ndarray] | None = None
         seen: set[int] = set()
         arity = len(schema.attributes)
         for row in self.rows:
@@ -146,6 +155,39 @@ class Table:
 
     def value(self, row: Row, attr: str) -> str | None:
         return self.schema.value(row, attr)
+
+    def _column_codes(self) -> np.ndarray:
+        rows = self.rows
+        if self._coded is None or self._coded[0] is not rows:
+            n = len(rows)
+            codes = np.empty((len(self.schema.attributes), n), dtype=np.int32)
+            columns = zip(*[row.cells for row in rows])
+            for j, (lookup, column) in enumerate(zip(self.schema._label_codes, columns)):
+                codes[j] = np.fromiter(map(lookup.__getitem__, column), np.int32, n)
+            self._coded = (rows, codes)
+        return self._coded[1]
+
+    def mask(self, query: "SelectionQuery", null_wildcard: bool = False) -> np.ndarray:
+        """Boolean array over ``rows``: True where ``query.matches`` would be.
+
+        A value outside an attribute's domain matches no cell (only nulls,
+        under ``null_wildcard``).  Raises KeyError for an unknown attribute.
+        """
+        codes = self._column_codes()
+        keep = np.ones(codes.shape[1], dtype=bool)
+        for attr, value in query.items:
+            j = self.schema.index(attr)
+            column = codes[j]
+            hit = column == self.schema._label_codes[j].get(value, -2)
+            if null_wildcard:
+                hit |= column == -1
+            keep &= hit
+        return keep
+
+    def rows_where(self, mask: np.ndarray) -> list[Row]:
+        """The rows at the True positions of ``mask``, in table order."""
+        rows = self.rows
+        return [rows[i] for i in np.flatnonzero(mask).tolist()]
 
 
 class SelectionQuery:
@@ -345,7 +387,7 @@ def select(table: Table, query: SelectionQuery, include_null_matches: bool = Fal
     could-match semantics (nulls act as wildcards).
     """
     query.validate(table.schema)
-    return [r for r in table.rows if query.matches(table.schema, r, include_null_matches)]
+    return table.rows_where(table.mask(query, include_null_matches))
 
 
 def project_distinct(

@@ -222,6 +222,16 @@ class TestRewritingExperiment:
             curves = run_rewriting_experiment(cfg)
         assert curves == []
 
+    def test_afd_on_conjunction_skipped_others_kept(self):
+        cfg = _rewriting_cfg(
+            queries=(SelectionQuery({"Make": "bmw", "Body": "coupe"}),),
+            methods=("afd", "bn-all-mb"),
+        )
+        with pytest.warns(UserWarning, match="afd skipped.*single"):
+            curves = run_rewriting_experiment(cfg)
+        assert [c.method for c in curves] == ["bn-all-mb"]
+        assert curves[0].points
+
     def test_wrong_mode(self):
         cfg = ExperimentConfig(mode="imputation", targets=("Body",))
         with pytest.raises(ValueError, match="rewriting"):

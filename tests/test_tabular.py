@@ -280,6 +280,15 @@ class TestSelect:
         )
         assert [r.id for r in hits] == [4, 9, 10]
 
+    def test_rebinding_rows_is_not_served_stale(self, demo_table):
+        query = SelectionQuery({"Body": "Sedan"})
+        assert [r.id for r in select(demo_table, query)] == [1, 3, 4, 5]
+        demo_table.rows = tuple(reversed(demo_table.rows[:4]))
+        assert [r.id for r in select(demo_table, query)] == [4, 3, 1]
+        assert select(demo_table, query, include_null_matches=True) == list(
+            demo_table.rows
+        )
+
 
 class TestProjectDistinct:
     def test_base_projection(self, demo_table):
