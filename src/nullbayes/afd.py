@@ -12,13 +12,12 @@ bites its own tail makes the attribute unpredictable.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tabular import Row, Schema, Table
+from .tabular import Row, Schema, Table, _value_counts
 
 __all__ = [
     "Afd",
@@ -74,36 +73,26 @@ def mine_afds(
     """
     if max_lhs < 1:
         raise ValueError("max_lhs must be >= 1")
-    attrs = train.schema.attributes
+    schema = train.schema
+    codes = train._column_codes()
+    sizes = [len(schema.domain(a)) for a in schema.attributes]
     out: list[Afd] = []
-    for target in attrs:
-        others = [a for a in attrs if a != target]
+    for target in schema.attributes:
+        others = [a for a in schema.attributes if a != target]
         for size in range(1, max_lhs + 1):
             for det in itertools.combinations(sorted(others), size):
-                conf = _confidence(train, det, target)
-                if conf is None or conf < min_confidence:
+                cols = [schema.index(a) for a in (*det, target)]
+                groups, counts = _value_counts(codes[cols], [sizes[c] for c in cols], observed=True)
+                if not len(counts):
+                    continue
+                # each determining group keeps the rows of its majority target value
+                starts = np.flatnonzero(np.diff(groups, prepend=-1))
+                conf = int(np.maximum.reduceat(counts, starts).sum()) / int(counts.sum())
+                if conf < min_confidence:
                     continue
                 out.append(Afd(det, target, conf))
     out.sort(key=lambda r: (r.target, len(r.determining), r.determining))
     return out
-
-
-def _confidence(train: Table, det: tuple[str, ...], target: str) -> float | None:
-    idx = [train.schema.index(a) for a in det]
-    t_idx = train.schema.index(target)
-    groups: dict[tuple[str, ...], Counter] = {}
-    total = 0
-    for row in train.rows:
-        key = tuple(row.cells[i] for i in idx)
-        t_val = row.cells[t_idx]
-        if t_val is None or any(v is None for v in key):
-            continue
-        total += 1
-        groups.setdefault(key, Counter())[t_val] += 1
-    if total == 0:
-        return None
-    kept = sum(max(counter.values()) for counter in groups.values())
-    return kept / total
 
 
 def best_afds(afds: Iterable[Afd], exclude: Iterable[str] = ()) -> dict[str, Afd]:
@@ -171,27 +160,18 @@ class NaiveBayesModel:
 
 def fit_naive_bayes(train: Table) -> NaiveBayesModel:
     schema = train.schema
-    index = {a: schema.index(a) for a in schema.attributes}
-    doms = {a: {v: i for i, v in enumerate(schema.domain(a))} for a in schema.attributes}
+    codes = train._column_codes()
+    sizes = [len(schema.domain(a)) for a in schema.attributes]
     class_counts = {
-        a: np.zeros(len(schema.domain(a))) for a in schema.attributes
+        a: _value_counts(codes[[i]], [sizes[i]]).astype(float)
+        for i, a in enumerate(schema.attributes)
     }
     pair_counts = {
-        (f, t): np.zeros((len(schema.domain(f)), len(schema.domain(t))))
-        for f in schema.attributes
-        for t in schema.attributes
-        if f != t
+        (f, t): _value_counts(codes[[i, j]], [sizes[i], sizes[j]]).astype(float)
+        for i, f in enumerate(schema.attributes)
+        for j, t in enumerate(schema.attributes)
+        if i != j
     }
-    for row in train.rows:
-        for a in schema.attributes:
-            v = row.cells[index[a]]
-            if v is not None:
-                class_counts[a][doms[a][v]] += 1.0
-        for (f, t), arr in pair_counts.items():
-            fv = row.cells[index[f]]
-            tv = row.cells[index[t]]
-            if fv is not None and tv is not None:
-                arr[doms[f][fv], doms[t][tv]] += 1.0
     return NaiveBayesModel(schema, class_counts, pair_counts)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .tabular import Row, Schema, Table
+from .tabular import Row, Schema, Table, _value_counts
 
 __all__ = [
     "BayesNet",
@@ -202,12 +202,12 @@ class StructureSearchConfig:
 
 
 class _LocalScores:
-    """Decomposable local score with caching, over complete int-coded data."""
+    """Decomposable local score with caching, over a null-free ``(d, N)`` code matrix."""
 
     def __init__(self, data: np.ndarray, sizes: Sequence[int], cfg: StructureSearchConfig):
         self.data = data
         self.sizes = tuple(sizes)
-        self.n = data.shape[0]
+        self.n = data.shape[1]
         self.cfg = cfg
         self._cache: dict[tuple[int, frozenset[int]], float] = {}
 
@@ -221,14 +221,9 @@ class _LocalScores:
         return val
 
     def _counts(self, y: int, parents: tuple[int, ...]) -> np.ndarray:
-        r = self.sizes[y]
-        q = 1
-        code = np.zeros(self.n, dtype=np.int64)
-        for p in parents:
-            code = code * self.sizes[p] + self.data[:, p]
-            q *= self.sizes[p]
-        flat = np.bincount(code * r + self.data[:, y], minlength=q * r)
-        return flat.reshape(q, r).astype(float)
+        family = [*parents, y]
+        counts = _value_counts(self.data[family], [self.sizes[v] for v in family])
+        return counts.reshape(-1, self.sizes[y]).astype(float)
 
     def _compute(self, y: int, parents: tuple[int, ...]) -> float:
         counts = self._counts(y, parents)
@@ -245,19 +240,6 @@ class _LocalScores:
             + np.sum(gammaln(a_cell + counts) - gammaln(a_cell))
         )
         return val
-
-
-def _complete_rows(train: Table) -> np.ndarray:
-    schema = train.schema
-    maps = [
-        {v: i for i, v in enumerate(schema.domain(a))} for a in schema.attributes
-    ]
-    rows = []
-    for row in train.rows:
-        if any(c is None for c in row.cells):
-            continue
-        rows.append([m[c] for m, c in zip(maps, row.cells)])
-    return np.array(rows, dtype=np.int64).reshape(len(rows), len(schema.attributes))
 
 
 def _would_cycle(children: Mapping[int, set[int]], x: int, y: int) -> bool:
@@ -399,8 +381,9 @@ def learn_structure(train: Table, cfg: StructureSearchConfig | None = None) -> B
     """
     cfg = cfg or StructureSearchConfig()
     schema = train.schema
-    data = _complete_rows(train)
-    dropped = len(train.rows) - data.shape[0]
+    codes = train._column_codes()
+    data = codes[:, (codes >= 0).all(axis=0)]
+    dropped = len(train.rows) - data.shape[1]
     if dropped:
         if dropped > 0.5 * len(train.rows):
             raise ValueError(
@@ -408,7 +391,7 @@ def learn_structure(train: Table, cfg: StructureSearchConfig | None = None) -> B
                 "more than half the data is unusable for structure search"
             )
         warnings.warn(f"dropped {dropped} rows with nulls for structure search", stacklevel=2)
-    if data.shape[0] < 2:
+    if data.shape[1] < 2:
         raise ValueError("structure search needs at least 2 complete rows")
     sizes = [len(schema.domain(a)) for a in schema.attributes]
     scores = _LocalScores(data, sizes, cfg)
@@ -448,22 +431,12 @@ def fit_parameters(structure: BayesNet, train: Table, pseudo_count: float = 1.0)
     schema = structure.schema
     if train.schema != schema:
         raise ValueError("training table schema does not match the network")
+    codes = train._column_codes()
+    sizes = [len(schema.domain(a)) for a in schema.attributes]
     cpts = {}
     for attr in schema.attributes:
-        ps = structure.parents[attr]
-        dom = schema.domain(attr)
-        r = len(dom)
-        shape = tuple(len(schema.domain(p)) for p in ps) + (r,)
-        counts = np.zeros(shape, dtype=float)
-        cols = [schema.index(p) for p in ps] + [schema.index(attr)]
-        maps = [
-            {v: i for i, v in enumerate(schema.domain(a))} for a in list(ps) + [attr]
-        ]
-        for row in train.rows:
-            vals = [row.cells[c] for c in cols]
-            if any(v is None for v in vals):
-                continue
-            counts[tuple(m[v] for m, v in zip(maps, vals))] += 1.0
+        family = [schema.index(a) for a in (*structure.parents[attr], attr)]
+        counts = _value_counts(codes[family], [sizes[i] for i in family])
         smoothed = counts + pseudo_count
         totals = smoothed.sum(axis=-1, keepdims=True)
         zero = totals[..., 0] == 0  # only possible with pseudo_count == 0
@@ -714,24 +687,34 @@ def load_model(text: str) -> BayesNet:
 def sample_rows(
     net: BayesNet, n: int, seed: int | Sequence[int], start_id: int = 1
 ) -> Table:
-    """Draw ``n`` complete rows by ancestral sampling.  Deterministic per seed."""
+    """Draw ``n`` complete rows by ancestral sampling.  Deterministic per seed.
+
+    Row i uses row i of one ``rng.random((n, d))`` block, column k for the
+    k-th node in topological order; a node is drawn per parent configuration.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     rng = np.random.default_rng(seed)
     schema = net.schema
     order = net.topological_order()
-    pos = {a: schema.index(a) for a in schema.attributes}
-    rows = []
-    for i in range(n):
-        cells: list[str | None] = [None] * len(schema.attributes)
-        drawn: dict[str, int] = {}
-        for attr in order:
-            idx = tuple(drawn[p] for p in net.parents[attr])
-            weights = net.cpts[attr][idx]
-            cum = np.cumsum(weights)
-            j = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-            j = min(j, len(weights) - 1)
-            drawn[attr] = j
-            cells[pos[attr]] = schema.domain(attr)[j]
-        rows.append(Row(start_id + i, tuple(cells)))
+    draws = rng.random((n, len(order)))
+    drawn = np.empty((len(order), n), dtype=np.intp)
+    for k, attr in enumerate(order):
+        cpt = net.cpts[attr]
+        r = cpt.shape[-1]
+        config = np.zeros(n, dtype=np.intp)
+        for p in net.parents[attr]:
+            config = config * len(schema.domain(p)) + drawn[schema.index(p)]
+        by_config = np.argsort(config, kind="stable")
+        present, starts = np.unique(config[by_config], return_index=True)
+        column = drawn[schema.index(attr)]
+        for c, rows in zip(present.tolist(), np.split(by_config, starts[1:])):
+            cum = np.cumsum(cpt.reshape(-1, r)[c])
+            j = np.searchsorted(cum, draws[rows, k] * cum[-1], side="right")
+            column[rows] = np.minimum(j, r - 1)
+    labels = [
+        np.array(schema.domain(a), dtype=object)[drawn[i]].tolist()
+        for i, a in enumerate(schema.attributes)
+    ]
+    rows = [Row(start_id + i, cells) for i, cells in enumerate(zip(*labels))]
     return Table(schema, rows)

@@ -31,7 +31,7 @@ from .afd import Afd, NaiveBayesModel, NoRuleError, NotApplicableError, best_afd
 from .bayesnet import BayesNet, markov_blanket
 from .inference import ImpossibleEvidenceError, posterior_exact
 from .source import AutonomousSource, QueryBudgetError
-from .tabular import Row, SelectionQuery, Table, project_distinct, select
+from .tabular import Row, Schema, SelectionQuery, Table, project_distinct, select
 
 __all__ = [
     "QueryScore",
@@ -286,7 +286,7 @@ def bn_all_mb(
             else []
         )
     else:
-        combos = project_distinct(net.schema, base, cand_attrs) if cand_attrs else []
+        combos = project_distinct(source.schema, base, cand_attrs) if cand_attrs else []
     if not combos:
         warnings.warn(
             "no rewrite candidates: "
@@ -341,11 +341,11 @@ def bn_beam(
         return RewritingResult(base, [], [], [], False)
 
     scorer = _Scorer(net, sample, query, cfg.alpha, sample_ratio)
-    schema = net.schema
+    schema = source.schema  # base rows are in the source's column order
 
     def values_for(partial: SelectionQuery, attr: str) -> list[str]:
         if use_domains:
-            return list(schema.domain(attr))
+            return list(net.schema.domain(attr))
         matching = [r for r in base if partial.matches(schema, r)]
         i = schema.index(attr)
         seen: set[str] = set()
@@ -413,8 +413,9 @@ def _single_candidates(
     attr: str,
     value: str,
     base: Sequence[Row],
+    schema: Schema,
 ) -> list[tuple[SelectionQuery, float]]:
-    combos = project_distinct(model.schema, base, afd.determining)
+    combos = project_distinct(schema, base, afd.determining)
     out = []
     for combo in combos:
         cand = SelectionQuery(zip(afd.determining, combo))
@@ -460,7 +461,8 @@ def afd_rewrite_single(
         sample_ratio = source.estimate_ratio(sample)
     base = source.answer(query)
     scorer = _NbScorer(model, sample, alpha, sample_ratio)
-    scored = [scorer.score(c, p) for c, p in _single_candidates(afd, model, attr, value, base)]
+    candidates = _single_candidates(afd, model, attr, value, base, source.schema)
+    scored = [scorer.score(c, p) for c, p in candidates]
     scored.sort(key=_rank_key)
     selected = scored[:k]
     answers, issued, truncated = order_and_issue(
@@ -513,7 +515,7 @@ def afd_all_attributes(
         sample_ratio = source.estimate_ratio(sample)
     base = source.answer(query)
     per_attr = [
-        _single_candidates(chosen[attr], model, attr, query.value(attr), base)
+        _single_candidates(chosen[attr], model, attr, query.value(attr), base, source.schema)
         for attr in query.attributes
     ]
     scorer = _NbScorer(model, sample, alpha, sample_ratio)
@@ -571,7 +573,7 @@ def afd_highest_confidence(
     scorer = _NbScorer(model, sample, alpha, sample_ratio)
     scored = [
         scorer.score(c, p)
-        for c, p in _single_candidates(afd, model, pick, query.value(pick), base)
+        for c, p in _single_candidates(afd, model, pick, query.value(pick), base, source.schema)
     ]
     scored.sort(key=_rank_key)
     selected = scored[:k]

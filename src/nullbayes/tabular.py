@@ -112,8 +112,8 @@ class Table:
     Invariants checked on construction: unique row ids, one cell per
     attribute, and every non-null cell inside its attribute's domain.
 
-    Selections run over a ``(d, N)`` int32 matrix of domain indices (-1 for
-    null), built on the first ``mask`` call and cached against the identity
+    Selections and model fitting run over a ``(d, N)`` int32 matrix of domain
+    indices (-1 for null), built on first use and cached against the identity
     of ``rows``, so rebinding ``rows`` rebuilds it.
     """
 
@@ -123,6 +123,18 @@ class Table:
         self.schema = schema
         self.rows: tuple[Row, ...] = tuple(rows)
         self._coded: tuple[tuple[Row, ...], np.ndarray] | None = None
+        cells = [row.cells for row in self.rows]
+        lookups = schema._label_codes
+        if (
+            len({row.id for row in self.rows}) < len(cells)
+            or set(map(len, cells)) - {len(lookups)}
+            or any(set(column) - lookup.keys() for lookup, column in zip(lookups, zip(*cells)))
+        ):
+            self._raise_first_fault()
+
+    def _raise_first_fault(self) -> None:
+        # the constructor's checks, row by row, so the message names the first bad row
+        schema = self.schema
         seen: set[int] = set()
         arity = len(schema.attributes)
         for row in self.rows:
@@ -131,8 +143,8 @@ class Table:
             seen.add(row.id)
             if len(row.cells) != arity:
                 raise ValueError(f"row {row.id} has {len(row.cells)} cells, schema has {arity}")
-            for attr, cell in zip(schema.attributes, row.cells):
-                if cell is not None and cell not in schema.domains[attr]:
+            for attr, lookup, cell in zip(schema.attributes, schema._label_codes, row.cells):
+                if cell not in lookup:
                     raise ValueError(f"row {row.id}: value {cell!r} not in domain of {attr!r}")
 
     def __len__(self) -> int:
@@ -188,6 +200,38 @@ class Table:
         """The rows at the True positions of ``mask``, in table order."""
         rows = self.rows
         return [rows[i] for i in np.flatnonzero(mask).tolist()]
+
+
+def _value_counts(codes: np.ndarray, sizes: Sequence[int], observed: bool = False):
+    """How many rows take each value combination of the columns of ``codes``.
+
+    ``codes`` is ``(k, N)``: domain indices, -1 for null, one row per column
+    of domain size ``sizes[i]``; rows with a null among them are skipped.  A
+    mixed-radix key (first column most significant) feeds one ``np.bincount``;
+    returns int64 counts of shape ``sizes``.  With ``observed`` the key is
+    re-ranked whenever its range passes the row count, so unseen combinations
+    cost nothing and the key cannot overflow; returns ``(groups, counts)`` over
+    the occurring combinations in lexicographic order, ``groups`` numbering
+    their values on all columns but the last.
+    """
+    keep = (codes >= 0).all(axis=0)
+    n = int(np.count_nonzero(keep))
+    key = np.zeros(n, dtype=np.int64)
+    radix = 1
+    for col, size in zip(codes, sizes):
+        key = key * size + col[keep]
+        radix *= size
+        seen = None
+        if observed and radix > n:
+            seen, key = np.unique(key, return_inverse=True)
+            radix = len(seen)
+    counts = np.bincount(key, minlength=radix)
+    if not observed:
+        return counts.reshape(tuple(sizes))
+    if seen is None:
+        seen = np.flatnonzero(counts)
+        counts = counts[seen]
+    return seen // sizes[-1], counts
 
 
 class SelectionQuery:
@@ -302,22 +346,19 @@ def load_csv(path: str, null_token: str = "") -> Table:
                 raise ParseError(
                     f"{path}: line {lineno}: expected {len(attrs)} fields, got {len(record)}"
                 )
-            cells: list[str | None] = []
-            for cell in record:
-                cell = cell.strip()
-                cells.append(None if cell == null_token else cell)
-            raw_rows.append(cells)
-    domains: dict[str, set[str]] = {a: set() for a in attrs}
-    for cells in raw_rows:
-        for attr, cell in zip(attrs, cells):
-            if cell is not None:
-                domains[attr].add(cell)
+            raw_rows.append([None if c == null_token else c for c in map(str.strip, record)])
+    domains = _observed_domains(attrs, raw_rows)
     for attr in attrs:
         if not domains[attr]:
             raise ParseError(f"{path}: empty domain for attribute {attr!r}")
     schema = Schema(attrs, domains)
     rows = [Row(i, tuple(cells)) for i, cells in enumerate(raw_rows, start=1)]
     return Table(schema, rows)
+
+
+def _observed_domains(attrs: Sequence[str], cells: Sequence[Sequence[str | None]]) -> dict:
+    columns = list(zip(*cells)) or [()] * len(attrs)
+    return {attr: set(column) - {None} for attr, column in zip(attrs, columns)}
 
 
 def save_csv(table: Table, path: str, null_token: str = "") -> None:
@@ -367,11 +408,7 @@ def discretize(table: Table, rules: Mapping[str, int]) -> Table:
                 raise ValueError(f"attribute {attr!r}: non-numeric label {cell!r}") from None
             cells[i] = str(_round_to_multiple(num, int(gran)))
         new_rows.append(Row(row.id, tuple(cells)))
-    domains: dict[str, set[str]] = {a: set() for a in table.schema.attributes}
-    for row in new_rows:
-        for attr, cell in zip(table.schema.attributes, row.cells):
-            if cell is not None:
-                domains[attr].add(cell)
+    domains = _observed_domains(table.schema.attributes, [row.cells for row in new_rows])
     for attr in table.schema.attributes:
         if not domains[attr]:
             # column was entirely null already; keep its old domain
@@ -426,16 +463,13 @@ def inject_nulls(
     n = len(table.rows)
     k = math.ceil(fraction * n)
     rng = np.random.default_rng(seed)
-    hit = set(rng.choice(n, size=k, replace=False).tolist()) if k else set()
-    rows = []
-    for pos, row in enumerate(table.rows):
-        if pos in hit:
-            cells = list(row.cells)
-            for i in idx:
-                cells[i] = None
-            rows.append(Row(row.id, tuple(cells)))
-        else:
-            rows.append(row)
+    hit = rng.choice(n, size=k, replace=False).tolist() if k else []
+    rows = list(table.rows)
+    for pos in hit:
+        cells = list(rows[pos].cells)
+        for i in idx:
+            cells[i] = None
+        rows[pos] = Row(rows[pos].id, tuple(cells))
     return Table(table.schema, rows)
 
 

@@ -6,10 +6,18 @@ indexing so that agreement with the library is evidence, not tautology.
 """
 
 import itertools
+import os
 
 import pytest
+from hypothesis import settings
 
 from nullbayes import BayesNet, Row, Schema, Table, fit_parameters, uniform_cpts
+
+# CI runs property tests with HYPOTHESIS_PROFILE=ci: fixed examples and no
+# deadline, so a slow shared runner cannot make them flake.
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 CAR_ATTRS = ("Make", "Model", "Year", "Body", "Mileage")
 

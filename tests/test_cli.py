@@ -2,7 +2,17 @@
 
 import pytest
 
-from nullbayes import load_afds, load_model, sample_rows, save_csv, save_model
+from nullbayes import (
+    Schema,
+    Table,
+    align_table,
+    inject_nulls,
+    load_afds,
+    load_model,
+    sample_rows,
+    save_csv,
+    save_model,
+)
 from nullbayes.cli import main
 from nullbayes.synth import car_demo_net
 
@@ -340,6 +350,49 @@ class TestRewrite:
             ]
         )
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "method", ["bn-all-mb", "bn-beam", "afd", "afd-all-attributes", "afd-highest-confidence"]
+    )
+    def test_source_with_permuted_columns(self, tmp_path, method, capsys):
+        data = sample_rows(car_demo_net(), 900, seed=11)
+        sample = Table(data.schema, data.rows[:300])
+        source = inject_nulls(Table(data.schema, data.rows[300:]), ["Price"], 0.4, seed=2)
+        permuted = align_table(
+            source, Schema(reversed(data.schema.attributes), data.schema.domains)
+        )
+        paths = {}
+        for name, table in (("sample", sample), ("source", source), ("permuted", permuted)):
+            paths[name] = str(tmp_path / f"{name}.csv")
+            save_csv(table, paths[name])
+        model = tmp_path / "car.model"
+        model.write_text(save_model(car_demo_net()), encoding="utf-8")
+        rules = tmp_path / "rules.afd"
+        assert main(["mine-afd", "--train", paths["sample"], "--out", str(rules)]) == 0
+        capsys.readouterr()
+        outputs = []
+        for source_csv in (paths["source"], paths["permuted"]):
+            rc = main(
+                [
+                    "rewrite",
+                    "--query",
+                    "Price=30000",
+                    "--source",
+                    source_csv,
+                    "--sample",
+                    paths["sample"],
+                    "--method",
+                    method,
+                    "--model",
+                    str(model),
+                    "--rules",
+                    str(rules),
+                ]
+            )
+            assert rc == 0, capsys.readouterr().err
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "extended: 0 additional" not in outputs[0]
 
     def test_malformed_query(self, demo_csv, demo_model, capsys):
         rc = main(

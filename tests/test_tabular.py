@@ -82,6 +82,39 @@ class TestTable:
         t = Table(s, [Row(1, (None,))])
         assert t.value(t.rows[0], "A") is None
 
+    def test_duplicate_id_message(self):
+        s = Schema(("A",), {"A": ("x",)})
+        with pytest.raises(ValueError, match=r"^duplicate row id 7$"):
+            Table(s, [Row(7, ("x",)), Row(3, ("x",)), Row(7, ("x",))])
+
+    def test_wrong_arity_message(self):
+        s = Schema(("A", "B"), {"A": ("x",), "B": ("y",)})
+        with pytest.raises(ValueError, match=r"^row 2 has 3 cells, schema has 2$"):
+            Table(s, [Row(1, ("x", "y")), Row(2, ("x", "y", "y"))])
+
+    def test_out_of_domain_message(self):
+        s = Schema(("A", "B"), {"A": ("x",), "B": ("y",)})
+        with pytest.raises(ValueError, match=r"^row 4: value 'q' not in domain of 'B'$"):
+            Table(s, [Row(1, ("x", None)), Row(4, ("x", "q"))])
+
+    def test_first_bad_row_in_row_order_is_reported(self):
+        s = Schema(("A", "B"), {"A": ("x",), "B": ("y",)})
+        rows = [
+            Row(1, ("x", "y")),
+            Row(2, (None, "z")),  # out of domain
+            Row(3, ("x",)),  # wrong arity
+            Row(1, ("x", "y")),  # duplicate id
+        ]
+        with pytest.raises(ValueError, match=r"^row 2: value 'z' not in domain of 'B'$"):
+            Table(s, rows)
+        with pytest.raises(ValueError, match=r"^row 3 has 1 cells, schema has 2$"):
+            Table(s, [rows[0], rows[2], rows[1]])
+        with pytest.raises(ValueError, match=r"^duplicate row id 1$"):
+            Table(s, [rows[0], rows[3], rows[2], rows[1]])
+        # within one row, the first attribute out of its domain is named
+        with pytest.raises(ValueError, match=r"^row 5: value 'p' not in domain of 'A'$"):
+            Table(s, [Row(5, ("p", "q"))])
+
     def test_row_by_id(self, sparse_table):
         assert sparse_table.row_by_id(7).cells[0] == "Hyundai"
         with pytest.raises(KeyError):
