@@ -104,10 +104,15 @@ def best_afds(afds: Iterable[Afd], exclude: Iterable[str] = ()) -> dict[str, Afd
     banned = set(exclude)
     best: dict[str, Afd] = {}
     for afd in afds:
-        if banned.intersection(afd.determining):
+        if banned and not banned.isdisjoint(afd.determining):
             continue
         cur = best.get(afd.target)
-        if cur is None or _afd_rank(afd) < _afd_rank(cur):
+        # confidence decides; the full rank is only needed to break a tie
+        if (
+            cur is None
+            or afd.confidence > cur.confidence
+            or (afd.confidence == cur.confidence and _afd_rank(afd) < _afd_rank(cur))
+        ):
             best[afd.target] = afd
     return best
 

@@ -9,8 +9,11 @@ target order, summing to 1.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -304,64 +307,98 @@ def posterior_gibbs(
         return _expand_clamped(net, targets, evidence, [], np.array(1.0))
 
     schema = net.schema
-    rng = np.random.default_rng(seed)
     pos = {a: i for i, a in enumerate(schema.attributes)}
-    state = np.zeros(len(schema.attributes), dtype=np.int64)
-    fixed = np.zeros(len(schema.attributes), dtype=bool)
+    state = [0] * len(schema.attributes)
     for attr, value in evidence.items():
         state[pos[attr]] = schema.domain(attr).index(value)
-        fixed[pos[attr]] = True
+    free = [a for a in schema.attributes if a not in evidence]
+    free_targets = [t for t in targets if t not in evidence]
+    # one block of uniforms, consumed in the scalar-draw order: the init
+    # draws in topological order, then one per free variable per sweep
+    n_draws = len(free) * (1 + burn_in + samples)
+    uniforms = np.random.default_rng(seed).random(n_draws).tolist()
 
     # initialize free variables by ancestral draw given current parents
+    draw = 0
     for attr in net.topological_order():
-        if fixed[pos[attr]]:
+        if attr in evidence:
             continue
-        idx = tuple(state[pos[p]] for p in net.parents[attr])
-        weights = net.cpts[attr][idx]
-        cum = np.cumsum(weights)
-        j = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        state[pos[attr]] = min(j, len(weights) - 1)
+        weights = net.cpts[attr][tuple(state[pos[p]] for p in net.parents[attr])]
+        cum = np.cumsum(weights).tolist()
+        state[pos[attr]] = _draw(cum, uniforms[draw] * cum[-1])
+        draw += 1
 
-    free = [a for a in schema.attributes if not fixed[pos[a]]]
-    # per free variable: own cpt + parent positions, and for each child its
-    # cpt, the child's parent positions, our axis among them, child position
+    # per free variable: its position, a getter of its Markov-blanket values
+    # (parents, each child's other parents, each child), a memo of full
+    # conditionals keyed by those values, and what a miss needs to compute one
     plans = []
     for attr in free:
-        own = (net.cpts[attr], [pos[p] for p in net.parents[attr]])
+        parents = [pos[p] for p in net.parents[attr]]
+        blanket = list(parents)
         kids = []
         for child in net.children(attr):
             cps = net.parents[child]
             kids.append(
                 (net.cpts[child], [pos[p] for p in cps], cps.index(attr), pos[child])
             )
-        plans.append((pos[attr], own, kids))
+            blanket += [pos[p] for p in cps if p != attr] + [pos[child]]
+        plans.append((pos[attr], _getter(blanket), {}, (net.cpts[attr], parents), kids))
 
-    free_targets = [t for t in targets if t not in evidence]
-    t_pos = [pos[t] for t in free_targets]
-    counts = np.zeros(tuple(len(schema.domain(t)) for t in free_targets))
-
+    kept = []
+    target_values = _getter([pos[t] for t in free_targets])
     for sweep in range(burn_in + samples):
-        for my_pos, (own_cpt, own_parents), kids in plans:
-            weights = own_cpt[tuple(state[p] for p in own_parents)].copy()
-            for child_cpt, child_parents, my_axis, child_pos in kids:
-                index: list[object] = [state[p] for p in child_parents]
-                index[my_axis] = slice(None)
-                index.append(state[child_pos])
-                weights *= child_cpt[tuple(index)]
-            total = float(weights.sum())
+        for my_pos, blanket_values, memo, own, kids in plans:
+            key = blanket_values(state)
+            entry = memo.get(key)
+            if entry is None:
+                entry = memo[key] = _full_conditional(state, own, kids)
+            cum, total = entry
             if total <= 0.0:
                 raise ImpossibleEvidenceError(
                     "impossible evidence: zero-probability conditional in Gibbs sweep"
                 )
-            cum = np.cumsum(weights)
-            j = int(np.searchsorted(cum, rng.random() * total, side="right"))
-            state[my_pos] = min(j, len(weights) - 1)
+            state[my_pos] = _draw(cum, uniforms[draw] * total)
+            draw += 1
         if sweep >= burn_in:
-            counts[tuple(state[p] for p in t_pos)] += 1.0
+            kept.append(target_values(state))
 
+    counts = np.zeros(tuple(len(schema.domain(t)) for t in free_targets))
+    for combo, n in Counter(kept).items():
+        counts[combo] = n
     probs = counts / float(samples)
     if len(free_targets) == len(targets):
         perm = [free_targets.index(t) for t in targets]
         domains = tuple(net.schema.domain(t) for t in targets)
         return JointDistribution(tuple(targets), domains, np.transpose(probs, perm))
     return _expand_clamped(net, targets, evidence, free_targets, probs)
+
+
+def _full_conditional(state, own, kids) -> tuple[list[float], float]:
+    """Cumulative weights and total of P(X | Markov blanket) at ``state``.
+
+    The weights are X's own CPT row times, for each child, the child's CPT
+    entries along X's axis.
+    """
+    own_cpt, own_parents = own
+    weights = own_cpt[tuple(state[p] for p in own_parents)].copy()
+    for child_cpt, child_parents, my_axis, child_pos in kids:
+        index: list[object] = [state[p] for p in child_parents]
+        index[my_axis] = slice(None)
+        index.append(state[child_pos])
+        weights *= child_cpt[tuple(index)]
+    return np.cumsum(weights).tolist(), float(weights.sum())
+
+
+def _getter(positions: list[int]):
+    """Callable reading ``state`` at ``positions``; the key of a memo entry."""
+    return itemgetter(*positions) if positions else lambda state: ()
+
+
+def _draw(cum: list[float], u: float) -> int:
+    """The category whose cumulative-weight interval holds ``u``.
+
+    ``bisect_right`` is ``np.searchsorted(cum, u, side="right")``; the cap
+    keeps a ``u`` at or past the last boundary, which rounding can produce,
+    on the last category.
+    """
+    return min(bisect_right(cum, u), len(cum) - 1)

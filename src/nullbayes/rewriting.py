@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .afd import Afd, NaiveBayesModel, NoRuleError, NotApplicableError, best_afds
 from .bayesnet import BayesNet, markov_blanket
-from .inference import ImpossibleEvidenceError, posterior_exact
+from .inference import posterior_exact
 from .source import AutonomousSource, QueryBudgetError
 from .tabular import Row, Schema, SelectionQuery, Table, project_distinct, select
 
@@ -143,7 +143,8 @@ def expected_precision(
     """P(original's values | candidate's values) under the network.
 
     The attribute sets must be disjoint.  A candidate that the network
-    considers impossible scores 0.
+    considers impossible scores 0, and so does one holding a value outside
+    the network's domains (a source can hold values the model never saw).
     """
     overlap = set(original.attributes) & set(candidate.attributes)
     if overlap:
@@ -152,7 +153,7 @@ def expected_precision(
         raise ValueError("original and candidate must both be non-empty")
     try:
         dist = posterior_exact(net, original.attributes, dict(candidate.items))
-    except ImpossibleEvidenceError:
+    except ValueError:  # impossible evidence, or a value outside the domains
         return 0.0
     return dist.prob([v for _, v in original.items])
 
@@ -164,10 +165,15 @@ def expected_selectivity(
 
     Counts certain matches in the sample and scales by ``ratio``, the
     source-size / sample-size factor (see AutonomousSource.estimate_ratio).
+    A candidate holding a value outside the sample's domains matches nothing.
     """
     if ratio < 0:
         raise ValueError("ratio must be >= 0")
-    return len(select(sample, candidate)) * ratio
+    try:
+        matches = select(sample, candidate)
+    except ValueError:  # select rejects a value outside the sample's domains
+        return 0.0
+    return len(matches) * ratio
 
 
 class _Scorer:
@@ -403,7 +409,10 @@ class _NbScorer:
 
 
 def _nb_precision(model: NaiveBayesModel, attr: str, value: str, candidate: SelectionQuery) -> float:
-    probs = model.posterior(attr, dict(candidate.items))
+    try:
+        probs = model.posterior(attr, dict(candidate.items))
+    except ValueError:  # a candidate value outside the model's domains
+        return 0.0
     return float(probs[model.schema.domain(attr).index(value)])
 
 

@@ -74,6 +74,30 @@ def demo_cars() -> Table:
 DEMO_PARENTS = {"Model": ("Make",), "Body": ("Model", "Year"), "Mileage": ("Year",)}
 
 
+def with_unseen_values(table: Table, attr: str, value: str, unseen: str = "zz-unseen") -> Table:
+    """``table`` with a label outside every domain in some rows where ``attr == value``.
+
+    Of the rows where ``attr`` holds ``value``, the first three get ``unseen``
+    in every other attribute; the next ones get it in one other attribute
+    each, cycling through the schema.
+    """
+    schema = table.schema
+    i = schema.index(attr)
+    others = [j for j in range(len(schema.attributes)) if j != i]
+    hits = [k for k, r in enumerate(table.rows) if r.cells[i] == value]
+    rows = list(table.rows)
+    for n, k in enumerate(hits[: 3 + len(others)]):
+        cells = list(rows[k].cells)
+        for j in others if n < 3 else [others[n - 3]]:
+            cells[j] = unseen
+        rows[k] = Row(rows[k].id, tuple(cells))
+    domains = {
+        a: schema.domain(a) if a == attr else schema.domain(a) + (unseen,)
+        for a in schema.attributes
+    }
+    return Table(Schema(schema.attributes, domains), rows)
+
+
 def demo_net() -> BayesNet:
     """Hand-wired structure over demo_cars, parameters fitted with add-one."""
     table = demo_cars()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nullbayes import (
     Afd,
@@ -245,3 +247,49 @@ class TestAfdFiles:
         for bad in ("A B : 0.5", "A -> B", "A -> B : lots"):
             with pytest.raises(ValueError):
                 afd_from_line(bad)
+
+
+# ---------------------------------------------------------------------------
+# best_afds against the earlier loop, which ranked every rule by full tuple
+
+
+def _ref_best_afds(afds, exclude=()):
+    banned = set(exclude)
+    best = {}
+    for afd in afds:
+        if banned.intersection(afd.determining):
+            continue
+        cur = best.get(afd.target)
+        if cur is None or _ref_rank(afd) < _ref_rank(cur):
+            best[afd.target] = afd
+    return best
+
+
+def _ref_rank(afd):
+    return (-afd.confidence, len(afd.determining), afd.determining)
+
+
+_ATTRS = ("A", "B", "C", "D", "E")
+
+
+@st.composite
+def _afds(draw):
+    target = draw(st.sampled_from(_ATTRS))
+    others = [a for a in _ATTRS if a != target]
+    det = draw(st.lists(st.sampled_from(others), unique=True, min_size=1, max_size=3))
+    # a few fixed confidences make ties common
+    conf = draw(st.one_of(st.sampled_from((0.0, 0.5, 0.75, 1.0)), st.floats(0.0, 1.0)))
+    return Afd(tuple(sorted(det)), target, conf)
+
+
+@given(
+    afds=st.lists(_afds(), max_size=30),
+    exclude=st.lists(st.sampled_from(_ATTRS + ("Z",)), max_size=3),
+)
+def test_best_afds_matches_reference(afds, exclude):
+    for ex in (exclude, ()):
+        got = best_afds(afds, exclude=ex)
+        want = _ref_best_afds(afds, exclude=ex)
+        assert got == want
+        # the same rule object wins, so equal duplicates resolve to the first
+        assert all(got[t] is want[t] for t in want)

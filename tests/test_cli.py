@@ -16,7 +16,7 @@ from nullbayes import (
 from nullbayes.cli import main
 from nullbayes.synth import car_demo_net
 
-from conftest import demo_cars, demo_net, sparse_cars
+from conftest import demo_cars, demo_net, sparse_cars, with_unseen_values
 
 
 @pytest.fixture()
@@ -393,6 +393,52 @@ class TestRewrite:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert "extended: 0 additional" not in outputs[0]
+
+    @pytest.mark.parametrize(
+        "method", ["bn-all-mb", "bn-beam", "afd", "afd-all-attributes", "afd-highest-confidence"]
+    )
+    def test_source_with_unseen_values(self, tmp_path, method, capsys):
+        data = sample_rows(car_demo_net(), 900, seed=11)
+        sample = Table(data.schema, data.rows[:300])
+        source = inject_nulls(Table(data.schema, data.rows[300:]), ["Price"], 0.4, seed=2)
+        paths = {}
+        for name, table in (
+            ("sample", sample),
+            ("source", with_unseen_values(source, "Price", "30000")),
+        ):
+            paths[name] = str(tmp_path / f"{name}.csv")
+            save_csv(table, paths[name])
+        model = tmp_path / "car.model"
+        model.write_text(save_model(car_demo_net()), encoding="utf-8")
+        rules = tmp_path / "rules.afd"
+        assert main(["mine-afd", "--train", paths["sample"], "--out", str(rules)]) == 0
+        capsys.readouterr()
+        rc = main(
+            [
+                "rewrite",
+                "--query",
+                "Price=30000",
+                "--source",
+                paths["source"],
+                "--sample",
+                paths["sample"],
+                "--method",
+                method,
+                "--model",
+                str(model),
+                "--rules",
+                str(rules),
+                "--k",
+                "1000",
+            ]
+        )
+        out, err = capsys.readouterr()
+        assert rc == 0, err
+        assert "extended: 0 additional" not in out
+        unseen = [line for line in out.splitlines() if "zz-unseen" in line]
+        assert all(line.split()[1] == "0.0000" for line in unseen), unseen
+        # the beam drops zero-F rewrites; every other method issues them
+        assert bool(unseen) == (method != "bn-beam")
 
     def test_malformed_query(self, demo_csv, demo_model, capsys):
         rc = main(

@@ -1,0 +1,275 @@
+"""Differential tests: Gibbs sampling against the per-update numpy loop.
+
+``posterior_gibbs`` memoizes each free variable's full conditional by its
+Markov-blanket values, draws every uniform as one block up front and counts
+target states once at the end.  The reference below is the earlier loop,
+which recomputes the conditional with numpy on every update and draws one
+scalar uniform at a time.  Chains must be unchanged, so posteriors must be
+equal (``np.array_equal``), not merely close.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nullbayes import (
+    BayesNet,
+    GibbsParams,
+    ImpossibleEvidenceError,
+    Row,
+    Schema,
+    Table,
+    impute_table,
+    posterior_gibbs,
+)
+from nullbayes import imputation
+from nullbayes.synth import car_demo_net, random_net
+from nullbayes.inference import JointDistribution, _check_query, _expand_clamped
+
+# ---------------------------------------------------------------------------
+# reference: the per-update loop
+
+
+def _ref_posterior_gibbs(net, targets, evidence=None, samples=250, burn_in=100, seed=0):
+    evidence = dict(evidence or {})
+    _check_query(net, targets, evidence)
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+    if all(t in evidence for t in targets):
+        return _expand_clamped(net, targets, evidence, [], np.array(1.0))
+
+    schema = net.schema
+    rng = np.random.default_rng(seed)
+    pos = {a: i for i, a in enumerate(schema.attributes)}
+    state = np.zeros(len(schema.attributes), dtype=np.int64)
+    fixed = np.zeros(len(schema.attributes), dtype=bool)
+    for attr, value in evidence.items():
+        state[pos[attr]] = schema.domain(attr).index(value)
+        fixed[pos[attr]] = True
+
+    # initialize free variables by ancestral draw given current parents
+    for attr in net.topological_order():
+        if fixed[pos[attr]]:
+            continue
+        idx = tuple(state[pos[p]] for p in net.parents[attr])
+        weights = net.cpts[attr][idx]
+        cum = np.cumsum(weights)
+        j = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        state[pos[attr]] = min(j, len(weights) - 1)
+
+    free = [a for a in schema.attributes if not fixed[pos[a]]]
+    # per free variable: own cpt + parent positions, and for each child its
+    # cpt, the child's parent positions, our axis among them, child position
+    plans = []
+    for attr in free:
+        own = (net.cpts[attr], [pos[p] for p in net.parents[attr]])
+        kids = []
+        for child in net.children(attr):
+            cps = net.parents[child]
+            kids.append(
+                (net.cpts[child], [pos[p] for p in cps], cps.index(attr), pos[child])
+            )
+        plans.append((pos[attr], own, kids))
+
+    free_targets = [t for t in targets if t not in evidence]
+    t_pos = [pos[t] for t in free_targets]
+    counts = np.zeros(tuple(len(schema.domain(t)) for t in free_targets))
+
+    for sweep in range(burn_in + samples):
+        for my_pos, (own_cpt, own_parents), kids in plans:
+            weights = own_cpt[tuple(state[p] for p in own_parents)].copy()
+            for child_cpt, child_parents, my_axis, child_pos in kids:
+                index: list[object] = [state[p] for p in child_parents]
+                index[my_axis] = slice(None)
+                index.append(state[child_pos])
+                weights *= child_cpt[tuple(index)]
+            total = float(weights.sum())
+            if total <= 0.0:
+                raise ImpossibleEvidenceError(
+                    "impossible evidence: zero-probability conditional in Gibbs sweep"
+                )
+            cum = np.cumsum(weights)
+            j = int(np.searchsorted(cum, rng.random() * total, side="right"))
+            state[my_pos] = min(j, len(weights) - 1)
+        if sweep >= burn_in:
+            counts[tuple(state[p] for p in t_pos)] += 1.0
+
+    probs = counts / float(samples)
+    if len(free_targets) == len(targets):
+        perm = [free_targets.index(t) for t in targets]
+        domains = tuple(net.schema.domain(t) for t in targets)
+        return JointDistribution(tuple(targets), domains, np.transpose(probs, perm))
+    return _expand_clamped(net, targets, evidence, free_targets, probs)
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+_seeds = st.one_of(
+    st.integers(0, 2**32),
+    st.tuples(st.integers(0, 1000), st.integers(0, 1000)),
+)
+
+
+@st.composite
+def _nets(draw):
+    if draw(st.booleans()):
+        return car_demo_net()
+    return random_net(
+        draw(st.integers(1, 7)),
+        max_domain=draw(st.integers(2, 5)),
+        seed=draw(st.integers(0, 10_000)),
+        max_parents=draw(st.integers(0, 3)),
+    )
+
+
+@st.composite
+def _queries(draw, net):
+    attrs = list(net.schema.attributes)
+    observed = draw(st.lists(st.sampled_from(attrs), unique=True, max_size=len(attrs)))
+    evidence = {a: draw(st.sampled_from(net.schema.domain(a))) for a in observed}
+    # targets may overlap the evidence, so some are clamped
+    targets = draw(st.lists(st.sampled_from(attrs), unique=True, min_size=1, max_size=3))
+    return targets, evidence
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ImpossibleEvidenceError as exc:
+        return exc
+
+
+def _assert_same(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert got.targets == want.targets
+    assert got.domains == want.domains
+    assert got.probs.shape == want.probs.shape
+    assert np.array_equal(got.probs, want.probs)
+
+
+# ---------------------------------------------------------------------------
+# posterior_gibbs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    burn_in=st.integers(0, 6),
+    samples=st.integers(1, 40),
+    seed=_seeds,
+)
+def test_posterior_matches_reference(data, burn_in, samples, seed):
+    net = data.draw(_nets())
+    targets, evidence = data.draw(_queries(net))
+    kwargs = dict(samples=samples, burn_in=burn_in, seed=seed)
+    _assert_same(
+        _outcome(posterior_gibbs, net, targets, evidence, **kwargs),
+        _outcome(_ref_posterior_gibbs, net, targets, evidence, **kwargs),
+    )
+
+
+@pytest.mark.parametrize("burn_in,samples", [(0, 1), (0, 300), (100, 250)])
+def test_car_net_long_chains_match_reference(burn_in, samples):
+    # long enough chains that nearly every update is a memo hit
+    net = car_demo_net()
+    for targets, evidence in [
+        (["Model", "Body"], {"Make": "audi"}),
+        (["Make", "Price"], {"Mileage": net.schema.domain("Mileage")[0]}),
+        (["Year"], {}),
+        (["Body", "Make"], {"Body": net.schema.domain("Body")[0]}),
+    ]:
+        for seed in (0, 7, (3, 41)):
+            kwargs = dict(samples=samples, burn_in=burn_in, seed=seed)
+            _assert_same(
+                posterior_gibbs(net, targets, evidence, **kwargs),
+                _ref_posterior_gibbs(net, targets, evidence, **kwargs),
+            )
+
+
+def test_deterministic_cpts_match_reference():
+    # zero entries in the CPTs: draws land on flat stretches of the
+    # cumulative weights, where bisect_right and searchsorted must agree
+    s = Schema(("A", "B", "C"), {k: ("0", "1", "2") for k in "ABC"})
+    shift = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.0, 0.5]])
+    net = BayesNet(
+        s,
+        {"B": ("A",), "C": ("B",)},
+        {"A": np.array([0.0, 0.6, 0.4]), "B": shift, "C": shift},
+    )
+    for evidence in ({}, {"C": "2"}, {"B": "2"}):
+        for seed in range(5):
+            kwargs = dict(samples=60, burn_in=3, seed=seed)
+            _assert_same(
+                _outcome(posterior_gibbs, net, ["A", "B", "C"], evidence, **kwargs),
+                _outcome(_ref_posterior_gibbs, net, ["A", "B", "C"], evidence, **kwargs),
+            )
+
+
+class _FixedUniforms:
+    """A stand-in generator whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+@pytest.mark.parametrize("u", [0.0, float(np.nextafter(1.0, 0.0))])
+def test_extreme_uniforms_match_reference(monkeypatch, u):
+    # u = 0 lands exactly on the boundary after A's zero-weight first label,
+    # where side="right" moves past it.  X's pairwise-summed total exceeds
+    # its sequential cumsum, so the largest uniform below 1, scaled by the
+    # total, passes the last boundary and the cap picks the last label.
+    s = Schema(("A", "X"), {"A": ("0", "1", "2"), "X": tuple(f"v{i}" for i in range(9))})
+    net = BayesNet(
+        s,
+        {},
+        {"A": np.array([0.0, 0.5, 0.5]), "X": np.array([1.0] + [1e-16] * 7 + [0.0])},
+    )
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _FixedUniforms(u))
+    want = _ref_posterior_gibbs(net, ["A", "X"], samples=5, burn_in=2)
+    _assert_same(posterior_gibbs(net, ["A", "X"], samples=5, burn_in=2), want)
+
+
+# ---------------------------------------------------------------------------
+# impute_table with the Gibbs engine
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    data=st.data(),
+    joint=st.booleans(),
+    base_seed=st.integers(0, 1000),
+)
+def test_impute_table_matches_reference(data, joint, base_seed):
+    net = data.draw(_nets())
+    attrs = net.schema.attributes
+    n = data.draw(st.integers(0, 6))
+    rows = []
+    for i in range(n):
+        cells = tuple(
+            data.draw(st.sampled_from((None,) + net.schema.domain(a))) for a in attrs
+        )
+        rows.append(Row(i + 1, cells))
+    table = Table(net.schema, rows)
+    params = GibbsParams(samples=20, burn_in=5, seed=base_seed)
+
+    def run():
+        return _outcome(impute_table, net, table, engine="gibbs", gibbs=params, joint=joint)
+
+    got = run()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(imputation, "posterior_gibbs", _ref_posterior_gibbs)
+        want = run()
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert got[0].rows == want[0].rows
+

@@ -32,7 +32,7 @@ from nullbayes import (
 from nullbayes.rewriting import RewrittenQuery, QueryScore
 from nullbayes.synth import car_demo_net
 
-from conftest import oracle_conditional
+from conftest import oracle_conditional, with_unseen_values
 
 
 def _impossible_pair_net():
@@ -698,3 +698,50 @@ class TestSourceColumnOrder:
         assert [rq.text() for rq in got.issued] == [rq.text() for rq in want.issued]
         assert [a.row.id for a in got.answers] == [a.row.id for a in want.answers]
         assert [r.id for r in got.base] == [r.id for r in want.base]
+
+
+class TestUnseenSourceValues:
+    """A source value outside the model's domains makes a candidate impossible."""
+
+    UNSEEN = "zz-unseen"
+    STRATEGIES = {
+        "bn-all-mb": lambda w, source, q: bn_all_mb(w["net"], w["sample"], source, q, k=1000),
+        "bn-beam": lambda w, source, q: bn_beam(
+            w["net"], w["sample"], source, q, BeamConfig(width=50, top_k=1000)
+        ),
+        "afd": lambda w, source, q: afd_rewrite_single(
+            w["afds"], w["nb"], w["sample"], source, q, k=1000
+        ),
+        "afd-all-attributes": lambda w, source, q: afd_all_attributes(
+            w["afds"], w["nb"], w["sample"], source, q, k=1000
+        ),
+        "afd-highest-confidence": lambda w, source, q: afd_highest_confidence(
+            w["afds"], w["nb"], w["sample"], source, q, k=1000
+        ),
+    }
+
+    def test_expected_precision_of_unseen_value_is_zero(self):
+        net = car_demo_net()
+        original = SelectionQuery.parse("Price=30000")
+        year = net.schema.domain("Year")[0]
+        for cand in (f"Model={self.UNSEEN}", f"Model={self.UNSEEN} & Year={year}"):
+            assert expected_precision(net, original, SelectionQuery.parse(cand)) == 0.0
+
+    @pytest.mark.parametrize("method", sorted(STRATEGIES))
+    def test_strategy_completes_and_scores_unseen_candidates_zero(self, method):
+        world = TestSourceColumnOrder._world()
+        source = with_unseen_values(world["source"], "Price", "30000", self.UNSEEN)
+        result = self.STRATEGIES[method](
+            world, AutonomousSource(source), SelectionQuery.parse("Price=30000")
+        )
+        assert result.answers, "the fixture should retrieve something"
+        unseen = [
+            rq for rq in result.candidates if self.UNSEEN in (v for _, v in rq.query.items)
+        ]
+        assert all(rq.score.precision == 0.0 for rq in unseen)
+        assert all(rq.score.selectivity == 0.0 for rq in unseen)
+        if method == "bn-beam":
+            # the beam drops zero-F rewrites before issuing
+            assert not unseen
+        else:
+            assert unseen, "some candidate should hold the unseen value"
