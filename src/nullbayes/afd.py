@@ -137,22 +137,26 @@ class NaiveBayesModel:
         self.schema = schema
         self._class_counts = class_counts  # attr -> ndarray over dom(attr)
         self._pair_counts = pair_counts  # (feature, target) -> ndarray (|feat|, |tgt|)
+        # smoothed class priors and per-class feature denominators; read, never mutated
+        self._priors = {
+            a: (c + 1.0) / (c.sum() + len(schema.domain(a))) for a, c in class_counts.items()
+        }
+        self._denoms = {
+            (f, t): pair.sum(axis=0) + len(schema.domain(f)) for (f, t), pair in pair_counts.items()
+        }
 
     def posterior(self, target: str, evidence: Mapping[str, str]) -> np.ndarray:
         """P(target | evidence) as an array over the target's sorted domain."""
-        dom = self.schema.domain(target)
-        counts = self._class_counts[target]
-        probs = (counts + 1.0) / (counts.sum() + len(dom))
+        self.schema.domain(target)  # KeyError for an unknown target
+        probs = self._priors[target]
         for attr, value in sorted(evidence.items()):
             if attr == target:
                 raise ValueError(f"evidence on the target attribute {target!r}")
             fdom = self.schema.domain(attr)
             if value not in fdom:
                 raise ValueError(f"value {value!r} not in domain of {attr!r}")
-            pair = self._pair_counts[(attr, target)]
-            col = pair[fdom.index(value), :]
-            per_class = pair.sum(axis=0)
-            probs = probs * (col + 1.0) / (per_class + len(fdom))
+            col = self._pair_counts[(attr, target)][fdom.index(value), :]
+            probs = probs * (col + 1.0) / self._denoms[(attr, target)]
         total = probs.sum()
         return probs / total
 

@@ -26,12 +26,16 @@ import itertools
 import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
+
+import numpy as np
 
 from .afd import Afd, NaiveBayesModel, NoRuleError, NotApplicableError, best_afds
 from .bayesnet import BayesNet, markov_blanket
 from .inference import posterior_exact
 from .source import AutonomousSource, QueryBudgetError
-from .tabular import Row, Schema, SelectionQuery, Table, project_distinct, select
+# select is no longer called here, but perfbench/tracing.py patches this name
+from .tabular import Row, Schema, SelectionQuery, Table, project_distinct, select  # noqa: F401
 
 __all__ = [
     "QueryScore",
@@ -170,10 +174,10 @@ def expected_selectivity(
     if ratio < 0:
         raise ValueError("ratio must be >= 0")
     try:
-        matches = select(sample, candidate)
-    except ValueError:  # select rejects a value outside the sample's domains
+        candidate.validate(sample.schema)
+    except ValueError:  # a value outside the sample's domains
         return 0.0
-    return len(matches) * ratio
+    return int(np.count_nonzero(sample.mask(candidate))) * ratio
 
 
 class _Scorer:
@@ -235,12 +239,21 @@ def order_and_issue(
             truncated = True
             break
         issued.append(rq)
-        for row in rows:
-            if row.id in seen:
-                continue
-            seen.add(row.id)
-            answers.append(RetrievedAnswer(row, rq.score.precision, rq.query))
+        # ids are unique within one answer, so only earlier answers can repeat them
+        fresh = [row for row in rows if row.id not in seen]
+        seen.update([row.id for row in fresh])
+        precision, query = rq.score.precision, rq.query
+        answers.extend([RetrievedAnswer(row, precision, query) for row in fresh])
     return answers, issued, truncated
+
+
+def _issue(
+    base: list[Row], selected: list[RewrittenQuery], source: AutonomousSource, limit: int
+) -> RewritingResult:
+    answers, issued, truncated = order_and_issue(
+        selected, source, limit=limit, exclude_ids=[r.id for r in base]
+    )
+    return RewritingResult(base, answers, issued, selected, truncated)
 
 
 def _blanket_attrs(net: BayesNet, query: SelectionQuery) -> list[str]:
@@ -304,10 +317,7 @@ def bn_all_mb(
     scored = [scorer.score(SelectionQuery(zip(cand_attrs, c))) for c in combos]
     scored.sort(key=_rank_key)
     selected = scored[:k]
-    answers, issued, truncated = order_and_issue(
-        selected, source, limit=k, exclude_ids=[r.id for r in base]
-    )
-    return RewritingResult(base, answers, issued, selected, truncated)
+    return _issue(base, selected, source, k)
 
 
 def bn_beam(
@@ -348,20 +358,21 @@ def bn_beam(
 
     scorer = _Scorer(net, sample, query, cfg.alpha, sample_ratio)
     schema = source.schema  # base rows are in the source's column order
+    cells = [r.cells for r in base]
 
-    def values_for(partial: SelectionQuery, attr: str) -> list[str]:
+    def matching(partial: SelectionQuery) -> list[tuple[str | None, ...]]:
+        if use_domains or not len(partial):
+            return cells
+        wanted = {schema.index(a): v for a, v in partial.items}
+        key = itemgetter(*wanted)
+        target = key(wanted)  # a bare value for one predicate, a tuple for several, as key(c)
+        return [c for c in cells if key(c) == target]
+
+    def values_for(rows: list[tuple[str | None, ...]], attr: str) -> Sequence[str]:
         if use_domains:
-            return list(net.schema.domain(attr))
-        matching = [r for r in base if partial.matches(schema, r)]
-        i = schema.index(attr)
-        seen: set[str] = set()
-        vals = []
-        for r in matching:
-            v = r.cells[i]
-            if v is not None and v not in seen:
-                seen.add(v)
-                vals.append(v)
-        return vals
+            return net.schema.domain(attr)
+        column = map(itemgetter(schema.index(attr)), rows)
+        return [v for v in dict.fromkeys(column) if v is not None]
 
     beam: list[RewrittenQuery] = []
     for level in range(cfg.depth):
@@ -369,10 +380,11 @@ def bn_beam(
         parents = beam if level else [RewrittenQuery(SelectionQuery(), QueryScore(0, 0, 0, 0))]
         for parent in parents:
             used = set(parent.query.attributes)
+            rows = matching(parent.query)
             for attr in cand_attrs:
                 if attr in used:
                     continue
-                for value in values_for(parent.query, attr):
+                for value in values_for(rows, attr):
                     cand = parent.query.extended(attr, value)
                     if cand not in pool:
                         pool[cand] = scorer.score(cand)
@@ -381,10 +393,7 @@ def bn_beam(
     survivors = [rq for rq in beam if rq.score.f_measure > 0]
     survivors.sort(key=_issue_key)
     selected = survivors[: cfg.top_k]
-    answers, issued, truncated = order_and_issue(
-        selected, source, limit=cfg.top_k, exclude_ids=[r.id for r in base]
-    )
-    return RewritingResult(base, answers, issued, selected, truncated)
+    return _issue(base, selected, source, cfg.top_k)
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +483,7 @@ def afd_rewrite_single(
     scored = [scorer.score(c, p) for c, p in candidates]
     scored.sort(key=_rank_key)
     selected = scored[:k]
-    answers, issued, truncated = order_and_issue(
-        selected, source, limit=k, exclude_ids=[r.id for r in base]
-    )
-    return RewritingResult(base, answers, issued, selected, truncated)
+    return _issue(base, selected, source, k)
 
 
 def afd_all_attributes(
@@ -538,10 +544,7 @@ def afd_all_attributes(
         scored.append(scorer.score(SelectionQuery(predicates), precision))
     scored.sort(key=_issue_key)
     selected = scored[:k]
-    answers, issued, truncated = order_and_issue(
-        selected, source, limit=k, exclude_ids=[r.id for r in base]
-    )
-    return RewritingResult(base, answers, issued, selected, truncated)
+    return _issue(base, selected, source, k)
 
 
 def afd_highest_confidence(
@@ -586,7 +589,4 @@ def afd_highest_confidence(
     ]
     scored.sort(key=_rank_key)
     selected = scored[:k]
-    answers, issued, truncated = order_and_issue(
-        selected, source, limit=k, exclude_ids=[r.id for r in base]
-    )
-    return RewritingResult(base, answers, issued, selected, truncated)
+    return _issue(base, selected, source, k)

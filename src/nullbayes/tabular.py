@@ -12,6 +12,7 @@ import csv
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -435,17 +436,11 @@ def project_distinct(
     Combinations containing a null are dropped.  Order of first occurrence
     is preserved.
     """
-    idx = [schema.index(a) for a in attrs]
-    seen: set[tuple[str, ...]] = set()
-    out: list[tuple[str, ...]] = []
-    for row in rows:
-        combo = tuple(row.cells[i] for i in idx)
-        if any(c is None for c in combo):
-            continue
-        if combo not in seen:
-            seen.add(combo)
-            out.append(combo)  # type: ignore[arg-type]
-    return out
+    cells = [row.cells for row in rows]
+    columns = [map(itemgetter(schema.index(a)), cells) for a in attrs]
+    if not columns:
+        return [()] if cells else []
+    return [combo for combo in dict.fromkeys(zip(*columns)) if None not in combo]
 
 
 def inject_nulls(
