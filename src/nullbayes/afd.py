@@ -261,6 +261,12 @@ def afd_from_line(line: str) -> Afd:
 
 
 def save_afds(afds: Iterable[Afd]) -> str:
+    """One ``afd_to_line`` per rule.  Raises ValueError for a name ``load_afds``
+    would misread: one holding ``,``, ``->`` or a line break, or padded."""
+    afds = list(afds)
+    for name in dict.fromkeys(n for a in afds for n in a.determining + (a.target,)):
+        if "," in name or "->" in name or name != name.strip() or len(name.splitlines()) > 1:
+            raise ValueError(f"attribute name {name!r} cannot be written to an AFD file")
     return "".join(afd_to_line(a) + "\n" for a in afds)
 
 

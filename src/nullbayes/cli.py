@@ -52,6 +52,7 @@ from .tabular import (
     discretize,
     load_csv,
     save_csv,
+    parse_discretize_rules,
 )
 
 __all__ = ["main"]
@@ -75,19 +76,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors must exit 1, not argparse's 2
         raise _UsageError(message)
-
-
-def _parse_rules(text: str) -> dict[str, int]:
-    rules = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        attr, sep, gran = part.partition(":")
-        if not sep:
-            raise ValueError(f"bad discretize rule {part!r}: expected Attr:granularity")
-        rules[attr.strip()] = int(gran)
-    return rules
 
 
 def _build_parser() -> _Parser:
@@ -160,7 +148,7 @@ def _build_parser() -> _Parser:
 def _cmd_learn(args) -> int:
     table = load_csv(args.train, args.null_token)
     if args.discretize:
-        table = discretize(table, _parse_rules(args.discretize))
+        table = discretize(table, parse_discretize_rules(args.discretize))
     cfg = StructureSearchConfig(
         max_in_degree=args.max_parents,
         restarts=args.restarts,

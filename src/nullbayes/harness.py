@@ -44,6 +44,7 @@ from .tabular import (
     discretize,
     inject_nulls,
     load_csv,
+    parse_discretize_rules,
     sample_table,
 )
 
@@ -187,14 +188,7 @@ def parse_config(text: str) -> ExperimentConfig:
         elif key in ("methods", "targets"):
             values[key] = tuple(v.strip() for v in value.split(",") if v.strip())
         elif key == "discretize":
-            rules: dict[str, int] = {}
-            for part in value.split(","):
-                part = part.strip()
-                if not part:
-                    continue
-                attr, _, gran = part.partition(":")
-                rules[attr.strip()] = int(gran)
-            values["discretize_rules"] = rules
+            values["discretize_rules"] = parse_discretize_rules(value)
         else:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
     cfg = ExperimentConfig(queries=tuple(queries), **values)  # type: ignore[arg-type]

@@ -13,7 +13,9 @@ import time
 from dataclasses import dataclass
 
 from .bayesnet import BayesNet
-from .inference import map_assignment, posterior_exact, posterior_gibbs
+from .inference import ImpossibleEvidenceError, _getter, _lex_argmax, map_assignment
+# posterior_exact is not called here, but perfbench/tracing.py patches this name
+from .inference import posterior_exact, posterior_gibbs  # noqa: F401
 from .tabular import Row, Table
 
 __all__ = ["GibbsParams", "ImputationReport", "impute_tuple", "impute_table"]
@@ -52,17 +54,6 @@ def _missing_attrs(net: BayesNet, row: Row) -> tuple[str, ...]:
     return tuple(a for a, c in zip(net.schema.attributes, row.cells) if c is None)
 
 
-def _posterior(net, targets, evidence, engine, gibbs, seed):
-    if engine == "exact":
-        return posterior_exact(net, targets, evidence)
-    if engine == "gibbs":
-        g = gibbs or GibbsParams()
-        return posterior_gibbs(
-            net, targets, evidence, samples=g.samples, burn_in=g.burn_in, seed=seed
-        )
-    raise ValueError(f"unknown engine {engine!r}")
-
-
 def _fill(net: BayesNet, row: Row, missing: tuple[str, ...], combo: tuple[str, ...]) -> Row:
     filled = dict(zip(missing, combo))
     cells = tuple(
@@ -71,14 +62,98 @@ def _fill(net: BayesNet, row: Row, missing: tuple[str, ...], combo: tuple[str, .
     return Row(row.id, cells)
 
 
-def _map_combo(net, row, missing, engine, gibbs, joint, seed) -> tuple[str, ...]:
+def _gibbs_combo(net, row, missing, engine, gibbs, joint, seed) -> tuple[str, ...]:
+    if engine != "gibbs":
+        raise ValueError(f"unknown engine {engine!r}")
+    g = gibbs or GibbsParams()
     evidence = {a: c for a, c in zip(net.schema.attributes, row.cells) if c is not None}
-    if joint:
-        return map_assignment(_posterior(net, missing, evidence, engine, gibbs, seed))
-    return tuple(
-        map_assignment(_posterior(net, (attr,), evidence, engine, gibbs, seed))[0]
-        for attr in missing
-    )
+    combo: tuple[str, ...] = ()
+    for targets in [missing] if joint else [(attr,) for attr in missing]:
+        dist = posterior_gibbs(
+            net, targets, evidence, samples=g.samples, burn_in=g.burn_in, seed=seed
+        )
+        combo += map_assignment(dist)
+    return combo
+
+
+class _ExactImputer:
+    """Exact MAP fills of rows given as domain codes, for one net and mode.
+
+    With every cell outside a row's missing set M observed, P(M | row)
+    factorizes over the components C of M in the moral graph.  P(C | row) is
+    the product of the CPTs of C and of C's children, sliced at their
+    observed cells, which make up C's Markov blanket.  One instance serves
+    one call and memoizes the components of each missing set, the sliced
+    CPTs of each component and each component's fill by (C, blanket codes).
+    """
+
+    def __init__(self, net: BayesNet, joint: bool):
+        self.net, self.joint = net, joint
+        self.families = [net.parents[a] + (a,) for a in net.schema.attributes]
+        # families whose CPT holds a zero: fully observed, the only other way
+        # the evidence can be impossible
+        pos = net.schema._index
+        self.zeros = [
+            (set(vs), net.cpts[vs[-1]], _getter([pos[v] for v in vs]))
+            for vs in self.families
+            if not net.cpts[vs[-1]].all()
+        ]
+        self.plans, self.factors, self.fills = {}, {}, {}
+
+    def plan(self, missing: tuple[str, ...]) -> list[tuple[str, ...]]:
+        """The components of ``missing`` in the moral graph."""
+        if missing not in self.plans:
+            groups = {a: {a} for a in missing}
+            for vs in self.families:
+                merged = set().union(*(groups[v] for v in vs if v in groups))
+                for v in merged:
+                    groups[v] = merged
+            components = {id(g): tuple(a for a in missing if a in g) for g in groups.values()}
+            self.plans[missing] = list(components.values())
+        return self.plans[missing]
+
+    def component(self, attrs: tuple[str, ...]):
+        """A getter of C's blanket codes, and each CPT of C and of C's children
+        transposed to (observed axes, C's axes) with a broadcast shape."""
+        if attrs not in self.factors:
+            pos, own, blanket = self.net.schema._index, [], set()
+            for vs in self.families:
+                if not any(v in attrs for v in vs):
+                    continue
+                seen = [k for k, v in enumerate(vs) if v not in attrs]
+                inside = sorted(set(range(len(vs))) - set(seen), key=lambda k: attrs.index(vs[k]))
+                cpt = self.net.cpts[vs[-1]]
+                shape = tuple(cpt.shape[vs.index(a)] if a in vs else 1 for a in attrs)
+                own.append((cpt.transpose(seen + inside), _getter([pos[vs[k]] for k in seen]), shape))
+                blanket.update(pos[vs[k]] for k in seen)
+            self.factors[attrs] = (_getter(sorted(blanket)), own)
+        return self.factors[attrs]
+
+    def posterior(self, attrs: tuple[str, ...], codes: list[int]):
+        """P(attrs | the row's observed cells): one axis per member of attrs."""
+        values = 1.0
+        for cpt, observed, shape in self.component(attrs)[1]:
+            values = values * cpt[observed(codes)].reshape(shape)
+        z = float(values.sum())
+        if z <= 0.0:
+            raise ImpossibleEvidenceError("impossible evidence: zero probability")
+        return values / z
+
+    def fill(self, codes: list[int], missing: tuple[str, ...]) -> tuple[str, ...]:
+        if any(cpt[get(codes)] == 0 for vs, cpt, get in self.zeros if vs.isdisjoint(missing)):
+            raise ImpossibleEvidenceError("impossible evidence: zero probability")
+        filled: dict[str, str] = {}
+        for attrs in self.plan(missing):
+            key = (attrs, self.component(attrs)[0](codes))
+            if key not in self.fills:
+                probs = self.posterior(attrs, codes)
+                axes = range(probs.ndim)
+                idx = _lex_argmax(probs) if self.joint else [
+                    _lex_argmax(probs.sum(axis=tuple(j for j in axes if j != k)))[0] for k in axes
+                ]
+                self.fills[key] = [self.net.schema.domains[a][i] for a, i in zip(attrs, idx)]
+            filled.update(zip(attrs, self.fills[key]))
+        return tuple(filled[a] for a in missing)
 
 
 def impute_tuple(
@@ -98,8 +173,11 @@ def impute_tuple(
     missing = _missing_attrs(net, row)
     if not missing:
         return row
-    seed = gibbs.seed if gibbs else 0
-    combo = _map_combo(net, row, missing, engine, gibbs, joint, seed)
+    if engine == "exact":
+        codes = Table(net.schema, [row])._column_codes()[:, 0].tolist()
+        combo = _ExactImputer(net, joint).fill(codes, missing)
+    else:
+        combo = _gibbs_combo(net, row, missing, engine, gibbs, joint, gibbs.seed if gibbs else 0)
     return _fill(net, row, missing, combo)
 
 
@@ -113,8 +191,9 @@ def impute_table(
 ) -> tuple[Table, ImputationReport]:
     """Impute every incomplete tuple of ``table``.
 
-    Exact-engine posteriors are memoized by (missing attributes, evidence),
-    so repeated patterns cost one elimination run.  With the Gibbs engine
+    The exact engine fills each connected component of a tuple's missing
+    attributes in the moral graph from its own posterior, memoized by
+    (component, observed blanket values).  With the Gibbs engine
     each tuple gets its own chain seeded by (base seed, tuple id), making
     results independent of processing order.  ``truth`` must have the same
     schema and row ids; accuracy is measured over imputed cells only, and
@@ -133,7 +212,8 @@ def impute_table(
                 raise ValueError(f"ground truth is missing row id {row.id}")
 
     t0 = time.perf_counter()
-    cache: dict[tuple, tuple[str, ...]] = {}
+    if engine == "exact":
+        exact, codes = _ExactImputer(net, joint), table._column_codes().T.tolist()
     out_rows: list[Row] = []
     cells_imputed: dict[str, int] = {}
     attr_hits: dict[str, int] = {}
@@ -147,23 +227,16 @@ def impute_table(
     tuple_hits = 0
     base_seed = gibbs.seed if gibbs else 0
 
-    for row in table.rows:
+    for i, row in enumerate(table.rows):
         missing = _missing_attrs(net, row)
         if not missing:
             out_rows.append(row)
             continue
         tuples_imputed += 1
         if engine == "exact":
-            evidence_key = tuple(
-                (a, c) for a, c in zip(net.schema.attributes, row.cells) if c is not None
-            )
-            key = (missing, evidence_key, joint)
-            combo = cache.get(key)
-            if combo is None:
-                combo = _map_combo(net, row, missing, engine, gibbs, joint, 0)
-                cache[key] = combo
+            combo = exact.fill(codes[i], missing)
         else:
-            combo = _map_combo(net, row, missing, engine, gibbs, joint, (base_seed, row.id))
+            combo = _gibbs_combo(net, row, missing, engine, gibbs, joint, (base_seed, row.id))
         new_row = _fill(net, row, missing, combo)
         out_rows.append(new_row)
 

@@ -87,14 +87,20 @@ class JointDistribution:
 
 
 def map_assignment(dist: JointDistribution) -> tuple[str, ...]:
-    """Most probable combination; exact ties go to the lexicographically smallest.
+    """Most probable combination; ties go to the lexicographically smallest.
 
-    argmax over the C-ordered array picks the first maximal entry, which is
-    the lexicographically smallest combination because domains are sorted.
+    Entries within a relative 1e-9 of the maximum count as tied.  That bounds
+    the rounding of an elimination over up to 1e7 states, so a tie in exact
+    arithmetic stays one however the posterior was computed.  The result is
+    thus a near-maximizer: it can lie up to 1e-9 below the maximum.
     """
-    flat = int(np.argmax(dist.probs))
-    idx = np.unravel_index(flat, dist.probs.shape)
-    return tuple(d[i] for d, i in zip(dist.domains, idx))
+    return tuple(d[i] for d, i in zip(dist.domains, _lex_argmax(dist.probs)))
+
+
+def _lex_argmax(probs: np.ndarray) -> tuple[int, ...]:
+    # the first entry in C order, which is lexicographic order over sorted domains
+    flat = probs.ravel()
+    return np.unravel_index(int((flat >= flat.max() * (1 - 1e-9)).argmax()), probs.shape)
 
 
 def format_distribution(dist: JointDistribution) -> str:

@@ -25,6 +25,7 @@ __all__ = [
     "load_csv",
     "save_csv",
     "discretize",
+    "parse_discretize_rules",
     "select",
     "project_distinct",
     "inject_nulls",
@@ -363,7 +364,16 @@ def _observed_domains(attrs: Sequence[str], cells: Sequence[Sequence[str | None]
 
 
 def save_csv(table: Table, path: str, null_token: str = "") -> None:
-    """Write a Table back to CSV, rendering missing cells as ``null_token``."""
+    """Write a Table back to CSV, rendering missing cells as ``null_token``.
+
+    Raises ValueError, writing nothing, if a row holds a label ``load_csv``
+    would misread: ``null_token`` itself, or one with surrounding whitespace.
+    """
+    for j, attr in enumerate(table.schema.attributes):
+        for label in table.schema.domains[attr]:
+            bad = label == null_token or label != label.strip()
+            if bad and any(row.cells[j] == label for row in table.rows):
+                raise ValueError(f"label {label!r} of attribute {attr!r} would not read back")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.schema.attributes)
@@ -377,6 +387,20 @@ def _round_to_multiple(value: int, granularity: int) -> int:
     if 2 * r >= granularity:
         q += 1
     return q * granularity
+
+
+def parse_discretize_rules(text: str) -> dict[str, int]:
+    """Parse ``Attr:granularity`` rules separated by commas, for ``discretize``."""
+    rules = {}
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        attr, sep, gran = part.partition(":")
+        if not sep:
+            raise ValueError(f"bad discretize rule {part!r}: expected Attr:granularity")
+        rules[attr.strip()] = int(gran)
+    return rules
 
 
 def discretize(table: Table, rules: Mapping[str, int]) -> Table:

@@ -1,5 +1,7 @@
 """AFD mining, ranking, naive Bayes prediction, chained imputation, files."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -238,6 +240,14 @@ class TestAfdFiles:
             assert after.confidence == pytest.approx(before.confidence, rel=1e-11)
         # the 12-significant-digit encoding is a fixed point
         assert save_afds(again) == text
+
+    def test_names_that_would_not_read_back_are_rejected(self):
+        for name in ("a,b", "a->b", " a", "a ", "a\nb"):
+            for afd in (Afd((name,), "c", 0.5), Afd(("c",), name, 0.5)):
+                with pytest.raises(ValueError, match=re.escape(repr(name))):
+                    save_afds([afd])
+        fine = Afd(("a b", "c:d"), "e", 0.5)
+        assert load_afds(save_afds([fine])) == [fine]
 
     def test_blank_lines_ignored(self):
         text = "\nA -> B : 0.5\n\n"

@@ -89,6 +89,10 @@ class TestParseConfig:
         )
         assert cfg.discretize_rules == {"Mileage": 5000, "Year": 10}
 
+    def test_discretize_rule_without_granularity(self):
+        with pytest.raises(ValueError, match=r"bad discretize rule 'Price': expected Attr:granularity"):
+            parse_config("mode = imputation\ntargets = Body\ndiscretize = Mileage:5000, Price\n")
+
     def test_query_limit_none(self):
         cfg = parse_config("mode = rewriting\nquery = Body=Sedan\nquery_limit = none\n")
         assert cfg.query_limit is None

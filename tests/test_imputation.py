@@ -6,6 +6,7 @@ import pytest
 from nullbayes import (
     BayesNet,
     GibbsParams,
+    ImpossibleEvidenceError,
     Row,
     Schema,
     Table,
@@ -33,6 +34,36 @@ def _skewed_pair_net():
             "Y": np.array([[1.0, 0.0], [0.25 / 0.6, 0.35 / 0.6]]),
         },
     )
+
+
+def _impossible_evidence_net(y_given_x):
+    """X -> Y plus a root Z with P(Z=z1) = 0."""
+    s = Schema(("X", "Y", "Z"), {"X": ("x0", "x1"), "Y": ("y0", "y1"), "Z": ("z0", "z1")})
+    return BayesNet(
+        s,
+        {"Y": ("X",)},
+        {"X": np.array([0.5, 0.5]), "Y": np.array(y_given_x), "Z": np.array([1.0, 0.0])},
+    )
+
+
+class TestImpossibleEvidence:
+    # Z=z1 is impossible in a family that no missing cell touches; Y=y1 is
+    # impossible inside X's posterior when P(Y=y1 | X) is 0 for every X
+    @pytest.mark.parametrize(
+        "y_given_x, cells",
+        [
+            ([[0.7, 0.3], [0.2, 0.8]], (None, "y1", "z1")),
+            ([[1.0, 0.0], [1.0, 0.0]], (None, "y1", "z0")),
+        ],
+    )
+    @pytest.mark.parametrize("joint", [True, False])
+    def test_impute_raises(self, y_given_x, cells, joint):
+        net = _impossible_evidence_net(y_given_x)
+        row = Row(1, cells)
+        with pytest.raises(ImpossibleEvidenceError):
+            impute_tuple(net, row, joint=joint)
+        with pytest.raises(ImpossibleEvidenceError):
+            impute_table(net, Table(net.schema, [row]), joint=joint)
 
 
 class TestImputeTuple:

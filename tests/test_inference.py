@@ -89,6 +89,13 @@ class TestMapAssignment:
         )
         assert map_assignment(d) == ("x", "0")
 
+    def test_rounding_tie_goes_lexicographically_smallest(self):
+        # 0.3 and the next double up: a tie that summation order decides
+        d = JointDistribution(
+            ("A",), (("w", "x", "y", "z"),), np.array([0.2, 0.3, 0.30000000000000004, 0.2])
+        )
+        assert map_assignment(d) == ("x",)
+
     def test_format_distribution(self):
         d = JointDistribution(("A",), (("x", "y"),), np.array([0.25, 0.75]))
         assert format_distribution(d) == "x\t0.25\ny\t0.75\n"

@@ -207,6 +207,23 @@ class TestCsv:
         save_csv(again, p2, null_token="?")
         assert open(p1).read() == open(p2).read()
 
+    def test_labels_that_would_not_read_back_are_rejected(self, tmp_path):
+        schema = Schema(("A", "B"), {"A": ("NA", "x"), "B": (" p ", "q")})
+        path = tmp_path / "t.csv"
+        for cells, token, label, attr in [
+            (("NA", "q"), "NA", "NA", "A"),
+            (("x", " p "), "", " p ", "B"),
+            (("x", None), "q", "q", "B"),
+        ]:
+            table = Table(schema, [Row(1, ("x", "q")), Row(2, cells)])
+            with pytest.raises(ValueError, match=f"label {label!r} of attribute {attr!r}"):
+                save_csv(table, str(path), null_token=token)
+            assert not path.exists()
+        # a bad label that no row holds is never written
+        table = Table(schema, [Row(1, ("x", "q"))])
+        save_csv(table, str(path), null_token="NA")
+        assert load_csv(str(path), null_token="NA").rows == table.rows
+
     def test_single_row_singleton_domains(self, tmp_path):
         path = self._write(tmp_path, "A,B\nx,y\n")
         t = load_csv(path)
