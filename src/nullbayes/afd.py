@@ -95,25 +95,42 @@ def mine_afds(
     return out
 
 
+# the last rule tuple best_afds saw, and each target's rule positions in rank order
+_ranked: tuple[tuple[Afd, ...], dict[str, list[int]]] = ((), {})
+
+
 def best_afds(afds: Iterable[Afd], exclude: Iterable[str] = ()) -> dict[str, Afd]:
     """The strongest usable AFD per target attribute.
 
-    AFDs whose determining set touches ``exclude`` are skipped.  Ties go to
-    the smaller determining set, then the lexicographically smaller one.
+    AFDs whose determining set touches ``exclude`` are skipped.  Ties in
+    confidence go to the smaller determining set, then the lexicographically
+    smaller one; equal rules resolve to the first listed.  The winners are
+    the caller's own rule objects.  The iteration order of the returned dict
+    is not part of the contract.
+
+    The ranking is memoized for the last rule sequence seen, so repeated
+    calls with an equal sequence cost one comparison and a walk of each
+    target's ranked rules.  The memo keeps that last rule tuple alive.
     """
+    global _ranked
+    rules = tuple(afds)
+    cached, order = _ranked
+    if rules != cached:
+        positions: dict[str, list[int]] = {}
+        for i, afd in enumerate(rules):
+            positions.setdefault(afd.target, []).append(i)
+        # a stable sort keeps equal-rank duplicates in list order
+        order = {
+            t: sorted(ix, key=lambda i: _afd_rank(rules[i])) for t, ix in positions.items()
+        }
+        _ranked = (rules, order)  # one assignment, so a reader never sees a mixed pair
     banned = set(exclude)
     best: dict[str, Afd] = {}
-    for afd in afds:
-        if banned and not banned.isdisjoint(afd.determining):
-            continue
-        cur = best.get(afd.target)
-        # confidence decides; the full rank is only needed to break a tie
-        if (
-            cur is None
-            or afd.confidence > cur.confidence
-            or (afd.confidence == cur.confidence and _afd_rank(afd) < _afd_rank(cur))
-        ):
-            best[afd.target] = afd
+    for target, ranked in order.items():
+        for i in ranked:
+            if not banned or banned.isdisjoint(rules[i].determining):
+                best[target] = rules[i]
+                break
     return best
 
 
@@ -144,26 +161,28 @@ class NaiveBayesModel:
         self._denoms = {
             (f, t): pair.sum(axis=0) + len(schema.domain(f)) for (f, t), pair in pair_counts.items()
         }
+        self._smoothed = {key: pair + 1.0 for key, pair in pair_counts.items()}
 
     def posterior(self, target: str, evidence: Mapping[str, str]) -> np.ndarray:
         """P(target | evidence) as an array over the target's sorted domain."""
-        self.schema.domain(target)  # KeyError for an unknown target
+        schema = self.schema
+        schema.index(target)  # KeyError for an unknown target
         probs = self._priors[target]
         for attr, value in sorted(evidence.items()):
             if attr == target:
                 raise ValueError(f"evidence on the target attribute {target!r}")
-            fdom = self.schema.domain(attr)
-            if value not in fdom:
+            # the code map sends None to -1, so a negative code is an unseen value
+            code = schema._label_codes[schema.index(attr)].get(value, -1)
+            if code < 0:
                 raise ValueError(f"value {value!r} not in domain of {attr!r}")
-            col = self._pair_counts[(attr, target)][fdom.index(value), :]
-            probs = probs * (col + 1.0) / self._denoms[(attr, target)]
+            probs = probs * self._smoothed[(attr, target)][code] / self._denoms[(attr, target)]
         total = probs.sum()
         return probs / total
 
     def predict(self, target: str, evidence: Mapping[str, str]) -> tuple[str, float]:
         """Most probable target value and its probability; ties go lexicographic."""
         probs = self.posterior(target, evidence)
-        i = int(np.argmax(probs))
+        i = int(probs.argmax())
         return self.schema.domain(target)[i], float(probs[i])
 
 
@@ -203,6 +222,9 @@ def afd_impute_tuple(
     attributes.
     """
     schema = model.schema
+    arity = len(schema.attributes)
+    if len(row.cells) != arity:
+        raise ValueError(f"row {row.id} has {len(row.cells)} cells, schema has {arity}")
     best = best_afds(afds)
     cells = dict(zip(schema.attributes, row.cells))
 

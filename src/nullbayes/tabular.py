@@ -366,9 +366,13 @@ def _observed_domains(attrs: Sequence[str], cells: Sequence[Sequence[str | None]
 def save_csv(table: Table, path: str, null_token: str = "") -> None:
     """Write a Table back to CSV, rendering missing cells as ``null_token``.
 
-    Raises ValueError, writing nothing, if a row holds a label ``load_csv``
-    would misread: ``null_token`` itself, or one with surrounding whitespace.
+    Raises ValueError, writing nothing, if an attribute name or a row's label
+    would not read back through ``load_csv``: a blank or padded name, a label
+    equal to ``null_token``, or a label with surrounding whitespace.
     """
+    for attr in table.schema.attributes:
+        if not attr or attr != attr.strip():
+            raise ValueError(f"attribute name {attr!r} would not read back")
     for j, attr in enumerate(table.schema.attributes):
         for label in table.schema.domains[attr]:
             bad = label == null_token or label != label.strip()
@@ -396,10 +400,15 @@ def parse_discretize_rules(text: str) -> dict[str, int]:
         part = part.strip()
         if not part:
             continue
-        attr, sep, gran = part.partition(":")
-        if not sep:
+        attr, _, gran = part.partition(":")
+        attr = attr.strip()
+        try:
+            granularity = int(gran)  # gran is empty when the colon is missing
+        except ValueError:
+            granularity = None
+        if not attr or granularity is None:
             raise ValueError(f"bad discretize rule {part!r}: expected Attr:granularity")
-        rules[attr.strip()] = int(gran)
+        rules[attr] = granularity
     return rules
 
 

@@ -6,6 +6,7 @@ criterion.  Numbered comments give the tolerance being enforced.
 """
 
 import itertools
+import os
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import nullbayes
 from nullbayes import (
     Afd,
     AutonomousSource,
@@ -415,12 +417,18 @@ def test_criterion_11_cli_determinism(tmp_path):
         encoding="utf-8",
     )
 
+    # the child imports the same package this process imported
+    src = os.path.dirname(os.path.dirname(nullbayes.__file__))
+    paths = (src, os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
     def run(args):
         proc = subprocess.run(
             [sys.executable, "-m", "nullbayes", *args],
             capture_output=True,
             text=True,
             timeout=300,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         return proc

@@ -1,6 +1,8 @@
 """AFD mining, ranking, naive Bayes prediction, chained imputation, files."""
 
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -303,3 +305,203 @@ def test_best_afds_matches_reference(afds, exclude):
         assert got == want
         # the same rule object wins, so equal duplicates resolve to the first
         assert all(got[t] is want[t] for t in want)
+
+
+def _check_best_afds(rules, exclude=(), wrap=lambda rules: rules):
+    """best_afds on ``wrap(rules)`` equals the reference, winners included."""
+    got = best_afds(wrap(rules), exclude)
+    want = _ref_best_afds(rules, exclude)
+    assert got == want
+    assert all(got[t] is want[t] for t in want)
+
+
+_EXCLUDES = st.lists(st.sampled_from(_ATTRS + ("Z",)), max_size=3)
+
+
+@given(
+    start=st.lists(_afds(), max_size=20),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(("append", "replace", "delete", "reverse", "none")),
+            _afds(),
+            st.integers(0, 40),
+            _EXCLUDES,
+        ),
+        max_size=12,
+    ),
+)
+def test_best_afds_memo_follows_one_list_mutated_in_place(start, steps):
+    rules = list(start)
+    _check_best_afds(rules)
+    for op, afd, i, exclude in steps:
+        if op == "append":
+            rules.append(afd)
+        elif op == "replace" and rules:
+            rules[i % len(rules)] = afd
+        elif op == "delete" and rules:
+            del rules[i % len(rules)]
+        elif op == "reverse":
+            rules.reverse()
+        _check_best_afds(rules, exclude)
+        _check_best_afds(rules)
+
+
+@given(afds=st.lists(_afds(), max_size=30), exclude=_EXCLUDES)
+def test_best_afds_memo_with_generators_tuples_and_equal_copies(afds, exclude):
+    for ex in (exclude, ()):
+        _check_best_afds(afds, ex)
+        _check_best_afds(afds, ex, tuple)
+        _check_best_afds(afds, ex, lambda rules: (a for a in rules))
+        # an equal list of distinct objects hits the memo yet returns its own rules
+        copies = [Afd(a.determining, a.target, a.confidence) for a in afds]
+        _check_best_afds(copies, ex)
+        _check_best_afds(afds, ex)
+
+
+@given(
+    first=st.lists(_afds(), max_size=20),
+    second=st.lists(_afds(), max_size=20),
+    excludes=st.lists(_EXCLUDES, min_size=1, max_size=6),
+)
+def test_best_afds_memo_with_two_lists_alternating(first, second, excludes):
+    for exclude in excludes:
+        _check_best_afds(first, exclude)
+        _check_best_afds(second, exclude)
+
+
+def test_best_afds_memo_with_two_threads_alternating_lists():
+    rng = np.random.default_rng(7)
+
+    def rules(n):
+        out = []
+        for _ in range(n):
+            target = _ATTRS[int(rng.integers(len(_ATTRS)))]
+            others = [a for a in _ATTRS if a != target]
+            det = rng.choice(others, size=int(rng.integers(1, 3)), replace=False)
+            out.append(Afd(tuple(sorted(det)), target, float(rng.choice([0.5, rng.random()]))))
+        return out
+
+    lists = [rules(60), rules(60)]
+    wants = [[_ref_best_afds(r, ex) for ex in ((), ("A",), ("B", "C"))] for r in lists]
+    failures = []
+
+    def worker(offset):
+        try:
+            for k in range(300):
+                which = (k + offset) % 2
+                for ex, want in zip(((), ("A",), ("B", "C")), wants[which]):
+                    got = best_afds(lists[which], ex)
+                    if got != want or any(got[t] is not want[t] for t in want):
+                        failures.append((which, ex))
+        except Exception as exc:  # surfaced by the assertion below
+            failures.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+
+
+# ---------------------------------------------------------------------------
+# NaiveBayesModel.posterior against the code it replaced, kept verbatim
+
+
+def _ref_posterior(self, target, evidence):
+    self.schema.domain(target)  # KeyError for an unknown target
+    probs = self._priors[target]
+    for attr, value in sorted(evidence.items()):
+        if attr == target:
+            raise ValueError(f"evidence on the target attribute {target!r}")
+        fdom = self.schema.domain(attr)
+        if value not in fdom:
+            raise ValueError(f"value {value!r} not in domain of {attr!r}")
+        col = self._pair_counts[(attr, target)][fdom.index(value), :]
+        probs = probs * (col + 1.0) / self._denoms[(attr, target)]
+    total = probs.sum()
+    return probs / total
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_NB_ATTRS = ("A", "B", "C", "D")
+_NB_SCHEMA = Schema(
+    _NB_ATTRS, {"A": ("0", "1"), "B": ("0", "1", "2"), "C": ("x",), "D": ("0", "1", "2", "3")}
+)
+_NB_VALUES = st.sampled_from(("0", "1", "2", "3", "x", "unseen", None))
+
+
+@given(
+    data=st.lists(
+        st.tuples(*[st.sampled_from((None, *_NB_SCHEMA.domain(a))) for a in _NB_ATTRS]),
+        max_size=25,
+    ),
+    queries=st.lists(
+        st.tuples(
+            st.sampled_from(_NB_ATTRS + ("Q",)),
+            st.dictionaries(st.sampled_from(_NB_ATTRS + ("Q",)), _NB_VALUES, max_size=4),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+)
+def test_nb_posterior_matches_reference(data, queries):
+    model = fit_naive_bayes(Table(_NB_SCHEMA, [Row(i, cells) for i, cells in enumerate(data)]))
+    for target, evidence in queries:
+        got = _outcome(model.posterior, target, evidence)
+        want = _outcome(_ref_posterior, model, target, evidence)
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+        else:
+            assert got == want
+        if isinstance(want, np.ndarray):
+            label, p = model.predict(target, evidence)
+            i = int(np.argmax(want))
+            assert (label, p) == (_NB_SCHEMA.domain(target)[i], float(want[i]))
+
+
+# ---------------------------------------------------------------------------
+# row arity and AFD files
+
+
+def test_afd_impute_tuple_rejects_wrong_arity(sparse_table):
+    rules = mine_afds(sparse_table)
+    model = fit_naive_bayes(sparse_table)
+    row = sparse_table.row_by_id(8)
+    d = len(row.cells)
+    for cells in (row.cells + ("extra",), row.cells[:-1]):
+        with pytest.raises(ValueError, match=rf"^row 8 has {len(cells)} cells, schema has {d}$"):
+            afd_impute_tuple(rules, model, Row(8, cells))
+
+
+_NAME = st.text(st.sampled_from("ab,->: \t\n\r\x0b\x85\u2028"), max_size=5)
+
+
+@given(names=st.lists(_NAME, min_size=2, max_size=4, unique=True), data=st.data())
+def test_afd_file_round_trip_or_refusal(names, data):
+    afds = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        target = data.draw(st.sampled_from(names))
+        others = sorted(n for n in names if n != target)
+        det = data.draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
+        conf = data.draw(st.floats(0.0, 1.0))
+        afds.append(Afd(tuple(sorted(det)), target, conf))
+    try:
+        text = save_afds(afds)
+    except ValueError:
+        return
+    again = load_afds(text)
+    assert [(a.determining, a.target) for a in again] == [(a.determining, a.target) for a in afds]
+    assert [a.confidence for a in again] == [float(f"{a.confidence:.12g}") for a in afds]

@@ -94,11 +94,13 @@ class TestLearn:
         assert all(int(v) % 20000 == 0 for v in net.schema.domain("Mileage"))
 
     def test_bad_discretize_rule(self, tmp_path, train_csv, capsys):
-        rc = main(
-            ["learn", "--train", train_csv, "--out", str(tmp_path / "m"), "--discretize", "Mileage"]
-        )
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        for rule in ("Mileage", "Price:", "Price:x", "Price:5.0", ":5"):
+            out = tmp_path / "m"
+            rc = main(["learn", "--train", train_csv, "--out", str(out), "--discretize", rule])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err == f"error: bad discretize rule {rule!r}: expected Attr:granularity\n"
+            assert not out.exists()
 
     def test_missing_required_flag(self, capsys):
         assert main(["learn", "--train", "x.csv"]) == 1

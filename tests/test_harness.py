@@ -1,6 +1,7 @@
 """Experiment configuration, splitting, accounting, and report rendering."""
 
 import math
+import re
 
 import pytest
 
@@ -90,8 +91,11 @@ class TestParseConfig:
         assert cfg.discretize_rules == {"Mileage": 5000, "Year": 10}
 
     def test_discretize_rule_without_granularity(self):
-        with pytest.raises(ValueError, match=r"bad discretize rule 'Price': expected Attr:granularity"):
-            parse_config("mode = imputation\ntargets = Body\ndiscretize = Mileage:5000, Price\n")
+        head = "mode = imputation\ntargets = Body\ndiscretize = Mileage:5000, "
+        for rule in ("Price", "Price:", "Price:x", "Price:5.0", ":5"):
+            message = f"bad discretize rule {rule!r}: expected Attr:granularity"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                parse_config(head + rule + "\n")
 
     def test_query_limit_none(self):
         cfg = parse_config("mode = rewriting\nquery = Body=Sedan\nquery_limit = none\n")

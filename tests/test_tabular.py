@@ -1,6 +1,7 @@
 """Tables, queries, CSV round trips, discretization, null injection."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -223,6 +224,14 @@ class TestCsv:
         table = Table(schema, [Row(1, ("x", "q"))])
         save_csv(table, str(path), null_token="NA")
         assert load_csv(str(path), null_token="NA").rows == table.rows
+
+    def test_attribute_names_that_would_not_read_back_are_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        for name in (" A", "A ", "", "\tA"):
+            table = Table(Schema((name, "B"), {name: ("x",), "B": ("y",)}), [Row(1, ("x", "y"))])
+            with pytest.raises(ValueError, match=f"attribute name {re.escape(repr(name))}"):
+                save_csv(table, str(path))
+            assert not path.exists()
 
     def test_single_row_singleton_domains(self, tmp_path):
         path = self._write(tmp_path, "A,B\nx,y\n")
