@@ -523,8 +523,12 @@ _FORMAT_VERSION = "1"
 _LOAD_ROW_SUM_TOL = 1e-6
 
 
+# a raw \r would end its line once the text passes through a text file
+_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+
+
 def _escape(label: str) -> str:
-    return label.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+    return label.translate(_ESCAPES)
 
 
 def _unescape(token: str) -> str:
@@ -534,7 +538,7 @@ def _unescape(token: str) -> str:
         ch = token[i]
         if ch == "\\" and i + 1 < len(token):
             nxt = token[i + 1]
-            out.append({"\\": "\\", "t": "\t", "n": "\n"}.get(nxt, nxt))
+            out.append({"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}.get(nxt, nxt))
             i += 2
         else:
             out.append(ch)
@@ -554,8 +558,7 @@ def save_model(net: BayesNet) -> str:
         doms = "\t".join(_escape(v) for v in net.schema.domain(attr))
         lines.append(f"attribute\t{_escape(attr)}\t{doms}")
     for attr in net.schema.attributes:
-        ps = "\t".join(_escape(p) for p in net.parents[attr])
-        lines.append(f"parents\t{_escape(attr)}" + (f"\t{ps}" if ps else ""))
+        lines.append("\t".join(["parents", _escape(attr), *map(_escape, net.parents[attr])]))
     for attr in net.schema.attributes:
         cpt = net.cpts[attr]
         parent_doms = [net.schema.domain(p) for p in net.parents[attr]]
@@ -584,8 +587,10 @@ def load_model(text: str) -> BayesNet:
         On an unknown version, malformed lines, missing CPT rows, rows that
         do not sum to 1 within 1e-6, or a cyclic parent graph.
     """
-    lines = text.splitlines()
-    if not lines:
+    # only \n ends a line (labels may hold \x0b, \x85 and the like); a
+    # trailing \r is a CRLF ending, as save_model escapes every \r it writes
+    lines = [line.removesuffix("\r") for line in text.split("\n")]
+    if not text:
         raise ModelFormatError("empty model text")
     head = lines[0].split("\t")
     if len(head) != 2 or head[0] != _FORMAT_NAME:

@@ -1,10 +1,10 @@
 """Posterior computation over discrete Bayesian networks.
 
 Exact inference is variable elimination over factor tables (one ndarray
-axis per variable, eliminated in min-degree order).  Approximate inference
-is Gibbs sampling over the non-evidence variables.  Posteriors come back as
-JointDistribution objects: a probability array over the target domains, in
-target order, summing to 1.
+axis per variable, eliminated in min-degree order) over the ancestors of
+the query's variables.  Approximate inference is Gibbs sampling over the
+non-evidence variables.  Posteriors come back as JointDistribution objects:
+a probability array over the target domains, in target order, summing to 1.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 
 import numpy as np
@@ -110,66 +111,80 @@ def format_distribution(dist: JointDistribution) -> str:
 
 
 # ---------------------------------------------------------------------------
-# factors
+# variable elimination: a plan per DAG and query shape, then array products
 
 
-class _Factor:
-    __slots__ = ("vars", "values")
-
-    def __init__(self, variables: tuple[str, ...], values: np.ndarray):
-        self.vars = variables
-        self.values = values
-
-
-def _aligned(factor: _Factor, out_vars: tuple[str, ...]) -> np.ndarray:
-    present = [v for v in out_vars if v in factor.vars]
-    arr = np.transpose(factor.values, [factor.vars.index(v) for v in present])
-    shape = []
-    j = 0
-    for v in out_vars:
-        if v in factor.vars:
-            shape.append(arr.shape[j])
-            j += 1
-        else:
-            shape.append(1)
-    return arr.reshape(shape)
+def _alignment(variables: tuple[str, ...], out_vars: tuple[str, ...]):
+    """The transpose order, then the index inserting a unit axis per absent
+    variable, that lay an array over ``variables`` on ``out_vars``' axes;
+    None where either is the identity."""
+    perm = tuple(variables.index(v) for v in out_vars if v in variables)
+    index = tuple(slice(None) if v in variables else None for v in out_vars)
+    return (
+        None if perm == tuple(range(len(perm))) else perm,
+        None if len(index) == len(variables) else index,
+    )
 
 
-def _product(factors: list[_Factor]) -> _Factor:
-    out_vars: list[str] = []
-    for f in factors:
-        for v in f.vars:
-            if v not in out_vars:
-                out_vars.append(v)
-    ov = tuple(out_vars)
-    values = _aligned(factors[0], ov)
-    for f in factors[1:]:
-        values = values * _aligned(f, ov)
-    return _Factor(ov, values)
+def _planned_product(arrays: list[np.ndarray], inputs) -> np.ndarray:
+    """Product, in ``inputs`` order, of ``arrays[slot]`` laid out as planned."""
+    values = None
+    for slot, perm, index in inputs:
+        arr = arrays[slot] if perm is None else arrays[slot].transpose(perm)
+        if index is not None:
+            arr = arr[index]
+        values = arr if values is None else values * arr
+    return values
 
 
-def _sum_out(factor: _Factor, var: str) -> _Factor:
-    ax = factor.vars.index(var)
-    new_vars = factor.vars[:ax] + factor.vars[ax + 1 :]
-    return _Factor(new_vars, factor.values.sum(axis=ax))
+@lru_cache(maxsize=1024)
+def _elimination_plan(dag, free: tuple[str, ...], observed: frozenset[str]):
+    """How to eliminate for P(free | evidence on ``observed``) over ``dag``.
 
-
-def _restricted_factors(net: BayesNet, evidence: Mapping[str, str]) -> list[_Factor]:
-    ev_idx = {a: net.schema.domain(a).index(v) for a, v in evidence.items()}
-    factors = []
-    for attr in net.schema.attributes:
-        variables = net.parents[attr] + (attr,)
-        values = net.cpts[attr]
-        kept = []
-        index: list[object] = []
-        for v in variables:
-            if v in ev_idx:
-                index.append(ev_idx[v])
-            else:
-                index.append(slice(None))
-                kept.append(v)
-        factors.append(_Factor(tuple(kept), values[tuple(index)]))
-    return factors
+    ``dag`` is the attribute order and each attribute's parent tuple.  Only
+    the CPTs of ancestors of ``free`` and ``observed`` are kept; the rest
+    are barren and sum to 1.  Returns, per kept CPT, its attribute and each
+    axis's evidence attribute (None where free, or None for the whole CPT
+    if no axis is observed); per elimination step, the live factors it
+    multiplies (slot, transpose order, index) and the axis it sums out,
+    each result taking the next slot; and the final product's inputs,
+    aligned on ``free``.  Unit axes are inserted by index, not reshape, so
+    the plan holds no domain sizes.
+    """
+    parents = dict(zip(*dag))
+    kept: set[str] = set()
+    stack = [*free, *observed]
+    while stack:
+        attr = stack.pop()
+        if attr not in kept:
+            kept.add(attr)
+            stack.extend(parents[attr])
+    cpts, live = [], []
+    for attr in dag[0]:
+        if attr in kept:
+            family = parents[attr] + (attr,)
+            axes = tuple(v if v in observed else None for v in family)
+            cpts.append((attr, axes if observed.intersection(family) else None))
+            live.append(tuple(v for v in family if v not in observed))
+    factors = list(range(len(live)))
+    eliminate = kept - observed - set(free)
+    steps = []
+    while eliminate:
+        neighbors: dict[str, set[str]] = {v: set() for v in eliminate}
+        for f in factors:
+            for v in live[f]:
+                if v in eliminate:
+                    neighbors[v].update(live[f])
+        victim = min(eliminate, key=lambda v: (len(neighbors[v] - {v}), v))
+        touching = [f for f in factors if victim in live[f]]
+        out_vars = tuple(dict.fromkeys(v for f in touching for v in live[f]))
+        axis = out_vars.index(victim)
+        steps.append((tuple((f, *_alignment(live[f], out_vars)) for f in touching), axis))
+        factors = [f for f in factors if victim not in live[f]] + [len(live)]
+        live.append(out_vars[:axis] + out_vars[axis + 1 :])
+        eliminate.discard(victim)
+    final = tuple((f, *_alignment(live[f], free)) for f in factors)
+    return tuple(cpts), tuple(steps), final
 
 
 def _check_query(net: BayesNet, targets: Sequence[str], evidence: Mapping[str, str]) -> None:
@@ -213,9 +228,18 @@ def posterior_exact(
 ) -> JointDistribution:
     """Exact joint posterior P(targets | evidence) by variable elimination.
 
-    Non-target, non-evidence variables are eliminated in min-degree order
-    (lexicographic tie-break, so results are deterministic).  Evidence on a
-    target clamps that target's axis to the evidence value.
+    Only the CPTs of ancestors of the targets and the evidence enter; every
+    other variable is barren and sums to 1 (Koller & Friedman, §9.3).  The
+    remaining non-target, non-evidence variables are eliminated in
+    min-degree order (lexicographic tie-break, so results are
+    deterministic).  Evidence on a target clamps that target's axis to the
+    evidence value.
+
+    The elimination plan (order, factor products, axis layouts) depends only
+    on the DAG, the free targets and the evidence attributes, so it is
+    memoized on those (a bounded cache holding no CPTs); a call then slices
+    the CPTs at the evidence codes and runs the planned products and sums.
+    Results can differ from eliminating every variable in the last ulp.
 
     Raises
     ------
@@ -225,30 +249,18 @@ def posterior_exact(
     evidence = dict(evidence or {})
     _check_query(net, targets, evidence)
     free = [t for t in targets if t not in evidence]
-    factors = _restricted_factors(net, evidence)
-    eliminate = {
-        v for v in net.schema.attributes if v not in evidence and v not in free
-    }
-
-    while eliminate:
-        neighbors: dict[str, set[str]] = {v: set() for v in eliminate}
-        for f in factors:
-            for v in f.vars:
-                if v in eliminate:
-                    neighbors[v].update(f.vars)
-        victim = min(eliminate, key=lambda v: (len(neighbors[v] - {v}), v))
-        touching = [f for f in factors if victim in f.vars]
-        rest = [f for f in factors if victim not in f.vars]
-        factors = rest + [_sum_out(_product(touching), victim)]
-        eliminate.discard(victim)
-
-    joint = _product(factors)
-    # collapse any stray scalar factors and order axes by `free`
-    if free:
-        values = _aligned(joint, tuple(free))
-        values = values.reshape([len(net.schema.domain(t)) for t in free])
-    else:
-        values = joint.values.reshape(())
+    attrs = net.schema.attributes
+    dag = (attrs, tuple(net.parents[a] for a in attrs))
+    cpts, steps, final = _elimination_plan(dag, tuple(free), frozenset(evidence))
+    codes = {a: net.schema.domains[a].index(v) for a, v in evidence.items()}
+    arrays = [
+        net.cpts[attr] if axes is None
+        else net.cpts[attr][tuple(slice(None) if v is None else codes[v] for v in axes)]
+        for attr, axes in cpts
+    ]
+    for inputs, axis in steps:
+        arrays.append(_planned_product(arrays, inputs).sum(axis=axis))
+    values = _planned_product(arrays, final)
     z = float(values.sum())
     if z <= 0.0:
         raise ImpossibleEvidenceError("impossible evidence: zero probability")
@@ -256,11 +268,9 @@ def posterior_exact(
     if not free:
         # every target clamped by evidence
         return _expand_clamped(net, targets, evidence, [], np.array(1.0))
-    if len(free) == len(targets):
-        perm = [free.index(t) for t in targets]
-        probs = np.transpose(values, perm)
+    if len(free) == len(targets):  # then ``free`` is ``targets``, in order
         domains = tuple(net.schema.domain(t) for t in targets)
-        return JointDistribution(tuple(targets), domains, probs)
+        return JointDistribution(tuple(targets), domains, values)
     return _expand_clamped(net, targets, evidence, free, values)
 
 
@@ -276,10 +286,10 @@ def enumerate_joint(net: BayesNet) -> JointDistribution:
         if states > _MAX_ENUM_STATES:
             raise ValueError(f"joint has more than {_MAX_ENUM_STATES} states")
     attrs = tuple(net.schema.attributes)
-    full = np.ones(sizes)
-    for attr in attrs:
-        f = _Factor(net.parents[attr] + (attr,), net.cpts[attr])
-        full = full * _aligned(f, attrs)
+    full = _planned_product(
+        [net.cpts[a] for a in attrs],
+        [(i, *_alignment(net.parents[a] + (a,), attrs)) for i, a in enumerate(attrs)],
+    )
     total = float(full.sum())
     return JointDistribution(attrs, tuple(net.schema.domain(a) for a in attrs), full / total)
 

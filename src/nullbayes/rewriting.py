@@ -17,7 +17,10 @@ tuples look like and fetch them with rewritten queries that constrain
 All strategies rank by F-measure over expected precision (posterior
 probability of the original constraint) and expected recall (precision
 times estimated result size), then issue the survivors in decreasing
-expected-precision order against the source.
+expected-precision order against the source.  Scores compare at 12
+significant digits, so rewrites whose scores agree that far (equal in exact
+arithmetic, say, but summed in different orders) go by fewer predicates,
+then query text.
 """
 
 from __future__ import annotations
@@ -203,11 +206,17 @@ class _Scorer:
 
 def _rank_key(rq: RewrittenQuery) -> tuple:
     # F desc, precision desc, fewer predicates, text asc
-    return (-rq.score.f_measure, -rq.score.precision, len(rq.query), rq.text())
+    return (-_tie(rq.score.f_measure), -_tie(rq.score.precision), len(rq.query), rq.text())
 
 
 def _issue_key(rq: RewrittenQuery) -> tuple:
-    return (-rq.score.precision, len(rq.query), rq.text())
+    return (-_tie(rq.score.precision), len(rq.query), rq.text())
+
+
+def _tie(score: float) -> float:
+    # two posteriors equal in exact arithmetic can differ in their last bits;
+    # at 12 significant digits they tie, and the text decides
+    return float(f"{score:.12g}")
 
 
 def order_and_issue(

@@ -254,7 +254,12 @@ class SelectionQuery:
 
     @classmethod
     def parse(cls, text: str) -> "SelectionQuery":
-        """Parse ``"Attr=Value & Attr2=Value2"``.  Whitespace around parts is trimmed."""
+        """Parse ``"Attr=Value & Attr2=Value2"``.  Whitespace around parts is trimmed.
+
+        So query text cannot carry a value that contains ``&`` (it splits the
+        predicate) or has leading or trailing spaces (they are trimmed); build
+        such a query from pairs with ``SelectionQuery({attr: value})``.
+        """
         pairs = []
         for part in text.split("&"):
             part = part.strip()
@@ -366,13 +371,17 @@ def _observed_domains(attrs: Sequence[str], cells: Sequence[Sequence[str | None]
 def save_csv(table: Table, path: str, null_token: str = "") -> None:
     """Write a Table back to CSV, rendering missing cells as ``null_token``.
 
-    Raises ValueError, writing nothing, if an attribute name or a row's label
-    would not read back through ``load_csv``: a blank or padded name, a label
-    equal to ``null_token``, or a label with surrounding whitespace.
+    Raises ValueError, writing nothing, if an attribute name, a row's label
+    or a missing cell would not read back through ``load_csv``: a blank or
+    padded name, a label equal to ``null_token``, a label with surrounding
+    whitespace, or a padded ``null_token`` (cells are trimmed before the
+    comparison) where a cell is missing.
     """
     for attr in table.schema.attributes:
         if not attr or attr != attr.strip():
             raise ValueError(f"attribute name {attr!r} would not read back")
+    if null_token != null_token.strip() and any(None in row.cells for row in table.rows):
+        raise ValueError(f"null token {null_token!r} would not read back")
     for j, attr in enumerate(table.schema.attributes):
         for label in table.schema.domains[attr]:
             bad = label == null_token or label != label.strip()

@@ -1,7 +1,11 @@
 """Network representation, structure search, fitting, graph queries, model files."""
 
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nullbayes import (
     BayesNet,
@@ -342,6 +346,42 @@ class TestModelFile:
     def test_garbage(self):
         with pytest.raises(ModelFormatError):
             load_model("not a model\n")
+
+
+# names and labels with every character a model line or file could misread:
+# separators, line breaks, escapes, padding, query syntax; "" is drawn too
+_WORD = st.text(st.sampled_from("ab\t\n\r\x0b\x85\u2028\\&=,-> "), max_size=4)
+
+
+@given(data=st.data())
+def test_model_round_trip_or_refusal(data):
+    names = data.draw(st.lists(_WORD, min_size=1, max_size=3, unique=True))
+    domains = {n: data.draw(st.lists(_WORD, min_size=1, max_size=3, unique=True)) for n in names}
+    schema = Schema(names, domains)
+    parents = {n: () for n in names}  # sorted, as BayesNet keeps them
+    for i, name in enumerate(names[1:], start=1):
+        parents[name] = tuple(sorted(data.draw(st.lists(st.sampled_from(names[:i]), unique=True))))
+    cpts = {}
+    for name in names:
+        shape = tuple(len(domains[p]) for p in parents[name]) + (len(domains[name]),)
+        size = int(np.prod(shape))
+        weights = np.array(
+            data.draw(st.lists(st.integers(1, 9), min_size=size, max_size=size))
+        ).reshape(shape)
+        cpts[name] = weights / weights.sum(axis=-1, keepdims=True)
+    net = BayesNet(schema, parents, cpts)
+    try:
+        text = save_model(net)
+    except ValueError as exc:
+        assert any(repr(w) in str(exc) for n in names for w in (n, *domains[n])), str(exc)
+        return
+    # as a string, and through a text file's newline translation (the CLI's way)
+    file_text = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8").read()
+    for again in (load_model(text), load_model(file_text)):
+        assert again.schema == schema
+        assert again.parents == net.parents
+        for name in names:
+            np.testing.assert_allclose(again.cpts[name], net.cpts[name], rtol=0, atol=1e-10)
 
 
 class TestSampleRows:

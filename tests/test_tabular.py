@@ -1,10 +1,14 @@
 """Tables, queries, CSV round trips, discretization, null injection."""
 
 import math
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullbayes import (
     ParseError,
@@ -258,6 +262,42 @@ class TestCsv:
         path = self._write(tmp_path, "A,B\n x , y \n")
         t = load_csv(path)
         assert t.rows[0].cells == ("x", "y")
+
+
+# names and labels with every character a CSV line or cell could misread:
+# separators, quotes, line breaks, padding, query syntax; "" is drawn too.
+# Half are framed by letters, so their odd characters are inside and they
+# should read back.
+_ODD = st.text(st.sampled_from('ab\t\n\r\x0b\x85\u2028&=,->" '), max_size=4)
+_WORD = _ODD | st.builds("a{}b".format, _ODD)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_csv_round_trip_or_refusal(data):
+    names = data.draw(st.lists(_WORD, min_size=1, max_size=3, unique=True))
+    domains = {n: data.draw(st.lists(_WORD, min_size=1, max_size=3, unique=True)) for n in names}
+    token = data.draw(st.sampled_from(["", "NA", " ", "a"]))
+    cells = st.tuples(*(st.sampled_from([None, *domains[n], *domains[n]]) for n in names))
+    rows = [Row(i, c) for i, c in enumerate(data.draw(st.lists(cells, min_size=1, max_size=4)), 1)]
+    table = Table(Schema(names, domains), rows)
+    words = {token, *(w for n in names for w in (n, *domains[n]))}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        try:
+            save_csv(table, path, null_token=token)
+        except ValueError as exc:
+            assert any(repr(w) in str(exc) for w in words), str(exc)
+            assert not os.path.exists(path)
+            return
+        try:
+            again = load_csv(path, null_token=token)
+        except ParseError as exc:  # a column with no value left: no domain to infer
+            assert "empty domain" in str(exc)
+            assert any(all(r.cells[j] is None for r in rows) for j in range(len(names)))
+            return
+    assert again.schema.attributes == table.schema.attributes
+    assert again.rows == table.rows
 
 
 class TestDiscretize:
