@@ -131,6 +131,7 @@ class ExperimentConfig:
         for level in self.levels:
             if not 0 <= level <= 100:
                 raise ValueError("levels are percentages in 0..100")
+        GibbsParams(self.gibbs_samples, self.gibbs_burn_in)
 
 
 _INT_KEYS = {

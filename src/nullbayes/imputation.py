@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 
 from .bayesnet import BayesNet
-from .inference import ImpossibleEvidenceError, _getter, _lex_argmax, map_assignment
+from .inference import ImpossibleEvidenceError, _check_chain, _getter, _lex_argmax, map_assignment
 # posterior_exact is not called here, but perfbench/tracing.py patches this name
 from .inference import posterior_exact, posterior_gibbs  # noqa: F401
 from .tabular import Row, Table
@@ -26,6 +26,9 @@ class GibbsParams:
     samples: int = 250
     burn_in: int = 100
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        _check_chain(self.samples, self.burn_in)
 
 
 @dataclass(frozen=True)
@@ -62,18 +65,24 @@ def _fill(net: BayesNet, row: Row, missing: tuple[str, ...], combo: tuple[str, .
     return Row(row.id, cells)
 
 
-def _gibbs_combo(net, row, missing, engine, gibbs, joint, seed) -> tuple[str, ...]:
-    if engine != "gibbs":
+def _check_engine(engine: str) -> None:
+    if engine not in ("exact", "gibbs"):
         raise ValueError(f"unknown engine {engine!r}")
+
+
+def _gibbs_combo(net, row, missing, gibbs, joint, seed, memo) -> tuple[str, ...]:
+    # one chain over every missing attribute; its free set, initial draw and
+    # uniforms do not depend on the targets, so marginal mode counts each
+    # attribute's values in the same chain
     g = gibbs or GibbsParams()
     evidence = {a: c for a, c in zip(net.schema.attributes, row.cells) if c is not None}
-    combo: tuple[str, ...] = ()
-    for targets in [missing] if joint else [(attr,) for attr in missing]:
-        dist = posterior_gibbs(
-            net, targets, evidence, samples=g.samples, burn_in=g.burn_in, seed=seed
-        )
-        combo += map_assignment(dist)
-    return combo
+    dist = posterior_gibbs(
+        net, missing, evidence, samples=g.samples, burn_in=g.burn_in, seed=seed,
+        _memo=memo, _marginals=not joint,
+    )
+    if joint:
+        return map_assignment(dist)
+    return tuple(map_assignment(d)[0] for d in dist)
 
 
 class _ExactImputer:
@@ -170,6 +179,7 @@ def impute_tuple(
     is filled with its own marginal argmax.  Non-null cells are never
     altered; a complete row is returned unchanged.
     """
+    _check_engine(engine)
     missing = _missing_attrs(net, row)
     if not missing:
         return row
@@ -177,7 +187,7 @@ def impute_tuple(
         codes = Table(net.schema, [row])._column_codes()[:, 0].tolist()
         combo = _ExactImputer(net, joint).fill(codes, missing)
     else:
-        combo = _gibbs_combo(net, row, missing, engine, gibbs, joint, gibbs.seed if gibbs else 0)
+        combo = _gibbs_combo(net, row, missing, gibbs, joint, gibbs.seed if gibbs else 0, {})
     return _fill(net, row, missing, combo)
 
 
@@ -195,12 +205,14 @@ def impute_table(
     attributes in the moral graph from its own posterior, memoized by
     (component, observed blanket values).  With the Gibbs engine
     each tuple gets its own chain seeded by (base seed, tuple id), making
-    results independent of processing order.  ``truth`` must have the same
+    results independent of processing order; its chains share one memo of
+    full conditionals, kept for this call.  ``truth`` must have the same
     schema and row ids; accuracy is measured over imputed cells only, and
     cells whose ground truth is itself null are left out of every
     denominator (a tuple counts as correct when all its gradeable cells
     match).
     """
+    _check_engine(engine)
     if table.schema != net.schema:
         raise ValueError("table schema does not match the network")
     if truth is not None and truth.schema != table.schema:
@@ -214,6 +226,7 @@ def impute_table(
     t0 = time.perf_counter()
     if engine == "exact":
         exact, codes = _ExactImputer(net, joint), table._column_codes().T.tolist()
+    memo: dict = {}  # the Gibbs chains' conditionals, shared for this call
     out_rows: list[Row] = []
     cells_imputed: dict[str, int] = {}
     attr_hits: dict[str, int] = {}
@@ -236,7 +249,7 @@ def impute_table(
         if engine == "exact":
             combo = exact.fill(codes[i], missing)
         else:
-            combo = _gibbs_combo(net, row, missing, engine, gibbs, joint, (base_seed, row.id))
+            combo = _gibbs_combo(net, row, missing, gibbs, joint, (base_seed, row.id), memo)
         new_row = _fill(net, row, missing, combo)
         out_rows.append(new_row)
 

@@ -305,25 +305,30 @@ def posterior_gibbs(
     samples: int = 250,
     burn_in: int = 100,
     seed: int | Sequence[int] = 0,
-) -> JointDistribution:
+    *,
+    _memo: dict | None = None,
+    _marginals: bool = False,
+):
     """Gibbs-sampled posterior P(targets | evidence).
 
     One sweep updates every non-evidence variable once, in schema order,
     from its full conditional (own CPT row times each child's CPT entry).
     The first ``burn_in`` sweeps are discarded; each of the following
     ``samples`` sweeps contributes one state.  Deterministic per seed.
+
+    ``_memo`` (private to ``imputation``) is a dict shared by the chains of
+    one imputation call: per variable, its conditionals keyed by its blanket.
+    ``_marginals`` (private too; no target may be evidence) returns a list of
+    each target's distribution in the chain, never an array over the joint.
     """
     evidence = dict(evidence or {})
     _check_query(net, targets, evidence)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
+    _check_chain(samples, burn_in)
     if all(t in evidence for t in targets):
         return _expand_clamped(net, targets, evidence, [], np.array(1.0))
 
     schema = net.schema
-    pos = {a: i for i, a in enumerate(schema.attributes)}
+    pos = schema._index
     state = [0] * len(schema.attributes)
     for attr, value in evidence.items():
         state[pos[attr]] = schema.domain(attr).index(value)
@@ -332,52 +337,44 @@ def posterior_gibbs(
     # one block of uniforms, consumed in the scalar-draw order: the init
     # draws in topological order, then one per free variable per sweep
     n_draws = len(free) * (1 + burn_in + samples)
-    uniforms = np.random.default_rng(seed).random(n_draws).tolist()
+    uniform = iter(np.random.default_rng(seed).random(n_draws).tolist()).__next__
 
-    # initialize free variables by ancestral draw given current parents
-    draw = 0
+    # initialize free variables by ancestral draw given current parents; the
+    # bound keeps a draw at or past the last boundary, which rounding can
+    # produce, on the last category
     for attr in net.topological_order():
         if attr in evidence:
             continue
         weights = net.cpts[attr][tuple(state[pos[p]] for p in net.parents[attr])]
         cum = np.cumsum(weights).tolist()
-        state[pos[attr]] = _draw(cum, uniforms[draw] * cum[-1])
-        draw += 1
+        state[pos[attr]] = bisect_right(cum, uniform() * cum[-1], 0, len(cum) - 1)
 
-    # per free variable: its position, a getter of its Markov-blanket values
-    # (parents, each child's other parents, each child), a memo of full
-    # conditionals keyed by those values, and what a miss needs to compute one
-    plans = []
+    memo = {} if _memo is None else _memo
     for attr in free:
-        parents = [pos[p] for p in net.parents[attr]]
-        blanket = list(parents)
-        kids = []
-        for child in net.children(attr):
-            cps = net.parents[child]
-            kids.append(
-                (net.cpts[child], [pos[p] for p in cps], cps.index(attr), pos[child])
-            )
-            blanket += [pos[p] for p in cps if p != attr] + [pos[child]]
-        plans.append((pos[attr], _getter(blanket), {}, (net.cpts[attr], parents), kids))
+        if attr not in memo:
+            memo[attr] = _blanket_plan(net, attr)
+    plans = [memo[a] for a in free]
 
     kept = []
     target_values = _getter([pos[t] for t in free_targets])
     for sweep in range(burn_in + samples):
-        for my_pos, blanket_values, memo, own, kids in plans:
+        for my_pos, blanket_values, conditionals, own, kids in plans:
             key = blanket_values(state)
-            entry = memo.get(key)
-            if entry is None:
-                entry = memo[key] = _full_conditional(state, own, kids)
-            cum, total = entry
-            if total <= 0.0:
-                raise ImpossibleEvidenceError(
-                    "impossible evidence: zero-probability conditional in Gibbs sweep"
-                )
-            state[my_pos] = _draw(cum, uniforms[draw] * total)
-            draw += 1
+            try:
+                cut, total = conditionals[key]
+            except KeyError:
+                cut, total = conditionals[key] = _full_conditional(state, own, kids)
+            state[my_pos] = bisect_right(cut, uniform() * total)
         if sweep >= burn_in:
             kept.append(target_values(state))
 
+    if _marginals:
+        columns = zip(*kept) if len(free_targets) > 1 else [kept]
+        domains = [schema.domain(t) for t in free_targets]
+        return [
+            JointDistribution((t,), (d,), np.bincount(c, minlength=len(d)) / float(samples))
+            for t, d, c in zip(free_targets, domains, columns)
+        ]
     counts = np.zeros(tuple(len(schema.domain(t)) for t in free_targets))
     for combo, n in Counter(kept).items():
         counts[combo] = n
@@ -389,32 +386,51 @@ def posterior_gibbs(
     return _expand_clamped(net, targets, evidence, free_targets, probs)
 
 
+def _check_chain(samples: int, burn_in: int) -> None:
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+
+
+def _blanket_plan(net: BayesNet, attr: str):
+    """``attr``'s position, a getter of its Markov-blanket values (parents,
+    each child's other parents, each child), a memo of full conditionals
+    keyed by those values, and what a miss needs to compute one."""
+    pos = net.schema._index
+    parents = [pos[p] for p in net.parents[attr]]
+    blanket = list(parents)
+    kids = []
+    for child in net.children(attr):
+        # the child's CPT with ``attr``'s axis last, read at the other axes
+        cps = net.parents[child]
+        axis = cps.index(attr)
+        others = [pos[p] for p in cps if p != attr] + [pos[child]]
+        kids.append((np.moveaxis(net.cpts[child], axis, -1), _getter(others)))
+        blanket += others
+    return pos[attr], _getter(blanket), {}, (net.cpts[attr], _getter(parents)), kids
+
+
 def _full_conditional(state, own, kids) -> tuple[list[float], float]:
-    """Cumulative weights and total of P(X | Markov blanket) at ``state``.
+    """Cumulative weights without the last boundary, and the total, of
+    P(X | Markov blanket) at ``state``.
 
     The weights are X's own CPT row times, for each child, the child's CPT
-    entries along X's axis.
+    entries along X's axis.  ``bisect_right`` of a draw in the cut weights
+    is ``np.searchsorted(cum, u, side="right")`` capped at the last category.
     """
     own_cpt, own_parents = own
-    weights = own_cpt[tuple(state[p] for p in own_parents)].copy()
-    for child_cpt, child_parents, my_axis, child_pos in kids:
-        index: list[object] = [state[p] for p in child_parents]
-        index[my_axis] = slice(None)
-        index.append(state[child_pos])
-        weights *= child_cpt[tuple(index)]
-    return np.cumsum(weights).tolist(), float(weights.sum())
+    weights = own_cpt[own_parents(state)].copy()
+    for child_cpt, child_values in kids:
+        weights *= child_cpt[child_values(state)]
+    total = float(weights.sum())
+    if total <= 0.0:
+        raise ImpossibleEvidenceError(
+            "impossible evidence: zero-probability conditional in Gibbs sweep"
+        )
+    return weights.cumsum()[:-1].tolist(), total
 
 
 def _getter(positions: list[int]):
     """Callable reading ``state`` at ``positions``; the key of a memo entry."""
     return itemgetter(*positions) if positions else lambda state: ()
-
-
-def _draw(cum: list[float], u: float) -> int:
-    """The category whose cumulative-weight interval holds ``u``.
-
-    ``bisect_right`` is ``np.searchsorted(cum, u, side="right")``; the cap
-    keeps a ``u`` at or past the last boundary, which rounding can produce,
-    on the last category.
-    """
-    return min(bisect_right(cum, u), len(cum) - 1)

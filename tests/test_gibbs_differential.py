@@ -5,7 +5,10 @@ Markov-blanket values, draws every uniform as one block up front and counts
 target states once at the end.  The reference below is the earlier loop,
 which recomputes the conditional with numpy on every update and draws one
 scalar uniform at a time.  Chains must be unchanged, so posteriors must be
-equal (``np.array_equal``), not merely close.
+equal (``np.array_equal``), not merely close.  ``impute_table`` and
+``impute_tuple`` share one memo among a call's chains and run one chain per
+row in marginal mode; their reference is the earlier per-row path, one
+reference chain per target set, and fills and errors must be equal.
 """
 
 import numpy as np
@@ -21,11 +24,11 @@ from nullbayes import (
     Schema,
     Table,
     impute_table,
+    impute_tuple,
     posterior_gibbs,
 )
-from nullbayes import imputation
 from nullbayes.synth import car_demo_net, random_net
-from nullbayes.inference import JointDistribution, _check_query, _expand_clamped
+from nullbayes.inference import JointDistribution, _check_query, _expand_clamped, map_assignment
 
 # ---------------------------------------------------------------------------
 # reference: the per-update loop
@@ -192,16 +195,21 @@ def test_car_net_long_chains_match_reference(burn_in, samples):
             )
 
 
-def test_deterministic_cpts_match_reference():
-    # zero entries in the CPTs: draws land on flat stretches of the
-    # cumulative weights, where bisect_right and searchsorted must agree
+def _deterministic_net():
+    # zero CPT entries: some rows' evidence is impossible
     s = Schema(("A", "B", "C"), {k: ("0", "1", "2") for k in "ABC"})
     shift = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.0, 0.5]])
-    net = BayesNet(
+    return BayesNet(
         s,
         {"B": ("A",), "C": ("B",)},
         {"A": np.array([0.0, 0.6, 0.4]), "B": shift, "C": shift},
     )
+
+
+def test_deterministic_cpts_match_reference():
+    # zero entries in the CPTs: draws land on flat stretches of the
+    # cumulative weights, where bisect_right and searchsorted must agree
+    net = _deterministic_net()
     for evidence in ({}, {"C": "2"}, {"B": "2"}):
         for seed in range(5):
             kwargs = dict(samples=60, burn_in=3, seed=seed)
@@ -239,19 +247,61 @@ def test_extreme_uniforms_match_reference(monkeypatch, u):
 
 
 # ---------------------------------------------------------------------------
-# impute_table with the Gibbs engine
+# impute_table and impute_tuple with the Gibbs engine
 
 
-@settings(max_examples=25, deadline=None)
+def _ref_gibbs_combo(net, row, missing, gibbs, joint, seed):
+    # the per-row path before chains shared a memo: one chain per target set,
+    # so one per missing attribute in marginal mode
+    g = gibbs or GibbsParams()
+    evidence = {a: c for a, c in zip(net.schema.attributes, row.cells) if c is not None}
+    combo = ()
+    for targets in [missing] if joint else [(attr,) for attr in missing]:
+        dist = _ref_posterior_gibbs(
+            net, targets, evidence, samples=g.samples, burn_in=g.burn_in, seed=seed
+        )
+        combo += map_assignment(dist)
+    return combo
+
+
+def _ref_fill(net, row, seed, gibbs, joint):
+    missing = tuple(a for a, c in zip(net.schema.attributes, row.cells) if c is None)
+    if not missing:
+        return row
+    filled = dict(zip(missing, _ref_gibbs_combo(net, row, missing, gibbs, joint, seed)))
+    cells = tuple(
+        filled[a] if c is None else c for a, c in zip(net.schema.attributes, row.cells)
+    )
+    return Row(row.id, cells)
+
+
+def _ref_impute_rows(net, table, gibbs, joint):
+    return [_ref_fill(net, row, (gibbs.seed, row.id), gibbs, joint) for row in table.rows]
+
+
+def _impute_rows(net, table, gibbs, joint):
+    return list(impute_table(net, table, engine="gibbs", gibbs=gibbs, joint=joint)[0].rows)
+
+
+def _assert_same_fill(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert got == want
+
+
+@settings(max_examples=40, deadline=None)
 @given(
     data=st.data(),
     joint=st.booleans(),
     base_seed=st.integers(0, 1000),
 )
 def test_impute_table_matches_reference(data, joint, base_seed):
-    net = data.draw(_nets())
+    # batches of up to 12 rows on small nets, so chains revisit blanket states
+    # another row's chain stored in the shared memo
+    net = data.draw(st.one_of(_nets(), st.just(_deterministic_net())))
     attrs = net.schema.attributes
-    n = data.draw(st.integers(0, 6))
+    n = data.draw(st.integers(0, 12))
     rows = []
     for i in range(n):
         cells = tuple(
@@ -261,15 +311,56 @@ def test_impute_table_matches_reference(data, joint, base_seed):
     table = Table(net.schema, rows)
     params = GibbsParams(samples=20, burn_in=5, seed=base_seed)
 
-    def run():
-        return _outcome(impute_table, net, table, engine="gibbs", gibbs=params, joint=joint)
+    _assert_same_fill(
+        _outcome(_impute_rows, net, table, params, joint),
+        _outcome(_ref_impute_rows, net, table, params, joint),
+    )
+    for row in rows:
+        _assert_same_fill(
+            _outcome(impute_tuple, net, row, engine="gibbs", gibbs=params, joint=joint),
+            _outcome(_ref_fill, net, row, params.seed, params, joint),
+        )
 
-    got = run()
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(imputation, "posterior_gibbs", _ref_posterior_gibbs)
-        want = run()
-    if isinstance(want, Exception):
-        assert type(got) is type(want) and str(got) == str(want)
-    else:
-        assert got[0].rows == want[0].rows
 
+@pytest.mark.parametrize("joint", [True, False])
+def test_impute_table_impossible_rows_match_reference(joint):
+    # impossible rows between possible ones that share their blanket states
+    net = _deterministic_net()
+    params = GibbsParams(samples=30, burn_in=4, seed=9)
+    cases = [
+        [Row(1, (None, None, "2")), Row(2, ("0", None, None))],
+        [Row(1, (None, "2", None)), Row(2, (None, None, "2")), Row(3, ("1", None, "0"))],
+        # A=1 with B=0 has probability 0, but no free variable's conditional
+        # shows it, so the chain runs; then B=1 leaves A no possible value
+        [Row(1, ("1", "0", None)), Row(2, (None, None, "1")), Row(3, (None, "1", "1"))],
+        [Row(1, (None, None, None)), Row(2, (None, "1", None))],
+    ]
+    for rows in cases:
+        table = Table(net.schema, rows)
+        _assert_same_fill(
+            _outcome(_impute_rows, net, table, params, joint),
+            _outcome(_ref_impute_rows, net, table, params, joint),
+        )
+
+
+def test_marginal_mode_never_builds_the_joint():
+    # 44 ternary attributes in a chain: the joint over a row's missing cells
+    # has more than 2**63 entries, so only per-attribute counts can serve
+    names = [f"X{i:02d}" for i in range(44)]
+    rng = np.random.default_rng(3)
+    net = BayesNet(
+        Schema(names, {a: ("a", "b", "c") for a in names}),
+        {b: (a,) for a, b in zip(names, names[1:])},
+        {
+            a: rng.dirichlet(np.ones(3), size=() if i == 0 else (3,)) * 0.9 + 0.1 / 3
+            for i, a in enumerate(names)
+        },
+    )
+    rows = [Row(1, (None,) * 44), Row(2, ("a",) + (None,) * 42 + ("c",))]
+    params = GibbsParams(samples=15, burn_in=3, seed=4)
+    assert _impute_rows(net, Table(net.schema, rows), params, False) == (
+        _ref_impute_rows(net, Table(net.schema, rows), params, False)
+    )
+    for row in rows:
+        got = impute_tuple(net, row, engine="gibbs", gibbs=params, joint=False)
+        assert got == _ref_fill(net, row, params.seed, params, False)

@@ -126,6 +126,10 @@ class TestParseConfig:
             parse_config("mode = imputation\n")
         with pytest.raises(ValueError, match="0..100"):
             parse_config("mode = imputation\ntargets = Body\nlevels = 0, 101\n")
+        with pytest.raises(ValueError, match="^samples must be >= 1$"):
+            parse_config("mode = imputation\ntargets = Body\ngibbs_samples = 0\n")
+        with pytest.raises(ValueError, match="^burn_in must be >= 0$"):
+            parse_config("mode = imputation\ntargets = Body\ngibbs_burn_in = -1\n")
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "run.conf"

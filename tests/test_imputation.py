@@ -113,8 +113,23 @@ class TestImputeTuple:
         assert a == b
 
     def test_unknown_engine(self, fitted_demo_net):
-        with pytest.raises(ValueError):
-            impute_tuple(fitted_demo_net, Row(1, (None, None, None, None, None)), engine="magic")
+        # rejected before any work, so also for a complete row
+        for cells in [(None, None, None, None, None), ("Audi", "A8", "2005", "Sedan", "15000")]:
+            with pytest.raises(ValueError, match="^unknown engine 'magic'$"):
+                impute_tuple(fitted_demo_net, Row(1, cells), engine="magic")
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            (dict(samples=0), "samples must be >= 1"),
+            (dict(samples=-3), "samples must be >= 1"),
+            (dict(burn_in=-1), "burn_in must be >= 0"),
+        ],
+    )
+    def test_gibbs_params_validated_on_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GibbsParams(**kwargs)
+        assert GibbsParams(samples=1, burn_in=0).samples == 1
 
 
 class TestImputeTable:
@@ -167,6 +182,13 @@ class TestImputeTable:
         missing_ids = Table(demo_table.schema, demo_table.rows[:5])
         with pytest.raises(ValueError):
             impute_table(fitted_demo_net, demo_table, truth=missing_ids)
+
+    def test_unknown_engine_rejected_without_incomplete_rows(self, fitted_demo_net, demo_table):
+        complete = Table(demo_table.schema, [r for r in demo_table.rows if None not in r.cells])
+        assert complete.rows
+        for table in (complete, Table(demo_table.schema, [])):
+            with pytest.raises(ValueError, match="^unknown engine 'bogus'$"):
+                impute_table(fitted_demo_net, table, engine="bogus")
 
     def test_table_schema_must_match_net(self, fitted_demo_net):
         other = Table(Schema(("A",), {"A": ("x",)}), [Row(1, ("x",))])

@@ -75,8 +75,23 @@ def _old_expected_selectivity(sample, candidate, ratio=1.0):
     return len(matches) * ratio
 
 
+def _old_rank_key(rq):
+    # F desc, precision desc, fewer predicates, text asc
+    return (-_old_tie(rq.score.f_measure), -_old_tie(rq.score.precision), len(rq.query), rq.text())
+
+
+def _old_issue_key(rq):
+    return (-_old_tie(rq.score.precision), len(rq.query), rq.text())
+
+
+def _old_tie(score):
+    # two posteriors equal in exact arithmetic can differ in their last bits;
+    # at 12 significant digits they tie, and the text decides
+    return float(f"{score:.12g}")
+
+
 def _old_order_and_issue(queries, source, limit=None, exclude_ids=()):
-    ordered = sorted(queries, key=rw._issue_key)
+    ordered = sorted(queries, key=_old_issue_key)
     if limit is not None:
         ordered = ordered[:limit]
     excluded = set(exclude_ids)
@@ -164,10 +179,10 @@ def _old_bn_beam(net, sample, source, query, cfg=None, sample_ratio=None, expand
                     cand = parent.query.extended(attr, value)
                     if cand not in pool:
                         pool[cand] = scorer.score(cand)
-        beam = sorted(pool.values(), key=rw._rank_key)[: cfg.width]
+        beam = sorted(pool.values(), key=_old_rank_key)[: cfg.width]
 
     survivors = [rq for rq in beam if rq.score.f_measure > 0]
-    survivors.sort(key=rw._issue_key)
+    survivors.sort(key=_old_issue_key)
     selected = survivors[: cfg.top_k]
     answers, issued, truncated = rw.order_and_issue(
         selected, source, limit=cfg.top_k, exclude_ids=[r.id for r in base]

@@ -9,8 +9,10 @@ benchmark, so it must fail here too.  The test only reads ``perfbench/``.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import nullbayes.rewriting
-from nullbayes import AutonomousSource, SelectionQuery, bn_all_mb
+from nullbayes import AutonomousSource, GibbsParams, SelectionQuery, bn_all_mb, impute_table
 
 from conftest import demo_cars, demo_net
 
@@ -53,3 +55,24 @@ def test_install_wraps_and_uninstall_restores_every_patched_name():
     spans = set(tracer.names)
     for name in ("source.answer", "tabular.project_distinct", "inference.posterior_exact"):
         assert name in spans, name
+
+
+@pytest.mark.parametrize("joint", [True, False])
+def test_gibbs_imputation_counts_one_chain_per_incomplete_row(joint):
+    # the benchmark's per-layer Gibbs metrics: one posterior_gibbs span and
+    # samples + burn_in sweeps per incomplete row, in either mode
+    tracing = _load_tracing()
+    table = demo_cars()
+    incomplete = sum(None in row.cells for row in table.rows)
+    assert 1 < incomplete < len(table.rows)
+    params = GibbsParams(samples=7, burn_in=3, seed=1)
+    tracer = tracing.Tracer()
+    saved = tracing.install(tracer, table)
+    try:
+        impute_table(demo_net(), table, engine="gibbs", gibbs=params, joint=joint)
+    finally:
+        tracing.uninstall(saved)
+    _, calls = tracer.totals()
+    assert calls.get("inference.posterior_gibbs") == incomplete
+    sweeps = tracer.counted({tracer.op_id})["inference.gibbs_sweeps"]
+    assert sweeps == incomplete * (params.samples + params.burn_in)
