@@ -10,10 +10,11 @@ mutually inconsistent combinations that the joint argmax never does.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .bayesnet import BayesNet
-from .inference import ImpossibleEvidenceError, _check_chain, _getter, _lex_argmax, map_assignment
+from .inference import ImpossibleEvidenceError, _check_chain, _getter, _lex_argmax
 # posterior_exact is not called here, but perfbench/tracing.py patches this name
 from .inference import posterior_exact, posterior_gibbs  # noqa: F401
 from .tabular import Row, Table
@@ -73,16 +74,23 @@ def _check_engine(engine: str) -> None:
 def _gibbs_combo(net, row, missing, gibbs, joint, seed, memo) -> tuple[str, ...]:
     # one chain over every missing attribute; its free set, initial draw and
     # uniforms do not depend on the targets, so marginal mode counts each
-    # attribute's values in the same chain
+    # attribute's values in the same chain.  The most frequent state (or
+    # value), ties to the smallest, is map_assignment of the sampled
+    # posterior, found without an array over the joint
     g = gibbs or GibbsParams()
     evidence = {a: c for a, c in zip(net.schema.attributes, row.cells) if c is not None}
-    dist = posterior_gibbs(
+    states = posterior_gibbs(
         net, missing, evidence, samples=g.samples, burn_in=g.burn_in, seed=seed,
-        _memo=memo, _marginals=not joint,
+        _memo=memo, _states=True,
     )
-    if joint:
-        return map_assignment(dist)
-    return tuple(map_assignment(d)[0] for d in dist)
+    codes = _mode(states) if joint else [_mode(column) for column in zip(*states)]
+    return tuple(net.schema.domain(a)[c] for a, c in zip(missing, codes))
+
+
+def _mode(values):
+    # the most frequent value; max keeps the first, so ties go to the smallest
+    counts = Counter(values)
+    return max(sorted(counts), key=counts.__getitem__)
 
 
 class _ExactImputer:

@@ -307,7 +307,7 @@ def posterior_gibbs(
     seed: int | Sequence[int] = 0,
     *,
     _memo: dict | None = None,
-    _marginals: bool = False,
+    _states: bool = False,
 ):
     """Gibbs-sampled posterior P(targets | evidence).
 
@@ -317,9 +317,10 @@ def posterior_gibbs(
     ``samples`` sweeps contributes one state.  Deterministic per seed.
 
     ``_memo`` (private to ``imputation``) is a dict shared by the chains of
-    one imputation call: per variable, its conditionals keyed by its blanket.
-    ``_marginals`` (private too; no target may be evidence) returns a list of
-    each target's distribution in the chain, never an array over the joint.
+    one imputation call: the topological order under ``None``, and per
+    variable its conditionals keyed by its blanket.  ``_states`` (private
+    too; no target may be evidence) returns the kept states, one tuple of
+    target codes per sample, never an array over the joint.
     """
     evidence = dict(evidence or {})
     _check_query(net, targets, evidence)
@@ -339,17 +340,19 @@ def posterior_gibbs(
     n_draws = len(free) * (1 + burn_in + samples)
     uniform = iter(np.random.default_rng(seed).random(n_draws).tolist()).__next__
 
+    memo = {} if _memo is None else _memo
+    if None not in memo:
+        memo[None] = net.topological_order()
     # initialize free variables by ancestral draw given current parents; the
     # bound keeps a draw at or past the last boundary, which rounding can
     # produce, on the last category
-    for attr in net.topological_order():
+    for attr in memo[None]:
         if attr in evidence:
             continue
         weights = net.cpts[attr][tuple(state[pos[p]] for p in net.parents[attr])]
         cum = np.cumsum(weights).tolist()
         state[pos[attr]] = bisect_right(cum, uniform() * cum[-1], 0, len(cum) - 1)
 
-    memo = {} if _memo is None else _memo
     for attr in free:
         if attr not in memo:
             memo[attr] = _blanket_plan(net, attr)
@@ -368,13 +371,8 @@ def posterior_gibbs(
         if sweep >= burn_in:
             kept.append(target_values(state))
 
-    if _marginals:
-        columns = zip(*kept) if len(free_targets) > 1 else [kept]
-        domains = [schema.domain(t) for t in free_targets]
-        return [
-            JointDistribution((t,), (d,), np.bincount(c, minlength=len(d)) / float(samples))
-            for t, d, c in zip(free_targets, domains, columns)
-        ]
+    if _states:
+        return kept if len(free_targets) > 1 else [(k,) for k in kept]
     counts = np.zeros(tuple(len(schema.domain(t)) for t in free_targets))
     for combo, n in Counter(kept).items():
         counts[combo] = n

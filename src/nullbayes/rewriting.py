@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
@@ -92,9 +93,28 @@ class RetrievedAnswer:
     retrieved the tuple, usable as its relevance estimate.
     """
 
+    # __slots__ by hand: the class slots=True builds keeps the original's
+    # frozen __setattr__, which raises TypeError, not FrozenInstanceError,
+    # for a name that is not a field (Python 3.11)
+    __slots__ = ("row", "relevance", "query")
     row: Row
     relevance: float
     query: SelectionQuery
+
+    def __reduce__(self):
+        # pickle's default restores slots by setattr, which frozen refuses
+        return RetrievedAnswer, (self.row, self.relevance, self.query)
+
+
+def _answers(rows: list[Row], relevance: float, query: SelectionQuery) -> list[RetrievedAnswer]:
+    # RetrievedAnswer(row, relevance, query) per row, without the frozen
+    # __init__'s object.__setattr__ calls: bare instances, then each slot set
+    # through its descriptor, all in C-level loops
+    out = list(map(object.__new__, itertools.repeat(RetrievedAnswer, len(rows))))
+    columns = (rows, itertools.repeat(relevance), itertools.repeat(query))
+    for name, column in zip(RetrievedAnswer.__slots__, columns):
+        deque(map(getattr(RetrievedAnswer, name).__set__, out, column), maxlen=0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -233,6 +253,8 @@ def order_and_issue(
     budget refusal stops issuing but keeps everything already retrieved;
     the returned flag says whether that happened.
     """
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be >= 0 or None")
     ordered = sorted(queries, key=_issue_key)
     if limit is not None:
         ordered = ordered[:limit]
@@ -251,8 +273,7 @@ def order_and_issue(
         # ids are unique within one answer, so only earlier answers can repeat them
         fresh = [row for row in rows if row.id not in seen]
         seen.update([row.id for row in fresh])
-        precision, query = rq.score.precision, rq.query
-        answers.extend([RetrievedAnswer(row, precision, query) for row in fresh])
+        answers.extend(_answers(fresh, rq.score.precision, rq.query))
     return answers, issued, truncated
 
 

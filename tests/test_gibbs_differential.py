@@ -11,6 +11,8 @@ row in marginal mode; their reference is the earlier per-row path, one
 reference chain per target set, and fills and errors must be equal.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,21 @@ def _ref_posterior_gibbs(net, targets, evidence=None, samples=250, burn_in=100, 
     if all(t in evidence for t in targets):
         return _expand_clamped(net, targets, evidence, [], np.array(1.0))
 
+    free_targets = [t for t in targets if t not in evidence]
+    counts = np.zeros(tuple(len(net.schema.domain(t)) for t in free_targets))
+    for kept in _ref_chain(net, free_targets, evidence, samples, burn_in, seed):
+        counts[kept] += 1.0
+
+    probs = counts / float(samples)
+    if len(free_targets) == len(targets):
+        perm = [free_targets.index(t) for t in targets]
+        domains = tuple(net.schema.domain(t) for t in targets)
+        return JointDistribution(tuple(targets), domains, np.transpose(probs, perm))
+    return _expand_clamped(net, targets, evidence, free_targets, probs)
+
+
+def _ref_chain(net, free_targets, evidence, samples, burn_in, seed):
+    # yields the free targets' codes after each kept sweep
     schema = net.schema
     rng = np.random.default_rng(seed)
     pos = {a: i for i, a in enumerate(schema.attributes)}
@@ -77,9 +94,7 @@ def _ref_posterior_gibbs(net, targets, evidence=None, samples=250, burn_in=100, 
             )
         plans.append((pos[attr], own, kids))
 
-    free_targets = [t for t in targets if t not in evidence]
     t_pos = [pos[t] for t in free_targets]
-    counts = np.zeros(tuple(len(schema.domain(t)) for t in free_targets))
 
     for sweep in range(burn_in + samples):
         for my_pos, (own_cpt, own_parents), kids in plans:
@@ -98,14 +113,7 @@ def _ref_posterior_gibbs(net, targets, evidence=None, samples=250, burn_in=100, 
             j = int(np.searchsorted(cum, rng.random() * total, side="right"))
             state[my_pos] = min(j, len(weights) - 1)
         if sweep >= burn_in:
-            counts[tuple(state[p] for p in t_pos)] += 1.0
-
-    probs = counts / float(samples)
-    if len(free_targets) == len(targets):
-        perm = [free_targets.index(t) for t in targets]
-        domains = tuple(net.schema.domain(t) for t in targets)
-        return JointDistribution(tuple(targets), domains, np.transpose(probs, perm))
-    return _expand_clamped(net, targets, evidence, free_targets, probs)
+            yield tuple(state[p] for p in t_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +351,9 @@ def test_impute_table_impossible_rows_match_reference(joint):
         )
 
 
-def test_marginal_mode_never_builds_the_joint():
+def _wide_chain():
     # 44 ternary attributes in a chain: the joint over a row's missing cells
-    # has more than 2**63 entries, so only per-attribute counts can serve
+    # has more than 2**63 entries, so no dense array over it can be built
     names = [f"X{i:02d}" for i in range(44)]
     rng = np.random.default_rng(3)
     net = BayesNet(
@@ -357,6 +365,12 @@ def test_marginal_mode_never_builds_the_joint():
         },
     )
     rows = [Row(1, (None,) * 44), Row(2, ("a",) + (None,) * 42 + ("c",))]
+    return net, rows
+
+
+def test_marginal_mode_never_builds_the_joint():
+    # only per-attribute counts can serve
+    net, rows = _wide_chain()
     params = GibbsParams(samples=15, burn_in=3, seed=4)
     assert _impute_rows(net, Table(net.schema, rows), params, False) == (
         _ref_impute_rows(net, Table(net.schema, rows), params, False)
@@ -364,3 +378,56 @@ def test_marginal_mode_never_builds_the_joint():
     for row in rows:
         got = impute_tuple(net, row, engine="gibbs", gibbs=params, joint=False)
         assert got == _ref_fill(net, row, params.seed, params, False)
+
+
+def _ref_sparse_joint_fill(net, row, seed, gibbs):
+    # the joint-mode fill read off the reference chain's kept states: the
+    # most frequent, ties to the lexicographically smallest, which is what
+    # map_assignment picks on the dense posterior
+    missing = [a for a, c in zip(net.schema.attributes, row.cells) if c is None]
+    evidence = {a: c for a, c in zip(net.schema.attributes, row.cells) if c is not None}
+    counts = Counter(_ref_chain(net, missing, evidence, gibbs.samples, gibbs.burn_in, seed))
+    best = min(counts, key=lambda state: (-counts[state], state))
+    filled = {a: net.schema.domain(a)[c] for a, c in zip(missing, best)}
+    return Row(row.id, tuple(filled.get(a, c) for a, c in zip(net.schema.attributes, row.cells)))
+
+
+def test_joint_mode_never_builds_the_joint():
+    # the joint-mode twin: the most frequent kept state is found without an
+    # array over the 3**44 (or 3**42) joint states
+    net, rows = _wide_chain()
+    # a row with two missing cells, so kept states repeat and counts decide
+    rows.append(Row(3, ("b",) * 20 + (None,) + ("a",) * 22 + (None,)))
+    params = GibbsParams(samples=15, burn_in=3, seed=4)
+    assert _impute_rows(net, Table(net.schema, rows), params, True) == [
+        _ref_sparse_joint_fill(net, row, (params.seed, row.id), params) for row in rows
+    ]
+    for row in rows:
+        got = impute_tuple(net, row, engine="gibbs", gibbs=params, joint=True)
+        assert got == _ref_sparse_joint_fill(net, row, params.seed, params)
+    # where the dense posterior fits, the sparse reference agrees with it
+    assert _ref_sparse_joint_fill(net, rows[2], 11, params) == _ref_fill(
+        net, rows[2], 11, params, True
+    )
+
+
+@pytest.mark.parametrize("joint", [True, False])
+def test_one_topological_order_per_imputation_call(monkeypatch, joint):
+    # the chains of one impute_table or impute_tuple call share the order
+    net = car_demo_net()
+    calls = []
+    order = BayesNet.topological_order
+    monkeypatch.setattr(
+        BayesNet, "topological_order", lambda self: calls.append(1) or order(self)
+    )
+    attrs = net.schema.attributes
+    rows = []
+    for i in range(1, 6):
+        gaps = {i % len(attrs), (i + 2) % len(attrs)}
+        cells = tuple(None if j in gaps else net.schema.domain(a)[0] for j, a in enumerate(attrs))
+        rows.append(Row(i, cells))
+    params = GibbsParams(samples=5, burn_in=1, seed=2)
+    impute_table(net, Table(net.schema, rows), engine="gibbs", gibbs=params, joint=joint)
+    assert len(calls) == 1
+    impute_tuple(net, rows[0], engine="gibbs", gibbs=params, joint=joint)
+    assert len(calls) == 2

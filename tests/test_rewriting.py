@@ -1,5 +1,8 @@
 """Rewritten-query scoring, ranking, issuing, and all five strategies."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -29,7 +32,7 @@ from nullbayes import (
     order_and_issue,
     sample_rows,
 )
-from nullbayes.rewriting import RewrittenQuery, QueryScore
+from nullbayes.rewriting import RetrievedAnswer, RewrittenQuery, QueryScore
 from nullbayes.synth import car_demo_net
 
 from conftest import oracle_conditional, with_unseen_values
@@ -193,6 +196,22 @@ class TestOrderAndIssue:
         assert len(issued) == 2
         assert not truncated  # limit is not a budget refusal
 
+    def test_negative_limit_rejected(self, demo_table):
+        # a negative limit would slice off the lowest-precision rewrites
+        qs = [_rq("Model=A8", 0.9), _rq("Model=745", 0.6), _rq("Model=tl", 0.3)]
+        source = self._source(demo_table)
+        with pytest.raises(ValueError, match="limit must be >= 0 or None"):
+            order_and_issue(qs, source, limit=-1)
+        assert source.queries_used == 0
+        assert order_and_issue(qs, source, limit=0) == ([], [], False)
+
+    def test_answers_are_a_list_of_retrieved_answers(self, demo_table):
+        qs = [_rq("Model=A8", 0.9), _rq("Year=2005", 0.5)]
+        answers, _, _ = order_and_issue(qs, self._source(demo_table))
+        assert type(answers) is list and answers
+        assert all(type(a) is RetrievedAnswer for a in answers)
+        assert answers == [RetrievedAnswer(a.row, a.relevance, a.query) for a in answers]
+
     def test_budget_refusal_truncates_but_keeps_partial(self, demo_table):
         qs = [_rq("Model=A8", 0.9), _rq("Model=745", 0.6)]
         answers, issued, truncated = order_and_issue(qs, self._source(demo_table, limit=1))
@@ -208,6 +227,52 @@ class TestOrderAndIssue:
             "Model=tl",
             "Model=745 & Year=2002",
         ]
+
+
+class TestRetrievedAnswer:
+    """The public contract of an answer, however order_and_issue builds it."""
+
+    def _answer(self, demo_table):
+        answers, _, _ = order_and_issue([_rq("Model=A8", 0.9)], AutonomousSource(demo_table))
+        return answers[0]
+
+    def test_equality_is_by_type_and_fields(self, demo_table):
+        a = self._answer(demo_table)
+        assert a == RetrievedAnswer(a.row, 0.9, SelectionQuery.parse("Model=A8"))
+        assert a != RetrievedAnswer(a.row, 0.5, a.query)
+        assert a != (a.row, a.relevance, a.query)
+
+        @dataclasses.dataclass(frozen=True)
+        class LookAlike:
+            row: Row
+            relevance: float
+            query: SelectionQuery
+
+        assert a != LookAlike(a.row, a.relevance, a.query)
+
+    def test_hash_follows_equality(self, demo_table):
+        a = self._answer(demo_table)
+        twin = RetrievedAnswer(a.row, a.relevance, a.query)
+        assert hash(a) == hash(twin)
+        assert len({a, twin}) == 1
+
+    def test_frozen(self, demo_table):
+        a = self._answer(demo_table)
+        for name in ("row", "relevance", "query", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(a, name, None)
+
+    def test_repr_and_fields(self, demo_table):
+        a = self._answer(demo_table)
+        assert repr(a) == f"RetrievedAnswer(row={a.row!r}, relevance=0.9, query={a.query!r})"
+        assert [f.name for f in dataclasses.fields(a)] == ["row", "relevance", "query"]
+        assert dataclasses.astuple(a) == (dataclasses.astuple(a.row), 0.9, a.query)
+
+    def test_pickle_round_trip(self, demo_table):
+        a = self._answer(demo_table)
+        back = pickle.loads(pickle.dumps(a))
+        assert type(back) is RetrievedAnswer and back == a
+        assert hash(back) == hash(a)
 
 
 class TestBnAllMb:

@@ -76,3 +76,22 @@ def test_gibbs_imputation_counts_one_chain_per_incomplete_row(joint):
     assert calls.get("inference.posterior_gibbs") == incomplete
     sweeps = tracer.counted({tracer.op_id})["inference.gibbs_sweeps"]
     assert sweeps == incomplete * (params.samples + params.burn_in)
+
+
+def test_rewriting_issues_every_query_through_source_answer():
+    # the benchmark's source.* layer figures count source.answer spans: one
+    # for the base query and one per issued rewrite, none bypassing it
+    tracing = _load_tracing()
+    table = demo_cars()
+    tracer = tracing.Tracer()
+    saved = tracing.install(tracer, table)
+    try:
+        result = bn_all_mb(
+            demo_net(), table, AutonomousSource(table), SelectionQuery({"Body": "Sedan"}),
+            k=3, sample_ratio=1.0,
+        )
+    finally:
+        tracing.uninstall(saved)
+    assert len(result.issued) > 1
+    _, calls = tracer.totals()
+    assert calls.get("source.answer") == 1 + len(result.issued)
