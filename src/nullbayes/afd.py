@@ -73,6 +73,8 @@ def mine_afds(
     """
     if max_lhs < 1:
         raise ValueError("max_lhs must be >= 1")
+    if not 0.0 <= min_confidence <= 1.0:
+        raise ValueError("min_confidence must be in [0, 1]")
     schema = train.schema
     codes = train._column_codes()
     sizes = [len(schema.domain(a)) for a in schema.attributes]

@@ -195,6 +195,10 @@ class StructureSearchConfig:
             raise ValueError("max_in_degree must be >= 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be >= 0")
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise ValueError("time_limit must be >= 0")
         if self.score not in ("bic", "bdeu"):
             raise ValueError(f"unknown score {self.score!r}")
         if self.score == "bdeu" and self.ess <= 0:

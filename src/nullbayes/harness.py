@@ -132,6 +132,10 @@ class ExperimentConfig:
             if not 0 <= level <= 100:
                 raise ValueError("levels are percentages in 0..100")
         GibbsParams(self.gibbs_samples, self.gibbs_burn_in)
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be >= 0")
+        if not 0.0 <= self.afd_min_confidence <= 1.0:
+            raise ValueError("afd_min_confidence must be in [0, 1]")
 
 
 _INT_KEYS = {

@@ -12,6 +12,10 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress
+
+import numpy as np
 
 from .bayesnet import BayesNet
 from .inference import ImpossibleEvidenceError, _check_chain, _getter, _lex_argmax
@@ -93,84 +97,186 @@ def _mode(values):
     return max(sorted(counts), key=counts.__getitem__)
 
 
-class _ExactImputer:
-    """Exact MAP fills of rows given as domain codes, for one net and mode.
+@lru_cache(maxsize=1024)
+def _exact_plan(dag, sizes: tuple[int, ...], missing: tuple[str, ...]):
+    """The components C of ``missing`` in the moral graph of ``dag`` (the
+    attribute order and parent tuples) over domains of ``sizes``.
 
-    With every cell outside a row's missing set M observed, P(M | row)
-    factorizes over the components C of M in the moral graph.  P(C | row) is
-    the product of the CPTs of C and of C's children, sliced at their
-    observed cells, which make up C's Markov blanket.  One instance serves
-    one call and memoizes the components of each missing set, the sliced
-    CPTs of each component and each component's fill by (C, blanket codes).
+    With every other cell observed, P(missing | row) is the product over C
+    of P(C | C's blanket): C's and C's children's CPTs, sliced at observed
+    cells.  Per C: its positions as a tuple and a column index, its
+    blanket's as a column index and their sizes, and per CPT its attribute,
+    transpose to (observed axes, C's axes), getter of the observed codes
+    from the blanket's, and shape broadcasting it over C's axes.
     """
+    attrs, parents = dag
+    pos = {a: i for i, a in enumerate(attrs)}
+    families = [ps + (a,) for a, ps in zip(attrs, parents)]
+    groups = {a: {a} for a in missing}
+    for vs in families:
+        merged = set().union(*(groups[v] for v in vs if v in groups))
+        for v in merged:
+            groups[v] = merged
+    plans = []
+    for group in {id(g): g for g in groups.values()}.values():
+        members = tuple(a for a in missing if a in group)
+        touching = [vs for vs in families if not group.isdisjoint(vs)]
+        blanket = sorted({pos[v] for vs in touching for v in vs if v not in group})
+        factors = []
+        for vs in touching:
+            seen = [k for k, v in enumerate(vs) if v not in group]
+            inside = sorted(set(range(len(vs))) - set(seen), key=lambda k: members.index(vs[k]))
+            shape = tuple(sizes[pos[a]] if a in vs else 1 for a in members)
+            observed = _getter([blanket.index(pos[vs[k]]) for k in seen])
+            factors.append((vs[-1], tuple(seen + inside), observed, shape))
+        at, column = tuple(pos[a] for a in members), np.array(blanket, dtype=np.intp)[:, None]
+        plans.append((at, np.array(at)[:, None], column, tuple(sizes[b] for b in blanket), factors))
+    return tuple(plans)
 
-    def __init__(self, net: BayesNet, joint: bool):
-        self.net, self.joint = net, joint
-        self.families = [net.parents[a] + (a,) for a in net.schema.attributes]
-        # families whose CPT holds a zero: fully observed, the only other way
-        # the evidence can be impossible
-        pos = net.schema._index
-        self.zeros = [
-            (set(vs), net.cpts[vs[-1]], _getter([pos[v] for v in vs]))
-            for vs in self.families
-            if not net.cpts[vs[-1]].all()
-        ]
-        self.plans, self.factors, self.fills = {}, {}, {}
 
-    def plan(self, missing: tuple[str, ...]) -> list[tuple[str, ...]]:
-        """The components of ``missing`` in the moral graph."""
-        if missing not in self.plans:
-            groups = {a: {a} for a in missing}
-            for vs in self.families:
-                merged = set().union(*(groups[v] for v in vs if v in groups))
-                for v in merged:
-                    groups[v] = merged
-            components = {id(g): tuple(a for a in missing if a in g) for g in groups.values()}
-            self.plans[missing] = list(components.values())
-        return self.plans[missing]
+def _posterior(factors, codes: list[int]):
+    """P(C | blanket ``codes``), one axis per member, from the plan's factors
+    with each CPT transposed."""
+    values = 1.0
+    for cpt, observed, shape in factors:
+        values = values * cpt[observed(codes)].reshape(shape)
+    z = float(values.sum())
+    if z <= 0.0:
+        raise ImpossibleEvidenceError("impossible evidence: zero probability")
+    return values / z
 
-    def component(self, attrs: tuple[str, ...]):
-        """A getter of C's blanket codes, and each CPT of C and of C's children
-        transposed to (observed axes, C's axes) with a broadcast shape."""
-        if attrs not in self.factors:
-            pos, own, blanket = self.net.schema._index, [], set()
-            for vs in self.families:
-                if not any(v in attrs for v in vs):
-                    continue
-                seen = [k for k, v in enumerate(vs) if v not in attrs]
-                inside = sorted(set(range(len(vs))) - set(seen), key=lambda k: attrs.index(vs[k]))
-                cpt = self.net.cpts[vs[-1]]
-                shape = tuple(cpt.shape[vs.index(a)] if a in vs else 1 for a in attrs)
-                own.append((cpt.transpose(seen + inside), _getter([pos[vs[k]] for k in seen]), shape))
-                blanket.update(pos[vs[k]] for k in seen)
-            self.factors[attrs] = (_getter(sorted(blanket)), own)
-        return self.factors[attrs]
 
-    def posterior(self, attrs: tuple[str, ...], codes: list[int]):
-        """P(attrs | the row's observed cells): one axis per member of attrs."""
-        values = 1.0
-        for cpt, observed, shape in self.component(attrs)[1]:
-            values = values * cpt[observed(codes)].reshape(shape)
-        z = float(values.sum())
-        if z <= 0.0:
-            raise ImpossibleEvidenceError("impossible evidence: zero probability")
-        return values / z
+def _radix_key(codes: np.ndarray, sizes) -> np.ndarray:
+    """One int64 per column of ``codes`` (row i in ``range(sizes[i])``), equal
+    where the columns are: mixed radix, first row most significant, re-ranked
+    by ``np.unique`` only where the next digit could overflow."""
+    key = np.zeros(codes.shape[1], dtype=np.int64)
+    radix = 1
+    for row, size in zip(codes, sizes):
+        if radix * size >= 2**63:
+            seen, key = np.unique(key, return_inverse=True)
+            radix = len(seen)
+        key = key * size + row
+        radix *= size
+    return key
 
-    def fill(self, codes: list[int], missing: tuple[str, ...]) -> tuple[str, ...]:
-        if any(cpt[get(codes)] == 0 for vs, cpt, get in self.zeros if vs.isdisjoint(missing)):
-            raise ImpossibleEvidenceError("impossible evidence: zero probability")
-        filled: dict[str, str] = {}
-        for attrs in self.plan(missing):
-            key = (attrs, self.component(attrs)[0](codes))
-            if key not in self.fills:
-                probs = self.posterior(attrs, codes)
-                axes = range(probs.ndim)
-                idx = _lex_argmax(probs) if self.joint else [
-                    _lex_argmax(probs.sum(axis=tuple(j for j in axes if j != k)))[0] for k in axes
-                ]
-                self.fills[key] = [self.net.schema.domains[a][i] for a, i in zip(attrs, idx)]
-            filled.update(zip(attrs, self.fills[key]))
-        return tuple(filled[a] for a in missing)
+
+def _null_patterns(attrs: tuple[str, ...], missing: np.ndarray):
+    """The distinct missing sets among the columns of ``missing`` (``(d, n)``
+    booleans), and the index of each column's set."""
+    packed = np.packbits(missing, axis=0)
+    _, first, pattern = np.unique(
+        _radix_key(packed, (256,) * len(packed)), return_index=True, return_inverse=True
+    )
+    return [tuple(compress(attrs, column)) for column in missing[:, first].T.tolist()], pattern
+
+
+def _impute_exact(net: BayesNet, joint: bool, codes: np.ndarray, patterns, pattern) -> None:
+    """Fill the -1 cells of ``codes`` (``(d, n)``) with exact MAP values;
+    ``pattern`` numbers each column's missing set in ``patterns``."""
+    schema = net.schema
+    attrs = schema.attributes
+    dag = (attrs, tuple(net.parents[a] for a in attrs))
+    sizes = tuple(len(schema.domains[a]) for a in attrs)
+    # a zero in a fully observed family's CPT is the other way evidence can
+    # be impossible; families touching the missing set enter the posteriors
+    zeros = [
+        (set(vs), np.array([schema._index[v] for v in vs])[:, None], net.cpts[vs[-1]])
+        for vs in (ps + (a,) for a, ps in zip(*dag))
+        if not net.cpts[vs[-1]].all()
+    ]
+    by_pattern = np.split(np.argsort(pattern, kind="stable"), np.cumsum(np.bincount(pattern))[:-1])
+    rows_of: dict = {}  # component -> (plan, its columns per pattern)
+    for missing, rows in zip(patterns, by_pattern):
+        for family, at, cpt in zeros:
+            if family.isdisjoint(missing) and not cpt[tuple(codes[at, rows])].all():
+                raise ImpossibleEvidenceError("impossible evidence: zero probability")
+        for plan in _exact_plan(dag, sizes, missing):
+            rows_of.setdefault(plan[0], (plan, []))[1].append(rows)
+    for (_, members, blanket, radix, factors), parts in rows_of.values():
+        rows = np.concatenate(parts)
+        observed = codes[blanket, rows]
+        _, first, inverse = np.unique(
+            _radix_key(observed, radix), return_index=True, return_inverse=True
+        )
+        views = [(net.cpts[a].transpose(order), get, shape) for a, order, get, shape in factors]
+        fills = []
+        for key_codes in observed[:, first].T.tolist():
+            probs = _posterior(views, key_codes)
+            axes = range(probs.ndim)
+            fills.append(_lex_argmax(probs) if joint else [
+                _lex_argmax(probs.sum(axis=tuple(j for j in axes if j != k)))[0] for k in axes
+            ])
+        codes[members, rows] = np.array(fills, dtype=codes.dtype)[inverse].T
+
+
+def _shares(keys, hits: np.ndarray, totals: np.ndarray) -> dict:
+    # hits / total per key with a non-zero total, in key order
+    return {k: h / n for k, h, n in sorted(zip(keys, hits.tolist(), totals.tolist())) if n}
+
+
+def _exact_table(net: BayesNet, table: Table, joint: bool):
+    """The exact engine over ``table``'s code matrix: the output rows, the
+    number of incomplete rows and the null count per attribute."""
+    attrs = table.schema.attributes
+    codes = table._column_codes()
+    incomplete = (codes < 0).any(axis=0).nonzero()[0]
+    filled = codes[:, incomplete]
+    missing = filled < 0
+    _impute_exact(net, joint, filled, *_null_patterns(attrs, missing))
+    # every domain in one object array, read at code plus the domain's offset
+    domains = [table.schema.domains[a] for a in attrs]
+    labels = np.array([label for domain in domains for label in domain], dtype=object)
+    offsets = np.cumsum([0] + [len(domain) for domain in domains[:-1]])[:, None]
+    out_rows = list(table.rows)
+    for i, cells in zip(incomplete.tolist(), zip(*labels[filled + offsets].tolist())):
+        out_rows[i] = Row(out_rows[i].id, cells)
+    return out_rows, len(incomplete), dict(zip(attrs, missing.sum(axis=1).tolist()))
+
+
+def _gibbs_table(net: BayesNet, table: Table, gibbs: GibbsParams | None, joint: bool):
+    """The Gibbs engine over ``table``, returning what ``_exact_table`` does.
+    It stays row by row: a chain costs far more than a row's Python, and on
+    calls of a few rows the code matrix's fixed numpy cost would show."""
+    memo: dict = {}  # the chains' conditionals, shared for this call
+    out_rows, imputed, counts = list(table.rows), 0, Counter()
+    for i, row in enumerate(table.rows):
+        missing = _missing_attrs(net, row)
+        if missing:
+            seed = (gibbs.seed if gibbs else 0, row.id)
+            combo = _gibbs_combo(net, row, missing, gibbs, joint, seed, memo)
+            out_rows[i] = _fill(net, row, missing, combo)
+            imputed += 1
+            counts.update(missing)
+    return out_rows, imputed, counts
+
+
+def _accuracies(table: Table, out: Table, truth: Table, truth_at: dict):
+    """Cell, tuple, attribute and combination accuracy of ``out``'s fills of
+    ``table``'s null cells against ``truth``, from the three code matrices;
+    cells whose truth is null are not graded."""
+    attrs = table.schema.attributes
+    codes = table._column_codes()
+    incomplete = (codes < 0).any(axis=0).nonzero()[0]
+    missing = codes[:, incomplete] < 0
+    at = [truth_at[table.rows[i].id] for i in incomplete.tolist()]
+    actual = truth._column_codes()[:, at]
+    scored = missing & (actual >= 0)  # the gradeable imputed cells
+    hits = scored & (out._column_codes()[:, incomplete] == actual)
+    graded = scored.any(axis=0)
+    right = graded & (hits == scored).all(axis=0)
+    cells_scored, tuples_scored = int(scored.sum()), int(graded.sum())
+    patterns, pattern = _null_patterns(attrs, missing)
+    return (
+        int(hits.sum()) / cells_scored if cells_scored else 1.0,
+        int(right.sum()) / tuples_scored if tuples_scored else 1.0,
+        _shares(attrs, hits.sum(axis=1), scored.sum(axis=1)),
+        _shares(
+            patterns,
+            np.bincount(pattern[right], minlength=len(patterns)),
+            np.bincount(pattern[graded], minlength=len(patterns)),
+        ),
+    )
 
 
 def impute_tuple(
@@ -185,17 +291,16 @@ def impute_tuple(
     With ``joint`` (the default) the fill is the argmax of the joint
     posterior over all missing attributes; otherwise each missing attribute
     is filled with its own marginal argmax.  Non-null cells are never
-    altered; a complete row is returned unchanged.
+    altered; a complete row is returned unchanged.  The exact engine is
+    ``impute_table`` on a one-row table.
     """
     _check_engine(engine)
     missing = _missing_attrs(net, row)
     if not missing:
         return row
     if engine == "exact":
-        codes = Table(net.schema, [row])._column_codes()[:, 0].tolist()
-        combo = _ExactImputer(net, joint).fill(codes, missing)
-    else:
-        combo = _gibbs_combo(net, row, missing, gibbs, joint, gibbs.seed if gibbs else 0, {})
+        return impute_table(net, Table(net.schema, [row]), joint=joint)[0].rows[0]
+    combo = _gibbs_combo(net, row, missing, gibbs, joint, gibbs.seed if gibbs else 0, {})
     return _fill(net, row, missing, combo)
 
 
@@ -209,103 +314,40 @@ def impute_table(
 ) -> tuple[Table, ImputationReport]:
     """Impute every incomplete tuple of ``table``.
 
-    The exact engine fills each connected component of a tuple's missing
-    attributes in the moral graph from its own posterior, memoized by
-    (component, observed blanket values).  With the Gibbs engine
-    each tuple gets its own chain seeded by (base seed, tuple id), making
-    results independent of processing order; its chains share one memo of
-    full conditionals, kept for this call.  ``truth`` must have the same
-    schema and row ids; accuracy is measured over imputed cells only, and
-    cells whose ground truth is itself null are left out of every
-    denominator (a tuple counts as correct when all its gradeable cells
-    match).
+    The exact engine fills the incomplete rows' columns of the table's code
+    matrix: it groups them by null pattern, splits each pattern into its
+    components in the moral graph and computes one posterior per distinct
+    (component, observed blanket values) key; components and their CPT
+    layouts sit in a bounded cross-call cache keyed by DAG, domain sizes and
+    missing set, and holding no CPTs.  With the Gibbs engine each tuple gets
+    its own chain seeded by (base seed, tuple id), making results
+    independent of processing order; its chains share one memo of full
+    conditionals, kept for this call.
+    ``truth`` must have the same schema and row ids; accuracy is measured
+    over imputed cells only, and cells whose ground truth is itself null
+    are left out of every denominator (a tuple counts as correct when all
+    its gradeable cells match).
     """
     _check_engine(engine)
     if table.schema != net.schema:
         raise ValueError("table schema does not match the network")
     if truth is not None and truth.schema != table.schema:
         raise ValueError("ground-truth schema does not match the table")
-    truth_by_id = {r.id: r for r in truth.rows} if truth is not None else None
-    if truth_by_id is not None:
+    truth_at = None if truth is None else {r.id: k for k, r in enumerate(truth.rows)}
+    if truth is not None:
         for row in table.rows:
-            if row.id not in truth_by_id:
+            if row.id not in truth_at:
                 raise ValueError(f"ground truth is missing row id {row.id}")
 
     t0 = time.perf_counter()
     if engine == "exact":
-        exact, codes = _ExactImputer(net, joint), table._column_codes().T.tolist()
-    memo: dict = {}  # the Gibbs chains' conditionals, shared for this call
-    out_rows: list[Row] = []
-    cells_imputed: dict[str, int] = {}
-    attr_hits: dict[str, int] = {}
-    combo_totals: dict[tuple[str, ...], int] = {}
-    combo_hits: dict[tuple[str, ...], int] = {}
-    attr_scored: dict[str, int] = {}
-    tuples_imputed = 0
-    tuples_scored = 0
-    cell_hits = 0
-    cell_total = 0
-    tuple_hits = 0
-    base_seed = gibbs.seed if gibbs else 0
-
-    for i, row in enumerate(table.rows):
-        missing = _missing_attrs(net, row)
-        if not missing:
-            out_rows.append(row)
-            continue
-        tuples_imputed += 1
-        if engine == "exact":
-            combo = exact.fill(codes[i], missing)
-        else:
-            combo = _gibbs_combo(net, row, missing, gibbs, joint, (base_seed, row.id), memo)
-        new_row = _fill(net, row, missing, combo)
-        out_rows.append(new_row)
-
-        for attr in missing:
-            cells_imputed[attr] = cells_imputed.get(attr, 0) + 1
-        if truth_by_id is not None:
-            true_row = truth_by_id[row.id]
-            scored = 0
-            row_hits = 0
-            for attr in missing:
-                actual = net.schema.value(true_row, attr)
-                if actual is None:
-                    continue  # no answer to grade against
-                scored += 1
-                cell_total += 1
-                attr_scored[attr] = attr_scored.get(attr, 0) + 1
-                if net.schema.value(new_row, attr) == actual:
-                    cell_hits += 1
-                    row_hits += 1
-                    attr_hits[attr] = attr_hits.get(attr, 0) + 1
-            if scored:
-                tuples_scored += 1
-                combo_totals[missing] = combo_totals.get(missing, 0) + 1
-                if row_hits == scored:
-                    tuple_hits += 1
-                    combo_hits[missing] = combo_hits.get(missing, 0) + 1
-
-    duration = time.perf_counter() - t0
-    if truth_by_id is not None:
-        cell_accuracy = cell_hits / cell_total if cell_total else 1.0
-        tuple_accuracy = tuple_hits / tuples_scored if tuples_scored else 1.0
-        attribute_accuracy = {
-            a: attr_hits.get(a, 0) / n for a, n in sorted(attr_scored.items())
-        }
-        combination_accuracy = {
-            c: combo_hits.get(c, 0) / n for c, n in sorted(combo_totals.items())
-        }
+        out_rows, imputed, counts = _exact_table(net, table, joint)
     else:
-        cell_accuracy = tuple_accuracy = None
-        attribute_accuracy = combination_accuracy = None
+        out_rows, imputed, counts = _gibbs_table(net, table, gibbs, joint)
+    out = Table(table.schema, out_rows)
+    accuracies = (None,) * 4 if truth is None else _accuracies(table, out, truth, truth_at)
+    cells_imputed = {a: n for a, n in sorted(counts.items()) if n}
     report = ImputationReport(
-        tuples_total=len(table.rows),
-        tuples_imputed=tuples_imputed,
-        cells_imputed=dict(sorted(cells_imputed.items())),
-        cell_accuracy=cell_accuracy,
-        tuple_accuracy=tuple_accuracy,
-        attribute_accuracy=attribute_accuracy,
-        combination_accuracy=combination_accuracy,
-        duration_seconds=duration,
+        len(table.rows), imputed, cells_imputed, *accuracies, time.perf_counter() - t0
     )
-    return Table(table.schema, out_rows), report
+    return out, report

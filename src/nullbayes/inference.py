@@ -63,15 +63,7 @@ class JointDistribution:
 
     def prob(self, combo: Sequence[str]) -> float:
         """Probability of one combination of target values."""
-        if len(combo) != len(self.targets):
-            raise ValueError(f"expected {len(self.targets)} values, got {len(combo)}")
-        idx = []
-        for value, dom, attr in zip(combo, self.domains, self.targets):
-            try:
-                idx.append(dom.index(value))
-            except ValueError:
-                raise KeyError(f"value {value!r} not in domain of {attr!r}") from None
-        return float(self.probs[tuple(idx)])
+        return _prob(self.targets, self.domains, self.probs, combo)
 
     def items(self):
         """Yield (combination, probability) in C (= lexicographic) order."""
@@ -85,6 +77,18 @@ class JointDistribution:
         keep = self.targets.index(attr)
         axes = tuple(i for i in range(len(self.targets)) if i != keep)
         return JointDistribution((attr,), (self.domains[keep],), self.probs.sum(axis=axes))
+
+
+def _prob(targets, domains, probs: np.ndarray, combo: Sequence[str]) -> float:
+    if len(combo) != len(targets):
+        raise ValueError(f"expected {len(targets)} values, got {len(combo)}")
+    idx = []
+    for value, dom, attr in zip(combo, domains, targets):
+        try:
+            idx.append(dom.index(value))
+        except ValueError:
+            raise KeyError(f"value {value!r} not in domain of {attr!r}") from None
+    return float(probs[tuple(idx)])
 
 
 def map_assignment(dist: JointDistribution) -> tuple[str, ...]:
@@ -224,8 +228,8 @@ def _expand_clamped(
 
 
 def posterior_exact(
-    net: BayesNet, targets: Sequence[str], evidence: Mapping[str, str] | None = None
-) -> JointDistribution:
+    net: BayesNet, targets: Sequence[str], evidence: Mapping[str, str] | None = None, *, _at=None
+):
     """Exact joint posterior P(targets | evidence) by variable elimination.
 
     Only the CPTs of ancestors of the targets and the evidence enter; every
@@ -240,6 +244,9 @@ def posterior_exact(
     memoized on those (a bounded cache holding no CPTs); a call then slices
     the CPTs at the evidence codes and runs the planned products and sums.
     Results can differ from eliminating every variable in the last ulp.
+
+    ``_at`` (private to ``rewriting``; no target may be evidence) is one
+    combination of target values: its ``prob`` is returned, unbuilt.
 
     Raises
     ------
@@ -265,6 +272,8 @@ def posterior_exact(
     if z <= 0.0:
         raise ImpossibleEvidenceError("impossible evidence: zero probability")
     values = values / z
+    if _at is not None:
+        return _prob(targets, [net.schema.domains[t] for t in targets], values, _at)
     if not free:
         # every target clamped by evidence
         return _expand_clamped(net, targets, evidence, [], np.array(1.0))

@@ -178,11 +178,11 @@ def expected_precision(
         raise ValueError(f"candidate constrains original attributes: {sorted(overlap)}")
     if not len(original) or not len(candidate):
         raise ValueError("original and candidate must both be non-empty")
+    values = [v for _, v in original.items]
     try:
-        dist = posterior_exact(net, original.attributes, dict(candidate.items))
+        return posterior_exact(net, original.attributes, dict(candidate.items), _at=values)
     except ValueError:  # impossible evidence, or a value outside the domains
         return 0.0
-    return dist.prob([v for _, v in original.items])
 
 
 def expected_selectivity(

@@ -335,8 +335,8 @@ def load_csv(path: str, null_token: str = "") -> Table:
     Raises
     ------
     ParseError
-        On an empty file, a row whose arity differs from the header (the
-        message names the line), or a column with no non-null values.
+        On an empty file, a blank or repeated name, a row whose arity differs
+        from the header (the message names the line), or an all-null column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -347,6 +347,8 @@ def load_csv(path: str, null_token: str = "") -> Table:
         attrs = [h.strip() for h in header]
         if any(not a for a in attrs):
             raise ParseError(f"{path}: blank attribute name in header")
+        if len(set(attrs)) != len(attrs):
+            raise ParseError(f"{path}: duplicate attribute names in header")
         raw_rows: list[list[str | None]] = []
         for lineno, record in enumerate(reader, start=2):
             if len(record) != len(attrs):

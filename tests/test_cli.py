@@ -551,6 +551,45 @@ class TestEval:
         assert rc == 2
 
 
+def _assert_refused(rc, captured, option, *outputs):
+    # one error line naming the option, no traceback, nothing written
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and option in lines[0]
+    assert not any(path.exists() for path in outputs)
+
+
+class TestOutOfRangeOptions:
+    @pytest.mark.parametrize(
+        "command, flag, value, option",
+        [
+            ("learn", "--time-limit", "-1", "time_limit"),
+            ("learn", "--iterations", "-1", "max_iterations"),
+            ("mine-afd", "--min-confidence", "2", "min_confidence"),
+            ("mine-afd", "--min-confidence", "-5", "min_confidence"),
+        ],
+    )
+    def test_refused_before_any_output(self, tmp_path, train_csv, capsys, command, flag, value, option):
+        out = tmp_path / "out"
+        rc = main([command, "--train", train_csv, "--out", str(out), flag, value])
+        _assert_refused(rc, capsys.readouterr(), option, out)
+
+    @pytest.mark.parametrize(
+        "old, new, option",
+        [
+            ("max_iterations = 60", "max_iterations = -1", "max_iterations"),
+            ("methods = afd", "methods = afd\nafd_min_confidence = 2", "afd_min_confidence"),
+        ],
+    )
+    def test_eval_config_refused(self, tmp_path, capsys, old, new, option):
+        conf = tmp_path / "run.conf"
+        conf.write_text(_IMPUTATION_CONF.replace(old, new), encoding="utf-8")
+        out_dir = tmp_path / "results"
+        rc = main(["eval", "--config", str(conf), "--out-dir", str(out_dir)])
+        _assert_refused(rc, capsys.readouterr(), option, out_dir)
+
+
 class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -131,6 +131,20 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="^burn_in must be >= 0$"):
             parse_config("mode = imputation\ntargets = Body\ngibbs_burn_in = -1\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("max_iterations = -1", "max_iterations must be >= 0"),
+            ("afd_min_confidence = 1.01", "afd_min_confidence must be in [0, 1]"),
+            ("afd_min_confidence = -0.5", "afd_min_confidence must be in [0, 1]"),
+        ],
+    )
+    def test_search_and_mining_ranges(self, line, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_config(f"mode = imputation\ntargets = Body\n{line}\n")
+        for edge in ("max_iterations = 0", "afd_min_confidence = 0", "afd_min_confidence = 1"):
+            parse_config(f"mode = imputation\ntargets = Body\n{edge}\n")
+
     def test_load_config(self, tmp_path):
         path = tmp_path / "run.conf"
         path.write_text("mode = imputation\ntargets = Body\n", encoding="utf-8")
@@ -228,8 +242,9 @@ class TestRewritingExperiment:
         assert curves == []
 
     def test_inapplicable_method_skipped(self):
-        # confidence floor above 1 leaves no usable rules for the afd method
-        cfg = _rewriting_cfg(methods=("afd",), afd_min_confidence=1.01)
+        # no rule for Body holds exactly, so a confidence floor of 1 leaves
+        # the afd method nothing to use
+        cfg = _rewriting_cfg(methods=("afd",), afd_min_confidence=1.0)
         with pytest.warns(UserWarning, match="afd skipped"):
             curves = run_rewriting_experiment(cfg)
         assert curves == []

@@ -1,7 +1,8 @@
 """Differential tests: the rewriting helpers against their per-row originals.
 
 ``project_distinct`` deduplicates zipped columns with ``dict.fromkeys``,
-``expected_selectivity`` counts a boolean mask, ``order_and_issue`` handles
+``expected_selectivity`` counts a boolean mask, ``expected_precision`` reads
+one entry of the eliminated array, ``order_and_issue`` handles
 each answer in bulk, ``bn_beam`` scans the base once per beam parent, and
 ``NaiveBayesModel.posterior`` reads priors and denominators computed once per
 model.  The references below are the row-at-a-time versions they replaced,
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 import nullbayes.rewriting as rw
 from nullbayes import (
     AutonomousSource,
+    BayesNet,
     BeamConfig,
     NaiveBayesModel,
     QueryBudgetError,
@@ -37,7 +39,9 @@ from nullbayes import (
     fit_naive_bayes,
     inject_nulls,
     mine_afds,
+    expected_precision,
     order_and_issue,
+    posterior_exact,
     project_distinct,
     sample_rows,
     select,
@@ -73,6 +77,19 @@ def _old_expected_selectivity(sample, candidate, ratio=1.0):
     except ValueError:  # select rejects a value outside the sample's domains
         return 0.0
     return len(matches) * ratio
+
+
+def _old_expected_precision(net, original, candidate):
+    overlap = set(original.attributes) & set(candidate.attributes)
+    if overlap:
+        raise ValueError(f"candidate constrains original attributes: {sorted(overlap)}")
+    if not len(original) or not len(candidate):
+        raise ValueError("original and candidate must both be non-empty")
+    try:
+        dist = posterior_exact(net, original.attributes, dict(candidate.items))
+    except ValueError:  # impossible evidence, or a value outside the domains
+        return 0.0
+    return dist.prob([v for _, v in original.items])
 
 
 def _old_rank_key(rq):
@@ -283,6 +300,38 @@ def test_expected_selectivity_matches_reference(data):
         assert type(got[0][1]) is type(want[0][1])
 
 
+def _zeroed(net, seed):
+    """``net`` with some CPT entries set to 0 (each row keeps its largest)
+    and rows renormalized, so some candidates are impossible."""
+    rng = np.random.default_rng(seed)
+    cpts = {}
+    for attr, cpt in net.cpts.items():
+        kept = np.where((rng.random(cpt.shape) < 0.4) & (cpt < cpt.max(axis=-1, keepdims=True)), 0.0, cpt)
+        cpts[attr] = kept / kept.sum(axis=-1, keepdims=True)
+    return BayesNet(net.schema, net.parents, cpts)
+
+
+_PRECISION_NETS = [car_demo_net(), random_net(6, max_domain=3, seed=4)]
+_PRECISION_NETS += [_zeroed(net, k) for k, net in enumerate(_PRECISION_NETS)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_expected_precision_matches_reference(data):
+    net = data.draw(st.sampled_from(_PRECISION_NETS))
+    original = data.draw(queries(net.schema))
+    candidate = data.draw(queries(net.schema))
+    if data.draw(st.booleans()):  # mostly disjoint, so most calls reach the posterior
+        candidate = SelectionQuery(
+            [(a, v) for a, v in candidate.items if a not in original.attributes]
+        )
+    got = _outcome(expected_precision, net, original, candidate)
+    want = _outcome(_old_expected_precision, net, original, candidate)
+    assert got == want
+    if got[0][0] == "ok":
+        assert type(got[0][1]) is float
+
+
 def test_expected_selectivity_exception_order(demo_table):
     # validation runs in attribute order: Age < Body < Colour
     unseen_first = SelectionQuery({"Body": _UNSEEN, "Colour": "red"})
@@ -450,6 +499,7 @@ def test_strategies_unchanged_with_reference_helpers(world_name, budget, monkeyp
     got = [_run_all(_strategies(bn_beam), world, t, q, budget) for t, q in runs]
     monkeypatch.setattr(rw, "project_distinct", _old_project_distinct)
     monkeypatch.setattr(rw, "expected_selectivity", _old_expected_selectivity)
+    monkeypatch.setattr(rw, "expected_precision", _old_expected_precision)
     monkeypatch.setattr(rw, "order_and_issue", _old_order_and_issue)
     monkeypatch.setattr(NaiveBayesModel, "posterior", _old_posterior)
     want = [_run_all(_strategies(_old_bn_beam), world, t, q, budget) for t, q in runs]

@@ -253,6 +253,12 @@ class TestCsv:
         with pytest.raises(ParseError, match="empty file"):
             load_csv(path)
 
+    def test_duplicate_header_names_the_file(self, tmp_path):
+        # names repeat once trimmed, as the cells are
+        path = self._write(tmp_path, "A, B ,B\nx,y,z\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(path)}: duplicate attribute names in header$"):
+            load_csv(path)
+
     def test_all_null_column(self, tmp_path):
         path = self._write(tmp_path, "A,B\nx,\ny,\n")
         with pytest.raises(ParseError, match="empty domain"):
