@@ -15,6 +15,7 @@ import argparse
 import csv
 import os
 import sys
+from functools import cached_property
 
 from . import harness
 from .afd import (
@@ -34,15 +35,7 @@ from .bayesnet import (
     save_model,
 )
 from .imputation import GibbsParams, impute_table
-from .rewriting import (
-    BeamConfig,
-    RewritingResult,
-    afd_all_attributes,
-    afd_highest_confidence,
-    afd_rewrite_single,
-    bn_all_mb,
-    bn_beam,
-)
+from .rewriting import REWRITING_METHODS, run_method
 from .source import AutonomousSource, QueryBudgetError
 from .tabular import (
     ParseError,
@@ -116,7 +109,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--query", required=True, help="e.g. 'Body=sedan & Make=bmw'")
     p.add_argument("--source", required=True, help="CSV answering the queries")
     p.add_argument("--sample", required=True, help="CSV sample used for estimates")
-    p.add_argument("--method", default="bn-all-mb", choices=harness.REWRITING_METHODS)
+    p.add_argument("--method", default="bn-all-mb", choices=REWRITING_METHODS)
     p.add_argument("--model", default=None, help="saved model (bn-* methods)")
     p.add_argument("--rules", default=None, help="mined AFD file (afd* methods)")
     p.add_argument("--null-token", default="")
@@ -204,29 +197,32 @@ def _cmd_impute(args) -> int:
     return 0
 
 
-def _run_rewrite(args, query, sample, source) -> RewritingResult:
-    method = args.method
-    if method in ("bn-all-mb", "bn-beam"):
-        if not args.model:
-            raise ValueError(f"{method} needs --model")
-        with open(args.model, encoding="utf-8") as fh:
+class _RewriteModels:
+    """The models ``rewrite`` reads, each loaded when its method first asks."""
+
+    def __init__(self, args, sample: Table):
+        self.args = args
+        self.sample = sample
+
+    @cached_property
+    def net(self):
+        if not self.args.model:
+            raise ValueError(f"{self.args.method} needs --model")
+        with open(self.args.model, encoding="utf-8") as fh:
             net = load_model(fh.read())
-        sample = align_table(sample, net.schema)
-        if method == "bn-all-mb":
-            return bn_all_mb(net, sample, source, query, args.k, args.alpha, args.ratio)
-        beam = BeamConfig(args.beam_width, args.beam_depth, args.alpha, args.k)
-        return bn_beam(net, sample, source, query, beam, args.ratio)
-    if not args.rules:
-        raise ValueError(f"{method} needs --rules")
-    with open(args.rules, encoding="utf-8") as fh:
-        afds = load_afds(fh.read())
-    nb = fit_naive_bayes(sample)
-    fn = {
-        "afd": afd_rewrite_single,
-        "afd-all-attributes": afd_all_attributes,
-        "afd-highest-confidence": afd_highest_confidence,
-    }[method]
-    return fn(afds, nb, sample, source, query, args.k, args.alpha, args.ratio)
+        align_table(self.sample, net.schema)  # refuses a sample the model cannot read
+        return net
+
+    @cached_property
+    def afds(self):
+        if not self.args.rules:
+            raise ValueError(f"{self.args.method} needs --rules")
+        with open(self.args.rules, encoding="utf-8") as fh:
+            return load_afds(fh.read())
+
+    @cached_property
+    def nb(self):
+        return fit_naive_bayes(self.sample)
 
 
 def _cmd_rewrite(args) -> int:
@@ -236,7 +232,10 @@ def _cmd_rewrite(args) -> int:
     if args.ratio is None:
         args.ratio = len(source_table) / len(sample)
     source = AutonomousSource(source_table, args.query_limit)
-    result = _run_rewrite(args, query, sample, source)
+    result = run_method(
+        args.method, _RewriteModels(args, sample), sample, source, query, args.k, args.alpha,
+        args.ratio, args.beam_width, args.beam_depth,
+    )
 
     print(f"base: {len(result.base)} certain answers")
     header = f"{'#':>2}  {'precision':>9}  {'selectivity':>11}  {'recall':>9}  {'f-measure':>9}  query"

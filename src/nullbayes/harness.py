@@ -16,6 +16,7 @@ import time
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .afd import (
     NoRuleError,
@@ -26,15 +27,7 @@ from .afd import (
 )
 from .bayesnet import BayesNet, StructureSearchConfig, fit_parameters, learn_structure, sample_rows
 from .imputation import GibbsParams, impute_table
-from .rewriting import (
-    BeamConfig,
-    RewritingResult,
-    afd_all_attributes,
-    afd_highest_confidence,
-    afd_rewrite_single,
-    bn_all_mb,
-    bn_beam,
-)
+from .rewriting import REWRITING_METHODS, RewritingResult, run_method
 from .source import AutonomousSource
 from .synth import car_demo_net
 from .tabular import (
@@ -63,13 +56,6 @@ __all__ = [
     "format_timing_table",
 ]
 
-REWRITING_METHODS = (
-    "bn-all-mb",
-    "bn-beam",
-    "afd",
-    "afd-all-attributes",
-    "afd-highest-confidence",
-)
 IMPUTATION_METHODS = ("afd", "bn-exact", "bn-gibbs")
 
 # fixed offsets for deriving independent rng streams from one experiment seed
@@ -136,6 +122,13 @@ class ExperimentConfig:
             raise ValueError("max_iterations must be >= 0")
         if not 0.0 <= self.afd_min_confidence <= 1.0:
             raise ValueError("afd_min_confidence must be in [0, 1]")
+        for key in ("top_k", "beam_width", "beam_depth"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
+        if self.alpha < 0:
+            raise ValueError("alpha must be >= 0")
+        if self.query_limit is not None and self.query_limit < 0:
+            raise ValueError("query_limit must be >= 0")
 
 
 _INT_KEYS = {
@@ -276,58 +269,22 @@ class PrCurve:
     truncated: bool
 
 
-def _run_method(
-    method: str, models: _Models, source: AutonomousSource, query: SelectionQuery,
-    cfg: ExperimentConfig, sample: Table, ratio: float,
-) -> RewritingResult:
-    if method == "bn-all-mb":
-        return bn_all_mb(models.net, sample, source, query, cfg.top_k, cfg.alpha, ratio)
-    if method == "bn-beam":
-        beam = BeamConfig(cfg.beam_width, cfg.beam_depth, cfg.alpha, cfg.top_k)
-        return bn_beam(models.net, sample, source, query, beam, ratio)
-    if method == "afd":
-        return afd_rewrite_single(
-            models.afds, models.nb, sample, source, query, cfg.top_k, cfg.alpha, ratio
-        )
-    if method == "afd-all-attributes":
-        return afd_all_attributes(
-            models.afds, models.nb, sample, source, query, cfg.top_k, cfg.alpha, ratio
-        )
-    if method == "afd-highest-confidence":
-        return afd_highest_confidence(
-            models.afds, models.nb, sample, source, query, cfg.top_k, cfg.alpha, ratio
-        )
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _curve_points(
-    result: RewritingResult,
-    query: SelectionQuery,
-    schema,
-    truth_by_id: dict[int, Row],
-    relevant_total: int,
+    result: RewritingResult, query: SelectionQuery, schema, wanted: set[int]
 ) -> tuple[PrPoint, ...]:
+    # wanted: the ids of the uncertain relevant tuples
     q_idx = [schema.index(a) for a in query.attributes]
-    by_query: dict[SelectionQuery, int] = {
-        rq.query: i for i, rq in enumerate(result.issued, start=1)
-    }
-    per_step: dict[int, list[Row]] = {i: [] for i in range(1, len(result.issued) + 1)}
+    step = {rq.query: i for i, rq in enumerate(result.issued)}
+    uncertain = [0] * len(result.issued)  # per issued query
+    relevant = [0] * len(result.issued)
     for answer in result.answers:
-        per_step[by_query[answer.query]].append(answer.row)
+        if all(answer.row.cells[j] is not None for j in q_idx):
+            continue  # certain non-answer: its constrained values are visible
+        uncertain[step[answer.query]] += 1
+        relevant[step[answer.query]] += answer.row.id in wanted
     points = []
-    uncertain = 0
-    relevant = 0
-    for i in range(1, len(result.issued) + 1):
-        for row in per_step[i]:
-            if all(row.cells[j] is not None for j in q_idx):
-                continue  # certain non-answer: its constrained values are visible
-            uncertain += 1
-            truth = truth_by_id[row.id]
-            if query.matches(schema, truth):
-                relevant += 1
-        precision = relevant / uncertain if uncertain else 0.0
-        recall = relevant / relevant_total
-        points.append(PrPoint(i, precision, recall))
+    for i, (u, r) in enumerate(zip(accumulate(uncertain), accumulate(relevant)), start=1):
+        points.append(PrPoint(i, r / u if u else 0.0, r / len(wanted)))
     return tuple(points)
 
 
@@ -349,20 +306,16 @@ def run_rewriting_experiment(
         for query in cfg.queries:
             query.validate(data.schema)
         train, test = split_table(data, cfg.train_fraction, (seed, _S_SPLIT))
-        truth_by_id = {r.id: r for r in test.rows}
         models = _train_models(cfg, train, seed)
         for qi, query in enumerate(cfg.queries):
             visible = inject_nulls(
                 test, query.attributes, cfg.test_null_fraction, (seed, _S_QUERY_NULLS, qi)
             )
-            q_idx = [data.schema.index(a) for a in query.attributes]
-            relevant_total = 0
-            for row in visible.rows:
-                if all(row.cells[j] is not None for j in q_idx):
-                    continue
-                if query.matches(data.schema, truth_by_id[row.id]):
-                    relevant_total += 1
-            if relevant_total == 0:
+            # nulls only hide values (rows keep their order), so the relevant
+            # tuples the visible data still matches are certain answers
+            uncertain = test.mask(query) & ~visible.mask(query)
+            wanted = {r.id for r in test.rows_where(uncertain)}
+            if not wanted:
                 warnings.warn(
                     f"seed {seed}: no uncertain relevant tuples for {query.text()!r}; skipped",
                     stacklevel=2,
@@ -372,19 +325,18 @@ def run_rewriting_experiment(
             for method in cfg.effective_methods():
                 source = AutonomousSource(visible, cfg.query_limit)
                 try:
-                    result = _run_method(method, models, source, query, cfg, train, ratio)
+                    result = run_method(
+                        method, models, train, source, query, cfg.top_k, cfg.alpha, ratio,
+                        cfg.beam_width, cfg.beam_depth,
+                    )
                 except (NoRuleError, NotApplicableError) as exc:
                     warnings.warn(
                         f"seed {seed}: {method} skipped for {query.text()!r}: {exc}",
                         stacklevel=2,
                     )
                     continue
-                points = _curve_points(
-                    result, query, data.schema, truth_by_id, relevant_total
-                )
-                curves.append(
-                    PrCurve(method, query, seed, points, relevant_total, result.truncated)
-                )
+                points = _curve_points(result, query, data.schema, wanted)
+                curves.append(PrCurve(method, query, seed, points, len(wanted), result.truncated))
     return curves
 
 

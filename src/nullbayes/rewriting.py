@@ -14,13 +14,16 @@ tuples look like and fetch them with rewritten queries that constrain
   the baseline family, scoring with naive Bayes over each constrained
   attribute's best approximate functional dependency.
 
-All strategies rank by F-measure over expected precision (posterior
-probability of the original constraint) and expected recall (precision
-times estimated result size), then issue the survivors in decreasing
-expected-precision order against the source.  Scores compare at 12
-significant digits, so rewrites whose scores agree that far (equal in exact
-arithmetic, say, but summed in different orders) go by fewer predicates,
-then query text.
+All strategies score candidates by expected precision (posterior
+probability of the original constraint), expected recall (precision times
+estimated result size) and their F-measure.  ``afd_all_attributes``, and
+``bn_beam`` among its survivors, select their top ``k`` by precision, so
+cross-combinations matching nothing in the sample are not ranked out with
+F = 0; the others select by F-measure.  The selected rewrites are issued in
+decreasing expected-precision order against the source.  Scores compare at
+12 significant digits, so rewrites whose scores agree that far (equal in
+exact arithmetic, say, but summed in different orders) go by fewer
+predicates, then query text.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import warnings
 from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 
 import numpy as np
@@ -39,7 +43,7 @@ from .bayesnet import BayesNet, markov_blanket
 from .inference import posterior_exact
 from .source import AutonomousSource, QueryBudgetError
 # select is no longer called here, but perfbench/tracing.py patches this name
-from .tabular import Row, Schema, SelectionQuery, Table, project_distinct, select  # noqa: F401
+from .tabular import Row, SelectionQuery, Table, project_distinct, select  # noqa: F401
 
 __all__ = [
     "QueryScore",
@@ -56,6 +60,8 @@ __all__ = [
     "afd_rewrite_single",
     "afd_all_attributes",
     "afd_highest_confidence",
+    "REWRITING_METHODS",
+    "run_method",
 ]
 
 
@@ -129,7 +135,8 @@ class RewritingResult:
 @dataclass(frozen=True)
 class BeamConfig:
     """Beam-search knobs: beam width, predicate depth, ranking alpha, and
-    how many surviving queries to issue."""
+    how many surviving queries to issue.  ``bn_beam`` checks ``alpha`` and
+    ``top_k`` the way every strategy checks its ``alpha`` and ``k``."""
 
     width: int = 5
     depth: int = 2
@@ -141,10 +148,6 @@ class BeamConfig:
             raise ValueError("width must be >= 1")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
 
 
 def f_measure(precision: float, recall: float, alpha: float) -> float:
@@ -204,21 +207,25 @@ def expected_selectivity(
 
 
 class _Scorer:
-    """Scores candidates against one original query, caching posteriors."""
+    """Scores candidates against one original query.
 
-    def __init__(self, net, sample, original, alpha, ratio):
-        self.net = net
+    Precision is the Bayes net ``model``'s posterior of the original values
+    given the candidate's (cached per candidate), unless the caller passes it
+    in: the AFD strategies compute theirs with their naive Bayes ``model``.
+    """
+
+    def __init__(self, model, sample, original, alpha, ratio):
+        self.model = model
         self.sample = sample
         self.original = original
         self.alpha = alpha
         self.ratio = ratio
         self._cache: dict[SelectionQuery, float] = {}
 
-    def score(self, candidate: SelectionQuery) -> RewrittenQuery:
-        p = self._cache.get(candidate)
+    def score(self, candidate: SelectionQuery, precision: float | None = None) -> RewrittenQuery:
+        p = self._cache.get(candidate) if precision is None else precision
         if p is None:
-            p = expected_precision(self.net, self.original, candidate)
-            self._cache[candidate] = p
+            p = self._cache[candidate] = expected_precision(self.model, self.original, candidate)
         sel = expected_selectivity(self.sample, candidate, self.ratio)
         r = p * sel
         return RewrittenQuery(candidate, QueryScore(p, sel, r, f_measure(p, r, self.alpha)))
@@ -258,8 +265,7 @@ def order_and_issue(
     ordered = sorted(queries, key=_issue_key)
     if limit is not None:
         ordered = ordered[:limit]
-    excluded = set(exclude_ids)
-    seen: set[int] = set(excluded)
+    seen: set[int] = set(exclude_ids)
     answers: list[RetrievedAnswer] = []
     issued: list[RewrittenQuery] = []
     truncated = False
@@ -286,11 +292,95 @@ def _issue(
     return RewritingResult(base, answers, issued, selected, truncated)
 
 
+def _rewrite(model, sample, source, query, k, alpha, sample_ratio, pick, candidates, key):
+    """The pipeline of every strategy.  ``pick(query)`` chooses what it
+    rewrites through, or raises if it does not apply; ``candidates`` scores
+    what it generates from the base answer; the top ``k`` by ``key`` go to
+    ``_issue``.  ``model`` is the Bayes net, or the AFD strategies' naive
+    Bayes model."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    query.validate(model.schema)
+    if not len(query):
+        raise ValueError("empty query")
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    if sample_ratio is not None and sample_ratio < 0:
+        raise ValueError("ratio must be >= 0")
+    picked = pick(query)
+    if sample_ratio is None:
+        sample_ratio = source.estimate_ratio(sample)
+    base = source.answer(query)
+    scorer = _Scorer(model, sample, query, alpha, sample_ratio)
+    scored = sorted(candidates(picked, base, source.schema, scorer), key=key)
+    return _issue(base, scored[:k], source, k)
+
+
 def _blanket_attrs(net: BayesNet, query: SelectionQuery) -> list[str]:
     out: set[str] = set()
     for attr in query.attributes:
         out.update(markov_blanket(net, attr))
     return sorted(out - set(query.attributes))
+
+
+def _blanket_candidates(net, expand_empty_base, cand_attrs, base, schema, scorer):
+    # bn_all_mb's: every distinct null-free combination over the blanket
+    if not cand_attrs:
+        combos = []
+    elif not base and expand_empty_base:
+        combos = list(itertools.product(*[net.schema.domain(a) for a in cand_attrs]))
+    else:
+        combos = project_distinct(schema, base, cand_attrs)
+    if not combos:
+        warnings.warn(
+            "no rewrite candidates: "
+            + ("the base result is empty" if not base else "the Markov blanket is empty"),
+            stacklevel=4,  # the strategy's caller
+        )
+    return [scorer.score(SelectionQuery(zip(cand_attrs, c))) for c in combos]
+
+
+def _beam_candidates(net, cfg, expand_empty_base, cand_attrs, base, schema, scorer):
+    # bn_beam's: the last beam's queries with positive F-measure
+    use_domains = not base and expand_empty_base
+    if not base and not use_domains:
+        warnings.warn("no rewrite candidates: the base result is empty", stacklevel=4)
+        return []
+    if not cand_attrs:
+        warnings.warn("no rewrite candidates: the Markov blanket is empty", stacklevel=4)
+        return []
+    cells = [r.cells for r in base]
+
+    def matching(partial_query: SelectionQuery) -> list[tuple[str | None, ...]]:
+        if use_domains or not len(partial_query):
+            return cells
+        wanted = {schema.index(a): v for a, v in partial_query.items}
+        key = itemgetter(*wanted)
+        target = key(wanted)  # a bare value for one predicate, a tuple for several, as key(c)
+        return [c for c in cells if key(c) == target]
+
+    def values_for(rows: list[tuple[str | None, ...]], attr: str) -> Sequence[str]:
+        if use_domains:
+            return net.schema.domain(attr)
+        column = map(itemgetter(schema.index(attr)), rows)
+        return [v for v in dict.fromkeys(column) if v is not None]
+
+    beam: list[RewrittenQuery] = []
+    for level in range(cfg.depth):
+        pool: dict[SelectionQuery, RewrittenQuery] = {rq.query: rq for rq in beam}
+        parents = beam if level else [RewrittenQuery(SelectionQuery(), QueryScore(0, 0, 0, 0))]
+        for parent in parents:
+            used = set(parent.query.attributes)
+            rows = matching(parent.query)
+            for attr in cand_attrs:
+                if attr in used:
+                    continue
+                for value in values_for(rows, attr):
+                    cand = parent.query.extended(attr, value)
+                    if cand not in pool:
+                        pool[cand] = scorer.score(cand)
+        beam = sorted(pool.values(), key=_rank_key)[: cfg.width]
+    return [rq for rq in beam if rq.score.f_measure > 0]
 
 
 def bn_all_mb(
@@ -318,36 +408,10 @@ def bn_all_mb(
     ``sample_ratio`` scales sample match counts up to source-size estimates;
     when None it is measured with one extra probe of the source.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    query.validate(net.schema)
-    if not len(query):
-        raise ValueError("empty query")
-    if sample_ratio is None:
-        sample_ratio = source.estimate_ratio(sample)
-    base = source.answer(query)
-    cand_attrs = _blanket_attrs(net, query)
-    combos: list[tuple[str, ...]]
-    if not base and expand_empty_base:
-        combos = (
-            list(itertools.product(*[net.schema.domain(a) for a in cand_attrs]))
-            if cand_attrs
-            else []
-        )
-    else:
-        combos = project_distinct(source.schema, base, cand_attrs) if cand_attrs else []
-    if not combos:
-        warnings.warn(
-            "no rewrite candidates: "
-            + ("the base result is empty" if not base else "the Markov blanket is empty"),
-            stacklevel=2,
-        )
-        return RewritingResult(base, [], [], [], False)
-    scorer = _Scorer(net, sample, query, alpha, sample_ratio)
-    scored = [scorer.score(SelectionQuery(zip(cand_attrs, c))) for c in combos]
-    scored.sort(key=_rank_key)
-    selected = scored[:k]
-    return _issue(base, selected, source, k)
+    return _rewrite(
+        net, sample, source, query, k, alpha, sample_ratio, partial(_blanket_attrs, net),
+        partial(_blanket_candidates, net, expand_empty_base), _rank_key,
+    )
 
 
 def bn_beam(
@@ -371,80 +435,40 @@ def bn_beam(
     top ``cfg.top_k`` survivors are issued in decreasing expected precision.
     """
     cfg = cfg or BeamConfig()
-    query.validate(net.schema)
-    if not len(query):
-        raise ValueError("empty query")
-    if sample_ratio is None:
-        sample_ratio = source.estimate_ratio(sample)
-    base = source.answer(query)
-    cand_attrs = _blanket_attrs(net, query)
-    use_domains = not base and expand_empty_base
-    if not base and not use_domains:
-        warnings.warn("no rewrite candidates: the base result is empty", stacklevel=2)
-        return RewritingResult(base, [], [], [], False)
-    if not cand_attrs:
-        warnings.warn("no rewrite candidates: the Markov blanket is empty", stacklevel=2)
-        return RewritingResult(base, [], [], [], False)
-
-    scorer = _Scorer(net, sample, query, cfg.alpha, sample_ratio)
-    schema = source.schema  # base rows are in the source's column order
-    cells = [r.cells for r in base]
-
-    def matching(partial: SelectionQuery) -> list[tuple[str | None, ...]]:
-        if use_domains or not len(partial):
-            return cells
-        wanted = {schema.index(a): v for a, v in partial.items}
-        key = itemgetter(*wanted)
-        target = key(wanted)  # a bare value for one predicate, a tuple for several, as key(c)
-        return [c for c in cells if key(c) == target]
-
-    def values_for(rows: list[tuple[str | None, ...]], attr: str) -> Sequence[str]:
-        if use_domains:
-            return net.schema.domain(attr)
-        column = map(itemgetter(schema.index(attr)), rows)
-        return [v for v in dict.fromkeys(column) if v is not None]
-
-    beam: list[RewrittenQuery] = []
-    for level in range(cfg.depth):
-        pool: dict[SelectionQuery, RewrittenQuery] = {rq.query: rq for rq in beam}
-        parents = beam if level else [RewrittenQuery(SelectionQuery(), QueryScore(0, 0, 0, 0))]
-        for parent in parents:
-            used = set(parent.query.attributes)
-            rows = matching(parent.query)
-            for attr in cand_attrs:
-                if attr in used:
-                    continue
-                for value in values_for(rows, attr):
-                    cand = parent.query.extended(attr, value)
-                    if cand not in pool:
-                        pool[cand] = scorer.score(cand)
-        beam = sorted(pool.values(), key=_rank_key)[: cfg.width]
-
-    survivors = [rq for rq in beam if rq.score.f_measure > 0]
-    survivors.sort(key=_issue_key)
-    selected = survivors[: cfg.top_k]
-    return _issue(base, selected, source, cfg.top_k)
+    return _rewrite(
+        net, sample, source, query, cfg.top_k, cfg.alpha, sample_ratio,
+        partial(_blanket_attrs, net), partial(_beam_candidates, net, cfg, expand_empty_base),
+        _issue_key,
+    )
 
 
 # ---------------------------------------------------------------------------
 # AFD baseline strategies
 
 
-class _NbScorer:
-    """Like _Scorer but precision comes from per-attribute naive Bayes."""
-
-    def __init__(self, model, sample, alpha, ratio):
-        self.model = model
-        self.sample = sample
-        self.alpha = alpha
-        self.ratio = ratio
-
-    def score(self, candidate: SelectionQuery, precision: float) -> RewrittenQuery:
-        sel = expected_selectivity(self.sample, candidate, self.ratio)
-        r = precision * sel
-        return RewrittenQuery(
-            candidate, QueryScore(precision, sel, r, f_measure(precision, r, self.alpha))
-        )
+def _afd_rules(afds: Sequence[Afd], query: SelectionQuery, how: str) -> dict[str, Afd]:
+    # the rules an AFD strategy rewrites through, by constrained attribute:
+    # the one most confident rule, or each attribute's best, whose
+    # determining sets must be disjoint ("single" also wants one attribute)
+    if how == "single" and len(query) != 1:
+        raise NotApplicableError("afd_rewrite_single takes a single-attribute query")
+    best = best_afds(afds, exclude=query.attributes)
+    if how == "most confident":
+        available = [a for a in query.attributes if a in best]
+        if not available:
+            raise NoRuleError(f"no rule for any of the attributes {list(query.attributes)!r}")
+        pick = min(available, key=lambda a: (-best[a].confidence, a))
+        return {pick: best[pick]}
+    for attr in query.attributes:
+        if attr not in best:
+            raise NoRuleError(f"no rule for attribute {attr!r}")
+    for a, b in itertools.combinations(query.attributes, 2):
+        shared = set(best[a].determining) & set(best[b].determining)
+        if shared:
+            raise NotApplicableError(
+                f"not applicable: determining sets of {a!r} and {b!r} share {sorted(shared)}"
+            )
+    return {attr: best[attr] for attr in query.attributes}
 
 
 def _nb_precision(model: NaiveBayesModel, attr: str, value: str, candidate: SelectionQuery) -> float:
@@ -455,20 +479,25 @@ def _nb_precision(model: NaiveBayesModel, attr: str, value: str, candidate: Sele
     return float(probs[model.schema.domain(attr).index(value)])
 
 
-def _single_candidates(
-    afd: Afd,
-    model: NaiveBayesModel,
-    attr: str,
-    value: str,
-    base: Sequence[Row],
-    schema: Schema,
-) -> list[tuple[SelectionQuery, float]]:
-    combos = project_distinct(schema, base, afd.determining)
-    out = []
-    for combo in combos:
-        cand = SelectionQuery(zip(afd.determining, combo))
-        out.append((cand, _nb_precision(model, attr, value, cand)))
-    return out
+def _afd_candidates(model, rules, base, schema, scorer):
+    # per rewritten attribute, the base's distinct combinations over its
+    # rule's determining set; a cross-combination's precision is the product
+    # of its parts' naive Bayes precisions
+    per_attr = []
+    for attr, afd in rules.items():
+        value = scorer.original.value(attr)
+        parts = [SelectionQuery(zip(afd.determining, c))
+                 for c in project_distinct(schema, base, afd.determining)]
+        per_attr.append([(cand, _nb_precision(model, attr, value, cand)) for cand in parts])
+    scored = []
+    for parts in itertools.product(*per_attr):
+        predicates: list[tuple[str, str]] = []
+        precision = 1.0
+        for cand, p in parts:
+            predicates.extend(cand.items)
+            precision *= p
+        scored.append(scorer.score(SelectionQuery(predicates), precision))
+    return scored
 
 
 def afd_rewrite_single(
@@ -495,25 +524,10 @@ def afd_rewrite_single(
     NoRuleError
         If no usable AFD exists for the constrained attribute.
     """
-    if len(query) != 1:
-        raise NotApplicableError("afd_rewrite_single takes a single-attribute query")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    query.validate(model.schema)
-    attr, value = query.items[0]
-    best = best_afds(afds, exclude=query.attributes)
-    afd = best.get(attr)
-    if afd is None:
-        raise NoRuleError(f"no rule for attribute {attr!r}")
-    if sample_ratio is None:
-        sample_ratio = source.estimate_ratio(sample)
-    base = source.answer(query)
-    scorer = _NbScorer(model, sample, alpha, sample_ratio)
-    candidates = _single_candidates(afd, model, attr, value, base, source.schema)
-    scored = [scorer.score(c, p) for c, p in candidates]
-    scored.sort(key=_rank_key)
-    selected = scored[:k]
-    return _issue(base, selected, source, k)
+    return _rewrite(
+        model, sample, source, query, k, alpha, sample_ratio,
+        partial(_afd_rules, afds, how="single"), partial(_afd_candidates, model), _rank_key,
+    )
 
 
 def afd_all_attributes(
@@ -531,7 +545,9 @@ def afd_all_attributes(
     Each constrained attribute is rewritten through its own best AFD; the
     candidates are all cross-combinations, one component per attribute, with
     expected precision the product of the component precisions.  Candidates
-    matching nothing in the sample are kept (their selectivity is 0).
+    matching nothing in the sample are kept (their selectivity is 0): the
+    top ``k`` by expected precision, not F-measure, are issued in decreasing
+    expected precision.
 
     Raises
     ------
@@ -540,41 +556,10 @@ def afd_all_attributes(
     NotApplicableError
         If the best AFDs' determining sets overlap.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    query.validate(model.schema)
-    best = best_afds(afds, exclude=query.attributes)
-    chosen: dict[str, Afd] = {}
-    for attr in query.attributes:
-        afd = best.get(attr)
-        if afd is None:
-            raise NoRuleError(f"no rule for attribute {attr!r}")
-        chosen[attr] = afd
-    for a, b in itertools.combinations(query.attributes, 2):
-        shared = set(chosen[a].determining) & set(chosen[b].determining)
-        if shared:
-            raise NotApplicableError(
-                f"not applicable: determining sets of {a!r} and {b!r} share {sorted(shared)}"
-            )
-    if sample_ratio is None:
-        sample_ratio = source.estimate_ratio(sample)
-    base = source.answer(query)
-    per_attr = [
-        _single_candidates(chosen[attr], model, attr, query.value(attr), base, source.schema)
-        for attr in query.attributes
-    ]
-    scorer = _NbScorer(model, sample, alpha, sample_ratio)
-    scored = []
-    for parts in itertools.product(*per_attr):
-        predicates: list[tuple[str, str]] = []
-        precision = 1.0
-        for cand, p in parts:
-            predicates.extend(cand.items)
-            precision *= p
-        scored.append(scorer.score(SelectionQuery(predicates), precision))
-    scored.sort(key=_issue_key)
-    selected = scored[:k]
-    return _issue(base, selected, source, k)
+    return _rewrite(
+        model, sample, source, query, k, alpha, sample_ratio,
+        partial(_afd_rules, afds, how="every"), partial(_afd_candidates, model), _issue_key,
+    )
 
 
 def afd_highest_confidence(
@@ -598,25 +583,37 @@ def afd_highest_confidence(
     NoRuleError
         If no constrained attribute has a usable AFD.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    query.validate(model.schema)
-    best = best_afds(afds, exclude=query.attributes)
-    available = [a for a in query.attributes if a in best]
-    if not available:
-        raise NoRuleError(
-            f"no rule for any of the attributes {list(query.attributes)!r}"
-        )
-    pick = min(available, key=lambda a: (-best[a].confidence, a))
-    if sample_ratio is None:
-        sample_ratio = source.estimate_ratio(sample)
-    base = source.answer(query)
-    afd = best[pick]
-    scorer = _NbScorer(model, sample, alpha, sample_ratio)
-    scored = [
-        scorer.score(c, p)
-        for c, p in _single_candidates(afd, model, pick, query.value(pick), base, source.schema)
-    ]
-    scored.sort(key=_rank_key)
-    selected = scored[:k]
-    return _issue(base, selected, source, k)
+    return _rewrite(
+        model, sample, source, query, k, alpha, sample_ratio,
+        partial(_afd_rules, afds, how="most confident"), partial(_afd_candidates, model), _rank_key,
+    )
+
+
+# every strategy by the name the harness and the CLI give it
+_METHODS = {
+    "bn-all-mb": lambda m, beam, *args: bn_all_mb(m.net, *args),
+    "bn-beam": lambda m, beam, sample, source, query, k, alpha, ratio: bn_beam(
+        m.net, sample, source, query, BeamConfig(*beam, alpha, k), ratio
+    ),
+    "afd": lambda m, beam, *args: afd_rewrite_single(m.afds, m.nb, *args),
+    "afd-all-attributes": lambda m, beam, *args: afd_all_attributes(m.afds, m.nb, *args),
+    "afd-highest-confidence": lambda m, beam, *args: afd_highest_confidence(m.afds, m.nb, *args),
+}
+REWRITING_METHODS = tuple(_METHODS)
+
+
+def run_method(
+    method: str, models, sample: Table, source: AutonomousSource, query: SelectionQuery,
+    k: int = 10, alpha: float = 0.0, sample_ratio: float | None = None,
+    beam_width: int = 5, beam_depth: int = 2,
+) -> RewritingResult:
+    """Run the strategy named ``method``, one of ``REWRITING_METHODS``.
+
+    Only what that strategy needs is read from ``models``: ``net`` for the
+    ``bn-*`` methods, ``afds`` and ``nb`` (a NaiveBayesModel) for the
+    ``afd*`` ones.  ``beam_width`` and ``beam_depth`` are ``bn-beam``'s.
+    """
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    run = _METHODS[method]
+    return run(models, (beam_width, beam_depth), sample, source, query, k, alpha, sample_ratio)

@@ -313,6 +313,22 @@ class TestRewrite:
         assert "base: 2 certain answers" in got
         assert "Mileage=" in got
 
+    @pytest.mark.parametrize("method", ["bn-all-mb", "bn-beam", "afd", "afd-all-attributes"])
+    def test_reads_only_the_file_its_method_needs(self, tmp_path, demo_csv, demo_model, method):
+        # the other file is garbage, and is never opened
+        rules = tmp_path / "rules.afd"
+        assert main(["mine-afd", "--train", demo_csv, "--out", str(rules)]) == 0
+        bad = tmp_path / "garbage"
+        bad.write_text("not a model and not rules\n", encoding="utf-8")
+        model, rules = (demo_model, bad) if method.startswith("bn-") else (bad, rules)
+        rc = main(
+            [
+                "rewrite", "--query", "Body=Sedan", "--source", demo_csv, "--sample", demo_csv,
+                "--method", method, "--model", str(model), "--rules", str(rules),
+            ]
+        )
+        assert rc == 0
+
     def test_bn_method_requires_model(self, demo_csv, capsys):
         rc = main(
             ["rewrite", "--query", "Body=Sedan", "--source", demo_csv, "--sample", demo_csv]
@@ -588,6 +604,32 @@ class TestOutOfRangeOptions:
         out_dir = tmp_path / "results"
         rc = main(["eval", "--config", str(conf), "--out-dir", str(out_dir)])
         _assert_refused(rc, capsys.readouterr(), option, out_dir)
+
+    @pytest.mark.parametrize(
+        "method, flags, message",
+        [
+            ("bn-all-mb", ["--ratio", "-1"], "ratio must be >= 0"),
+            ("bn-all-mb", ["--alpha", "-1"], "alpha must be >= 0"),
+            ("afd-highest-confidence", ["--alpha", "-1", "--ratio", "-2"], "alpha must be >= 0"),
+            ("bn-beam", ["--k", "0"], "k must be >= 1"),
+        ],
+    )
+    def test_rewrite_refused_with_an_empty_base(
+        self, tmp_path, demo_csv, demo_model, capsys, method, flags, message
+    ):
+        rules, out = tmp_path / "rules.afd", tmp_path / "answers.csv"
+        assert main(["mine-afd", "--train", demo_csv, "--out", str(rules)]) == 0
+        capsys.readouterr()
+        rc = main(
+            [
+                "rewrite", "--query", "Body=Coupe & Make=Audi", "--source", demo_csv,
+                "--sample", demo_csv, "--method", method, "--model", demo_model,
+                "--rules", str(rules), "--out", str(out), *flags,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) == (2, "", f"error: {message}\n")
+        assert not out.exists()
 
 
 class TestTopLevel:

@@ -145,6 +145,24 @@ class TestParseConfig:
         for edge in ("max_iterations = 0", "afd_min_confidence = 0", "afd_min_confidence = 1"):
             parse_config(f"mode = imputation\ntargets = Body\n{edge}\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("top_k = 0", "top_k must be >= 1"),
+            ("alpha = -0.5", "alpha must be >= 0"),
+            ("beam_width = 0", "beam_width must be >= 1"),
+            ("beam_depth = 0", "beam_depth must be >= 1"),
+            ("query_limit = -1", "query_limit must be >= 0"),
+        ],
+    )
+    def test_rewriting_ranges(self, line, message):
+        # refused at parse time, not after every model is trained
+        head = "mode = rewriting\nquery = Body=sedan\n"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_config(f"{head}{line}\n")
+        for edge in ("top_k = 1", "alpha = 0", "beam_width = 1", "beam_depth = 1", "query_limit = 0"):
+            parse_config(f"{head}{edge}\n")
+
     def test_load_config(self, tmp_path):
         path = tmp_path / "run.conf"
         path.write_text("mode = imputation\ntargets = Body\n", encoding="utf-8")

@@ -2,6 +2,8 @@
 
 import dataclasses
 import pickle
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,10 +34,16 @@ from nullbayes import (
     order_and_issue,
     sample_rows,
 )
-from nullbayes.rewriting import RetrievedAnswer, RewrittenQuery, QueryScore
+from nullbayes.rewriting import (
+    REWRITING_METHODS,
+    QueryScore,
+    RetrievedAnswer,
+    RewrittenQuery,
+    run_method,
+)
 from nullbayes.synth import car_demo_net
 
-from conftest import oracle_conditional, with_unseen_values
+from conftest import demo_net, oracle_conditional, with_unseen_values
 
 
 def _impossible_pair_net():
@@ -810,3 +818,134 @@ class TestUnseenSourceValues:
             assert not unseen
         else:
             assert unseen, "some candidate should hold the unseen value"
+
+
+# ---------------------------------------------------------------------------
+# the shared pipeline, the selection keys and the dispatcher
+
+
+def _models(table):
+    return SimpleNamespace(net=demo_net(), afds=mine_afds(table), nb=fit_naive_bayes(table))
+
+
+class TestPipelineChecks:
+    """Every strategy checks its arguments once, before the source is touched,
+    whether or not it has candidates to score."""
+
+    @pytest.mark.parametrize("method", REWRITING_METHODS)
+    @pytest.mark.parametrize(
+        "query, kwargs, message",
+        [
+            ({}, {}, "empty query"),
+            ({"Body": "Sedan"}, {"k": 0}, "k must be >= 1"),
+            ({"Body": "Sedan"}, {"alpha": -1.0}, "alpha must be >= 0"),
+            ({"Body": "Sedan"}, {"sample_ratio": -2.0}, "ratio must be >= 0"),
+            # an empty base: nothing is scored, so only the preamble can refuse
+            ({"Body": "Coupe", "Make": "Audi"}, {"alpha": -1.0}, "alpha must be >= 0"),
+            ({"Body": "Coupe", "Make": "Audi"}, {"sample_ratio": -1.0}, "ratio must be >= 0"),
+        ],
+    )
+    def test_refused_before_the_source_is_touched(self, demo_table, method, query, kwargs, message):
+        source = AutonomousSource(demo_table)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_method(
+                method, _models(demo_table), demo_table, source, SelectionQuery(query),
+                **{"sample_ratio": 1.0, **kwargs},
+            )
+        assert source.queries_used == 0
+
+    def test_empty_query_refused_by_every_public_strategy(self, demo_table, fitted_demo_net):
+        model = fit_naive_bayes(demo_table)
+        calls = [
+            lambda s: bn_all_mb(fitted_demo_net, demo_table, s, SelectionQuery()),
+            lambda s: bn_beam(fitted_demo_net, demo_table, s, SelectionQuery()),
+            lambda s: afd_rewrite_single([], model, demo_table, s, SelectionQuery()),
+            lambda s: afd_all_attributes([], model, demo_table, s, SelectionQuery()),
+            lambda s: afd_highest_confidence([], model, demo_table, s, SelectionQuery()),
+        ]
+        for call in calls:
+            source = AutonomousSource(demo_table)
+            with pytest.raises(ValueError, match="^empty query$"):
+                call(source)
+            assert source.queries_used == 0
+
+
+def _selection_world():
+    """A rule Make -> Body under which Make=x implies Body=suv more strongly
+    than Make=y does, and a sample that holds no Make=x tuple."""
+    schema = Schema(("Make", "Body"), {"Make": ("x", "y"), "Body": ("sedan", "suv")})
+    train = [("x", "suv")] * 4 + [("y", "suv"), ("y", "suv"), ("y", "sedan"), ("y", "sedan")]
+    model = fit_naive_bayes(Table(schema, [Row(i, c) for i, c in enumerate(train, start=1)]))
+    sample = Table(schema, [Row(1, ("y", "suv")), Row(2, ("y", "sedan"))])
+    source = Table(
+        schema,
+        [Row(1, ("x", "suv")), Row(2, ("y", "suv")), Row(3, ("x", None)), Row(4, ("y", None))],
+    )
+    return model, sample, source, [Afd(("Make",), "Body", 0.9)]
+
+
+class TestSelectionKey:
+    def test_all_attributes_keeps_a_zero_selectivity_candidate_f_ranking_drops(self):
+        model, sample, source, rules = _selection_world()
+        query = SelectionQuery({"Body": "suv"})
+        args = (rules, model, sample)
+        everything = afd_all_attributes(*args, AutonomousSource(source), query, sample_ratio=1.0)
+        scores = {rq.text(): rq.score for rq in everything.candidates}
+        assert scores["Make=x"].precision > scores["Make=y"].precision
+        assert scores["Make=x"].selectivity == 0.0 < scores["Make=y"].selectivity
+        assert scores["Make=x"].f_measure == 0.0
+        picked = {
+            fn.__name__: [
+                rq.text() for rq in fn(*args, AutonomousSource(source), query, 1, 0.0, 1.0).issued
+            ]
+            for fn in (afd_all_attributes, afd_rewrite_single, afd_highest_confidence)
+        }
+        assert picked == {
+            "afd_all_attributes": ["Make=x"],  # by precision
+            "afd_rewrite_single": ["Make=y"],  # by F-measure
+            "afd_highest_confidence": ["Make=y"],
+        }
+
+
+class TestRunMethod:
+    def test_same_result_as_the_public_strategy(self, demo_table):
+        models = _models(demo_table)
+        query = SelectionQuery({"Body": "Sedan"})
+        direct = {
+            "bn-all-mb": lambda s: bn_all_mb(models.net, demo_table, s, query, 3, 0.5, 1.0),
+            "bn-beam": lambda s: bn_beam(
+                models.net, demo_table, s, query, BeamConfig(2, 3, 0.5, 3), 1.0
+            ),
+            "afd": lambda s: afd_rewrite_single(
+                models.afds, models.nb, demo_table, s, query, 3, 0.5, 1.0
+            ),
+            "afd-all-attributes": lambda s: afd_all_attributes(
+                models.afds, models.nb, demo_table, s, query, 3, 0.5, 1.0
+            ),
+            "afd-highest-confidence": lambda s: afd_highest_confidence(
+                models.afds, models.nb, demo_table, s, query, 3, 0.5, 1.0
+            ),
+        }
+        assert tuple(direct) == REWRITING_METHODS
+        for method, call in direct.items():
+            got = run_method(
+                method, models, demo_table, AutonomousSource(demo_table), query, 3, 0.5, 1.0,
+                beam_width=2, beam_depth=3,
+            )
+            assert got == call(AutonomousSource(demo_table)), method
+            assert got.issued, method
+
+    def test_reads_only_the_models_the_method_needs(self, demo_table):
+        full = _models(demo_table)
+        query = SelectionQuery({"Body": "Sedan"})
+        for method in REWRITING_METHODS:
+            needs = ("net",) if method.startswith("bn-") else ("afds", "nb")
+            models = SimpleNamespace(**{name: getattr(full, name) for name in needs})
+            run_method(method, models, demo_table, AutonomousSource(demo_table), query, sample_ratio=1.0)
+
+    def test_unknown_method(self, demo_table):
+        with pytest.raises(ValueError, match="unknown method 'oracle'"):
+            run_method(
+                "oracle", _models(demo_table), demo_table, AutonomousSource(demo_table),
+                SelectionQuery({"Body": "Sedan"}),
+            )

@@ -8,11 +8,21 @@ benchmark, so it must fail here too.  The test only reads ``perfbench/``.
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import nullbayes.rewriting
-from nullbayes import AutonomousSource, GibbsParams, SelectionQuery, bn_all_mb, impute_table
+from nullbayes import (
+    AutonomousSource,
+    GibbsParams,
+    SelectionQuery,
+    bn_all_mb,
+    fit_naive_bayes,
+    impute_table,
+    mine_afds,
+)
+from nullbayes.rewriting import REWRITING_METHODS, run_method
 
 from conftest import demo_cars, demo_net
 
@@ -78,16 +88,19 @@ def test_gibbs_imputation_counts_one_chain_per_incomplete_row(joint):
     assert sweeps == incomplete * (params.samples + params.burn_in)
 
 
-def test_rewriting_issues_every_query_through_source_answer():
+@pytest.mark.parametrize("method", REWRITING_METHODS)
+def test_rewriting_issues_every_query_through_source_answer(method):
     # the benchmark's source.* layer figures count source.answer spans: one
-    # for the base query and one per issued rewrite, none bypassing it
+    # for the base query and one per issued rewrite, none bypassing it; and
+    # every strategy scores through the names the tracer patches
     tracing = _load_tracing()
     table = demo_cars()
+    models = SimpleNamespace(net=demo_net(), afds=mine_afds(table), nb=fit_naive_bayes(table))
     tracer = tracing.Tracer()
     saved = tracing.install(tracer, table)
     try:
-        result = bn_all_mb(
-            demo_net(), table, AutonomousSource(table), SelectionQuery({"Body": "Sedan"}),
+        result = run_method(
+            method, models, table, AutonomousSource(table), SelectionQuery({"Body": "Sedan"}),
             k=3, sample_ratio=1.0,
         )
     finally:
@@ -95,3 +108,5 @@ def test_rewriting_issues_every_query_through_source_answer():
     assert len(result.issued) > 1
     _, calls = tracer.totals()
     assert calls.get("source.answer") == 1 + len(result.issued)
+    layer = "inference.posterior_exact" if method.startswith("bn-") else "afd.best_afds"
+    assert calls.get(layer, 0) >= 1, layer
