@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .tabular import Row, Schema, Table, _value_counts
+from .tabular import Row, Schema, Table, _check_scale, _value_counts
 
 __all__ = [
     "BayesNet",
@@ -119,14 +119,6 @@ class BayesNet:
                 ps.difference_update(ready)
         return order
 
-    def isclose(self, other: "BayesNet", atol: float = 1e-9) -> bool:
-        if self.schema != other.schema or self.parents != other.parents:
-            return False
-        return all(
-            np.allclose(self.cpts[a], other.cpts[a], rtol=0, atol=atol)
-            for a in self.schema.attributes
-        )
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BayesNet)
@@ -201,8 +193,10 @@ class StructureSearchConfig:
             raise ValueError("time_limit must be >= 0")
         if self.score not in ("bic", "bdeu"):
             raise ValueError(f"unknown score {self.score!r}")
-        if self.score == "bdeu" and self.ess <= 0:
+        if self.score == "bdeu" and not self.ess > 0:
             raise ValueError("ess must be positive")
+        if self.score == "bdeu" and self.ess == math.inf:
+            raise ValueError("ess must be finite")
 
 
 class _LocalScores:
@@ -430,8 +424,7 @@ def fit_parameters(structure: BayesNet, train: Table, pseudo_count: float = 1.0)
     parent combination never observed yields a uniform row.  With
     pseudo_count > 0 every probability is strictly positive.
     """
-    if pseudo_count < 0:
-        raise ValueError("pseudo_count must be >= 0")
+    _check_scale("pseudo_count", pseudo_count)
     schema = structure.schema
     if train.schema != schema:
         raise ValueError("training table schema does not match the network")

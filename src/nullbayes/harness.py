@@ -31,9 +31,9 @@ from .rewriting import REWRITING_METHODS, RewritingResult, run_method
 from .source import AutonomousSource
 from .synth import car_demo_net
 from .tabular import (
-    Row,
     SelectionQuery,
     Table,
+    _check_scale,
     discretize,
     inject_nulls,
     load_csv,
@@ -118,15 +118,18 @@ class ExperimentConfig:
             if not 0 <= level <= 100:
                 raise ValueError("levels are percentages in 0..100")
         GibbsParams(self.gibbs_samples, self.gibbs_burn_in)
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
+        StructureSearchConfig(
+            self.max_parents, self.restarts, self.max_iterations, self.score, self.ess
+        )
+        _check_scale("pseudo_count", self.pseudo_count)
         if not 0.0 <= self.afd_min_confidence <= 1.0:
             raise ValueError("afd_min_confidence must be in [0, 1]")
-        for key in ("top_k", "beam_width", "beam_depth"):
+        for key in ("top_k", "beam_width", "beam_depth", "afd_max_lhs"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        _check_scale("alpha", self.alpha)
+        if self.synthetic_rows < 0:
+            raise ValueError("synthetic_rows must be >= 0")
         if self.query_limit is not None and self.query_limit < 0:
             raise ValueError("query_limit must be >= 0")
 
@@ -355,30 +358,20 @@ class ImputationRun:
     seconds: float
 
 
-def _target_accuracy(
-    schema, imputed: Table, truth_by_id: dict[int, Row], targets: Sequence[str]
-) -> tuple[float, float, int]:
-    t_idx = [schema.index(t) for t in targets]
-    cell_hits = cells = row_hits = rows = 0
-    for row in imputed.rows:
-        truth = truth_by_id[row.id]
-        ok = True
-        counted = False
-        for j in t_idx:
-            if truth.cells[j] is None:
-                continue  # truth itself unknown; cell not scoreable
-            counted = True
-            cells += 1
-            if row.cells[j] is not None and row.cells[j] == truth.cells[j]:
-                cell_hits += 1
-            else:
-                ok = False
-        if counted:
-            rows += 1
-            row_hits += 1 if ok else 0
+def _target_accuracy(imputed: Table, test: Table, targets: Sequence[str]):
+    """Cell and tuple accuracy of ``imputed``'s target cells against ``test``,
+    whose rows it holds in the same order, and the number of cells scored;
+    a cell whose truth is null is not scored."""
+    at = [test.schema.index(t) for t in targets]
+    truth = test._column_codes()[at]
+    scored = truth >= 0
+    hits = scored & (imputed._column_codes()[at] == truth)
+    cells = int(scored.sum())
     if cells == 0:
         raise ValueError("no scoreable target cells; is the ground truth all null?")
-    return cell_hits / cells, row_hits / rows, cells
+    rows = scored.any(axis=0)
+    row_hits = rows & (hits == scored).all(axis=0)
+    return int(hits.sum()) / cells, int(row_hits.sum()) / int(rows.sum()), cells
 
 
 def run_imputation_experiment(
@@ -400,7 +393,6 @@ def run_imputation_experiment(
         for target in cfg.targets:
             data.schema.index(target)
         train, test = split_table(data, cfg.train_fraction, (seed, _S_SPLIT))
-        truth_by_id = {r.id: r for r in test.rows}
         models = _train_models(cfg, train, seed)
         hidden = inject_nulls(test, cfg.targets, 1.0, (seed, _S_TARGET_NULLS))
         evidence_attrs = [a for a in data.schema.attributes if a not in cfg.targets]
@@ -419,21 +411,13 @@ def run_imputation_experiment(
                         for row in visible.rows
                     ]
                     imputed = Table(data.schema, rows)
-                elif method == "bn-exact":
-                    imputed, _ = impute_table(models.net, visible, engine="exact")
-                elif method == "bn-gibbs":
+                else:  # "bn-exact" or "bn-gibbs"; the exact engine ignores the params
                     params = GibbsParams(
                         cfg.gibbs_samples, cfg.gibbs_burn_in, seed=seed * 1000 + li
                     )
-                    imputed, _ = impute_table(
-                        models.net, visible, engine="gibbs", gibbs=params
-                    )
-                else:
-                    raise ValueError(f"unknown method {method!r}")
+                    imputed, _ = impute_table(models.net, visible, method[3:], params)
                 seconds = time.perf_counter() - t0
-                cell_acc, tuple_acc, cells = _target_accuracy(
-                    data.schema, imputed, truth_by_id, cfg.targets
-                )
+                cell_acc, tuple_acc, cells = _target_accuracy(imputed, test, cfg.targets)
                 runs.append(
                     ImputationRun(method, level, seed, cell_acc, tuple_acc, cells, seconds)
                 )

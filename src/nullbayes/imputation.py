@@ -5,6 +5,12 @@ one joint posterior given the observed cells, then the single most probable
 combination.  The "independent" strategy takes each attribute's marginal
 argmax separately; it is kept for comparison because it can produce
 mutually inconsistent combinations that the joint argmax never does.
+
+Both engines share one path over the table's int-coded column matrix: the
+columns of the incomplete rows are filled in place, by exact inference (one
+posterior per distinct Markov-blanket component and blanket values) or by
+Gibbs sampling (one chain per row), then decoded to labels once per call.
+``impute_tuple`` runs that path on a one-row table.
 """
 
 from __future__ import annotations
@@ -58,37 +64,9 @@ class ImputationReport:
     duration_seconds: float
 
 
-def _missing_attrs(net: BayesNet, row: Row) -> tuple[str, ...]:
-    return tuple(a for a, c in zip(net.schema.attributes, row.cells) if c is None)
-
-
-def _fill(net: BayesNet, row: Row, missing: tuple[str, ...], combo: tuple[str, ...]) -> Row:
-    filled = dict(zip(missing, combo))
-    cells = tuple(
-        filled[a] if c is None else c for a, c in zip(net.schema.attributes, row.cells)
-    )
-    return Row(row.id, cells)
-
-
 def _check_engine(engine: str) -> None:
     if engine not in ("exact", "gibbs"):
         raise ValueError(f"unknown engine {engine!r}")
-
-
-def _gibbs_combo(net, row, missing, gibbs, joint, seed, memo) -> tuple[str, ...]:
-    # one chain over every missing attribute; its free set, initial draw and
-    # uniforms do not depend on the targets, so marginal mode counts each
-    # attribute's values in the same chain.  The most frequent state (or
-    # value), ties to the smallest, is map_assignment of the sampled
-    # posterior, found without an array over the joint
-    g = gibbs or GibbsParams()
-    evidence = {a: c for a, c in zip(net.schema.attributes, row.cells) if c is not None}
-    states = posterior_gibbs(
-        net, missing, evidence, samples=g.samples, burn_in=g.burn_in, seed=seed,
-        _memo=memo, _states=True,
-    )
-    codes = _mode(states) if joint else [_mode(column) for column in zip(*states)]
-    return tuple(net.schema.domain(a)[c] for a, c in zip(missing, codes))
 
 
 def _mode(values):
@@ -215,54 +193,56 @@ def _shares(keys, hits: np.ndarray, totals: np.ndarray) -> dict:
     return {k: h / n for k, h, n in sorted(zip(keys, hits.tolist(), totals.tolist())) if n}
 
 
-def _exact_table(net: BayesNet, table: Table, joint: bool):
-    """The exact engine over ``table``'s code matrix: the output rows, the
-    number of incomplete rows and the null count per attribute."""
-    attrs = table.schema.attributes
+def _impute_gibbs(net, rows, codes, missing, gibbs: GibbsParams, joint: bool, seed_of) -> None:
+    """Fill the -1 cells of ``codes`` (``(d, n)``, one column per row of
+    ``rows``; ``missing`` marks them) with Gibbs MAP values.  Each row gets
+    one chain over all its missing cells, seeded by ``seed_of(row)``; the
+    chain does not depend on its targets, so marginal mode counts each
+    attribute's values in it.  The most frequent kept state (or value), ties
+    to the smallest, is map_assignment of the sampled posterior, found
+    without an array over the joint."""
+    attrs = net.schema.attributes
+    memo: dict = {}  # the chains' full conditionals, shared for this call
+    fills: list[int] = []
+    for row, column in zip(rows, missing.T.tolist()):
+        evidence = {a: c for a, c in zip(attrs, row.cells) if c is not None}
+        states = posterior_gibbs(
+            net, tuple(compress(attrs, column)), evidence, samples=gibbs.samples,
+            burn_in=gibbs.burn_in, seed=seed_of(row), _memo=memo, _states=True,
+        )
+        fills.extend(_mode(states) if joint else [_mode(values) for values in zip(*states)])
+    codes.T[missing.T] = fills  # row by row, each row's cells in attribute order
+
+
+def _impute(net: BayesNet, table: Table, engine: str, gibbs: GibbsParams, joint: bool, seed_of):
+    """The tail of both engines over ``table``'s code matrix: the output rows,
+    the positions of the incomplete rows, their filled codes and their
+    missing mask (``(d, n)`` each)."""
+    schema = table.schema
     codes = table._column_codes()
     incomplete = (codes < 0).any(axis=0).nonzero()[0]
     filled = codes[:, incomplete]
     missing = filled < 0
-    _impute_exact(net, joint, filled, *_null_patterns(attrs, missing))
-    # every domain in one object array, read at code plus the domain's offset
-    domains = [table.schema.domains[a] for a in attrs]
-    labels = np.array([label for domain in domains for label in domain], dtype=object)
-    offsets = np.cumsum([0] + [len(domain) for domain in domains[:-1]])[:, None]
-    out_rows = list(table.rows)
-    for i, cells in zip(incomplete.tolist(), zip(*labels[filled + offsets].tolist())):
-        out_rows[i] = Row(out_rows[i].id, cells)
-    return out_rows, len(incomplete), dict(zip(attrs, missing.sum(axis=1).tolist()))
+    rows, positions = list(table.rows), incomplete.tolist()
+    if engine == "exact":
+        _impute_exact(net, joint, filled, *_null_patterns(schema.attributes, missing))
+    else:
+        _impute_gibbs(net, [rows[i] for i in positions], filled, missing, gibbs, joint, seed_of)
+    labels, offsets = schema._code_labels
+    for i, cells in zip(positions, zip(*labels[filled + offsets].tolist())):
+        rows[i] = Row(rows[i].id, cells)
+    return rows, incomplete, filled, missing
 
 
-def _gibbs_table(net: BayesNet, table: Table, gibbs: GibbsParams | None, joint: bool):
-    """The Gibbs engine over ``table``, returning what ``_exact_table`` does.
-    It stays row by row: a chain costs far more than a row's Python, and on
-    calls of a few rows the code matrix's fixed numpy cost would show."""
-    memo: dict = {}  # the chains' conditionals, shared for this call
-    out_rows, imputed, counts = list(table.rows), 0, Counter()
-    for i, row in enumerate(table.rows):
-        missing = _missing_attrs(net, row)
-        if missing:
-            seed = (gibbs.seed if gibbs else 0, row.id)
-            combo = _gibbs_combo(net, row, missing, gibbs, joint, seed, memo)
-            out_rows[i] = _fill(net, row, missing, combo)
-            imputed += 1
-            counts.update(missing)
-    return out_rows, imputed, counts
-
-
-def _accuracies(table: Table, out: Table, truth: Table, truth_at: dict):
-    """Cell, tuple, attribute and combination accuracy of ``out``'s fills of
-    ``table``'s null cells against ``truth``, from the three code matrices;
-    cells whose truth is null are not graded."""
+def _accuracies(table: Table, truth: Table, truth_at: dict, incomplete, filled, missing):
+    """Cell, tuple, attribute and combination accuracy of the ``filled``
+    codes of ``table``'s ``incomplete`` rows at their ``missing`` cells
+    against ``truth``; cells whose truth is null are not graded."""
     attrs = table.schema.attributes
-    codes = table._column_codes()
-    incomplete = (codes < 0).any(axis=0).nonzero()[0]
-    missing = codes[:, incomplete] < 0
     at = [truth_at[table.rows[i].id] for i in incomplete.tolist()]
     actual = truth._column_codes()[:, at]
     scored = missing & (actual >= 0)  # the gradeable imputed cells
-    hits = scored & (out._column_codes()[:, incomplete] == actual)
+    hits = scored & (filled == actual)
     graded = scored.any(axis=0)
     right = graded & (hits == scored).all(axis=0)
     cells_scored, tuples_scored = int(scored.sum()), int(graded.sum())
@@ -291,17 +271,14 @@ def impute_tuple(
     With ``joint`` (the default) the fill is the argmax of the joint
     posterior over all missing attributes; otherwise each missing attribute
     is filled with its own marginal argmax.  Non-null cells are never
-    altered; a complete row is returned unchanged.  The exact engine is
-    ``impute_table`` on a one-row table.
+    altered; a complete row is returned unchanged.  Both engines run
+    ``impute_table``'s path on a one-row table, so a row that does not fit
+    the network's schema raises ``ValueError``; the Gibbs chain is seeded by
+    the base seed alone.
     """
     _check_engine(engine)
-    missing = _missing_attrs(net, row)
-    if not missing:
-        return row
-    if engine == "exact":
-        return impute_table(net, Table(net.schema, [row]), joint=joint)[0].rows[0]
-    combo = _gibbs_combo(net, row, missing, gibbs, joint, gibbs.seed if gibbs else 0, {})
-    return _fill(net, row, missing, combo)
+    g = gibbs or GibbsParams()
+    return _impute(net, Table(net.schema, [row]), engine, g, joint, lambda _: g.seed)[0][0]
 
 
 def impute_table(
@@ -314,15 +291,15 @@ def impute_table(
 ) -> tuple[Table, ImputationReport]:
     """Impute every incomplete tuple of ``table``.
 
-    The exact engine fills the incomplete rows' columns of the table's code
-    matrix: it groups them by null pattern, splits each pattern into its
-    components in the moral graph and computes one posterior per distinct
-    (component, observed blanket values) key; components and their CPT
-    layouts sit in a bounded cross-call cache keyed by DAG, domain sizes and
-    missing set, and holding no CPTs.  With the Gibbs engine each tuple gets
-    its own chain seeded by (base seed, tuple id), making results
-    independent of processing order; its chains share one memo of full
-    conditionals, kept for this call.
+    Both engines fill the incomplete rows' columns of the table's code
+    matrix.  The exact engine groups them by null pattern, splits each
+    pattern into its components in the moral graph and computes one
+    posterior per distinct (component, observed blanket values) key;
+    components and their CPT layouts sit in a bounded cross-call cache keyed
+    by DAG, domain sizes and missing set, and holding no CPTs.  The Gibbs
+    engine runs one chain per incomplete tuple, seeded by (base seed, tuple
+    id), making results independent of processing order; its chains share
+    one memo of full conditionals, kept for this call.
     ``truth`` must have the same schema and row ids; accuracy is measured
     over imputed cells only, and cells whose ground truth is itself null
     are left out of every denominator (a tuple counts as correct when all
@@ -340,14 +317,14 @@ def impute_table(
                 raise ValueError(f"ground truth is missing row id {row.id}")
 
     t0 = time.perf_counter()
-    if engine == "exact":
-        out_rows, imputed, counts = _exact_table(net, table, joint)
-    else:
-        out_rows, imputed, counts = _gibbs_table(net, table, gibbs, joint)
-    out = Table(table.schema, out_rows)
-    accuracies = (None,) * 4 if truth is None else _accuracies(table, out, truth, truth_at)
-    cells_imputed = {a: n for a, n in sorted(counts.items()) if n}
+    g = gibbs or GibbsParams()
+    rows, *tail = _impute(net, table, engine, g, joint, lambda row: (g.seed, row.id))
+    out = Table(table.schema, rows)
+    incomplete, _, missing = tail
+    accuracies = (None,) * 4 if truth is None else _accuracies(table, truth, truth_at, *tail)
+    counts = zip(table.schema.attributes, missing.sum(axis=1).tolist())
     report = ImputationReport(
-        len(table.rows), imputed, cells_imputed, *accuracies, time.perf_counter() - t0
+        len(table.rows), len(incomplete), {a: n for a, n in sorted(counts) if n}, *accuracies,
+        time.perf_counter() - t0,
     )
     return out, report

@@ -44,6 +44,7 @@ from .inference import posterior_exact
 from .source import AutonomousSource, QueryBudgetError
 # select is no longer called here, but perfbench/tracing.py patches this name
 from .tabular import Row, SelectionQuery, Table, project_distinct, select  # noqa: F401
+from .tabular import _check_scale
 
 __all__ = [
     "QueryScore",
@@ -157,8 +158,7 @@ def f_measure(precision: float, recall: float, alpha: float) -> float:
     positive recall), so ranking by F then coincides bit-for-bit with
     ranking by precision.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    _check_scale("alpha", alpha)
     if alpha == 0:
         return precision if recall > 0 else 0.0
     denom = alpha * precision + recall
@@ -197,8 +197,7 @@ def expected_selectivity(
     source-size / sample-size factor (see AutonomousSource.estimate_ratio).
     A candidate holding a value outside the sample's domains matches nothing.
     """
-    if ratio < 0:
-        raise ValueError("ratio must be >= 0")
+    _check_scale("ratio", ratio)
     try:
         candidate.validate(sample.schema)
     except ValueError:  # a value outside the sample's domains
@@ -303,10 +302,9 @@ def _rewrite(model, sample, source, query, k, alpha, sample_ratio, pick, candida
     query.validate(model.schema)
     if not len(query):
         raise ValueError("empty query")
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    if sample_ratio is not None and sample_ratio < 0:
-        raise ValueError("ratio must be >= 0")
+    _check_scale("alpha", alpha)
+    if sample_ratio is not None:
+        _check_scale("ratio", sample_ratio)
     picked = pick(query)
     if sample_ratio is None:
         sample_ratio = source.estimate_ratio(sample)
@@ -332,11 +330,12 @@ def _blanket_candidates(net, expand_empty_base, cand_attrs, base, schema, scorer
     else:
         combos = project_distinct(schema, base, cand_attrs)
     if not combos:
-        warnings.warn(
-            "no rewrite candidates: "
-            + ("the base result is empty" if not base else "the Markov blanket is empty"),
-            stacklevel=4,  # the strategy's caller
+        cause = (
+            "the base result is empty" if not base
+            else "the Markov blanket is empty" if not cand_attrs
+            else "no base tuple is null-free on the Markov blanket"
         )
+        warnings.warn(f"no rewrite candidates: {cause}", stacklevel=4)  # the strategy's caller
     return [scorer.score(SelectionQuery(zip(cand_attrs, c))) for c in combos]
 
 

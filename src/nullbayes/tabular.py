@@ -45,7 +45,7 @@ class Schema:
     order everywhere downstream (argmax tie-breaking relies on this).
     """
 
-    __slots__ = ("attributes", "domains", "_index", "_label_codes")
+    __slots__ = ("attributes", "domains", "_index", "_label_codes", "_code_labels")
 
     def __init__(self, attributes: Iterable[str], domains: Mapping[str, Iterable[str]]):
         self.attributes: tuple[str, ...] = tuple(attributes)
@@ -72,6 +72,13 @@ class Schema:
         self._label_codes = [
             {None: -1, **{v: k for k, v in enumerate(fixed[a])}} for a in self.attributes
         ]
+        # position -> label: every domain in one object array, read at a code
+        # plus its attribute's offset (a column of offsets, for (d, N) codes)
+        sizes = [len(fixed[a]) for a in self.attributes]
+        self._code_labels = (
+            np.array([v for a in self.attributes for v in fixed[a]], dtype=object),
+            np.cumsum([0] + sizes[:-1])[:, None],
+        )
 
     def index(self, attr: str) -> int:
         try:
@@ -202,6 +209,15 @@ class Table:
         """The rows at the True positions of ``mask``, in table order."""
         rows = self.rows
         return [rows[i] for i in np.flatnonzero(mask).tolist()]
+
+
+def _check_scale(name: str, value: float) -> None:
+    """Refuse a negative or NaN ``value`` (``not value >= 0``), and an
+    infinite one: it scales a score, which would come out NaN."""
+    if not value >= 0:
+        raise ValueError(f"{name} must be >= 0")
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite")
 
 
 def _value_counts(codes: np.ndarray, sizes: Sequence[int], observed: bool = False):

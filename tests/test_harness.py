@@ -2,8 +2,11 @@
 
 import math
 import re
+from collections.abc import Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullbayes import (
     ExperimentConfig,
@@ -23,6 +26,7 @@ from nullbayes import (
     run_rewriting_experiment,
     split_table,
 )
+from nullbayes.harness import _target_accuracy
 
 _FULL_CONFIG = """
 # rewriting sweep over the synthetic table
@@ -410,3 +414,71 @@ class TestRendering:
         assert lines[0].split() == ["incomplete%", "afd(s)", "bn-exact(s)"]
         assert lines[1].split() == ["0", "2.00", "2.00"]
         assert lines[2].split() == ["50", "5.00", "-"]
+
+
+# ---------------------------------------------------------------------------
+# target grading on code matrices against the per-row reference
+
+
+def _old_target_accuracy(
+    schema, imputed: Table, truth_by_id: dict[int, Row], targets: Sequence[str]
+) -> tuple[float, float, int]:
+    t_idx = [schema.index(t) for t in targets]
+    cell_hits = cells = row_hits = rows = 0
+    for row in imputed.rows:
+        truth = truth_by_id[row.id]
+        ok = True
+        counted = False
+        for j in t_idx:
+            if truth.cells[j] is None:
+                continue  # truth itself unknown; cell not scoreable
+            counted = True
+            cells += 1
+            if row.cells[j] is not None and row.cells[j] == truth.cells[j]:
+                cell_hits += 1
+            else:
+                ok = False
+        if counted:
+            rows += 1
+            row_hits += 1 if ok else 0
+    if cells == 0:
+        raise ValueError("no scoreable target cells; is the ground truth all null?")
+    return cell_hits / cells, row_hits / rows, cells
+
+
+_GRADED_SCHEMA = Schema(
+    ("A", "B", "C"), {"A": ("a0",), "B": ("b0", "b1"), "C": ("c0", "c1", "c2")}
+)
+
+
+@st.composite
+def _graded(draw):
+    """A test table, an imputation of it (same ids, same order, any cells,
+    nulls too) and a non-empty target list."""
+    attrs = _GRADED_SCHEMA.attributes
+    cell = {a: st.sampled_from((None,) + _GRADED_SCHEMA.domains[a]) for a in attrs}
+    ids = draw(st.lists(st.integers(-50, 50), unique=True, max_size=10))
+    test = [Row(i, tuple(draw(cell[a]) for a in attrs)) for i in ids]
+    imputed = [
+        Row(r.id, tuple(draw(st.just(c) | cell[a]) for a, c in zip(attrs, r.cells)))
+        for r in test
+    ]
+    targets = draw(st.lists(st.sampled_from(attrs), min_size=1, max_size=3, unique=True))
+    return Table(_GRADED_SCHEMA, test), Table(_GRADED_SCHEMA, imputed), targets
+
+
+def _graded_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graded())
+def test_target_accuracy_matches_the_per_row_reference(case):
+    test, imputed, targets = case
+    truth_by_id = {r.id: r for r in test.rows}
+    assert _graded_outcome(_target_accuracy, imputed, test, targets) == _graded_outcome(
+        _old_target_accuracy, test.schema, imputed, truth_by_id, targets
+    )

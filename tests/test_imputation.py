@@ -1,5 +1,7 @@
 """MAP filling of missing cells, joint vs per-marginal, table-level reports."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -223,3 +225,19 @@ class TestImputeTable:
         )
         total = sum(len(r.cells) for r in exact.rows)
         assert agree / total > 0.9
+
+
+@pytest.mark.parametrize("engine", ["exact", "gibbs"])
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        (("Audi", None, "2005"), "row 1 has 3 cells, schema has 5"),
+        (("Audi", None, "2005", "Sedan", "15000", "x"), "row 1 has 6 cells, schema has 5"),
+        (("AUDI", None, "2005", "Sedan", "15000"), "row 1: value 'AUDI' not in domain of 'Make'"),
+    ],
+)
+def test_malformed_rows_raise_under_both_engines(fitted_demo_net, engine, cells, message):
+    # both engines impute the row as a one-row Table, which refuses it
+    params = GibbsParams(samples=3, burn_in=0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        impute_tuple(fitted_demo_net, Row(1, cells), engine=engine, gibbs=params)

@@ -1,0 +1,206 @@
+"""Negative, NaN and infinite numbers are refused where they enter.
+
+Each check reads ``not x >= 0``, so NaN fails it with the same message as a
+negative number; a value that scales a score must be finite too.  The CLI
+test drives every subcommand's numeric options with such values: each run
+must exit non-zero with one ``error:`` line, no traceback and no output file.
+Seeds are labels, not quantities, and are left out.
+"""
+
+import contextlib
+import io
+import math
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nullbayes import (
+    AutonomousSource,
+    ExperimentConfig,
+    SelectionQuery,
+    StructureSearchConfig,
+    bn_all_mb,
+    expected_selectivity,
+    f_measure,
+    fit_parameters,
+    mine_afds,
+    sample_rows,
+    save_afds,
+    save_csv,
+    save_model,
+)
+from nullbayes.cli import main
+from nullbayes.rewriting import REWRITING_METHODS
+from nullbayes.synth import car_demo_net
+
+from conftest import demo_cars, demo_net
+
+_BAD = [(-1.0, ">= 0"), (math.nan, ">= 0"), (math.inf, "finite")]
+
+
+@pytest.mark.parametrize("value, bound", _BAD)
+def test_rewriting_refuses_alpha_and_ratio(value, bound):
+    table = demo_cars()
+    query = SelectionQuery({"Body": "Sedan"})
+    with pytest.raises(ValueError, match=f"^alpha must be {bound}$"):
+        f_measure(0.5, 0.5, value)
+    with pytest.raises(ValueError, match=f"^ratio must be {bound}$"):
+        expected_selectivity(table, query, value)
+    for kwargs, name in ((dict(alpha=value), "alpha"), (dict(sample_ratio=value), "ratio")):
+        source = AutonomousSource(table)
+        with pytest.raises(ValueError, match=f"^{name} must be {bound}$"):
+            bn_all_mb(demo_net(), table, source, query, **kwargs)
+        assert source.queries_used == 0
+
+
+@pytest.mark.parametrize("value, bound", _BAD)
+def test_model_fitting_refuses_ess_and_pseudo_count(value, bound):
+    message = "ess must be positive" if bound == ">= 0" else "ess must be finite"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        StructureSearchConfig(score="bdeu", ess=value)
+    StructureSearchConfig(score="bic", ess=value)  # BIC does not read ess
+    with pytest.raises(ValueError, match=f"^pseudo_count must be {bound}$"):
+        fit_parameters(demo_net(), demo_cars(), pseudo_count=value)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(alpha=math.nan), "alpha must be >= 0"),
+        (dict(alpha=math.inf), "alpha must be finite"),
+        (dict(pseudo_count=math.nan), "pseudo_count must be >= 0"),
+        (dict(pseudo_count=math.inf), "pseudo_count must be finite"),
+        (dict(score="bdeu", ess=math.nan), "ess must be positive"),
+        (dict(score="bdeu", ess=math.inf), "ess must be finite"),
+        (dict(max_parents=-1), "max_in_degree must be >= 0"),
+        (dict(restarts=0), "restarts must be >= 1"),
+        (dict(afd_max_lhs=0), "afd_max_lhs must be >= 1"),
+        (dict(synthetic_rows=-1), "synthetic_rows must be >= 0"),
+    ],
+)
+def test_experiment_config_refuses_before_any_work(kwargs, message):
+    cfg = ExperimentConfig(mode="imputation", targets=("Body",), **kwargs)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cfg.validate()
+
+
+# ---------------------------------------------------------------------------
+# the CLI
+
+
+_NEGATIVE_INT = st.integers(-10**6, -1).map(str)
+_NEGATIVE_FLOAT = st.floats(-1e6, -1e-6).map(repr)
+_NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity"])
+_BAD_INT = _NEGATIVE_INT | _NON_FINITE  # nan and inf are not ints at all
+_BAD_FLOAT = _NEGATIVE_FLOAT | _NON_FINITE
+_BAD_SECONDS = _NEGATIVE_FLOAT | st.sampled_from(["nan", "-inf"])  # no time limit is inf
+
+# per subcommand: (option, bad values, flags that make the option count)
+_OPTIONS = {
+    "learn": [
+        ("max-parents", _BAD_INT, []),
+        ("restarts", _BAD_INT, []),
+        ("iterations", _BAD_INT, []),
+        ("ess", _BAD_FLOAT, ["--score=bdeu"]),
+        ("pseudo-count", _BAD_FLOAT, []),
+        ("time-limit", _BAD_SECONDS, []),
+    ],
+    "impute": [("samples", _BAD_INT, []), ("burn-in", _BAD_INT, [])],
+    "rewrite": [
+        ("k", _BAD_INT, []),
+        ("alpha", _BAD_FLOAT, []),
+        ("ratio", _BAD_FLOAT, []),
+        ("query-limit", _BAD_INT, []),
+        ("beam-width", _BAD_INT, ["--method=bn-beam"]),
+        ("beam-depth", _BAD_INT, ["--method=bn-beam"]),
+    ],
+    "mine-afd": [("max-lhs", _BAD_INT, []), ("min-confidence", _BAD_FLOAT, [])],
+    "eval": [
+        (key, _BAD_FLOAT, ["score = bdeu"] if key == "ess" else [])
+        for key in (
+            "alpha", "ess", "pseudo_count", "train_fraction", "test_null_fraction",
+            "afd_min_confidence",
+        )
+    ] + [
+        (key, _BAD_INT, [])
+        for key in (
+            "synthetic_rows", "top_k", "beam_width", "beam_depth", "query_limit",
+            "gibbs_samples", "gibbs_burn_in", "max_parents", "restarts", "max_iterations",
+            "afd_max_lhs", "levels",
+        )
+    ],
+}
+
+_CASES = [(command, *option) for command, options in _OPTIONS.items() for option in options]
+
+_EVAL_CONF = """
+mode = imputation
+synthetic_rows = 300
+seeds = 0
+targets = Body
+levels = 0
+methods = afd
+restarts = 1
+max_iterations = 5
+"""
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("inputs")
+    paths = {name: str(base / name) for name in ("train.csv", "demo.csv", "demo.model", "rules")}
+    save_csv(sample_rows(car_demo_net(), 80, seed=3), paths["train.csv"])
+    save_csv(demo_cars(), paths["demo.csv"])
+    with open(paths["demo.model"], "w", encoding="utf-8") as fh:
+        fh.write(save_model(demo_net()))
+    with open(paths["rules"], "w", encoding="utf-8") as fh:
+        fh.write(save_afds(mine_afds(demo_cars())))
+    return paths
+
+
+def _argv(command, inputs, out, method):
+    """The subcommand's arguments, writing only under ``out``."""
+    if command == "learn":
+        return ["learn", "--train", inputs["train.csv"], "--out", f"{out}/m.model",
+                "--restarts=1", "--iterations=5"]
+    if command == "impute":
+        return ["impute", "--model", inputs["demo.model"], "--data", inputs["demo.csv"],
+                "--out", f"{out}/filled.csv", "--report", f"{out}/report.txt",
+                "--engine=gibbs"]
+    if command == "rewrite":
+        return ["rewrite", "--query", "Body=Sedan", "--source", inputs["demo.csv"],
+                "--sample", inputs["demo.csv"], "--model", inputs["demo.model"],
+                "--rules", inputs["rules"], "--out", f"{out}/answers.csv", f"--method={method}"]
+    return ["mine-afd", "--train", inputs["demo.csv"], "--out", f"{out}/rules"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=st.sampled_from(_CASES),
+    method=st.sampled_from(REWRITING_METHODS),
+    data=st.data(),
+)
+def test_every_subcommand_refuses_bad_numbers(inputs, case, method, data):
+    command, option, values, flags = case
+    value = data.draw(values, label=option)
+    with tempfile.TemporaryDirectory() as out:
+        if command == "eval":
+            conf = os.path.join(out, "run.conf")
+            with open(conf, "w", encoding="utf-8") as fh:
+                fh.write("\n".join([_EVAL_CONF, *flags, f"{option} = {value}", ""]))
+            argv = ["eval", "--config", conf, "--out-dir", f"{out}/results"]
+        else:
+            argv = _argv(command, inputs, out, method) + flags + [f"--{option}={value}"]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(argv)
+        written = sorted(os.listdir(out))
+    err = stderr.getvalue()
+    assert rc != 0, (argv, stdout.getvalue())
+    assert stdout.getvalue() == ""
+    assert len(err.splitlines()) == 1 and "error: " in err, err
+    assert "Traceback" not in err
+    assert written == (["run.conf"] if command == "eval" else []), written

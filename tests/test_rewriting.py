@@ -949,3 +949,16 @@ class TestRunMethod:
                 "oracle", _models(demo_table), demo_table, AutonomousSource(demo_table),
                 SelectionQuery({"Body": "Sedan"}),
             )
+
+
+def test_blanket_warning_names_a_base_with_no_null_free_projection(demo_table):
+    # Body's blanket {Model, Year} is not empty, but with Year null in every
+    # source row no base tuple is null-free on it, so nothing is projected
+    source = AutonomousSource(inject_nulls(demo_table, ["Year"], 1.0, seed=0))
+    query = SelectionQuery({"Body": "Sedan"})
+    with pytest.warns(UserWarning) as caught:
+        result = bn_all_mb(demo_net(), demo_table, source, query, sample_ratio=1.0)
+    assert [str(w.message) for w in caught] == [
+        "no rewrite candidates: no base tuple is null-free on the Markov blanket"
+    ]
+    assert len(result.base) == 4 and not result.issued
