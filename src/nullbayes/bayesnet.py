@@ -55,7 +55,7 @@ class BayesNet:
         non-negative.
     """
 
-    __slots__ = ("schema", "parents", "cpts", "_children")
+    __slots__ = ("schema", "parents", "cpts", "_children", "_order")
 
     def __init__(
         self,
@@ -77,8 +77,7 @@ class BayesNet:
                 raise ValueError(f"duplicate parent for {attr!r}")
             fixed[attr] = ps
         self.parents: dict[str, tuple[str, ...]] = fixed
-        if _has_cycle(fixed):
-            raise ValueError("parent graph has a cycle")
+        self._order = _topological_order(fixed)
         tables: dict[str, np.ndarray] = {}
         for attr in schema.attributes:
             if attr not in cpts:
@@ -108,16 +107,7 @@ class BayesNet:
         return self._children[attr]
 
     def topological_order(self) -> list[str]:
-        order: list[str] = []
-        remaining = {a: set(self.parents[a]) for a in self.schema.attributes}
-        while remaining:
-            ready = sorted(a for a, ps in remaining.items() if not ps)
-            for a in ready:
-                order.append(a)
-                del remaining[a]
-            for ps in remaining.values():
-                ps.difference_update(ready)
-        return order
+        return list(self._order)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -132,21 +122,20 @@ class BayesNet:
         return f"BayesNet({len(self.schema.attributes)} nodes, {edges} edges)"
 
 
-def _has_cycle(parents: Mapping[str, tuple[str, ...]]) -> bool:
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {a: WHITE for a in parents}
-
-    def visit(a: str) -> bool:
-        color[a] = GREY
-        for p in parents[a]:
-            if color[p] == GREY:
-                return True
-            if color[p] == WHITE and visit(p):
-                return True
-        color[a] = BLACK
-        return False
-
-    return any(color[a] == WHITE and visit(a) for a in parents)
+def _topological_order(parents: Mapping[str, tuple[str, ...]]) -> tuple[str, ...]:
+    """Parents before children, each layer in sorted order; a cycle has none."""
+    order: list[str] = []
+    remaining = {a: set(ps) for a, ps in parents.items()}
+    while remaining:
+        ready = sorted(a for a, ps in remaining.items() if not ps)
+        if not ready:
+            raise ValueError("parent graph has a cycle")
+        for a in ready:
+            order.append(a)
+            del remaining[a]
+        for ps in remaining.values():
+            ps.difference_update(ready)
+    return tuple(order)
 
 
 def uniform_cpts(schema: Schema, parents: Mapping[str, Iterable[str]]) -> dict[str, np.ndarray]:
@@ -191,6 +180,8 @@ class StructureSearchConfig:
             raise ValueError("max_iterations must be >= 0")
         if self.time_limit is not None and not self.time_limit >= 0:
             raise ValueError("time_limit must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.score not in ("bic", "bdeu"):
             raise ValueError(f"unknown score {self.score!r}")
         if self.score == "bdeu" and not self.ess > 0:

@@ -117,6 +117,8 @@ class ExperimentConfig:
         for level in self.levels:
             if not 0 <= level <= 100:
                 raise ValueError("levels are percentages in 0..100")
+        if any(seed < 0 for seed in self.seeds):
+            raise ValueError("seeds must be >= 0")
         GibbsParams(self.gibbs_samples, self.gibbs_burn_in)
         StructureSearchConfig(
             self.max_parents, self.restarts, self.max_iterations, self.score, self.ess

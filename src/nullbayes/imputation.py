@@ -10,13 +10,15 @@ Both engines share one path over the table's int-coded column matrix: the
 columns of the incomplete rows are filled in place, by exact inference (one
 posterior per distinct Markov-blanket component and blanket values) or by
 Gibbs sampling (one chain per row), then decoded to labels once per call.
+A chain starts from the row's codes and splits by the same components: a
+missing cell whose blanket is all observed draws every kept state in one
+``np.searchsorted``, and the fill is read off the kept states' int array.
 ``impute_tuple`` runs that path on a one-row table.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -24,7 +26,7 @@ from itertools import compress
 import numpy as np
 
 from .bayesnet import BayesNet
-from .inference import ImpossibleEvidenceError, _check_chain, _getter, _lex_argmax
+from .inference import ImpossibleEvidenceError, _check_chain, _components, _getter, _lex_argmax
 # posterior_exact is not called here, but perfbench/tracing.py patches this name
 from .inference import posterior_exact, posterior_gibbs  # noqa: F401
 from .tabular import Row, Table
@@ -40,6 +42,8 @@ class GibbsParams:
 
     def __post_init__(self) -> None:
         _check_chain(self.samples, self.burn_in)
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -69,12 +73,6 @@ def _check_engine(engine: str) -> None:
         raise ValueError(f"unknown engine {engine!r}")
 
 
-def _mode(values):
-    # the most frequent value; max keeps the first, so ties go to the smallest
-    counts = Counter(values)
-    return max(sorted(counts), key=counts.__getitem__)
-
-
 @lru_cache(maxsize=1024)
 def _exact_plan(dag, sizes: tuple[int, ...], missing: tuple[str, ...]):
     """The components C of ``missing`` in the moral graph of ``dag`` (the
@@ -90,14 +88,9 @@ def _exact_plan(dag, sizes: tuple[int, ...], missing: tuple[str, ...]):
     attrs, parents = dag
     pos = {a: i for i, a in enumerate(attrs)}
     families = [ps + (a,) for a, ps in zip(attrs, parents)]
-    groups = {a: {a} for a in missing}
-    for vs in families:
-        merged = set().union(*(groups[v] for v in vs if v in groups))
-        for v in merged:
-            groups[v] = merged
     plans = []
-    for group in {id(g): g for g in groups.values()}.values():
-        members = tuple(a for a in missing if a in group)
+    for members in _components(dag, missing):
+        group = set(members)
         touching = [vs for vs in families if not group.isdisjoint(vs)]
         blanket = sorted({pos[v] for vs in touching for v in vs if v not in group})
         factors = []
@@ -200,17 +193,25 @@ def _impute_gibbs(net, rows, codes, missing, gibbs: GibbsParams, joint: bool, se
     chain does not depend on its targets, so marginal mode counts each
     attribute's values in it.  The most frequent kept state (or value), ties
     to the smallest, is map_assignment of the sampled posterior, found
-    without an array over the joint."""
+    without an array over the joint: ``_radix_key`` ranks the kept states in
+    lexicographic order, so ``np.unique``'s first most frequent key is the
+    smallest."""
     attrs = net.schema.attributes
-    memo: dict = {}  # the chains' full conditionals, shared for this call
+    sizes = [len(net.schema.domains[a]) for a in attrs]
+    memo: dict = {}  # the chains' splits and full conditionals, for this call
     fills: list[int] = []
-    for row, column in zip(rows, missing.T.tolist()):
-        evidence = {a: c for a, c in zip(attrs, row.cells) if c is not None}
-        states = posterior_gibbs(
-            net, tuple(compress(attrs, column)), evidence, samples=gibbs.samples,
-            burn_in=gibbs.burn_in, seed=seed_of(row), _memo=memo, _states=True,
+    for row, state, column in zip(rows, codes.T.tolist(), missing.T.tolist()):
+        kept = posterior_gibbs(
+            net, tuple(compress(attrs, column)), samples=gibbs.samples,
+            burn_in=gibbs.burn_in, seed=seed_of(row), _memo=memo, _codes=state,
         )
-        fills.extend(_mode(states) if joint else [_mode(values) for values in zip(*states)])
+        if joint:
+            _, first, counts = np.unique(
+                _radix_key(kept.T, compress(sizes, column)), return_index=True, return_counts=True
+            )
+            fills.extend(kept[first[counts.argmax()]].tolist())
+        else:
+            fills.extend(int(np.bincount(values).argmax()) for values in kept.T)
     codes.T[missing.T] = fills  # row by row, each row's cells in attribute order
 
 
@@ -299,7 +300,7 @@ def impute_table(
     by DAG, domain sizes and missing set, and holding no CPTs.  The Gibbs
     engine runs one chain per incomplete tuple, seeded by (base seed, tuple
     id), making results independent of processing order; its chains share
-    one memo of full conditionals, kept for this call.
+    one memo of full conditionals and chain splits, kept for this call.
     ``truth`` must have the same schema and row ids; accuracy is measured
     over imputed cells only, and cells whose ground truth is itself null
     are left out of every denominator (a tuple counts as correct when all

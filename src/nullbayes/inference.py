@@ -10,7 +10,6 @@ a probability array over the target domains, in target order, summing to 1.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -303,6 +302,20 @@ def enumerate_joint(net: BayesNet) -> JointDistribution:
     return JointDistribution(attrs, tuple(net.schema.domain(a) for a in attrs), full / total)
 
 
+@lru_cache(maxsize=1024)
+def _components(dag, free: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+    """The components of ``free`` in the moral graph of ``dag`` (the
+    attribute order and parent tuples), each in ``free`` order: two free
+    attributes are joined where one family holds both."""
+    groups = {a: {a} for a in free}
+    for vs in (ps + (a,) for a, ps in zip(*dag)):
+        merged = set().union(*(groups[v] for v in vs if v in groups))
+        for v in merged:
+            groups[v] = merged
+    unique = {id(g): g for g in groups.values()}.values()
+    return tuple(tuple(a for a in free if a in group) for group in unique)
+
+
 # ---------------------------------------------------------------------------
 # Gibbs sampling
 
@@ -316,7 +329,7 @@ def posterior_gibbs(
     seed: int | Sequence[int] = 0,
     *,
     _memo: dict | None = None,
-    _states: bool = False,
+    _codes: list[int] | None = None,
 ):
     """Gibbs-sampled posterior P(targets | evidence).
 
@@ -325,12 +338,23 @@ def posterior_gibbs(
     The first ``burn_in`` sweeps are discarded; each of the following
     ``samples`` sweeps contributes one state.  Deterministic per seed.
 
+    A full conditional depends only on the Markov blanket (Koller &
+    Friedman, §12.3.1), so a free variable alone in its component of the
+    free set's moral graph has one conditional for the whole chain: its
+    kept states are drawn in one ``np.searchsorted`` over its column of the
+    uniforms.  The others run the per-update loop on their columns, so the
+    states are those of one loop over every free variable.
+
     ``_memo`` (private to ``imputation``) is a dict shared by the chains of
-    one imputation call: the topological order under ``None``, and per
-    variable its conditionals keyed by its blanket.  ``_states`` (private
-    too; no target may be evidence) returns the kept states, one tuple of
-    target codes per sample, never an array over the joint.
+    one imputation call: per free set its split, per variable its
+    conditionals keyed by its blanket.  ``_codes`` (private too) is a row's
+    codes, -1 at ``targets``, which must then be every unobserved attribute
+    in schema order: the kept states come back as one int array, a row per
+    sample, never an array over the joint.
     """
+    memo = {} if _memo is None else _memo
+    if _codes is not None:
+        return _chain(net, _codes, tuple(targets), samples, burn_in, seed, memo)
     evidence = dict(evidence or {})
     _check_query(net, targets, evidence)
     _check_chain(samples, burn_in)
@@ -338,59 +362,75 @@ def posterior_gibbs(
         return _expand_clamped(net, targets, evidence, [], np.array(1.0))
 
     schema = net.schema
-    pos = schema._index
-    state = [0] * len(schema.attributes)
+    state = [-1] * len(schema.attributes)
     for attr, value in evidence.items():
-        state[pos[attr]] = schema.domain(attr).index(value)
-    free = [a for a in schema.attributes if a not in evidence]
+        state[schema._index[attr]] = schema.domain(attr).index(value)
+    free = tuple(a for a in schema.attributes if a not in evidence)
     free_targets = [t for t in targets if t not in evidence]
-    # one block of uniforms, consumed in the scalar-draw order: the init
-    # draws in topological order, then one per free variable per sweep
-    n_draws = len(free) * (1 + burn_in + samples)
-    uniform = iter(np.random.default_rng(seed).random(n_draws).tolist()).__next__
+    kept = _chain(net, state, free, samples, burn_in, seed, memo)
+    counts = np.zeros(tuple(len(schema.domain(t)) for t in free_targets))
+    np.add.at(counts, tuple(kept[:, [free.index(t) for t in free_targets]].T), 1.0)
+    return _expand_clamped(net, targets, evidence, free_targets, counts / float(samples))
 
-    memo = {} if _memo is None else _memo
-    if None not in memo:
-        memo[None] = net.topological_order()
-    # initialize free variables by ancestral draw given current parents; the
-    # bound keeps a draw at or past the last boundary, which rounding can
-    # produce, on the last category
-    for attr in memo[None]:
-        if attr in evidence:
-            continue
-        weights = net.cpts[attr][tuple(state[pos[p]] for p in net.parents[attr])]
-        cum = np.cumsum(weights).tolist()
-        state[pos[attr]] = bisect_right(cum, uniform() * cum[-1], 0, len(cum) - 1)
 
-    for attr in free:
-        if attr not in memo:
-            memo[attr] = _blanket_plan(net, attr)
-    plans = [memo[a] for a in free]
-
-    kept = []
-    target_values = _getter([pos[t] for t in free_targets])
-    for sweep in range(burn_in + samples):
-        for my_pos, blanket_values, conditionals, own, kids in plans:
+def _chain(net: BayesNet, state: list[int], free: tuple[str, ...], samples, burn_in, seed, memo):
+    """The kept states, ``(samples, len(free))`` codes, of a chain over
+    ``free`` (the unobserved attributes, in schema order) from ``state``."""
+    n = len(free)
+    # one block of uniforms in the scalar-draw order: the init draws in
+    # topological order, then per sweep one per free variable (column k)
+    uniforms = np.random.default_rng(seed).random(n * (1 + burn_in + samples))
+    block = uniforms[n:].reshape(burn_in + samples, n)
+    if free not in memo:
+        memo[free] = _split_chain(net, free, memo)
+    init, lone, columns, plans = memo[free]
+    kept = np.empty((samples, n), dtype=np.intp)
+    for k, (_, blanket_values, conditionals, own, kids) in lone:
+        key = blanket_values(state)
+        if key not in conditionals:
+            conditionals[key] = _full_conditional(state, own, kids)
+        cut, total = conditionals[key]
+        kept[:, k] = np.searchsorted(cut, block[burn_in:, k] * total, side="right")
+    if not plans:
+        return kept
+    # ancestral init draws; the bound keeps a draw at or past the last
+    # boundary, which rounding can produce, on the last category
+    for i, at, cpt, parents in init:
+        cum = np.cumsum(cpt[parents(state)]).tolist()
+        state[at] = bisect_right(cum, uniforms[i] * cum[-1], 0, len(cum) - 1)
+    values, trace = _getter([plan[0] for plan in plans]), []
+    for row in block[:, columns].tolist():
+        for (my_pos, blanket_values, conditionals, own, kids), u in zip(plans, row):
             key = blanket_values(state)
             try:
                 cut, total = conditionals[key]
             except KeyError:
                 cut, total = conditionals[key] = _full_conditional(state, own, kids)
-            state[my_pos] = bisect_right(cut, uniform() * total)
-        if sweep >= burn_in:
-            kept.append(target_values(state))
+            state[my_pos] = bisect_right(cut, u * total)
+        trace.append(values(state))
+    kept[:, columns] = trace[burn_in:]
+    return kept
 
-    if _states:
-        return kept if len(free_targets) > 1 else [(k,) for k in kept]
-    counts = np.zeros(tuple(len(schema.domain(t)) for t in free_targets))
-    for combo, n in Counter(kept).items():
-        counts[combo] = n
-    probs = counts / float(samples)
-    if len(free_targets) == len(targets):
-        perm = [free_targets.index(t) for t in targets]
-        domains = tuple(net.schema.domain(t) for t in targets)
-        return JointDistribution(tuple(targets), domains, np.transpose(probs, perm))
-    return _expand_clamped(net, targets, evidence, free_targets, probs)
+
+def _split_chain(net: BayesNet, free: tuple[str, ...], memo: dict):
+    """The connected variables' init draws (uniform index, position, CPT,
+    parent getter) in topological order; (column, blanket plan) of each lone
+    variable, alone in its moral-graph component of ``free`` so its blanket
+    is all evidence; the connected variables' columns and blanket plans."""
+    pos, attrs = net.schema._index, net.schema.attributes
+    components = _components((attrs, tuple(net.parents[a] for a in attrs)), free)
+    lone = {members[0] for members in components if len(members) == 1}
+    for attr in free:
+        if attr not in memo:
+            memo[attr] = _blanket_plan(net, attr)
+    order = [a for a in net.topological_order() if a in free]
+    init = [
+        (i, pos[a], net.cpts[a], _getter([pos[p] for p in net.parents[a]]))
+        for i, a in enumerate(order) if a not in lone
+    ]
+    columns = [k for k, a in enumerate(free) if a not in lone]
+    lone_plans = [(k, memo[a]) for k, a in enumerate(free) if a in lone]
+    return init, lone_plans, columns, [memo[free[k]] for k in columns]
 
 
 def _check_chain(samples: int, burn_in: int) -> None:

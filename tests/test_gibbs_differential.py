@@ -8,14 +8,18 @@ scalar uniform at a time.  Chains must be unchanged, so posteriors must be
 equal (``np.array_equal``), not merely close.  ``impute_table`` and
 ``impute_tuple`` share one memo among a call's chains and run one chain per
 row in marginal mode; their reference is the earlier per-row path, one
-reference chain per target set, and fills and errors must be equal.
+reference chain per target set, and fills and errors must be equal.  The
+sampler splits each chain by Markov-blanket component and draws a lone free
+variable's states in one ``np.searchsorted``; the reference updates every
+free variable in the loop, so it referees that split too.
 """
 
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nullbayes import (
@@ -29,6 +33,7 @@ from nullbayes import (
     impute_tuple,
     posterior_gibbs,
 )
+from nullbayes import bayesnet, inference
 from nullbayes.synth import car_demo_net, random_net
 from nullbayes.inference import JointDistribution, _check_query, _expand_clamped, map_assignment
 
@@ -412,14 +417,15 @@ def test_joint_mode_never_builds_the_joint():
 
 
 @pytest.mark.parametrize("joint", [True, False])
-def test_one_topological_order_per_imputation_call(monkeypatch, joint):
-    # the chains of one impute_table or impute_tuple call share the order
-    net = car_demo_net()
+def test_one_topological_order_per_net(monkeypatch, joint):
+    # the net computes its order once, when built; every chain of every call
+    # reads it
     calls = []
-    order = BayesNet.topological_order
+    order = bayesnet._topological_order
     monkeypatch.setattr(
-        BayesNet, "topological_order", lambda self: calls.append(1) or order(self)
+        bayesnet, "_topological_order", lambda parents: calls.append(1) or order(parents)
     )
+    net = car_demo_net()
     attrs = net.schema.attributes
     rows = []
     for i in range(1, 6):
@@ -430,4 +436,126 @@ def test_one_topological_order_per_imputation_call(monkeypatch, joint):
     impute_table(net, Table(net.schema, rows), engine="gibbs", gibbs=params, joint=joint)
     assert len(calls) == 1
     impute_tuple(net, rows[0], engine="gibbs", gibbs=params, joint=joint)
-    assert len(calls) == 2
+    impute_table(net, Table(net.schema, rows), engine="gibbs", gibbs=params, joint=joint)
+    posterior_gibbs(net, ["Make"], samples=5, burn_in=1)
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# chains split by Markov-blanket component
+
+
+def _lone(net, free):
+    # the free attributes that share no family with another free attribute,
+    # so their whole Markov blanket is evidence
+    families = [set(net.parents[a] + (a,)) for a in net.schema.attributes]
+    return [a for a in free if all(a not in f or len(f & free) == 1 for f in families)]
+
+
+@st.composite
+def _split_free_sets(draw, net):
+    # a free set holding a lone attribute and at least one other component
+    attrs = net.schema.attributes
+    free = set(draw(st.lists(st.sampled_from(attrs), unique=True, min_size=2)))
+    lone = _lone(net, free)
+    assume(lone)
+    return [a for a in attrs if a in free], lone
+
+
+@st.composite
+def _split_nets(draw):
+    if draw(st.booleans()):
+        return car_demo_net()
+    return random_net(
+        draw(st.integers(3, 9)),
+        max_domain=draw(st.integers(2, 4)),
+        seed=draw(st.integers(0, 10_000)),
+        max_parents=draw(st.integers(1, 2)),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), burn_in=st.integers(0, 6), samples=st.integers(1, 30), seed=_seeds)
+def test_split_chains_match_reference(data, burn_in, samples, seed):
+    net = data.draw(_split_nets())
+    free, lone = data.draw(_split_free_sets(net))
+    attrs = net.schema.attributes
+    evidence = {
+        a: data.draw(st.sampled_from(net.schema.domain(a))) for a in attrs if a not in free
+    }
+    # a lone target and others in any order, perhaps one clamped by evidence
+    order = data.draw(st.permutations(free + list(evidence)[:1]))
+    targets = list(dict.fromkeys([lone[0], *order[: data.draw(st.integers(0, len(order)))]]))
+    kwargs = dict(samples=samples, burn_in=burn_in, seed=seed)
+    _assert_same(
+        _outcome(posterior_gibbs, net, targets, evidence, **kwargs),
+        _outcome(_ref_posterior_gibbs, net, targets, evidence, **kwargs),
+    )
+    # rows missing exactly the free set, or a smaller set around the lone one
+    params = GibbsParams(samples=samples, burn_in=burn_in, seed=data.draw(st.integers(0, 99)))
+    rows = []
+    for i, gaps in enumerate([set(free), set(free), {lone[0], free[-1]}]):
+        cells = tuple(
+            None if a in gaps else evidence.get(a) or net.schema.domain(a)[i % 2 - 1]
+            for a in attrs
+        )
+        rows.append(Row(i + 1, cells))
+    table = Table(net.schema, rows)
+    for joint in (True, False):
+        _assert_same_fill(
+            _outcome(_impute_rows, net, table, params, joint),
+            _outcome(_ref_impute_rows, net, table, params, joint),
+        )
+
+
+@pytest.mark.parametrize("joint", [True, False])
+def test_lone_zero_conditional_errors_match_reference(joint):
+    # A is lone with B observed; B=1 gives A's conditional no mass.  The
+    # error must be the one the per-update loop raises in its first sweep,
+    # whether a connected pair, another lone attribute or nothing else is free
+    net = _deterministic_net()
+    params = GibbsParams(samples=12, burn_in=2, seed=5)
+    cases = [
+        [Row(1, (None, "1", "0"))],
+        [Row(1, (None, "1", None))],
+        [Row(1, ("0", None, None)), Row(2, (None, "1", None))],
+        [Row(1, ("2", "0", None)), Row(2, (None, "1", "0"))],
+    ]
+    for rows in cases:
+        table = Table(net.schema, rows)
+        want = _outcome(_ref_impute_rows, net, table, params, joint)
+        assert isinstance(want, ImpossibleEvidenceError)
+        _assert_same_fill(_outcome(_impute_rows, net, table, params, joint), want)
+    for targets, evidence in [(["A"], {"B": "1"}), (["A", "C"], {"B": "1"})]:
+        kwargs = dict(samples=12, burn_in=2, seed=5)
+        want = _outcome(_ref_posterior_gibbs, net, targets, evidence, **kwargs)
+        assert isinstance(want, ImpossibleEvidenceError)
+        _assert_same(_outcome(posterior_gibbs, net, targets, evidence, **kwargs), want)
+
+
+def test_lone_attributes_run_no_per_sweep_update(monkeypatch):
+    # bisect_right draws only the connected attributes: one initial draw and
+    # one per sweep each.  On the car net with Make and Year observed, Model,
+    # Body and Price form one component and Mileage is lone
+    net = car_demo_net()
+    draws = []
+
+    def counted(*args):
+        draws.append(1)
+        return bisect_right(*args)
+
+    monkeypatch.setattr(inference, "bisect_right", counted)
+    evidence = {"Make": "audi", "Year": net.schema.domain("Year")[0]}
+    free = [a for a in net.schema.attributes if a not in evidence]
+    assert _lone(net, set(free)) == ["Mileage"]
+    for kwargs in (dict(), dict(_memo={})):
+        draws.clear()
+        dist = posterior_gibbs(net, free, evidence, samples=9, burn_in=4, seed=1, **kwargs)
+        assert len(draws) == 3 * (1 + 9 + 4)
+        _assert_same(dist, _ref_posterior_gibbs(net, free, evidence, samples=9, burn_in=4, seed=1))
+    # the only free attribute is lone: no update at all
+    draws.clear()
+    others = {a: net.schema.domain(a)[0] for a in net.schema.attributes if a != "Mileage"}
+    posterior_gibbs(net, ["Mileage"], others, samples=9, burn_in=4)
+    impute_tuple(net, Row(1, tuple(others.get(a) for a in net.schema.attributes)), "gibbs")
+    assert draws == []

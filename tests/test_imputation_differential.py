@@ -19,7 +19,8 @@ row.  The table path groups rows by null pattern and computes one posterior
 per distinct (component, blanket) key, with the same arithmetic, so fills,
 every ``ImputationReport`` field but ``duration_seconds`` and
 ``ImpossibleEvidenceError`` must all be the same.  The Gibbs engine is
-compared too: its accuracies now come from the same code-matrix scoring.
+compared too, its chains run by ``test_gibbs_differential``'s per-update
+reference loop: its accuracies now come from the same code-matrix scoring.
 """
 
 import dataclasses
@@ -46,8 +47,10 @@ from nullbayes import (
     sample_rows,
 )
 from nullbayes import imputation
-from nullbayes.inference import _getter, _lex_argmax, posterior_gibbs
+from nullbayes.inference import _getter, _lex_argmax
 from nullbayes.synth import car_demo_net, random_net
+
+from test_gibbs_differential import _ref_chain
 
 # ---------------------------------------------------------------------------
 # reference: the whole-row posterior
@@ -228,18 +231,16 @@ def _old_check_engine(engine: str) -> None:
         raise ValueError(f"unknown engine {engine!r}")
 
 
-def _old_gibbs_combo(net, row, missing, gibbs, joint, seed, memo) -> tuple[str, ...]:
+def _old_gibbs_combo(net, row, missing, gibbs, joint, seed) -> tuple[str, ...]:
     # one chain over every missing attribute; its free set, initial draw and
     # uniforms do not depend on the targets, so marginal mode counts each
     # attribute's values in the same chain.  The most frequent state (or
     # value), ties to the smallest, is map_assignment of the sampled
-    # posterior, found without an array over the joint
+    # posterior, found without an array over the joint.  The chain is the
+    # per-update reference loop, not the live sampler
     g = gibbs or GibbsParams()
     evidence = {a: c for a, c in zip(net.schema.attributes, row.cells) if c is not None}
-    states = posterior_gibbs(
-        net, missing, evidence, samples=g.samples, burn_in=g.burn_in, seed=seed,
-        _memo=memo, _states=True,
-    )
+    states = list(_ref_chain(net, missing, evidence, g.samples, g.burn_in, seed))
     codes = _old_mode(states) if joint else [_old_mode(column) for column in zip(*states)]
     return tuple(net.schema.domain(a)[c] for a, c in zip(missing, codes))
 
@@ -352,7 +353,7 @@ def _old_impute_tuple(
         codes = Table(net.schema, [row])._column_codes()[:, 0].tolist()
         combo = _OldExactImputer(net, joint).fill(codes, missing)
     else:
-        combo = _old_gibbs_combo(net, row, missing, gibbs, joint, gibbs.seed if gibbs else 0, {})
+        combo = _old_gibbs_combo(net, row, missing, gibbs, joint, gibbs.seed if gibbs else 0)
     return _old_fill(net, row, missing, combo)
 
 
@@ -391,7 +392,6 @@ def _old_impute_table(
     t0 = time.perf_counter()
     if engine == "exact":
         exact, codes = _OldExactImputer(net, joint), table._column_codes().T.tolist()
-    memo: dict = {}  # the Gibbs chains' conditionals, shared for this call
     out_rows: list[Row] = []
     cells_imputed: dict[str, int] = {}
     attr_hits: dict[str, int] = {}
@@ -414,7 +414,7 @@ def _old_impute_table(
         if engine == "exact":
             combo = exact.fill(codes[i], missing)
         else:
-            combo = _old_gibbs_combo(net, row, missing, gibbs, joint, (base_seed, row.id), memo)
+            combo = _old_gibbs_combo(net, row, missing, gibbs, joint, (base_seed, row.id))
         new_row = _old_fill(net, row, missing, combo)
         out_rows.append(new_row)
 

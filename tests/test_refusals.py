@@ -4,7 +4,8 @@ Each check reads ``not x >= 0``, so NaN fails it with the same message as a
 negative number; a value that scales a score must be finite too.  The CLI
 test drives every subcommand's numeric options with such values: each run
 must exit non-zero with one ``error:`` line, no traceback and no output file.
-Seeds are labels, not quantities, and are left out.
+Seeds are labels, not quantities, but the random generator refuses negative
+ones, so they are refused up front, before any work.
 """
 
 import contextlib
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from nullbayes import (
     AutonomousSource,
     ExperimentConfig,
+    GibbsParams,
     SelectionQuery,
     StructureSearchConfig,
     bn_all_mb,
@@ -79,12 +81,20 @@ def test_model_fitting_refuses_ess_and_pseudo_count(value, bound):
         (dict(restarts=0), "restarts must be >= 1"),
         (dict(afd_max_lhs=0), "afd_max_lhs must be >= 1"),
         (dict(synthetic_rows=-1), "synthetic_rows must be >= 0"),
+        (dict(seeds=(0, -1)), "seeds must be >= 0"),
     ],
 )
 def test_experiment_config_refuses_before_any_work(kwargs, message):
     cfg = ExperimentConfig(mode="imputation", targets=("Body",), **kwargs)
     with pytest.raises(ValueError, match=f"^{message}$"):
         cfg.validate()
+
+
+def test_negative_seeds_refused():
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        GibbsParams(seed=-1)
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        StructureSearchConfig(seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +117,11 @@ _OPTIONS = {
         ("ess", _BAD_FLOAT, ["--score=bdeu"]),
         ("pseudo-count", _BAD_FLOAT, []),
         ("time-limit", _BAD_SECONDS, []),
+        ("seed", _NEGATIVE_INT, []),
     ],
-    "impute": [("samples", _BAD_INT, []), ("burn-in", _BAD_INT, [])],
+    "impute": [
+        ("samples", _BAD_INT, []), ("burn-in", _BAD_INT, []), ("seed", _NEGATIVE_INT, []),
+    ],
     "rewrite": [
         ("k", _BAD_INT, []),
         ("alpha", _BAD_FLOAT, []),
@@ -131,7 +144,7 @@ _OPTIONS = {
             "gibbs_samples", "gibbs_burn_in", "max_parents", "restarts", "max_iterations",
             "afd_max_lhs", "levels",
         )
-    ],
+    ] + [("seeds", _NEGATIVE_INT, [])],
 }
 
 _CASES = [(command, *option) for command, options in _OPTIONS.items() for option in options]
@@ -185,7 +198,19 @@ def _argv(command, inputs, out, method):
 )
 def test_every_subcommand_refuses_bad_numbers(inputs, case, method, data):
     command, option, values, flags = case
-    value = data.draw(values, label=option)
+    _assert_refused(inputs, command, method, flags, option, data.draw(values, label=option))
+
+
+@pytest.mark.parametrize("command, option", [("learn", "seed"), ("impute", "seed"), ("eval", "seeds")])
+def test_every_subcommand_refuses_seed_minus_one(inputs, command, option):
+    # learn with one restart never seeds a generator with it, and the Gibbs
+    # engine's generator would refuse it in the first chain with a message
+    # that names no option; the check where the seed enters names it
+    err = _assert_refused(inputs, command, "bn-all-mb", [], option, "-1")
+    assert f"error: {option} must be >= 0" in err, err
+
+
+def _assert_refused(inputs, command, method, flags, option, value) -> str:
     with tempfile.TemporaryDirectory() as out:
         if command == "eval":
             conf = os.path.join(out, "run.conf")
@@ -204,3 +229,4 @@ def test_every_subcommand_refuses_bad_numbers(inputs, case, method, data):
     assert len(err.splitlines()) == 1 and "error: " in err, err
     assert "Traceback" not in err
     assert written == (["run.conf"] if command == "eval" else []), written
+    return err
