@@ -10,11 +10,14 @@ BDeu); parameters by smoothed counting.
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 import time
 import warnings
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -53,9 +56,12 @@ class BayesNet:
         (|dom(p1)|, ..., |dom(pk)|, |dom(X)|) with parents in sorted-name
         order.  Rows (last axis) must sum to 1 within 1e-9 and be
         non-negative.
+
+    ``_families`` holds each attribute's parents, then the attribute, in
+    schema order: the DAG in names only, the key of every structural cache.
     """
 
-    __slots__ = ("schema", "parents", "cpts", "_children", "_order")
+    __slots__ = ("schema", "parents", "cpts", "_children", "_order", "_families")
 
     def __init__(
         self,
@@ -78,6 +84,7 @@ class BayesNet:
             fixed[attr] = ps
         self.parents: dict[str, tuple[str, ...]] = fixed
         self._order = _topological_order(fixed)
+        self._families = tuple(fixed[a] + (a,) for a in schema.attributes)
         tables: dict[str, np.ndarray] = {}
         for attr in schema.attributes:
             if attr not in cpts:
@@ -442,21 +449,15 @@ def fit_parameters(structure: BayesNet, train: Table, pseudo_count: float = 1.0)
 def markov_blanket(net: BayesNet, attr: str) -> frozenset[str]:
     """Parents, children, and the children's other parents of ``attr``."""
     net.schema.index(attr)
-    out: set[str] = set(net.parents[attr])
-    for child in net.children(attr):
-        out.add(child)
-        out.update(net.parents[child])
-    out.discard(attr)
-    return frozenset(out)
+    return _blanket(net._families, {attr})[1]
 
 
 def d_separated(net: BayesNet, x: str, y: str, given: Iterable[str] = ()) -> bool:
     """True iff every path between ``x`` and ``y`` is blocked by ``given``.
 
-    Implemented as reachability of the ball-passing kind: the set of nodes
-    reachable from ``x`` via active trails is computed in two phases
-    (ancestors of the conditioning set, then a directed BFS over
-    (node, direction) states).
+    That is, ``x`` and ``y`` lie in different components of the moral graph
+    of the ancestors of ``x``, ``y`` and ``given``, with ``given`` removed
+    (Lauritzen, Dawid, Larsen & Leimer, *Networks* 20(5), 1990).
     """
     net.schema.index(x)
     net.schema.index(y)
@@ -467,40 +468,43 @@ def d_separated(net: BayesNet, x: str, y: str, given: Iterable[str] = ()) -> boo
         raise ValueError("x and y must differ")
     if x in z or y in z:
         raise ValueError("conditioning set must not contain x or y")
+    kept = _ancestors(net.parents, (x, y, *z))
+    families = tuple(vs for vs in net._families if vs[-1] in kept)
+    free = tuple(a for a in net.schema.attributes if a in kept and a not in z)
+    return not any(x in members and y in members for members in _components(families, free))
 
-    ancestors: set[str] = set()
-    stack = list(z)
+
+def _ancestors(parents: Mapping[str, tuple[str, ...]], attrs: Iterable[str]) -> set[str]:
+    """``attrs`` and every ancestor of one of them."""
+    out: set[str] = set()
+    stack = list(attrs)
     while stack:
-        node = stack.pop()
-        if node in ancestors:
-            continue
-        ancestors.add(node)
-        stack.extend(net.parents[node])
+        attr = stack.pop()
+        if attr not in out:
+            out.add(attr)
+            stack.extend(parents[attr])
+    return out
 
-    UP, DOWN = 0, 1
-    visited: set[tuple[str, int]] = set()
-    frontier: list[tuple[str, int]] = [(x, UP)]
-    reachable: set[str] = set()
-    while frontier:
-        node, direction = frontier.pop()
-        if (node, direction) in visited:
-            continue
-        visited.add((node, direction))
-        if node not in z:
-            reachable.add(node)
-        if direction == UP and node not in z:
-            for p in net.parents[node]:
-                frontier.append((p, UP))
-            for c in net.children(node):
-                frontier.append((c, DOWN))
-        elif direction == DOWN:
-            if node not in z:
-                for c in net.children(node):
-                    frontier.append((c, DOWN))
-            if node in ancestors:
-                for p in net.parents[node]:
-                    frontier.append((p, UP))
-    return y not in reachable
+
+def _blanket(families, attrs: set[str] | frozenset[str]):
+    """The families (in ``families`` order) that hold a member of ``attrs``,
+    and the Markov blanket of ``attrs``: those families' other members."""
+    touching = tuple(vs for vs in families if not attrs.isdisjoint(vs))
+    return touching, frozenset(v for vs in touching for v in vs if v not in attrs)
+
+
+@lru_cache(maxsize=1024)
+def _components(families, free: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+    """The components of ``free`` in the moral graph of ``families``, each in
+    ``free`` order: two free attributes are joined where one family holds
+    both."""
+    groups = {a: {a} for a in free}
+    for vs in families:
+        merged = set().union(*(groups[v] for v in vs if v in groups))
+        for v in merged:
+            groups[v] = merged
+    unique = {id(g): g for g in groups.values()}.values()
+    return tuple(tuple(a for a in free if a in group) for group in unique)
 
 
 # ---------------------------------------------------------------------------
@@ -519,19 +523,11 @@ def _escape(label: str) -> str:
     return label.translate(_ESCAPES)
 
 
+_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+
+
 def _unescape(token: str) -> str:
-    out = []
-    i = 0
-    while i < len(token):
-        ch = token[i]
-        if ch == "\\" and i + 1 < len(token):
-            nxt = token[i + 1]
-            out.append({"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return re.sub(r"\\(.)", lambda m: _UNESCAPES.get(m[1], m[1]), token, flags=re.DOTALL)
 
 
 def save_model(net: BayesNet) -> str:
@@ -549,16 +545,8 @@ def save_model(net: BayesNet) -> str:
         lines.append("\t".join(["parents", _escape(attr), *map(_escape, net.parents[attr])]))
     for attr in net.schema.attributes:
         cpt = net.cpts[attr]
-        parent_doms = [net.schema.domain(p) for p in net.parents[attr]]
-        rows = cpt.reshape(-1, cpt.shape[-1])
-        for flat, row in enumerate(rows):
-            combo = []
-            rem = flat
-            for size in reversed([len(d) for d in parent_doms]):
-                combo.append(rem % size)
-                rem //= size
-            combo.reverse()
-            labels = [parent_doms[i][j] for i, j in enumerate(combo)]
+        combos = itertools.product(*[net.schema.domain(p) for p in net.parents[attr]])
+        for labels, row in zip(combos, cpt.reshape(-1, cpt.shape[-1])):
             head = "\t".join([_escape(attr)] + [_escape(v) for v in labels])
             body = "\t".join(f"{p:.11e}" for p in row)
             lines.append(f"cpt\t{head}\t{body}")

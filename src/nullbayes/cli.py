@@ -138,6 +138,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read(path: str, parse):
+    """``parse`` of the UTF-8 text of the file at ``path``; a ValueError in
+    reading or parsing it names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _cmd_learn(args) -> int:
     table = load_csv(args.train, args.null_token)
     if args.discretize:
@@ -161,8 +171,7 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_impute(args) -> int:
-    with open(args.model, encoding="utf-8") as fh:
-        net = load_model(fh.read())
+    net = _read(args.model, load_model)
     table = align_table(load_csv(args.data, args.null_token), net.schema)
     truth = None
     if args.truth:
@@ -208,8 +217,7 @@ class _RewriteModels:
     def net(self):
         if not self.args.model:
             raise ValueError(f"{self.args.method} needs --model")
-        with open(self.args.model, encoding="utf-8") as fh:
-            net = load_model(fh.read())
+        net = _read(self.args.model, load_model)
         align_table(self.sample, net.schema)  # refuses a sample the model cannot read
         return net
 
@@ -217,8 +225,7 @@ class _RewriteModels:
     def afds(self):
         if not self.args.rules:
             raise ValueError(f"{self.args.method} needs --rules")
-        with open(self.args.rules, encoding="utf-8") as fh:
-            return load_afds(fh.read())
+        return _read(self.args.rules, load_afds)
 
     @cached_property
     def nb(self):
@@ -304,7 +311,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError's str() is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -17,6 +17,7 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import get_args, get_origin, get_type_hints
 
 from .afd import (
     NoRuleError,
@@ -119,6 +120,13 @@ class ExperimentConfig:
                 raise ValueError("levels are percentages in 0..100")
         if any(seed < 0 for seed in self.seeds):
             raise ValueError("seeds must be >= 0")
+        for key in ("queries", "seeds", "methods", "targets", "levels"):
+            entries = getattr(self, key)
+            if len(set(entries)) != len(entries):
+                raise ValueError(f"{key} lists an entry twice")
+        for key in ("seeds", "levels"):
+            if not getattr(self, key):
+                raise ValueError(f"{key} must not be empty")
         GibbsParams(self.gibbs_samples, self.gibbs_burn_in)
         StructureSearchConfig(
             self.max_parents, self.restarts, self.max_iterations, self.score, self.ess
@@ -136,34 +144,26 @@ class ExperimentConfig:
             raise ValueError("query_limit must be >= 0")
 
 
-_INT_KEYS = {
-    "synthetic_rows",
-    "top_k",
-    "beam_width",
-    "beam_depth",
-    "gibbs_samples",
-    "gibbs_burn_in",
-    "max_parents",
-    "restarts",
-    "max_iterations",
-    "afd_max_lhs",
-}
-_FLOAT_KEYS = {
-    "train_fraction",
-    "test_null_fraction",
-    "alpha",
-    "ess",
-    "pseudo_count",
-    "afd_min_confidence",
-}
+def _convert(hint, value: str):
+    """``value`` as type ``hint``: a tuple from comma-separated items, and
+    None from ``none`` or nothing where ``hint`` allows None."""
+    if get_origin(hint) is tuple:
+        return tuple(_convert(get_args(hint)[0], v.strip()) for v in value.split(",") if v.strip())
+    kinds = get_args(hint) or (hint,)
+    if type(None) in kinds and value.lower() in ("", "none"):
+        return None
+    return kinds[0](value)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse flat ``key = value`` lines; ``#`` starts a comment.
 
-    ``query`` may repeat.  List values (seeds, methods, levels, targets)
-    are comma-separated.  Unknown keys are errors.
+    Each value is converted by its ``ExperimentConfig`` field's type, except
+    ``query``, which may repeat, and ``discretize`` (the rules).  List
+    values (seeds, methods, levels, targets) are comma-separated.  Unknown
+    keys are errors.
     """
+    hints = get_type_hints(ExperimentConfig)
     values: dict[str, object] = {}
     queries: list[SelectionQuery] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -176,22 +176,13 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = key.strip(), value.strip()
         if key == "query":
             queries.append(SelectionQuery.parse(value))
-        elif key in ("mode", "dataset", "null_token", "score"):
-            values[key] = value
-        elif key in _INT_KEYS:
-            values[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(value)
-        elif key == "query_limit":
-            values[key] = None if value.lower() in ("", "none") else int(value)
-        elif key == "seeds":
-            values[key] = tuple(int(v) for v in value.split(",") if v.strip())
-        elif key == "levels":
-            values[key] = tuple(int(v) for v in value.split(",") if v.strip())
-        elif key in ("methods", "targets"):
-            values[key] = tuple(v.strip() for v in value.split(",") if v.strip())
         elif key == "discretize":
             values["discretize_rules"] = parse_discretize_rules(value)
+        elif key in hints and key not in ("queries", "discretize_rules"):
+            try:
+                values[key] = _convert(hints[key], value)
+            except ValueError as exc:
+                raise ValueError(f"config line {lineno}: {key}: {exc}") from None
         else:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
     cfg = ExperimentConfig(queries=tuple(queries), **values)  # type: ignore[arg-type]

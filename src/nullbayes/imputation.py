@@ -25,8 +25,8 @@ from itertools import compress
 
 import numpy as np
 
-from .bayesnet import BayesNet
-from .inference import ImpossibleEvidenceError, _check_chain, _components, _getter, _lex_argmax
+from .bayesnet import BayesNet, _blanket, _components
+from .inference import ImpossibleEvidenceError, _check_chain, _getter, _lex_argmax
 # posterior_exact is not called here, but perfbench/tracing.py patches this name
 from .inference import posterior_exact, posterior_gibbs  # noqa: F401
 from .tabular import Row, Table
@@ -74,9 +74,9 @@ def _check_engine(engine: str) -> None:
 
 
 @lru_cache(maxsize=1024)
-def _exact_plan(dag, sizes: tuple[int, ...], missing: tuple[str, ...]):
-    """The components C of ``missing`` in the moral graph of ``dag`` (the
-    attribute order and parent tuples) over domains of ``sizes``.
+def _exact_plan(families, sizes: tuple[int, ...], missing: tuple[str, ...]):
+    """The components C of ``missing`` in the moral graph of ``families`` (a
+    net's ``_families``) over domains of ``sizes``.
 
     With every other cell observed, P(missing | row) is the product over C
     of P(C | C's blanket): C's and C's children's CPTs, sliced at observed
@@ -85,14 +85,12 @@ def _exact_plan(dag, sizes: tuple[int, ...], missing: tuple[str, ...]):
     transpose to (observed axes, C's axes), getter of the observed codes
     from the blanket's, and shape broadcasting it over C's axes.
     """
-    attrs, parents = dag
-    pos = {a: i for i, a in enumerate(attrs)}
-    families = [ps + (a,) for a, ps in zip(attrs, parents)]
+    pos = {vs[-1]: i for i, vs in enumerate(families)}
     plans = []
-    for members in _components(dag, missing):
+    for members in _components(families, missing):
         group = set(members)
-        touching = [vs for vs in families if not group.isdisjoint(vs)]
-        blanket = sorted({pos[v] for vs in touching for v in vs if v not in group})
+        touching, outside = _blanket(families, group)
+        blanket = sorted(pos[v] for v in outside)
         factors = []
         for vs in touching:
             seen = [k for k, v in enumerate(vs) if v not in group]
@@ -146,14 +144,12 @@ def _impute_exact(net: BayesNet, joint: bool, codes: np.ndarray, patterns, patte
     """Fill the -1 cells of ``codes`` (``(d, n)``) with exact MAP values;
     ``pattern`` numbers each column's missing set in ``patterns``."""
     schema = net.schema
-    attrs = schema.attributes
-    dag = (attrs, tuple(net.parents[a] for a in attrs))
-    sizes = tuple(len(schema.domains[a]) for a in attrs)
+    sizes = tuple(len(schema.domains[a]) for a in schema.attributes)
     # a zero in a fully observed family's CPT is the other way evidence can
     # be impossible; families touching the missing set enter the posteriors
     zeros = [
         (set(vs), np.array([schema._index[v] for v in vs])[:, None], net.cpts[vs[-1]])
-        for vs in (ps + (a,) for a, ps in zip(*dag))
+        for vs in net._families
         if not net.cpts[vs[-1]].all()
     ]
     by_pattern = np.split(np.argsort(pattern, kind="stable"), np.cumsum(np.bincount(pattern))[:-1])
@@ -162,7 +158,7 @@ def _impute_exact(net: BayesNet, joint: bool, codes: np.ndarray, patterns, patte
         for family, at, cpt in zeros:
             if family.isdisjoint(missing) and not cpt[tuple(codes[at, rows])].all():
                 raise ImpossibleEvidenceError("impossible evidence: zero probability")
-        for plan in _exact_plan(dag, sizes, missing):
+        for plan in _exact_plan(net._families, sizes, missing):
             rows_of.setdefault(plan[0], (plan, []))[1].append(rows)
     for (_, members, blanket, radix, factors), parts in rows_of.values():
         rows = np.concatenate(parts)

@@ -17,7 +17,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .bayesnet import BayesNet
+from .bayesnet import BayesNet, _ancestors, _components
 
 __all__ = [
     "ImpossibleEvidenceError",
@@ -141,11 +141,11 @@ def _planned_product(arrays: list[np.ndarray], inputs) -> np.ndarray:
 
 
 @lru_cache(maxsize=1024)
-def _elimination_plan(dag, free: tuple[str, ...], observed: frozenset[str]):
-    """How to eliminate for P(free | evidence on ``observed``) over ``dag``.
+def _elimination_plan(families, free: tuple[str, ...], observed: frozenset[str]):
+    """How to eliminate for P(free | evidence on ``observed``) in the DAG of
+    ``families`` (a net's ``_families``).
 
-    ``dag`` is the attribute order and each attribute's parent tuple.  Only
-    the CPTs of ancestors of ``free`` and ``observed`` are kept; the rest
+    Only the CPTs of ancestors of ``free`` and ``observed`` are kept; the rest
     are barren and sum to 1.  Returns, per kept CPT, its attribute and each
     axis's evidence attribute (None where free, or None for the whole CPT
     if no axis is observed); per elimination step, the live factors it
@@ -154,20 +154,12 @@ def _elimination_plan(dag, free: tuple[str, ...], observed: frozenset[str]):
     aligned on ``free``.  Unit axes are inserted by index, not reshape, so
     the plan holds no domain sizes.
     """
-    parents = dict(zip(*dag))
-    kept: set[str] = set()
-    stack = [*free, *observed]
-    while stack:
-        attr = stack.pop()
-        if attr not in kept:
-            kept.add(attr)
-            stack.extend(parents[attr])
+    kept = _ancestors({vs[-1]: vs[:-1] for vs in families}, (*free, *observed))
     cpts, live = [], []
-    for attr in dag[0]:
-        if attr in kept:
-            family = parents[attr] + (attr,)
+    for family in families:
+        if family[-1] in kept:
             axes = tuple(v if v in observed else None for v in family)
-            cpts.append((attr, axes if observed.intersection(family) else None))
+            cpts.append((family[-1], axes if observed.intersection(family) else None))
             live.append(tuple(v for v in family if v not in observed))
     factors = list(range(len(live)))
     eliminate = kept - observed - set(free)
@@ -255,9 +247,7 @@ def posterior_exact(
     evidence = dict(evidence or {})
     _check_query(net, targets, evidence)
     free = [t for t in targets if t not in evidence]
-    attrs = net.schema.attributes
-    dag = (attrs, tuple(net.parents[a] for a in attrs))
-    cpts, steps, final = _elimination_plan(dag, tuple(free), frozenset(evidence))
+    cpts, steps, final = _elimination_plan(net._families, tuple(free), frozenset(evidence))
     codes = {a: net.schema.domains[a].index(v) for a, v in evidence.items()}
     arrays = [
         net.cpts[attr] if axes is None
@@ -296,24 +286,10 @@ def enumerate_joint(net: BayesNet) -> JointDistribution:
     attrs = tuple(net.schema.attributes)
     full = _planned_product(
         [net.cpts[a] for a in attrs],
-        [(i, *_alignment(net.parents[a] + (a,), attrs)) for i, a in enumerate(attrs)],
+        [(i, *_alignment(family, attrs)) for i, family in enumerate(net._families)],
     )
     total = float(full.sum())
     return JointDistribution(attrs, tuple(net.schema.domain(a) for a in attrs), full / total)
-
-
-@lru_cache(maxsize=1024)
-def _components(dag, free: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
-    """The components of ``free`` in the moral graph of ``dag`` (the
-    attribute order and parent tuples), each in ``free`` order: two free
-    attributes are joined where one family holds both."""
-    groups = {a: {a} for a in free}
-    for vs in (ps + (a,) for a, ps in zip(*dag)):
-        merged = set().union(*(groups[v] for v in vs if v in groups))
-        for v in merged:
-            groups[v] = merged
-    unique = {id(g): g for g in groups.values()}.values()
-    return tuple(tuple(a for a in free if a in group) for group in unique)
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +393,8 @@ def _split_chain(net: BayesNet, free: tuple[str, ...], memo: dict):
     parent getter) in topological order; (column, blanket plan) of each lone
     variable, alone in its moral-graph component of ``free`` so its blanket
     is all evidence; the connected variables' columns and blanket plans."""
-    pos, attrs = net.schema._index, net.schema.attributes
-    components = _components((attrs, tuple(net.parents[a] for a in attrs)), free)
-    lone = {members[0] for members in components if len(members) == 1}
+    pos = net.schema._index
+    lone = {members[0] for members in _components(net._families, free) if len(members) == 1}
     for attr in free:
         if attr not in memo:
             memo[attr] = _blanket_plan(net, attr)

@@ -39,7 +39,7 @@ from operator import itemgetter
 import numpy as np
 
 from .afd import Afd, NaiveBayesModel, NoRuleError, NotApplicableError, best_afds
-from .bayesnet import BayesNet, markov_blanket
+from .bayesnet import BayesNet, _blanket
 from .inference import posterior_exact
 from .source import AutonomousSource, QueryBudgetError
 # select is no longer called here, but perfbench/tracing.py patches this name
@@ -315,10 +315,7 @@ def _rewrite(model, sample, source, query, k, alpha, sample_ratio, pick, candida
 
 
 def _blanket_attrs(net: BayesNet, query: SelectionQuery) -> list[str]:
-    out: set[str] = set()
-    for attr in query.attributes:
-        out.update(markov_blanket(net, attr))
-    return sorted(out - set(query.attributes))
+    return sorted(_blanket(net._families, set(query.attributes))[1])
 
 
 def _blanket_candidates(net, expand_empty_base, cand_attrs, base, schema, scorer):

@@ -351,27 +351,31 @@ def load_csv(path: str, null_token: str = "") -> Table:
     Raises
     ------
     ParseError
-        On an empty file, a blank or repeated name, a row whose arity differs
-        from the header (the message names the line), or an all-null column.
+        On text that is not UTF-8 or CSV, an empty file, a blank or repeated
+        name, a row whose arity differs from the header (the message names
+        the line), or an all-null column.  Every message names the file.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        attrs = [h.strip() for h in header]
-        if any(not a for a in attrs):
-            raise ParseError(f"{path}: blank attribute name in header")
-        if len(set(attrs)) != len(attrs):
-            raise ParseError(f"{path}: duplicate attribute names in header")
-        raw_rows: list[list[str | None]] = []
-        for lineno, record in enumerate(reader, start=2):
-            if len(record) != len(attrs):
-                raise ParseError(
-                    f"{path}: line {lineno}: expected {len(attrs)} fields, got {len(record)}"
-                )
-            raw_rows.append([None if c == null_token else c for c in map(str.strip, record)])
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(f"{path}: empty file") from None
+            attrs = [h.strip() for h in header]
+            if any(not a for a in attrs):
+                raise ParseError(f"{path}: blank attribute name in header")
+            if len(set(attrs)) != len(attrs):
+                raise ParseError(f"{path}: duplicate attribute names in header")
+            raw_rows: list[list[str | None]] = []
+            for lineno, record in enumerate(reader, start=2):
+                if len(record) != len(attrs):
+                    raise ParseError(
+                        f"{path}: line {lineno}: expected {len(attrs)} fields, got {len(record)}"
+                    )
+                raw_rows.append([None if c == null_token else c for c in map(str.strip, record)])
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: {exc}") from None
     domains = _observed_domains(attrs, raw_rows)
     for attr in attrs:
         if not domains[attr]:

@@ -113,6 +113,19 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="line 2.*wibble"):
             parse_config("mode = rewriting\nwibble = 3\nquery = Body=Sedan\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("top_k = abc", "top_k: invalid literal for int() with base 10: 'abc'"),
+            ("alpha = high", "alpha: could not convert string to float: 'high'"),
+            ("seeds = 1, x", "seeds: invalid literal for int() with base 10: 'x'"),
+            ("query_limit = many", "query_limit: invalid literal for int() with base 10: 'many'"),
+        ],
+    )
+    def test_unconvertible_value_names_line_and_key(self, line, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'config line 3: {message}')}$"):
+            parse_config(f"mode = imputation\ntargets = Body\n{line}\n")
+
     def test_missing_equals(self):
         with pytest.raises(ValueError, match="key = value"):
             parse_config("mode rewriting\n")

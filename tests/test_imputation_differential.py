@@ -148,9 +148,8 @@ def test_component_posteriors_factor_the_whole_row_posterior(case):
 
 def _components(net, missing):
     attrs = net.schema.attributes
-    dag = (attrs, tuple(net.parents[a] for a in attrs))
     sizes = tuple(len(net.schema.domains[a]) for a in attrs)
-    return imputation._exact_plan(dag, sizes, missing)
+    return imputation._exact_plan(net._families, sizes, missing)
 
 
 def _tied_net():

@@ -82,10 +82,17 @@ def test_model_fitting_refuses_ess_and_pseudo_count(value, bound):
         (dict(afd_max_lhs=0), "afd_max_lhs must be >= 1"),
         (dict(synthetic_rows=-1), "synthetic_rows must be >= 0"),
         (dict(seeds=(0, -1)), "seeds must be >= 0"),
+        (dict(seeds=(0, 0)), "seeds lists an entry twice"),
+        (dict(seeds=()), "seeds must not be empty"),
+        (dict(levels=(10, 20, 10)), "levels lists an entry twice"),
+        (dict(levels=()), "levels must not be empty"),
+        (dict(methods=("afd", "afd")), "methods lists an entry twice"),
+        (dict(targets=("Body", "Body")), "targets lists an entry twice"),
+        (dict(queries=(SelectionQuery({"Body": "Sedan"}),) * 2), "queries lists an entry twice"),
     ],
 )
 def test_experiment_config_refuses_before_any_work(kwargs, message):
-    cfg = ExperimentConfig(mode="imputation", targets=("Body",), **kwargs)
+    cfg = ExperimentConfig(**{"mode": "imputation", "targets": ("Body",), **kwargs})
     with pytest.raises(ValueError, match=f"^{message}$"):
         cfg.validate()
 
@@ -210,6 +217,13 @@ def test_every_subcommand_refuses_seed_minus_one(inputs, command, option):
     assert f"error: {option} must be >= 0" in err, err
 
 
+def test_eval_refuses_a_repeated_query(inputs):
+    # the second curve would overwrite the first under the same file name
+    flags = ["mode = rewriting", "query = Body=Sedan"]
+    err = _assert_refused(inputs, "eval", "afd", flags, "query", "Body=Sedan")
+    assert err == "error: queries lists an entry twice\n", err
+
+
 def _assert_refused(inputs, command, method, flags, option, value) -> str:
     with tempfile.TemporaryDirectory() as out:
         if command == "eval":
@@ -219,14 +233,76 @@ def _assert_refused(inputs, command, method, flags, option, value) -> str:
             argv = ["eval", "--config", conf, "--out-dir", f"{out}/results"]
         else:
             argv = _argv(command, inputs, out, method) + flags + [f"--{option}={value}"]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            rc = main(argv)
-        written = sorted(os.listdir(out))
+        rc, err = _run_refused(argv, out, ["run.conf"] if command == "eval" else [])
+    assert rc != 0, argv
+    return err
+
+
+def _run_refused(argv, out, inputs_in_out) -> tuple[int, str]:
+    """Run the CLI; it must print one ``error:`` line, no traceback, nothing
+    to stdout, and leave no file in ``out`` but ``inputs_in_out``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = main(argv)
     err = stderr.getvalue()
-    assert rc != 0, (argv, stdout.getvalue())
-    assert stdout.getvalue() == ""
+    assert stdout.getvalue() == "", (argv, stdout.getvalue())
     assert len(err.splitlines()) == 1 and "error: " in err, err
     assert "Traceback" not in err
-    assert written == (["run.conf"] if command == "eval" else []), written
-    return err
+    written = sorted(os.listdir(out))
+    assert written == inputs_in_out, written
+    return rc, err
+
+
+# ---------------------------------------------------------------------------
+# unreadable files: each error names the file
+
+_BAD_FILES = {
+    "ragged.csv": "Make,Model\nBMW,645\nAudi\n".encode(),
+    "huge-field.csv": b"Make,Model\n" + b"x" * 200_000 + b",645\n",  # past csv's field limit
+    "latin1.csv": "Make,Model\nCitro\u00ebn,C5\n".encode("latin-1"),
+    "latin1.model": "nullbayes-model\t1\nattribute\tMake\tCitro\u00ebn\n".encode("latin-1"),
+    "latin1.rules": "Make -> Citro\u00ebn : 0.5\n".encode("latin-1"),
+    "truncated.model": save_model(demo_net())[:500].encode(),
+    "malformed.rules": b"Make Body : 0.6\n",
+}
+
+# per subcommand: the input it reads, the bad files put in its place, and
+# the rewriting method that reads it
+_FILE_CASES = [
+    ("learn", "train.csv", "ragged.csv", None),
+    ("learn", "train.csv", "latin1.csv", None),
+    ("learn", "train.csv", "huge-field.csv", None),
+    ("mine-afd", "demo.csv", "ragged.csv", None),
+    ("mine-afd", "demo.csv", "latin1.csv", None),
+    ("impute", "demo.csv", "ragged.csv", None),
+    ("impute", "demo.csv", "latin1.csv", None),
+    ("impute", "demo.csv", "huge-field.csv", None),
+    ("impute", "demo.model", "truncated.model", None),
+    ("impute", "demo.model", "latin1.model", None),
+    ("rewrite", "demo.csv", "ragged.csv", "bn-all-mb"),
+    ("rewrite", "demo.csv", "latin1.csv", "bn-all-mb"),
+    ("rewrite", "demo.model", "truncated.model", "bn-all-mb"),
+    ("rewrite", "demo.model", "latin1.model", "bn-all-mb"),
+    ("rewrite", "rules", "malformed.rules", "afd"),
+    ("rewrite", "rules", "latin1.rules", "afd"),
+]
+
+
+@pytest.mark.parametrize("command, slot, bad, method", _FILE_CASES)
+def test_every_subcommand_names_the_file_it_cannot_read(inputs, command, slot, bad, method):
+    with tempfile.TemporaryDirectory() as out, tempfile.TemporaryDirectory() as base:
+        path = os.path.join(base, bad)
+        with open(path, "wb") as fh:
+            fh.write(_BAD_FILES[bad])
+        argv = _argv(command, {**inputs, slot: path}, out, method)
+        rc, err = _run_refused(argv, out, [])
+    assert rc == 2, err
+    assert err.startswith(f"error: {path}: "), err
+
+
+def test_a_key_error_prints_its_message_unquoted(inputs):
+    with tempfile.TemporaryDirectory() as out:
+        argv = _argv("rewrite", inputs, out, "bn-all-mb")
+        argv[argv.index("Body=Sedan")] = "Colour=Red"
+        rc, err = _run_refused(argv, out, [])
+    assert (rc, err) == (2, "error: unknown attribute 'Colour'\n")
