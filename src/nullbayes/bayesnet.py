@@ -18,6 +18,7 @@ import warnings
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 from scipy.special import gammaln
@@ -61,7 +62,7 @@ class BayesNet:
     schema order: the DAG in names only, the key of every structural cache.
     """
 
-    __slots__ = ("schema", "parents", "cpts", "_children", "_order", "_families")
+    __slots__ = ("schema", "parents", "cpts", "_order", "_families")
 
     def __init__(
         self,
@@ -103,15 +104,10 @@ class BayesNet:
             arr.flags.writeable = False
             tables[attr] = arr
         self.cpts: dict[str, np.ndarray] = tables
-        kids: dict[str, list[str]] = {a: [] for a in schema.attributes}
-        for attr in schema.attributes:
-            for p in fixed[attr]:
-                kids[p].append(attr)
-        self._children = {a: tuple(sorted(cs)) for a, cs in kids.items()}
 
     def children(self, attr: str) -> tuple[str, ...]:
         self.schema.index(attr)
-        return self._children[attr]
+        return tuple(sorted(vs[-1] for vs in self._families if attr in vs[:-1]))
 
     def topological_order(self) -> list[str]:
         return list(self._order)
@@ -505,6 +501,44 @@ def _components(families, free: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
             groups[v] = merged
     unique = {id(g): g for g in groups.values()}.values()
     return tuple(tuple(a for a in free if a in group) for group in unique)
+
+
+@lru_cache(maxsize=1024)
+def _blanket_plan(families, sizes: tuple[int, ...], members: tuple[str, ...]):
+    """How to multiply out P(C | Markov blanket), C = ``members``, at a
+    row's codes in the DAG of ``families`` (a net's ``_families``) over
+    domains of ``sizes``: the CPTs of C's members and of their children,
+    sliced at the observed cells (Koller & Friedman, §12.3.1).  It holds no
+    CPTs.  Returns C's positions as a tuple and as a column index, the
+    blanket's as a column index and their sizes, and per CPT its attribute,
+    transpose to (observed axes, C's axes), getter of the observed codes
+    from the row's, and shape broadcasting it over C's axes.
+    """
+    pos = {vs[-1]: i for i, vs in enumerate(families)}
+    group = set(members)
+    touching, outside = _blanket(families, group)
+
+    # CPTs over fewer of C's members first, so the running product grows
+    # late; then C's own, then by name: a lone variable's own CPT and then
+    # its children's by name, as in a Gibbs update
+    def rank(vs):
+        return len(group.intersection(vs)), vs[-1] not in group, vs[-1]
+
+    factors = []
+    for vs in sorted(touching, key=rank):
+        seen = [k for k, v in enumerate(vs) if v not in group]
+        inside = sorted(set(range(len(vs))) - set(seen), key=lambda k: members.index(vs[k]))
+        shape = tuple(sizes[pos[a]] if a in vs else 1 for a in members)
+        observed = _getter([pos[vs[k]] for k in seen])
+        factors.append((vs[-1], tuple(seen + inside), observed, shape))
+    at, blanket = tuple(pos[a] for a in members), sorted(pos[v] for v in outside)
+    column = np.array(blanket, dtype=np.intp)[:, None]
+    return at, np.array(at)[:, None], column, tuple(sizes[b] for b in blanket), tuple(factors)
+
+
+def _getter(positions: list[int]):
+    """Callable reading ``codes`` at ``positions``; the key of a memo entry."""
+    return itemgetter(*positions) if positions else lambda codes: ()
 
 
 # ---------------------------------------------------------------------------

@@ -279,9 +279,10 @@ def _cmd_mine(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = harness.load_config(args.config)
-    os.makedirs(args.out_dir, exist_ok=True)
+    # made after the run, which refuses unknown query and target attributes
     if cfg.mode == "rewriting":
         curves = harness.run_rewriting_experiment(cfg)
+        os.makedirs(args.out_dir, exist_ok=True)
         by_query = {q: i for i, q in enumerate(cfg.queries)}
         for curve in curves:
             name = f"curve_{curve.method}_q{by_query[curve.query]}_s{curve.seed}.csv"
@@ -291,6 +292,7 @@ def _cmd_eval(args) -> int:
             print(f"wrote {name} ({len(curve.points)} points)")
     else:
         runs = harness.run_imputation_experiment(cfg)
+        os.makedirs(args.out_dir, exist_ok=True)
         path = os.path.join(args.out_dir, "imputation.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(harness.imputation_csv_lines(runs)) + "\n")

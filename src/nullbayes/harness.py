@@ -174,13 +174,14 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"config line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key == "query":
-            queries.append(SelectionQuery.parse(value))
-        elif key == "discretize":
+        if key == "discretize":
             values["discretize_rules"] = parse_discretize_rules(value)
-        elif key in hints and key not in ("queries", "discretize_rules"):
+        elif key == "query" or (key in hints and key not in ("queries", "discretize_rules")):
             try:
-                values[key] = _convert(hints[key], value)
+                if key == "query":
+                    queries.append(SelectionQuery.parse(value))
+                else:
+                    values[key] = _convert(hints[key], value)
             except ValueError as exc:
                 raise ValueError(f"config line {lineno}: {key}: {exc}") from None
         else:

@@ -10,10 +10,13 @@ Both engines share one path over the table's int-coded column matrix: the
 columns of the incomplete rows are filled in place, by exact inference (one
 posterior per distinct Markov-blanket component and blanket values) or by
 Gibbs sampling (one chain per row), then decoded to labels once per call.
-A chain starts from the row's codes and splits by the same components: a
-missing cell whose blanket is all observed draws every kept state in one
-``np.searchsorted``, and the fill is read off the kept states' int array.
-``impute_tuple`` runs that path on a one-row table.
+Both multiply out one Markov-blanket plan per DAG and component
+(``bayesnet._blanket_plan``): a Gibbs full conditional is the posterior of
+a component of one variable.  A chain starts from the row's codes and
+splits by the same components: a missing cell whose blanket is all
+observed draws every kept state in one ``np.searchsorted``, and the fill is
+read off the kept states' int array.  ``impute_tuple`` runs that path on a
+one-row table.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from itertools import compress
 
 import numpy as np
 
-from .bayesnet import BayesNet, _blanket, _components
-from .inference import ImpossibleEvidenceError, _check_chain, _getter, _lex_argmax
+from .bayesnet import BayesNet, _blanket_plan, _components
+from .inference import ImpossibleEvidenceError, _blanket_product, _check_chain, _cpt_views
+from .inference import _lex_argmax
 # posterior_exact is not called here, but perfbench/tracing.py patches this name
 from .inference import posterior_exact, posterior_gibbs  # noqa: F401
 from .tabular import Row, Table
@@ -75,40 +79,17 @@ def _check_engine(engine: str) -> None:
 
 @lru_cache(maxsize=1024)
 def _exact_plan(families, sizes: tuple[int, ...], missing: tuple[str, ...]):
-    """The components C of ``missing`` in the moral graph of ``families`` (a
-    net's ``_families``) over domains of ``sizes``.
-
-    With every other cell observed, P(missing | row) is the product over C
-    of P(C | C's blanket): C's and C's children's CPTs, sliced at observed
-    cells.  Per C: its positions as a tuple and a column index, its
-    blanket's as a column index and their sizes, and per CPT its attribute,
-    transpose to (observed axes, C's axes), getter of the observed codes
-    from the blanket's, and shape broadcasting it over C's axes.
-    """
-    pos = {vs[-1]: i for i, vs in enumerate(families)}
-    plans = []
-    for members in _components(families, missing):
-        group = set(members)
-        touching, outside = _blanket(families, group)
-        blanket = sorted(pos[v] for v in outside)
-        factors = []
-        for vs in touching:
-            seen = [k for k, v in enumerate(vs) if v not in group]
-            inside = sorted(set(range(len(vs))) - set(seen), key=lambda k: members.index(vs[k]))
-            shape = tuple(sizes[pos[a]] if a in vs else 1 for a in members)
-            observed = _getter([blanket.index(pos[vs[k]]) for k in seen])
-            factors.append((vs[-1], tuple(seen + inside), observed, shape))
-        at, column = tuple(pos[a] for a in members), np.array(blanket, dtype=np.intp)[:, None]
-        plans.append((at, np.array(at)[:, None], column, tuple(sizes[b] for b in blanket), factors))
-    return tuple(plans)
+    """One ``bayesnet._blanket_plan`` per component C of ``missing`` in the
+    moral graph of ``families`` (a net's ``_families``) over domains of
+    ``sizes``: with every other cell observed, P(missing | row) is the
+    product over C of P(C | C's blanket)."""
+    return tuple(_blanket_plan(families, sizes, c) for c in _components(families, missing))
 
 
-def _posterior(factors, codes: list[int]):
-    """P(C | blanket ``codes``), one axis per member, from the plan's factors
-    with each CPT transposed."""
-    values = 1.0
-    for cpt, observed, shape in factors:
-        values = values * cpt[observed(codes)].reshape(shape)
+def _posterior(views, codes: list[int]):
+    """P(C | blanket), one axis per member, at a row's ``codes`` from the
+    ``_cpt_views`` of C's plan."""
+    values = _blanket_product(views, codes)
     z = float(values.sum())
     if z <= 0.0:
         raise ImpossibleEvidenceError("impossible evidence: zero probability")
@@ -162,14 +143,13 @@ def _impute_exact(net: BayesNet, joint: bool, codes: np.ndarray, patterns, patte
             rows_of.setdefault(plan[0], (plan, []))[1].append(rows)
     for (_, members, blanket, radix, factors), parts in rows_of.values():
         rows = np.concatenate(parts)
-        observed = codes[blanket, rows]
         _, first, inverse = np.unique(
-            _radix_key(observed, radix), return_index=True, return_inverse=True
+            _radix_key(codes[blanket, rows], radix), return_index=True, return_inverse=True
         )
-        views = [(net.cpts[a].transpose(order), get, shape) for a, order, get, shape in factors]
+        views = _cpt_views(net, factors)
         fills = []
-        for key_codes in observed[:, first].T.tolist():
-            probs = _posterior(views, key_codes)
+        for row_codes in codes[:, rows[first]].T.tolist():
+            probs = _posterior(views, row_codes)
             axes = range(probs.ndim)
             fills.append(_lex_argmax(probs) if joint else [
                 _lex_argmax(probs.sum(axis=tuple(j for j in axes if j != k)))[0] for k in axes
@@ -295,8 +275,9 @@ def impute_table(
     components and their CPT layouts sit in a bounded cross-call cache keyed
     by DAG, domain sizes and missing set, and holding no CPTs.  The Gibbs
     engine runs one chain per incomplete tuple, seeded by (base seed, tuple
-    id), making results independent of processing order; its chains share
-    one memo of full conditionals and chain splits, kept for this call.
+    id), making results independent of processing order; its chains read
+    the same cache and share one memo, kept for this call, of what depends
+    on the CPTs: CPT views, full conditionals and chain splits.
     ``truth`` must have the same schema and row ids; accuracy is measured
     over imputed cells only, and cells whose ground truth is itself null
     are left out of every denominator (a tuple counts as correct when all

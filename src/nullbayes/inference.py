@@ -13,11 +13,10 @@ from bisect import bisect_right
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 
 import numpy as np
 
-from .bayesnet import BayesNet, _ancestors, _components
+from .bayesnet import BayesNet, _ancestors, _blanket_plan, _components, _getter
 
 __all__ = [
     "ImpossibleEvidenceError",
@@ -321,12 +320,14 @@ def posterior_gibbs(
     uniforms.  The others run the per-update loop on their columns, so the
     states are those of one loop over every free variable.
 
-    ``_memo`` (private to ``imputation``) is a dict shared by the chains of
-    one imputation call: per free set its split, per variable its
-    conditionals keyed by its blanket.  ``_codes`` (private too) is a row's
-    codes, -1 at ``targets``, which must then be every unobserved attribute
-    in schema order: the kept states come back as one int array, a row per
-    sample, never an array over the joint.
+    A conditional is ``bayesnet._blanket_plan``'s product for a component
+    of one variable, the plan cached per DAG.  ``_memo`` (private to
+    ``imputation``) is a dict shared by the chains of one imputation call,
+    of what depends on the CPTs: per free set its split, per variable its
+    CPT views and conditionals keyed by its blanket.  ``_codes`` (private
+    too) is a row's codes, -1 at ``targets``, which must then be every
+    unobserved attribute in schema order: the kept states come back as one
+    int array, a row per sample, never an array over the joint.
     """
     memo = {} if _memo is None else _memo
     if _codes is not None:
@@ -361,27 +362,28 @@ def _chain(net: BayesNet, state: list[int], free: tuple[str, ...], samples, burn
         memo[free] = _split_chain(net, free, memo)
     init, lone, columns, plans = memo[free]
     kept = np.empty((samples, n), dtype=np.intp)
-    for k, (_, blanket_values, conditionals, own, kids) in lone:
-        key = blanket_values(state)
+    for k, (_, blanket, conditionals, views) in lone:
+        key = blanket(state)
         if key not in conditionals:
-            conditionals[key] = _full_conditional(state, own, kids)
+            conditionals[key] = _full_conditional(views, state)
         cut, total = conditionals[key]
         kept[:, k] = np.searchsorted(cut, block[burn_in:, k] * total, side="right")
     if not plans:
         return kept
     # ancestral init draws; the bound keeps a draw at or past the last
     # boundary, which rounding can produce, on the last category
-    for i, at, cpt, parents in init:
+    for i, (at, _, _, views) in init:
+        cpt, parents, _ = views[0]  # the variable's own CPT, planned first
         cum = np.cumsum(cpt[parents(state)]).tolist()
         state[at] = bisect_right(cum, uniforms[i] * cum[-1], 0, len(cum) - 1)
     values, trace = _getter([plan[0] for plan in plans]), []
     for row in block[:, columns].tolist():
-        for (my_pos, blanket_values, conditionals, own, kids), u in zip(plans, row):
-            key = blanket_values(state)
+        for (my_pos, blanket, conditionals, views), u in zip(plans, row):
+            key = blanket(state)
             try:
                 cut, total = conditionals[key]
             except KeyError:
-                cut, total = conditionals[key] = _full_conditional(state, own, kids)
+                cut, total = conditionals[key] = _full_conditional(views, state)
             state[my_pos] = bisect_right(cut, u * total)
         trace.append(values(state))
     kept[:, columns] = trace[burn_in:]
@@ -389,20 +391,20 @@ def _chain(net: BayesNet, state: list[int], free: tuple[str, ...], samples, burn
 
 
 def _split_chain(net: BayesNet, free: tuple[str, ...], memo: dict):
-    """The connected variables' init draws (uniform index, position, CPT,
-    parent getter) in topological order; (column, blanket plan) of each lone
-    variable, alone in its moral-graph component of ``free`` so its blanket
-    is all evidence; the connected variables' columns and blanket plans."""
-    pos = net.schema._index
-    lone = {members[0] for members in _components(net._families, free) if len(members) == 1}
+    """The connected variables' (uniform index, entry) for their init draws,
+    in topological order; (column, entry) of each lone variable, alone in
+    its moral-graph component of ``free`` so its blanket is all evidence;
+    the connected variables' columns and entries.  A variable's entry, kept
+    in ``memo`` under its name, is its position, a getter of its blanket's
+    codes, its full conditionals keyed by those, and its CPT views."""
+    sizes = tuple(len(net.schema.domains[a]) for a in net.schema.attributes)
     for attr in free:
         if attr not in memo:
-            memo[attr] = _blanket_plan(net, attr)
+            (at,), _, blanket, _, factors = _blanket_plan(net._families, sizes, (attr,))
+            memo[attr] = at, _getter(blanket[:, 0].tolist()), {}, _cpt_views(net, factors)
+    lone = {members[0] for members in _components(net._families, free) if len(members) == 1}
     order = [a for a in net.topological_order() if a in free]
-    init = [
-        (i, pos[a], net.cpts[a], _getter([pos[p] for p in net.parents[a]]))
-        for i, a in enumerate(order) if a not in lone
-    ]
+    init = [(i, memo[a]) for i, a in enumerate(order) if a not in lone]
     columns = [k for k, a in enumerate(free) if a not in lone]
     lone_plans = [(k, memo[a]) for k, a in enumerate(free) if a in lone]
     return init, lone_plans, columns, [memo[free[k]] for k in columns]
@@ -415,44 +417,33 @@ def _check_chain(samples: int, burn_in: int) -> None:
         raise ValueError("burn_in must be >= 0")
 
 
-def _blanket_plan(net: BayesNet, attr: str):
-    """``attr``'s position, a getter of its Markov-blanket values (parents,
-    each child's other parents, each child), a memo of full conditionals
-    keyed by those values, and what a miss needs to compute one."""
-    pos = net.schema._index
-    parents = [pos[p] for p in net.parents[attr]]
-    blanket = list(parents)
-    kids = []
-    for child in net.children(attr):
-        # the child's CPT with ``attr``'s axis last, read at the other axes
-        cps = net.parents[child]
-        axis = cps.index(attr)
-        others = [pos[p] for p in cps if p != attr] + [pos[child]]
-        kids.append((np.moveaxis(net.cpts[child], axis, -1), _getter(others)))
-        blanket += others
-    return pos[attr], _getter(blanket), {}, (net.cpts[attr], _getter(parents)), kids
+def _cpt_views(net: BayesNet, factors):
+    """A ``_blanket_plan``'s factors with each CPT transposed as planned."""
+    return [(net.cpts[a].transpose(order), get, shape) for a, order, get, shape in factors]
 
 
-def _full_conditional(state, own, kids) -> tuple[list[float], float]:
+def _blanket_product(views, codes: list[int]) -> np.ndarray:
+    """The product of ``_cpt_views`` at a row's ``codes``, unnormalized: one
+    axis per member of the plan's set."""
+    values = None
+    for cpt, observed, shape in views:
+        factor = cpt[observed(codes)].reshape(shape)
+        values = factor if values is None else values * factor
+    return values
+
+
+def _full_conditional(views, state) -> tuple[list[float], float]:
     """Cumulative weights without the last boundary, and the total, of
-    P(X | Markov blanket) at ``state``.
+    P(X | Markov blanket) at ``state``: the blanket product for X alone.
 
     The weights are X's own CPT row times, for each child, the child's CPT
     entries along X's axis.  ``bisect_right`` of a draw in the cut weights
     is ``np.searchsorted(cum, u, side="right")`` capped at the last category.
     """
-    own_cpt, own_parents = own
-    weights = own_cpt[own_parents(state)].copy()
-    for child_cpt, child_values in kids:
-        weights *= child_cpt[child_values(state)]
+    weights = _blanket_product(views, state)
     total = float(weights.sum())
     if total <= 0.0:
         raise ImpossibleEvidenceError(
             "impossible evidence: zero-probability conditional in Gibbs sweep"
         )
     return weights.cumsum()[:-1].tolist(), total
-
-
-def _getter(positions: list[int]):
-    """Callable reading ``state`` at ``positions``; the key of a memo entry."""
-    return itemgetter(*positions) if positions else lambda state: ()

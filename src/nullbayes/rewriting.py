@@ -318,14 +318,9 @@ def _blanket_attrs(net: BayesNet, query: SelectionQuery) -> list[str]:
     return sorted(_blanket(net._families, set(query.attributes))[1])
 
 
-def _blanket_candidates(net, expand_empty_base, cand_attrs, base, schema, scorer):
+def _blanket_candidates(cand_attrs, base, schema, scorer):
     # bn_all_mb's: every distinct null-free combination over the blanket
-    if not cand_attrs:
-        combos = []
-    elif not base and expand_empty_base:
-        combos = list(itertools.product(*[net.schema.domain(a) for a in cand_attrs]))
-    else:
-        combos = project_distinct(schema, base, cand_attrs)
+    combos = project_distinct(schema, base, cand_attrs) if cand_attrs else []
     if not combos:
         cause = (
             "the base result is empty" if not base
@@ -336,10 +331,9 @@ def _blanket_candidates(net, expand_empty_base, cand_attrs, base, schema, scorer
     return [scorer.score(SelectionQuery(zip(cand_attrs, c))) for c in combos]
 
 
-def _beam_candidates(net, cfg, expand_empty_base, cand_attrs, base, schema, scorer):
+def _beam_candidates(cfg, cand_attrs, base, schema, scorer):
     # bn_beam's: the last beam's queries with positive F-measure
-    use_domains = not base and expand_empty_base
-    if not base and not use_domains:
+    if not base:
         warnings.warn("no rewrite candidates: the base result is empty", stacklevel=4)
         return []
     if not cand_attrs:
@@ -348,7 +342,7 @@ def _beam_candidates(net, cfg, expand_empty_base, cand_attrs, base, schema, scor
     cells = [r.cells for r in base]
 
     def matching(partial_query: SelectionQuery) -> list[tuple[str | None, ...]]:
-        if use_domains or not len(partial_query):
+        if not len(partial_query):
             return cells
         wanted = {schema.index(a): v for a, v in partial_query.items}
         key = itemgetter(*wanted)
@@ -356,8 +350,6 @@ def _beam_candidates(net, cfg, expand_empty_base, cand_attrs, base, schema, scor
         return [c for c in cells if key(c) == target]
 
     def values_for(rows: list[tuple[str | None, ...]], attr: str) -> Sequence[str]:
-        if use_domains:
-            return net.schema.domain(attr)
         column = map(itemgetter(schema.index(attr)), rows)
         return [v for v in dict.fromkeys(column) if v is not None]
 
@@ -387,7 +379,6 @@ def bn_all_mb(
     k: int = 10,
     alpha: float = 0.0,
     sample_ratio: float | None = None,
-    expand_empty_base: bool = False,
 ) -> RewritingResult:
     """Rewriting over full Markov-blanket value combinations.
 
@@ -396,17 +387,15 @@ def bn_all_mb(
     are the distinct null-free projections of the base result onto that set;
     the top ``k`` by F-measure are issued in decreasing expected precision.
 
-    With an empty base result there is nothing to project: by default a
-    warning is raised and no rewrites are issued, while ``expand_empty_base``
-    falls back to the full cross product of the candidate attributes'
-    domains (use only with tiny domains).
+    With an empty base result there is nothing to project: a warning is
+    raised and no rewrites are issued.
 
     ``sample_ratio`` scales sample match counts up to source-size estimates;
     when None it is measured with one extra probe of the source.
     """
     return _rewrite(
         net, sample, source, query, k, alpha, sample_ratio, partial(_blanket_attrs, net),
-        partial(_blanket_candidates, net, expand_empty_base), _rank_key,
+        _blanket_candidates, _rank_key,
     )
 
 
@@ -417,7 +406,6 @@ def bn_beam(
     query: SelectionQuery,
     cfg: BeamConfig | None = None,
     sample_ratio: float | None = None,
-    expand_empty_base: bool = False,
 ) -> RewritingResult:
     """Beam search over rewrites of one to ``cfg.depth`` predicates.
 
@@ -426,14 +414,14 @@ def bn_beam(
     every kept query by one predicate; the pool keeps the previous level's
     queries, so short rewrites can outrank long ones.  Predicate values are
     the distinct non-null values among base tuples matching the partial
-    query (or full domains under ``expand_empty_base`` with an empty base).
+    query.
     After the last level, queries with zero F-measure are dropped and the
     top ``cfg.top_k`` survivors are issued in decreasing expected precision.
     """
     cfg = cfg or BeamConfig()
     return _rewrite(
         net, sample, source, query, cfg.top_k, cfg.alpha, sample_ratio,
-        partial(_blanket_attrs, net), partial(_beam_candidates, net, cfg, expand_empty_base),
+        partial(_blanket_attrs, net), partial(_beam_candidates, cfg),
         _issue_key,
     )
 

@@ -126,6 +126,11 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(f'config line 3: {message}')}$"):
             parse_config(f"mode = imputation\ntargets = Body\n{line}\n")
 
+    @pytest.mark.parametrize("value", ["Body", "Body=Sedan & Make", "Body="])
+    def test_bad_query_names_line_and_key(self, value):
+        with pytest.raises(ValueError, match="^config line 2: query: bad predicate "):
+            parse_config(f"mode = rewriting\nquery = {value}\n")
+
     def test_missing_equals(self):
         with pytest.raises(ValueError, match="key = value"):
             parse_config("mode rewriting\n")

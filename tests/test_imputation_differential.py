@@ -46,7 +46,7 @@ from nullbayes import (
     posterior_exact,
     sample_rows,
 )
-from nullbayes import imputation
+from nullbayes import bayesnet, imputation
 from nullbayes.inference import _getter, _lex_argmax
 from nullbayes.synth import car_demo_net, random_net
 
@@ -137,7 +137,7 @@ def test_component_posteriors_factor_the_whole_row_posterior(case):
         for members, _, blanket, _, factors in components:
             attrs = tuple(names[i] for i in members)
             views = [(net.cpts[a].transpose(order), get, shape) for a, order, get, shape in factors]
-            got = imputation._posterior(views, [codes[b] for b in blanket[:, 0].tolist()])
+            got = imputation._posterior(views, codes)
             want = posterior_exact(net, attrs, evidence).probs
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
             shape = [got.shape[attrs.index(a)] if a in attrs else 1 for a in missing]
@@ -555,16 +555,37 @@ def test_complete_and_empty_tables_match_the_per_row_engine(engine, joint):
             assert got[1] == table.rows
 
 
-@pytest.mark.parametrize("joint", [True, False])
-def test_the_structure_cache_holds_no_cpts(joint):
-    # the same DAG and missing sets, first with positive CPTs, then with zeros
-    net = _NETS[3]
+def _striped_table(net):
+    # 30 rows, each missing every third attribute from an offset set by its id
     rows = [
         Row(r.id, tuple(None if j % 3 == r.id % 3 else c for j, c in enumerate(r.cells)))
         for r in sample_rows(net, 30, seed=7).rows
     ]
-    table = Table(net.schema, rows)
+    return Table(net.schema, rows)
+
+
+@pytest.mark.parametrize("engine", ["exact", "gibbs"])
+@pytest.mark.parametrize("joint", [True, False])
+def test_the_structure_cache_holds_no_cpts(joint, engine):
+    # the same DAG and missing sets, first with positive CPTs, then with zeros
+    net = _NETS[3]
+    table = _striped_table(net)
     for variant in (net, _with_zeros(net, 11), net):
-        assert _outcome(impute_table, variant, table, joint=joint) == _outcome(
-            _old_impute_table, variant, table, joint=joint
+        assert _outcome(impute_table, variant, table, joint=joint, engine=engine) == _outcome(
+            _old_impute_table, variant, table, joint=joint, engine=engine
         )
+
+
+@pytest.mark.parametrize("joint", [True, False])
+def test_a_second_gibbs_call_builds_no_blanket_plan(joint):
+    # the plans depend on the DAG alone, so the first call on a net builds
+    # them all; a later call with the same missing sets only looks them up
+    net = _NETS[3]
+    table = _striped_table(net)
+    params = GibbsParams(samples=10, burn_in=2, seed=3)
+    impute_table(net, table, engine="gibbs", gibbs=params, joint=joint)
+    before = bayesnet._blanket_plan.cache_info()
+    impute_table(net, table, engine="gibbs", gibbs=params, joint=joint)
+    impute_tuple(net, table.rows[0], engine="gibbs", gibbs=params, joint=joint)
+    after = bayesnet._blanket_plan.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits

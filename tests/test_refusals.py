@@ -224,6 +224,16 @@ def test_eval_refuses_a_repeated_query(inputs):
     assert err == "error: queries lists an entry twice\n", err
 
 
+@pytest.mark.parametrize(
+    "flags, option, value", [(["mode = rewriting"], "query", "Colour=Red"), ([], "targets", "Colour")]
+)
+def test_eval_refused_on_the_data_leaves_no_output_directory(inputs, flags, option, value):
+    # queries and targets are checked against the data's schema by the run,
+    # after the config has parsed
+    err = _assert_refused(inputs, "eval", "afd", flags, option, value)
+    assert err == "error: unknown attribute 'Colour'\n", err
+
+
 def _assert_refused(inputs, command, method, flags, option, value) -> str:
     with tempfile.TemporaryDirectory() as out:
         if command == "eval":

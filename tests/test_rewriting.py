@@ -346,19 +346,6 @@ class TestBnAllMb:
             )
         assert res.base == [] and res.answers == [] and res.issued == []
 
-    def test_empty_base_expansion_uses_domains(self, fitted_demo_net, demo_table):
-        res = bn_all_mb(
-            fitted_demo_net,
-            demo_table,
-            AutonomousSource(demo_table),
-            SelectionQuery({"Make": "Acura", "Body": "Convt"}),
-            sample_ratio=1.0,
-            expand_empty_base=True,
-        )
-        # cross product of dom(Model) x dom(Year), capped at k=10
-        assert len(res.candidates) == 10
-        assert all(rq.query.attributes == ("Model", "Year") for rq in res.candidates)
-
     def test_budget_truncation(self, fitted_demo_net, demo_table):
         src = AutonomousSource(demo_table, query_limit=1)  # spent on the base query
         res = bn_all_mb(

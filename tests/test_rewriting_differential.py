@@ -420,10 +420,6 @@ def _strategies(beam):
         "bn-beam-alpha": lambda w, source, q: beam(
             w["net"], w["sample"], source, q, BeamConfig(width=3, alpha=1.0, top_k=4)
         ),
-        "bn-beam-domains": lambda w, source, q: beam(
-            w["net"], w["sample"], source, q, BeamConfig(width=3, top_k=4),
-            expand_empty_base=True,
-        ),
         "afd": lambda w, source, q: afd_rewrite_single(
             w["afds"], w["nb"], w["sample"], source, q, k=6
         ),
