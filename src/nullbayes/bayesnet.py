@@ -512,7 +512,9 @@ def _blanket_plan(families, sizes: tuple[int, ...], members: tuple[str, ...]):
     CPTs.  Returns C's positions as a tuple and as a column index, the
     blanket's as a column index and their sizes, and per CPT its attribute,
     transpose to (observed axes, C's axes), getter of the observed codes
-    from the row's, and shape broadcasting it over C's axes.
+    from the row's, and shape of the transposed CPT with a unit axis for
+    each member of C outside it, so that slicing it at the observed codes
+    broadcasts over C's axes.
     """
     pos = {vs[-1]: i for i, vs in enumerate(families)}
     group = set(members)
@@ -528,7 +530,8 @@ def _blanket_plan(families, sizes: tuple[int, ...], members: tuple[str, ...]):
     for vs in sorted(touching, key=rank):
         seen = [k for k, v in enumerate(vs) if v not in group]
         inside = sorted(set(range(len(vs))) - set(seen), key=lambda k: members.index(vs[k]))
-        shape = tuple(sizes[pos[a]] if a in vs else 1 for a in members)
+        shape = tuple(sizes[pos[vs[k]]] for k in seen)
+        shape += tuple(sizes[pos[a]] if a in vs else 1 for a in members)
         observed = _getter([pos[vs[k]] for k in seen])
         factors.append((vs[-1], tuple(seen + inside), observed, shape))
     at, blanket = tuple(pos[a] for a in members), sorted(pos[v] for v in outside)

@@ -33,7 +33,7 @@ from .inference import ImpossibleEvidenceError, _blanket_product, _check_chain, 
 from .inference import _lex_argmax
 # posterior_exact is not called here, but perfbench/tracing.py patches this name
 from .inference import posterior_exact, posterior_gibbs  # noqa: F401
-from .tabular import Row, Table
+from .tabular import Row, Table, _radix_key
 
 __all__ = ["GibbsParams", "ImputationReport", "impute_tuple", "impute_table"]
 
@@ -94,21 +94,6 @@ def _posterior(views, codes: list[int]):
     if z <= 0.0:
         raise ImpossibleEvidenceError("impossible evidence: zero probability")
     return values / z
-
-
-def _radix_key(codes: np.ndarray, sizes) -> np.ndarray:
-    """One int64 per column of ``codes`` (row i in ``range(sizes[i])``), equal
-    where the columns are: mixed radix, first row most significant, re-ranked
-    by ``np.unique`` only where the next digit could overflow."""
-    key = np.zeros(codes.shape[1], dtype=np.int64)
-    radix = 1
-    for row, size in zip(codes, sizes):
-        if radix * size >= 2**63:
-            seen, key = np.unique(key, return_inverse=True)
-            radix = len(seen)
-        key = key * size + row
-        radix *= size
-    return key
 
 
 def _null_patterns(attrs: tuple[str, ...], missing: np.ndarray):

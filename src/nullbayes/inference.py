@@ -373,7 +373,7 @@ def _chain(net: BayesNet, state: list[int], free: tuple[str, ...], samples, burn
     # ancestral init draws; the bound keeps a draw at or past the last
     # boundary, which rounding can produce, on the last category
     for i, (at, _, _, views) in init:
-        cpt, parents, _ = views[0]  # the variable's own CPT, planned first
+        cpt, parents = views[0]  # the variable's own CPT, planned first
         cum = np.cumsum(cpt[parents(state)]).tolist()
         state[at] = bisect_right(cum, uniforms[i] * cum[-1], 0, len(cum) - 1)
     values, trace = _getter([plan[0] for plan in plans]), []
@@ -418,16 +418,17 @@ def _check_chain(samples: int, burn_in: int) -> None:
 
 
 def _cpt_views(net: BayesNet, factors):
-    """A ``_blanket_plan``'s factors with each CPT transposed as planned."""
-    return [(net.cpts[a].transpose(order), get, shape) for a, order, get, shape in factors]
+    """A ``_blanket_plan``'s factors with each CPT transposed and reshaped
+    as planned (a view: only unit axes are inserted), and its getter."""
+    return [(net.cpts[a].transpose(order).reshape(shape), get) for a, order, get, shape in factors]
 
 
 def _blanket_product(views, codes: list[int]) -> np.ndarray:
     """The product of ``_cpt_views`` at a row's ``codes``, unnormalized: one
     axis per member of the plan's set."""
     values = None
-    for cpt, observed, shape in views:
-        factor = cpt[observed(codes)].reshape(shape)
+    for cpt, observed in views:
+        factor = cpt[observed(codes)]
         values = factor if values is None else values * factor
     return values
 

@@ -34,7 +34,6 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .inference import posterior_exact
 from .source import AutonomousSource, QueryBudgetError
 # select is no longer called here, but perfbench/tracing.py patches this name
 from .tabular import Row, SelectionQuery, Table, project_distinct, select  # noqa: F401
-from .tabular import _check_scale
+from .tabular import _check_scale, _codes_at, _distinct
 
 __all__ = [
     "QueryScore",
@@ -258,13 +257,20 @@ def order_and_issue(
     annotation) and tuples with ids in ``exclude_ids`` are dropped.  A
     budget refusal stops issuing but keeps everything already retrieved;
     the returned flag says whether that happened.
+
+    Each answer carries its rows' positions in the source table, so the
+    tuples already seen are one boolean array over those positions; the ids
+    in ``exclude_ids`` are found there with one lookup in the table's id
+    column, and only fresh rows become ``RetrievedAnswer``s.
     """
     if limit is not None and limit < 0:
         raise ValueError("limit must be >= 0 or None")
     ordered = sorted(queries, key=_issue_key)
     if limit is not None:
         ordered = ordered[:limit]
-    seen: set[int] = set(exclude_ids)
+    # an id array as it is: iterating one makes a numpy scalar per id
+    excluded = np.asarray(exclude_ids if isinstance(exclude_ids, np.ndarray) else list(exclude_ids))
+    seen = None  # over the source table's positions, from the first answer on
     answers: list[RetrievedAnswer] = []
     issued: list[RewrittenQuery] = []
     truncated = False
@@ -275,19 +281,21 @@ def order_and_issue(
             truncated = True
             break
         issued.append(rq)
-        # ids are unique within one answer, so only earlier answers can repeat them
-        fresh = [row for row in rows if row.id not in seen]
-        seen.update([row.id for row in fresh])
-        answers.extend(_answers(fresh, rq.score.precision, rq.query))
+        if seen is None:
+            seen = np.zeros(len(rows.table.rows), dtype=bool)
+            seen[rows.table._positions(excluded)] = True
+        # positions are unique within one answer, so only earlier answers can repeat them
+        fresh = np.flatnonzero(~seen[rows.at]).tolist()
+        seen[rows.at] = True
+        answers.extend(_answers(list(map(rows.__getitem__, fresh)), rq.score.precision, rq.query))
     return answers, issued, truncated
 
 
 def _issue(
     base: list[Row], selected: list[RewrittenQuery], source: AutonomousSource, limit: int
 ) -> RewritingResult:
-    answers, issued, truncated = order_and_issue(
-        selected, source, limit=limit, exclude_ids=[r.id for r in base]
-    )
+    ids = base.table._ids()[0][base.at]
+    answers, issued, truncated = order_and_issue(selected, source, limit=limit, exclude_ids=ids)
     return RewritingResult(base, answers, issued, selected, truncated)
 
 
@@ -339,19 +347,17 @@ def _beam_candidates(cfg, cand_attrs, base, schema, scorer):
     if not cand_attrs:
         warnings.warn("no rewrite candidates: the Markov blanket is empty", stacklevel=4)
         return []
-    cells = [r.cells for r in base]
+    idx = [schema.index(a) for a in cand_attrs]
+    # per attribute, its column index and its codes over the base
+    columns = dict(zip(cand_attrs, zip(idx, _codes_at(schema, base, idx))))
 
-    def matching(partial_query: SelectionQuery) -> list[tuple[str | None, ...]]:
-        if not len(partial_query):
-            return cells
-        wanted = {schema.index(a): v for a, v in partial_query.items}
-        key = itemgetter(*wanted)
-        target = key(wanted)  # a bare value for one predicate, a tuple for several, as key(c)
-        return [c for c in cells if key(c) == target]
-
-    def values_for(rows: list[tuple[str | None, ...]], attr: str) -> Sequence[str]:
-        column = map(itemgetter(schema.index(attr)), rows)
-        return [v for v in dict.fromkeys(column) if v is not None]
+    def matching(partial_query: SelectionQuery) -> np.ndarray:
+        # a mask over the base: its tuples that match the partial query
+        keep = np.ones(len(base), dtype=bool)
+        for a, v in partial_query.items:
+            j, column = columns[a]
+            keep &= column == schema._label_codes[j][v]
+        return keep
 
     beam: list[RewrittenQuery] = []
     for level in range(cfg.depth):
@@ -359,11 +365,12 @@ def _beam_candidates(cfg, cand_attrs, base, schema, scorer):
         parents = beam if level else [RewrittenQuery(SelectionQuery(), QueryScore(0, 0, 0, 0))]
         for parent in parents:
             used = set(parent.query.attributes)
-            rows = matching(parent.query)
+            keep = matching(parent.query)
             for attr in cand_attrs:
                 if attr in used:
                     continue
-                for value in values_for(rows, attr):
+                j, column = columns[attr]
+                for (value,) in _distinct(schema, column[None, keep], [j]):
                     cand = parent.query.extended(attr, value)
                     if cand not in pool:
                         pool[cand] = scorer.score(cand)

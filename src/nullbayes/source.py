@@ -53,6 +53,11 @@ class AutonomousSource:
         the source does not have raises KeyError (the form has no such
         field).  Raises QueryBudgetError when the budget is already spent;
         the failed attempt is not counted.
+
+        The rows come in table order, in a list that also records the table
+        and their positions in it, so rewriting reads their cells off the
+        table's code matrix (see ``Table.rows_where``); a copy or a pickle of
+        the list is a plain ``list``.
         """
         if self._limit is not None and self._used >= self._limit:
             raise QueryBudgetError(

@@ -12,7 +12,7 @@ import csv
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -123,15 +123,18 @@ class Table:
 
     Selections and model fitting run over a ``(d, N)`` int32 matrix of domain
     indices (-1 for null), built on first use and cached against the identity
-    of ``rows``, so rebinding ``rows`` rebuilds it.
+    of ``rows``, so rebinding ``rows`` rebuilds it.  The same walk over
+    ``rows`` caches them as an object array, and the row ids, as an int64
+    column and sorted, are cached beside them the same way.
     """
 
-    __slots__ = ("schema", "rows", "_coded")
+    __slots__ = ("schema", "rows", "_coded", "_by_id")
 
     def __init__(self, schema: Schema, rows: Iterable[Row]):
         self.schema = schema
         self.rows: tuple[Row, ...] = tuple(rows)
-        self._coded: tuple[tuple[Row, ...], np.ndarray] | None = None
+        self._coded: tuple[tuple[Row, ...], np.ndarray, np.ndarray] | None = None
+        self._by_id: tuple[tuple[Row, ...], np.ndarray, np.ndarray, np.ndarray] | None = None
         cells = [row.cells for row in self.rows]
         lookups = schema._label_codes
         if (
@@ -180,13 +183,32 @@ class Table:
     def _column_codes(self) -> np.ndarray:
         rows = self.rows
         if self._coded is None or self._coded[0] is not rows:
-            n = len(rows)
-            codes = np.empty((len(self.schema.attributes), n), dtype=np.int32)
-            columns = zip(*[row.cells for row in rows])
-            for j, (lookup, column) in enumerate(zip(self.schema._label_codes, columns)):
-                codes[j] = np.fromiter(map(lookup.__getitem__, column), np.int32, n)
-            self._coded = (rows, codes)
+            listed = list(rows)
+            objects = np.empty(len(listed), dtype=object)
+            objects[:] = listed
+            columns = zip(*[row.cells for row in listed])
+            codes = _encode(self.schema._label_codes, columns, len(listed))
+            self._coded = (rows, codes, objects)
         return self._coded[1]
+
+    def _ids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The row ids as an int64 column in table order, that column
+        sorted, and the positions it was sorted from."""
+        rows = self.rows
+        if self._by_id is None or self._by_id[0] is not rows:
+            ids = np.fromiter(map(attrgetter("id"), rows), np.int64, len(rows))
+            order = np.argsort(ids)
+            self._by_id = (rows, ids, ids[order], order)
+        return self._by_id[1:]
+
+    def _positions(self, ids: np.ndarray) -> np.ndarray:
+        """The positions in ``rows`` of those of ``ids`` (numbers) that are
+        row ids here, by binary search in the sorted id column."""
+        _, by_id, order = self._ids()
+        if not len(order):
+            return order
+        at = np.searchsorted(by_id, ids).clip(max=len(order) - 1)
+        return order[at[by_id[at] == ids]]
 
     def mask(self, query: "SelectionQuery", null_wildcard: bool = False) -> np.ndarray:
         """Boolean array over ``rows``: True where ``query.matches`` would be.
@@ -206,9 +228,97 @@ class Table:
         return keep
 
     def rows_where(self, mask: np.ndarray) -> list[Row]:
-        """The rows at the True positions of ``mask``, in table order."""
-        rows = self.rows
-        return [rows[i] for i in np.flatnonzero(mask).tolist()]
+        """The rows at the True positions of ``mask``, in table order.
+
+        The list also records this table and those positions, so callers
+        such as ``project_distinct`` read the rows' cells off the cached code
+        matrix instead of the ``Row``s.  It is a ``list`` in every other
+        respect; a copy or a pickle of it is a plain ``list``.
+        """
+        at = np.flatnonzero(mask)
+        self._column_codes()
+        return _Selection(self._coded[2][at].tolist(), self, at)
+
+
+class _Selection(list):
+    """Rows of ``table`` at the positions ``at`` (int64) of ``table.rows``.
+
+    Changing the list in place sets ``at`` to None: the rows no longer are
+    the ones at those positions.  Copying or pickling gives a plain ``list``,
+    so a selection never carries its table along.
+    """
+
+    __slots__ = ("table", "at")
+
+    def __init__(self, rows: list[Row], table: Table, at: np.ndarray):
+        super().__init__(rows)
+        self.table = table
+        self.at: np.ndarray | None = at
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+
+def _forgetting_positions(method):
+    def mutate(self, *args, **kwargs):
+        self.at = None
+        return method(self, *args, **kwargs)
+
+    return mutate
+
+
+for _name in (
+    "__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
+    "insert", "pop", "remove", "reverse", "sort", "clear",
+):
+    setattr(_Selection, _name, _forgetting_positions(getattr(list, _name)))
+
+
+def _encode(lookups: Sequence[Mapping], columns: Iterable[Iterable], n: int) -> np.ndarray:
+    """A ``(len(lookups), n)`` int32 matrix of the ``n``-cell label
+    ``columns``, each through its ``Schema._label_codes`` lookup: a domain
+    index, or -1 for null.  A label outside its lookup raises KeyError."""
+    codes = np.empty((len(lookups), n), dtype=np.int32)
+    for j, (lookup, column) in enumerate(zip(lookups, columns)):
+        codes[j] = np.fromiter(map(lookup.__getitem__, column), np.int32, n)
+    return codes
+
+
+def _codes_at(schema: Schema, rows: Sequence[Row], idx: Sequence[int]) -> np.ndarray:
+    """The codes ``(len(idx), len(rows))`` of the cells of ``rows`` (under
+    ``schema``) in the columns ``idx``.  A selection under an equal schema
+    slices its table's cached code matrix at its positions; other rows are
+    encoded."""
+    if isinstance(rows, _Selection) and rows.at is not None and rows.table.schema == schema:
+        return rows.table._column_codes()[np.ix_(idx, rows.at)]
+    cells = [row.cells for row in rows]
+    columns = [map(itemgetter(j), cells) for j in idx]
+    return _encode([schema._label_codes[j] for j in idx], columns, len(cells))
+
+
+def _radix_key(codes: np.ndarray, sizes) -> np.ndarray:
+    """One int64 per column of ``codes`` (row i in ``range(sizes[i])``), equal
+    where the columns are: mixed radix, first row most significant, re-ranked
+    by ``np.unique`` only where the next digit could overflow."""
+    key = np.zeros(codes.shape[1], dtype=np.int64)
+    radix = 1
+    for row, size in zip(codes, sizes):
+        if radix * size >= 2**63:
+            seen, key = np.unique(key, return_inverse=True)
+            radix = len(seen)
+        key = key * size + row
+        radix *= size
+    return key
+
+
+def _distinct(schema: Schema, codes: np.ndarray, idx: Sequence[int]) -> list[tuple[str, ...]]:
+    """The distinct null-free columns of ``codes`` (the codes of ``schema``'s
+    columns ``idx``, one row each) in order of first occurrence, as labels."""
+    codes = codes[:, (codes >= 0).all(axis=0)]
+    sizes = [len(schema.domains[schema.attributes[j]]) for j in idx]
+    _, first = np.unique(_radix_key(codes, sizes), return_index=True)
+    labels, offsets = schema._code_labels
+    return list(zip(*labels[codes[:, np.sort(first)] + offsets[idx]].tolist()))
 
 
 def _check_scale(name: str, value: float) -> None:
@@ -486,7 +596,8 @@ def select(table: Table, query: SelectionQuery, include_null_matches: bool = Fal
 
     Default semantics are certain answers only: a null cell on a constrained
     attribute never matches.  ``include_null_matches`` switches to
-    could-match semantics (nulls act as wildcards).
+    could-match semantics (nulls act as wildcards).  The list records the
+    table and the rows' positions in it (see ``Table.rows_where``).
     """
     query.validate(table.schema)
     return table.rows_where(table.mask(query, include_null_matches))
@@ -495,16 +606,22 @@ def select(table: Table, query: SelectionQuery, include_null_matches: bool = Fal
 def project_distinct(
     schema: Schema, rows: Sequence[Row], attrs: Sequence[str]
 ) -> list[tuple[str, ...]]:
-    """Distinct null-free projections of ``rows`` onto ``attrs``.
+    """Distinct null-free projections of ``rows`` (under ``schema``) onto
+    ``attrs``, in order of first occurrence.
 
-    Combinations containing a null are dropped.  Order of first occurrence
-    is preserved.
+    Combinations containing a null are dropped.  The cells come from the
+    source table's cached code matrix when ``rows`` is a ``select`` or
+    ``AutonomousSource.answer`` result under an equal schema, and are
+    encoded otherwise; each null-free combination gets one mixed-radix key,
+    ``np.unique`` finds the first occurrences, and only the distinct
+    combinations are decoded to labels.  Raises KeyError for an unknown
+    attribute, even when ``rows`` is empty.
     """
-    cells = [row.cells for row in rows]
-    columns = [map(itemgetter(schema.index(a)), cells) for a in attrs]
-    if not columns:
-        return [()] if cells else []
-    return [combo for combo in dict.fromkeys(zip(*columns)) if None not in combo]
+    idx = [schema.index(a) for a in attrs]
+    codes = _codes_at(schema, rows, idx)
+    if not idx:
+        return [()] if codes.shape[1] else []
+    return _distinct(schema, codes, idx)
 
 
 def inject_nulls(

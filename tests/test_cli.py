@@ -1,5 +1,10 @@
 """Command-line interface: exit codes, output shapes, file side effects."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from nullbayes import (
@@ -17,6 +22,20 @@ from nullbayes.cli import main
 from nullbayes.synth import car_demo_net
 
 from conftest import demo_cars, demo_net, sparse_cars, with_unseen_values
+
+
+def test_module_entry_point_prints_usage():
+    # `python -m nullbayes`, as the installed `nullbayes` script runs cli.main
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nullbayes", "--help"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: nullbayes ")
+    for command in ("learn", "impute", "rewrite", "mine-afd", "eval"):
+        assert command in proc.stdout
 
 
 @pytest.fixture()

@@ -136,7 +136,9 @@ def test_component_posteriors_factor_the_whole_row_posterior(case):
         product = np.ones([1] * len(missing))
         for members, _, blanket, _, factors in components:
             attrs = tuple(names[i] for i in members)
-            views = [(net.cpts[a].transpose(order), get, shape) for a, order, get, shape in factors]
+            views = [
+                (net.cpts[a].transpose(order).reshape(shape), get) for a, order, get, shape in factors
+            ]
             got = imputation._posterior(views, codes)
             want = posterior_exact(net, attrs, evidence).probs
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

@@ -282,6 +282,16 @@ class TestRetrievedAnswer:
         assert type(back) is RetrievedAnswer and back == a
         assert hash(back) == hash(a)
 
+    def test_whole_result_pickles_without_the_source_table(self, fitted_demo_net, demo_table):
+        res = bn_all_mb(
+            fitted_demo_net, demo_table, AutonomousSource(demo_table),
+            SelectionQuery({"Body": "Sedan"}), k=10, sample_ratio=1.0,
+        )
+        assert res.answers
+        back = pickle.loads(pickle.dumps(res))
+        assert back == res
+        assert type(back.base) is list
+
 
 class TestBnAllMb:
     def test_demo_candidates_and_retrieval(self, fitted_demo_net, demo_table):

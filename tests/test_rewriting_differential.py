@@ -1,9 +1,11 @@
 """Differential tests: the rewriting helpers against their per-row originals.
 
-``project_distinct`` deduplicates zipped columns with ``dict.fromkeys``,
-``expected_selectivity`` counts a boolean mask, ``expected_precision`` reads
-one entry of the eliminated array, ``order_and_issue`` handles
-each answer in bulk, ``bn_beam`` scans the base once per beam parent, and
+``project_distinct`` deduplicates the code matrix's columns with one key
+each (sliced from the source table's cached matrix for an answer, encoded
+for any other rows), ``expected_selectivity`` counts a boolean mask,
+``expected_precision`` reads one entry of the eliminated array,
+``order_and_issue`` dedups answers over source positions, ``bn_beam``
+splits the base with masks over its codes, and
 ``NaiveBayesModel.posterior`` reads priors and denominators computed once per
 model.  The references below are the row-at-a-time versions they replaced,
 kept verbatim.  Every output must be equal with ``==`` (or
@@ -12,6 +14,7 @@ all five strategies must not change when the references are patched in.
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nullbayes.rewriting as rw
+import nullbayes.tabular as tabular
 from nullbayes import (
     AutonomousSource,
     BayesNet,
@@ -281,6 +285,78 @@ def test_project_distinct_edge_cases(demo_table):
             project_distinct(schema, subset, ("Make", "Colour"))
 
 
+def _encoding():
+    """A spy on the cell encoder: its calls show which path a projection took."""
+    return mock.patch.object(tabular, "_encode", wraps=tabular._encode)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_project_distinct_of_an_answer_reads_the_code_matrix(data):
+    table = data.draw(tables())
+    attributes = data.draw(st.permutations(table.schema.attributes))
+    table = align_table(table, Schema(attributes, table.schema.domains))
+    schema = table.schema
+    rows = AutonomousSource(table).answer(data.draw(queries(schema)))
+    # repeated attributes, and labels in the domains that no row holds
+    attrs = data.draw(st.lists(st.sampled_from(schema.attributes), max_size=5))
+    want = _old_project_distinct(schema, rows, attrs)
+    with _encoding() as encode:
+        for same in (schema, Schema(schema.attributes, schema.domains)):
+            assert project_distinct(same, rows, attrs) == want
+        assert not encode.called
+        for plain in (list(rows), tuple(rows)):
+            assert project_distinct(schema, plain, attrs) == want
+        assert encode.call_count == 2
+
+
+def test_project_distinct_of_answers_edge_cases():
+    for _, world, attr, value, tables_ in _WORLDS:
+        for table in tables_.values():  # plain, permuted, unseen values, empty base
+            schema = table.schema
+            source = AutonomousSource(table)
+            blanket = rw._blanket_attrs(world["net"], SelectionQuery({attr: value}))
+            for query in (SelectionQuery({attr: value}), SelectionQuery({attr: _UNSEEN})):
+                rows = source.answer(query)
+                for attrs in ((), blanket, blanket[::-1] + blanket[:1], schema.attributes):
+                    want = _old_project_distinct(schema, rows, attrs)
+                    with _encoding() as encode:
+                        assert project_distinct(schema, rows, attrs) == want
+                    assert not encode.called
+                    assert project_distinct(schema, tuple(rows), attrs) == want
+                with pytest.raises(KeyError):
+                    project_distinct(schema, rows, (attr, _UNKNOWN_ATTR))
+
+
+_CHANGES = {
+    "append": lambda rows: rows.append(rows[0]),
+    "extend": lambda rows: rows.extend(rows[:1]),
+    "insert": lambda rows: rows.insert(0, rows[-1]),
+    "pop": lambda rows: rows.pop(0),
+    "remove": lambda rows: rows.remove(rows[0]),
+    "reverse": lambda rows: rows.reverse(),
+    "sort": lambda rows: rows.sort(key=lambda r: -r.id),
+    "setitem": lambda rows: rows.__setitem__(0, rows[-1]),
+    "delitem": lambda rows: rows.__delitem__(slice(0, 2)),
+    "iadd": lambda rows: rows.__iadd__(rows[:2]),
+    "imul": lambda rows: rows.__imul__(2),
+    "clear": lambda rows: rows.clear(),
+}
+
+
+@pytest.mark.parametrize("change", _CHANGES)
+def test_project_distinct_of_an_answer_changed_in_place(demo_table, change):
+    rows = AutonomousSource(demo_table).answer(SelectionQuery({"Body": "Sedan"}))
+    _CHANGES[change](rows)
+    assert rows.at is None  # the positions no longer hold
+    attrs = ("Model", "Year", "Make")
+    with _encoding() as encode:
+        assert project_distinct(demo_table.schema, rows, attrs) == _old_project_distinct(
+            demo_table.schema, rows, attrs
+        )
+    assert encode.call_count == 1
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_expected_selectivity_matches_reference(data):
@@ -352,19 +428,18 @@ def test_expected_selectivity_exception_order(demo_table):
     assert type(expected_selectivity(demo_table, sedan, 3)) is int
 
 
+def _rewrites(data, schema):
+    drawn = data.draw(
+        st.lists(st.tuples(queries(schema), st.sampled_from([0.0, 0.25, 0.5, 1.0])), max_size=8)
+    )
+    return [RewrittenQuery(q, QueryScore(p, 1.0, p, p)) for q, p in dict(drawn).items()]
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_order_and_issue_matches_reference(data):
     table = data.draw(tables())
-    rewrites = data.draw(
-        st.lists(
-            st.tuples(queries(table.schema), st.sampled_from([0.0, 0.25, 0.5, 1.0])),
-            max_size=8,
-        )
-    )
-    rewrites = [
-        RewrittenQuery(q, QueryScore(p, 1.0, p, p)) for q, p in dict(rewrites).items()
-    ]
+    rewrites = _rewrites(data, table.schema)
     limit = data.draw(st.one_of(st.none(), st.integers(0, 6)))
     budget = data.draw(st.one_of(st.none(), st.integers(0, 6)))
     ids = [r.id for r in table.rows]
@@ -374,6 +449,25 @@ def test_order_and_issue_matches_reference(data):
     want = _old_order_and_issue(rewrites, want_source, limit=limit, exclude_ids=exclude)
     assert got == want
     assert got_source.queries_used == want_source.queries_used
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_order_and_issue_takes_exclude_ids_in_any_form(data):
+    table = data.draw(tables())
+    rewrites = _rewrites(data, table.schema)
+    ids = [r.id for r in table.rows]
+    absent = [-1, len(ids), len(ids) + 7]  # no row's id
+    exclude = data.draw(st.lists(st.sampled_from(ids + absent), max_size=10))  # repeats too
+    forms = {
+        "generator": lambda: (i for i in exclude),
+        "list": lambda: list(exclude),
+        "int64 array": lambda: np.array(exclude, dtype=np.int64),
+        "int32 array": lambda: np.array(exclude, dtype=np.int32),
+    }
+    want = _old_order_and_issue(rewrites, AutonomousSource(table), exclude_ids=exclude)
+    for form in forms.values():
+        assert order_and_issue(rewrites, AutonomousSource(table), exclude_ids=form()) == want
 
 
 @settings(max_examples=100, deadline=None)

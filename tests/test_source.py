@@ -1,8 +1,11 @@
 """Query-only access with budgets and the sample-ratio probe."""
 
+import copy
+import pickle
+
 import pytest
 
-from nullbayes import AutonomousSource, QueryBudgetError, SelectionQuery, Table
+from nullbayes import AutonomousSource, QueryBudgetError, Row, SelectionQuery, Table
 
 from conftest import sparse_cars
 
@@ -33,6 +36,34 @@ class TestAnswer:
         src.answer(SelectionQuery({"Make": "Audi"}))
         src.answer(SelectionQuery({"Make": "BMW"}))
         assert src.queries_used == 2
+
+
+class TestAnswerList:
+    """An answer also records its rows' positions in the source table, but
+    copies and pickles of it are plain lists that do not carry the table."""
+
+    def test_pickles_as_a_plain_list(self, sparse_table):
+        rows = AutonomousSource(sparse_table).answer(SelectionQuery({"Body": "SUV"}))
+        back = pickle.loads(pickle.dumps(rows))
+        assert type(back) is list
+        assert back == rows == list(rows)
+
+    def test_pickle_size_does_not_grow_with_the_source(self, sparse_table):
+        query = SelectionQuery({"Body": "SUV"})
+        arity = len(sparse_table.schema.attributes)
+        padding = [Row(1000 + i, (None,) * arity) for i in range(500)]
+        big = Table(sparse_table.schema, list(sparse_table.rows) + padding)
+        small_rows = AutonomousSource(sparse_table).answer(query)
+        big_rows = AutonomousSource(big).answer(query)
+        assert big_rows == small_rows
+        assert len(pickle.dumps(big_rows)) == len(pickle.dumps(small_rows))
+
+    @pytest.mark.parametrize("how", [copy.copy, copy.deepcopy])
+    def test_copies_are_plain_lists(self, sparse_table, how):
+        rows = AutonomousSource(sparse_table).answer(SelectionQuery({"Body": "SUV"}))
+        copied = how(rows)
+        assert type(copied) is list
+        assert copied == rows
 
 
 class TestBudget:
