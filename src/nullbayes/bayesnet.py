@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 import time
 import warnings
@@ -23,7 +24,7 @@ from operator import itemgetter
 import numpy as np
 from scipy.special import gammaln
 
-from .tabular import Row, Schema, Table, _check_scale, _value_counts
+from .tabular import Row, Schema, Table, _check_scale, _radix_key, _value_counts
 
 __all__ = [
     "BayesNet",
@@ -175,6 +176,11 @@ class StructureSearchConfig:
     time_limit: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("max_in_degree", "restarts", "max_iterations", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.max_in_degree < 0:
             raise ValueError("max_in_degree must be >= 0")
         if self.restarts < 1:
@@ -234,18 +240,18 @@ class _LocalScores:
         return val
 
 
-def _would_cycle(children: Mapping[int, set[int]], x: int, y: int) -> bool:
-    # adding edge x -> y closes a cycle iff x is reachable from y
-    stack = [y]
-    seen = {y}
+def _would_cycle(parents: Mapping[int, frozenset[int]], x: int, y: int) -> bool:
+    # adding edge x -> y closes a cycle iff y is an ancestor of x
+    stack = [x]
+    seen = {x}
     while stack:
         node = stack.pop()
-        if node == x:
+        if node == y:
             return True
-        for c in children[node]:
-            if c not in seen:
-                seen.add(c)
-                stack.append(c)
+        for p in parents[node]:
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
     return False
 
 
@@ -267,95 +273,52 @@ def _random_start(
 _TIE_TOL = 1e-9
 
 
+def _moves(parents: Mapping[int, frozenset[int]], max_in_degree: int):
+    """Every legal one-edge change (add, delete, reverse ``x -> y``) in
+    increasing ``(x, y, add/delete/reverse)`` order, each as the new parent
+    sets of the nodes it changes."""
+    for x, y in itertools.permutations(range(len(parents)), 2):
+        if x not in parents[y]:
+            if len(parents[y]) < max_in_degree and not _would_cycle(parents, x, y):
+                yield ((y, parents[y] | {x}),)
+            continue
+        dropped = parents[y] - {x}
+        yield ((y, dropped),)
+        if len(parents[x]) < max_in_degree and not _would_cycle({**parents, y: dropped}, y, x):
+            yield ((y, dropped), (x, parents[x] | {y}))
+
+
 def _hill_climb(
     start: dict[int, set[int]],
     scores: _LocalScores,
     cfg: StructureSearchConfig,
     deadline: float | None,
 ) -> tuple[dict[int, set[int]], float]:
-    n = len(scores.sizes)
-    parents = {y: set(ps) for y, ps in start.items()}
-    children: dict[int, set[int]] = {i: set() for i in range(n)}
-    for y, ps in parents.items():
-        for p in ps:
-            children[p].add(y)
-    local = {y: scores.local(y, frozenset(parents[y])) for y in range(n)}
-    total = sum(local.values())
+    """Greedy ascent from ``start``; returns the parent sets and their score.
 
+    Each step applies the move that gains most.  A move replaces the best
+    one seen before it only if it gains more by over ``_TIE_TOL``, so of
+    near-tied moves the first in ``_moves`` order wins; the climb stops when
+    no move gains over ``_TIE_TOL``.
+    """
+    parents = {y: frozenset(ps) for y, ps in start.items()}
+    local = {y: scores.local(y, parents[y]) for y in range(len(scores.sizes))}
     for _ in range(cfg.max_iterations):
         if deadline is not None and time.monotonic() > deadline:
             break
-        best_delta = 0.0
-        best_key: tuple[int, int, int] | None = None
-        best_apply: tuple | None = None
-        for x in range(n):
-            for y in range(n):
-                if x == y:
-                    continue
-                if x not in parents[y]:
-                    # add x -> y
-                    if len(parents[y]) < cfg.max_in_degree and not _would_cycle(children, x, y):
-                        delta = scores.local(y, frozenset(parents[y] | {x})) - local[y]
-                        key = (x, y, 0)
-                        if _better(delta, key, best_delta, best_key):
-                            best_delta, best_key = delta, key
-                            best_apply = ("add", x, y)
-                else:
-                    # delete x -> y
-                    delta = scores.local(y, frozenset(parents[y] - {x})) - local[y]
-                    key = (x, y, 1)
-                    if _better(delta, key, best_delta, best_key):
-                        best_delta, best_key = delta, key
-                        best_apply = ("del", x, y)
-                    # reverse x -> y
-                    if len(parents[x]) < cfg.max_in_degree:
-                        children[x].discard(y)  # probe acyclicity without x -> y
-                        cycles = _would_cycle(children, y, x)
-                        children[x].add(y)
-                        if not cycles:
-                            delta = (
-                                scores.local(y, frozenset(parents[y] - {x}))
-                                - local[y]
-                                + scores.local(x, frozenset(parents[x] | {y}))
-                                - local[x]
-                            )
-                            key = (x, y, 2)
-                            if _better(delta, key, best_delta, best_key):
-                                best_delta, best_key = delta, key
-                                best_apply = ("rev", x, y)
-        if best_apply is None or best_delta <= _TIE_TOL:
+        best_delta, best_move = 0.0, None
+        for move in _moves(parents, cfg.max_in_degree):
+            delta = 0.0
+            for v, ps in move:
+                delta = delta + scores.local(v, ps) - local[v]
+            if delta > best_delta + _TIE_TOL:
+                best_delta, best_move = delta, move
+        if best_move is None:
             break
-        op, x, y = best_apply
-        if op == "add":
-            parents[y].add(x)
-            children[x].add(y)
-        elif op == "del":
-            parents[y].discard(x)
-            children[x].discard(y)
-        else:
-            parents[y].discard(x)
-            children[x].discard(y)
-            parents[x].add(y)
-            children[y].add(x)
-            local[x] = scores.local(x, frozenset(parents[x]))
-        local[y] = scores.local(y, frozenset(parents[y]))
-        total = sum(local.values())
-    return parents, total
-
-
-def _better(
-    delta: float,
-    key: tuple[int, int, int],
-    best_delta: float,
-    best_key: tuple[int, int, int] | None,
-) -> bool:
-    if best_key is None:
-        return delta > _TIE_TOL
-    if delta > best_delta + _TIE_TOL:
-        return True
-    if delta >= best_delta - _TIE_TOL and key < best_key:
-        return True
-    return False
+        for v, ps in best_move:
+            parents[v] = ps
+            local[v] = scores.local(v, ps)
+    return {y: set(ps) for y, ps in parents.items()}, sum(local.values())
 
 
 def learn_structure(train: Table, cfg: StructureSearchConfig | None = None) -> BayesNet:
@@ -707,8 +670,9 @@ def sample_rows(
 ) -> Table:
     """Draw ``n`` complete rows by ancestral sampling.  Deterministic per seed.
 
-    Row i uses row i of one ``rng.random((n, d))`` block, column k for the
-    k-th node in topological order; a node is drawn per parent configuration.
+    Row i draws the k-th node in topological order from ``u``, column k of
+    row i of one ``rng.random((n, d))`` block: the label's index counts the
+    cumulative CPT weights but the last that are at or below ``u * total``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -716,20 +680,16 @@ def sample_rows(
     schema = net.schema
     order = net.topological_order()
     draws = rng.random((n, len(order)))
-    drawn = np.empty((len(order), n), dtype=np.intp)
+    drawn = np.zeros((len(order), n), dtype=np.intp)
     for k, attr in enumerate(order):
         cpt = net.cpts[attr]
-        r = cpt.shape[-1]
-        config = np.zeros(n, dtype=np.intp)
-        for p in net.parents[attr]:
-            config = config * len(schema.domain(p)) + drawn[schema.index(p)]
-        by_config = np.argsort(config, kind="stable")
-        present, starts = np.unique(config[by_config], return_index=True)
+        parents = [schema.index(p) for p in net.parents[attr]]
+        config = _radix_key(drawn[parents], cpt.shape[:-1])
+        cum = np.cumsum(cpt.reshape(-1, cpt.shape[-1]), axis=1)
+        u = draws[:, k] * cum[config, -1]
         column = drawn[schema.index(attr)]
-        for c, rows in zip(present.tolist(), np.split(by_config, starts[1:])):
-            cum = np.cumsum(cpt.reshape(-1, r)[c])
-            j = np.searchsorted(cum, draws[rows, k] * cum[-1], side="right")
-            column[rows] = np.minimum(j, r - 1)
+        for boundary in cum.T[:-1]:
+            column += boundary[config] <= u
     labels = [
         np.array(schema.domain(a), dtype=object)[drawn[i]].tolist()
         for i, a in enumerate(schema.attributes)

@@ -372,10 +372,9 @@ class SelectionQuery:
             pairs = list(predicates.items())
         else:
             pairs = list(predicates)
-        attrs = [a for a, _ in pairs]
-        if len(set(attrs)) != len(attrs):
-            raise ValueError("duplicate attribute in query")
         items = tuple(sorted((str(a), str(v)) for a, v in pairs))
+        if len({a for a, _ in items}) != len(items):
+            raise ValueError("duplicate attribute in query")
         object.__setattr__(self, "items", items)
 
     @classmethod

@@ -4,17 +4,19 @@ against per-row reference implementations.
 ``sample_rows``, ``mine_afds``, ``fit_parameters``, ``fit_naive_bayes`` and
 the structure scores count over ``Table``'s cached code matrix.  The
 references below are the earlier per-row loops, one ``Row`` at a time, which
-share none of that code.  Results must be equal (``==``), not merely close.
+share none of that code.  The structure search runs against a verbatim copy
+of the earlier hill climb.  Results must be equal (``==``), not merely close.
 """
 
 import itertools
 import math
+import time
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nullbayes import (
@@ -172,8 +174,109 @@ class _RefScores(bayesnet._LocalScores):
         return flat.reshape(q, r).astype(float)
 
 
+# the hill climb as it was before its one-loop rewrite, kept verbatim as the
+# referee of the library's search
+
+
+def _old_would_cycle(children, x, y):
+    # adding edge x -> y closes a cycle iff x is reachable from y
+    stack = [y]
+    seen = {y}
+    while stack:
+        node = stack.pop()
+        if node == x:
+            return True
+        for c in children[node]:
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return False
+
+
+def _old_hill_climb(start, scores, cfg, deadline):
+    n = len(scores.sizes)
+    parents = {y: set(ps) for y, ps in start.items()}
+    children = {i: set() for i in range(n)}
+    for y, ps in parents.items():
+        for p in ps:
+            children[p].add(y)
+    local = {y: scores.local(y, frozenset(parents[y])) for y in range(n)}
+    total = sum(local.values())
+
+    for _ in range(cfg.max_iterations):
+        if deadline is not None and time.monotonic() > deadline:
+            break
+        best_delta = 0.0
+        best_key = None
+        best_apply = None
+        for x in range(n):
+            for y in range(n):
+                if x == y:
+                    continue
+                if x not in parents[y]:
+                    # add x -> y
+                    if len(parents[y]) < cfg.max_in_degree and not _old_would_cycle(children, x, y):
+                        delta = scores.local(y, frozenset(parents[y] | {x})) - local[y]
+                        key = (x, y, 0)
+                        if _old_better(delta, key, best_delta, best_key):
+                            best_delta, best_key = delta, key
+                            best_apply = ("add", x, y)
+                else:
+                    # delete x -> y
+                    delta = scores.local(y, frozenset(parents[y] - {x})) - local[y]
+                    key = (x, y, 1)
+                    if _old_better(delta, key, best_delta, best_key):
+                        best_delta, best_key = delta, key
+                        best_apply = ("del", x, y)
+                    # reverse x -> y
+                    if len(parents[x]) < cfg.max_in_degree:
+                        children[x].discard(y)  # probe acyclicity without x -> y
+                        cycles = _old_would_cycle(children, y, x)
+                        children[x].add(y)
+                        if not cycles:
+                            delta = (
+                                scores.local(y, frozenset(parents[y] - {x}))
+                                - local[y]
+                                + scores.local(x, frozenset(parents[x] | {y}))
+                                - local[x]
+                            )
+                            key = (x, y, 2)
+                            if _old_better(delta, key, best_delta, best_key):
+                                best_delta, best_key = delta, key
+                                best_apply = ("rev", x, y)
+        if best_apply is None or best_delta <= bayesnet._TIE_TOL:
+            break
+        op, x, y = best_apply
+        if op == "add":
+            parents[y].add(x)
+            children[x].add(y)
+        elif op == "del":
+            parents[y].discard(x)
+            children[x].discard(y)
+        else:
+            parents[y].discard(x)
+            children[x].discard(y)
+            parents[x].add(y)
+            children[y].add(x)
+            local[x] = scores.local(x, frozenset(parents[x]))
+        local[y] = scores.local(y, frozenset(parents[y]))
+        total = sum(local.values())
+    return parents, total
+
+
+def _old_better(delta, key, best_delta, best_key):
+    if best_key is None:
+        return delta > bayesnet._TIE_TOL
+    if delta > best_delta + bayesnet._TIE_TOL:
+        return True
+    if delta >= best_delta - bayesnet._TIE_TOL and key < best_key:
+        return True
+    return False
+
+
 def _ref_learned_parents(train, cfg):
-    """learn_structure's search over the reference scores; None if it would refuse."""
+    """learn_structure's search, by the old climber over the reference
+    scores; None if it would refuse."""
     data = _ref_complete_rows(train)
     dropped = len(train.rows) - data.shape[0]
     if dropped > 0.5 * len(train.rows) or data.shape[0] < 2:
@@ -189,7 +292,7 @@ def _ref_learned_parents(train, cfg):
             start = bayesnet._random_start(
                 n, cfg.max_in_degree, np.random.default_rng([cfg.seed, restart])
             )
-        parents, score = bayesnet._hill_climb(start, scores, cfg, None)
+        parents, score = _old_hill_climb(start, scores, cfg, None)
         if best_parents is None or score > best_score + bayesnet._TIE_TOL:
             best_parents, best_score = parents, score
     attrs = train.schema.attributes
@@ -250,6 +353,21 @@ def nets(draw):
         weights[..., -1] += weights.sum(axis=-1) == 0  # no all-zero row
         cpts[attr] = weights / weights.sum(axis=-1, keepdims=True)
     return BayesNet(schema, parents, cpts)
+
+
+@st.composite
+def code_matrices(draw, max_attrs=6, max_rows=40):
+    """Null-free ``(d, N)`` code matrices and their domain sizes; some
+    columns copy an earlier one, so that moves tie."""
+    sizes = [draw(st.integers(1, 3)) for _ in range(draw(st.integers(1, max_attrs)))]
+    n_rows = draw(st.integers(2, max_rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = np.stack([rng.integers(0, size, n_rows) for size in sizes])
+    for j in range(1, len(sizes)):
+        if draw(st.booleans()):
+            i = draw(st.integers(0, j - 1))
+            data[j], sizes[j] = data[i], sizes[i]
+    return data, sizes
 
 
 @st.composite
@@ -322,6 +440,38 @@ def test_learn_structure_matches_reference(train, score, restarts):
             return
         got = learn_structure(train, cfg)
     assert got.parents == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    matrix=code_matrices(),
+    max_in_degree=st.integers(0, 3),
+    max_iterations=st.sampled_from((0, 1, 2, 200)),
+    score=st.sampled_from(("bic", "bdeu")),
+    seed=st.integers(0, 2**32 - 1),
+)
+# three copies of one column: from this seed's first random start the climb
+# reverses an edge, which a cycle probe that keeps ``x -> y`` would refuse
+@example(
+    matrix=(np.array([[0, 1], [0, 1], [0, 1]]), [2, 2, 2]),
+    max_in_degree=3,
+    max_iterations=200,
+    score="bic",
+    seed=784759365,
+)
+def test_hill_climb_matches_old_climber(matrix, max_in_degree, max_iterations, score, seed):
+    data, sizes = matrix
+    cfg = StructureSearchConfig(
+        max_in_degree=max_in_degree, max_iterations=max_iterations, score=score
+    )
+    n = len(sizes)
+    rng = np.random.default_rng(seed)
+    starts = [{i: set() for i in range(n)}]
+    starts += [bayesnet._random_start(n, max_in_degree, rng) for _ in range(2)]
+    for start in starts:
+        got = bayesnet._hill_climb(start, bayesnet._LocalScores(data, sizes, cfg), cfg, None)
+        want = _old_hill_climb(start, bayesnet._LocalScores(data, sizes, cfg), cfg, None)
+        assert got == want
 
 
 @settings(max_examples=40, deadline=None)

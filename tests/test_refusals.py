@@ -5,7 +5,8 @@ negative number; a value that scales a score must be finite too.  The CLI
 test drives every subcommand's numeric options with such values: each run
 must exit non-zero with one ``error:`` line, no traceback and no output file.
 Seeds are labels, not quantities, but the random generator refuses negative
-ones, so they are refused up front, before any work.
+ones, so they are refused up front, before any work.  Counts and seeds
+must be integers.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,6 +104,20 @@ def test_negative_seeds_refused():
         GibbsParams(seed=-1)
     with pytest.raises(ValueError, match="^seed must be >= 0$"):
         StructureSearchConfig(seed=-1)
+
+
+@pytest.mark.parametrize("name", ["max_in_degree", "restarts", "max_iterations", "seed"])
+@pytest.mark.parametrize("value", [1.5, 2.0, "2", None])
+def test_structure_search_refuses_non_integer_counts(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+        StructureSearchConfig(**{name: value})
+    StructureSearchConfig(**{name: np.int64(2)})  # what operator.index accepts
+
+
+def test_selection_query_refuses_attributes_equal_as_names():
+    for predicates in ([(1, "a"), ("1", "b")], {1: "a", "1": "b"}):
+        with pytest.raises(ValueError, match="^duplicate attribute in query$"):
+            SelectionQuery(predicates)
 
 
 # ---------------------------------------------------------------------------
