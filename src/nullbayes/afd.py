@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tabular import Row, Schema, Table, _value_counts
+from .tabular import Row, Schema, Table, _check_count, _value_counts
 
 __all__ = [
     "Afd",
@@ -71,13 +71,12 @@ def mine_afds(
     candidate with no such rows is skipped.  Results are sorted by target,
     then determining-set size, then determining set.
     """
-    if max_lhs < 1:
-        raise ValueError("max_lhs must be >= 1")
+    _check_count("max_lhs", max_lhs, 1)
     if not 0.0 <= min_confidence <= 1.0:
         raise ValueError("min_confidence must be in [0, 1]")
     schema = train.schema
     codes = train._column_codes()
-    sizes = [len(schema.domain(a)) for a in schema.attributes]
+    sizes = schema.sizes
     out: list[Afd] = []
     for target in schema.attributes:
         others = [a for a in schema.attributes if a != target]
@@ -173,10 +172,7 @@ class NaiveBayesModel:
         for attr, value in sorted(evidence.items()):
             if attr == target:
                 raise ValueError(f"evidence on the target attribute {target!r}")
-            # the code map sends None to -1, so a negative code is an unseen value
-            code = schema._label_codes[schema.index(attr)].get(value, -1)
-            if code < 0:
-                raise ValueError(f"value {value!r} not in domain of {attr!r}")
+            code = schema.code(attr, value)
             probs = probs * self._smoothed[(attr, target)][code] / self._denoms[(attr, target)]
         total = probs.sum()
         return probs / total
@@ -191,13 +187,12 @@ class NaiveBayesModel:
 def fit_naive_bayes(train: Table) -> NaiveBayesModel:
     schema = train.schema
     codes = train._column_codes()
-    sizes = [len(schema.domain(a)) for a in schema.attributes]
     class_counts = {
-        a: _value_counts(codes[[i]], [sizes[i]]).astype(float)
+        a: _value_counts(codes[[i]], [schema.sizes[i]]).astype(float)
         for i, a in enumerate(schema.attributes)
     }
     pair_counts = {
-        (f, t): _value_counts(codes[[i, j]], [sizes[i], sizes[j]]).astype(float)
+        (f, t): _value_counts(codes[[i, j]], [schema.sizes[i], schema.sizes[j]]).astype(float)
         for i, f in enumerate(schema.attributes)
         for j, t in enumerate(schema.attributes)
         if i != j

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import re
 import time
 import warnings
@@ -24,7 +23,8 @@ from operator import itemgetter
 import numpy as np
 from scipy.special import gammaln
 
-from .tabular import Row, Schema, Table, _check_scale, _radix_key, _value_counts
+from .tabular import Row, Schema, Table, _check_count, _check_scale, _decode, _radix_key
+from .tabular import _value_counts
 
 __all__ = [
     "BayesNet",
@@ -88,12 +88,10 @@ class BayesNet:
         self._order = _topological_order(fixed)
         self._families = tuple(fixed[a] + (a,) for a in schema.attributes)
         tables: dict[str, np.ndarray] = {}
-        for attr in schema.attributes:
+        for attr, family in zip(schema.attributes, self._families):
             if attr not in cpts:
                 raise ValueError(f"no CPT for {attr!r}")
-            want = tuple(len(schema.domain(p)) for p in fixed[attr]) + (
-                len(schema.domain(attr)),
-            )
+            want = tuple(schema.sizes[schema.index(v)] for v in family)
             arr = np.array(cpts[attr], dtype=float)
             if arr.shape != want:
                 raise ValueError(f"CPT for {attr!r} has shape {arr.shape}, expected {want}")
@@ -147,9 +145,8 @@ def uniform_cpts(schema: Schema, parents: Mapping[str, Iterable[str]]) -> dict[s
     out = {}
     for attr in schema.attributes:
         ps = tuple(sorted(parents.get(attr, ())))
-        k = len(schema.domain(attr))
-        shape = tuple(len(schema.domain(p)) for p in ps) + (k,)
-        out[attr] = np.full(shape, 1.0 / k)
+        shape = tuple(schema.sizes[schema.index(a)] for a in (*ps, attr))
+        out[attr] = np.full(shape, 1.0 / shape[-1])
     return out
 
 
@@ -176,21 +173,11 @@ class StructureSearchConfig:
     time_limit: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("max_in_degree", "restarts", "max_iterations", "seed"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer") from None
-        if self.max_in_degree < 0:
-            raise ValueError("max_in_degree must be >= 0")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
+        least = {"max_in_degree": 0, "restarts": 1, "max_iterations": 0, "seed": 0}
+        for name, low in least.items():
+            _check_count(name, getattr(self, name), low)
         if self.time_limit is not None and not self.time_limit >= 0:
             raise ValueError("time_limit must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         if self.score not in ("bic", "bdeu"):
             raise ValueError(f"unknown score {self.score!r}")
         if self.score == "bdeu" and not self.ess > 0:
@@ -240,21 +227,6 @@ class _LocalScores:
         return val
 
 
-def _would_cycle(parents: Mapping[int, frozenset[int]], x: int, y: int) -> bool:
-    # adding edge x -> y closes a cycle iff y is an ancestor of x
-    stack = [x]
-    seen = {x}
-    while stack:
-        node = stack.pop()
-        if node == y:
-            return True
-        for p in parents[node]:
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return False
-
-
 def _random_start(
     n: int, max_in_degree: int, rng: np.random.Generator
 ) -> dict[int, set[int]]:
@@ -276,15 +248,18 @@ _TIE_TOL = 1e-9
 def _moves(parents: Mapping[int, frozenset[int]], max_in_degree: int):
     """Every legal one-edge change (add, delete, reverse ``x -> y``) in
     increasing ``(x, y, add/delete/reverse)`` order, each as the new parent
-    sets of the nodes it changes."""
+    sets of the nodes it changes.  The graph stays acyclic: adding ``x -> y``
+    closes a cycle iff ``y`` is an ancestor of ``x``, and reversing it iff
+    ``x`` is an ancestor of ``y`` once ``y`` has lost parent ``x``."""
+    ancestors = [_ancestors(parents, (x,)) for x in range(len(parents))]
     for x, y in itertools.permutations(range(len(parents)), 2):
         if x not in parents[y]:
-            if len(parents[y]) < max_in_degree and not _would_cycle(parents, x, y):
+            if len(parents[y]) < max_in_degree and y not in ancestors[x]:
                 yield ((y, parents[y] | {x}),)
             continue
         dropped = parents[y] - {x}
         yield ((y, dropped),)
-        if len(parents[x]) < max_in_degree and not _would_cycle({**parents, y: dropped}, y, x):
+        if len(parents[x]) < max_in_degree and x not in _ancestors({**parents, y: dropped}, (y,)):
             yield ((y, dropped), (x, parents[x] | {y}))
 
 
@@ -348,10 +323,9 @@ def learn_structure(train: Table, cfg: StructureSearchConfig | None = None) -> B
         warnings.warn(f"dropped {dropped} rows with nulls for structure search", stacklevel=2)
     if data.shape[1] < 2:
         raise ValueError("structure search needs at least 2 complete rows")
-    sizes = [len(schema.domain(a)) for a in schema.attributes]
-    scores = _LocalScores(data, sizes, cfg)
+    scores = _LocalScores(data, schema.sizes, cfg)
     deadline = None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
-    n = len(sizes)
+    n = len(schema.sizes)
 
     best_parents: dict[int, set[int]] | None = None
     best_score = -math.inf
@@ -386,11 +360,10 @@ def fit_parameters(structure: BayesNet, train: Table, pseudo_count: float = 1.0)
     if train.schema != schema:
         raise ValueError("training table schema does not match the network")
     codes = train._column_codes()
-    sizes = [len(schema.domain(a)) for a in schema.attributes]
     cpts = {}
     for attr in schema.attributes:
         family = [schema.index(a) for a in (*structure.parents[attr], attr)]
-        counts = _value_counts(codes[family], [sizes[i] for i in family])
+        counts = _value_counts(codes[family], [schema.sizes[i] for i in family])
         smoothed = counts + pseudo_count
         totals = smoothed.sum(axis=-1, keepdims=True)
         zero = totals[..., 0] == 0  # only possible with pseudo_count == 0
@@ -674,8 +647,7 @@ def sample_rows(
     row i of one ``rng.random((n, d))`` block: the label's index counts the
     cumulative CPT weights but the last that are at or below ``u * total``.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_count("n", n)
     rng = np.random.default_rng(seed)
     schema = net.schema
     order = net.topological_order()
@@ -690,9 +662,6 @@ def sample_rows(
         column = drawn[schema.index(attr)]
         for boundary in cum.T[:-1]:
             column += boundary[config] <= u
-    labels = [
-        np.array(schema.domain(a), dtype=object)[drawn[i]].tolist()
-        for i, a in enumerate(schema.attributes)
-    ]
-    rows = [Row(start_id + i, cells) for i, cells in enumerate(zip(*labels))]
+    cells = _decode(schema, drawn, range(len(schema.attributes)))
+    rows = [Row(start_id + i, row) for i, row in enumerate(cells)]
     return Table(schema, rows)

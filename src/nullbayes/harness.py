@@ -12,6 +12,7 @@ seed, so runs repeat exactly.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from collections.abc import Sequence
@@ -34,6 +35,7 @@ from .synth import car_demo_net
 from .tabular import (
     SelectionQuery,
     Table,
+    _check_count,
     _check_scale,
     discretize,
     inject_nulls,
@@ -118,8 +120,9 @@ class ExperimentConfig:
         for level in self.levels:
             if not 0 <= level <= 100:
                 raise ValueError("levels are percentages in 0..100")
-        if any(seed < 0 for seed in self.seeds):
-            raise ValueError("seeds must be >= 0")
+            _check_count("levels", level)
+        for seed in self.seeds:
+            _check_count("seeds", seed)
         for key in ("queries", "seeds", "methods", "targets", "levels"):
             entries = getattr(self, key)
             if len(set(entries)) != len(entries):
@@ -127,6 +130,14 @@ class ExperimentConfig:
         for key in ("seeds", "levels"):
             if not getattr(self, key):
                 raise ValueError(f"{key} must not be empty")
+        # every count is an integer, named by its key; GibbsParams and
+        # StructureSearchConfig bound the ranges of those they are passed
+        least = {"synthetic_rows": 0, "top_k": 1, "beam_width": 1, "beam_depth": 1, "afd_max_lhs": 1}
+        for key, hint in get_type_hints(ExperimentConfig).items():
+            if hint is int:
+                _check_count(key, getattr(self, key), least.get(key, -math.inf))
+        if self.query_limit is not None:
+            _check_count("query_limit", self.query_limit)
         GibbsParams(self.gibbs_samples, self.gibbs_burn_in)
         StructureSearchConfig(
             self.max_parents, self.restarts, self.max_iterations, self.score, self.ess
@@ -134,14 +145,7 @@ class ExperimentConfig:
         _check_scale("pseudo_count", self.pseudo_count)
         if not 0.0 <= self.afd_min_confidence <= 1.0:
             raise ValueError("afd_min_confidence must be in [0, 1]")
-        for key in ("top_k", "beam_width", "beam_depth", "afd_max_lhs"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1")
         _check_scale("alpha", self.alpha)
-        if self.synthetic_rows < 0:
-            raise ValueError("synthetic_rows must be >= 0")
-        if self.query_limit is not None and self.query_limit < 0:
-            raise ValueError("query_limit must be >= 0")
 
 
 def _convert(hint, value: str):

@@ -30,10 +30,10 @@ import numpy as np
 
 from .bayesnet import BayesNet, _blanket_plan, _components
 from .inference import ImpossibleEvidenceError, _blanket_product, _check_chain, _cpt_views
-from .inference import _lex_argmax
+from .inference import _lex_argmax, _normalized
 # posterior_exact is not called here, but perfbench/tracing.py patches this name
 from .inference import posterior_exact, posterior_gibbs  # noqa: F401
-from .tabular import Row, Table, _radix_key
+from .tabular import Row, Table, _check_count, _decode, _radix_key
 
 __all__ = ["GibbsParams", "ImputationReport", "impute_tuple", "impute_table"]
 
@@ -46,8 +46,7 @@ class GibbsParams:
 
     def __post_init__(self) -> None:
         _check_chain(self.samples, self.burn_in)
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        _check_count("seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -89,11 +88,7 @@ def _exact_plan(families, sizes: tuple[int, ...], missing: tuple[str, ...]):
 def _posterior(views, codes: list[int]):
     """P(C | blanket), one axis per member, at a row's ``codes`` from the
     ``_cpt_views`` of C's plan."""
-    values = _blanket_product(views, codes)
-    z = float(values.sum())
-    if z <= 0.0:
-        raise ImpossibleEvidenceError("impossible evidence: zero probability")
-    return values / z
+    return _normalized(_blanket_product(views, codes))
 
 
 def _null_patterns(attrs: tuple[str, ...], missing: np.ndarray):
@@ -110,11 +105,10 @@ def _impute_exact(net: BayesNet, joint: bool, codes: np.ndarray, patterns, patte
     """Fill the -1 cells of ``codes`` (``(d, n)``) with exact MAP values;
     ``pattern`` numbers each column's missing set in ``patterns``."""
     schema = net.schema
-    sizes = tuple(len(schema.domains[a]) for a in schema.attributes)
     # a zero in a fully observed family's CPT is the other way evidence can
     # be impossible; families touching the missing set enter the posteriors
     zeros = [
-        (set(vs), np.array([schema._index[v] for v in vs])[:, None], net.cpts[vs[-1]])
+        (set(vs), np.array([schema.index(v) for v in vs])[:, None], net.cpts[vs[-1]])
         for vs in net._families
         if not net.cpts[vs[-1]].all()
     ]
@@ -124,7 +118,7 @@ def _impute_exact(net: BayesNet, joint: bool, codes: np.ndarray, patterns, patte
         for family, at, cpt in zeros:
             if family.isdisjoint(missing) and not cpt[tuple(codes[at, rows])].all():
                 raise ImpossibleEvidenceError("impossible evidence: zero probability")
-        for plan in _exact_plan(net._families, sizes, missing):
+        for plan in _exact_plan(net._families, schema.sizes, missing):
             rows_of.setdefault(plan[0], (plan, []))[1].append(rows)
     for (_, members, blanket, radix, factors), parts in rows_of.values():
         rows = np.concatenate(parts)
@@ -158,7 +152,7 @@ def _impute_gibbs(net, rows, codes, missing, gibbs: GibbsParams, joint: bool, se
     lexicographic order, so ``np.unique``'s first most frequent key is the
     smallest."""
     attrs = net.schema.attributes
-    sizes = [len(net.schema.domains[a]) for a in attrs]
+    sizes = net.schema.sizes
     memo: dict = {}  # the chains' splits and full conditionals, for this call
     fills: list[int] = []
     for row, state, column in zip(rows, codes.T.tolist(), missing.T.tolist()):
@@ -190,8 +184,7 @@ def _impute(net: BayesNet, table: Table, engine: str, gibbs: GibbsParams, joint:
         _impute_exact(net, joint, filled, *_null_patterns(schema.attributes, missing))
     else:
         _impute_gibbs(net, [rows[i] for i in positions], filled, missing, gibbs, joint, seed_of)
-    labels, offsets = schema._code_labels
-    for i, cells in zip(positions, zip(*labels[filled + offsets].tolist())):
+    for i, cells in zip(positions, _decode(schema, filled, range(len(schema.attributes)))):
         rows[i] = Row(rows[i].id, cells)
     return rows, incomplete, filled, missing
 

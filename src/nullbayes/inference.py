@@ -9,6 +9,7 @@ a probability array over the target domains, in target order, summing to 1.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bayesnet import BayesNet, _ancestors, _blanket_plan, _components, _getter
+from .tabular import _check_count
 
 __all__ = [
     "ImpossibleEvidenceError",
@@ -206,9 +208,8 @@ def _expand_clamped(
     out_order: list[str] = list(free)
     for t in targets:
         if t in evidence:
-            dom = net.schema.domain(t)
-            onehot = np.zeros(len(dom))
-            onehot[dom.index(evidence[t])] = 1.0
+            onehot = np.zeros(len(net.schema.domain(t)))
+            onehot[net.schema.code(t, evidence[t])] = 1.0
             arrays = np.multiply.outer(arrays, onehot)
             out_order.append(t)
     perm = [out_order.index(t) for t in targets]
@@ -247,7 +248,7 @@ def posterior_exact(
     _check_query(net, targets, evidence)
     free = [t for t in targets if t not in evidence]
     cpts, steps, final = _elimination_plan(net._families, tuple(free), frozenset(evidence))
-    codes = {a: net.schema.domains[a].index(v) for a, v in evidence.items()}
+    codes = {a: net.schema.code(a, v) for a, v in evidence.items()}
     arrays = [
         net.cpts[attr] if axes is None
         else net.cpts[attr][tuple(slice(None) if v is None else codes[v] for v in axes)]
@@ -255,20 +256,18 @@ def posterior_exact(
     ]
     for inputs, axis in steps:
         arrays.append(_planned_product(arrays, inputs).sum(axis=axis))
-    values = _planned_product(arrays, final)
+    values = _normalized(_planned_product(arrays, final))
+    if _at is not None:
+        return _prob(targets, [net.schema.domains[t] for t in targets], values, _at)
+    return _expand_clamped(net, targets, evidence, free, values)
+
+
+def _normalized(values: np.ndarray) -> np.ndarray:
+    """``values`` over their sum; a sum of zero means impossible evidence."""
     z = float(values.sum())
     if z <= 0.0:
         raise ImpossibleEvidenceError("impossible evidence: zero probability")
-    values = values / z
-    if _at is not None:
-        return _prob(targets, [net.schema.domains[t] for t in targets], values, _at)
-    if not free:
-        # every target clamped by evidence
-        return _expand_clamped(net, targets, evidence, [], np.array(1.0))
-    if len(free) == len(targets):  # then ``free`` is ``targets``, in order
-        domains = tuple(net.schema.domain(t) for t in targets)
-        return JointDistribution(tuple(targets), domains, values)
-    return _expand_clamped(net, targets, evidence, free, values)
+    return values / z
 
 
 def enumerate_joint(net: BayesNet) -> JointDistribution:
@@ -276,19 +275,15 @@ def enumerate_joint(net: BayesNet) -> JointDistribution:
 
     Intended as a test oracle; refuses joints beyond 1e7 states.
     """
-    sizes = [len(net.schema.domain(a)) for a in net.schema.attributes]
-    states = 1
-    for s in sizes:
-        states *= s
-        if states > _MAX_ENUM_STATES:
-            raise ValueError(f"joint has more than {_MAX_ENUM_STATES} states")
+    if math.prod(net.schema.sizes) > _MAX_ENUM_STATES:
+        raise ValueError(f"joint has more than {_MAX_ENUM_STATES} states")
     attrs = tuple(net.schema.attributes)
     full = _planned_product(
         [net.cpts[a] for a in attrs],
         [(i, *_alignment(family, attrs)) for i, family in enumerate(net._families)],
     )
-    total = float(full.sum())
-    return JointDistribution(attrs, tuple(net.schema.domain(a) for a in attrs), full / total)
+    domains = tuple(net.schema.domain(a) for a in attrs)
+    return JointDistribution(attrs, domains, _normalized(full))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +336,7 @@ def posterior_gibbs(
     schema = net.schema
     state = [-1] * len(schema.attributes)
     for attr, value in evidence.items():
-        state[schema._index[attr]] = schema.domain(attr).index(value)
+        state[schema.index(attr)] = schema.code(attr, value)
     free = tuple(a for a in schema.attributes if a not in evidence)
     free_targets = [t for t in targets if t not in evidence]
     kept = _chain(net, state, free, samples, burn_in, seed, memo)
@@ -397,10 +392,9 @@ def _split_chain(net: BayesNet, free: tuple[str, ...], memo: dict):
     the connected variables' columns and entries.  A variable's entry, kept
     in ``memo`` under its name, is its position, a getter of its blanket's
     codes, its full conditionals keyed by those, and its CPT views."""
-    sizes = tuple(len(net.schema.domains[a]) for a in net.schema.attributes)
     for attr in free:
         if attr not in memo:
-            (at,), _, blanket, _, factors = _blanket_plan(net._families, sizes, (attr,))
+            (at,), _, blanket, _, factors = _blanket_plan(net._families, net.schema.sizes, (attr,))
             memo[attr] = at, _getter(blanket[:, 0].tolist()), {}, _cpt_views(net, factors)
     lone = {members[0] for members in _components(net._families, free) if len(members) == 1}
     order = [a for a in net.topological_order() if a in free]
@@ -411,10 +405,8 @@ def _split_chain(net: BayesNet, free: tuple[str, ...], memo: dict):
 
 
 def _check_chain(samples: int, burn_in: int) -> None:
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
+    _check_count("samples", samples, 1)
+    _check_count("burn_in", burn_in)
 
 
 def _cpt_views(net: BayesNet, factors):

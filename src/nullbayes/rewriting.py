@@ -43,7 +43,7 @@ from .inference import posterior_exact
 from .source import AutonomousSource, QueryBudgetError
 # select is no longer called here, but perfbench/tracing.py patches this name
 from .tabular import Row, SelectionQuery, Table, project_distinct, select  # noqa: F401
-from .tabular import _check_scale, _codes_at, _distinct
+from .tabular import _check_count, _check_scale, _codes_at, _distinct
 
 __all__ = [
     "QueryScore",
@@ -144,10 +144,8 @@ class BeamConfig:
     top_k: int = 10
 
     def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError("width must be >= 1")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
+        _check_count("width", self.width, 1)
+        _check_count("depth", self.depth, 1)
 
 
 def f_measure(precision: float, recall: float, alpha: float) -> float:
@@ -263,8 +261,7 @@ def order_and_issue(
     in ``exclude_ids`` are found there with one lookup in the table's id
     column, and only fresh rows become ``RetrievedAnswer``s.
     """
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be >= 0 or None")
+    _check_count("limit", limit, or_none=True)
     ordered = sorted(queries, key=_issue_key)
     if limit is not None:
         ordered = ordered[:limit]
@@ -305,8 +302,7 @@ def _rewrite(model, sample, source, query, k, alpha, sample_ratio, pick, candida
     what it generates from the base answer; the top ``k`` by ``key`` go to
     ``_issue``.  ``model`` is the Bayes net, or the AFD strategies' naive
     Bayes model."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_count("k", k, 1)
     query.validate(model.schema)
     if not len(query):
         raise ValueError("empty query")
@@ -348,15 +344,13 @@ def _beam_candidates(cfg, cand_attrs, base, schema, scorer):
         warnings.warn("no rewrite candidates: the Markov blanket is empty", stacklevel=4)
         return []
     idx = [schema.index(a) for a in cand_attrs]
-    # per attribute, its column index and its codes over the base
-    columns = dict(zip(cand_attrs, zip(idx, _codes_at(schema, base, idx))))
+    columns = dict(zip(cand_attrs, _codes_at(schema, base, idx)))  # codes over the base
 
     def matching(partial_query: SelectionQuery) -> np.ndarray:
         # a mask over the base: its tuples that match the partial query
         keep = np.ones(len(base), dtype=bool)
         for a, v in partial_query.items:
-            j, column = columns[a]
-            keep &= column == schema._label_codes[j][v]
+            keep &= columns[a] == schema.code(a, v)
         return keep
 
     beam: list[RewrittenQuery] = []
@@ -369,8 +363,8 @@ def _beam_candidates(cfg, cand_attrs, base, schema, scorer):
             for attr in cand_attrs:
                 if attr in used:
                     continue
-                j, column = columns[attr]
-                for (value,) in _distinct(schema, column[None, keep], [j]):
+                column = columns[attr][None, keep]
+                for (value,) in _distinct(schema, column, [schema.index(attr)]):
                     cand = parent.query.extended(attr, value)
                     if cand not in pool:
                         pool[cand] = scorer.score(cand)
@@ -467,7 +461,7 @@ def _nb_precision(model: NaiveBayesModel, attr: str, value: str, candidate: Sele
         probs = model.posterior(attr, dict(candidate.items))
     except ValueError:  # a candidate value outside the model's domains
         return 0.0
-    return float(probs[model.schema.domain(attr).index(value)])
+    return float(probs[model.schema.code(attr, value)])
 
 
 def _afd_candidates(model, rules, base, schema, scorer):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 
-from .tabular import Row, SelectionQuery, Table
+from .tabular import Row, SelectionQuery, Table, _check_count
 
 __all__ = ["AutonomousSource", "QueryBudgetError"]
 
@@ -27,8 +27,7 @@ class AutonomousSource:
     """
 
     def __init__(self, table: Table, query_limit: int | None = None):
-        if query_limit is not None and query_limit < 0:
-            raise ValueError("query_limit must be >= 0 or None")
+        _check_count("query_limit", query_limit, or_none=True)
         self._table = table
         self._limit = query_limit
         self._used = 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
@@ -42,10 +43,12 @@ class Schema:
     """Ordered attribute names and the sorted label domain of each attribute.
 
     Domains are stored sorted so that index order equals lexicographic label
-    order everywhere downstream (argmax tie-breaking relies on this).
+    order everywhere downstream (argmax tie-breaking relies on this).  A
+    label's code is that index: ``code`` is the one label -> code lookup and
+    ``sizes`` holds the domain sizes; no other module reads the maps behind.
     """
 
-    __slots__ = ("attributes", "domains", "_index", "_label_codes", "_code_labels")
+    __slots__ = ("attributes", "domains", "sizes", "_index", "_label_codes", "_code_labels")
 
     def __init__(self, attributes: Iterable[str], domains: Mapping[str, Iterable[str]]):
         self.attributes: tuple[str, ...] = tuple(attributes)
@@ -72,12 +75,12 @@ class Schema:
         self._label_codes = [
             {None: -1, **{v: k for k, v in enumerate(fixed[a])}} for a in self.attributes
         ]
+        self.sizes: tuple[int, ...] = tuple(len(fixed[a]) for a in self.attributes)
         # position -> label: every domain in one object array, read at a code
         # plus its attribute's offset (a column of offsets, for (d, N) codes)
-        sizes = [len(fixed[a]) for a in self.attributes]
         self._code_labels = (
             np.array([v for a in self.attributes for v in fixed[a]], dtype=object),
-            np.cumsum([0] + sizes[:-1])[:, None],
+            np.cumsum([0, *self.sizes[:-1]])[:, None],
         )
 
     def index(self, attr: str) -> int:
@@ -89,6 +92,14 @@ class Schema:
     def domain(self, attr: str) -> tuple[str, ...]:
         self.index(attr)
         return self.domains[attr]
+
+    def code(self, attr: str, value: str) -> int:
+        """The index of ``value`` in ``attr``'s domain.  KeyError for an unknown
+        attribute, ValueError for a value outside the domain (None too)."""
+        code = self._label_codes[self.index(attr)].get(value, -1)
+        if code < 0:
+            raise ValueError(f"value {value!r} not in domain of {attr!r}")
+        return code
 
     def value(self, row: "Row", attr: str) -> str | None:
         return row.cells[self.index(attr)]
@@ -137,8 +148,12 @@ class Table:
         self._by_id: tuple[tuple[Row, ...], np.ndarray, np.ndarray, np.ndarray] | None = None
         cells = [row.cells for row in self.rows]
         lookups = schema._label_codes
+        try:
+            ids = {operator.index(row.id) for row in self.rows}
+        except TypeError:  # an id that is not an integer
+            ids = ()
         if (
-            len({row.id for row in self.rows}) < len(cells)
+            len(ids) < len(cells)
             or set(map(len, cells)) - {len(lookups)}
             or any(set(column) - lookup.keys() for lookup, column in zip(lookups, zip(*cells)))
         ):
@@ -150,6 +165,10 @@ class Table:
         seen: set[int] = set()
         arity = len(schema.attributes)
         for row in self.rows:
+            try:
+                operator.index(row.id)
+            except TypeError:
+                raise ValueError(f"row id {row.id!r} is not an integer") from None
             if row.id in seen:
                 raise ValueError(f"duplicate row id {row.id}")
             seen.add(row.id)
@@ -296,14 +315,15 @@ def _codes_at(schema: Schema, rows: Sequence[Row], idx: Sequence[int]) -> np.nda
     return _encode([schema._label_codes[j] for j in idx], columns, len(cells))
 
 
-def _radix_key(codes: np.ndarray, sizes) -> np.ndarray:
+def _radix_key(codes: np.ndarray, sizes, bound: int = 2**63) -> np.ndarray:
     """One int64 per column of ``codes`` (row i in ``range(sizes[i])``), equal
-    where the columns are: mixed radix, first row most significant, re-ranked
-    by ``np.unique`` only where the next digit could overflow."""
+    and ordered as the columns are: mixed radix, first row most significant.
+    Where the next digit would take the key's range to ``bound`` or past it
+    (by default, where it could overflow), ``np.unique`` re-ranks it first."""
     key = np.zeros(codes.shape[1], dtype=np.int64)
     radix = 1
     for row, size in zip(codes, sizes):
-        if radix * size >= 2**63:
+        if radix * size >= bound:
             seen, key = np.unique(key, return_inverse=True)
             radix = len(seen)
         key = key * size + row
@@ -311,14 +331,20 @@ def _radix_key(codes: np.ndarray, sizes) -> np.ndarray:
     return key
 
 
+def _decode(schema: Schema, codes: np.ndarray, idx: Sequence[int]) -> list[tuple[str, ...]]:
+    """The columns of ``codes`` (null-free codes of ``schema``'s columns
+    ``idx``, one row each) as label tuples, decoded one row at a time (one
+    ``tolist`` of the 2-D label array costs twice as much)."""
+    labels, offsets = schema._code_labels
+    return list(zip(*[labels[row].tolist() for row in codes + offsets[idx]]))
+
+
 def _distinct(schema: Schema, codes: np.ndarray, idx: Sequence[int]) -> list[tuple[str, ...]]:
     """The distinct null-free columns of ``codes`` (the codes of ``schema``'s
     columns ``idx``, one row each) in order of first occurrence, as labels."""
     codes = codes[:, (codes >= 0).all(axis=0)]
-    sizes = [len(schema.domains[schema.attributes[j]]) for j in idx]
-    _, first = np.unique(_radix_key(codes, sizes), return_index=True)
-    labels, offsets = schema._code_labels
-    return list(zip(*labels[codes[:, np.sort(first)] + offsets[idx]].tolist()))
+    _, first = np.unique(_radix_key(codes, [schema.sizes[j] for j in idx]), return_index=True)
+    return _decode(schema, codes[:, np.sort(first)], idx)
 
 
 def _check_scale(name: str, value: float) -> None:
@@ -330,36 +356,40 @@ def _check_scale(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite")
 
 
+def _check_count(name: str, value, least: int = 0, *, or_none: bool = False) -> None:
+    """Refuse a count that ``operator.index`` refuses (a float, a string) or
+    below ``least``; with ``or_none``, None passes and the messages say so."""
+    if or_none and value is None:
+        return
+    tail = " or None" if or_none else ""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer{tail}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}{tail}")
+
+
 def _value_counts(codes: np.ndarray, sizes: Sequence[int], observed: bool = False):
     """How many rows take each value combination of the columns of ``codes``.
 
     ``codes`` is ``(k, N)``: domain indices, -1 for null, one row per column
-    of domain size ``sizes[i]``; rows with a null among them are skipped.  A
-    mixed-radix key (first column most significant) feeds one ``np.bincount``;
-    returns int64 counts of shape ``sizes``.  With ``observed`` the key is
-    re-ranked whenever its range passes the row count, so unseen combinations
-    cost nothing and the key cannot overflow; returns ``(groups, counts)`` over
-    the occurring combinations in lexicographic order, ``groups`` numbering
-    their values on all columns but the last.
+    of domain size ``sizes[i]``; rows with a null among them are skipped.
+    ``_radix_key`` keys the rest for one ``np.bincount``; returns int64
+    counts of shape ``sizes``.  With ``observed`` the key's bound is the kept
+    row count + 1, so the counts span at most that count times one domain
+    size, however many combinations go unseen.  Returns ``(groups, counts)``
+    over the occurring combinations in lexicographic order, ``groups``
+    numbering, in order, their values on all columns but the last.
     """
     keep = (codes >= 0).all(axis=0)
-    n = int(np.count_nonzero(keep))
-    key = np.zeros(n, dtype=np.int64)
-    radix = 1
-    for col, size in zip(codes, sizes):
-        key = key * size + col[keep]
-        radix *= size
-        seen = None
-        if observed and radix > n:
-            seen, key = np.unique(key, return_inverse=True)
-            radix = len(seen)
-    counts = np.bincount(key, minlength=radix)
+    kept = codes if keep.all() else codes.compress(keep, axis=1)
     if not observed:
+        counts = np.bincount(_radix_key(kept, sizes), minlength=math.prod(sizes))
         return counts.reshape(tuple(sizes))
-    if seen is None:
-        seen = np.flatnonzero(counts)
-        counts = counts[seen]
-    return seen // sizes[-1], counts
+    counts = np.bincount(_radix_key(kept, sizes, bound=kept.shape[1] + 1))
+    seen = np.flatnonzero(counts)
+    return seen // sizes[-1], counts[seen]
 
 
 class SelectionQuery:
@@ -413,8 +443,7 @@ class SelectionQuery:
 
     def validate(self, schema: Schema) -> None:
         for attr, value in self.items:
-            if value not in schema.domain(attr):
-                raise ValueError(f"value {value!r} not in domain of {attr!r}")
+            schema.code(attr, value)
 
     def matches(self, schema: Schema, row: Row, null_wildcard: bool = False) -> bool:
         """True if the row satisfies every predicate.

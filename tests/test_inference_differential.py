@@ -44,6 +44,7 @@ from nullbayes.inference import (
     _check_query,
     _elimination_plan,
     _expand_clamped,
+    _planned_product,
 )
 from nullbayes.synth import car_demo_net, random_net
 
@@ -153,6 +154,36 @@ def _old_posterior_exact(net, targets, evidence=None) -> JointDistribution:
     return _expand_clamped(net, targets, evidence, free, values)
 
 
+def _tail_posterior_exact(net, targets, evidence=None) -> JointDistribution:
+    # posterior_exact before one normaliser served it and exact imputation,
+    # verbatim but for ``_at``: its own normalising tail and its two
+    # special-case returns (every target clamped, no target clamped)
+    evidence = dict(evidence or {})
+    _check_query(net, targets, evidence)
+    free = [t for t in targets if t not in evidence]
+    cpts, steps, final = _elimination_plan(net._families, tuple(free), frozenset(evidence))
+    codes = {a: net.schema.domains[a].index(v) for a, v in evidence.items()}
+    arrays = [
+        net.cpts[attr] if axes is None
+        else net.cpts[attr][tuple(slice(None) if v is None else codes[v] for v in axes)]
+        for attr, axes in cpts
+    ]
+    for inputs, axis in steps:
+        arrays.append(_planned_product(arrays, inputs).sum(axis=axis))
+    values = _planned_product(arrays, final)
+    z = float(values.sum())
+    if z <= 0.0:
+        raise ImpossibleEvidenceError("impossible evidence: zero probability")
+    values = values / z
+    if not free:
+        # every target clamped by evidence
+        return _expand_clamped(net, targets, evidence, [], np.array(1.0))
+    if len(free) == len(targets):  # then ``free`` is ``targets``, in order
+        domains = tuple(net.schema.domain(t) for t in targets)
+        return JointDistribution(tuple(targets), domains, values)
+    return _expand_clamped(net, targets, evidence, free, values)
+
+
 # ---------------------------------------------------------------------------
 # helpers
 
@@ -233,6 +264,25 @@ _CAR = car_demo_net()
 def test_car_net_matches_full_elimination(query):
     targets, evidence = query
     _assert_same(_CAR, targets, evidence)
+
+
+@settings(max_examples=150)
+@given(data=st.data(), clamped=st.sampled_from(("all", "some", "none")))
+def test_posteriors_are_bitwise_those_of_the_old_tail(data, clamped):
+    net = data.draw(random_nets())
+    attrs = list(net.schema.attributes)
+    targets = data.draw(st.lists(st.sampled_from(attrs), min_size=1, max_size=3, unique=True))
+    on = {"all": targets, "some": targets[:-1], "none": []}[clamped]
+    others = data.draw(st.lists(st.sampled_from(attrs), unique=True).map(
+        lambda picked: [a for a in picked if a not in targets]
+    ))
+    evidence = {a: data.draw(st.sampled_from(net.schema.domain(a))) for a in [*on, *others]}
+    got = _outcome(posterior_exact, net, targets, evidence)
+    want = _outcome(_tail_posterior_exact, net, targets, evidence)
+    assert got[0] == want[0] == "ok"  # random_net's CPTs have no zero
+    assert (got[1].targets, got[1].domains) == (want[1].targets, want[1].domains)
+    assert got[1].probs.shape == want[1].probs.shape
+    assert np.array_equal(got[1].probs, want[1].probs)
 
 
 @settings(max_examples=150)

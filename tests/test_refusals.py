@@ -14,6 +14,8 @@ import io
 import math
 import os
 import tempfile
+from types import SimpleNamespace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 from nullbayes import (
     AutonomousSource,
+    BeamConfig,
     ExperimentConfig,
     GibbsParams,
     SelectionQuery,
@@ -31,13 +34,14 @@ from nullbayes import (
     f_measure,
     fit_parameters,
     mine_afds,
+    order_and_issue,
     sample_rows,
     save_afds,
     save_csv,
     save_model,
 )
 from nullbayes.cli import main
-from nullbayes.rewriting import REWRITING_METHODS
+from nullbayes.rewriting import REWRITING_METHODS, run_method
 from nullbayes.synth import car_demo_net
 
 from conftest import demo_cars, demo_net
@@ -112,6 +116,55 @@ def test_structure_search_refuses_non_integer_counts(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
         StructureSearchConfig(**{name: value})
     StructureSearchConfig(**{name: np.int64(2)})  # what operator.index accepts
+
+
+_COUNTED = {
+    "GibbsParams(samples=10.5)": (lambda: GibbsParams(samples=10.5), "samples"),
+    "GibbsParams(burn_in=2.5)": (lambda: GibbsParams(burn_in=2.5), "burn_in"),
+    "GibbsParams(seed=1.5)": (lambda: GibbsParams(seed=1.5), "seed"),
+    "BeamConfig(width=1.5)": (lambda: BeamConfig(width=1.5), "width"),
+    "BeamConfig(depth=1.5)": (lambda: BeamConfig(depth=1.5), "depth"),
+    "AutonomousSource(table, 1.5)": (lambda: AutonomousSource(demo_cars(), 1.5), "query_limit"),
+    "order_and_issue(limit=1.5)": (
+        lambda: order_and_issue([], AutonomousSource(demo_cars()), limit=1.5), "limit"
+    ),
+    "mine_afds(max_lhs=1.5)": (lambda: mine_afds(demo_cars(), max_lhs=1.5), "max_lhs"),
+    "sample_rows(n=1.5)": (lambda: sample_rows(demo_net(), 1.5, seed=0), "n"),
+}
+_OR_NONE = {"query_limit", "limit"}  # counts where None means unlimited
+
+
+@pytest.mark.parametrize("call", _COUNTED)
+def test_non_integer_counts_refused_where_they_enter(call):
+    make, name = _COUNTED[call]
+    message = f"{name} must be an integer" + (" or None" if name in _OR_NONE else "")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+@pytest.mark.parametrize("method", ["bn-all-mb", "bn-beam"])
+def test_a_non_integer_k_is_refused_before_the_source_answers(method):
+    # bn_beam takes its k from BeamConfig.top_k
+    table = demo_cars()
+    source = AutonomousSource(table)
+    models = SimpleNamespace(net=demo_net())
+    with pytest.raises(ValueError, match="^k must be an integer$"):
+        run_method(method, models, table, source, SelectionQuery({"Body": "Sedan"}), k=1.5)
+    assert source.queries_used == 0
+
+
+_CONFIG_COUNTS = [key for key, hint in get_type_hints(ExperimentConfig).items() if hint is int]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [(key, 10.5) for key in _CONFIG_COUNTS]
+    + [("query_limit", 1.5), ("seeds", (0, 1.5)), ("levels", (0, 10.5))],
+)
+def test_experiment_config_refuses_non_integer_counts_by_their_keys(key, value):
+    cfg = ExperimentConfig(**{"mode": "imputation", "targets": ("Body",), key: value})
+    with pytest.raises(ValueError, match=f"^{key} must be an integer$"):
+        cfg.validate()
 
 
 def test_selection_query_refuses_attributes_equal_as_names():

@@ -1,7 +1,9 @@
 """Tables, queries, CSV round trips, discretization, null injection."""
 
+import ast
 import math
 import os
+import pathlib
 import re
 import tempfile
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nullbayes
 from nullbayes import (
     ParseError,
     Row,
@@ -119,6 +122,17 @@ class TestTable:
         # within one row, the first attribute out of its domain is named
         with pytest.raises(ValueError, match=r"^row 5: value 'p' not in domain of 'A'$"):
             Table(s, [Row(5, ("p", "q"))])
+
+    def test_non_integer_row_id_rejected(self):
+        # a float id used to be truncated by the id column, so 1.5 and 1.7
+        # both became 1; what operator.index accepts passes
+        s = Schema(("A",), {"A": ("x",)})
+        for bad in (1.5, "2", None):
+            message = f"row id {bad!r} is not an integer"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Table(s, [Row(0, ("x",)), Row(bad, ("x",)), Row(1.7, ("x",))])
+        t = Table(s, [Row(np.int64(3), ("x",)), Row(True, ("x",)), Row(2, ("x",))])
+        assert t._ids()[0].tolist() == [3, 1, 2]
 
     def test_row_by_id(self, sparse_table):
         assert sparse_table.row_by_id(7).cells[0] == "Hyundai"
@@ -483,3 +497,16 @@ class TestSampleAndAlign:
         s = Schema(("Make",), {"Make": demo_table.schema.domain("Make")})
         with pytest.raises(ValueError):
             align_table(demo_table, s)
+
+
+def test_only_tabular_reads_the_schema_code_maps():
+    """``Schema`` owns the code layout: every other module goes through
+    ``Schema.code``, ``Schema.index``, ``Schema.sizes`` and ``tabular``'s
+    helpers, never the maps behind them."""
+    private = {"_label_codes", "_code_labels", "_index"}
+    readers = set()
+    for path in pathlib.Path(nullbayes.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                readers.add(path.name)
+    assert readers == {"tabular.py"}
