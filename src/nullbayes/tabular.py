@@ -165,10 +165,7 @@ class Table:
         seen: set[int] = set()
         arity = len(schema.attributes)
         for row in self.rows:
-            try:
-                operator.index(row.id)
-            except TypeError:
-                raise ValueError(f"row id {row.id!r} is not an integer") from None
+            _check_count(f"row id {row.id!r}", row.id, -math.inf)
             if row.id in seen:
                 raise ValueError(f"duplicate row id {row.id}")
             seen.add(row.id)
@@ -315,15 +312,14 @@ def _codes_at(schema: Schema, rows: Sequence[Row], idx: Sequence[int]) -> np.nda
     return _encode([schema._label_codes[j] for j in idx], columns, len(cells))
 
 
-def _radix_key(codes: np.ndarray, sizes, bound: int = 2**63) -> np.ndarray:
+def _radix_key(codes: np.ndarray, sizes) -> np.ndarray:
     """One int64 per column of ``codes`` (row i in ``range(sizes[i])``), equal
-    and ordered as the columns are: mixed radix, first row most significant.
-    Where the next digit would take the key's range to ``bound`` or past it
-    (by default, where it could overflow), ``np.unique`` re-ranks it first."""
+    and ordered as the columns are: mixed radix, first row most significant,
+    re-ranked by ``np.unique`` only where the next digit could overflow."""
     key = np.zeros(codes.shape[1], dtype=np.int64)
     radix = 1
     for row, size in zip(codes, sizes):
-        if radix * size >= bound:
+        if radix * size >= 2**63:
             seen, key = np.unique(key, return_inverse=True)
             radix = len(seen)
         key = key * size + row
@@ -376,18 +372,22 @@ def _value_counts(codes: np.ndarray, sizes: Sequence[int], observed: bool = Fals
     ``codes`` is ``(k, N)``: domain indices, -1 for null, one row per column
     of domain size ``sizes[i]``; rows with a null among them are skipped.
     ``_radix_key`` keys the rest for one ``np.bincount``; returns int64
-    counts of shape ``sizes``.  With ``observed`` the key's bound is the kept
-    row count + 1, so the counts span at most that count times one domain
-    size, however many combinations go unseen.  Returns ``(groups, counts)``
-    over the occurring combinations in lexicographic order, ``groups``
-    numbering, in order, their values on all columns but the last.
+    counts of shape ``sizes``.  With ``observed``, where the key's range
+    passes the kept row count, ``np.unique`` counts the keys instead, so the
+    counts never span more than the kept row count + 1, however large the
+    domains are; returns ``(groups, counts)`` over the occurring combinations
+    in lexicographic order, ``groups`` numbering, in order, their values on
+    all columns but the last.
     """
     keep = (codes >= 0).all(axis=0)
     kept = codes if keep.all() else codes.compress(keep, axis=1)
+    key = _radix_key(kept, sizes)
+    if observed and math.prod(sizes) > len(key):
+        seen, counts = np.unique(key, return_counts=True)
+        return seen // sizes[-1], counts
+    counts = np.bincount(key, minlength=math.prod(sizes))
     if not observed:
-        counts = np.bincount(_radix_key(kept, sizes), minlength=math.prod(sizes))
         return counts.reshape(tuple(sizes))
-    counts = np.bincount(_radix_key(kept, sizes, bound=kept.shape[1] + 1))
     seen = np.flatnonzero(counts)
     return seen // sizes[-1], counts[seen]
 

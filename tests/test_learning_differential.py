@@ -583,3 +583,24 @@ def test_value_counts_match_the_old_radix_loop(columns):
     # re-ranking at other digits numbers the groups differently, but their
     # boundaries, all that mine_afds reads, are the same
     assert np.array_equal(np.diff(groups) != 0, np.diff(old_groups) != 0)
+
+
+def test_observed_counts_stay_within_the_row_count(monkeypatch):
+    # two near-unique columns: a key range of n * n, counted over n rows
+    n = 300
+    rng = np.random.default_rng(0)
+    codes = np.stack([rng.permutation(50_000)[:n], rng.permutation(50_000)[:n]]).astype(np.int32)
+    bincount = np.bincount
+
+    def bounded_bincount(x, *args, **kwargs):
+        # checked before the real call, which would allocate the whole range
+        assert x.max(initial=-1) + 1 <= n + 1
+        assert kwargs.get("minlength", 0) <= n + 1
+        return bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", bounded_bincount)
+    groups, counts = _value_counts(codes, [50_000, 50_000], observed=True)
+    assert len(counts) == n and (counts == 1).all()
+    old_groups, old_counts = _old_value_counts(codes, [50_000, 50_000], observed=True)
+    assert (counts == old_counts).all()
+    assert np.array_equal(np.diff(groups) != 0, np.diff(old_groups) != 0)

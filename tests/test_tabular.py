@@ -128,7 +128,7 @@ class TestTable:
         # both became 1; what operator.index accepts passes
         s = Schema(("A",), {"A": ("x",)})
         for bad in (1.5, "2", None):
-            message = f"row id {bad!r} is not an integer"
+            message = f"row id {bad!r} must be an integer"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 Table(s, [Row(0, ("x",)), Row(bad, ("x",)), Row(1.7, ("x",))])
         t = Table(s, [Row(np.int64(3), ("x",)), Row(True, ("x",)), Row(2, ("x",))])
