@@ -61,9 +61,11 @@ class BayesNet:
 
     ``_families`` holds each attribute's parents, then the attribute, in
     schema order: the DAG in names only, the key of every structural cache.
+    ``_zeros`` holds the families whose CPT holds a zero: observed in full,
+    one of those can make evidence impossible.
     """
 
-    __slots__ = ("schema", "parents", "cpts", "_order", "_families")
+    __slots__ = ("schema", "parents", "cpts", "_order", "_families", "_zeros")
 
     def __init__(
         self,
@@ -103,6 +105,7 @@ class BayesNet:
             arr.flags.writeable = False
             tables[attr] = arr
         self.cpts: dict[str, np.ndarray] = tables
+        self._zeros = tuple(vs for vs in self._families if not tables[vs[-1]].all())
 
     def children(self, attr: str) -> tuple[str, ...]:
         self.schema.index(attr)
@@ -439,6 +442,18 @@ def _components(families, free: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(a for a in free if a in group) for group in unique)
 
 
+def _alignment(variables: tuple[str, ...], out_vars: tuple[str, ...]):
+    """The transpose order, then the index inserting a unit axis per absent
+    variable, that lay an array over ``variables`` on ``out_vars``' axes;
+    None where either is the identity."""
+    perm = tuple(variables.index(v) for v in out_vars if v in variables)
+    index = tuple(slice(None) if v in variables else None for v in out_vars)
+    return (
+        None if perm == tuple(range(len(perm))) else perm,
+        None if len(index) == len(variables) else index,
+    )
+
+
 @lru_cache(maxsize=1024)
 def _blanket_plan(families, sizes: tuple[int, ...], members: tuple[str, ...]):
     """How to multiply out P(C | Markov blanket), C = ``members``, at a
@@ -446,11 +461,10 @@ def _blanket_plan(families, sizes: tuple[int, ...], members: tuple[str, ...]):
     domains of ``sizes``: the CPTs of C's members and of their children,
     sliced at the observed cells (Koller & Friedman, §12.3.1).  It holds no
     CPTs.  Returns C's positions as a tuple and as a column index, the
-    blanket's as a column index and their sizes, and per CPT its attribute,
-    transpose to (observed axes, C's axes), getter of the observed codes
-    from the row's, and shape of the transposed CPT with a unit axis for
-    each member of C outside it, so that slicing it at the observed codes
-    broadcasts over C's axes.
+    blanket's as a column index and their sizes (a radix for its codes), and
+    per CPT its attribute, its ``_alignment`` on (observed axes, C's axes),
+    so that slicing it at the observed codes broadcasts over C's axes, and
+    a getter of the observed codes from the row's.
     """
     pos = {vs[-1]: i for i, vs in enumerate(families)}
     group = set(members)
@@ -464,12 +478,9 @@ def _blanket_plan(families, sizes: tuple[int, ...], members: tuple[str, ...]):
 
     factors = []
     for vs in sorted(touching, key=rank):
-        seen = [k for k, v in enumerate(vs) if v not in group]
-        inside = sorted(set(range(len(vs))) - set(seen), key=lambda k: members.index(vs[k]))
-        shape = tuple(sizes[pos[vs[k]]] for k in seen)
-        shape += tuple(sizes[pos[a]] if a in vs else 1 for a in members)
-        observed = _getter([pos[vs[k]] for k in seen])
-        factors.append((vs[-1], tuple(seen + inside), observed, shape))
+        observed = tuple(v for v in vs if v not in group)
+        getter = _getter([pos[v] for v in observed])
+        factors.append((vs[-1], *_alignment(vs, observed + members), getter))
     at, blanket = tuple(pos[a] for a in members), sorted(pos[v] for v in outside)
     column = np.array(blanket, dtype=np.intp)[:, None]
     return at, np.array(at)[:, None], column, tuple(sizes[b] for b in blanket), tuple(factors)

@@ -139,10 +139,10 @@ def _build_parser() -> _Parser:
 
 
 def _read(path: str, parse):
-    """``parse`` of the UTF-8 text of the file at ``path``; a ValueError in
-    reading or parsing it names the file."""
+    """``parse`` of the UTF-8 text of the file at ``path``, less a leading
+    byte-order mark; a ValueError in reading or parsing it names the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return parse(fh.read())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

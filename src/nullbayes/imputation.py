@@ -29,8 +29,8 @@ from itertools import compress
 import numpy as np
 
 from .bayesnet import BayesNet, _blanket_plan, _components
-from .inference import ImpossibleEvidenceError, _blanket_product, _check_chain, _cpt_views
-from .inference import _lex_argmax, _normalized
+from .inference import _blanket_product, _check_chain, _cpt_views, _lex_argmax, _normalized
+from .inference import _refuse_impossible
 # posterior_exact is not called here, but perfbench/tracing.py patches this name
 from .inference import posterior_exact, posterior_gibbs  # noqa: F401
 from .tabular import Row, Table, _check_count, _decode, _radix_key
@@ -85,12 +85,6 @@ def _exact_plan(families, sizes: tuple[int, ...], missing: tuple[str, ...]):
     return tuple(_blanket_plan(families, sizes, c) for c in _components(families, missing))
 
 
-def _posterior(views, codes: list[int]):
-    """P(C | blanket), one axis per member, at a row's ``codes`` from the
-    ``_cpt_views`` of C's plan."""
-    return _normalized(_blanket_product(views, codes))
-
-
 def _null_patterns(attrs: tuple[str, ...], missing: np.ndarray):
     """The distinct missing sets among the columns of ``missing`` (``(d, n)``
     booleans), and the index of each column's set."""
@@ -104,21 +98,10 @@ def _null_patterns(attrs: tuple[str, ...], missing: np.ndarray):
 def _impute_exact(net: BayesNet, joint: bool, codes: np.ndarray, patterns, pattern) -> None:
     """Fill the -1 cells of ``codes`` (``(d, n)``) with exact MAP values;
     ``pattern`` numbers each column's missing set in ``patterns``."""
-    schema = net.schema
-    # a zero in a fully observed family's CPT is the other way evidence can
-    # be impossible; families touching the missing set enter the posteriors
-    zeros = [
-        (set(vs), np.array([schema.index(v) for v in vs])[:, None], net.cpts[vs[-1]])
-        for vs in net._families
-        if not net.cpts[vs[-1]].all()
-    ]
     by_pattern = np.split(np.argsort(pattern, kind="stable"), np.cumsum(np.bincount(pattern))[:-1])
     rows_of: dict = {}  # component -> (plan, its columns per pattern)
     for missing, rows in zip(patterns, by_pattern):
-        for family, at, cpt in zeros:
-            if family.isdisjoint(missing) and not cpt[tuple(codes[at, rows])].all():
-                raise ImpossibleEvidenceError("impossible evidence: zero probability")
-        for plan in _exact_plan(net._families, schema.sizes, missing):
+        for plan in _exact_plan(net._families, net.schema.sizes, missing):
             rows_of.setdefault(plan[0], (plan, []))[1].append(rows)
     for (_, members, blanket, radix, factors), parts in rows_of.values():
         rows = np.concatenate(parts)
@@ -128,7 +111,7 @@ def _impute_exact(net: BayesNet, joint: bool, codes: np.ndarray, patterns, patte
         views = _cpt_views(net, factors)
         fills = []
         for row_codes in codes[:, rows[first]].T.tolist():
-            probs = _posterior(views, row_codes)
+            probs = _normalized(_blanket_product(views, row_codes))
             axes = range(probs.ndim)
             fills.append(_lex_argmax(probs) if joint else [
                 _lex_argmax(probs.sum(axis=tuple(j for j in axes if j != k)))[0] for k in axes
@@ -173,17 +156,19 @@ def _impute_gibbs(net, rows, codes, missing, gibbs: GibbsParams, joint: bool, se
 def _impute(net: BayesNet, table: Table, engine: str, gibbs: GibbsParams, joint: bool, seed_of):
     """The tail of both engines over ``table``'s code matrix: the output rows,
     the positions of the incomplete rows, their filled codes and their
-    missing mask (``(d, n)`` each)."""
+    missing mask (``(d, n)`` each).  Impossible evidence is refused after
+    the engine runs, so that an engine's own refusal comes first."""
     schema = table.schema
     codes = table._column_codes()
     incomplete = (codes < 0).any(axis=0).nonzero()[0]
-    filled = codes[:, incomplete]
-    missing = filled < 0
+    evidence = codes[:, incomplete]
+    filled, missing = evidence.copy(), evidence < 0
     rows, positions = list(table.rows), incomplete.tolist()
     if engine == "exact":
         _impute_exact(net, joint, filled, *_null_patterns(schema.attributes, missing))
     else:
         _impute_gibbs(net, [rows[i] for i in positions], filled, missing, gibbs, joint, seed_of)
+    _refuse_impossible(net, evidence)
     for i, cells in zip(positions, _decode(schema, filled, range(len(schema.attributes)))):
         rows[i] = Row(rows[i].id, cells)
     return rows, incomplete, filled, missing

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bayesnet import BayesNet, _ancestors, _blanket_plan, _components, _getter
+from .bayesnet import BayesNet, _alignment, _ancestors, _blanket_plan, _components, _getter
 from .tabular import _check_count
 
 __all__ = [
@@ -118,25 +118,18 @@ def format_distribution(dist: JointDistribution) -> str:
 # variable elimination: a plan per DAG and query shape, then array products
 
 
-def _alignment(variables: tuple[str, ...], out_vars: tuple[str, ...]):
-    """The transpose order, then the index inserting a unit axis per absent
-    variable, that lay an array over ``variables`` on ``out_vars``' axes;
-    None where either is the identity."""
-    perm = tuple(variables.index(v) for v in out_vars if v in variables)
-    index = tuple(slice(None) if v in variables else None for v in out_vars)
-    return (
-        None if perm == tuple(range(len(perm))) else perm,
-        None if len(index) == len(variables) else index,
-    )
+def _laid_out(arr: np.ndarray, perm, index) -> np.ndarray:
+    """``arr`` transposed by ``perm``, then indexed by ``index``: a view."""
+    if perm is not None:
+        arr = arr.transpose(perm)
+    return arr if index is None else arr[index]
 
 
 def _planned_product(arrays: list[np.ndarray], inputs) -> np.ndarray:
     """Product, in ``inputs`` order, of ``arrays[slot]`` laid out as planned."""
     values = None
     for slot, perm, index in inputs:
-        arr = arrays[slot] if perm is None else arrays[slot].transpose(perm)
-        if index is not None:
-            arr = arr[index]
+        arr = _laid_out(arrays[slot], perm, index)
         values = arr if values is None else values * arr
     return values
 
@@ -270,6 +263,15 @@ def _normalized(values: np.ndarray) -> np.ndarray:
     return values / z
 
 
+def _refuse_impossible(net: BayesNet, codes: np.ndarray) -> None:
+    """Raise ``ImpossibleEvidenceError`` if a column of ``codes`` (``(d, n)``,
+    -1 where unobserved) observes a whole family at a zero of its CPT."""
+    for vs in net._zeros:
+        cells = codes[[net.schema.index(v) for v in vs]]
+        if not net.cpts[vs[-1]][tuple(cells[:, (cells >= 0).all(axis=0)])].all():
+            raise ImpossibleEvidenceError("impossible evidence: zero probability")
+
+
 def enumerate_joint(net: BayesNet) -> JointDistribution:
     """The full joint over all attributes (schema order) by brute force.
 
@@ -322,7 +324,8 @@ def posterior_gibbs(
     CPT views and conditionals keyed by its blanket.  ``_codes`` (private
     too) is a row's codes, -1 at ``targets``, which must then be every
     unobserved attribute in schema order: the kept states come back as one
-    int array, a row per sample, never an array over the joint.
+    int array, a row per sample, never an array over the joint.  Evidence
+    at a zero of a fully observed family's CPT raises, as in ``posterior_exact``.
     """
     memo = {} if _memo is None else _memo
     if _codes is not None:
@@ -330,13 +333,14 @@ def posterior_gibbs(
     evidence = dict(evidence or {})
     _check_query(net, targets, evidence)
     _check_chain(samples, burn_in)
-    if all(t in evidence for t in targets):
-        return _expand_clamped(net, targets, evidence, [], np.array(1.0))
-
     schema = net.schema
     state = [-1] * len(schema.attributes)
     for attr, value in evidence.items():
         state[schema.index(attr)] = schema.code(attr, value)
+    _refuse_impossible(net, np.array(state)[:, None])
+    if all(t in evidence for t in targets):
+        return _expand_clamped(net, targets, evidence, [], np.array(1.0))
+
     free = tuple(a for a in schema.attributes if a not in evidence)
     free_targets = [t for t in targets if t not in evidence]
     kept = _chain(net, state, free, samples, burn_in, seed, memo)
@@ -410,9 +414,8 @@ def _check_chain(samples: int, burn_in: int) -> None:
 
 
 def _cpt_views(net: BayesNet, factors):
-    """A ``_blanket_plan``'s factors with each CPT transposed and reshaped
-    as planned (a view: only unit axes are inserted), and its getter."""
-    return [(net.cpts[a].transpose(order).reshape(shape), get) for a, order, get, shape in factors]
+    """A ``_blanket_plan``'s factors: each CPT laid out as planned, and its getter."""
+    return [(_laid_out(net.cpts[a], perm, index), get) for a, perm, index, get in factors]
 
 
 def _blanket_product(views, codes: list[int]) -> np.ndarray:

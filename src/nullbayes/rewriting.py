@@ -202,31 +202,6 @@ def expected_selectivity(
     return int(np.count_nonzero(sample.mask(candidate))) * ratio
 
 
-class _Scorer:
-    """Scores candidates against one original query.
-
-    Precision is the Bayes net ``model``'s posterior of the original values
-    given the candidate's (cached per candidate), unless the caller passes it
-    in: the AFD strategies compute theirs with their naive Bayes ``model``.
-    """
-
-    def __init__(self, model, sample, original, alpha, ratio):
-        self.model = model
-        self.sample = sample
-        self.original = original
-        self.alpha = alpha
-        self.ratio = ratio
-        self._cache: dict[SelectionQuery, float] = {}
-
-    def score(self, candidate: SelectionQuery, precision: float | None = None) -> RewrittenQuery:
-        p = self._cache.get(candidate) if precision is None else precision
-        if p is None:
-            p = self._cache[candidate] = expected_precision(self.model, self.original, candidate)
-        sel = expected_selectivity(self.sample, candidate, self.ratio)
-        r = p * sel
-        return RewrittenQuery(candidate, QueryScore(p, sel, r, f_measure(p, r, self.alpha)))
-
-
 def _rank_key(rq: RewrittenQuery) -> tuple:
     # F desc, precision desc, fewer predicates, text asc
     return (-_tie(rq.score.f_measure), -_tie(rq.score.precision), len(rq.query), rq.text())
@@ -288,20 +263,12 @@ def order_and_issue(
     return answers, issued, truncated
 
 
-def _issue(
-    base: list[Row], selected: list[RewrittenQuery], source: AutonomousSource, limit: int
-) -> RewritingResult:
-    ids = base.table._ids()[0][base.at]
-    answers, issued, truncated = order_and_issue(selected, source, limit=limit, exclude_ids=ids)
-    return RewritingResult(base, answers, issued, selected, truncated)
-
-
 def _rewrite(model, sample, source, query, k, alpha, sample_ratio, pick, candidates, key):
     """The pipeline of every strategy.  ``pick(query)`` chooses what it
     rewrites through, or raises if it does not apply; ``candidates`` scores
-    what it generates from the base answer; the top ``k`` by ``key`` go to
-    ``_issue``.  ``model`` is the Bayes net, or the AFD strategies' naive
-    Bayes model."""
+    what it generates from the base answer with ``score``; the top ``k`` by
+    ``key`` are issued.  ``model`` is the Bayes net, or the AFD strategies'
+    naive Bayes model, whose candidates pass their precision to ``score``."""
     _check_count("k", k, 1)
     query.validate(model.schema)
     if not len(query):
@@ -313,16 +280,28 @@ def _rewrite(model, sample, source, query, k, alpha, sample_ratio, pick, candida
     if sample_ratio is None:
         sample_ratio = source.estimate_ratio(sample)
     base = source.answer(query)
-    scorer = _Scorer(model, sample, query, alpha, sample_ratio)
-    scored = sorted(candidates(picked, base, source.schema, scorer), key=key)
-    return _issue(base, scored[:k], source, k)
+    precisions: dict[SelectionQuery, float] = {}
+
+    def score(candidate: SelectionQuery, precision: float | None = None) -> RewrittenQuery:
+        # the net's posterior of the query's values, once per candidate
+        p = precisions.get(candidate) if precision is None else precision
+        if p is None:
+            p = precisions[candidate] = expected_precision(model, query, candidate)
+        sel = expected_selectivity(sample, candidate, sample_ratio)
+        r = p * sel
+        return RewrittenQuery(candidate, QueryScore(p, sel, r, f_measure(p, r, alpha)))
+
+    selected = sorted(candidates(picked, base, source.schema, score), key=key)[:k]
+    ids = base.table._ids()[0][base.at]
+    answers, issued, truncated = order_and_issue(selected, source, limit=k, exclude_ids=ids)
+    return RewritingResult(base, answers, issued, selected, truncated)
 
 
 def _blanket_attrs(net: BayesNet, query: SelectionQuery) -> list[str]:
     return sorted(_blanket(net._families, set(query.attributes))[1])
 
 
-def _blanket_candidates(cand_attrs, base, schema, scorer):
+def _blanket_candidates(cand_attrs, base, schema, score):
     # bn_all_mb's: every distinct null-free combination over the blanket
     combos = project_distinct(schema, base, cand_attrs) if cand_attrs else []
     if not combos:
@@ -332,10 +311,10 @@ def _blanket_candidates(cand_attrs, base, schema, scorer):
             else "no base tuple is null-free on the Markov blanket"
         )
         warnings.warn(f"no rewrite candidates: {cause}", stacklevel=4)  # the strategy's caller
-    return [scorer.score(SelectionQuery(zip(cand_attrs, c))) for c in combos]
+    return [score(SelectionQuery(zip(cand_attrs, c))) for c in combos]
 
 
-def _beam_candidates(cfg, cand_attrs, base, schema, scorer):
+def _beam_candidates(cfg, cand_attrs, base, schema, score):
     # bn_beam's: the last beam's queries with positive F-measure
     if not base:
         warnings.warn("no rewrite candidates: the base result is empty", stacklevel=4)
@@ -367,7 +346,7 @@ def _beam_candidates(cfg, cand_attrs, base, schema, scorer):
                 for (value,) in _distinct(schema, column, [schema.index(attr)]):
                     cand = parent.query.extended(attr, value)
                     if cand not in pool:
-                        pool[cand] = scorer.score(cand)
+                        pool[cand] = score(cand)
         beam = sorted(pool.values(), key=_rank_key)[: cfg.width]
     return [rq for rq in beam if rq.score.f_measure > 0]
 
@@ -464,13 +443,13 @@ def _nb_precision(model: NaiveBayesModel, attr: str, value: str, candidate: Sele
     return float(probs[model.schema.code(attr, value)])
 
 
-def _afd_candidates(model, rules, base, schema, scorer):
+def _afd_candidates(model, query, rules, base, schema, score):
     # per rewritten attribute, the base's distinct combinations over its
     # rule's determining set; a cross-combination's precision is the product
     # of its parts' naive Bayes precisions
     per_attr = []
     for attr, afd in rules.items():
-        value = scorer.original.value(attr)
+        value = query.value(attr)
         parts = [SelectionQuery(zip(afd.determining, c))
                  for c in project_distinct(schema, base, afd.determining)]
         per_attr.append([(cand, _nb_precision(model, attr, value, cand)) for cand in parts])
@@ -481,7 +460,7 @@ def _afd_candidates(model, rules, base, schema, scorer):
         for cand, p in parts:
             predicates.extend(cand.items)
             precision *= p
-        scored.append(scorer.score(SelectionQuery(predicates), precision))
+        scored.append(score(SelectionQuery(predicates), precision))
     return scored
 
 
@@ -511,7 +490,7 @@ def afd_rewrite_single(
     """
     return _rewrite(
         model, sample, source, query, k, alpha, sample_ratio,
-        partial(_afd_rules, afds, how="single"), partial(_afd_candidates, model), _rank_key,
+        partial(_afd_rules, afds, how="single"), partial(_afd_candidates, model, query), _rank_key,
     )
 
 
@@ -543,7 +522,7 @@ def afd_all_attributes(
     """
     return _rewrite(
         model, sample, source, query, k, alpha, sample_ratio,
-        partial(_afd_rules, afds, how="every"), partial(_afd_candidates, model), _issue_key,
+        partial(_afd_rules, afds, how="every"), partial(_afd_candidates, model, query), _issue_key,
     )
 
 
@@ -570,7 +549,8 @@ def afd_highest_confidence(
     """
     return _rewrite(
         model, sample, source, query, k, alpha, sample_ratio,
-        partial(_afd_rules, afds, how="most confident"), partial(_afd_candidates, model), _rank_key,
+        partial(_afd_rules, afds, how="most confident"), partial(_afd_candidates, model, query),
+        _rank_key,
     )
 
 

@@ -484,7 +484,8 @@ def load_csv(path: str, null_token: str = "") -> Table:
 
     Cells are trimmed; a trimmed cell equal to ``null_token`` becomes a
     missing value.  Row ids are assigned 1..N in file order.  Domains are the
-    sets of observed non-null values per column.
+    sets of observed non-null values per column.  A leading UTF-8 byte-order
+    mark (Excel's "CSV UTF-8" writes one) is not part of the first name.
 
     Raises
     ------
@@ -494,7 +495,7 @@ def load_csv(path: str, null_token: str = "") -> Table:
         the line), or an all-null column.  Every message names the file.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

@@ -222,6 +222,14 @@ class TestImpute:
         assert rc == 1
         assert "usage error" in capsys.readouterr().err
 
+    def test_model_file_with_a_byte_order_mark(self, tmp_path, demo_csv, demo_model, capsys):
+        marked = tmp_path / "marked.model"
+        marked.write_text("\ufeff" + Path(demo_model).read_text(encoding="utf-8"), encoding="utf-8")
+        for model, name in ((demo_model, "plain.csv"), (str(marked), "marked.csv")):
+            args = ["impute", "--model", model, "--data", demo_csv, "--out", str(tmp_path / name)]
+            assert main(args) == 0
+        assert (tmp_path / "marked.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
     def test_garbage_model_file(self, tmp_path, demo_csv, capsys):
         bad = tmp_path / "bad.model"
         bad.write_text("not a model\n", encoding="utf-8")
@@ -502,6 +510,24 @@ class TestMineAfd:
         assert "rules over 5 attributes" in capsys.readouterr().out
         rules = load_afds(out.read_text(encoding="utf-8"))
         assert rules and all(0 <= r.confidence <= 1 for r in rules)
+
+    def test_byte_order_marks_in_and_out(self, tmp_path, sparse_csv, capsys):
+        # a CSV with a mark mines rules over the plain names, written without
+        # one; a rules file with a mark loads as the same rules
+        marked = tmp_path / "marked.csv"
+        marked.write_text("\ufeff" + Path(sparse_csv).read_text(encoding="utf-8"), encoding="utf-8")
+        plain, out = tmp_path / "plain.afd", tmp_path / "marked.afd"
+        assert main(["mine-afd", "--train", sparse_csv, "--out", str(plain)]) == 0
+        assert main(["mine-afd", "--train", str(marked), "--out", str(out)]) == 0
+        assert out.read_bytes() == plain.read_bytes()
+        out.write_text("\ufeff" + plain.read_text(encoding="utf-8"), encoding="utf-8")
+        capsys.readouterr()
+        args = ["rewrite", "--query", "Body=SUV", "--source", sparse_csv, "--sample", sparse_csv,
+                "--method", "afd", "--ratio", "1.0", "--rules"]
+        assert main(args + [str(plain)]) == 0
+        want = capsys.readouterr().out
+        assert main(args + [str(out)]) == 0
+        assert capsys.readouterr().out == want
 
     def test_min_confidence_filters(self, tmp_path, sparse_csv):
         loose, strict = tmp_path / "l.afd", tmp_path / "s.afd"

@@ -190,6 +190,11 @@ class TestParseConfig:
         path.write_text("mode = imputation\ntargets = Body\n", encoding="utf-8")
         assert load_config(str(path)).targets == ("Body",)
 
+    def test_load_config_skips_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text("\ufeffmode = imputation\ntargets = Body\n", encoding="utf-8")
+        assert load_config(str(path)).mode == "imputation"
+
 
 class TestSplitTable:
     def _table(self, n=20):

@@ -16,6 +16,7 @@ from nullbayes import (
     impute_tuple,
     map_assignment,
     posterior_exact,
+    posterior_gibbs,
 )
 
 from conftest import oracle_conditional
@@ -48,6 +49,18 @@ def _impossible_evidence_net(y_given_x):
     )
 
 
+def _copy_net():
+    """A -> B with B = A, and an independent C: A=0 with B=1 is impossible in
+    a family that a missing C does not touch."""
+    s = Schema(("A", "B", "C"), {k: ("0", "1") for k in "ABC"})
+    return BayesNet(
+        s, {"B": ("A",)}, {"A": np.array([0.5, 0.5]), "B": np.eye(2), "C": np.array([0.26, 0.74])}
+    )
+
+
+_ZERO = "^impossible evidence: zero probability$"
+
+
 class TestImpossibleEvidence:
     # Z=z1 is impossible in a family that no missing cell touches; Y=y1 is
     # impossible inside X's posterior when P(Y=y1 | X) is 0 for every X
@@ -66,6 +79,31 @@ class TestImpossibleEvidence:
             impute_tuple(net, row, joint=joint)
         with pytest.raises(ImpossibleEvidenceError):
             impute_table(net, Table(net.schema, [row]), joint=joint)
+
+    @pytest.mark.parametrize("engine", ["exact", "gibbs"])
+    @pytest.mark.parametrize("joint", [True, False])
+    def test_both_engines_refuse_a_fully_observed_zero(self, engine, joint):
+        net = _copy_net()
+        impossible, fine = Row(1, ("0", "1", None)), Row(2, ("1", "1", None))
+        gibbs = GibbsParams(samples=20, burn_in=2)
+        for rows in ([impossible], [fine, impossible], [impossible, fine]):
+            with pytest.raises(ImpossibleEvidenceError, match=_ZERO):
+                impute_table(net, Table(net.schema, rows), engine, gibbs, joint)
+        with pytest.raises(ImpossibleEvidenceError, match=_ZERO):
+            impute_tuple(net, impossible, engine, gibbs, joint)
+        # a complete row is not imputed, so it is returned as it is
+        complete = Row(3, ("0", "1", "0"))
+        assert impute_tuple(net, complete, engine, gibbs, joint) == complete
+        filled, _ = impute_table(net, Table(net.schema, [complete, fine]), engine, gibbs, joint)
+        assert filled.rows[0] == complete
+
+    @pytest.mark.parametrize("targets", [["C"], ["A"], ["A", "B"], ["C", "A"]])
+    def test_posterior_gibbs_refuses_as_posterior_exact_does(self, targets):
+        # one free target, every target clamped, and a mix
+        net = _copy_net()
+        for posterior in (posterior_exact, posterior_gibbs):
+            with pytest.raises(ImpossibleEvidenceError, match=_ZERO):
+                posterior(net, targets, {"A": "0", "B": "1"})
 
 
 class TestImputeTuple:

@@ -153,6 +153,34 @@ def _old_posterior(self, target, evidence):
     return probs / total
 
 
+class _Scorer:
+    """Scores candidates against one original query.
+
+    Precision is the Bayes net ``model``'s posterior of the original values
+    given the candidate's (cached per candidate), unless the caller passes it
+    in: the AFD strategies compute theirs with their naive Bayes ``model``.
+    """
+
+    # verbatim but for the ``rw.`` prefixes, so that the reference helpers
+    # patched into ``rw`` serve this copy as they served the original
+
+    def __init__(self, model, sample, original, alpha, ratio):
+        self.model = model
+        self.sample = sample
+        self.original = original
+        self.alpha = alpha
+        self.ratio = ratio
+        self._cache: dict[SelectionQuery, float] = {}
+
+    def score(self, candidate: SelectionQuery, precision: float | None = None) -> RewrittenQuery:
+        p = self._cache.get(candidate) if precision is None else precision
+        if p is None:
+            p = self._cache[candidate] = rw.expected_precision(self.model, self.original, candidate)
+        sel = rw.expected_selectivity(self.sample, candidate, self.ratio)
+        r = p * sel
+        return RewrittenQuery(candidate, QueryScore(p, sel, r, rw.f_measure(p, r, self.alpha)))
+
+
 def _old_bn_beam(net, sample, source, query, cfg=None, sample_ratio=None, expand_empty_base=False):
     cfg = cfg or BeamConfig()
     query.validate(net.schema)
@@ -170,7 +198,7 @@ def _old_bn_beam(net, sample, source, query, cfg=None, sample_ratio=None, expand
         warnings.warn("no rewrite candidates: the Markov blanket is empty", stacklevel=2)
         return RewritingResult(base, [], [], [], False)
 
-    scorer = rw._Scorer(net, sample, query, cfg.alpha, sample_ratio)
+    scorer = _Scorer(net, sample, query, cfg.alpha, sample_ratio)
     schema = source.schema  # base rows are in the source's column order
 
     def values_for(partial, attr):

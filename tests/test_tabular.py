@@ -195,6 +195,14 @@ class TestCsv:
         p.write_text(text, encoding="utf-8")
         return str(p)
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with one
+        path = tmp_path / "excel.csv"
+        path.write_bytes("\ufeffMake,Body\nbmw,suv\naudi,\n".encode("utf-8"))
+        table = load_csv(str(path))
+        assert table.schema.attributes == ("Make", "Body")
+        assert [r.id for r in select(table, SelectionQuery.parse("Make=bmw"))] == [1]
+
     def test_null_positions(self, tmp_path, sparse_table):
         """Loading the sparse fixture reproduces its exact null pattern."""
         path = str(tmp_path / "cars.csv")
