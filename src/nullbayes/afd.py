@@ -54,8 +54,8 @@ class Afd:
     def __post_init__(self) -> None:
         if not self.determining:
             raise ValueError("empty determining set")
-        if tuple(sorted(self.determining)) != self.determining:
-            raise ValueError("determining set must be sorted")
+        if tuple(sorted(set(self.determining))) != self.determining:
+            raise ValueError("determining set must be sorted, without repeats")
         if self.target in self.determining:
             raise ValueError("target inside its own determining set")
         if not 0.0 <= self.confidence <= 1.0:
@@ -242,20 +242,9 @@ def afd_impute_tuple(
             evidence[det] = value
         return model.predict(attr, evidence)[0]
 
-    unpredictable: list[str] = []
-    filled: dict[str, str] = {}
-    for attr in schema.attributes:
-        if cells[attr] is not None:
-            continue
-        value = predict(attr, frozenset())
-        if value is None:
-            unpredictable.append(attr)
-        else:
-            filled[attr] = value
-    new_cells = tuple(
-        filled.get(a, cells[a]) for a in schema.attributes
-    )
-    return Row(row.id, new_cells), sorted(unpredictable)
+    fills = {attr: predict(attr, frozenset()) for attr, value in cells.items() if value is None}
+    new_cells = tuple(fills.get(attr, value) for attr, value in cells.items())
+    return Row(row.id, new_cells), sorted(attr for attr, value in fills.items() if value is None)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from functools import lru_cache
 from operator import itemgetter
 
 import numpy as np
-from scipy.special import gammaln
 
 from .tabular import Row, Schema, Table, _check_count, _check_scale, _decode, _radix_key
 from .tabular import _value_counts
@@ -221,6 +220,7 @@ class _LocalScores:
             nz = counts > 0
             ll = float(np.sum(counts[nz] * np.log(counts[nz] / row_tot[:, None].repeat(r, 1)[nz])))
             return ll - 0.5 * math.log(self.n) * (r - 1) * q
+        from scipy.special import gammaln  # only BDeu needs scipy, so it loads here
         a_row = self.cfg.ess / q
         a_cell = self.cfg.ess / (q * r)
         val = float(
@@ -544,8 +544,9 @@ def load_model(text: str) -> BayesNet:
     Raises
     ------
     ModelFormatError
-        On an unknown version, malformed lines, missing CPT rows, rows that
-        do not sum to 1 within 1e-6, or a cyclic parent graph.
+        On an unknown version, malformed, repeated or undeclared records,
+        parents or labels out of save_model's sorted order, missing CPT rows,
+        rows that do not sum to 1 within 1e-6, or a cyclic parent graph.
     """
     # only \n ends a line (labels may hold \x0b, \x85 and the like); a
     # trailing \r is a CRLF ending, as save_model escapes every \r it writes
@@ -561,6 +562,7 @@ def load_model(text: str) -> BayesNet:
     domains: dict[str, tuple[str, ...]] = {}
     parents: dict[str, tuple[str, ...]] = {}
     cpt_rows: dict[str, dict[tuple[str, ...], list[float]]] = {}
+    parents_line: dict[str, int] = {}
     ended = False
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -579,7 +581,10 @@ def load_model(text: str) -> BayesNet:
             if len(parts) < 2:
                 raise ModelFormatError(f"line {lineno}: malformed parents line")
             name = _unescape(parts[1])
+            if name in parents:
+                raise ModelFormatError(f"line {lineno}: repeated parents record for {name!r}")
             parents[name] = tuple(_unescape(t) for t in parts[2:])
+            parents_line[name] = lineno
         elif kind == "cpt":
             if len(parts) < 3:
                 raise ModelFormatError(f"line {lineno}: malformed cpt line")
@@ -592,7 +597,9 @@ def load_model(text: str) -> BayesNet:
                 probs = [float(t) for t in parts[2 + k :]]
             except ValueError:
                 raise ModelFormatError(f"line {lineno}: bad probability") from None
-            cpt_rows.setdefault(name, {})[combo] = probs
+            if combo in cpt_rows.setdefault(name, {}):
+                raise ModelFormatError(f"line {lineno}: repeated cpt row for {name!r}")
+            cpt_rows[name][combo] = probs
         elif kind == "end":
             ended = True
         else:
@@ -605,11 +612,16 @@ def load_model(text: str) -> BayesNet:
         schema = Schema(attrs, domains)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
+    for name, lineno in parents_line.items():
+        if name not in domains:
+            raise ModelFormatError(f"line {lineno}: parents for undeclared attribute {name!r}")
     cpts: dict[str, np.ndarray] = {}
     for attr in attrs:
         if attr not in parents:
             raise ModelFormatError(f"no parents record for {attr!r}")
         ps = parents[attr]
+        if list(ps) != sorted(ps) or list(domains[attr]) != sorted(domains[attr]):
+            raise ModelFormatError(f"{attr!r}: parents and labels must be listed in sorted order")
         parent_doms = []
         for p in ps:
             if p not in domains:

@@ -28,7 +28,7 @@ from .afd import (
     mine_afds,
 )
 from .bayesnet import BayesNet, StructureSearchConfig, fit_parameters, learn_structure, sample_rows
-from .imputation import GibbsParams, impute_table
+from .imputation import GibbsParams, _graded, impute_table
 from .rewriting import REWRITING_METHODS, RewritingResult, run_method
 from .source import AutonomousSource
 from .synth import car_demo_net
@@ -362,13 +362,10 @@ def _target_accuracy(imputed: Table, test: Table, targets: Sequence[str]):
     a cell whose truth is null is not scored."""
     at = [test.schema.index(t) for t in targets]
     truth = test._column_codes()[at]
-    scored = truth >= 0
-    hits = scored & (imputed._column_codes()[at] == truth)
+    scored, hits, rows, row_hits = _graded(imputed._column_codes()[at], truth, True)
     cells = int(scored.sum())
     if cells == 0:
         raise ValueError("no scoreable target cells; is the ground truth all null?")
-    rows = scored.any(axis=0)
-    row_hits = rows & (hits == scored).all(axis=0)
     return int(hits.sum()) / cells, int(row_hits.sum()) / int(rows.sum()), cells
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress
 
 import numpy as np
@@ -76,15 +75,6 @@ def _check_engine(engine: str) -> None:
         raise ValueError(f"unknown engine {engine!r}")
 
 
-@lru_cache(maxsize=1024)
-def _exact_plan(families, sizes: tuple[int, ...], missing: tuple[str, ...]):
-    """One ``bayesnet._blanket_plan`` per component C of ``missing`` in the
-    moral graph of ``families`` (a net's ``_families``) over domains of
-    ``sizes``: with every other cell observed, P(missing | row) is the
-    product over C of P(C | C's blanket)."""
-    return tuple(_blanket_plan(families, sizes, c) for c in _components(families, missing))
-
-
 def _null_patterns(attrs: tuple[str, ...], missing: np.ndarray):
     """The distinct missing sets among the columns of ``missing`` (``(d, n)``
     booleans), and the index of each column's set."""
@@ -97,13 +87,17 @@ def _null_patterns(attrs: tuple[str, ...], missing: np.ndarray):
 
 def _impute_exact(net: BayesNet, joint: bool, codes: np.ndarray, patterns, pattern) -> None:
     """Fill the -1 cells of ``codes`` (``(d, n)``) with exact MAP values;
-    ``pattern`` numbers each column's missing set in ``patterns``."""
+    ``pattern`` numbers each column's missing set in ``patterns``.  With the
+    other cells observed, P(missing | row) is the product over the missing
+    set's moral-graph components C of P(C | C's blanket): each C is filled
+    from its own ``_blanket_plan``, once per distinct blanket key."""
     by_pattern = np.split(np.argsort(pattern, kind="stable"), np.cumsum(np.bincount(pattern))[:-1])
-    rows_of: dict = {}  # component -> (plan, its columns per pattern)
+    rows_of: dict = {}  # component -> its columns per pattern
     for missing, rows in zip(patterns, by_pattern):
-        for plan in _exact_plan(net._families, net.schema.sizes, missing):
-            rows_of.setdefault(plan[0], (plan, []))[1].append(rows)
-    for (_, members, blanket, radix, factors), parts in rows_of.values():
+        for component in _components(net._families, missing):
+            rows_of.setdefault(component, []).append(rows)
+    for component, parts in rows_of.items():
+        _, at, blanket, radix, factors = _blanket_plan(net._families, net.schema.sizes, component)
         rows = np.concatenate(parts)
         _, first, inverse = np.unique(
             _radix_key(codes[blanket, rows], radix), return_index=True, return_inverse=True
@@ -116,7 +110,7 @@ def _impute_exact(net: BayesNet, joint: bool, codes: np.ndarray, patterns, patte
             fills.append(_lex_argmax(probs) if joint else [
                 _lex_argmax(probs.sum(axis=tuple(j for j in axes if j != k)))[0] for k in axes
             ])
-        codes[members, rows] = np.array(fills, dtype=codes.dtype)[inverse].T
+        codes[at, rows] = np.array(fills, dtype=codes.dtype)[inverse].T
 
 
 def _shares(keys, hits: np.ndarray, totals: np.ndarray) -> dict:
@@ -174,17 +168,23 @@ def _impute(net: BayesNet, table: Table, engine: str, gibbs: GibbsParams, joint:
     return rows, incomplete, filled, missing
 
 
+def _graded(filled: np.ndarray, truth: np.ndarray, cells):
+    """The ``cells`` (a mask, or True for all) of the ``filled`` codes graded
+    against the ``truth`` codes, all ``(d, n)``: the scored cells (not those
+    of a null truth), the hits, the columns scored and the columns all hit."""
+    scored = cells & (truth >= 0)
+    hits = scored & (filled == truth)
+    graded = scored.any(axis=0)
+    return scored, hits, graded, graded & (hits == scored).all(axis=0)
+
+
 def _accuracies(table: Table, truth: Table, truth_at: dict, incomplete, filled, missing):
     """Cell, tuple, attribute and combination accuracy of the ``filled``
     codes of ``table``'s ``incomplete`` rows at their ``missing`` cells
     against ``truth``; cells whose truth is null are not graded."""
     attrs = table.schema.attributes
     at = [truth_at[table.rows[i].id] for i in incomplete.tolist()]
-    actual = truth._column_codes()[:, at]
-    scored = missing & (actual >= 0)  # the gradeable imputed cells
-    hits = scored & (filled == actual)
-    graded = scored.any(axis=0)
-    right = graded & (hits == scored).all(axis=0)
+    scored, hits, graded, right = _graded(filled, truth._column_codes()[:, at], missing)
     cells_scored, tuples_scored = int(scored.sum()), int(graded.sum())
     patterns, pattern = _null_patterns(attrs, missing)
     return (
@@ -234,13 +234,12 @@ def impute_table(
     Both engines fill the incomplete rows' columns of the table's code
     matrix.  The exact engine groups them by null pattern, splits each
     pattern into its components in the moral graph and computes one
-    posterior per distinct (component, observed blanket values) key;
-    components and their CPT layouts sit in a bounded cross-call cache keyed
-    by DAG, domain sizes and missing set, and holding no CPTs.  The Gibbs
-    engine runs one chain per incomplete tuple, seeded by (base seed, tuple
-    id), making results independent of processing order; its chains read
-    the same cache and share one memo, kept for this call, of what depends
-    on the CPTs: CPT views, full conditionals and chain splits.
+    posterior per distinct (component, observed blanket values) key; the
+    components and their blanket plans are cached per DAG, holding no CPTs.
+    The Gibbs engine runs one chain per incomplete tuple, seeded by (base
+    seed, tuple id), making results independent of processing order; its
+    chains read the same plans and share one memo, kept for this call, of
+    what depends on the CPTs: CPT views, full conditionals and chain splits.
     ``truth`` must have the same schema and row ids; accuracy is measured
     over imputed cells only, and cells whose ground truth is itself null
     are left out of every denominator (a tuple counts as correct when all

@@ -9,6 +9,7 @@ a probability array over the target domains, in target order, summing to 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
 from collections.abc import Mapping, Sequence
@@ -18,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bayesnet import BayesNet, _alignment, _ancestors, _blanket_plan, _components, _getter
-from .tabular import _check_count
+from .tabular import _check_count, _value_counts
 
 __all__ = [
     "ImpossibleEvidenceError",
@@ -67,9 +68,7 @@ class JointDistribution:
 
     def items(self):
         """Yield (combination, probability) in C (= lexicographic) order."""
-        for flat, p in enumerate(self.probs.ravel()):
-            idx = np.unravel_index(flat, self.probs.shape)
-            yield tuple(d[i] for d, i in zip(self.domains, idx)), float(p)
+        return zip(itertools.product(*self.domains), self.probs.ravel().tolist())
 
     def marginal(self, attr: str) -> "JointDistribution":
         if attr not in self.targets:
@@ -189,25 +188,14 @@ def _check_query(net: BayesNet, targets: Sequence[str], evidence: Mapping[str, s
 
 
 def _expand_clamped(
-    net: BayesNet,
-    targets: Sequence[str],
-    evidence: Mapping[str, str],
-    free: list[str],
-    free_probs: np.ndarray,
+    net: BayesNet, targets: Sequence[str], evidence: Mapping[str, str], free_probs: np.ndarray
 ) -> JointDistribution:
-    # free_probs has one axis per free target, in `free` order; clamped
-    # targets get a one-hot axis at their evidence value
-    arrays = free_probs
-    out_order: list[str] = list(free)
-    for t in targets:
-        if t in evidence:
-            onehot = np.zeros(len(net.schema.domain(t)))
-            onehot[net.schema.code(t, evidence[t])] = 1.0
-            arrays = np.multiply.outer(arrays, onehot)
-            out_order.append(t)
-    perm = [out_order.index(t) for t in targets]
-    probs = np.transpose(arrays, perm) if len(out_order) > 1 else arrays
+    # free_probs has one axis per free target, in target order; a clamped
+    # target's axis is zero but at its evidence value
     domains = tuple(net.schema.domain(t) for t in targets)
+    probs = np.zeros(tuple(map(len, domains)))
+    at = tuple(net.schema.code(t, evidence[t]) if t in evidence else slice(None) for t in targets)
+    probs[at] = free_probs
     return JointDistribution(tuple(targets), domains, probs)
 
 
@@ -252,7 +240,7 @@ def posterior_exact(
     values = _normalized(_planned_product(arrays, final))
     if _at is not None:
         return _prob(targets, [net.schema.domains[t] for t in targets], values, _at)
-    return _expand_clamped(net, targets, evidence, free, values)
+    return _expand_clamped(net, targets, evidence, values)
 
 
 def _normalized(values: np.ndarray) -> np.ndarray:
@@ -339,14 +327,14 @@ def posterior_gibbs(
         state[schema.index(attr)] = schema.code(attr, value)
     _refuse_impossible(net, np.array(state)[:, None])
     if all(t in evidence for t in targets):
-        return _expand_clamped(net, targets, evidence, [], np.array(1.0))
+        return _expand_clamped(net, targets, evidence, np.array(1.0))
 
     free = tuple(a for a in schema.attributes if a not in evidence)
     free_targets = [t for t in targets if t not in evidence]
     kept = _chain(net, state, free, samples, burn_in, seed, memo)
-    counts = np.zeros(tuple(len(schema.domain(t)) for t in free_targets))
-    np.add.at(counts, tuple(kept[:, [free.index(t) for t in free_targets]].T), 1.0)
-    return _expand_clamped(net, targets, evidence, free_targets, counts / float(samples))
+    columns = kept[:, [free.index(t) for t in free_targets]].T
+    counts = _value_counts(columns, [schema.sizes[schema.index(t)] for t in free_targets])
+    return _expand_clamped(net, targets, evidence, counts / float(samples))
 
 
 def _chain(net: BayesNet, state: list[int], free: tuple[str, ...], samples, burn_in, seed, memo):

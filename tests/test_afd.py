@@ -57,6 +57,10 @@ class TestAfdValue:
     def test_hashable(self):
         assert Afd(("A",), "B", 0.5) == Afd(("A",), "B", 0.5)
 
+    def test_repeated_determining_attribute_is_refused(self):
+        with pytest.raises(ValueError, match="without repeats"):
+            Afd(("Model", "Model"), "Make", 0.9)
+
 
 class TestMineAfds:
     def test_hand_computed_confidences(self, sparse_table):
@@ -224,6 +228,65 @@ class TestChainedImputation:
                     assert after in s.domain(a)
 
 
+    def test_fills_are_those_of_the_two_accumulator_loop(self):
+        def old_impute(afds, model, row):  # the earlier afd_impute_tuple, verbatim
+            schema = model.schema
+            arity = len(schema.attributes)
+            if len(row.cells) != arity:
+                raise ValueError(f"row {row.id} has {len(row.cells)} cells, schema has {arity}")
+            best = best_afds(afds)
+            cells = dict(zip(schema.attributes, row.cells))
+
+            def predict(attr: str, path: frozenset[str]) -> str | None:
+                if attr in path:
+                    return None
+                afd = best.get(attr)
+                if afd is None:
+                    return None
+                path = path | {attr}
+                evidence: dict[str, str] = {}
+                for det in afd.determining:
+                    value = cells[det]
+                    if value is None:
+                        value = predict(det, path)
+                        if value is None:
+                            return None
+                    evidence[det] = value
+                return model.predict(attr, evidence)[0]
+
+            unpredictable: list[str] = []
+            filled: dict[str, str] = {}
+            for attr in schema.attributes:
+                if cells[attr] is not None:
+                    continue
+                value = predict(attr, frozenset())
+                if value is None:
+                    unpredictable.append(attr)
+                else:
+                    filled[attr] = value
+            new_cells = tuple(
+                filled.get(a, cells[a]) for a in schema.attributes
+            )
+            return Row(row.id, new_cells), sorted(unpredictable)
+
+        rng = np.random.default_rng(5)
+        attrs = ("E", "D", "C", "B", "A")  # not sorted, so sorting the report matters
+        s = Schema(attrs, {a: ("0", "1", "2") for a in attrs})
+        draws = rng.integers(0, 3, size=(40, 5))
+        data = Table(s, [Row(i + 1, tuple(map(str, r))) for i, r in enumerate(draws.tolist())])
+        model = fit_naive_bayes(data)
+        for i in range(150):
+            rules = []
+            for target in attrs:
+                if rng.random() < 0.75:
+                    others = [a for a in attrs if a != target]
+                    det = rng.choice(others, size=int(rng.integers(1, 3)), replace=False)
+                    rules.append(Afd(tuple(sorted(det)), target, float(rng.random())))
+            cells = tuple(None if rng.random() < 0.5 else str(int(rng.integers(0, 3))) for _ in attrs)
+            row = Row(i, cells)
+            assert afd_impute_tuple(rules, model, row) == old_impute(rules, model, row)
+
+
 class TestAfdFiles:
     def test_line_round_trip(self):
         afd = Afd(("Make", "Year"), "Body", 7 / 8)
@@ -259,6 +322,13 @@ class TestAfdFiles:
         for bad in ("A B : 0.5", "A -> B", "A -> B : lots"):
             with pytest.raises(ValueError):
                 afd_from_line(bad)
+
+    def test_repeated_determining_attribute_names_the_line(self):
+        bad = "Model,Model -> Make : 0.9"
+        with pytest.raises(ValueError, match=re.escape(f"malformed AFD line {bad!r}")):
+            afd_from_line(bad)
+        with pytest.raises(ValueError, match=re.escape(f"malformed AFD line {bad!r}")):
+            load_afds(f"Year -> Make : 0.5\n{bad}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,113 @@ class TestModelFile:
             load_model("not a model\n")
 
 
+# A (a0, a1) -> B (b0, b1), as save_model lays it out (lines 1-9)
+_AB_MODEL = (
+    "nullbayes-model\t1\n"
+    "attribute\tA\ta0\ta1\n"
+    "attribute\tB\tb0\tb1\n"
+    "parents\tA\n"
+    "parents\tB\tA\n"
+    "cpt\tA\t0.52\t0.48\n"
+    "cpt\tB\ta0\t0.9\t0.1\n"
+    "cpt\tB\ta1\t0.2\t0.8\n"
+    "end\n"
+)
+
+
+def _edited(old: str, new: str) -> str:
+    assert old in _AB_MODEL
+    return _AB_MODEL.replace(old, new, 1)
+
+
+# one malformed text per refusal message of load_model
+_MALFORMED = [
+    ("", "empty model text"),
+    (_edited("nullbayes-model\t1\n", "nullbayes-model\n"), "not a model file"),
+    (_edited("\t1\n", "\t2\n"), "unsupported model format version '2'"),
+    (_AB_MODEL + "attribute\tC\tc0\n", "line 10: content after end marker"),
+    (_edited("attribute\tB\tb0\tb1\n", "attribute\tB\n"), "line 3: attribute needs a domain"),
+    (_edited("parents\tA\n", "parents\n"), "line 4: malformed parents line"),
+    (_edited("cpt\tA\t0.52\t0.48\n", "cpt\tA\n"), "line 6: malformed cpt line"),
+    (_edited("parents\tA\n", "cpt\tA\t0.52\t0.48\nparents\tA\n"),
+     "line 4: cpt before parents for 'A'"),
+    (_edited("0.52", "lots"), "line 6: bad probability"),
+    (_edited("end\n", "fin\n"), "line 9: unknown record 'fin'"),
+    (_edited("end\n", ""), "missing end marker"),
+    ("nullbayes-model\t1\nend\n", "model defines no attributes"),
+    (_edited("attribute\tB\tb0\tb1\n", "attribute\tB\tb0\tb1\nattribute\tB\tb0\n"),
+     "duplicate attribute names in schema"),
+    (_edited("parents\tB\tA\n", "parents\tB\tA\nparents\tZ\n"),
+     "line 6: parents for undeclared attribute 'Z'"),
+    (_edited("parents\tB\tA\n", "parents\tB\tA\nparents\tB\tA\n"),
+     "line 6: repeated parents record for 'B'"),
+    (_edited("parents\tA\n", "").replace("cpt\tA\t0.52\t0.48\n", ""), "no parents record for 'A'"),
+    (_edited("parents\tB\tA\n", "parents\tB\tZ\n"), "unknown parent 'Z' of 'B'"),
+    (_edited("cpt\tA\t0.52\t0.48\n", "cpt\tA\t0.52\t0.48\ncpt\tA\t0.1\t0.9\n"),
+     "line 7: repeated cpt row for 'A'"),
+    (_edited("cpt\tB\ta1\t0.2\t0.8\n", ""), "'B': expected 2 cpt rows, found 1"),
+    # read in file order, these would give the CPT rows to the wrong labels
+    (_edited("attribute\tA\ta0\ta1", "attribute\tA\ta1\ta0"),
+     "'A': parents and labels must be listed in sorted order"),
+    (_edited("attribute\tB\tb0\tb1\n", "attribute\tB\tb0\tb1\nattribute\tC\tc0\n").replace(
+        "parents\tB\tA\n", "parents\tB\tC\tA\nparents\tC\n"
+    ), "'B': parents and labels must be listed in sorted order"),
+    (_edited("0.52\t0.48", "0.52\t0.48\t0"), "'A': cpt row has 3 entries"),
+    (_edited("0.52\t0.48", "0.52\t0.38"), "'A': cpt row does not sum to 1"),
+    (_edited("cpt\tB\ta1", "cpt\tB\tzz"), "'B': unknown parent value in cpt row"),
+    (_edited("parents\tA\n", "parents\tA\tB\n").replace(
+        "cpt\tA\t0.52\t0.48\n", "cpt\tA\tb0\t0.5\t0.5\ncpt\tA\tb1\t0.5\t0.5\n"
+    ), "parent graph has a cycle"),
+]
+
+
+@pytest.mark.parametrize("text, message", _MALFORMED, ids=[m for _, m in _MALFORMED])
+def test_load_model_refusals(text, message):
+    with pytest.raises(ModelFormatError) as info:
+        load_model(text)
+    assert str(info.value) == message
+
+
+def test_load_model_reads_the_well_formed_text():
+    net = load_model(_AB_MODEL)
+    assert net.parents == {"A": (), "B": ("A",)}
+    assert np.array_equal(net.cpts["A"], [0.52, 0.48])
+
+
+def test_load_model_renormalises_a_row_within_the_load_tolerance():
+    row = [0.5200005, 0.48]  # sums to 1 + 5e-7: within 1e-6, beyond the save precision
+    net = load_model(_edited("0.52\t0.48", "0.5200005\t0.48"))
+    assert np.array_equal(net.cpts["A"], np.array(row) / np.array(row).sum())
+    assert abs(net.cpts["A"].sum() - 1.0) <= 1e-12
+
+
+@given(data=st.data())
+def test_edited_model_text_loads_or_raises_model_format_error(data):
+    # whole-line edits of a saved model: drop, repeat, swap, or a field
+    # taken from another line; anything but a BayesNet must be refused
+    lines = save_model(demo_net()).split("\n")
+    fields = sorted({f for line in lines for f in line.split("\t")})
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j = (data.draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+        edit = data.draw(st.sampled_from(["drop", "repeat", "swap", "field"]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(j, lines[i])
+        elif edit == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            parts = lines[i].split("\t")
+            parts[data.draw(st.integers(0, len(parts) - 1))] = data.draw(st.sampled_from(fields))
+            lines[i] = "\t".join(parts)
+        if not lines:
+            break
+    try:
+        load_model("\n".join(lines))
+    except ModelFormatError:
+        pass
+
+
 # names and labels with every character a model line or file could misread:
 # separators, line breaks, escapes, padding, query syntax; "" is drawn too
 _WORD = st.text(st.sampled_from("ab\t\n\r\x0b\x85\u2028\\&=,-> "), max_size=4)

@@ -1,18 +1,24 @@
 """Command-line interface: exit codes, output shapes, file side effects."""
 
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from nullbayes import (
+    Row,
     Schema,
     Table,
     align_table,
+    discretize,
+    harness,
     inject_nulls,
     load_afds,
+    load_csv,
     load_model,
     sample_rows,
     save_csv,
@@ -36,6 +42,27 @@ def test_module_entry_point_prints_usage():
     assert proc.stdout.startswith("usage: nullbayes ")
     for command in ("learn", "impute", "rewrite", "mine-afd", "eval"):
         assert command in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "import nullbayes",
+        "import runpy; sys.argv = ['nullbayes', '--help']\n"
+        "try:\n    runpy.run_module('nullbayes', run_name='__main__')\nexcept SystemExit:\n    pass",
+    ],
+    ids=["import", "help"],
+)
+def test_scipy_stays_unloaded(script):
+    # only the BDeu score needs scipy; the import and `nullbayes --help` do not
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{script}\nprint('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 @pytest.fixture()
@@ -164,6 +191,59 @@ class TestImpute:
         got = capsys.readouterr().out
         assert "cell_accuracy: 1" in got  # truth equals input on visible cells
         assert "tuple_accuracy: 1" in got
+
+    def test_truth_grades_the_hidden_cells(self, tmp_path, capsys):
+        # the truth holds the cells the input hides (one of them null, so
+        # ungradeable); the report's lines are checked against a per-cell count
+        net = car_demo_net()
+        attrs = net.schema.attributes
+        truth = sample_rows(net, 60, seed=11)
+        data = inject_nulls(truth, ["Body", "Price"], 0.5, seed=12)
+        data = inject_nulls(data, ["Year", "Model"], 0.4, seed=13)
+        k = next(i for i, r in enumerate(data.rows) if r.cells[attrs.index("Body")] is None)
+        rows, cells = list(truth.rows), list(truth.rows[k].cells)
+        cells[attrs.index("Body")] = None
+        rows[k] = Row(rows[k].id, tuple(cells))
+        truth = Table(truth.schema, rows)
+        paths = {name: str(tmp_path / name) for name in ("m", "data.csv", "truth.csv", "out.csv")}
+        (tmp_path / "m").write_text(save_model(net), encoding="utf-8")
+        save_csv(data, paths["data.csv"])
+        save_csv(truth, paths["truth.csv"])
+        rc = main(["impute", "--model", paths["m"], "--data", paths["data.csv"],
+                   "--out", paths["out.csv"], "--truth", paths["truth.csv"]])
+        assert rc == 0
+        filled = align_table(load_csv(paths["out.csv"]), net.schema)
+
+        imputed, hits, scored, right, graded = Counter(), Counter(), Counter(), Counter(), Counter()
+        for before, after, actual in zip(data.rows, filled.rows, truth.rows):
+            missing = tuple(a for a, c in zip(attrs, before.cells) if c is None)
+            imputed.update(missing)
+            outcome = [
+                (a, got == want)
+                for a, got, want in zip(attrs, after.cells, actual.cells)
+                if a in missing and want is not None
+            ]
+            for a, hit in outcome:
+                scored[a] += 1
+                hits[a] += hit
+            if outcome:
+                graded[missing] += 1
+                right[missing] += all(hit for _, hit in outcome)
+        want = [
+            f"tuples: {len(data)}",
+            f"tuples_imputed: {sum(1 for r in data.rows if None in r.cells)}",
+            f"cells_imputed: {sum(imputed.values())}",
+            *(f"cells_imputed[{a}]: {imputed[a]}" for a in sorted(imputed)),
+            f"cell_accuracy: {sum(hits.values()) / sum(scored.values()):.10g}",
+            f"tuple_accuracy: {sum(right.values()) / sum(graded.values()):.10g}",
+            *(f"accuracy[{a}]: {hits[a] / scored[a]:.10g}" for a in sorted(scored)),
+            *(f"accuracy[{','.join(c)}]: {right[c] / graded[c]:.10g}" for c in sorted(graded)),
+        ]
+        got = capsys.readouterr().out.splitlines()
+        assert got == want
+        # the run grades something, gets some of it wrong, and skips the null truth
+        assert len(graded) > 1 and 0 < sum(hits.values()) < sum(scored.values())
+        assert scored["Body"] == imputed["Body"] - 1
 
     def test_report_file_keeps_stdout_quiet(self, tmp_path, demo_csv, demo_model, capsys):
         report = tmp_path / "report.txt"
@@ -597,6 +677,45 @@ class TestEval:
         lines = (out_dir / "imputation.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "method,level,seed,cell_accuracy,tuple_accuracy,cells"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize(
+        "conf",
+        [_REWRITING_CONF + "query = Mileage=40000\n", _IMPUTATION_CONF + "targets = Body, Price\n"
+         "methods = afd, bn-exact\n"],
+        ids=["rewriting", "imputation"],
+    )
+    def test_dataset_file_and_discretize_rules(self, tmp_path, capsys, conf):
+        # eval reads `dataset` and applies `discretize` as the library does to
+        # the same table passed in
+        path = tmp_path / "cars.csv"
+        rows = int(re.search(r"synthetic_rows = (\d+)", conf)[1])
+        save_csv(sample_rows(car_demo_net(), rows, seed=4), str(path))
+        rules = "Mileage:20000, Price:10000"
+        conf = conf.replace(f"synthetic_rows = {rows}", f"dataset = {path}\ndiscretize = {rules}")
+        (tmp_path / "run.conf").write_text(conf, encoding="utf-8")
+        out_dir = tmp_path / "results"
+        rc = main(["eval", "--config", str(tmp_path / "run.conf"), "--out-dir", str(out_dir)])
+        assert rc == 0
+        cfg = harness.parse_config(conf)
+        table = load_csv(str(path))
+        bucketed = discretize(table, cfg.discretize_rules)
+        for attr in ("Mileage", "Price"):
+            assert len(bucketed.schema.domain(attr)) < len(table.schema.domain(attr))
+        if cfg.mode == "rewriting":
+            curves = harness.run_rewriting_experiment(cfg, table=table)
+            by_query = {q: i for i, q in enumerate(cfg.queries)}
+            want = {
+                f"curve_{c.method}_q{by_query[c.query]}_s{c.seed}.csv": harness.pr_csv_lines(c)
+                for c in curves
+            }
+            assert len(want) == 2
+        else:
+            runs = harness.run_imputation_experiment(cfg, table=table)
+            want = {"imputation.csv": harness.imputation_csv_lines(runs)}
+            assert len(runs) == 4
+        assert sorted(os.listdir(out_dir)) == sorted(want)
+        for name, lines in want.items():
+            assert (out_dir / name).read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
     def test_bad_config_key(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"

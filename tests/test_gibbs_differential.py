@@ -16,6 +16,7 @@ free variable in the loop, so it referees that split too.
 
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 import pytest
@@ -35,10 +36,35 @@ from nullbayes import (
 )
 from nullbayes import bayesnet, inference
 from nullbayes.synth import car_demo_net, random_net
-from nullbayes.inference import JointDistribution, _check_query, _expand_clamped, map_assignment
+from nullbayes.inference import JointDistribution, _check_query, map_assignment
 
 # ---------------------------------------------------------------------------
 # reference: the per-update loop
+
+
+# the earlier inference._expand_clamped, verbatim: one-hot outer products,
+# then an axis permutation
+def _expand_clamped(
+    net: BayesNet,
+    targets: Sequence[str],
+    evidence: Mapping[str, str],
+    free: list[str],
+    free_probs: np.ndarray,
+) -> JointDistribution:
+    # free_probs has one axis per free target, in `free` order; clamped
+    # targets get a one-hot axis at their evidence value
+    arrays = free_probs
+    out_order: list[str] = list(free)
+    for t in targets:
+        if t in evidence:
+            onehot = np.zeros(len(net.schema.domain(t)))
+            onehot[net.schema.code(t, evidence[t])] = 1.0
+            arrays = np.multiply.outer(arrays, onehot)
+            out_order.append(t)
+    perm = [out_order.index(t) for t in targets]
+    probs = np.transpose(arrays, perm) if len(out_order) > 1 else arrays
+    domains = tuple(net.schema.domain(t) for t in targets)
+    return JointDistribution(tuple(targets), domains, probs)
 
 
 def _ref_posterior_gibbs(net, targets, evidence=None, samples=250, burn_in=100, seed=0):
@@ -206,6 +232,21 @@ def test_car_net_long_chains_match_reference(burn_in, samples):
                 posterior_gibbs(net, targets, evidence, **kwargs),
                 _ref_posterior_gibbs(net, targets, evidence, **kwargs),
             )
+
+
+@pytest.mark.parametrize("clamped", [(), ("Year",), ("Make", "Year", "Price")])
+def test_clamped_targets_are_laid_out_as_before(clamped):
+    # no, a middle and every target clamped: the reference lays clamped axes
+    # out by one-hot outer products and a permutation, its own way
+    net = car_demo_net()
+    evidence = {"Mileage": net.schema.domain("Mileage")[2]}
+    evidence.update((t, net.schema.domain(t)[1]) for t in clamped)
+    for seed in (0, 9):
+        kwargs = dict(samples=60, burn_in=10, seed=seed)
+        _assert_same(
+            posterior_gibbs(net, ["Make", "Year", "Price"], evidence, **kwargs),
+            _ref_posterior_gibbs(net, ["Make", "Year", "Price"], evidence, **kwargs),
+        )
 
 
 def _deterministic_net():

@@ -26,7 +26,7 @@ reference loop: its accuracies now come from the same code-matrix scoring.
 import dataclasses
 import time
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -150,7 +150,8 @@ def test_component_posteriors_factor_the_whole_row_posterior(case):
 def _components(net, missing):
     attrs = net.schema.attributes
     sizes = tuple(len(net.schema.domains[a]) for a in attrs)
-    return imputation._exact_plan(net._families, sizes, missing)
+    plan = partial(bayesnet._blanket_plan, net._families, sizes)
+    return tuple(map(plan, bayesnet._components(net._families, missing)))
 
 
 def _tied_net():

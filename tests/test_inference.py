@@ -58,6 +58,24 @@ class TestJointDistribution:
         with pytest.raises(ValueError):
             d.prob(("x",))
 
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_items_are_those_of_the_per_entry_unravel(self, transposed):
+        def old_items(dist):  # the earlier JointDistribution.items, verbatim
+            for flat, p in enumerate(dist.probs.ravel()):
+                idx = np.unravel_index(flat, dist.probs.shape)
+                yield tuple(d[i] for d, i in zip(dist.domains, idx)), float(p)
+
+        weights = np.random.default_rng(7).random((2, 3, 4))
+        domains = (("a0", "a1"), ("b0", "b1", "b2"), ("c0", "c1", "c2", "c3"))
+        probs = weights / weights.sum()
+        if transposed:  # a non-contiguous view, axes in another order
+            probs, domains = probs.transpose(2, 0, 1), (domains[2], domains[0], domains[1])
+            assert not probs.flags.c_contiguous
+        d = JointDistribution(("C", "A", "B") if transposed else ("A", "B", "C"), domains, probs)
+        got, want = list(d.items()), list(old_items(d))
+        assert got == want
+        assert all(type(p) is float for _, p in got)
+
     def test_marginal(self):
         d = JointDistribution(
             ("A", "B"),

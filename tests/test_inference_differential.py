@@ -12,6 +12,7 @@ the same tuples under either path.
 """
 
 from collections import Counter
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 import pytest
@@ -43,13 +44,37 @@ from nullbayes.inference import (
     JointDistribution,
     _check_query,
     _elimination_plan,
-    _expand_clamped,
     _planned_product,
 )
 from nullbayes.synth import car_demo_net, random_net
 
 # ---------------------------------------------------------------------------
 # the replaced code, verbatim
+
+
+# the earlier inference._expand_clamped, verbatim: one-hot outer products,
+# then an axis permutation
+def _expand_clamped(
+    net: BayesNet,
+    targets: Sequence[str],
+    evidence: Mapping[str, str],
+    free: list[str],
+    free_probs: np.ndarray,
+) -> JointDistribution:
+    # free_probs has one axis per free target, in `free` order; clamped
+    # targets get a one-hot axis at their evidence value
+    arrays = free_probs
+    out_order: list[str] = list(free)
+    for t in targets:
+        if t in evidence:
+            onehot = np.zeros(len(net.schema.domain(t)))
+            onehot[net.schema.code(t, evidence[t])] = 1.0
+            arrays = np.multiply.outer(arrays, onehot)
+            out_order.append(t)
+    perm = [out_order.index(t) for t in targets]
+    probs = np.transpose(arrays, perm) if len(out_order) > 1 else arrays
+    domains = tuple(net.schema.domain(t) for t in targets)
+    return JointDistribution(tuple(targets), domains, probs)
 
 
 class _Factor:
