@@ -96,8 +96,30 @@ def mine_afds(
     return out
 
 
-# the last rule tuple best_afds saw, and each target's rule positions in rank order
-_ranked: tuple[tuple[Afd, ...], dict[str, list[int]]] = ((), {})
+# the last rule tuple ranked, each target's rule positions in rank order, and
+# every attribute its rules name
+_ranked: tuple[tuple[Afd, ...], dict[str, list[int]], frozenset[str]] = ((), {}, frozenset())
+
+
+def _ranking(afds: Iterable[Afd]) -> tuple[tuple[Afd, ...], dict[str, list[int]], frozenset[str]]:
+    """The memo entry for the rule sequence ``afds``, holding the caller's
+    own rule tuple; it is ranked once per sequence, and passing the entry's
+    rule tuple back costs one identity check."""
+    global _ranked
+    rules = tuple(afds)
+    cached, order, named = _ranked
+    if rules is not cached:
+        if rules != cached:
+            positions: dict[str, list[int]] = {}
+            for i, afd in enumerate(rules):
+                positions.setdefault(afd.target, []).append(i)
+            # a stable sort keeps equal-rank duplicates in list order
+            order = {
+                t: sorted(ix, key=lambda i: _afd_rank(rules[i])) for t, ix in positions.items()
+            }
+            named = frozenset(itertools.chain(positions, *(afd.determining for afd in rules)))
+        _ranked = (rules, order, named)  # one assignment, so a reader never sees a mixed entry
+    return rules, order, named
 
 
 def best_afds(afds: Iterable[Afd], exclude: Iterable[str] = ()) -> dict[str, Afd]:
@@ -113,18 +135,7 @@ def best_afds(afds: Iterable[Afd], exclude: Iterable[str] = ()) -> dict[str, Afd
     calls with an equal sequence cost one comparison and a walk of each
     target's ranked rules.  The memo keeps that last rule tuple alive.
     """
-    global _ranked
-    rules = tuple(afds)
-    cached, order = _ranked
-    if rules != cached:
-        positions: dict[str, list[int]] = {}
-        for i, afd in enumerate(rules):
-            positions.setdefault(afd.target, []).append(i)
-        # a stable sort keeps equal-rank duplicates in list order
-        order = {
-            t: sorted(ix, key=lambda i: _afd_rank(rules[i])) for t, ix in positions.items()
-        }
-        _ranked = (rules, order)  # one assignment, so a reader never sees a mixed pair
+    rules, order, _ = _ranking(afds)
     banned = set(exclude)
     best: dict[str, Afd] = {}
     for target, ranked in order.items():
@@ -217,13 +228,20 @@ def afd_impute_tuple(
 
     Termination: the path only grows, so depth is bounded by the number of
     attributes.
+
+    A rule naming an attribute outside the model's schema, as target or
+    determining attribute, raises KeyError whether or not the row needs it.
     """
     schema = model.schema
     arity = len(schema.attributes)
     if len(row.cells) != arity:
         raise ValueError(f"row {row.id} has {len(row.cells)} cells, schema has {arity}")
-    best = best_afds(afds)
     cells = dict(zip(schema.attributes, row.cells))
+    rules, _, named = _ranking(afds)
+    if not cells.keys() >= named:
+        for attr in sorted(named):
+            schema.index(attr)  # raises for the first unknown one
+    best = best_afds(rules)
 
     def predict(attr: str, path: frozenset[str]) -> str | None:
         if attr in path:

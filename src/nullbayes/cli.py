@@ -189,9 +189,10 @@ def _cmd_impute(args) -> int:
     ]
     for attr, n in report.cells_imputed.items():
         lines.append(f"cells_imputed[{attr}]: {n}")
-    if report.cell_accuracy is not None:
-        lines.append(f"cell_accuracy: {report.cell_accuracy:.10g}")
-        lines.append(f"tuple_accuracy: {report.tuple_accuracy:.10g}")
+    if truth is not None:
+        for name in ("cell_accuracy", "tuple_accuracy"):
+            acc = getattr(report, name)  # None when no imputed cell could be graded
+            lines.append(f"{name}: {'n/a' if acc is None else format(acc, '.10g')}")
         for attr, acc in (report.attribute_accuracy or {}).items():
             lines.append(f"accuracy[{attr}]: {acc:.10g}")
         for combo, acc in (report.combination_accuracy or {}).items():
@@ -255,7 +256,8 @@ def _cmd_rewrite(args) -> int:
         )
     if result.truncated:
         print("(query budget exhausted; results truncated)")
-    print(f"extended: {len(result.answers)} additional tuples")
+    # counted at their source positions: the answers are built for --out only
+    print(f"extended: {len(result._retrieved.at)} additional tuples")
 
     if args.out:
         schema = source_table.schema

@@ -17,8 +17,9 @@ import time
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from .afd import (
     NoRuleError,
@@ -271,22 +272,26 @@ class PrCurve:
 
 
 def _curve_points(
-    result: RewritingResult, query: SelectionQuery, schema, wanted: set[int]
+    result: RewritingResult, query: SelectionQuery, wanted: np.ndarray
 ) -> tuple[PrPoint, ...]:
-    # wanted: the ids of the uncertain relevant tuples
-    q_idx = [schema.index(a) for a in query.attributes]
-    step = {rq.query: i for i, rq in enumerate(result.issued)}
-    uncertain = [0] * len(result.issued)  # per issued query
-    relevant = [0] * len(result.issued)
-    for answer in result.answers:
-        if all(answer.row.cells[j] is not None for j in q_idx):
-            continue  # certain non-answer: its constrained values are visible
-        uncertain[step[answer.query]] += 1
-        relevant[step[answer.query]] += answer.row.id in wanted
-    points = []
-    for i, (u, r) in enumerate(zip(accumulate(uncertain), accumulate(relevant)), start=1):
-        points.append(PrPoint(i, r / u if u else 0.0, r / len(wanted)))
-    return tuple(points)
+    # wanted: the ids of the uncertain relevant tuples.  The retrieved tuples
+    # are read at their source positions, with no answer objects: uncertain
+    # where a constrained code is null (-1), relevant where the id is wanted,
+    # each counted at its issuing step
+    table, at, step, issued = result._retrieved
+    if table is None:  # nothing was issued
+        return ()
+    q_idx = [table.schema.index(a) for a in query.attributes]
+    uncertain = (table._column_codes()[np.ix_(q_idx, at)] < 0).any(axis=0)
+    relevant = uncertain & np.isin(table._ids()[0][at], wanted)
+    u_total, r_total = (
+        np.bincount(step[hit], minlength=len(issued)).cumsum().tolist()
+        for hit in (uncertain, relevant)
+    )
+    return tuple(
+        PrPoint(i, r / u if u else 0.0, r / len(wanted))
+        for i, (u, r) in enumerate(zip(u_total, r_total), start=1)
+    )
 
 
 def run_rewriting_experiment(
@@ -315,8 +320,8 @@ def run_rewriting_experiment(
             # nulls only hide values (rows keep their order), so the relevant
             # tuples the visible data still matches are certain answers
             uncertain = test.mask(query) & ~visible.mask(query)
-            wanted = {r.id for r in test.rows_where(uncertain)}
-            if not wanted:
+            wanted = test._ids()[0][uncertain]
+            if not len(wanted):
                 warnings.warn(
                     f"seed {seed}: no uncertain relevant tuples for {query.text()!r}; skipped",
                     stacklevel=2,
@@ -336,7 +341,7 @@ def run_rewriting_experiment(
                         stacklevel=2,
                     )
                     continue
-                points = _curve_points(result, query, data.schema, wanted)
+                points = _curve_points(result, query, wanted)
                 curves.append(PrCurve(method, query, seed, points, len(wanted), result.truncated))
     return curves
 

@@ -57,7 +57,9 @@ class ImputationReport:
     correct.  ``attribute_accuracy`` breaks cells out per attribute and
     ``combination_accuracy`` breaks all-cells-correct out per missing-attribute
     combination.  Cells whose ground truth is null are ungradeable and appear
-    in no denominator.  Accuracies are None without ground truth.
+    in no denominator.  Accuracies are None without ground truth; with it,
+    ``cell_accuracy`` and ``tuple_accuracy`` are None when no imputed cell
+    could be graded (and the breakdowns are empty).
     """
 
     tuples_total: int
@@ -181,15 +183,16 @@ def _graded(filled: np.ndarray, truth: np.ndarray, cells):
 def _accuracies(table: Table, truth: Table, truth_at: dict, incomplete, filled, missing):
     """Cell, tuple, attribute and combination accuracy of the ``filled``
     codes of ``table``'s ``incomplete`` rows at their ``missing`` cells
-    against ``truth``; cells whose truth is null are not graded."""
+    against ``truth``; cells whose truth is null are not graded, and with no
+    graded cell the cell and tuple accuracy are None."""
     attrs = table.schema.attributes
     at = [truth_at[table.rows[i].id] for i in incomplete.tolist()]
     scored, hits, graded, right = _graded(filled, truth._column_codes()[:, at], missing)
     cells_scored, tuples_scored = int(scored.sum()), int(graded.sum())
     patterns, pattern = _null_patterns(attrs, missing)
     return (
-        int(hits.sum()) / cells_scored if cells_scored else 1.0,
-        int(right.sum()) / tuples_scored if tuples_scored else 1.0,
+        int(hits.sum()) / cells_scored if cells_scored else None,
+        int(right.sum()) / tuples_scored if tuples_scored else None,
         _shares(attrs, hits.sum(axis=1), scored.sum(axis=1)),
         _shares(
             patterns,

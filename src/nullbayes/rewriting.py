@@ -34,6 +34,7 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,24 +113,87 @@ class RetrievedAnswer:
         return RetrievedAnswer, (self.row, self.relevance, self.query)
 
 
-def _answers(rows: list[Row], relevance: float, query: SelectionQuery) -> list[RetrievedAnswer]:
-    # RetrievedAnswer(row, relevance, query) per row, without the frozen
-    # __init__'s object.__setattr__ calls: bare instances, then each slot set
-    # through its descriptor, all in C-level loops
+def _answers(
+    rows: list[Row], relevance: Iterable[float], query: Iterable[SelectionQuery]
+) -> list[RetrievedAnswer]:
+    # RetrievedAnswer(row, relevance, query) per row, the fields read in step
+    # from the three iterables, without the frozen __init__'s
+    # object.__setattr__ calls: bare instances, then each slot set through its
+    # descriptor, all in C-level loops
     out = list(map(object.__new__, itertools.repeat(RetrievedAnswer, len(rows))))
-    columns = (rows, itertools.repeat(relevance), itertools.repeat(query))
-    for name, column in zip(RetrievedAnswer.__slots__, columns):
+    for name, column in zip(RetrievedAnswer.__slots__, (rows, relevance, query)):
         deque(map(getattr(RetrievedAnswer, name).__set__, out, column), maxlen=0)
     return out
 
 
+class _Retrieved(NamedTuple):
+    """Retrieved tuples as positions ``at`` in ``table.rows`` (``table`` is
+    None when no query was answered), each with ``step``, its index in
+    ``issued``: the query that retrieved it first."""
+
+    table: Table | None
+    at: np.ndarray
+    step: np.ndarray
+    issued: tuple[RewrittenQuery, ...]
+
+    def answers(self) -> list[RetrievedAnswer]:
+        """One ``RetrievedAnswer`` per tuple, in retrieval order, its relevance
+        and query read from the issued query at its step."""
+        if not len(self.at):
+            return []
+        steps = self.step.tolist()
+        relevance = [rq.score.precision for rq in self.issued]
+        query = [rq.query for rq in self.issued]
+        return _answers(
+            self.table._rows_at(self.at),
+            map(relevance.__getitem__, steps), map(query.__getitem__, steps),
+        )
+
+
 @dataclass(frozen=True)
 class RewritingResult:
+    """What one rewriting call retrieved.
+
+    ``base`` is the certain answer to the query, ``issued`` the rewrites
+    sent in issue order, ``candidates`` the ones selected for issuing and
+    ``truncated`` whether a budget refusal stopped the issuing.  ``answers``
+    lists the further tuples retrieved, as ``RetrievedAnswer``s in retrieval
+    order.
+
+    A strategy's result keeps those tuples as their positions in the source
+    table, each with the step at which it was first retrieved (an index into
+    the issued queries as they were issued; see ``order_and_issue``), and
+    builds ``answers`` from them on its first read, then keeps the list.  Equality, ``repr`` and pickling
+    read ``answers``; a pickle holds the five fields, never the source table.
+    """
+
     base: list[Row]
     answers: list[RetrievedAnswer]
     issued: list[RewrittenQuery]
     candidates: list[RewrittenQuery]
     truncated: bool
+
+    @classmethod
+    def _unread(cls, base, retrieved: _Retrieved, issued, candidates, truncated):
+        # every field but answers, which __getattr__ builds from retrieved
+        result = object.__new__(cls)
+        vars(result).update(
+            base=base, issued=issued, candidates=candidates, truncated=truncated,
+            _retrieved=retrieved,
+        )
+        return result
+
+    def __getattr__(self, name: str):
+        # reached only for a name the instance lacks: answers before its first read
+        if name != "answers" or "_retrieved" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        answers = self._retrieved.answers()
+        object.__setattr__(self, "answers", answers)
+        return answers
+
+    def __reduce__(self):
+        fields = (self.base, self.answers, self.issued, self.candidates, self.truncated)
+        return RewritingResult, fields
 
 
 @dataclass(frozen=True)
@@ -231,19 +295,27 @@ def order_and_issue(
     budget refusal stops issuing but keeps everything already retrieved;
     the returned flag says whether that happened.
 
-    Each answer carries its rows' positions in the source table, so the
-    tuples already seen are one boolean array over those positions; the ids
-    in ``exclude_ids`` are found there with one lookup in the table's id
-    column, and only fresh rows become ``RetrievedAnswer``s.
+    The strategies issue through the same pass, ``_issue``, which keeps each
+    query's fresh tuples as positions in the source table and builds no
+    answers; this function builds the ``RetrievedAnswer``s from them once,
+    at the end.
     """
+    retrieved, issued, truncated = _issue(queries, source, limit, exclude_ids)
+    return retrieved.answers(), issued, truncated
+
+
+def _issue(queries, source, limit, exclude_ids) -> tuple[_Retrieved, list[RewrittenQuery], bool]:
+    # every answer carries its rows' positions in the source table, so the
+    # tuples already seen are one boolean array over those positions; the ids
+    # in exclude_ids are found there with one lookup in the table's id column
     _check_count("limit", limit, or_none=True)
     ordered = sorted(queries, key=_issue_key)
     if limit is not None:
         ordered = ordered[:limit]
     # an id array as it is: iterating one makes a numpy scalar per id
     excluded = np.asarray(exclude_ids if isinstance(exclude_ids, np.ndarray) else list(exclude_ids))
-    seen = None  # over the source table's positions, from the first answer on
-    answers: list[RetrievedAnswer] = []
+    table = seen = None  # the source table and a mask over it, from the first answer on
+    fresh: list[np.ndarray] = []  # per issued query, the positions it retrieved first
     issued: list[RewrittenQuery] = []
     truncated = False
     for rq in ordered:
@@ -254,13 +326,15 @@ def order_and_issue(
             break
         issued.append(rq)
         if seen is None:
-            seen = np.zeros(len(rows.table.rows), dtype=bool)
-            seen[rows.table._positions(excluded)] = True
+            table = rows.table
+            seen = np.zeros(len(table.rows), dtype=bool)
+            seen[table._positions(excluded)] = True
         # positions are unique within one answer, so only earlier answers can repeat them
-        fresh = np.flatnonzero(~seen[rows.at]).tolist()
+        fresh.append(rows.at[~seen[rows.at]])
         seen[rows.at] = True
-        answers.extend(_answers(list(map(rows.__getitem__, fresh)), rq.score.precision, rq.query))
-    return answers, issued, truncated
+    at = np.concatenate(fresh) if fresh else np.zeros(0, dtype=np.int64)
+    step = np.repeat(np.arange(len(fresh)), list(map(len, fresh)))
+    return _Retrieved(table, at, step, tuple(issued)), issued, truncated
 
 
 def _rewrite(model, sample, source, query, k, alpha, sample_ratio, pick, candidates, key):
@@ -293,8 +367,8 @@ def _rewrite(model, sample, source, query, k, alpha, sample_ratio, pick, candida
 
     selected = sorted(candidates(picked, base, source.schema, score), key=key)[:k]
     ids = base.table._ids()[0][base.at]
-    answers, issued, truncated = order_and_issue(selected, source, limit=k, exclude_ids=ids)
-    return RewritingResult(base, answers, issued, selected, truncated)
+    retrieved, issued, truncated = _issue(selected, source, k, ids)
+    return RewritingResult._unread(base, retrieved, issued, selected, truncated)
 
 
 def _blanket_attrs(net: BayesNet, query: SelectionQuery) -> list[str]:

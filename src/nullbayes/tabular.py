@@ -252,8 +252,13 @@ class Table:
         respect; a copy or a pickle of it is a plain ``list``.
         """
         at = np.flatnonzero(mask)
+        return _Selection(self._rows_at(at), self, at)
+
+    def _rows_at(self, at: np.ndarray) -> list[Row]:
+        """The rows at the positions ``at`` of ``rows``, read off the object
+        array cached beside the code matrix."""
         self._column_codes()
-        return _Selection(self._coded[2][at].tolist(), self, at)
+        return self._coded[2][at].tolist()
 
 
 class _Selection(list):

@@ -193,6 +193,23 @@ class TestChainedImputation:
         filled, unpredictable = afd_impute_tuple([], model, row)
         assert filled == row and unpredictable == []
 
+    @pytest.mark.parametrize(
+        "rule, unknown",
+        [
+            (Afd(("Colour",), "A", 0.9), "Colour"),  # a determining attribute
+            (Afd(("B",), "Colour", 0.9), "Colour"),  # a target
+            (Afd(("B", "Colour"), "Age", 0.9), "Age"),  # both: the first by name
+        ],
+    )
+    def test_a_rule_outside_the_schema_is_refused(self, rule, unknown):
+        # as rewrite --method afd refuses it, whether or not the row needs the rule
+        s, model = self._abc()
+        rules = [Afd(("C",), "B", 1.0), rule]
+        for cells in ((None, None, "1"), ("0", "1", "0")):
+            with pytest.raises(KeyError, match=f"^\"unknown attribute '{unknown}'\"$"):
+                afd_impute_tuple(rules, model, Row(1, cells))
+        assert afd_impute_tuple(rules[:1], model, Row(1, ("0", None, "1")))[0].cells[1] == "1"
+
     def test_fuzz_terminates_and_reports_consistently(self):
         rng = np.random.default_rng(42)
         attrs = ("A", "B", "C", "D", "E")

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import nullbayes.rewriting as rewriting
 from nullbayes import (
     Row,
     Schema,
@@ -189,8 +190,9 @@ class TestImpute:
         )
         assert rc == 0
         got = capsys.readouterr().out
-        assert "cell_accuracy: 1" in got  # truth equals input on visible cells
-        assert "tuple_accuracy: 1" in got
+        # the truth is the input itself, null at every imputed cell: none is graded
+        assert "cell_accuracy: n/a\ntuple_accuracy: n/a\n" in got
+        assert "accuracy[" not in got
 
     def test_truth_grades_the_hidden_cells(self, tmp_path, capsys):
         # the truth holds the cells the input hides (one of them null, so
@@ -348,6 +350,23 @@ class TestRewrite:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "Make,Model,Year,Body,Mileage,relevance"
         assert lines[1] == "Audi,A8,2005,,15000,0.5"
+
+    def test_answers_are_built_only_for_out(
+        self, tmp_path, demo_csv, demo_model, capsys, monkeypatch
+    ):
+        built = []
+        build = rewriting._answers
+        monkeypatch.setattr(
+            rewriting, "_answers", lambda *args: built.append(1) or build(*args)
+        )
+        args = ["rewrite", "--query", "Body=Sedan", "--source", demo_csv, "--sample", demo_csv,
+                "--model", demo_model, "--ratio", "1.0"]
+        assert main(args) == 0
+        assert "extended: 1 additional tuples" in capsys.readouterr().out and built == []
+        out = tmp_path / "answers.csv"
+        assert main([*args, "--out", str(out)]) == 0
+        assert "extended: 1 additional tuples" in capsys.readouterr().out and built == [1]
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 2
 
     def test_beam_method(self, demo_csv, demo_model, capsys):
         rc = main(

@@ -204,6 +204,17 @@ class TestImputeTable:
         assert report.attribute_accuracy == {"X": 1 / 2, "Y": 1.0}
         assert report.combination_accuracy == {("X",): 1.0, ("Y",): 1.0, ("X", "Y"): 0.0}
 
+    def test_no_gradeable_cell_reports_no_accuracy(self, fitted_demo_net, demo_table):
+        # the truth is null at every imputed cell, or nothing is imputed
+        net = _skewed_pair_net()
+        holes = Table(net.schema, [Row(1, (None, "y0")), Row(2, ("x1", None))])
+        complete = Table(net.schema, [Row(1, ("x0", "y0"))])
+        for table, truth in ((holes, holes), (complete, complete), (demo_table, demo_table)):
+            model = fitted_demo_net if table is demo_table else net
+            _, report = impute_table(model, table, truth=truth)
+            assert report.cell_accuracy is None and report.tuple_accuracy is None
+            assert report.attribute_accuracy == {} and report.combination_accuracy == {}
+
     def test_null_truth_cells_not_graded(self):
         net = _skewed_pair_net()
         s = net.schema

@@ -8,11 +8,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import nullbayes.rewriting as rw
 from nullbayes import (
     Afd,
     AutonomousSource,
     BayesNet,
     BeamConfig,
+    ExperimentConfig,
     NoRuleError,
     NotApplicableError,
     Row,
@@ -32,12 +34,14 @@ from nullbayes import (
     inject_nulls,
     mine_afds,
     order_and_issue,
+    run_rewriting_experiment,
     sample_rows,
 )
 from nullbayes.rewriting import (
     REWRITING_METHODS,
     QueryScore,
     RetrievedAnswer,
+    RewritingResult,
     RewrittenQuery,
     run_method,
 )
@@ -291,6 +295,99 @@ class TestRetrievedAnswer:
         back = pickle.loads(pickle.dumps(res))
         assert back == res
         assert type(back.base) is list
+
+
+class TestAnswersBuiltOnRead:
+    """A strategy's result keeps its answers as source positions: no
+    ``RetrievedAnswer`` exists until ``answers`` is first read."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        built = []  # the size of every batch of answers built
+        build = rw._answers
+
+        def counted(rows, relevance, query):
+            out = build(rows, relevance, query)
+            built.append(len(out))
+            return out
+
+        monkeypatch.setattr(rw, "_answers", counted)
+        return built
+
+    @staticmethod
+    def _run(method, demo_table, **kwargs):
+        models = SimpleNamespace(
+            net=demo_net(), afds=mine_afds(demo_table), nb=fit_naive_bayes(demo_table)
+        )
+        return run_method(
+            method, models, demo_table, AutonomousSource(demo_table, **kwargs),
+            SelectionQuery({"Body": "Sedan"}), k=3, sample_ratio=1.0,
+        )
+
+    @pytest.mark.parametrize("method", REWRITING_METHODS)
+    def test_no_answer_is_built_until_read(self, method, demo_table, monkeypatch):
+        built = self._counting(monkeypatch)
+        result = self._run(method, demo_table)
+        assert result.issued and built == []
+        answers = result.answers
+        assert type(answers) is list and built == ([len(answers)] if answers else [])
+        assert result.answers is answers  # built once, then kept
+        assert result == result and built == ([len(answers)] if answers else [])
+        if method == "bn-all-mb":
+            assert answers, "the fixture should retrieve something"
+
+    def test_answers_are_read_off_issued_and_the_source_rows(self, demo_table):
+        result = self._run("bn-all-mb", demo_table, query_limit=3)  # base and two rewrites
+        assert result.truncated and len(result.issued) == 2
+        by_query = {rq.query: rq.score.precision for rq in result.issued}
+        ids = [a.row.id for a in result.answers]
+        assert len(ids) == len(set(ids)) and not set(ids) & {r.id for r in result.base}
+        for a in result.answers:
+            assert a.row is demo_table.row_by_id(a.row.id)
+            assert a.relevance == by_query[a.query] and a.query.matches(demo_table.schema, a.row)
+
+    def test_answers_do_not_follow_later_edits_of_issued(self, demo_table):
+        want = self._run("bn-all-mb", demo_table).answers
+        result = self._run("bn-all-mb", demo_table)
+        assert want and len(result.issued) > 1
+        result.issued.reverse()
+        result.issued.pop()
+        assert result.answers == want
+
+    def test_an_unread_result_pickles_and_compares_by_its_answers(self, demo_table):
+        result = self._run("bn-all-mb", demo_table)
+        back = pickle.loads(pickle.dumps(result))  # answers not read yet
+        assert type(back) is RewritingResult and type(back.base) is list
+        assert back == result and back.answers == result.answers
+        assert back.issued == result.issued and back.candidates == result.candidates
+        twin = RewritingResult(
+            list(result.base), list(result.answers), result.issued, result.candidates, False
+        )
+        assert twin == result and repr(twin) == repr(result)
+        assert RewritingResult(result.base, [], result.issued, result.candidates, False) != result
+        assert result != (result.base, result.answers)
+        assert repr(result).startswith("RewritingResult(base=[Row(")
+
+    def test_results_stay_frozen_and_unhashable(self, demo_table):
+        result = self._run("bn-all-mb", demo_table)
+        for name in ("base", "answers", "issued", "candidates", "truncated", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(result, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(result, name)
+        with pytest.raises(TypeError):
+            hash(result)
+
+    def test_the_rewriting_experiment_builds_no_answer(self, monkeypatch):
+        built = self._counting(monkeypatch)
+        cfg = ExperimentConfig(
+            mode="rewriting", synthetic_rows=600, train_fraction=0.3, test_null_fraction=0.5,
+            seeds=(0,), restarts=1, max_iterations=30, queries=(SelectionQuery({"Body": "sedan"}),),
+            methods=REWRITING_METHODS,
+        )
+        curves = run_rewriting_experiment(cfg)
+        assert curves and any(p.recall for c in curves for p in c.points)
+        assert built == []
 
 
 class TestBnAllMb:

@@ -7,13 +7,18 @@ for any other rows), ``expected_selectivity`` counts a boolean mask,
 ``order_and_issue`` dedups answers over source positions, ``bn_beam``
 splits the base with masks over its codes, and
 ``NaiveBayesModel.posterior`` reads priors and denominators computed once per
-model.  The references below are the row-at-a-time versions they replaced,
-kept verbatim.  Every output must be equal with ``==`` (or
+model.  Strategies keep their answers as source positions and build the
+``RetrievedAnswer``s on first read, and the harness counts its PR curves at
+those positions.  The references below are the versions they replaced, kept
+verbatim.  Every output must be equal with ``==`` (or
 ``np.array_equal``), exceptions included, and whole ``RewritingResult``s of
 all five strategies must not change when the references are patched in.
 """
 
+import itertools
 import warnings
+from collections import deque
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -21,12 +26,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nullbayes.harness as harness
 import nullbayes.rewriting as rw
 import nullbayes.tabular as tabular
 from nullbayes import (
     AutonomousSource,
     BayesNet,
     BeamConfig,
+    ExperimentConfig,
     NaiveBayesModel,
     QueryBudgetError,
     Row,
@@ -47,9 +54,11 @@ from nullbayes import (
     order_and_issue,
     posterior_exact,
     project_distinct,
+    run_rewriting_experiment,
     sample_rows,
     select,
 )
+from nullbayes.harness import PrPoint
 from nullbayes.rewriting import QueryScore, RetrievedAnswer, RewritingResult, RewrittenQuery
 from nullbayes.synth import car_demo_net, random_net
 
@@ -627,3 +636,205 @@ def test_strategies_unchanged_with_reference_helpers(world_name, budget, monkeyp
     assert any(r[0] == "raised" for r in results), "no strategy declined"
     if budget is not None:
         assert any(r[0] == "ok" and r[1].truncated for r in results), "no run was truncated"
+
+
+# ---------------------------------------------------------------------------
+# answers built eagerly, one RetrievedAnswer per fetched tuple inside the
+# rewriting call, and PR curves counted answer by answer: the code that
+# results holding source positions replaced, verbatim but for the ``rw.``
+# prefixes and the ``_eager_`` names
+
+
+def _eager_answers(rows, relevance, query):
+    # RetrievedAnswer(row, relevance, query) per row, without the frozen
+    # __init__'s object.__setattr__ calls: bare instances, then each slot set
+    # through its descriptor, all in C-level loops
+    out = list(map(object.__new__, itertools.repeat(RetrievedAnswer, len(rows))))
+    columns = (rows, itertools.repeat(relevance), itertools.repeat(query))
+    for name, column in zip(RetrievedAnswer.__slots__, columns):
+        deque(map(getattr(RetrievedAnswer, name).__set__, out, column), maxlen=0)
+    return out
+
+
+def _eager_order_and_issue(queries, source, limit=None, exclude_ids=()):
+    rw._check_count("limit", limit, or_none=True)
+    ordered = sorted(queries, key=rw._issue_key)
+    if limit is not None:
+        ordered = ordered[:limit]
+    # an id array as it is: iterating one makes a numpy scalar per id
+    excluded = np.asarray(exclude_ids if isinstance(exclude_ids, np.ndarray) else list(exclude_ids))
+    seen = None  # over the source table's positions, from the first answer on
+    answers = []
+    issued = []
+    truncated = False
+    for rq in ordered:
+        try:
+            rows = source.answer(rq.query)
+        except QueryBudgetError:
+            truncated = True
+            break
+        issued.append(rq)
+        if seen is None:
+            seen = np.zeros(len(rows.table.rows), dtype=bool)
+            seen[rows.table._positions(excluded)] = True
+        # positions are unique within one answer, so only earlier answers can repeat them
+        fresh = np.flatnonzero(~seen[rows.at]).tolist()
+        seen[rows.at] = True
+        answers.extend(_eager_answers(list(map(rows.__getitem__, fresh)), rq.score.precision, rq.query))
+    return answers, issued, truncated
+
+
+def _eager_rewrite(model, sample, source, query, k, alpha, sample_ratio, pick, candidates, key):
+    rw._check_count("k", k, 1)
+    query.validate(model.schema)
+    if not len(query):
+        raise ValueError("empty query")
+    rw._check_scale("alpha", alpha)
+    if sample_ratio is not None:
+        rw._check_scale("ratio", sample_ratio)
+    picked = pick(query)
+    if sample_ratio is None:
+        sample_ratio = source.estimate_ratio(sample)
+    base = source.answer(query)
+    precisions = {}
+
+    def score(candidate, precision=None):
+        # the net's posterior of the query's values, once per candidate
+        p = precisions.get(candidate) if precision is None else precision
+        if p is None:
+            p = precisions[candidate] = rw.expected_precision(model, query, candidate)
+        sel = rw.expected_selectivity(sample, candidate, sample_ratio)
+        r = p * sel
+        return RewrittenQuery(candidate, QueryScore(p, sel, r, rw.f_measure(p, r, alpha)))
+
+    selected = sorted(candidates(picked, base, source.schema, score), key=key)[:k]
+    ids = base.table._ids()[0][base.at]
+    answers, issued, truncated = _eager_order_and_issue(selected, source, limit=k, exclude_ids=ids)
+    return RewritingResult(base, answers, issued, selected, truncated)
+
+
+def _eager_curve_points(result, query, schema, wanted):
+    # wanted: the ids of the uncertain relevant tuples
+    q_idx = [schema.index(a) for a in query.attributes]
+    step = {rq.query: i for i, rq in enumerate(result.issued)}
+    uncertain = [0] * len(result.issued)  # per issued query
+    relevant = [0] * len(result.issued)
+    for answer in result.answers:
+        if all(answer.row.cells[j] is not None for j in q_idx):
+            continue  # certain non-answer: its constrained values are visible
+        uncertain[step[answer.query]] += 1
+        relevant[step[answer.query]] += answer.row.id in wanted
+    points = []
+    for i, (u, r) in enumerate(zip(accumulate(uncertain), accumulate(relevant)), start=1):
+        points.append(PrPoint(i, r / u if u else 0.0, r / len(wanted)))
+    return tuple(points)
+
+
+def _same_answers(got, want, same_objects=True):
+    # equal element for element; from one set of rewrites, built from the
+    # very same rows and queries
+    assert type(got) is list and got == want
+    for g, w in zip(got, want):
+        assert type(g) is RetrievedAnswer and type(g.relevance) is type(w.relevance)
+        if same_objects:
+            assert g.row is w.row and g.query is w.query
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_order_and_issue_matches_the_eager_original(data):
+    table = data.draw(tables())
+    rewrites = _rewrites(data, table.schema)
+    limit = data.draw(st.one_of(st.none(), st.integers(0, 6)))
+    budget = data.draw(st.one_of(st.none(), st.integers(0, 6)))
+    ids = [r.id for r in table.rows] + [-1, len(table) + 3]  # two that are no row's id
+    exclude = data.draw(st.lists(st.sampled_from(ids), max_size=6))
+    got_source, want_source = AutonomousSource(table, budget), AutonomousSource(table, budget)
+    got = order_and_issue(rewrites, got_source, limit=limit, exclude_ids=exclude)
+    want = _eager_order_and_issue(rewrites, want_source, limit=limit, exclude_ids=exclude)
+    _same_answers(got[0], want[0])
+    assert got[1:] == want[1:]  # issued, truncated
+    assert got_source.queries_used == want_source.queries_used
+
+
+@pytest.mark.parametrize("budget", [None, 3])  # 3: the size probe, the base, one rewrite
+@pytest.mark.parametrize("world_name", [w[0] for w in _WORLDS])
+def test_strategies_match_the_eager_original(world_name, budget, monkeypatch):
+    # every strategy, on every table of the world (an empty base among them),
+    # against the pipeline that built its answers inside the call
+    _, world, attr, value, tables = next(w for w in _WORLDS if w[0] == world_name)
+    runs = [(t, q) for t in tables.values() for q in _queries_for(world, attr, value)]
+    got = [_run_all(_strategies(bn_beam), world, t, q, budget) for t, q in runs]
+    monkeypatch.setattr(rw, "_rewrite", _eager_rewrite)
+    want = [_run_all(_strategies(bn_beam), world, t, q, budget) for t, q in runs]
+    results = []
+    for got_run, want_run in zip(got, want):
+        for name in got_run:
+            (g, g_warnings), g_used = got_run[name]
+            (w, w_warnings), w_used = want_run[name]
+            assert (g_warnings, g_used) == (w_warnings, w_used), name
+            assert g[0] == w[0], name
+            if g[0] != "ok":
+                assert g == w
+                continue
+            assert type(g[1]) is RewritingResult
+            assert g[1].issued == w[1].issued and g[1].truncated == w[1].truncated, name
+            assert g[1].candidates == w[1].candidates and g[1].base == w[1].base, name
+            _same_answers(g[1].answers, w[1].answers, same_objects=False)
+            assert g[1] == w[1]
+            results.append(g[1])
+    assert any(r.answers for r in results), "nothing was retrieved"
+    assert any(not r.issued for r in results), "every run issued a query"
+    if budget is not None:
+        assert any(r.truncated for r in results), "no run was truncated"
+
+
+@pytest.mark.parametrize("world_name", [w[0] for w in _WORLDS])
+def test_curve_points_match_the_per_answer_original(world_name):
+    _, world, attr, value, tables = next(w for w in _WORLDS if w[0] == world_name)
+    rng = np.random.default_rng(5)
+    checked = 0
+    for table in tables.values():
+        ids = table._ids()[0]
+        for query in _queries_for(world, attr, value):
+            for name, run in _strategies(bn_beam).items():
+                outcome, _ = _outcome(run, world, AutonomousSource(table, 5), query)
+                if outcome[0] != "ok":
+                    continue
+                result = outcome[1]
+                # wanted sets of every size, with ids that were never retrieved
+                for size in (1, len(ids) // 7, len(ids) // 2, len(ids)):
+                    wanted = rng.choice(ids, size=max(size, 1), replace=False)
+                    got = harness._curve_points(result, query, wanted)
+                    want = _eager_curve_points(
+                        result, query, table.schema, set(wanted.tolist())
+                    )
+                    assert got == want, (name, query, size)
+                    assert all(type(p.precision) is type(p.recall) is float for p in got)
+                    checked += bool(got)
+    assert checked
+
+
+def test_rewriting_curves_match_the_per_answer_original(monkeypatch):
+    # the whole rewriting experiment: every method, a conjunction, a budget
+    cfg = ExperimentConfig(
+        mode="rewriting", synthetic_rows=900, train_fraction=0.3, test_null_fraction=0.5,
+        seeds=(0, 1), restarts=1, max_iterations=40, query_limit=6, top_k=8,
+        queries=(
+            SelectionQuery({"Body": "sedan"}), SelectionQuery({"Make": "bmw", "Body": "coupe"})
+        ),
+        methods=rw.REWRITING_METHODS,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = run_rewriting_experiment(cfg)
+        monkeypatch.setattr(
+            harness, "_curve_points",
+            lambda result, query, wanted: _eager_curve_points(
+                result, query, result.base.table.schema, set(wanted.tolist())
+            ),
+        )
+        want = run_rewriting_experiment(cfg)
+    assert got == want
+    assert {c.method for c in got} == set(rw.REWRITING_METHODS)
+    assert any(c.truncated for c in got) and any(p.precision for c in got for p in c.points)
