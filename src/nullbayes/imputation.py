@@ -32,7 +32,7 @@ from .inference import _blanket_product, _check_chain, _cpt_views, _lex_argmax, 
 from .inference import _refuse_impossible
 # posterior_exact is not called here, but perfbench/tracing.py patches this name
 from .inference import posterior_exact, posterior_gibbs  # noqa: F401
-from .tabular import Row, Table, _check_count, _decode, _radix_key
+from .tabular import Row, Table, _bulk_build, _check_count, _decode, _radix_key
 
 __all__ = ["GibbsParams", "ImputationReport", "impute_tuple", "impute_table"]
 
@@ -165,8 +165,9 @@ def _impute(net: BayesNet, table: Table, engine: str, gibbs: GibbsParams, joint:
     else:
         _impute_gibbs(net, [rows[i] for i in positions], filled, missing, gibbs, joint, seed_of)
     _refuse_impossible(net, evidence)
-    for i, cells in zip(positions, _decode(schema, filled, range(len(schema.attributes)))):
-        rows[i] = Row(rows[i].id, cells)
+    with _bulk_build():
+        for i, cells in zip(positions, _decode(schema, filled, range(len(schema.attributes)))):
+            rows[i] = Row(rows[i].id, cells)
     return rows, incomplete, filled, missing
 
 

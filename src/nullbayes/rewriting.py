@@ -44,7 +44,7 @@ from .inference import posterior_exact
 from .source import AutonomousSource, QueryBudgetError
 # select is no longer called here, but perfbench/tracing.py patches this name
 from .tabular import Row, SelectionQuery, Table, project_distinct, select  # noqa: F401
-from .tabular import _check_count, _check_scale, _codes_at, _distinct
+from .tabular import _bulk_build, _check_count, _check_scale, _codes_at, _distinct
 
 __all__ = [
     "QueryScore",
@@ -119,10 +119,11 @@ def _answers(
     # RetrievedAnswer(row, relevance, query) per row, the fields read in step
     # from the three iterables, without the frozen __init__'s
     # object.__setattr__ calls: bare instances, then each slot set through its
-    # descriptor, all in C-level loops
-    out = list(map(object.__new__, itertools.repeat(RetrievedAnswer, len(rows))))
-    for name, column in zip(RetrievedAnswer.__slots__, (rows, relevance, query)):
-        deque(map(getattr(RetrievedAnswer, name).__set__, out, column), maxlen=0)
+    # descriptor, all in C-level loops, with no collector pass among them
+    with _bulk_build():
+        out = list(map(object.__new__, itertools.repeat(RetrievedAnswer, len(rows))))
+        for name, column in zip(RetrievedAnswer.__slots__, (rows, relevance, query)):
+            deque(map(getattr(RetrievedAnswer, name).__set__, out, column), maxlen=0)
     return out
 
 

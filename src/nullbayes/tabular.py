@@ -8,7 +8,9 @@ attribute = value equality predicates.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import gc
 import math
 import operator
 from collections.abc import Iterable, Mapping, Sequence
@@ -155,7 +157,10 @@ class Table:
         if (
             len(ids) < len(cells)
             or set(map(len, cells)) - {len(lookups)}
-            or any(set(column) - lookup.keys() for lookup, column in zip(lookups, zip(*cells)))
+            # column by column: zip(*cells) would make one tuple iterator per row
+            or any(
+                set(map(itemgetter(j), cells)) - lookup.keys() for j, lookup in enumerate(lookups)
+            )
         ):
             self._raise_first_fault()
 
@@ -346,6 +351,32 @@ def _distinct(schema: Schema, codes: np.ndarray, idx: Sequence[int]) -> list[tup
     codes = codes[:, (codes >= 0).all(axis=0)]
     _, first = np.unique(_radix_key(codes, [schema.sizes[j] for j in idx]), return_index=True)
     return _decode(schema, codes[:, np.sort(first)], idx)
+
+
+@contextlib.contextmanager
+def _bulk_build():
+    """Make many objects that hold no reference cycles (rows, answers)
+    without the cyclic garbage collector running over them.
+
+    Automatic collections while thousands of them are made only scan them
+    again and move them to the oldest generation, where they count towards
+    the next full collection: a pass over every live object, tens of
+    milliseconds over a large table's rows, in whatever code runs next.  On
+    the way out the youngest generation is collected once, so that the new
+    objects move one generation up, not straight to the oldest.  Nothing
+    changes when the collector is already disabled.  The switch is
+    process-wide: another thread that disables the collector during a build
+    finds it enabled again afterwards.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.collect(0)
+        gc.enable()
 
 
 def _check_scale(name: str, value: float) -> None:

@@ -5,6 +5,7 @@ The oracles here deliberately use plain Python loops and direct CPT
 indexing so that agreement with the library is evidence, not tautology.
 """
 
+import gc
 import itertools
 import os
 
@@ -168,3 +169,9 @@ def oracle_conditional(net, targets, evidence=None):
 
 def dist_as_dict(dist) -> dict[tuple[str, ...], float]:
     return dict(dist.items())
+
+
+def in_generation(objects, generation: int) -> int:
+    """How many of ``objects`` the cyclic garbage collector holds in ``generation``."""
+    ids = set(map(id, objects))
+    return sum(id(o) in ids for o in gc.get_objects(generation=generation))

@@ -19,7 +19,7 @@ from nullbayes import (
     posterior_gibbs,
 )
 
-from conftest import oracle_conditional
+from conftest import in_generation, oracle_conditional
 
 
 def _skewed_pair_net():
@@ -173,6 +173,13 @@ class TestImputeTuple:
 
 
 class TestImputeTable:
+    def test_filled_rows_are_built_without_a_collector_pass(self):
+        # as for rewriting answers: none of them reaches the oldest generation
+        rows = [Row(i, ("x0" if i % 2 else "x1", None)) for i in range(20_000)]
+        filled, _ = impute_table(_skewed_pair_net(), Table(_skewed_pair_net().schema, rows))
+        assert len(filled) == 20_000 and None not in {r.cells[1] for r in filled.rows}
+        assert in_generation(filled.rows, 2) == 0
+
     def test_counts(self, fitted_demo_net, demo_table):
         filled, report = impute_table(fitted_demo_net, demo_table)
         assert report.tuples_total == 10

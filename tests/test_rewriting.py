@@ -47,7 +47,7 @@ from nullbayes.rewriting import (
 )
 from nullbayes.synth import car_demo_net
 
-from conftest import demo_net, oracle_conditional, with_unseen_values
+from conftest import demo_net, in_generation, oracle_conditional, with_unseen_values
 
 
 def _impossible_pair_net():
@@ -388,6 +388,16 @@ class TestAnswersBuiltOnRead:
         curves = run_rewriting_experiment(cfg)
         assert curves and any(p.recall for c in curves for p in c.points)
         assert built == []
+
+
+    def test_answers_are_built_without_a_collector_pass(self):
+        # tens of thousands of answers, which automatic collections would move
+        # to the oldest generation, whose passes cover every live object
+        s = Schema(("A",), {"A": ("x",)})
+        table = Table(s, [Row(i, ("x",)) for i in range(20_000)])
+        answers, _, _ = order_and_issue([_rq("A=x", 1.0)], AutonomousSource(table))
+        assert len(answers) == 20_000
+        assert in_generation(answers, 2) == 0
 
 
 class TestBnAllMb:

@@ -1,6 +1,7 @@
 """Tables, queries, CSV round trips, discretization, null injection."""
 
 import ast
+import gc
 import math
 import os
 import pathlib
@@ -29,7 +30,9 @@ from nullbayes import (
     select,
 )
 
-from conftest import CAR_ATTRS, demo_cars, sparse_cars
+from nullbayes.tabular import _bulk_build
+
+from conftest import CAR_ATTRS, demo_cars, in_generation, sparse_cars
 
 
 class TestSchema:
@@ -139,6 +142,42 @@ class TestTable:
         with pytest.raises(KeyError):
             sparse_table.row_by_id(99)
 
+
+class TestBulkBuild:
+    """``_bulk_build`` keeps the cyclic collector off while many rows or
+    answers are made, and leaves them one generation up, not in the oldest."""
+
+    def test_restores_the_collector_state(self):
+        assert gc.isenabled()
+        with _bulk_build():
+            assert not gc.isenabled()
+        assert gc.isenabled()
+        with pytest.raises(KeyError), _bulk_build():
+            raise KeyError("x")
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            with _bulk_build():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_objects_made_inside_reach_the_middle_generation(self):
+        # enough for dozens of automatic collections, some of the middle one
+        with _bulk_build():
+            made = [[i] for i in range(20_000)]
+        assert in_generation(made, 1) == len(made)
+        assert in_generation(made, 2) == 0
+
+    def test_table_construction_makes_no_object_per_row(self):
+        s = Schema(("A", "B"), {"A": ("x", "y"), "B": ("u",)})
+        rows = [Row(i, ("x" if i % 2 else "y", None)) for i in range(5_000)]
+        # one tracked object per row would set off automatic collections
+        gc.collect()
+        before = [g["collections"] for g in gc.get_stats()]
+        Table(s, rows)
+        assert [g["collections"] for g in gc.get_stats()] == before
 
 class TestSelectionQuery:
     def test_parse_and_text(self):
