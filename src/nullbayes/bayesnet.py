@@ -22,7 +22,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .tabular import Row, Schema, Table, _check_count, _check_scale, _decode, _radix_key
+from .tabular import Schema, Table, _check_count, _check_scale, _radix_key
 from .tabular import _value_counts
 
 __all__ = [
@@ -316,11 +316,11 @@ def learn_structure(train: Table, cfg: StructureSearchConfig | None = None) -> B
     schema = train.schema
     codes = train._column_codes()
     data = codes[:, (codes >= 0).all(axis=0)]
-    dropped = len(train.rows) - data.shape[1]
+    dropped = len(train) - data.shape[1]
     if dropped:
-        if dropped > 0.5 * len(train.rows):
+        if dropped > 0.5 * len(train):
             raise ValueError(
-                f"{dropped} of {len(train.rows)} training rows contain nulls; "
+                f"{dropped} of {len(train)} training rows contain nulls; "
                 "more than half the data is unusable for structure search"
             )
         warnings.warn(f"dropped {dropped} rows with nulls for structure search", stacklevel=2)
@@ -671,6 +671,7 @@ def sample_rows(
     cumulative CPT weights but the last that are at or below ``u * total``.
     """
     _check_count("n", n)
+    _check_count("start_id", start_id, -math.inf)
     rng = np.random.default_rng(seed)
     schema = net.schema
     order = net.topological_order()
@@ -685,6 +686,5 @@ def sample_rows(
         column = drawn[schema.index(attr)]
         for boundary in cum.T[:-1]:
             column += boundary[config] <= u
-    cells = _decode(schema, drawn, range(len(schema.attributes)))
-    rows = [Row(start_id + i, row) for i, row in enumerate(cells)]
-    return Table(schema, rows)
+    ids = np.arange(start_id, start_id + n, dtype=np.int64)
+    return Table._of(schema, ids, drawn.astype(np.int32))

@@ -38,11 +38,11 @@ from .tabular import (
     Table,
     _check_count,
     _check_scale,
+    _sampled,
     discretize,
     inject_nulls,
     load_csv,
     parse_discretize_rules,
-    sample_table,
 )
 
 __all__ = [
@@ -210,10 +210,8 @@ def split_table(table: Table, fraction: float, seed) -> tuple[Table, Table]:
 
     Both halves keep the full table's schema, so their domains agree.
     """
-    train = sample_table(table, fraction, seed)
-    train_ids = {r.id for r in train.rows}
-    test = Table(table.schema, [r for r in table.rows if r.id not in train_ids])
-    return train, test
+    train = _sampled(len(table), fraction, seed)
+    return table._take(train), table._take(np.delete(np.arange(len(table)), train))
 
 
 def _experiment_table(cfg: ExperimentConfig, seed: int, table: Table | None) -> Table:
@@ -283,7 +281,7 @@ def _curve_points(
         return ()
     q_idx = [table.schema.index(a) for a in query.attributes]
     uncertain = (table._column_codes()[np.ix_(q_idx, at)] < 0).any(axis=0)
-    relevant = uncertain & np.isin(table._ids()[0][at], wanted)
+    relevant = uncertain & np.isin(table._id_column()[at], wanted)
     u_total, r_total = (
         np.bincount(step[hit], minlength=len(issued)).cumsum().tolist()
         for hit in (uncertain, relevant)
@@ -320,7 +318,7 @@ def run_rewriting_experiment(
             # nulls only hide values (rows keep their order), so the relevant
             # tuples the visible data still matches are certain answers
             uncertain = test.mask(query) & ~visible.mask(query)
-            wanted = test._ids()[0][uncertain]
+            wanted = test._id_column()[uncertain]
             if not len(wanted):
                 warnings.warn(
                     f"seed {seed}: no uncertain relevant tuples for {query.text()!r}; skipped",

@@ -9,7 +9,8 @@ mutually inconsistent combinations that the joint argmax never does.
 Both engines share one path over the table's int-coded column matrix: the
 columns of the incomplete rows are filled in place, by exact inference (one
 posterior per distinct Markov-blanket component and blanket values) or by
-Gibbs sampling (one chain per row), then decoded to labels once per call.
+Gibbs sampling (one chain per row), and the output table keeps the filled
+code matrix, decoding its rows to labels on first read.
 Both multiply out one Markov-blanket plan per DAG and component
 (``bayesnet._blanket_plan``): a Gibbs full conditional is the posterior of
 a component of one variable.  A chain starts from the row's codes and
@@ -32,7 +33,7 @@ from .inference import _blanket_product, _check_chain, _cpt_views, _lex_argmax, 
 from .inference import _refuse_impossible
 # posterior_exact is not called here, but perfbench/tracing.py patches this name
 from .inference import posterior_exact, posterior_gibbs  # noqa: F401
-from .tabular import Row, Table, _bulk_build, _check_count, _decode, _radix_key
+from .tabular import Row, Table, _check_count, _radix_key
 
 __all__ = ["GibbsParams", "ImputationReport", "impute_tuple", "impute_table"]
 
@@ -120,10 +121,10 @@ def _shares(keys, hits: np.ndarray, totals: np.ndarray) -> dict:
     return {k: h / n for k, h, n in sorted(zip(keys, hits.tolist(), totals.tolist())) if n}
 
 
-def _impute_gibbs(net, rows, codes, missing, gibbs: GibbsParams, joint: bool, seed_of) -> None:
-    """Fill the -1 cells of ``codes`` (``(d, n)``, one column per row of
-    ``rows``; ``missing`` marks them) with Gibbs MAP values.  Each row gets
-    one chain over all its missing cells, seeded by ``seed_of(row)``; the
+def _impute_gibbs(net, ids, codes, missing, gibbs: GibbsParams, joint: bool, seed_of) -> None:
+    """Fill the -1 cells of ``codes`` (``(d, n)``, one column per row id in
+    ``ids``; ``missing`` marks them) with Gibbs MAP values.  Each row gets
+    one chain over all its missing cells, seeded by ``seed_of(row id)``; the
     chain does not depend on its targets, so marginal mode counts each
     attribute's values in it.  The most frequent kept state (or value), ties
     to the smallest, is map_assignment of the sampled posterior, found
@@ -134,10 +135,10 @@ def _impute_gibbs(net, rows, codes, missing, gibbs: GibbsParams, joint: bool, se
     sizes = net.schema.sizes
     memo: dict = {}  # the chains' splits and full conditionals, for this call
     fills: list[int] = []
-    for row, state, column in zip(rows, codes.T.tolist(), missing.T.tolist()):
+    for row_id, state, column in zip(ids, codes.T.tolist(), missing.T.tolist()):
         kept = posterior_gibbs(
             net, tuple(compress(attrs, column)), samples=gibbs.samples,
-            burn_in=gibbs.burn_in, seed=seed_of(row), _memo=memo, _codes=state,
+            burn_in=gibbs.burn_in, seed=seed_of(row_id), _memo=memo, _codes=state,
         )
         if joint:
             _, first, counts = np.unique(
@@ -150,25 +151,24 @@ def _impute_gibbs(net, rows, codes, missing, gibbs: GibbsParams, joint: bool, se
 
 
 def _impute(net: BayesNet, table: Table, engine: str, gibbs: GibbsParams, joint: bool, seed_of):
-    """The tail of both engines over ``table``'s code matrix: the output rows,
-    the positions of the incomplete rows, their filled codes and their
-    missing mask (``(d, n)`` each).  Impossible evidence is refused after
-    the engine runs, so that an engine's own refusal comes first."""
-    schema = table.schema
+    """The tail of both engines over ``table``'s code matrix: the output
+    table (built from the filled code matrix, its rows on first read), the
+    positions of the incomplete rows, their filled codes and their missing
+    mask (``(d, n)`` each).  Impossible evidence is refused after the engine
+    runs, so that an engine's own refusal comes first."""
     codes = table._column_codes()
     incomplete = (codes < 0).any(axis=0).nonzero()[0]
     evidence = codes[:, incomplete]
     filled, missing = evidence.copy(), evidence < 0
-    rows, positions = list(table.rows), incomplete.tolist()
     if engine == "exact":
-        _impute_exact(net, joint, filled, *_null_patterns(schema.attributes, missing))
+        _impute_exact(net, joint, filled, *_null_patterns(table.schema.attributes, missing))
     else:
-        _impute_gibbs(net, [rows[i] for i in positions], filled, missing, gibbs, joint, seed_of)
+        ids = table._id_column()[incomplete].tolist()
+        _impute_gibbs(net, ids, filled, missing, gibbs, joint, seed_of)
     _refuse_impossible(net, evidence)
-    with _bulk_build():
-        for i, cells in zip(positions, _decode(schema, filled, range(len(schema.attributes)))):
-            rows[i] = Row(rows[i].id, cells)
-    return rows, incomplete, filled, missing
+    out = codes.copy()
+    out[:, incomplete] = filled
+    return Table._of(table.schema, table._id_column(), out), incomplete, filled, missing
 
 
 def _graded(filled: np.ndarray, truth: np.ndarray, cells):
@@ -181,13 +181,13 @@ def _graded(filled: np.ndarray, truth: np.ndarray, cells):
     return scored, hits, graded, graded & (hits == scored).all(axis=0)
 
 
-def _accuracies(table: Table, truth: Table, truth_at: dict, incomplete, filled, missing):
+def _accuracies(table: Table, truth: Table, incomplete, filled, missing):
     """Cell, tuple, attribute and combination accuracy of the ``filled``
     codes of ``table``'s ``incomplete`` rows at their ``missing`` cells
     against ``truth``; cells whose truth is null are not graded, and with no
     graded cell the cell and tuple accuracy are None."""
     attrs = table.schema.attributes
-    at = [truth_at[table.rows[i].id] for i in incomplete.tolist()]
+    at = truth._positions(table._id_column()[incomplete])
     scored, hits, graded, right = _graded(filled, truth._column_codes()[:, at], missing)
     cells_scored, tuples_scored = int(scored.sum()), int(graded.sum())
     patterns, pattern = _null_patterns(attrs, missing)
@@ -222,7 +222,8 @@ def impute_tuple(
     """
     _check_engine(engine)
     g = gibbs or GibbsParams()
-    return _impute(net, Table(net.schema, [row]), engine, g, joint, lambda _: g.seed)[0][0]
+    out, incomplete, *_ = _impute(net, Table(net.schema, [row]), engine, g, joint, lambda _: g.seed)
+    return out.rows[0] if len(incomplete) else row
 
 
 def impute_table(
@@ -254,21 +255,20 @@ def impute_table(
         raise ValueError("table schema does not match the network")
     if truth is not None and truth.schema != table.schema:
         raise ValueError("ground-truth schema does not match the table")
-    truth_at = None if truth is None else {r.id: k for k, r in enumerate(truth.rows)}
     if truth is not None:
-        for row in table.rows:
-            if row.id not in truth_at:
-                raise ValueError(f"ground truth is missing row id {row.id}")
+        ids = table._id_column()
+        absent = ids[~np.isin(ids, truth._id_column())]
+        if len(absent):
+            raise ValueError(f"ground truth is missing row id {absent[0]}")
 
     t0 = time.perf_counter()
     g = gibbs or GibbsParams()
-    rows, *tail = _impute(net, table, engine, g, joint, lambda row: (g.seed, row.id))
-    out = Table(table.schema, rows)
+    out, *tail = _impute(net, table, engine, g, joint, lambda row_id: (g.seed, row_id))
     incomplete, _, missing = tail
-    accuracies = (None,) * 4 if truth is None else _accuracies(table, truth, truth_at, *tail)
+    accuracies = (None,) * 4 if truth is None else _accuracies(table, truth, *tail)
     counts = zip(table.schema.attributes, missing.sum(axis=1).tolist())
     report = ImputationReport(
-        len(table.rows), len(incomplete), {a: n for a, n in sorted(counts) if n}, *accuracies,
+        len(table), len(incomplete), {a: n for a, n in sorted(counts) if n}, *accuracies,
         time.perf_counter() - t0,
     )
     return out, report

@@ -328,7 +328,7 @@ def _issue(queries, source, limit, exclude_ids) -> tuple[_Retrieved, list[Rewrit
         issued.append(rq)
         if seen is None:
             table = rows.table
-            seen = np.zeros(len(table.rows), dtype=bool)
+            seen = np.zeros(len(table), dtype=bool)
             seen[table._positions(excluded)] = True
         # positions are unique within one answer, so only earlier answers can repeat them
         fresh.append(rows.at[~seen[rows.at]])
@@ -367,7 +367,7 @@ def _rewrite(model, sample, source, query, k, alpha, sample_ratio, pick, candida
         return RewrittenQuery(candidate, QueryScore(p, sel, r, f_measure(p, r, alpha)))
 
     selected = sorted(candidates(picked, base, source.schema, score), key=key)[:k]
-    ids = base.table._ids()[0][base.at]
+    ids = base.table._id_column()[base.at]
     retrieved, issued, truncated = _issue(selected, source, k, ids)
     return RewritingResult._unread(base, retrieved, issued, selected, truncated)
 

@@ -12,6 +12,7 @@ import contextlib
 import csv
 import gc
 import math
+import numbers
 import operator
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -78,11 +79,12 @@ class Schema:
             {None: -1, **{v: k for k, v in enumerate(fixed[a])}} for a in self.attributes
         ]
         self.sizes: tuple[int, ...] = tuple(len(fixed[a]) for a in self.attributes)
-        # position -> label: every domain in one object array, read at a code
-        # plus its attribute's offset (a column of offsets, for (d, N) codes)
+        # position -> label: every domain, each followed by None, in one
+        # object array, read at a code plus its attribute's offset (a column
+        # of offsets, for (d, N) codes); a null's -1 reads the None before it
         self._code_labels = (
-            np.array([v for a in self.attributes for v in fixed[a]], dtype=object),
-            np.cumsum([0, *self.sizes[:-1]])[:, None],
+            np.array([v for a in self.attributes for v in (*fixed[a], None)], dtype=object),
+            np.cumsum([0, *(size + 1 for size in self.sizes[:-1])])[:, None],
         )
 
     def index(self, attr: str) -> int:
@@ -134,35 +136,55 @@ class Table:
     Invariants checked on construction: unique row ids, one cell per
     attribute, and every non-null cell inside its attribute's domain.
 
-    Selections and model fitting run over a ``(d, N)`` int32 matrix of domain
-    indices (-1 for null), built on first use and cached against the identity
-    of ``rows``, so rebinding ``rows`` rebuilds it.  The same walk over
-    ``rows`` caches them as an object array, and the row ids, as an int64
-    column and sorted, are cached beside them the same way.
+    The storage is a ``(d, N)`` int32 matrix of domain indices (-1 for null)
+    and an int64 column of the row ids: ``Table(schema, rows)`` checks the
+    rows by encoding them and keeps them, and a table derived from another
+    (``inject_nulls``, ``sample_table``, imputation...) is built from codes,
+    its ``rows`` built on first read and kept.  Rebinding ``rows`` replaces
+    the storage, derived again from the new rows on first use.  The rows as
+    an object array and the sorted id column are cached beside it.
     """
 
-    __slots__ = ("schema", "rows", "_coded", "_by_id")
+    __slots__ = ("schema", "_rows", "_codes", "_row_ids", "_by_id", "_objects")
 
     def __init__(self, schema: Schema, rows: Iterable[Row]):
         self.schema = schema
-        self.rows: tuple[Row, ...] = tuple(rows)
-        self._coded: tuple[tuple[Row, ...], np.ndarray, np.ndarray] | None = None
-        self._by_id: tuple[tuple[Row, ...], np.ndarray, np.ndarray, np.ndarray] | None = None
-        cells = [row.cells for row in self.rows]
-        lookups = schema._label_codes
-        try:
-            ids = {operator.index(row.id) for row in self.rows}
-        except TypeError:  # an id that is not an integer
-            ids = ()
-        if (
-            len(ids) < len(cells)
-            or set(map(len, cells)) - {len(lookups)}
-            # column by column: zip(*cells) would make one tuple iterator per row
-            or any(
-                set(map(itemgetter(j), cells)) - lookup.keys() for j, lookup in enumerate(lookups)
-            )
-        ):
+        self.rows = tuple(rows)
+        try:  # a short row raises IndexError, a long one shows in the arity set
+            self._column_codes()
+            _, by_id, _ = self._ids()
+            arity = set(map(len, [row.cells for row in self._rows])) - {len(schema.attributes)}
+            fault = arity or (by_id[1:] == by_id[:-1]).any()
+        except (KeyError, IndexError, TypeError, OverflowError):
+            fault = True
+        if fault:
             self._raise_first_fault()
+
+    @classmethod
+    def _of(cls, schema: Schema, ids: np.ndarray, codes: np.ndarray) -> "Table":
+        """A table stored as ``ids`` and ``codes``, valid by construction."""
+        table = object.__new__(cls)
+        table.schema, table._row_ids, table._codes = schema, ids, codes
+        table._rows = table._by_id = table._objects = None
+        return table
+
+    def _take(self, at: np.ndarray) -> "Table":
+        # the rows at the positions ``at``; take keeps the codes C-contiguous
+        return Table._of(self.schema, self._id_column()[at], self._column_codes().take(at, axis=1))
+
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        """The rows, built from the codes and ids on first read and kept."""
+        if self._rows is None:
+            with _bulk_build():
+                cells = _decode(self.schema, self._codes, range(len(self.schema.attributes)))
+                self._rows = tuple(map(Row, self._row_ids.tolist(), cells))
+        return self._rows
+
+    @rows.setter
+    def rows(self, rows: tuple[Row, ...]) -> None:
+        self._rows = rows
+        self._codes = self._row_ids = self._by_id = self._objects = None
 
     def _raise_first_fault(self) -> None:
         # the constructor's checks, row by row, so the message names the first bad row
@@ -171,6 +193,8 @@ class Table:
         arity = len(schema.attributes)
         for row in self.rows:
             _check_count(f"row id {row.id!r}", row.id, -math.inf)
+            if not -(2**63) <= row.id < 2**63:
+                raise ValueError(f"row id {row.id} does not fit in 64 bits")
             if row.id in seen:
                 raise ValueError(f"duplicate row id {row.id}")
             seen.add(row.id)
@@ -181,46 +205,51 @@ class Table:
                     raise ValueError(f"row {row.id}: value {cell!r} not in domain of {attr!r}")
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._row_ids if self._rows is None else self._rows)
 
     def __iter__(self):
         return iter(self.rows)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Table) and self.schema == other.schema and self.rows == other.rows
+        if not isinstance(other, Table) or self.schema != other.schema:
+            return False
+        if self._rows is None and other._rows is None:  # neither has built its rows
+            same = np.array_equal
+            return same(self._row_ids, other._row_ids) and same(self._codes, other._codes)
+        return self.rows == other.rows
 
     def __repr__(self) -> str:
-        return f"Table({len(self.rows)} rows, {len(self.schema.attributes)} attributes)"
+        return f"Table({len(self)} rows, {len(self.schema.attributes)} attributes)"
 
     def row_by_id(self, row_id: int) -> Row:
-        for row in self.rows:
-            if row.id == row_id:
-                return row
-        raise KeyError(f"no row with id {row_id}")
+        real = isinstance(row_id, numbers.Real)  # only a number can equal an id
+        at = self._positions(np.array([row_id], dtype=object)) if real else ()
+        if not len(at):
+            raise KeyError(f"no row with id {row_id}")
+        return self.rows[at[0]]
 
     def value(self, row: Row, attr: str) -> str | None:
         return self.schema.value(row, attr)
 
     def _column_codes(self) -> np.ndarray:
-        rows = self.rows
-        if self._coded is None or self._coded[0] is not rows:
-            listed = list(rows)
-            objects = np.empty(len(listed), dtype=object)
-            objects[:] = listed
-            columns = zip(*[row.cells for row in listed])
-            codes = _encode(self.schema._label_codes, columns, len(listed))
-            self._coded = (rows, codes, objects)
-        return self._coded[1]
+        if self._codes is None:
+            self._codes = _codes_at(self.schema, self._rows, range(len(self.schema.attributes)))
+        return self._codes
+
+    def _id_column(self) -> np.ndarray:
+        if self._row_ids is None:
+            ids = map(operator.index, map(attrgetter("id"), self._rows))
+            self._row_ids = np.fromiter(ids, np.int64, len(self._rows))
+        return self._row_ids
 
     def _ids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The row ids as an int64 column in table order, that column
         sorted, and the positions it was sorted from."""
-        rows = self.rows
-        if self._by_id is None or self._by_id[0] is not rows:
-            ids = np.fromiter(map(attrgetter("id"), rows), np.int64, len(rows))
+        ids = self._id_column()
+        if self._by_id is None:
             order = np.argsort(ids)
-            self._by_id = (rows, ids, ids[order], order)
-        return self._by_id[1:]
+            self._by_id = (ids[order], order)
+        return (ids, *self._by_id)
 
     def _positions(self, ids: np.ndarray) -> np.ndarray:
         """The positions in ``rows`` of those of ``ids`` (numbers) that are
@@ -262,8 +291,10 @@ class Table:
     def _rows_at(self, at: np.ndarray) -> list[Row]:
         """The rows at the positions ``at`` of ``rows``, read off the object
         array cached beside the code matrix."""
-        self._column_codes()
-        return self._coded[2][at].tolist()
+        if self._objects is None:
+            self._objects = np.empty(len(self), dtype=object)
+            self._objects[:] = list(self.rows)
+        return self._objects[at].tolist()
 
 
 class _Selection(list):
@@ -337,10 +368,10 @@ def _radix_key(codes: np.ndarray, sizes) -> np.ndarray:
     return key
 
 
-def _decode(schema: Schema, codes: np.ndarray, idx: Sequence[int]) -> list[tuple[str, ...]]:
-    """The columns of ``codes`` (null-free codes of ``schema``'s columns
-    ``idx``, one row each) as label tuples, decoded one row at a time (one
-    ``tolist`` of the 2-D label array costs twice as much)."""
+def _decode(schema: Schema, codes: np.ndarray, idx: Sequence[int]) -> list[tuple[str | None, ...]]:
+    """The columns of ``codes`` (codes of ``schema``'s columns ``idx``, one
+    row each, -1 for null) as label tuples, None for null, decoded one row at
+    a time (one ``tolist`` of the 2-D label array costs twice as much)."""
     labels, offsets = schema._code_labels
     return list(zip(*[labels[row].tolist() for row in codes + offsets[idx]]))
 
@@ -551,18 +582,15 @@ def load_csv(path: str, null_token: str = "") -> Table:
                 raw_rows.append([None if c == null_token else c for c in map(str.strip, record)])
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: {exc}") from None
-    domains = _observed_domains(attrs, raw_rows)
+    columns = list(zip(*raw_rows)) or [()] * len(attrs)
+    domains = {attr: set(column) - {None} for attr, column in zip(attrs, columns)}
     for attr in attrs:
         if not domains[attr]:
             raise ParseError(f"{path}: empty domain for attribute {attr!r}")
     schema = Schema(attrs, domains)
-    rows = [Row(i, tuple(cells)) for i, cells in enumerate(raw_rows, start=1)]
-    return Table(schema, rows)
-
-
-def _observed_domains(attrs: Sequence[str], cells: Sequence[Sequence[str | None]]) -> dict:
-    columns = list(zip(*cells)) or [()] * len(attrs)
-    return {attr: set(column) - {None} for attr, column in zip(attrs, columns)}
+    n = len(raw_rows)
+    codes = _encode(schema._label_codes, columns, n)
+    return Table._of(schema, np.arange(1, n + 1, dtype=np.int64), codes)
 
 
 def save_csv(table: Table, path: str, null_token: str = "") -> None:
@@ -574,29 +602,31 @@ def save_csv(table: Table, path: str, null_token: str = "") -> None:
     whitespace, or a padded ``null_token`` (cells are trimmed before the
     comparison) where a cell is missing.
     """
-    for attr in table.schema.attributes:
+    schema, codes = table.schema, table._column_codes()
+    for attr in schema.attributes:
         if not attr or attr != attr.strip():
             raise ValueError(f"attribute name {attr!r} would not read back")
-    if null_token != null_token.strip() and any(None in row.cells for row in table.rows):
+    if null_token != null_token.strip() and (codes < 0).any():
         raise ValueError(f"null token {null_token!r} would not read back")
-    for j, attr in enumerate(table.schema.attributes):
-        for label in table.schema.domains[attr]:
+    for j, attr in enumerate(schema.attributes):
+        for k, label in enumerate(schema.domains[attr]):
             bad = label == null_token or label != label.strip()
-            if bad and any(row.cells[j] == label for row in table.rows):
+            if bad and (codes[j] == k).any():
                 raise ValueError(f"label {label!r} of attribute {attr!r} would not read back")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(table.schema.attributes)
-        for row in table.rows:
-            writer.writerow([null_token if c is None else c for c in row.cells])
+        writer.writerow(schema.attributes)
+        for cells in _decode(schema, codes, range(len(schema.attributes))):
+            writer.writerow([null_token if c is None else c for c in cells])
 
 
-def _round_to_multiple(value: int, granularity: int) -> int:
-    # nearest multiple; exact midpoint rounds up
-    q, r = divmod(value, granularity)
-    if 2 * r >= granularity:
-        q += 1
-    return q * granularity
+def _bucket(label: str, granularity: int) -> str | None:
+    # the nearest multiple, exact midpoint rounding up; None for a non-integer label
+    try:
+        q, r = divmod(int(label), granularity)
+    except ValueError:
+        return None
+    return str((q + (2 * r >= granularity)) * granularity)
 
 
 def parse_discretize_rules(text: str) -> dict[str, int]:
@@ -623,37 +653,42 @@ def discretize(table: Table, rules: Mapping[str, int]) -> Table:
 
     ``rules`` maps attribute name to a positive integer granularity.  Null
     cells stay null.  Idempotent: already-bucketed values are fixed points.
+    Every domain becomes the labels its column holds (an all-null column
+    keeps its domain).
 
     Raises
     ------
     ValueError
-        For an unknown attribute, a non-positive granularity, or a non-integer
-        label in a targeted column (the message names attribute and value).
+        For an unknown attribute, a granularity that is not a positive
+        integer (a bool, NaN or infinity neither), or a non-integer label in
+        a targeted column (the message names attribute and value).
     """
+    schema, codes = table.schema, table._column_codes()
+    # each column's new label per code of its old domain (None: not an integer)
+    mapped = [schema.domains[a] for a in schema.attributes]
     for attr, gran in rules.items():
-        table.schema.index(attr)
-        if int(gran) != gran or gran <= 0:
+        j = schema.index(attr)
+        real = isinstance(gran, numbers.Real) and not isinstance(gran, bool)
+        if not (real and gran % 1 == 0 and gran > 0):
             raise ValueError(f"granularity for {attr!r} must be a positive integer")
-    new_rows = []
-    for row in table.rows:
-        cells = list(row.cells)
-        for attr, gran in rules.items():
-            i = table.schema.index(attr)
-            cell = cells[i]
-            if cell is None:
-                continue
-            try:
-                num = int(cell)
-            except ValueError:
-                raise ValueError(f"attribute {attr!r}: non-numeric label {cell!r}") from None
-            cells[i] = str(_round_to_multiple(num, int(gran)))
-        new_rows.append(Row(row.id, tuple(cells)))
-    domains = _observed_domains(table.schema.attributes, [row.cells for row in new_rows])
-    for attr in table.schema.attributes:
-        if not domains[attr]:
-            # column was entirely null already; keep its old domain
-            domains[attr] = set(table.schema.domains[attr])
-    return Table(Schema(table.schema.attributes, domains), new_rows)
+        mapped[j] = [_bucket(v, int(gran)) for v in mapped[j]]
+    # a non-integer label that occurs is refused at its first row, then rule
+    idx = [schema.index(a) for a in rules]
+    bad = np.array([np.array([v is None for v in (*mapped[j], 0)])[codes[j]] for j in idx])
+    if bad.any():
+        at, r = np.argwhere(bad.T)[0]
+        attr = list(rules)[r]
+        label = schema.domains[attr][codes[idx[r], at]]
+        raise ValueError(f"attribute {attr!r}: non-numeric label {label!r}")
+    domains = {
+        a: {labels[k] for k in np.unique(column[column >= 0]).tolist()} or schema.domains[a]
+        for a, labels, column in zip(schema.attributes, mapped, codes)
+    }
+    out = Schema(schema.attributes, domains)
+    return Table._of(out, table._id_column(), np.array([
+        np.array([lookup.get(v, -1) for v in (*labels, None)], dtype=np.int32)[column]
+        for lookup, labels, column in zip(out._label_codes, mapped, codes)
+    ]))
 
 
 def select(table: Table, query: SelectionQuery, include_null_matches: bool = False) -> list[Row]:
@@ -701,24 +736,20 @@ def inject_nulls(
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be in [0, 1]")
     idx = [table.schema.index(a) for a in attrs]
-    n = len(table.rows)
+    n = len(table)
     k = math.ceil(fraction * n)
-    rng = np.random.default_rng(seed)
-    hit = rng.choice(n, size=k, replace=False).tolist() if k else []
-    rows = list(table.rows)
-    for pos in hit:
-        cells = list(rows[pos].cells)
-        for i in idx:
-            cells[i] = None
-        rows[pos] = Row(rows[pos].id, tuple(cells))
-    return Table(table.schema, rows)
+    codes = table._column_codes().copy()
+    if k:
+        codes[np.ix_(idx, np.random.default_rng(seed).choice(n, size=k, replace=False))] = -1
+    return Table._of(table.schema, table._id_column(), codes)
 
 
 def align_table(table: Table, schema: Schema) -> Table:
     """Reorder a table's columns to ``schema`` and revalidate against its domains.
 
     Useful for pairing freshly loaded data with a saved model: attribute
-    sets must match exactly; values outside the schema's domains raise.
+    sets must match exactly; values outside the schema's domains raise,
+    naming the first row that holds one.
     """
     missing = [a for a in schema.attributes if a not in table.schema.attributes]
     extra = [a for a in table.schema.attributes if a not in schema.attributes]
@@ -726,9 +757,24 @@ def align_table(table: Table, schema: Schema) -> Table:
         raise ValueError(f"table lacks attributes {missing}")
     if extra:
         raise ValueError(f"table has unexpected attributes {extra}")
-    idx = [table.schema.index(a) for a in schema.attributes]
-    rows = [Row(r.id, tuple(r.cells[i] for i in idx)) for r in table.rows]
-    return Table(schema, rows)
+    old, codes = table.schema, table._column_codes()
+    idx = [old.index(a) for a in schema.attributes]
+    # each column's codes through its labels into the new domain: -2 outside it
+    aligned = np.array([
+        np.array([lookup.get(v, -2) for v in (*old.domains[a], None)], dtype=np.int32)[codes[i]]
+        for a, i, lookup in zip(schema.attributes, idx, schema._label_codes)
+    ])
+    if (aligned == -2).any():  # refused as the rows would be: at the first bad row
+        Table(schema, [Row(r.id, tuple(r.cells[i] for i in idx)) for r in table.rows])
+    return Table._of(schema, table._id_column(), aligned)
+
+
+def _sampled(n: int, fraction: float, seed: int | Sequence[int]) -> np.ndarray:
+    # the sorted positions of ceil(fraction*n) of n rows, drawn without replacement
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError("fraction must be in (0, 1]")
+    k = math.ceil(fraction * n)
+    return np.sort(np.random.default_rng(seed).choice(n, size=k, replace=False))
 
 
 def sample_table(table: Table, fraction: float, seed: int | Sequence[int]) -> Table:
@@ -736,10 +782,4 @@ def sample_table(table: Table, fraction: float, seed: int | Sequence[int]) -> Ta
 
     Sampled rows keep their ids and their original relative order.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
-    n = len(table.rows)
-    k = math.ceil(fraction * n)
-    rng = np.random.default_rng(seed)
-    hit = sorted(rng.choice(n, size=k, replace=False).tolist())
-    return Table(table.schema, [table.rows[i] for i in hit])
+    return table._take(_sampled(len(table), fraction, seed))

@@ -1,0 +1,491 @@
+"""Differential and contract tests for tables stored as codes.
+
+A ``Table`` is stored as its ``(d, N)`` int32 code matrix and its int64 id
+column; ``rows`` is built from them on first read.  ``inject_nulls``,
+``sample_table``, ``split_table``, ``align_table``, ``discretize``,
+``load_csv`` and ``sample_rows`` build their output from codes.  The
+references below are the earlier versions, which built one ``Row`` per
+output row and passed the rows through ``Table(schema, rows)``.  Each pair
+must give an equal schema, equal ids, equal rows and an equal code matrix,
+or refuse with the same message.
+"""
+
+import copy
+import csv
+import math
+import os
+import pickle
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import nullbayes.tabular as tabular
+from nullbayes import (
+    ParseError,
+    Row,
+    Schema,
+    Table,
+    align_table,
+    discretize,
+    inject_nulls,
+    load_csv,
+    sample_rows,
+    sample_table,
+)
+from nullbayes.harness import split_table
+from nullbayes.synth import random_net
+from nullbayes.tabular import _check_count, _radix_key
+
+from conftest import demo_cars
+
+# ---------------------------------------------------------------------------
+# references: the row-building versions
+
+
+def _ref_inject_nulls(table, attrs, fraction, seed):
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("fraction must be in [0, 1]")
+    idx = [table.schema.index(a) for a in attrs]
+    n = len(table.rows)
+    k = math.ceil(fraction * n)
+    rng = np.random.default_rng(seed)
+    hit = rng.choice(n, size=k, replace=False).tolist() if k else []
+    rows = list(table.rows)
+    for pos in hit:
+        cells = list(rows[pos].cells)
+        for i in idx:
+            cells[i] = None
+        rows[pos] = Row(rows[pos].id, tuple(cells))
+    return Table(table.schema, rows)
+
+
+def _ref_align_table(table, schema):
+    missing = [a for a in schema.attributes if a not in table.schema.attributes]
+    extra = [a for a in table.schema.attributes if a not in schema.attributes]
+    if missing:
+        raise ValueError(f"table lacks attributes {missing}")
+    if extra:
+        raise ValueError(f"table has unexpected attributes {extra}")
+    idx = [table.schema.index(a) for a in schema.attributes]
+    rows = [Row(r.id, tuple(r.cells[i] for i in idx)) for r in table.rows]
+    return Table(schema, rows)
+
+
+def _ref_sample_table(table, fraction, seed):
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError("fraction must be in (0, 1]")
+    n = len(table.rows)
+    k = math.ceil(fraction * n)
+    rng = np.random.default_rng(seed)
+    hit = sorted(rng.choice(n, size=k, replace=False).tolist())
+    return Table(table.schema, [table.rows[i] for i in hit])
+
+
+def _ref_split_table(table, fraction, seed):
+    train = _ref_sample_table(table, fraction, seed)
+    train_ids = {r.id for r in train.rows}
+    test = Table(table.schema, [r for r in table.rows if r.id not in train_ids])
+    return train, test
+
+
+def _ref_observed_domains(attrs, cells):
+    columns = list(zip(*cells)) or [()] * len(attrs)
+    return {attr: set(column) - {None} for attr, column in zip(attrs, columns)}
+
+
+def _ref_round_to_multiple(value, granularity):
+    q, r = divmod(value, granularity)
+    if 2 * r >= granularity:
+        q += 1
+    return q * granularity
+
+
+def _ref_discretize(table, rules):
+    for attr, gran in rules.items():
+        table.schema.index(attr)
+        if int(gran) != gran or gran <= 0:
+            raise ValueError(f"granularity for {attr!r} must be a positive integer")
+    new_rows = []
+    for row in table.rows:
+        cells = list(row.cells)
+        for attr, gran in rules.items():
+            i = table.schema.index(attr)
+            cell = cells[i]
+            if cell is None:
+                continue
+            try:
+                num = int(cell)
+            except ValueError:
+                raise ValueError(f"attribute {attr!r}: non-numeric label {cell!r}") from None
+            cells[i] = str(_ref_round_to_multiple(num, int(gran)))
+        new_rows.append(Row(row.id, tuple(cells)))
+    domains = _ref_observed_domains(table.schema.attributes, [row.cells for row in new_rows])
+    for attr in table.schema.attributes:
+        if not domains[attr]:
+            domains[attr] = set(table.schema.domains[attr])
+    return Table(Schema(table.schema.attributes, domains), new_rows)
+
+
+def _ref_load_csv(path, null_token=""):
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(f"{path}: empty file") from None
+            attrs = [h.strip() for h in header]
+            if any(not a for a in attrs):
+                raise ParseError(f"{path}: blank attribute name in header")
+            if len(set(attrs)) != len(attrs):
+                raise ParseError(f"{path}: duplicate attribute names in header")
+            raw_rows = []
+            for lineno, record in enumerate(reader, start=2):
+                if len(record) != len(attrs):
+                    raise ParseError(
+                        f"{path}: line {lineno}: expected {len(attrs)} fields, got {len(record)}"
+                    )
+                raw_rows.append([None if c == null_token else c for c in map(str.strip, record)])
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    domains = _ref_observed_domains(attrs, raw_rows)
+    for attr in attrs:
+        if not domains[attr]:
+            raise ParseError(f"{path}: empty domain for attribute {attr!r}")
+    schema = Schema(attrs, domains)
+    rows = [Row(i, tuple(cells)) for i, cells in enumerate(raw_rows, start=1)]
+    return Table(schema, rows)
+
+
+def _ref_sample_rows(net, n, seed, start_id=1):
+    _check_count("n", n)
+    rng = np.random.default_rng(seed)
+    schema = net.schema
+    order = net.topological_order()
+    draws = rng.random((n, len(order)))
+    drawn = np.zeros((len(order), n), dtype=np.intp)
+    for k, attr in enumerate(order):
+        cpt = net.cpts[attr]
+        parents = [schema.index(p) for p in net.parents[attr]]
+        config = _radix_key(drawn[parents], cpt.shape[:-1])
+        cum = np.cumsum(cpt.reshape(-1, cpt.shape[-1]), axis=1)
+        u = draws[:, k] * cum[config, -1]
+        column = drawn[schema.index(attr)]
+        for boundary in cum.T[:-1]:
+            column += boundary[config] <= u
+    # the private decoder spelled out per cell: its label layout has changed
+    domains = [schema.domains[a] for a in schema.attributes]
+    cells = [tuple(d[c] for d, c in zip(domains, col)) for col in drawn.T.tolist()]
+    rows = [Row(start_id + i, row) for i, row in enumerate(cells)]
+    return Table(schema, rows)
+
+
+# ---------------------------------------------------------------------------
+# comparison
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (ValueError, KeyError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_same_table(got, want):
+    assert got.schema == want.schema
+    assert got.schema.attributes == want.schema.attributes
+    assert got._ids()[0].tolist() == want._ids()[0].tolist()
+    assert np.array_equal(got._column_codes(), want._column_codes())
+    assert got._column_codes().dtype == np.int32
+    # rows of the matrix are attributes: selections read them as contiguous runs
+    assert got._column_codes().flags["C_CONTIGUOUS"]
+    assert got.rows == want.rows
+    assert got == want
+
+
+def _assert_same(got, want):
+    assert got[0] == want[0], (got, want)
+    if got[0] != "ok":
+        assert got == want
+    elif isinstance(want[1], tuple):
+        for g, w in zip(got[1], want[1]):
+            _assert_same_table(g, w)
+    else:
+        _assert_same_table(got[1], want[1])
+
+
+_LABELS = ("a", "b", "c", "d")
+
+
+@st.composite
+def tables(draw, labels=_LABELS, max_rows=12):
+    d = draw(st.integers(1, 4))
+    attrs = [f"A{j}" for j in range(d)]
+    domains = {a: draw(st.lists(st.sampled_from(labels), min_size=1, unique=True)) for a in attrs}
+    n = draw(st.integers(0, max_rows))
+    ids = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n, unique=True))
+    rows = [
+        Row(i, tuple(draw(st.sampled_from([None, *domains[a]])) for a in attrs)) for i in ids
+    ]
+    return Table(Schema(attrs, domains), rows)
+
+
+_seeds = st.integers(0, 2**32 - 1)
+_fractions = st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1.5, -0.1])
+
+
+# ---------------------------------------------------------------------------
+# the rewritten operations against their references
+
+
+@settings(max_examples=80)
+@given(tables(), st.data(), _fractions, _seeds)
+def test_inject_nulls_matches_row_version(table, data, fraction, seed):
+    attrs = data.draw(st.lists(st.sampled_from(table.schema.attributes), max_size=3))
+    want = _outcome(_ref_inject_nulls, table, attrs, fraction, seed)
+    _assert_same(_outcome(inject_nulls, table, attrs, fraction, seed), want)
+
+
+@settings(max_examples=40)
+@given(tables(), st.lists(_seeds, min_size=1, max_size=18))
+def test_inject_nulls_chains_match_row_version(table, seeds):
+    got = want = table
+    for k, seed in enumerate(seeds):
+        attr = [table.schema.attributes[k % len(table.schema.attributes)]]
+        got = inject_nulls(got, attr, 0.5, (seed, k))
+        want = _ref_inject_nulls(want, attr, 0.5, (seed, k))
+    _assert_same_table(got, want)
+
+
+@settings(max_examples=80)
+@given(tables(), _fractions, _seeds)
+def test_sample_table_matches_row_version(table, fraction, seed):
+    want = _outcome(_ref_sample_table, table, fraction, seed)
+    _assert_same(_outcome(sample_table, table, fraction, seed), want)
+
+
+@settings(max_examples=80)
+@given(tables(), _fractions, _seeds)
+def test_split_table_matches_row_version(table, fraction, seed):
+    want = _outcome(_ref_split_table, table, fraction, seed)
+    _assert_same(_outcome(split_table, table, fraction, seed), want)
+
+
+@settings(max_examples=120)
+@given(tables(), st.data())
+def test_align_table_matches_row_version(table, data):
+    attrs = list(data.draw(st.permutations(table.schema.attributes)))
+    if data.draw(st.booleans()):
+        attrs = attrs[: data.draw(st.integers(1, len(attrs)))]
+    if data.draw(st.booleans()):
+        attrs.append("Extra")
+    domains = {
+        a: data.draw(st.lists(st.sampled_from(_LABELS + ("e",)), min_size=1, unique=True))
+        for a in attrs
+    }
+    target = Schema(attrs, domains)
+    want = _outcome(_ref_align_table, table, target)
+    _assert_same(_outcome(align_table, table, target), want)
+
+
+def test_align_table_names_the_first_bad_row():
+    s = Schema(("A", "B"), {"A": ("x", "y"), "B": ("p", "q")})
+    t = Table(s, [Row(5, ("x", "p")), Row(3, ("y", "q")), Row(9, ("y", "p"))])
+    target = Schema(("B", "A"), {"B": ("p", "q"), "A": ("x",)})
+    with pytest.raises(ValueError, match=r"^row 3: value 'y' not in domain of 'A'$"):
+        align_table(t, target)
+    with pytest.raises(ValueError, match=r"^row 3: value 'y' not in domain of 'A'$"):
+        _ref_align_table(t, target)
+
+
+_NUMBERS = ("0", "4", "5", "12", "17", "-3", "x", "y", " 7", "2_0")
+
+
+@settings(max_examples=120)
+@given(tables(labels=_NUMBERS), st.data())
+def test_discretize_matches_row_version(table, data):
+    attrs = st.sampled_from([*table.schema.attributes, "Nope"])
+    grans = st.integers(-1, 12) | st.sampled_from([2.0, 5.0])
+    rules = data.draw(st.dictionaries(attrs, grans))
+    want = _outcome(_ref_discretize, table, rules)
+    _assert_same(_outcome(discretize, table, rules), want)
+
+
+def test_discretize_refuses_at_the_first_row_then_rule():
+    # B's first bad label comes before A's, and row 3 has both
+    s = Schema(("A", "B"), {"A": ("1", "x"), "B": ("2", "y")})
+    t = Table(s, [Row(1, ("1", "y")), Row(2, ("x", "2")), Row(3, ("x", "y"))])
+    for rules, label in (({"A": 2, "B": 2}, "y"), ({"B": 2, "A": 2}, "y"), ({"A": 3}, "x")):
+        want = _outcome(_ref_discretize, t, rules)
+        assert want[1].endswith(f"non-numeric label {label!r}")
+        assert _outcome(discretize, t, rules) == want
+    t = Table(s, [Row(1, ("x", "y"))])
+    for rules, attr in (({"A": 2, "B": 2}, "A"), ({"B": 2, "A": 2}, "B")):
+        want = _outcome(_ref_discretize, t, rules)
+        assert want[1].startswith(f"attribute {attr!r}")
+        assert _outcome(discretize, t, rules) == want
+
+
+@st.composite
+def csv_texts(draw):
+    d = draw(st.integers(1, 3))
+    header = draw(st.lists(st.sampled_from(["A", "B", " C", "A ", ""]), min_size=d, max_size=d))
+    cells = st.sampled_from(["x", "y", " x", "", "NA", "z "])
+    arity = st.sampled_from([d, d, d, d - 1, d + 1])  # mostly right, sometimes not
+    records = draw(
+        st.lists(arity.flatmap(lambda k: st.lists(cells, min_size=k, max_size=k)), max_size=8)
+    )
+    return [header, *records]
+
+
+@settings(max_examples=120)
+@given(csv_texts(), st.sampled_from(["", "NA"]))
+def test_load_csv_matches_row_version(records, null_token):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(records)
+        want = _outcome_parse(_ref_load_csv, path, null_token)
+        _assert_same(_outcome_parse(load_csv, path, null_token), want)
+
+
+def _outcome_parse(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ParseError as exc:
+        return "ParseError", str(exc)
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(1, 6), st.integers(0, 100), st.integers(0, 60), _seeds, st.integers(-5, 10**6)
+)
+def test_sample_rows_matches_row_version(nodes, net_seed, n, seed, start_id):
+    net = random_net(nodes, seed=net_seed, max_parents=2)
+    _assert_same_table(sample_rows(net, n, seed, start_id), _ref_sample_rows(net, n, seed, start_id))
+
+
+def test_sample_rows_refuses_a_non_integer_start_id():
+    net = random_net(3, seed=0)
+    with pytest.raises(ValueError, match=r"^start_id must be an integer$"):
+        sample_rows(net, 4, 0, start_id=1.5)
+
+
+# ---------------------------------------------------------------------------
+# the storage contract
+
+
+@pytest.fixture
+def rows_made(monkeypatch):
+    """A one-item list counting the ``Row``s made while the fixture is live."""
+    made = [0]
+    init = Row.__init__
+
+    def counting(self, *args, **kwargs):
+        made[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Row, "__init__", counting)
+    return made
+
+
+def test_inject_nulls_chain_builds_no_row_until_rows_are_read(rows_made):
+    net = random_net(6, seed=1)
+    table = sample_rows(net, 300, seed=2)
+    for k in range(18):
+        attr = table.schema.attributes[k % 6]
+        table = inject_nulls(table, [attr], 0.3, (7, k))
+    assert rows_made[0] == 0
+    assert len(table) == 300 and table._column_codes().shape == (6, 300)
+    assert (table._column_codes() < 0).any()
+    assert rows_made[0] == 0
+    rows = table.rows
+    assert rows_made[0] == 300
+    assert table.rows is rows
+    assert rows_made[0] == 300
+
+
+def test_edge_constructor_keeps_the_given_rows(rows_made):
+    cars = demo_cars()
+    rows_made[0] = 0
+    table = Table(cars.schema, cars.rows)
+    assert table.rows is cars.rows
+    assert rows_made[0] == 0
+
+
+def test_unread_table_survives_pickle_and_copies():
+    table = inject_nulls(sample_rows(random_net(4, seed=3), 50, seed=4), ["A"], 0.4, 5)
+    built = inject_nulls(sample_rows(random_net(4, seed=3), 50, seed=4), ["A"], 0.4, 5)
+    built.rows  # noqa: B018
+    for twin in (pickle.loads(pickle.dumps(table)), copy.copy(table), copy.deepcopy(table)):
+        assert twin == table
+        assert twin == built and built == twin
+        assert twin.rows == built.rows
+        assert twin._ids()[0].tolist() == built._ids()[0].tolist()
+        assert np.array_equal(twin._column_codes(), built._column_codes())
+
+
+def test_rebinding_rows_derives_the_codes_again():
+    table = inject_nulls(demo_cars(), ["Make"], 1.0, 0)
+    rows = demo_cars().rows[:3]
+    table.rows = rows
+    assert table.rows is rows and len(table) == 3
+    assert np.array_equal(table._column_codes(), Table(table.schema, rows)._column_codes())
+    assert table._ids()[0].tolist() == [1, 2, 3]
+
+
+@settings(max_examples=80)
+@given(tables(), _seeds, _seeds, st.integers(0, 3))
+def test_equality_over_codes_matches_row_equality(table, seed, other_seed, read):
+    a = inject_nulls(table, table.schema.attributes[:1], 0.5, seed)
+    b = inject_nulls(table, table.schema.attributes[:1], 0.5, other_seed)
+    want = a.rows == b.rows  # the row comparison, on copies that built their rows
+    a = inject_nulls(table, table.schema.attributes[:1], 0.5, seed)
+    b = inject_nulls(table, table.schema.attributes[:1], 0.5, other_seed)
+    if read & 1:
+        a.rows  # noqa: B018
+    if read & 2:
+        b.rows  # noqa: B018
+    assert (a == b) is want and (b == a) is want
+
+
+def test_equality_over_codes_compares_ids_and_schema():
+    table = demo_cars()
+    same = inject_nulls(table, [], 1.0, 0)
+    assert same == inject_nulls(table, [], 1.0, 0)
+    assert same == table
+    renumbered = tabular.Table._of(table.schema, table._ids()[0] + 1, table._column_codes())
+    assert renumbered != same
+    wider = Schema(table.schema.attributes, {**table.schema.domains, "Make": (*table.schema.domains["Make"], "Zz")})
+    assert align_table(same, wider) != same
+
+
+@settings(max_examples=60)
+@given(tables(), st.integers(-60, 60))
+def test_row_by_id_reads_the_id_column(table, row_id):
+    derived = inject_nulls(table, [], 0.0, 0)
+    want = [row for row in table.rows if row.id == row_id]
+    for t in (table, derived):
+        if want:
+            assert t.row_by_id(row_id) == want[0]
+        else:
+            with pytest.raises(KeyError, match=f"no row with id {row_id}"):
+                t.row_by_id(row_id)
+
+
+def test_row_by_id_takes_what_equals_an_id():
+    table = demo_cars()
+    assert table.row_by_id(3.0) is table.row_by_id(3)
+    assert table.row_by_id(np.int64(3)) is table.row_by_id(3)
+    for absent in (3.5, "3", None, 2**70, float("nan")):
+        with pytest.raises(KeyError):
+            table.row_by_id(absent)
+
+
+def test_huge_row_id_is_refused_on_construction():
+    s = Schema(("A",), {"A": ("x",)})
+    with pytest.raises(ValueError, match=r"^row id 9223372036854775808 does not fit in 64 bits$"):
+        Table(s, [Row(0, ("x",)), Row(2**63, ("x",))])

@@ -410,6 +410,20 @@ class TestDiscretize:
         with pytest.raises(ValueError):
             discretize(t, {"N": 0})
 
+    @pytest.mark.parametrize("gran", [math.inf, math.nan, True, np.True_, None, "5", 2.5])
+    def test_granularity_must_be_a_positive_integer(self, gran):
+        # infinity used to raise OverflowError, NaN numpy's bare int() message,
+        # and True passed as granularity 1
+        t = self._numbers(["10"])
+        with pytest.raises(ValueError, match=r"^granularity for 'N' must be a positive integer$"):
+            discretize(t, {"N": gran})
+
+    def test_integral_granularity_of_any_number_type(self):
+        t = self._numbers(["12", "17"])
+        want = discretize(t, {"N": 5})
+        assert discretize(t, {"N": 5.0}) == want
+        assert discretize(t, {"N": np.int64(5)}) == want
+
     def test_untouched_attributes_pass_through(self, sparse_table):
         out = discretize(sparse_table, {"Mileage": 10000})
         assert out.schema.attributes == sparse_table.schema.attributes
