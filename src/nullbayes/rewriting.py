@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -100,31 +99,9 @@ class RetrievedAnswer:
     retrieved the tuple, usable as its relevance estimate.
     """
 
-    # __slots__ by hand: the class slots=True builds keeps the original's
-    # frozen __setattr__, which raises TypeError, not FrozenInstanceError,
-    # for a name that is not a field (Python 3.11)
-    __slots__ = ("row", "relevance", "query")
     row: Row
     relevance: float
     query: SelectionQuery
-
-    def __reduce__(self):
-        # pickle's default restores slots by setattr, which frozen refuses
-        return RetrievedAnswer, (self.row, self.relevance, self.query)
-
-
-def _answers(
-    rows: list[Row], relevance: Iterable[float], query: Iterable[SelectionQuery]
-) -> list[RetrievedAnswer]:
-    # RetrievedAnswer(row, relevance, query) per row, the fields read in step
-    # from the three iterables, without the frozen __init__'s
-    # object.__setattr__ calls: bare instances, then each slot set through its
-    # descriptor, all in C-level loops, with no collector pass among them
-    with _bulk_build():
-        out = list(map(object.__new__, itertools.repeat(RetrievedAnswer, len(rows))))
-        for name, column in zip(RetrievedAnswer.__slots__, (rows, relevance, query)):
-            deque(map(getattr(RetrievedAnswer, name).__set__, out, column), maxlen=0)
-    return out
 
 
 class _Retrieved(NamedTuple):
@@ -145,10 +122,11 @@ class _Retrieved(NamedTuple):
         steps = self.step.tolist()
         relevance = [rq.score.precision for rq in self.issued]
         query = [rq.query for rq in self.issued]
-        return _answers(
-            self.table._rows_at(self.at),
-            map(relevance.__getitem__, steps), map(query.__getitem__, steps),
-        )
+        with _bulk_build():
+            return list(map(
+                RetrievedAnswer, self.table._rows_at(self.at),
+                map(relevance.__getitem__, steps), map(query.__getitem__, steps),
+            ))
 
 
 @dataclass(frozen=True)
@@ -292,9 +270,10 @@ def order_and_issue(
 
     At most ``limit`` queries are sent.  Retrieved tuples are deduplicated
     by id (the first retrieving query wins and provides the relevance
-    annotation) and tuples with ids in ``exclude_ids`` are dropped.  A
-    budget refusal stops issuing but keeps everything already retrieved;
-    the returned flag says whether that happened.
+    annotation) and tuples whose id equals a number in ``exclude_ids`` are
+    dropped; anything else in it equals no id.  A budget refusal stops
+    issuing but keeps everything already retrieved; the returned flag says
+    whether that happened.
 
     The strategies issue through the same pass, ``_issue``, which keeps each
     query's fresh tuples as positions in the source table and builds no
@@ -313,8 +292,7 @@ def _issue(queries, source, limit, exclude_ids) -> tuple[_Retrieved, list[Rewrit
     ordered = sorted(queries, key=_issue_key)
     if limit is not None:
         ordered = ordered[:limit]
-    # an id array as it is: iterating one makes a numpy scalar per id
-    excluded = np.asarray(exclude_ids if isinstance(exclude_ids, np.ndarray) else list(exclude_ids))
+    iter(exclude_ids)  # a non-iterable is refused before any query is sent
     table = seen = None  # the source table and a mask over it, from the first answer on
     fresh: list[np.ndarray] = []  # per issued query, the positions it retrieved first
     issued: list[RewrittenQuery] = []
@@ -329,7 +307,7 @@ def _issue(queries, source, limit, exclude_ids) -> tuple[_Retrieved, list[Rewrit
         if seen is None:
             table = rows.table
             seen = np.zeros(len(table), dtype=bool)
-            seen[table._positions(excluded)] = True
+            seen[table._positions(exclude_ids)] = True
         # positions are unique within one answer, so only earlier answers can repeat them
         fresh.append(rows.at[~seen[rows.at]])
         seen[rows.at] = True

@@ -140,9 +140,9 @@ class Table:
     and an int64 column of the row ids: ``Table(schema, rows)`` checks the
     rows by encoding them and keeps them, and a table derived from another
     (``inject_nulls``, ``sample_table``, imputation...) is built from codes,
-    its ``rows`` built on first read and kept.  Rebinding ``rows`` replaces
-    the storage, derived again from the new rows on first use.  The rows as
-    an object array and the sorted id column are cached beside it.
+    its ``rows`` built on first read and kept.  Rebinding ``rows`` encodes
+    and checks the new rows as the constructor does.  The rows as an object
+    array and the sorted id column are cached beside the storage.
     """
 
     __slots__ = ("schema", "_rows", "_codes", "_row_ids", "_by_id", "_objects")
@@ -150,15 +150,6 @@ class Table:
     def __init__(self, schema: Schema, rows: Iterable[Row]):
         self.schema = schema
         self.rows = tuple(rows)
-        try:  # a short row raises IndexError, a long one shows in the arity set
-            self._column_codes()
-            _, by_id, _ = self._ids()
-            arity = set(map(len, [row.cells for row in self._rows])) - {len(schema.attributes)}
-            fault = arity or (by_id[1:] == by_id[:-1]).any()
-        except (KeyError, IndexError, TypeError, OverflowError):
-            fault = True
-        if fault:
-            self._raise_first_fault()
 
     @classmethod
     def _of(cls, schema: Schema, ids: np.ndarray, codes: np.ndarray) -> "Table":
@@ -183,15 +174,25 @@ class Table:
 
     @rows.setter
     def rows(self, rows: tuple[Row, ...]) -> None:
-        self._rows = rows
-        self._codes = self._row_ids = self._by_id = self._objects = None
+        schema = self.schema
+        try:  # a short row raises IndexError, a long one shows in the arity set
+            codes = _codes_at(schema, rows, range(len(schema.attributes)))
+            ids = np.fromiter(map(operator.index, map(attrgetter("id"), rows)), np.int64, len(rows))
+            arity = set(map(len, [row.cells for row in rows])) - {len(schema.attributes)}
+            fault = arity or len(np.unique(ids)) < len(ids)
+        except (KeyError, IndexError, TypeError, OverflowError):
+            fault = True
+        if fault:
+            self._raise_first_fault(rows)
+        self._rows, self._codes, self._row_ids = rows, codes, ids
+        self._by_id = self._objects = None
 
-    def _raise_first_fault(self) -> None:
+    def _raise_first_fault(self, rows: Sequence[Row]) -> None:
         # the constructor's checks, row by row, so the message names the first bad row
         schema = self.schema
         seen: set[int] = set()
         arity = len(schema.attributes)
-        for row in self.rows:
+        for row in rows:
             _check_count(f"row id {row.id!r}", row.id, -math.inf)
             if not -(2**63) <= row.id < 2**63:
                 raise ValueError(f"row id {row.id} does not fit in 64 bits")
@@ -205,25 +206,25 @@ class Table:
                     raise ValueError(f"row {row.id}: value {cell!r} not in domain of {attr!r}")
 
     def __len__(self) -> int:
-        return len(self._row_ids if self._rows is None else self._rows)
+        return len(self._row_ids)
 
     def __iter__(self):
         return iter(self.rows)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Table) or self.schema != other.schema:
-            return False
-        if self._rows is None and other._rows is None:  # neither has built its rows
-            same = np.array_equal
-            return same(self._row_ids, other._row_ids) and same(self._codes, other._codes)
-        return self.rows == other.rows
+        # under one schema, equal ids and equal codes are equal rows
+        return (
+            isinstance(other, Table)
+            and self.schema == other.schema
+            and np.array_equal(self._row_ids, other._row_ids)
+            and np.array_equal(self._codes, other._codes)
+        )
 
     def __repr__(self) -> str:
         return f"Table({len(self)} rows, {len(self.schema.attributes)} attributes)"
 
     def row_by_id(self, row_id: int) -> Row:
-        real = isinstance(row_id, numbers.Real)  # only a number can equal an id
-        at = self._positions(np.array([row_id], dtype=object)) if real else ()
+        at = self._positions([row_id])
         if not len(at):
             raise KeyError(f"no row with id {row_id}")
         return self.rows[at[0]]
@@ -232,14 +233,9 @@ class Table:
         return self.schema.value(row, attr)
 
     def _column_codes(self) -> np.ndarray:
-        if self._codes is None:
-            self._codes = _codes_at(self.schema, self._rows, range(len(self.schema.attributes)))
         return self._codes
 
     def _id_column(self) -> np.ndarray:
-        if self._row_ids is None:
-            ids = map(operator.index, map(attrgetter("id"), self._rows))
-            self._row_ids = np.fromiter(ids, np.int64, len(self._rows))
         return self._row_ids
 
     def _ids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -251,9 +247,13 @@ class Table:
             self._by_id = (ids[order], order)
         return (ids, *self._by_id)
 
-    def _positions(self, ids: np.ndarray) -> np.ndarray:
-        """The positions in ``rows`` of those of ``ids`` (numbers) that are
-        row ids here, by binary search in the sorted id column."""
+    def _positions(self, ids: Iterable) -> np.ndarray:
+        """The positions in ``rows`` of the rows whose ids equal one of ``ids``,
+        by binary search in the sorted id column: a numeric ndarray as it is,
+        from any other iterable only the numbers (``numbers.Real``), matched
+        by ``==``; nothing else equals an id."""
+        if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "biuf"):
+            ids = np.array([i for i in ids if isinstance(i, numbers.Real)], dtype=object)
         _, by_id, order = self._ids()
         if not len(order):
             return order

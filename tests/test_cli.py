@@ -355,9 +355,9 @@ class TestRewrite:
         self, tmp_path, demo_csv, demo_model, capsys, monkeypatch
     ):
         built = []
-        build = rewriting._answers
+        build = rewriting._Retrieved.answers
         monkeypatch.setattr(
-            rewriting, "_answers", lambda *args: built.append(1) or build(*args)
+            rewriting._Retrieved, "answers", lambda retrieved: built.append(1) or build(retrieved)
         )
         args = ["rewrite", "--query", "Body=Sedan", "--source", demo_csv, "--sample", demo_csv,
                 "--model", demo_model, "--ratio", "1.0"]

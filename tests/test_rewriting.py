@@ -202,6 +202,23 @@ class TestOrderAndIssue:
         answers, _, _ = order_and_issue(qs, self._source(demo_table), exclude_ids=[1])
         assert [a.row.id for a in answers] == [2]
 
+    @pytest.mark.parametrize(
+        "exclude, kept",
+        [([1, "x"], [2]), ([1, None], [2]), ([[1]], [1, 2]), (["1"], [1, 2])],
+    )
+    def test_exclude_ids_matches_numbers_only(self, demo_table, exclude, kept):
+        # a number in exclude_ids drops the row whose id equals it; nothing
+        # else equals an id, and nothing else stops the numbers from matching
+        qs = [_rq("Model=A8", 0.9)]
+        answers, _, _ = order_and_issue(qs, self._source(demo_table), exclude_ids=exclude)
+        assert [a.row.id for a in answers] == kept
+
+    def test_a_non_iterable_exclude_ids_is_refused_before_the_source_answers(self, demo_table):
+        source = self._source(demo_table)
+        with pytest.raises(TypeError):
+            order_and_issue([_rq("Model=A8", 0.9)], source, exclude_ids=1)
+        assert source.queries_used == 0
+
     def test_limit(self, demo_table):
         qs = [_rq("Model=A8", 0.9), _rq("Model=745", 0.6), _rq("Model=tl", 0.3)]
         _, issued, truncated = order_and_issue(qs, self._source(demo_table), limit=2)
@@ -303,15 +320,16 @@ class TestAnswersBuiltOnRead:
 
     @staticmethod
     def _counting(monkeypatch):
-        built = []  # the size of every batch of answers built
-        build = rw._answers
+        built = []  # the size of every batch of answers built, empty ones left out
+        build = rw._Retrieved.answers
 
-        def counted(rows, relevance, query):
-            out = build(rows, relevance, query)
-            built.append(len(out))
+        def counted(retrieved):
+            out = build(retrieved)
+            if out:
+                built.append(len(out))
             return out
 
-        monkeypatch.setattr(rw, "_answers", counted)
+        monkeypatch.setattr(rw._Retrieved, "answers", counted)
         return built
 
     @staticmethod

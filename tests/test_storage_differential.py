@@ -15,6 +15,7 @@ import csv
 import math
 import os
 import pickle
+import re
 import tempfile
 
 import numpy as np
@@ -435,6 +436,76 @@ def test_rebinding_rows_derives_the_codes_again():
     assert table.rows is rows and len(table) == 3
     assert np.array_equal(table._column_codes(), Table(table.schema, rows)._column_codes())
     assert table._ids()[0].tolist() == [1, 2, 3]
+
+
+_FAULT_SCHEMA = Schema(("A", "B"), {"A": ("x", "y"), "B": ("u", "v")})
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([Row(1, ("x", "u")), Row(2, ("y", "v")), Row(2, ("x", "u")), Row(1, ("y", "u"))],
+         "duplicate row id 2"),
+        ([Row(1, ("x", "u")), Row(2, ("x", "w")), Row(3, ("z", "u"))],
+         "row 2: value 'w' not in domain of 'B'"),
+        ([Row(1, ("x", "u")), Row(2, ("x",)), Row(3, ("z", "u"))],
+         "row 2 has 1 cells, schema has 2"),
+    ],
+    ids=["duplicate id", "label outside its domain", "short row"],
+)
+def test_rebinding_rows_checks_them_as_the_constructor_does(rows, message):
+    kept = (Row(9, ("y", "v")),)
+    table = Table(_FAULT_SCHEMA, kept)
+    for make in (lambda: Table(_FAULT_SCHEMA, rows), lambda: setattr(table, "rows", tuple(rows))):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+    # a refused rebinding leaves the table as it was
+    assert table.rows is kept and table == Table(_FAULT_SCHEMA, kept)
+
+
+@st.composite
+def derived(draw, table):
+    """``table`` passed through one or two of the ways a table is made."""
+    for _ in range(draw(st.integers(1, 2))):
+        how = draw(st.sampled_from(
+            ["rows", "bool ids", "inject_nulls", "_take", "rebinding", "pickle", "deepcopy",
+             "wider"]
+        ))
+        if how == "rows":
+            table = Table(table.schema, table.rows)
+        elif how == "bool ids":  # True and False equal the ids 1 and 0
+            flip = {0: False, 1: True}
+            table = Table(table.schema, [Row(flip.get(r.id, r.id), r.cells) for r in table.rows])
+        elif how == "inject_nulls":
+            table = inject_nulls(table, table.schema.attributes[:1], 0.5, draw(_seeds))
+        elif how == "_take":
+            at = draw(st.lists(st.integers(0, len(table) - 1), unique=True)) if len(table) else []
+            table = table._take(np.array(at, dtype=np.int64))
+        elif how == "rebinding":
+            rows = tuple(draw(st.permutations(table.rows)))
+            table = inject_nulls(table, [], 0.0, 0)
+            table.rows = rows
+        elif how == "pickle":
+            table = pickle.loads(pickle.dumps(table))
+        elif how == "deepcopy":
+            table = copy.deepcopy(table)
+        else:  # a schema with a label more, unless it has it, so schemas can differ
+            first = table.schema.attributes[0]
+            domains = {**table.schema.domains, first: {*table.schema.domains[first], "zz"}}
+            table = align_table(table, Schema(table.schema.attributes, domains))
+    return table
+
+
+@settings(max_examples=150)
+@given(tables(), st.data())
+def test_equality_agrees_with_comparing_schema_and_rows(table, data):
+    a, b = data.draw(derived(table)), data.draw(derived(table))
+    for t in data.draw(st.sampled_from([(), (a,), (b,), (a, b)])):
+        t.rows  # noqa: B018
+    got = (a == b, b == a)  # with the drawn sides' rows built, the others' not
+    want = a.schema == b.schema and a.rows == b.rows
+    assert got == (want, want)
+    assert (a == b, b == a) == (want, want)  # every side's rows built
 
 
 @settings(max_examples=80)
