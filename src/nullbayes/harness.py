@@ -272,22 +272,23 @@ class PrCurve:
 def _curve_points(
     result: RewritingResult, query: SelectionQuery, wanted: np.ndarray
 ) -> tuple[PrPoint, ...]:
-    # wanted: the ids of the uncertain relevant tuples.  The retrieved tuples
-    # are read at their source positions, with no answer objects: uncertain
-    # where a constrained code is null (-1), relevant where the id is wanted,
-    # each counted at its issuing step
+    # wanted: a mask over the source table, True at the uncertain relevant
+    # tuples.  The retrieved tuples are read at their source positions, with
+    # no answer objects: uncertain where a constrained code is null (-1),
+    # relevant where wanted, each counted at its issuing step
     table, at, step, issued = result._retrieved
     if table is None:  # nothing was issued
         return ()
     q_idx = [table.schema.index(a) for a in query.attributes]
     uncertain = (table._column_codes()[np.ix_(q_idx, at)] < 0).any(axis=0)
-    relevant = uncertain & np.isin(table._id_column()[at], wanted)
+    relevant = uncertain & wanted[at]
     u_total, r_total = (
         np.bincount(step[hit], minlength=len(issued)).cumsum().tolist()
         for hit in (uncertain, relevant)
     )
+    total = int(np.count_nonzero(wanted))
     return tuple(
-        PrPoint(i, r / u if u else 0.0, r / len(wanted))
+        PrPoint(i, r / u if u else 0.0, r / total)
         for i, (u, r) in enumerate(zip(u_total, r_total), start=1)
     )
 
@@ -315,11 +316,12 @@ def run_rewriting_experiment(
             visible = inject_nulls(
                 test, query.attributes, cfg.test_null_fraction, (seed, _S_QUERY_NULLS, qi)
             )
-            # nulls only hide values (rows keep their order), so the relevant
-            # tuples the visible data still matches are certain answers
-            uncertain = test.mask(query) & ~visible.mask(query)
-            wanted = test._id_column()[uncertain]
-            if not len(wanted):
+            # nulls only hide values (rows keep their order, so a mask over
+            # test is one over the source), and the relevant tuples the
+            # visible data still matches are certain answers
+            wanted = test.mask(query) & ~visible.mask(query)
+            relevant = int(np.count_nonzero(wanted))
+            if not relevant:
                 warnings.warn(
                     f"seed {seed}: no uncertain relevant tuples for {query.text()!r}; skipped",
                     stacklevel=2,
@@ -340,7 +342,7 @@ def run_rewriting_experiment(
                     )
                     continue
                 points = _curve_points(result, query, wanted)
-                curves.append(PrCurve(method, query, seed, points, len(wanted), result.truncated))
+                curves.append(PrCurve(method, query, seed, points, relevant, result.truncated))
     return curves
 
 

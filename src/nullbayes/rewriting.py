@@ -280,19 +280,21 @@ def order_and_issue(
     answers; this function builds the ``RetrievedAnswer``s from them once,
     at the end.
     """
-    retrieved, issued, truncated = _issue(queries, source, limit, exclude_ids)
+    iter(exclude_ids)  # a non-iterable is refused before any query is sent
+    retrieved, issued, truncated = _issue(
+        queries, source, limit, lambda table: table._positions(exclude_ids)
+    )
     return retrieved.answers(), issued, truncated
 
 
-def _issue(queries, source, limit, exclude_ids) -> tuple[_Retrieved, list[RewrittenQuery], bool]:
+def _issue(queries, source, limit, dropped) -> tuple[_Retrieved, list[RewrittenQuery], bool]:
     # every answer carries its rows' positions in the source table, so the
-    # tuples already seen are one boolean array over those positions; the ids
-    # in exclude_ids are found there with one lookup in the table's id column
+    # tuples already seen are one boolean array over those positions, set at
+    # the first answer to dropped(table): the positions to drop
     _check_count("limit", limit, or_none=True)
     ordered = sorted(queries, key=_issue_key)
     if limit is not None:
         ordered = ordered[:limit]
-    iter(exclude_ids)  # a non-iterable is refused before any query is sent
     table = seen = None  # the source table and a mask over it, from the first answer on
     fresh: list[np.ndarray] = []  # per issued query, the positions it retrieved first
     issued: list[RewrittenQuery] = []
@@ -307,7 +309,7 @@ def _issue(queries, source, limit, exclude_ids) -> tuple[_Retrieved, list[Rewrit
         if seen is None:
             table = rows.table
             seen = np.zeros(len(table), dtype=bool)
-            seen[table._positions(exclude_ids)] = True
+            seen[dropped(table)] = True
         # positions are unique within one answer, so only earlier answers can repeat them
         fresh.append(rows.at[~seen[rows.at]])
         seen[rows.at] = True
@@ -345,8 +347,7 @@ def _rewrite(model, sample, source, query, k, alpha, sample_ratio, pick, candida
         return RewrittenQuery(candidate, QueryScore(p, sel, r, f_measure(p, r, alpha)))
 
     selected = sorted(candidates(picked, base, source.schema, score), key=key)[:k]
-    ids = base.table._id_column()[base.at]
-    retrieved, issued, truncated = _issue(selected, source, k, ids)
+    retrieved, issued, truncated = _issue(selected, source, k, lambda _: base.at)
     return RewritingResult._unread(base, retrieved, issued, selected, truncated)
 
 

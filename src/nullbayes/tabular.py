@@ -141,15 +141,17 @@ class Table:
     rows by encoding them and keeps them, and a table derived from another
     (``inject_nulls``, ``sample_table``, imputation...) is built from codes,
     its ``rows`` built on first read and kept.  Rebinding ``rows`` encodes
-    and checks the new rows as the constructor does.  The rows as an object
-    array and the sorted id column are cached beside the storage.
+    and checks the new rows as the constructor does, and keeps them as a
+    tuple (one given, of a subclass too, as it is), which nothing can change
+    later.  The rows as an object array and a dict from row id to position
+    are cached beside the storage.
     """
 
     __slots__ = ("schema", "_rows", "_codes", "_row_ids", "_by_id", "_objects")
 
     def __init__(self, schema: Schema, rows: Iterable[Row]):
         self.schema = schema
-        self.rows = tuple(rows)
+        self.rows = rows
 
     @classmethod
     def _of(cls, schema: Schema, ids: np.ndarray, codes: np.ndarray) -> "Table":
@@ -173,7 +175,9 @@ class Table:
         return self._rows
 
     @rows.setter
-    def rows(self, rows: tuple[Row, ...]) -> None:
+    def rows(self, rows: Iterable[Row]) -> None:
+        if not isinstance(rows, tuple):
+            rows = tuple(rows)
         schema = self.schema
         try:  # a short row raises IndexError, a long one shows in the arity set
             codes = _codes_at(schema, rows, range(len(schema.attributes)))
@@ -238,27 +242,18 @@ class Table:
     def _id_column(self) -> np.ndarray:
         return self._row_ids
 
-    def _ids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The row ids as an int64 column in table order, that column
-        sorted, and the positions it was sorted from."""
-        ids = self._id_column()
-        if self._by_id is None:
-            order = np.argsort(ids)
-            self._by_id = (ids[order], order)
-        return (ids, *self._by_id)
-
     def _positions(self, ids: Iterable) -> np.ndarray:
-        """The positions in ``rows`` of the rows whose ids equal one of ``ids``,
-        by binary search in the sorted id column: a numeric ndarray as it is,
-        from any other iterable only the numbers (``numbers.Real``), matched
-        by ``==``; nothing else equals an id."""
-        if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "biuf"):
-            ids = np.array([i for i in ids if isinstance(i, numbers.Real)], dtype=object)
-        _, by_id, order = self._ids()
-        if not len(order):
-            return order
-        at = np.searchsorted(by_id, ids).clip(max=len(order) - 1)
-        return order[at[by_id[at] == ids]]
+        """The positions in ``rows`` of the rows whose ids equal one of ``ids``:
+        each number (``numbers.Real``) among ``ids``, an ndarray's as
+        ``tolist`` reads them, is looked up in a dict from id to position, so
+        it finds the id of equal value (``2.0**53`` is not ``2**53 + 1``);
+        nothing else equals an id."""
+        if self._by_id is None:
+            self._by_id = {row_id: at for at, row_id in enumerate(self._row_ids.tolist())}
+        if isinstance(ids, np.ndarray):
+            ids = ids.tolist()
+        found = [self._by_id.get(i) for i in ids if isinstance(i, numbers.Real)]
+        return np.array([at for at in found if at is not None], dtype=np.int64)
 
     def mask(self, query: "SelectionQuery", null_wildcard: bool = False) -> np.ndarray:
         """Boolean array over ``rows``: True where ``query.matches`` would be.

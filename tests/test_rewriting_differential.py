@@ -701,7 +701,7 @@ def _eager_rewrite(model, sample, source, query, k, alpha, sample_ratio, pick, c
         return RewrittenQuery(candidate, QueryScore(p, sel, r, rw.f_measure(p, r, alpha)))
 
     selected = sorted(candidates(picked, base, source.schema, score), key=key)[:k]
-    ids = base.table._ids()[0][base.at]
+    ids = base.table._id_column()[base.at]
     answers, issued, truncated = _eager_order_and_issue(selected, source, limit=k, exclude_ids=ids)
     return RewritingResult(base, answers, issued, selected, truncated)
 
@@ -810,19 +810,20 @@ def test_curve_points_match_the_per_answer_original(world_name):
     rng = np.random.default_rng(5)
     checked = 0
     for table in tables.values():
-        ids = table._ids()[0]
+        ids = table._id_column()
         for query in _queries_for(world, attr, value):
             for name, run in _strategies(bn_beam).items():
                 outcome, _ = _outcome(run, world, AutonomousSource(table, 5), query)
                 if outcome[0] != "ok":
                     continue
                 result = outcome[1]
-                # wanted sets of every size, with ids that were never retrieved
+                # wanted sets of every size, with rows that were never retrieved
                 for size in (1, len(ids) // 7, len(ids) // 2, len(ids)):
-                    wanted = rng.choice(ids, size=max(size, 1), replace=False)
+                    wanted = np.zeros(len(ids), dtype=bool)
+                    wanted[rng.choice(len(ids), size=max(size, 1), replace=False)] = True
                     got = harness._curve_points(result, query, wanted)
                     want = _eager_curve_points(
-                        result, query, table.schema, set(wanted.tolist())
+                        result, query, table.schema, set(ids[wanted].tolist())
                     )
                     assert got == want, (name, query, size)
                     assert all(type(p.precision) is type(p.recall) is float for p in got)
@@ -846,7 +847,8 @@ def test_rewriting_curves_match_the_per_answer_original(monkeypatch):
         monkeypatch.setattr(
             harness, "_curve_points",
             lambda result, query, wanted: _eager_curve_points(
-                result, query, result.base.table.schema, set(wanted.tolist())
+                result, query, result.base.table.schema,
+                set(result.base.table._id_column()[wanted].tolist()),
             ),
         )
         want = run_rewriting_experiment(cfg)

@@ -135,7 +135,7 @@ class TestTable:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 Table(s, [Row(0, ("x",)), Row(bad, ("x",)), Row(1.7, ("x",))])
         t = Table(s, [Row(np.int64(3), ("x",)), Row(True, ("x",)), Row(2, ("x",))])
-        assert t._ids()[0].tolist() == [3, 1, 2]
+        assert t._id_column().tolist() == [3, 1, 2]
 
     def test_row_by_id(self, sparse_table):
         assert sparse_table.row_by_id(7).cells[0] == "Hyundai"
@@ -569,5 +569,19 @@ def test_only_tabular_reads_the_schema_code_maps():
     for path in pathlib.Path(nullbayes.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute) and node.attr in private:
+                readers.add(path.name)
+    assert readers == {"tabular.py"}
+
+
+def test_only_tabular_reads_the_table_slots():
+    """``Table`` owns its storage and its id lookup: every other module goes
+    through ``rows``, ``_column_codes``, ``_id_column`` and ``_positions``,
+    never the slots behind them, so ids are matched in ``tabular`` alone."""
+    slots = {"_codes", "_row_ids", "_by_id", "_rows", "_objects"}
+    assert slots < set(Table.__slots__)
+    readers = set()
+    for path in pathlib.Path(nullbayes.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in slots:
                 readers.add(path.name)
     assert readers == {"tabular.py"}
