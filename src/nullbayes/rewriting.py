@@ -43,7 +43,7 @@ from .inference import posterior_exact
 from .source import AutonomousSource, QueryBudgetError
 # select is no longer called here, but perfbench/tracing.py patches this name
 from .tabular import Row, SelectionQuery, Table, project_distinct, select  # noqa: F401
-from .tabular import _bulk_build, _check_count, _check_scale, _codes_at, _distinct
+from .tabular import _bulk_build, _check_count, _check_scale, _distinct
 
 __all__ = [
     "QueryScore",
@@ -122,10 +122,10 @@ class _Retrieved(NamedTuple):
         steps = self.step.tolist()
         relevance = [rq.score.precision for rq in self.issued]
         query = [rq.query for rq in self.issued]
+        rows = self.table._take(self.at).rows
         with _bulk_build():
             return list(map(
-                RetrievedAnswer, self.table._rows_at(self.at),
-                map(relevance.__getitem__, steps), map(query.__getitem__, steps),
+                RetrievedAnswer, rows, map(relevance.__getitem__, steps), map(query.__getitem__, steps)
             ))
 
 
@@ -133,20 +133,21 @@ class _Retrieved(NamedTuple):
 class RewritingResult:
     """What one rewriting call retrieved.
 
-    ``base`` is the certain answer to the query, ``issued`` the rewrites
-    sent in issue order, ``candidates`` the ones selected for issuing and
-    ``truncated`` whether a budget refusal stopped the issuing.  ``answers``
-    lists the further tuples retrieved, as ``RetrievedAnswer``s in retrieval
-    order.
+    ``base`` is the certain answer to the query, the ``Table`` that
+    ``AutonomousSource.answer`` gave, ``issued`` the rewrites sent in issue
+    order, ``candidates`` the ones selected for issuing and ``truncated``
+    whether a budget refusal stopped the issuing.  ``answers`` lists the
+    further tuples retrieved, as ``RetrievedAnswer``s in retrieval order.
 
     A strategy's result keeps those tuples as their positions in the source
     table, each with the step at which it was first retrieved (an index into
     the issued queries as they were issued; see ``order_and_issue``), and
-    builds ``answers`` from them on its first read, then keeps the list.  Equality, ``repr`` and pickling
-    read ``answers``; a pickle holds the five fields, never the source table.
+    builds ``answers`` from them on its first read, then keeps the list.
+    Equality, ``repr`` and pickling read ``answers``; a pickle holds the five
+    fields, ``base`` as its schema, ids and codes, never the source table.
     """
 
-    base: list[Row]
+    base: Table
     answers: list[RetrievedAnswer]
     issued: list[RewrittenQuery]
     candidates: list[RewrittenQuery]
@@ -288,9 +289,9 @@ def order_and_issue(
 
 
 def _issue(queries, source, limit, dropped) -> tuple[_Retrieved, list[RewrittenQuery], bool]:
-    # every answer carries its rows' positions in the source table, so the
-    # tuples already seen are one boolean array over those positions, set at
-    # the first answer to dropped(table): the positions to drop
+    # every answer is taken from the source table at its rows' positions, so
+    # the tuples already seen are one boolean array over those positions, set
+    # at the first answer to dropped(table): the positions to drop
     _check_count("limit", limit, or_none=True)
     ordered = sorted(queries, key=_issue_key)
     if limit is not None:
@@ -301,18 +302,18 @@ def _issue(queries, source, limit, dropped) -> tuple[_Retrieved, list[RewrittenQ
     truncated = False
     for rq in ordered:
         try:
-            rows = source.answer(rq.query)
+            taken = source.answer(rq.query)._taken_at()
         except QueryBudgetError:
             truncated = True
             break
         issued.append(rq)
         if seen is None:
-            table = rows.table
+            table = source._table
             seen = np.zeros(len(table), dtype=bool)
             seen[dropped(table)] = True
         # positions are unique within one answer, so only earlier answers can repeat them
-        fresh.append(rows.at[~seen[rows.at]])
-        seen[rows.at] = True
+        fresh.append(taken[~seen[taken]])
+        seen[taken] = True
     at = np.concatenate(fresh) if fresh else np.zeros(0, dtype=np.int64)
     step = np.repeat(np.arange(len(fresh)), list(map(len, fresh)))
     return _Retrieved(table, at, step, tuple(issued)), issued, truncated
@@ -347,7 +348,7 @@ def _rewrite(model, sample, source, query, k, alpha, sample_ratio, pick, candida
         return RewrittenQuery(candidate, QueryScore(p, sel, r, f_measure(p, r, alpha)))
 
     selected = sorted(candidates(picked, base, source.schema, score), key=key)[:k]
-    retrieved, issued, truncated = _issue(selected, source, k, lambda _: base.at)
+    retrieved, issued, truncated = _issue(selected, source, k, lambda _: base._taken_at())
     return RewritingResult._unread(base, retrieved, issued, selected, truncated)
 
 
@@ -377,7 +378,7 @@ def _beam_candidates(cfg, cand_attrs, base, schema, score):
         warnings.warn("no rewrite candidates: the Markov blanket is empty", stacklevel=4)
         return []
     idx = [schema.index(a) for a in cand_attrs]
-    columns = dict(zip(cand_attrs, _codes_at(schema, base, idx)))  # codes over the base
+    columns = dict(zip(cand_attrs, base._column_codes()[idx]))  # codes over the base
 
     def matching(partial_query: SelectionQuery) -> np.ndarray:
         # a mask over the base: its tuples that match the partial query

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import warnings
 
-from .tabular import Row, SelectionQuery, Table, _check_count
+import numpy as np
+
+from .tabular import SelectionQuery, Table, _check_count
 
 __all__ = ["AutonomousSource", "QueryBudgetError"]
 
@@ -44,8 +46,8 @@ class AutonomousSource:
     def query_limit(self) -> int | None:
         return self._limit
 
-    def answer(self, query: SelectionQuery) -> list[Row]:
-        """Certain answers to the query: rows whose constrained cells match.
+    def answer(self, query: SelectionQuery) -> Table:
+        """Certain answers to the query: the rows whose constrained cells match.
 
         Null cells never match.  A value the source has never seen is a
         legitimate query that matches nothing, not an error; an attribute
@@ -53,10 +55,8 @@ class AutonomousSource:
         field).  Raises QueryBudgetError when the budget is already spent;
         the failed attempt is not counted.
 
-        The rows come in table order, in a list that also records the table
-        and their positions in it, so rewriting reads their cells off the
-        table's code matrix (see ``Table.rows_where``); a copy or a pickle of
-        the list is a plain ``list``.
+        The answer is a ``Table`` of the rows in source order, stored as
+        their codes; its ``Row``s are built only when read.
         """
         if self._limit is not None and self._used >= self._limit:
             raise QueryBudgetError(
@@ -64,7 +64,7 @@ class AutonomousSource:
             )
         mask = self._table.mask(query)
         self._used += 1
-        return self._table.rows_where(mask)
+        return self._table._take(np.flatnonzero(mask))
 
     def estimate_ratio(self, sample: Table) -> float:
         """|source| / |sample|, measured with one unconstrained probe.

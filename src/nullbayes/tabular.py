@@ -143,11 +143,13 @@ class Table:
     its ``rows`` built on first read and kept.  Rebinding ``rows`` encodes
     and checks the new rows as the constructor does, and keeps them as a
     tuple (one given, of a subclass too, as it is), which nothing can change
-    later.  The rows as an object array and a dict from row id to position
-    are cached beside the storage.
+    later.  A dict from row id to position is cached beside the storage.  A
+    table taken from another (``_take``: a ``select`` or
+    ``AutonomousSource.answer`` result, say) records the positions it was
+    taken at, not the table.  A pickle holds the schema, ids and codes only.
     """
 
-    __slots__ = ("schema", "_rows", "_codes", "_row_ids", "_by_id", "_objects")
+    __slots__ = ("schema", "_rows", "_codes", "_row_ids", "_by_id", "_taken")
 
     def __init__(self, schema: Schema, rows: Iterable[Row]):
         self.schema = schema
@@ -158,12 +160,22 @@ class Table:
         """A table stored as ``ids`` and ``codes``, valid by construction."""
         table = object.__new__(cls)
         table.schema, table._row_ids, table._codes = schema, ids, codes
-        table._rows = table._by_id = table._objects = None
+        table._rows = table._by_id = table._taken = None
         return table
 
     def _take(self, at: np.ndarray) -> "Table":
         # the rows at the positions ``at``; take keeps the codes C-contiguous
-        return Table._of(self.schema, self._id_column()[at], self._column_codes().take(at, axis=1))
+        table = Table._of(self.schema, self._id_column()[at], self._column_codes().take(at, axis=1))
+        table._taken = at
+        return table
+
+    def _taken_at(self) -> np.ndarray | None:
+        """The positions this table was taken at (``_take``) in the table it
+        was taken from; None for a table built otherwise."""
+        return self._taken
+
+    def __reduce__(self):
+        return type(self)._of, (self.schema, self._row_ids, self._codes)
 
     @property
     def rows(self) -> tuple[Row, ...]:
@@ -189,7 +201,7 @@ class Table:
         if fault:
             self._raise_first_fault(rows)
         self._rows, self._codes, self._row_ids = rows, codes, ids
-        self._by_id = self._objects = None
+        self._by_id = self._taken = None
 
     def _raise_first_fault(self, rows: Sequence[Row]) -> None:
         # the constructor's checks, row by row, so the message names the first bad row
@@ -272,59 +284,6 @@ class Table:
             keep &= hit
         return keep
 
-    def rows_where(self, mask: np.ndarray) -> list[Row]:
-        """The rows at the True positions of ``mask``, in table order.
-
-        The list also records this table and those positions, so callers
-        such as ``project_distinct`` read the rows' cells off the cached code
-        matrix instead of the ``Row``s.  It is a ``list`` in every other
-        respect; a copy or a pickle of it is a plain ``list``.
-        """
-        at = np.flatnonzero(mask)
-        return _Selection(self._rows_at(at), self, at)
-
-    def _rows_at(self, at: np.ndarray) -> list[Row]:
-        """The rows at the positions ``at`` of ``rows``, read off the object
-        array cached beside the code matrix."""
-        if self._objects is None:
-            self._objects = np.empty(len(self), dtype=object)
-            self._objects[:] = list(self.rows)
-        return self._objects[at].tolist()
-
-
-class _Selection(list):
-    """Rows of ``table`` at the positions ``at`` (int64) of ``table.rows``.
-
-    Changing the list in place sets ``at`` to None: the rows no longer are
-    the ones at those positions.  Copying or pickling gives a plain ``list``,
-    so a selection never carries its table along.
-    """
-
-    __slots__ = ("table", "at")
-
-    def __init__(self, rows: list[Row], table: Table, at: np.ndarray):
-        super().__init__(rows)
-        self.table = table
-        self.at: np.ndarray | None = at
-
-    def __reduce__(self):
-        return list, (list(self),)
-
-
-def _forgetting_positions(method):
-    def mutate(self, *args, **kwargs):
-        self.at = None
-        return method(self, *args, **kwargs)
-
-    return mutate
-
-
-for _name in (
-    "__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
-    "insert", "pop", "remove", "reverse", "sort", "clear",
-):
-    setattr(_Selection, _name, _forgetting_positions(getattr(list, _name)))
-
 
 def _encode(lookups: Sequence[Mapping], columns: Iterable[Iterable], n: int) -> np.ndarray:
     """A ``(len(lookups), n)`` int32 matrix of the ``n``-cell label
@@ -338,11 +297,10 @@ def _encode(lookups: Sequence[Mapping], columns: Iterable[Iterable], n: int) -> 
 
 def _codes_at(schema: Schema, rows: Sequence[Row], idx: Sequence[int]) -> np.ndarray:
     """The codes ``(len(idx), len(rows))`` of the cells of ``rows`` (under
-    ``schema``) in the columns ``idx``.  A selection under an equal schema
-    slices its table's cached code matrix at its positions; other rows are
-    encoded."""
-    if isinstance(rows, _Selection) and rows.at is not None and rows.table.schema == schema:
-        return rows.table._column_codes()[np.ix_(idx, rows.at)]
+    ``schema``) in the columns ``idx``.  A table under an equal schema gives
+    its own codes; other rows are encoded."""
+    if isinstance(rows, Table) and rows.schema == schema:
+        return rows._column_codes()[list(idx)]
     cells = [row.cells for row in rows]
     columns = [map(itemgetter(j), cells) for j in idx]
     return _encode([schema._label_codes[j] for j in idx], columns, len(cells))
@@ -686,28 +644,28 @@ def discretize(table: Table, rules: Mapping[str, int]) -> Table:
     ]))
 
 
-def select(table: Table, query: SelectionQuery, include_null_matches: bool = False) -> list[Row]:
-    """Rows satisfying the query.
+def select(table: Table, query: SelectionQuery, include_null_matches: bool = False) -> Table:
+    """The rows satisfying the query, in table order, as a table whose rows
+    are built only when read.
 
     Default semantics are certain answers only: a null cell on a constrained
     attribute never matches.  ``include_null_matches`` switches to
-    could-match semantics (nulls act as wildcards).  The list records the
-    table and the rows' positions in it (see ``Table.rows_where``).
+    could-match semantics (nulls act as wildcards).
     """
     query.validate(table.schema)
-    return table.rows_where(table.mask(query, include_null_matches))
+    return table._take(np.flatnonzero(table.mask(query, include_null_matches)))
 
 
 def project_distinct(
-    schema: Schema, rows: Sequence[Row], attrs: Sequence[str]
+    schema: Schema, rows: Table | Sequence[Row], attrs: Sequence[str]
 ) -> list[tuple[str, ...]]:
     """Distinct null-free projections of ``rows`` (under ``schema``) onto
     ``attrs``, in order of first occurrence.
 
-    Combinations containing a null are dropped.  The cells come from the
-    source table's cached code matrix when ``rows`` is a ``select`` or
-    ``AutonomousSource.answer`` result under an equal schema, and are
-    encoded otherwise; each null-free combination gets one mixed-radix key,
+    Combinations containing a null are dropped.  The cells are read off the
+    code matrix when ``rows`` is a ``Table`` under an equal schema (a
+    ``select`` or ``AutonomousSource.answer`` result, say), and encoded
+    otherwise; each null-free combination gets one mixed-radix key,
     ``np.unique`` finds the first occurrences, and only the distinct
     combinations are decoded to labels.  Raises KeyError for an unknown
     attribute, even when ``rows`` is empty.

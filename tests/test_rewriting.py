@@ -311,7 +311,7 @@ class TestRetrievedAnswer:
         assert res.answers
         back = pickle.loads(pickle.dumps(res))
         assert back == res
-        assert type(back.base) is list
+        assert type(back.base) is Table
 
 
 class TestAnswersBuiltOnRead:
@@ -361,7 +361,7 @@ class TestAnswersBuiltOnRead:
         ids = [a.row.id for a in result.answers]
         assert len(ids) == len(set(ids)) and not set(ids) & {r.id for r in result.base}
         for a in result.answers:
-            assert a.row is demo_table.row_by_id(a.row.id)
+            assert a.row == demo_table.row_by_id(a.row.id)
             assert a.relevance == by_query[a.query] and a.query.matches(demo_table.schema, a.row)
 
     def test_answers_do_not_follow_later_edits_of_issued(self, demo_table):
@@ -375,16 +375,16 @@ class TestAnswersBuiltOnRead:
     def test_an_unread_result_pickles_and_compares_by_its_answers(self, demo_table):
         result = self._run("bn-all-mb", demo_table)
         back = pickle.loads(pickle.dumps(result))  # answers not read yet
-        assert type(back) is RewritingResult and type(back.base) is list
+        assert type(back) is RewritingResult and type(back.base) is Table
         assert back == result and back.answers == result.answers
         assert back.issued == result.issued and back.candidates == result.candidates
         twin = RewritingResult(
-            list(result.base), list(result.answers), result.issued, result.candidates, False
+            result.base, list(result.answers), result.issued, result.candidates, False
         )
         assert twin == result and repr(twin) == repr(result)
         assert RewritingResult(result.base, [], result.issued, result.candidates, False) != result
         assert result != (result.base, result.answers)
-        assert repr(result).startswith("RewritingResult(base=[Row(")
+        assert repr(result).startswith("RewritingResult(base=Table(4 rows, ")
 
     def test_results_stay_frozen_and_unhashable(self, demo_table):
         result = self._run("bn-all-mb", demo_table)
@@ -479,7 +479,7 @@ class TestBnAllMb:
                 SelectionQuery({"Make": "Acura", "Body": "Convt"}),
                 sample_ratio=1.0,
             )
-        assert res.base == [] and res.answers == [] and res.issued == []
+        assert list(res.base) == [] and res.answers == [] and res.issued == []
 
     def test_budget_truncation(self, fitted_demo_net, demo_table):
         src = AutonomousSource(demo_table, query_limit=1)  # spent on the base query

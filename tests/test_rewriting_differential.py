@@ -382,14 +382,27 @@ _CHANGES = {
 
 @pytest.mark.parametrize("change", _CHANGES)
 def test_project_distinct_of_an_answer_changed_in_place(demo_table, change):
-    rows = AutonomousSource(demo_table).answer(SelectionQuery({"Body": "Sedan"}))
+    # an answer is a table, which nothing changes; a list of its rows that
+    # is changed afterwards is projected from the rows it holds then
+    rows = list(AutonomousSource(demo_table).answer(SelectionQuery({"Body": "Sedan"})))
     _CHANGES[change](rows)
-    assert rows.at is None  # the positions no longer hold
     attrs = ("Model", "Year", "Make")
     with _encoding() as encode:
         assert project_distinct(demo_table.schema, rows, attrs) == _old_project_distinct(
             demo_table.schema, rows, attrs
         )
+    assert encode.call_count == 1
+
+
+def test_project_distinct_of_a_table_under_another_schema_encodes_its_rows(demo_table):
+    # a label sorted first in every domain shifts every code by one, so an
+    # answer's codes are not codes under the wider schema: its rows are encoded
+    schema = demo_table.schema
+    wider = Schema(schema.attributes, {a: ("000", *schema.domains[a]) for a in schema.attributes})
+    rows = AutonomousSource(demo_table).answer(SelectionQuery({"Body": "Sedan"}))
+    attrs = ("Model", "Year", "Make")
+    with _encoding() as encode:
+        assert project_distinct(wider, rows, attrs) == _old_project_distinct(wider, rows, attrs)
     assert encode.call_count == 1
 
 
@@ -640,9 +653,10 @@ def test_strategies_unchanged_with_reference_helpers(world_name, budget, monkeyp
 # ---------------------------------------------------------------------------
 # answers built eagerly, one RetrievedAnswer per fetched tuple inside the
 # rewriting call, and PR curves counted answer by answer: the code that
-# results holding source positions replaced, verbatim but for the ``rw.``
-# prefixes, the ``_eager_`` names and ``_eager_answers``, which builds each
-# answer with its constructor
+# results holding source positions replaced, but for the ``rw.`` prefixes,
+# the ``_eager_`` names, ``_eager_answers``, which builds each answer with
+# its constructor, and the fetched tuples, told apart by their row ids as
+# the answers' rows give them, with no source position read
 
 
 def _eager_answers(rows, relevance, query):
@@ -656,7 +670,7 @@ def _eager_order_and_issue(queries, source, limit=None, exclude_ids=()):
         ordered = ordered[:limit]
     # an id array as it is: iterating one makes a numpy scalar per id
     excluded = np.asarray(exclude_ids if isinstance(exclude_ids, np.ndarray) else list(exclude_ids))
-    seen = None  # over the source table's positions, from the first answer on
+    seen = set(excluded.tolist())  # the ids already fetched or excluded
     answers = []
     issued = []
     truncated = False
@@ -667,13 +681,10 @@ def _eager_order_and_issue(queries, source, limit=None, exclude_ids=()):
             truncated = True
             break
         issued.append(rq)
-        if seen is None:
-            seen = np.zeros(len(rows.table.rows), dtype=bool)
-            seen[rows.table._positions(excluded)] = True
-        # positions are unique within one answer, so only earlier answers can repeat them
-        fresh = np.flatnonzero(~seen[rows.at]).tolist()
-        seen[rows.at] = True
-        answers.extend(_eager_answers(list(map(rows.__getitem__, fresh)), rq.score.precision, rq.query))
+        # ids are unique within one answer, so only earlier answers can repeat them
+        fresh = [row for row in rows if row.id not in seen]
+        seen.update(row.id for row in rows)
+        answers.extend(_eager_answers(fresh, rq.score.precision, rq.query))
     return answers, issued, truncated
 
 
@@ -701,7 +712,7 @@ def _eager_rewrite(model, sample, source, query, k, alpha, sample_ratio, pick, c
         return RewrittenQuery(candidate, QueryScore(p, sel, r, rw.f_measure(p, r, alpha)))
 
     selected = sorted(candidates(picked, base, source.schema, score), key=key)[:k]
-    ids = base.table._id_column()[base.at]
+    ids = [row.id for row in base]
     answers, issued, truncated = _eager_order_and_issue(selected, source, limit=k, exclude_ids=ids)
     return RewritingResult(base, answers, issued, selected, truncated)
 
@@ -725,12 +736,12 @@ def _eager_curve_points(result, query, schema, wanted):
 
 def _same_answers(got, want, same_objects=True):
     # equal element for element; from one set of rewrites, built from the
-    # very same rows and queries
+    # very same queries
     assert type(got) is list and got == want
     for g, w in zip(got, want):
         assert type(g) is RetrievedAnswer and type(g.relevance) is type(w.relevance)
         if same_objects:
-            assert g.row is w.row and g.query is w.query
+            assert g.query is w.query
 
 
 @settings(max_examples=200, deadline=None)
@@ -841,14 +852,23 @@ def test_rewriting_curves_match_the_per_answer_original(monkeypatch):
         ),
         methods=rw.REWRITING_METHODS,
     )
+    sources = []  # the table behind each source, in the order they are made
+
+    class RecordedSource(AutonomousSource):
+        def __init__(self, table, *args):
+            sources.append(table)
+            super().__init__(table, *args)
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         got = run_rewriting_experiment(cfg)
+        monkeypatch.setattr(harness, "AutonomousSource", RecordedSource)
         monkeypatch.setattr(
             harness, "_curve_points",
+            # wanted is a mask over the rows of the source just made
             lambda result, query, wanted: _eager_curve_points(
-                result, query, result.base.table.schema,
-                set(result.base.table._id_column()[wanted].tolist()),
+                result, query, result.base.schema,
+                {row.id for row, hit in zip(sources[-1].rows, wanted) if hit},
             ),
         )
         want = run_rewriting_experiment(cfg)

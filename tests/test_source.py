@@ -22,7 +22,7 @@ class TestAnswer:
 
     def test_unseen_value_matches_nothing(self, sparse_table):
         src = AutonomousSource(sparse_table)
-        assert src.answer(SelectionQuery({"Body": "Truck"})) == []
+        assert list(src.answer(SelectionQuery({"Body": "Truck"}))) == []
         assert src.queries_used == 1  # still a real, counted query
 
     def test_unknown_attribute_rejected(self, sparse_table):
@@ -39,14 +39,14 @@ class TestAnswer:
 
 
 class TestAnswerList:
-    """An answer also records its rows' positions in the source table, but
-    copies and pickles of it are plain lists that do not carry the table."""
+    """An answer is a table of the rows it selects; its copies and pickles
+    are tables that do not carry the source table."""
 
-    def test_pickles_as_a_plain_list(self, sparse_table):
+    def test_pickles_as_a_table(self, sparse_table):
         rows = AutonomousSource(sparse_table).answer(SelectionQuery({"Body": "SUV"}))
         back = pickle.loads(pickle.dumps(rows))
-        assert type(back) is list
-        assert back == rows == list(rows)
+        assert type(back) is Table and back._taken_at() is None
+        assert back == rows and list(back) == list(rows)
 
     def test_pickle_size_does_not_grow_with_the_source(self, sparse_table):
         query = SelectionQuery({"Body": "SUV"})
@@ -59,11 +59,11 @@ class TestAnswerList:
         assert len(pickle.dumps(big_rows)) == len(pickle.dumps(small_rows))
 
     @pytest.mark.parametrize("how", [copy.copy, copy.deepcopy])
-    def test_copies_are_plain_lists(self, sparse_table, how):
+    def test_copies_are_tables(self, sparse_table, how):
         rows = AutonomousSource(sparse_table).answer(SelectionQuery({"Body": "SUV"}))
         copied = how(rows)
-        assert type(copied) is list
-        assert copied == rows
+        assert type(copied) is Table and copied._taken_at() is None
+        assert copied == rows and list(copied) == list(rows)
 
 
 class TestBudget:

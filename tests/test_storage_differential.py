@@ -20,6 +20,7 @@ import re
 import tempfile
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from hypothesis import strategies as st
 
 import nullbayes.tabular as tabular
 from nullbayes import (
+    AutonomousSource,
+    ExperimentConfig,
     ParseError,
     Row,
     Schema,
@@ -35,13 +38,17 @@ from nullbayes import (
     Table,
     align_table,
     discretize,
+    fit_naive_bayes,
     inject_nulls,
     load_csv,
+    mine_afds,
+    run_rewriting_experiment,
     sample_rows,
     sample_table,
 )
 from nullbayes.harness import split_table
-from nullbayes.synth import random_net
+from nullbayes.rewriting import REWRITING_METHODS, run_method
+from nullbayes.synth import car_demo_net, random_net
 from nullbayes.tabular import _check_count, _radix_key
 
 from conftest import demo_cars
@@ -411,6 +418,48 @@ def test_inject_nulls_chain_builds_no_row_until_rows_are_read(rows_made):
     assert rows_made[0] == 300
     assert table.rows is rows
     assert rows_made[0] == 300
+
+
+@pytest.mark.parametrize("method", REWRITING_METHODS)
+def test_sources_and_strategies_build_no_row_until_rows_are_read(method, rows_made):
+    net = car_demo_net()
+    sample = sample_rows(net, 400, seed=3)
+    models = SimpleNamespace(net=net, afds=mine_afds(sample), nb=fit_naive_bayes(sample))
+    source = AutonomousSource(inject_nulls(sample_rows(net, 600, seed=4), ["Body"], 0.5, 5))
+    query = SelectionQuery({"Body": "sedan"})
+    rows_made[0] = 0
+    answer = source.answer(query)
+    result = run_method(method, models, sample, source, query, k=3)  # probes the size too
+    assert rows_made[0] == 0
+    assert len(answer.rows) == len(answer) > 0 and rows_made[0] == len(answer)
+    answers = result.answers
+    assert rows_made[0] == len(answer) + len(answers)
+    assert list(result.base) == list(answer) and rows_made[0] == 2 * len(answer) + len(answers)
+
+
+def test_the_rewriting_experiment_builds_no_row(rows_made):
+    cfg = ExperimentConfig(
+        mode="rewriting", synthetic_rows=600, train_fraction=0.3, test_null_fraction=0.5,
+        seeds=(0,), restarts=1, max_iterations=30, queries=(SelectionQuery({"Body": "sedan"}),),
+        methods=REWRITING_METHODS,
+    )
+    curves = run_rewriting_experiment(cfg)
+    assert {c.method for c in curves} == set(REWRITING_METHODS)
+    assert any(p.recall for c in curves for p in c.points)
+    assert rows_made[0] == 0
+
+
+def test_a_table_pickles_as_its_schema_ids_and_codes():
+    table = sample_rows(car_demo_net(), 5000, seed=0)
+    taken = table._take(np.arange(0, 5000, 7))
+    for t in (table, taken):
+        size = len(pickle.dumps(t))
+        t._positions([1])
+        t.rows  # noqa: B018
+        assert len(pickle.dumps(t)) == size
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and back.rows == t.rows and back._taken_at() is None
+    assert len(pickle.dumps(taken)) < len(pickle.dumps(table)) // 5
 
 
 def test_edge_constructor_keeps_the_given_rows(rows_made):

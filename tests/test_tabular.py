@@ -465,7 +465,7 @@ class TestSelect:
         assert [r.id for r in select(demo_table, query)] == [1, 3, 4, 5]
         demo_table.rows = tuple(reversed(demo_table.rows[:4]))
         assert [r.id for r in select(demo_table, query)] == [4, 3, 1]
-        assert select(demo_table, query, include_null_matches=True) == list(
+        assert list(select(demo_table, query, include_null_matches=True)) == list(
             demo_table.rows
         )
 
@@ -575,9 +575,10 @@ def test_only_tabular_reads_the_schema_code_maps():
 
 def test_only_tabular_reads_the_table_slots():
     """``Table`` owns its storage and its id lookup: every other module goes
-    through ``rows``, ``_column_codes``, ``_id_column`` and ``_positions``,
-    never the slots behind them, so ids are matched in ``tabular`` alone."""
-    slots = {"_codes", "_row_ids", "_by_id", "_rows", "_objects"}
+    through ``rows``, ``_column_codes``, ``_id_column``, ``_positions`` and
+    ``_taken_at``, never the slots behind them, so ids are matched in
+    ``tabular`` alone."""
+    slots = {"_codes", "_row_ids", "_by_id", "_rows", "_taken"}
     assert slots < set(Table.__slots__)
     readers = set()
     for path in pathlib.Path(nullbayes.__file__).parent.glob("*.py"):
