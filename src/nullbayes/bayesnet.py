@@ -19,6 +19,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
@@ -62,9 +63,15 @@ class BayesNet:
     schema order: the DAG in names only, the key of every structural cache.
     ``_zeros`` holds the families whose CPT holds a zero: observed in full,
     one of those can make evidence impossible.
+
+    ``cpts`` is a read-only mapping of read-only arrays, so ``_memo`` keeps
+    what inference derives from them, filled lazily: per variable its Gibbs
+    entry, per free set its chain split, per exact component its CPT views
+    and fills.  It lives and dies with the net: a pickle or copy holds the
+    schema, parents and CPTs only.
     """
 
-    __slots__ = ("schema", "parents", "cpts", "_order", "_families", "_zeros")
+    __slots__ = ("schema", "parents", "cpts", "_order", "_families", "_zeros", "_memo")
 
     def __init__(
         self,
@@ -103,8 +110,12 @@ class BayesNet:
                 raise ValueError(f"CPT rows for {attr!r} do not sum to 1")
             arr.flags.writeable = False
             tables[attr] = arr
-        self.cpts: dict[str, np.ndarray] = tables
+        self.cpts: Mapping[str, np.ndarray] = MappingProxyType(tables)
         self._zeros = tuple(vs for vs in self._families if not tables[vs[-1]].all())
+        self._memo = SimpleNamespace(variables={}, splits={}, components={})
+
+    def __reduce__(self):
+        return type(self), (self.schema, self.parents, dict(self.cpts))
 
     def children(self, attr: str) -> tuple[str, ...]:
         self.schema.index(attr)

@@ -16,8 +16,8 @@ Both multiply out one Markov-blanket plan per DAG and component
 a component of one variable.  A chain starts from the row's codes and
 splits by the same components: a missing cell whose blanket is all
 observed draws every kept state in one ``np.searchsorted``, and the fill is
-read off the kept states' int array.  ``impute_tuple`` runs that path on a
-one-row table.
+read off the kept states' int array.  The net's memo keeps what depends on
+the CPTs across calls.  ``impute_tuple`` runs that path on a one-row table.
 """
 
 from __future__ import annotations
@@ -93,26 +93,34 @@ def _impute_exact(net: BayesNet, joint: bool, codes: np.ndarray, patterns, patte
     ``pattern`` numbers each column's missing set in ``patterns``.  With the
     other cells observed, P(missing | row) is the product over the missing
     set's moral-graph components C of P(C | C's blanket): each C is filled
-    from its own ``_blanket_plan``, once per distinct blanket key."""
+    from its own ``_blanket_plan``, once per distinct blanket key not yet
+    in the net's memo, which keeps C's fills by (``joint``, blanket codes)."""
     by_pattern = np.split(np.argsort(pattern, kind="stable"), np.cumsum(np.bincount(pattern))[:-1])
     rows_of: dict = {}  # component -> its columns per pattern
     for missing, rows in zip(patterns, by_pattern):
         for component in _components(net._families, missing):
             rows_of.setdefault(component, []).append(rows)
+    memo = net._memo.components
     for component, parts in rows_of.items():
         _, at, blanket, radix, factors = _blanket_plan(net._families, net.schema.sizes, component)
         rows = np.concatenate(parts)
         _, first, inverse = np.unique(
             _radix_key(codes[blanket, rows], radix), return_index=True, return_inverse=True
         )
-        views = _cpt_views(net, factors)
+        if component not in memo:
+            memo[component] = _cpt_views(net, factors), {}
+        views, known = memo[component]
         fills = []
-        for row_codes in codes[:, rows[first]].T.tolist():
-            probs = _normalized(_blanket_product(views, row_codes))
-            axes = range(probs.ndim)
-            fills.append(_lex_argmax(probs) if joint else [
-                _lex_argmax(probs.sum(axis=tuple(j for j in axes if j != k)))[0] for k in axes
-            ])
+        distinct = codes[:, rows[first]]  # a column per distinct blanket key
+        for observed, row_codes in zip(distinct[blanket[:, 0]].T.tolist(), distinct.T.tolist()):
+            key = (joint, *observed)
+            if key not in known:
+                probs = _normalized(_blanket_product(views, row_codes))
+                axes = range(probs.ndim)
+                known[key] = _lex_argmax(probs) if joint else [
+                    _lex_argmax(probs.sum(axis=tuple(j for j in axes if j != k)))[0] for k in axes
+                ]
+            fills.append(known[key])
         codes[at, rows] = np.array(fills, dtype=codes.dtype)[inverse].T
 
 
@@ -133,12 +141,11 @@ def _impute_gibbs(net, ids, codes, missing, gibbs: GibbsParams, joint: bool, see
     smallest."""
     attrs = net.schema.attributes
     sizes = net.schema.sizes
-    memo: dict = {}  # the chains' splits and full conditionals, for this call
     fills: list[int] = []
     for row_id, state, column in zip(ids, codes.T.tolist(), missing.T.tolist()):
         kept = posterior_gibbs(
             net, tuple(compress(attrs, column)), samples=gibbs.samples,
-            burn_in=gibbs.burn_in, seed=seed_of(row_id), _memo=memo, _codes=state,
+            burn_in=gibbs.burn_in, seed=seed_of(row_id), _codes=state,
         )
         if joint:
             _, first, counts = np.unique(
@@ -243,8 +250,9 @@ def impute_table(
     components and their blanket plans are cached per DAG, holding no CPTs.
     The Gibbs engine runs one chain per incomplete tuple, seeded by (base
     seed, tuple id), making results independent of processing order; its
-    chains read the same plans and share one memo, kept for this call, of
-    what depends on the CPTs: CPT views, full conditionals and chain splits.
+    chains read the same plans.  What depends on the CPTs (CPT views, full
+    conditionals, chain splits and exact fills) is kept on ``net`` across
+    calls, so a repeated key costs a lookup.
     ``truth`` must have the same schema and row ids; accuracy is measured
     over imputed cells only, and cells whose ground truth is itself null
     are left out of every denominator (a tuple counts as correct when all

@@ -288,7 +288,6 @@ def posterior_gibbs(
     burn_in: int = 100,
     seed: int | Sequence[int] = 0,
     *,
-    _memo: dict | None = None,
     _codes: list[int] | None = None,
 ):
     """Gibbs-sampled posterior P(targets | evidence).
@@ -306,18 +305,17 @@ def posterior_gibbs(
     states are those of one loop over every free variable.
 
     A conditional is ``bayesnet._blanket_plan``'s product for a component
-    of one variable, the plan cached per DAG.  ``_memo`` (private to
-    ``imputation``) is a dict shared by the chains of one imputation call,
-    of what depends on the CPTs: per free set its split, per variable its
-    CPT views and conditionals keyed by its blanket.  ``_codes`` (private
-    too) is a row's codes, -1 at ``targets``, which must then be every
-    unobserved attribute in schema order: the kept states come back as one
-    int array, a row per sample, never an array over the joint.  Evidence
-    at a zero of a fully observed family's CPT raises, as in ``posterior_exact``.
+    of one variable, the plan cached per DAG.  What depends on the CPTs is
+    kept on the net's memo across calls: per free set its split, per
+    variable its CPT views and conditionals keyed by its blanket.
+    ``_codes`` (private to ``imputation``) is a row's codes, -1 at
+    ``targets``, which must then be every unobserved attribute in schema
+    order: the kept states come back as one int array, a row per sample,
+    never an array over the joint.  Evidence at a zero of a fully observed
+    family's CPT raises, as in ``posterior_exact``.
     """
-    memo = {} if _memo is None else _memo
     if _codes is not None:
-        return _chain(net, _codes, tuple(targets), samples, burn_in, seed, memo)
+        return _chain(net, _codes, tuple(targets), samples, burn_in, seed)
     evidence = dict(evidence or {})
     _check_query(net, targets, evidence)
     _check_chain(samples, burn_in)
@@ -331,13 +329,13 @@ def posterior_gibbs(
 
     free = tuple(a for a in schema.attributes if a not in evidence)
     free_targets = [t for t in targets if t not in evidence]
-    kept = _chain(net, state, free, samples, burn_in, seed, memo)
+    kept = _chain(net, state, free, samples, burn_in, seed)
     columns = kept[:, [free.index(t) for t in free_targets]].T
     counts = _value_counts(columns, [schema.sizes[schema.index(t)] for t in free_targets])
     return _expand_clamped(net, targets, evidence, counts / float(samples))
 
 
-def _chain(net: BayesNet, state: list[int], free: tuple[str, ...], samples, burn_in, seed, memo):
+def _chain(net: BayesNet, state: list[int], free: tuple[str, ...], samples, burn_in, seed):
     """The kept states, ``(samples, len(free))`` codes, of a chain over
     ``free`` (the unobserved attributes, in schema order) from ``state``."""
     n = len(free)
@@ -345,9 +343,9 @@ def _chain(net: BayesNet, state: list[int], free: tuple[str, ...], samples, burn
     # topological order, then per sweep one per free variable (column k)
     uniforms = np.random.default_rng(seed).random(n * (1 + burn_in + samples))
     block = uniforms[n:].reshape(burn_in + samples, n)
-    if free not in memo:
-        memo[free] = _split_chain(net, free, memo)
-    init, lone, columns, plans = memo[free]
+    if free not in net._memo.splits:
+        net._memo.splits[free] = _split_chain(net, free)
+    init, lone, columns, plans = net._memo.splits[free]
     kept = np.empty((samples, n), dtype=np.intp)
     for k, (_, blanket, conditionals, views) in lone:
         key = blanket(state)
@@ -377,13 +375,14 @@ def _chain(net: BayesNet, state: list[int], free: tuple[str, ...], samples, burn
     return kept
 
 
-def _split_chain(net: BayesNet, free: tuple[str, ...], memo: dict):
+def _split_chain(net: BayesNet, free: tuple[str, ...]):
     """The connected variables' (uniform index, entry) for their init draws,
     in topological order; (column, entry) of each lone variable, alone in
     its moral-graph component of ``free`` so its blanket is all evidence;
     the connected variables' columns and entries.  A variable's entry, kept
-    in ``memo`` under its name, is its position, a getter of its blanket's
-    codes, its full conditionals keyed by those, and its CPT views."""
+    on the net's memo under its name, is its position, a getter of its
+    blanket's codes, its full conditionals keyed by those, and its CPT views."""
+    memo = net._memo.variables
     for attr in free:
         if attr not in memo:
             (at,), _, blanket, _, factors = _blanket_plan(net._families, net.schema.sizes, (attr,))

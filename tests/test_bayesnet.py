@@ -109,6 +109,12 @@ class TestBayesNetValidation:
         assert net.cpts["A"][0] == 0.5
         with pytest.raises(ValueError):
             net.cpts["A"][0] = 0.1
+        # nor can a CPT be swapped or dropped under what inference derived from it
+        with pytest.raises(TypeError):
+            net.cpts["A"] = np.array([0.1, 0.9])
+        with pytest.raises(TypeError):
+            del net.cpts["B"]
+        assert net.cpts["A"][0] == 0.5 and "B" in net.cpts
 
     def test_zero_rows_allowed_when_normalized(self):
         s = _ab_schema()

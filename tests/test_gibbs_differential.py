@@ -6,7 +6,7 @@ target states once at the end.  The reference below is the earlier loop,
 which recomputes the conditional with numpy on every update and draws one
 scalar uniform at a time.  Chains must be unchanged, so posteriors must be
 equal (``np.array_equal``), not merely close.  ``impute_table`` and
-``impute_tuple`` share one memo among a call's chains and run one chain per
+``impute_tuple`` share the net's memo among all chains and run one chain per
 row in marginal mode; their reference is the earlier per-row path, one
 reference chain per target set, and fills and errors must be equal.  The
 sampler splits each chain by Markov-blanket component and draws a lone free
@@ -615,11 +615,9 @@ def test_lone_attributes_run_no_per_sweep_update(monkeypatch):
     evidence = {"Make": "audi", "Year": net.schema.domain("Year")[0]}
     free = [a for a in net.schema.attributes if a not in evidence]
     assert _lone(net, set(free)) == ["Mileage"]
-    for kwargs in (dict(), dict(_memo={})):
-        draws.clear()
-        dist = posterior_gibbs(net, free, evidence, samples=9, burn_in=4, seed=1, **kwargs)
-        assert len(draws) == 3 * (1 + 9 + 4)
-        _assert_same(dist, _ref_posterior_gibbs(net, free, evidence, samples=9, burn_in=4, seed=1))
+    dist = posterior_gibbs(net, free, evidence, samples=9, burn_in=4, seed=1)
+    assert len(draws) == 3 * (1 + 9 + 4)
+    _assert_same(dist, _ref_posterior_gibbs(net, free, evidence, samples=9, burn_in=4, seed=1))
     # the only free attribute is lone: no update at all
     draws.clear()
     others = {a: net.schema.domain(a)[0] for a in net.schema.attributes if a != "Mileage"}

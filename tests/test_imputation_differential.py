@@ -599,16 +599,21 @@ def test_the_structure_cache_holds_no_cpts(joint, engine):
 @pytest.mark.parametrize("joint", [True, False])
 def test_a_second_gibbs_call_builds_no_blanket_plan(joint):
     # the plans depend on the DAG alone, so the first call on a net builds
-    # them all; a later call with the same missing sets only looks them up
+    # them all; a call with the same missing sets on an equal net, whose
+    # memo starts empty, only looks them up, and a later call on that net
+    # reads its memo without looking them up
     net = _NETS[3]
     table = _striped_table(net)
     params = GibbsParams(samples=10, burn_in=2, seed=3)
     impute_table(net, table, engine="gibbs", gibbs=params, joint=joint)
     before = bayesnet._blanket_plan.cache_info()
-    impute_table(net, table, engine="gibbs", gibbs=params, joint=joint)
-    impute_tuple(net, table.rows[0], engine="gibbs", gibbs=params, joint=joint)
+    twin = BayesNet(net.schema, net.parents, net.cpts)
+    impute_table(twin, table, engine="gibbs", gibbs=params, joint=joint)
+    impute_tuple(twin, table.rows[0], engine="gibbs", gibbs=params, joint=joint)
     after = bayesnet._blanket_plan.cache_info()
     assert after.misses == before.misses and after.hits > before.hits
+    impute_table(twin, table, engine="gibbs", gibbs=params, joint=joint)
+    assert bayesnet._blanket_plan.cache_info() == after
 
 
 # ---------------------------------------------------------------------------
