@@ -174,6 +174,7 @@ class NaiveBayesModel:
             (f, t): pair.sum(axis=0) + len(schema.domain(f)) for (f, t), pair in pair_counts.items()
         }
         self._smoothed = {key: pair + 1.0 for key, pair in pair_counts.items()}
+        self._predictions: dict = {}  # predict's answers
 
     def posterior(self, target: str, evidence: Mapping[str, str]) -> np.ndarray:
         """P(target | evidence) as an array over the target's sorted domain."""
@@ -189,10 +190,13 @@ class NaiveBayesModel:
         return probs / total
 
     def predict(self, target: str, evidence: Mapping[str, str]) -> tuple[str, float]:
-        """Most probable target value and its probability; ties go lexicographic."""
-        probs = self.posterior(target, evidence)
-        i = int(probs.argmax())
-        return self.schema.domain(target)[i], float(probs[i])
+        """Most probable target value and its probability (ties lexicographic), kept per evidence."""
+        key = (target, *evidence.items())
+        if key not in self._predictions:
+            probs = self.posterior(target, evidence)
+            i = int(probs.argmax())
+            self._predictions[key] = self.schema.domain(target)[i], float(probs[i])
+        return self._predictions[key]
 
 
 def fit_naive_bayes(train: Table) -> NaiveBayesModel:

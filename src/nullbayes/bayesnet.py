@@ -66,9 +66,9 @@ class BayesNet:
 
     ``cpts`` is a read-only mapping of read-only arrays, so ``_memo`` keeps
     what inference derives from them, filled lazily: per variable its Gibbs
-    entry, per free set its chain split, per exact component its CPT views
-    and fills.  It lives and dies with the net: a pickle or copy holds the
-    schema, parents and CPTs only.
+    entry, per free set its chain split, per exact component its CPT views,
+    fills, cells and blanket cells.  It lives and dies with the net: a
+    pickle or copy holds the schema, parents and CPTs only.
     """
 
     __slots__ = ("schema", "parents", "cpts", "_order", "_families", "_zeros", "_memo")

@@ -7,10 +7,10 @@ argmax separately; it is kept for comparison because it can produce
 mutually inconsistent combinations that the joint argmax never does.
 
 Both engines share one path over the table's int-coded column matrix: the
-columns of the incomplete rows are filled in place, by exact inference (one
-posterior per distinct Markov-blanket component and blanket values) or by
-Gibbs sampling (one chain per row), and the output table keeps the filled
-code matrix, decoding its rows to labels on first read.
+columns of the incomplete rows are filled in place, by exact inference (each
+missing cell keyed in one pass by its Markov-blanket component and blanket
+codes, one sort, one posterior per distinct key) or by Gibbs sampling (one
+chain per row); the output table decodes the filled codes on first read.
 Both multiply out one Markov-blanket plan per DAG and component
 (``bayesnet._blanket_plan``): a Gibbs full conditional is the posterior of
 a component of one variable.  A chain starts from the row's codes and
@@ -78,50 +78,66 @@ def _check_engine(engine: str) -> None:
         raise ValueError(f"unknown engine {engine!r}")
 
 
+def _groups(keys: np.ndarray):
+    """Each key's index among the sorted distinct keys, a position of each; one unstable sort."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    first = np.empty(len(distinct), np.intp)
+    first[inverse] = np.arange(len(keys))
+    return inverse, first
+
+
 def _null_patterns(attrs: tuple[str, ...], missing: np.ndarray):
     """The distinct missing sets among the columns of ``missing`` (``(d, n)``
     booleans), and the index of each column's set."""
     packed = np.packbits(missing, axis=0)
-    _, first, pattern = np.unique(
-        _radix_key(packed, (256,) * len(packed)), return_index=True, return_inverse=True
-    )
+    pattern, first = _groups(_radix_key(packed, (256,) * len(packed)))
     return [tuple(compress(attrs, column)) for column in missing[:, first].T.tolist()], pattern
 
 
 def _impute_exact(net: BayesNet, joint: bool, codes: np.ndarray, patterns, pattern) -> None:
-    """Fill the -1 cells of ``codes`` (``(d, n)``) with exact MAP values;
-    ``pattern`` numbers each column's missing set in ``patterns``.  With the
-    other cells observed, P(missing | row) is the product over the missing
-    set's moral-graph components C of P(C | C's blanket): each C is filled
-    from its own ``_blanket_plan``, once per distinct blanket key not yet
-    in the net's memo, which keeps C's fills by (``joint``, blanket codes)."""
-    by_pattern = np.split(np.argsort(pattern, kind="stable"), np.cumsum(np.bincount(pattern))[:-1])
-    rows_of: dict = {}  # component -> its columns per pattern
-    for missing, rows in zip(patterns, by_pattern):
-        for component in _components(net._families, missing):
-            rows_of.setdefault(component, []).append(rows)
-    memo = net._memo.components
-    for component, parts in rows_of.items():
-        _, at, blanket, radix, factors = _blanket_plan(net._families, net.schema.sizes, component)
-        rows = np.concatenate(parts)
-        _, first, inverse = np.unique(
-            _radix_key(codes[blanket, rows], radix), return_index=True, return_inverse=True
-        )
-        if component not in memo:
-            memo[component] = _cpt_views(net, factors), {}
-        views, known = memo[component]
-        fills = []
-        distinct = codes[:, rows[first]]  # a column per distinct blanket key
-        for observed, row_codes in zip(distinct[blanket[:, 0]].T.tolist(), distinct.T.tolist()):
-            key = (joint, *observed)
-            if key not in known:
-                probs = _normalized(_blanket_product(views, row_codes))
-                axes = range(probs.ndim)
-                known[key] = _lex_argmax(probs) if joint else [
-                    _lex_argmax(probs.sum(axis=tuple(j for j in axes if j != k)))[0] for k in axes
-                ]
-            fills.append(known[key])
-        codes[at, rows] = np.array(fills, dtype=codes.dtype)[inverse].T
+    """Fill the -1 cells of ``codes`` (``(d, n)``, one at least) with exact MAP
+    values; ``pattern`` numbers each column's missing set in ``patterns``.  The
+    posterior is the product over the set's moral-graph components C of P(C |
+    C's blanket), each computed from C's plan once per blanket key not in C's
+    memo entry (fills by ``joint`` and blanket codes).  All missing cells are
+    keyed in one pass, by C's slot and their column's blanket codes padded with
+    a cell of C (-1, a constant digit); one sort groups them, any cell serves
+    its group (the product reads only blanket cells) and takes its place in C."""
+    d, n = codes.shape
+    memo, number = net._memo.components, {}  # each component's slot, first seen first
+    slots, places = [0] * (len(patterns) * d), [0] * (len(patterns) * d)  # by pattern, attribute
+    for p, missing in enumerate(patterns):
+        for c in _components(net._families, missing):
+            if c not in memo:  # C's CPT views, fills, cells and blanket cells
+                at, _, blanket, _, factors = _blanket_plan(net._families, net.schema.sizes, c)
+                memo[c] = _cpt_views(net, factors), {}, at, blanket[:, 0].tolist()
+            s = number.setdefault(c, len(number))
+            for k, a in enumerate(memo[c][2]):
+                slots[p * d + a], places[p * d + a] = s, k
+    entries = [memo[c] for c in number]
+    cells = np.flatnonzero(codes < 0)
+    attr, column = np.divmod(cells, n)
+    where = (pattern * d)[column] + attr
+    slot, place = np.array(slots)[where], np.array(places)[where]
+    width = max(len(e[3]) for e in entries)
+    rows = np.array([e[3] + [e[2][0]] * (width - len(e[3])) for e in entries], np.intp)
+    radix = (np.array(net.schema.sizes)[rows].max(axis=0) + 1).tolist()  # pads only widen it
+    digits = np.take(codes, (rows * n)[slot].T + column)
+    inverse, first = _groups(_radix_key(np.vstack((slot, digits + 1)), (len(entries), *radix)))
+    fills, starts = [], []  # the distinct keys' fills, end to end
+    distinct = (a.tolist() for a in (slot[first], column[first], digits[:, first].T))
+    for s, row, observed in zip(*distinct):
+        views, known, _, blanket = entries[s]
+        key = (joint, *observed[: len(blanket)])
+        if key not in known:
+            probs = _normalized(_blanket_product(views, codes[:, row].tolist()))
+            axes = range(probs.ndim)
+            known[key] = _lex_argmax(probs) if joint else [
+                _lex_argmax(probs.sum(axis=tuple(j for j in axes if j != k)))[0] for k in axes
+            ]
+        starts.append(len(fills))
+        fills.extend(known[key])
+    np.put(codes, cells, np.array(fills, dtype=codes.dtype)[np.array(starts)[inverse] + place])
 
 
 def _shares(keys, hits: np.ndarray, totals: np.ndarray) -> dict:
@@ -167,11 +183,11 @@ def _impute(net: BayesNet, table: Table, engine: str, gibbs: GibbsParams, joint:
     incomplete = (codes < 0).any(axis=0).nonzero()[0]
     evidence = codes[:, incomplete]
     filled, missing = evidence.copy(), evidence < 0
-    if engine == "exact":
-        _impute_exact(net, joint, filled, *_null_patterns(table.schema.attributes, missing))
-    else:
+    if engine == "gibbs":
         ids = table._id_column()[incomplete].tolist()
         _impute_gibbs(net, ids, filled, missing, gibbs, joint, seed_of)
+    elif len(incomplete):
+        _impute_exact(net, joint, filled, *_null_patterns(table.schema.attributes, missing))
     _refuse_impossible(net, evidence)
     out = codes.copy()
     out[:, incomplete] = filled
@@ -244,10 +260,10 @@ def impute_table(
     """Impute every incomplete tuple of ``table``.
 
     Both engines fill the incomplete rows' columns of the table's code
-    matrix.  The exact engine groups them by null pattern, splits each
-    pattern into its components in the moral graph and computes one
-    posterior per distinct (component, observed blanket values) key; the
-    components and their blanket plans are cached per DAG, holding no CPTs.
+    matrix.  The exact engine splits each null pattern into its moral-graph
+    components, keys every missing cell by its component and blanket codes
+    in one pass, groups the keys with one sort and computes one posterior per
+    distinct key; components and plans are cached per DAG, holding no CPTs.
     The Gibbs engine runs one chain per incomplete tuple, seeded by (base
     seed, tuple id), making results independent of processing order; its
     chains read the same plans.  What depends on the CPTs (CPT views, full

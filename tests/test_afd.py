@@ -528,22 +528,21 @@ _NB_SCHEMA = Schema(
     _NB_ATTRS, {"A": ("0", "1"), "B": ("0", "1", "2"), "C": ("x",), "D": ("0", "1", "2", "3")}
 )
 _NB_VALUES = st.sampled_from(("0", "1", "2", "3", "x", "unseen", None))
-
-
-@given(
-    data=st.lists(
-        st.tuples(*[st.sampled_from((None, *_NB_SCHEMA.domain(a))) for a in _NB_ATTRS]),
-        max_size=25,
-    ),
-    queries=st.lists(
-        st.tuples(
-            st.sampled_from(_NB_ATTRS + ("Q",)),
-            st.dictionaries(st.sampled_from(_NB_ATTRS + ("Q",)), _NB_VALUES, max_size=4),
-        ),
-        min_size=1,
-        max_size=10,
-    ),
+_NB_DATA = st.lists(
+    st.tuples(*[st.sampled_from((None, *_NB_SCHEMA.domain(a))) for a in _NB_ATTRS]),
+    max_size=25,
 )
+_NB_QUERIES = st.lists(
+    st.tuples(
+        st.sampled_from(_NB_ATTRS + ("Q",)),
+        st.dictionaries(st.sampled_from(_NB_ATTRS + ("Q",)), _NB_VALUES, max_size=4),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+@given(data=_NB_DATA, queries=_NB_QUERIES)
 def test_nb_posterior_matches_reference(data, queries):
     model = fit_naive_bayes(Table(_NB_SCHEMA, [Row(i, cells) for i, cells in enumerate(data)]))
     for target, evidence in queries:
@@ -557,6 +556,49 @@ def test_nb_posterior_matches_reference(data, queries):
             label, p = model.predict(target, evidence)
             i = int(np.argmax(want))
             assert (label, p) == (_NB_SCHEMA.domain(target)[i], float(want[i]))
+
+
+# ---------------------------------------------------------------------------
+# predictions kept on the model: a warm model answers as a fresh one, and a
+# refused prediction stores nothing
+
+
+def _fresh_model(model):
+    return NaiveBayesModel(model.schema, model._class_counts, model._pair_counts)
+
+
+_KEPT_SCHEMA = Schema(_ATTRS, {a: ("0", "1", "2") for a in _ATTRS})
+
+
+def _kept_rows(labels, min_size=0):
+    return st.lists(
+        st.tuples(*[st.sampled_from(labels) for _ in _ATTRS]), min_size=min_size, max_size=12
+    )
+
+
+@given(
+    train=_kept_rows((None, "0", "1", "2")),
+    afds=st.lists(_afds(), max_size=12),
+    # "9" is outside every domain: a rule that reads it is refused
+    rows=_kept_rows((None, None, "0", "1", "2", "9"), min_size=1),
+)
+def test_a_warm_model_imputes_as_a_fresh_one(train, afds, rows):
+    model = fit_naive_bayes(Table(_KEPT_SCHEMA, [Row(i, c) for i, c in enumerate(train)]))
+    for i, cells in enumerate(rows * 2):  # the second pass finds its predictions kept
+        got = _outcome(afd_impute_tuple, afds, model, Row(i, cells))
+        assert got == _outcome(afd_impute_tuple, afds, _fresh_model(model), Row(i, cells))
+
+
+@given(data=_NB_DATA, queries=_NB_QUERIES)
+def test_a_refused_prediction_stores_nothing(data, queries):
+    # unknown targets and labels, and evidence on the target, are refused
+    model = fit_naive_bayes(Table(_NB_SCHEMA, [Row(i, cells) for i, cells in enumerate(data)]))
+    for target, evidence in queries * 2:
+        kept = dict(model._predictions)
+        got = _outcome(model.predict, target, evidence)
+        assert got == _outcome(_fresh_model(model).predict, target, evidence)
+        if isinstance(got[0], type):
+            assert model._predictions == kept
 
 
 # ---------------------------------------------------------------------------
