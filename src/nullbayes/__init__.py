@@ -54,6 +54,7 @@ from .inference import (
     posterior_gibbs,
 )
 from .rewriting import (
+    REWRITING_METHODS,
     BeamConfig,
     QueryScore,
     RetrievedAnswer,
@@ -67,7 +68,7 @@ from .rewriting import (
     expected_precision,
     expected_selectivity,
     f_measure,
-    order_and_issue,
+    run_method,
 )
 from .source import AutonomousSource, QueryBudgetError
 from .tabular import (
@@ -80,8 +81,8 @@ from .tabular import (
     discretize,
     inject_nulls,
     load_csv,
+    parse_discretize_rules,
     project_distinct,
-    sample_table,
     save_csv,
     select,
 )

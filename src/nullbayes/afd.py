@@ -125,7 +125,9 @@ def _ranking(afds: Iterable[Afd]) -> tuple[tuple[Afd, ...], dict[str, list[int]]
 def best_afds(afds: Iterable[Afd], exclude: Iterable[str] = ()) -> dict[str, Afd]:
     """The strongest usable AFD per target attribute.
 
-    AFDs whose determining set touches ``exclude`` are skipped.  Ties in
+    AFDs whose determining set touches ``exclude``, a collection of
+    attribute names, are skipped; a string is refused (TypeError), since
+    iterating it would exclude its characters.  Ties in
     confidence go to the smaller determining set, then the lexicographically
     smaller one; equal rules resolve to the first listed.  The winners are
     the caller's own rule objects.  The iteration order of the returned dict
@@ -135,6 +137,8 @@ def best_afds(afds: Iterable[Afd], exclude: Iterable[str] = ()) -> dict[str, Afd
     calls with an equal sequence cost one comparison and a walk of each
     target's ranked rules.  The memo keeps that last rule tuple alive.
     """
+    if isinstance(exclude, str):
+        raise TypeError(f"exclude must be a collection of attribute names, not the string {exclude!r}")
     rules, order, _ = _ranking(afds)
     banned = set(exclude)
     best: dict[str, Afd] = {}

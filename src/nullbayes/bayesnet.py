@@ -466,16 +466,15 @@ def _alignment(variables: tuple[str, ...], out_vars: tuple[str, ...]):
 
 
 @lru_cache(maxsize=1024)
-def _blanket_plan(families, sizes: tuple[int, ...], members: tuple[str, ...]):
+def _blanket_plan(families, members: tuple[str, ...]):
     """How to multiply out P(C | Markov blanket), C = ``members``, at a
-    row's codes in the DAG of ``families`` (a net's ``_families``) over
-    domains of ``sizes``: the CPTs of C's members and of their children,
-    sliced at the observed cells (Koller & Friedman, §12.3.1).  It holds no
-    CPTs.  Returns C's positions as a tuple and as a column index, the
-    blanket's as a column index and their sizes (a radix for its codes), and
-    per CPT its attribute, its ``_alignment`` on (observed axes, C's axes),
-    so that slicing it at the observed codes broadcasts over C's axes, and
-    a getter of the observed codes from the row's.
+    row's codes in the DAG of ``families`` (a net's ``_families``): the CPTs
+    of C's members and of their children, sliced at the observed cells
+    (Koller & Friedman, §12.3.1).  It holds no CPTs.  Returns C's positions
+    and the blanket's, sorted, as tuples, and per CPT its attribute, its
+    ``_alignment`` on (observed axes, C's axes), so that slicing it at the
+    observed codes broadcasts over C's axes, and a getter of the observed
+    codes from the row's.
     """
     pos = {vs[-1]: i for i, vs in enumerate(families)}
     group = set(members)
@@ -492,9 +491,8 @@ def _blanket_plan(families, sizes: tuple[int, ...], members: tuple[str, ...]):
         observed = tuple(v for v in vs if v not in group)
         getter = _getter([pos[v] for v in observed])
         factors.append((vs[-1], *_alignment(vs, observed + members), getter))
-    at, blanket = tuple(pos[a] for a in members), sorted(pos[v] for v in outside)
-    column = np.array(blanket, dtype=np.intp)[:, None]
-    return at, np.array(at)[:, None], column, tuple(sizes[b] for b in blanket), tuple(factors)
+    at, blanket = tuple(pos[a] for a in members), tuple(sorted(pos[v] for v in outside))
+    return at, blanket, tuple(factors)
 
 
 def _getter(positions: list[int]):

@@ -38,7 +38,6 @@ from .tabular import (
     Table,
     _check_count,
     _check_scale,
-    _sampled,
     discretize,
     inject_nulls,
     load_csv,
@@ -208,10 +207,15 @@ def load_config(path: str) -> ExperimentConfig:
 def split_table(table: Table, fraction: float, seed) -> tuple[Table, Table]:
     """Disjoint (train, test) split; train has ceil(fraction * N) rows.
 
-    Both halves keep the full table's schema, so their domains agree.
+    Both halves keep the full table's schema, so their domains agree, and
+    its row order.
     """
-    train = _sampled(len(table), fraction, seed)
-    return table._take(train), table._take(np.delete(np.arange(len(table)), train))
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError("fraction must be in (0, 1]")
+    n = len(table)
+    k = math.ceil(fraction * n)
+    train = np.sort(np.random.default_rng(seed).choice(n, size=k, replace=False))
+    return table._take(train), table._take(np.delete(np.arange(n), train))
 
 
 def _experiment_table(cfg: ExperimentConfig, seed: int, table: Table | None) -> Table:

@@ -109,8 +109,8 @@ def _impute_exact(net: BayesNet, joint: bool, codes: np.ndarray, patterns, patte
     for p, missing in enumerate(patterns):
         for c in _components(net._families, missing):
             if c not in memo:  # C's CPT views, fills, cells and blanket cells
-                at, _, blanket, _, factors = _blanket_plan(net._families, net.schema.sizes, c)
-                memo[c] = _cpt_views(net, factors), {}, at, blanket[:, 0].tolist()
+                at, blanket, factors = _blanket_plan(net._families, c)
+                memo[c] = _cpt_views(net, factors), {}, at, list(blanket)
             s = number.setdefault(c, len(number))
             for k, a in enumerate(memo[c][2]):
                 slots[p * d + a], places[p * d + a] = s, k
@@ -210,7 +210,9 @@ def _accuracies(table: Table, truth: Table, incomplete, filled, missing):
     against ``truth``; cells whose truth is null are not graded, and with no
     graded cell the cell and tuple accuracy are None."""
     attrs = table.schema.attributes
-    at = truth._positions(table._id_column()[incomplete])
+    truth_ids = truth._id_column()
+    order = np.argsort(truth_ids)  # truth holds every id (impute_table checks)
+    at = order[np.searchsorted(truth_ids, table._id_column()[incomplete], sorter=order)]
     scored, hits, graded, right = _graded(filled, truth._column_codes()[:, at], missing)
     cells_scored, tuples_scored = int(scored.sum()), int(graded.sum())
     patterns, pattern = _null_patterns(attrs, missing)

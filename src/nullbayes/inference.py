@@ -385,8 +385,8 @@ def _split_chain(net: BayesNet, free: tuple[str, ...]):
     memo = net._memo.variables
     for attr in free:
         if attr not in memo:
-            (at,), _, blanket, _, factors = _blanket_plan(net._families, net.schema.sizes, (attr,))
-            memo[attr] = at, _getter(blanket[:, 0].tolist()), {}, _cpt_views(net, factors)
+            (at,), blanket, factors = _blanket_plan(net._families, (attr,))
+            memo[attr] = at, _getter(blanket), {}, _cpt_views(net, factors)
     lone = {members[0] for members in _components(net._families, free) if len(members) == 1}
     order = [a for a in net.topological_order() if a in free]
     init = [(i, memo[a]) for i, a in enumerate(order) if a not in lone]

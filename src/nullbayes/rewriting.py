@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -54,7 +54,6 @@ __all__ = [
     "f_measure",
     "expected_precision",
     "expected_selectivity",
-    "order_and_issue",
     "bn_all_mb",
     "bn_beam",
     "afd_rewrite_single",
@@ -141,8 +140,9 @@ class RewritingResult:
 
     A strategy's result keeps those tuples as their positions in the source
     table, each with the step at which it was first retrieved (an index into
-    the issued queries as they were issued; see ``order_and_issue``), and
-    builds ``answers`` from them on its first read, then keeps the list.
+    the issued queries as they were issued; the base answer's tuples are
+    never among them), and builds ``answers`` from them on its first read,
+    then keeps the list.
     Equality, ``repr`` and pickling read ``answers``; a pickle holds the five
     fields, ``base`` as its schema, ids and codes, never the source table.
     """
@@ -261,37 +261,10 @@ def _tie(score: float) -> float:
     return float(f"{score:.12g}")
 
 
-def order_and_issue(
-    queries: Iterable[RewrittenQuery],
-    source: AutonomousSource,
-    limit: int | None = None,
-    exclude_ids: Iterable[int] = (),
-) -> tuple[list[RetrievedAnswer], list[RewrittenQuery], bool]:
-    """Issue rewritten queries in decreasing expected precision.
-
-    At most ``limit`` queries are sent.  Retrieved tuples are deduplicated
-    by id (the first retrieving query wins and provides the relevance
-    annotation) and tuples whose id equals a number in ``exclude_ids`` are
-    dropped; anything else in it equals no id.  A budget refusal stops
-    issuing but keeps everything already retrieved; the returned flag says
-    whether that happened.
-
-    The strategies issue through the same pass, ``_issue``, which keeps each
-    query's fresh tuples as positions in the source table and builds no
-    answers; this function builds the ``RetrievedAnswer``s from them once,
-    at the end.
-    """
-    iter(exclude_ids)  # a non-iterable is refused before any query is sent
-    retrieved, issued, truncated = _issue(
-        queries, source, limit, lambda table: table._positions(exclude_ids)
-    )
-    return retrieved.answers(), issued, truncated
-
-
-def _issue(queries, source, limit, dropped) -> tuple[_Retrieved, list[RewrittenQuery], bool]:
+def _issue(queries, source, limit, base_at) -> tuple[_Retrieved, list[RewrittenQuery], bool]:
     # every answer is taken from the source table at its rows' positions, so
     # the tuples already seen are one boolean array over those positions, set
-    # at the first answer to dropped(table): the positions to drop
+    # at the first answer to ``base_at``: the base answer's positions
     _check_count("limit", limit, or_none=True)
     ordered = sorted(queries, key=_issue_key)
     if limit is not None:
@@ -310,7 +283,7 @@ def _issue(queries, source, limit, dropped) -> tuple[_Retrieved, list[RewrittenQ
         if seen is None:
             table = source._table
             seen = np.zeros(len(table), dtype=bool)
-            seen[dropped(table)] = True
+            seen[base_at] = True
         # positions are unique within one answer, so only earlier answers can repeat them
         fresh.append(taken[~seen[taken]])
         seen[taken] = True
@@ -348,7 +321,7 @@ def _rewrite(model, sample, source, query, k, alpha, sample_ratio, pick, candida
         return RewrittenQuery(candidate, QueryScore(p, sel, r, f_measure(p, r, alpha)))
 
     selected = sorted(candidates(picked, base, source.schema, score), key=key)[:k]
-    retrieved, issued, truncated = _issue(selected, source, k, lambda _: base._taken_at())
+    retrieved, issued, truncated = _issue(selected, source, k, base._taken_at())
     return RewritingResult._unread(base, retrieved, issued, selected, truncated)
 
 

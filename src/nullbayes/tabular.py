@@ -34,7 +34,6 @@ __all__ = [
     "project_distinct",
     "inject_nulls",
     "align_table",
-    "sample_table",
 ]
 
 
@@ -105,9 +104,6 @@ class Schema:
             raise ValueError(f"value {value!r} not in domain of {attr!r}")
         return code
 
-    def value(self, row: "Row", attr: str) -> str | None:
-        return row.cells[self.index(attr)]
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Schema)
@@ -139,17 +135,16 @@ class Table:
     The storage is a ``(d, N)`` int32 matrix of domain indices (-1 for null)
     and an int64 column of the row ids: ``Table(schema, rows)`` checks the
     rows by encoding them and keeps them, and a table derived from another
-    (``inject_nulls``, ``sample_table``, imputation...) is built from codes,
+    (``inject_nulls``, ``split_table``, imputation...) is built from codes,
     its ``rows`` built on first read and kept.  Rebinding ``rows`` encodes
     and checks the new rows as the constructor does, and keeps them as a
     tuple (one given, of a subclass too, as it is), which nothing can change
-    later.  A dict from row id to position is cached beside the storage.  A
-    table taken from another (``_take``: a ``select`` or
+    later.  A table taken from another (``_take``: a ``select`` or
     ``AutonomousSource.answer`` result, say) records the positions it was
     taken at, not the table.  A pickle holds the schema, ids and codes only.
     """
 
-    __slots__ = ("schema", "_rows", "_codes", "_row_ids", "_by_id", "_taken")
+    __slots__ = ("schema", "_rows", "_codes", "_row_ids", "_taken")
 
     def __init__(self, schema: Schema, rows: Iterable[Row]):
         self.schema = schema
@@ -160,7 +155,7 @@ class Table:
         """A table stored as ``ids`` and ``codes``, valid by construction."""
         table = object.__new__(cls)
         table.schema, table._row_ids, table._codes = schema, ids, codes
-        table._rows = table._by_id = table._taken = None
+        table._rows = table._taken = None
         return table
 
     def _take(self, at: np.ndarray) -> "Table":
@@ -201,7 +196,7 @@ class Table:
         if fault:
             self._raise_first_fault(rows)
         self._rows, self._codes, self._row_ids = rows, codes, ids
-        self._by_id = self._taken = None
+        self._taken = None
 
     def _raise_first_fault(self, rows: Sequence[Row]) -> None:
         # the constructor's checks, row by row, so the message names the first bad row
@@ -239,33 +234,11 @@ class Table:
     def __repr__(self) -> str:
         return f"Table({len(self)} rows, {len(self.schema.attributes)} attributes)"
 
-    def row_by_id(self, row_id: int) -> Row:
-        at = self._positions([row_id])
-        if not len(at):
-            raise KeyError(f"no row with id {row_id}")
-        return self.rows[at[0]]
-
-    def value(self, row: Row, attr: str) -> str | None:
-        return self.schema.value(row, attr)
-
     def _column_codes(self) -> np.ndarray:
         return self._codes
 
     def _id_column(self) -> np.ndarray:
         return self._row_ids
-
-    def _positions(self, ids: Iterable) -> np.ndarray:
-        """The positions in ``rows`` of the rows whose ids equal one of ``ids``:
-        each number (``numbers.Real``) among ``ids``, an ndarray's as
-        ``tolist`` reads them, is looked up in a dict from id to position, so
-        it finds the id of equal value (``2.0**53`` is not ``2**53 + 1``);
-        nothing else equals an id."""
-        if self._by_id is None:
-            self._by_id = {row_id: at for at, row_id in enumerate(self._row_ids.tolist())}
-        if isinstance(ids, np.ndarray):
-            ids = ids.tolist()
-        found = [self._by_id.get(i) for i in ids if isinstance(i, numbers.Real)]
-        return np.array([at for at in found if at is not None], dtype=np.int64)
 
     def mask(self, query: "SelectionQuery", null_wildcard: bool = False) -> np.ndarray:
         """Boolean array over ``rows``: True where ``query.matches`` would be.
@@ -720,19 +693,3 @@ def align_table(table: Table, schema: Schema) -> Table:
     if (aligned == -2).any():  # refused as the rows would be: at the first bad row
         Table(schema, [Row(r.id, tuple(r.cells[i] for i in idx)) for r in table.rows])
     return Table._of(schema, table._id_column(), aligned)
-
-
-def _sampled(n: int, fraction: float, seed: int | Sequence[int]) -> np.ndarray:
-    # the sorted positions of ceil(fraction*n) of n rows, drawn without replacement
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
-    k = math.ceil(fraction * n)
-    return np.sort(np.random.default_rng(seed).choice(n, size=k, replace=False))
-
-
-def sample_table(table: Table, fraction: float, seed: int | Sequence[int]) -> Table:
-    """A uniform without-replacement sample of ceil(fraction*N) rows.
-
-    Sampled rows keep their ids and their original relative order.
-    """
-    return table._take(_sampled(len(table), fraction, seed))

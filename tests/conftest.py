@@ -99,6 +99,11 @@ def with_unseen_values(table: Table, attr: str, value: str, unseen: str = "zz-un
     return Table(Schema(schema.attributes, domains), rows)
 
 
+def row_with_id(table: Table, row_id: int) -> Row:
+    """The row of ``table`` whose id is ``row_id``."""
+    return next(row for row in table.rows if row.id == row_id)
+
+
 def demo_net() -> BayesNet:
     """Hand-wired structure over demo_cars, parameters fitted with add-one."""
     table = demo_cars()

@@ -25,6 +25,8 @@ from nullbayes import (
     save_afds,
 )
 
+from conftest import row_with_id
+
 
 def _by_rule(afds):
     return {(a.determining, a.target): a.confidence for a in afds}
@@ -109,6 +111,14 @@ class TestBestAfds:
             "Year",
         )
 
+    def test_a_string_exclude_is_refused(self, sparse_table):
+        # iterated, "Model" would exclude the letters M, o, d, e and l
+        rules = mine_afds(sparse_table)
+        assert best_afds(rules, exclude=["Model"]) != best_afds(rules, exclude=list("Model"))
+        for exclude in ("Model", ""):
+            with pytest.raises(TypeError, match="exclude"):
+                best_afds(rules, exclude=exclude)
+
     def test_confidence_dominates_size(self):
         rules = [Afd(("X",), "T", 0.6), Afd(("Y", "Z"), "T", 0.9)]
         assert best_afds(rules)["T"].determining == ("Y", "Z")
@@ -154,7 +164,7 @@ class TestChainedImputation:
     def test_direct_fill(self, sparse_table):
         rules = mine_afds(sparse_table)
         model = fit_naive_bayes(sparse_table)
-        row = sparse_table.row_by_id(8)  # Body null, Model/Year/Mileage present
+        row = row_with_id(sparse_table, 8)  # Body null, Model/Year/Mileage present
         filled, unpredictable = afd_impute_tuple(rules, model, row)
         assert unpredictable == []
         assert filled.cells[3] is not None
@@ -608,7 +618,7 @@ def test_a_refused_prediction_stores_nothing(data, queries):
 def test_afd_impute_tuple_rejects_wrong_arity(sparse_table):
     rules = mine_afds(sparse_table)
     model = fit_naive_bayes(sparse_table)
-    row = sparse_table.row_by_id(8)
+    row = row_with_id(sparse_table, 8)
     d = len(row.cells)
     for cells in (row.cells + ("extra",), row.cells[:-1]):
         with pytest.raises(ValueError, match=rf"^row 8 has {len(cells)} cells, schema has {d}$"):

@@ -48,7 +48,9 @@ def _old_impute_exact(net: BayesNet, joint: bool, codes: np.ndarray, patterns, p
             rows_of.setdefault(component, []).append(rows)
     memo = net._memo.components
     for component, parts in rows_of.items():
-        _, at, blanket, radix, factors = _blanket_plan(net._families, net.schema.sizes, component)
+        at, blanket, factors = _blanket_plan(net._families, component)
+        radix = [net.schema.sizes[b] for b in blanket]
+        at, blanket = np.array(at)[:, None], np.array(blanket, dtype=np.intp)[:, None]
         rows = np.concatenate(parts)
         _, first, inverse = np.unique(
             _radix_key(codes[blanket, rows], radix), return_index=True, return_inverse=True
@@ -142,8 +144,8 @@ def _hub_net(children: int, size: int, seed: int) -> BayesNet:
 @pytest.mark.parametrize("joint", [True, False])
 def test_a_key_wider_than_63_bits_is_re_ranked(joint):
     net = _hub_net(25, 6, seed=3)
-    plan = _blanket_plan(net._families, net.schema.sizes, ("H",))
-    assert math.prod(n + 1 for n in plan[3]) >= 2**63  # _radix_key must re-rank
+    _, blanket, _ = _blanket_plan(net._families, ("H",))
+    assert math.prod(net.schema.sizes[b] + 1 for b in blanket) >= 2**63  # _radix_key must re-rank
     codes = sample_rows(net, 60, seed=1)._column_codes().copy()
     codes[0] = -1  # H missing everywhere
     codes[1, ::3] = -1  # and with C00 too, a second component: H and C00

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nullbayes.rewriting as rw
 from nullbayes import (
     AutonomousSource,
     BeamConfig,
@@ -34,7 +35,6 @@ from nullbayes import (
     f_measure,
     fit_parameters,
     mine_afds,
-    order_and_issue,
     sample_rows,
     save_afds,
     save_csv,
@@ -125,8 +125,8 @@ _COUNTED = {
     "BeamConfig(width=1.5)": (lambda: BeamConfig(width=1.5), "width"),
     "BeamConfig(depth=1.5)": (lambda: BeamConfig(depth=1.5), "depth"),
     "AutonomousSource(table, 1.5)": (lambda: AutonomousSource(demo_cars(), 1.5), "query_limit"),
-    "order_and_issue(limit=1.5)": (
-        lambda: order_and_issue([], AutonomousSource(demo_cars()), limit=1.5), "limit"
+    "_issue(limit=1.5)": (
+        lambda: rw._issue([], AutonomousSource(demo_cars()), 1.5, np.zeros(0, dtype=np.int64)), "limit"
     ),
     "mine_afds(max_lhs=1.5)": (lambda: mine_afds(demo_cars(), max_lhs=1.5), "max_lhs"),
     "sample_rows(n=1.5)": (lambda: sample_rows(demo_net(), 1.5, seed=0), "n"),

@@ -33,7 +33,6 @@ from nullbayes import (
     fit_naive_bayes,
     inject_nulls,
     mine_afds,
-    order_and_issue,
     run_rewriting_experiment,
     sample_rows,
 )
@@ -47,7 +46,7 @@ from nullbayes.rewriting import (
 )
 from nullbayes.synth import car_demo_net
 
-from conftest import demo_net, in_generation, oracle_conditional, with_unseen_values
+from conftest import demo_net, in_generation, oracle_conditional, row_with_id, with_unseen_values
 
 
 def _impossible_pair_net():
@@ -179,49 +178,34 @@ def _rq(text, precision, selectivity=1.0, alpha=0.0):
     return RewrittenQuery(q, QueryScore(precision, selectivity, r, f_measure(precision, r, alpha)))
 
 
-class TestOrderAndIssue:
+def _issued(queries, source, limit=None):
+    """The strategies' issuing pass over ``queries`` with no base answer to
+    drop, and the answers built from what it retrieved."""
+    retrieved, issued, truncated = rw._issue(queries, source, limit, np.zeros(0, dtype=np.int64))
+    return retrieved.answers(), issued, truncated
+
+
+class TestIssue:
     def _source(self, demo_table, limit=None):
         return AutonomousSource(demo_table, query_limit=limit)
 
     def test_issues_by_precision_descending(self, demo_table):
         qs = [_rq("Model=tl", 0.3), _rq("Model=A8", 0.9), _rq("Model=745", 0.6)]
-        answers, issued, truncated = order_and_issue(qs, self._source(demo_table))
+        answers, issued, truncated = _issued(qs, self._source(demo_table))
         assert [rq.text() for rq in issued] == ["Model=A8", "Model=745", "Model=tl"]
         assert not truncated
 
     def test_first_query_wins_relevance_and_dedup(self, demo_table):
         qs = [_rq("Model=A8", 0.9), _rq("Year=2005", 0.5)]  # overlapping results
-        answers, _, _ = order_and_issue(qs, self._source(demo_table))
+        answers, _, _ = _issued(qs, self._source(demo_table))
         by_id = {a.row.id: a for a in answers}
         assert by_id[1].relevance == 0.9  # retrieved by Model=A8 first
         assert sorted(by_id) == [1, 2]
         assert len(answers) == len(by_id)
 
-    def test_exclude_ids(self, demo_table):
-        qs = [_rq("Model=A8", 0.9)]
-        answers, _, _ = order_and_issue(qs, self._source(demo_table), exclude_ids=[1])
-        assert [a.row.id for a in answers] == [2]
-
-    @pytest.mark.parametrize(
-        "exclude, kept",
-        [([1, "x"], [2]), ([1, None], [2]), ([[1]], [1, 2]), (["1"], [1, 2])],
-    )
-    def test_exclude_ids_matches_numbers_only(self, demo_table, exclude, kept):
-        # a number in exclude_ids drops the row whose id equals it; nothing
-        # else equals an id, and nothing else stops the numbers from matching
-        qs = [_rq("Model=A8", 0.9)]
-        answers, _, _ = order_and_issue(qs, self._source(demo_table), exclude_ids=exclude)
-        assert [a.row.id for a in answers] == kept
-
-    def test_a_non_iterable_exclude_ids_is_refused_before_the_source_answers(self, demo_table):
-        source = self._source(demo_table)
-        with pytest.raises(TypeError):
-            order_and_issue([_rq("Model=A8", 0.9)], source, exclude_ids=1)
-        assert source.queries_used == 0
-
     def test_limit(self, demo_table):
         qs = [_rq("Model=A8", 0.9), _rq("Model=745", 0.6), _rq("Model=tl", 0.3)]
-        _, issued, truncated = order_and_issue(qs, self._source(demo_table), limit=2)
+        _, issued, truncated = _issued(qs, self._source(demo_table), limit=2)
         assert len(issued) == 2
         assert not truncated  # limit is not a budget refusal
 
@@ -230,27 +214,27 @@ class TestOrderAndIssue:
         qs = [_rq("Model=A8", 0.9), _rq("Model=745", 0.6), _rq("Model=tl", 0.3)]
         source = self._source(demo_table)
         with pytest.raises(ValueError, match="limit must be >= 0 or None"):
-            order_and_issue(qs, source, limit=-1)
+            _issued(qs, source, limit=-1)
         assert source.queries_used == 0
-        assert order_and_issue(qs, source, limit=0) == ([], [], False)
+        assert _issued(qs, source, limit=0) == ([], [], False)
 
     def test_answers_are_a_list_of_retrieved_answers(self, demo_table):
         qs = [_rq("Model=A8", 0.9), _rq("Year=2005", 0.5)]
-        answers, _, _ = order_and_issue(qs, self._source(demo_table))
+        answers, _, _ = _issued(qs, self._source(demo_table))
         assert type(answers) is list and answers
         assert all(type(a) is RetrievedAnswer for a in answers)
         assert answers == [RetrievedAnswer(a.row, a.relevance, a.query) for a in answers]
 
     def test_budget_refusal_truncates_but_keeps_partial(self, demo_table):
         qs = [_rq("Model=A8", 0.9), _rq("Model=745", 0.6)]
-        answers, issued, truncated = order_and_issue(qs, self._source(demo_table, limit=1))
+        answers, issued, truncated = _issued(qs, self._source(demo_table, limit=1))
         assert truncated
         assert [rq.text() for rq in issued] == ["Model=A8"]
         assert [a.row.id for a in answers] == [1, 2]
 
     def test_tie_breaks_deterministic(self, demo_table):
         qs = [_rq("Model=tl", 0.5), _rq("Model=A8", 0.5), _rq("Model=745 & Year=2002", 0.5)]
-        _, issued, _ = order_and_issue(qs, self._source(demo_table))
+        _, issued, _ = _issued(qs, self._source(demo_table))
         assert [rq.text() for rq in issued] == [
             "Model=A8",
             "Model=tl",
@@ -259,10 +243,10 @@ class TestOrderAndIssue:
 
 
 class TestRetrievedAnswer:
-    """The public contract of an answer, however order_and_issue builds it."""
+    """The public contract of an answer, however the issuing pass builds it."""
 
     def _answer(self, demo_table):
-        answers, _, _ = order_and_issue([_rq("Model=A8", 0.9)], AutonomousSource(demo_table))
+        answers, _, _ = _issued([_rq("Model=A8", 0.9)], AutonomousSource(demo_table))
         return answers[0]
 
     def test_equality_is_by_type_and_fields(self, demo_table):
@@ -361,7 +345,7 @@ class TestAnswersBuiltOnRead:
         ids = [a.row.id for a in result.answers]
         assert len(ids) == len(set(ids)) and not set(ids) & {r.id for r in result.base}
         for a in result.answers:
-            assert a.row == demo_table.row_by_id(a.row.id)
+            assert a.row == row_with_id(demo_table, a.row.id)
             assert a.relevance == by_query[a.query] and a.query.matches(demo_table.schema, a.row)
 
     def test_answers_do_not_follow_later_edits_of_issued(self, demo_table):
@@ -413,7 +397,7 @@ class TestAnswersBuiltOnRead:
         # to the oldest generation, whose passes cover every live object
         s = Schema(("A",), {"A": ("x",)})
         table = Table(s, [Row(i, ("x",)) for i in range(20_000)])
-        answers, _, _ = order_and_issue([_rq("A=x", 1.0)], AutonomousSource(table))
+        answers, _, _ = _issued([_rq("A=x", 1.0)], AutonomousSource(table))
         assert len(answers) == 20_000
         assert in_generation(answers, 2) == 0
 

@@ -2,8 +2,8 @@
 
 A ``Table`` is stored as its ``(d, N)`` int32 code matrix and its int64 id
 column; ``rows`` is built from them on first read.  ``inject_nulls``,
-``sample_table``, ``split_table``, ``align_table``, ``discretize``,
-``load_csv`` and ``sample_rows`` build their output from codes.  The
+``split_table``, ``align_table``, ``discretize``, ``load_csv`` and
+``sample_rows`` build their output from codes.  The
 references below are the earlier versions, which built one ``Row`` per
 output row and passed the rows through ``Table(schema, rows)``.  Each pair
 must give an equal schema, equal ids, equal rows and an equal code matrix,
@@ -13,13 +13,10 @@ or refuse with the same message.
 import copy
 import csv
 import math
-import numbers
 import os
 import pickle
 import re
 import tempfile
-import time
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,7 +41,6 @@ from nullbayes import (
     mine_afds,
     run_rewriting_experiment,
     sample_rows,
-    sample_table,
 )
 from nullbayes.harness import split_table
 from nullbayes.rewriting import REWRITING_METHODS, run_method
@@ -274,13 +270,6 @@ def test_inject_nulls_chains_match_row_version(table, seeds):
 
 @settings(max_examples=80)
 @given(tables(), _fractions, _seeds)
-def test_sample_table_matches_row_version(table, fraction, seed):
-    want = _outcome(_ref_sample_table, table, fraction, seed)
-    _assert_same(_outcome(sample_table, table, fraction, seed), want)
-
-
-@settings(max_examples=80)
-@given(tables(), _fractions, _seeds)
 def test_split_table_matches_row_version(table, fraction, seed):
     want = _outcome(_ref_split_table, table, fraction, seed)
     _assert_same(_outcome(split_table, table, fraction, seed), want)
@@ -454,7 +443,6 @@ def test_a_table_pickles_as_its_schema_ids_and_codes():
     taken = table._take(np.arange(0, 5000, 7))
     for t in (table, taken):
         size = len(pickle.dumps(t))
-        t._positions([1])
         t.rows  # noqa: B018
         assert len(pickle.dumps(t)) == size
         back = pickle.loads(pickle.dumps(t))
@@ -606,112 +594,6 @@ def test_equality_over_codes_compares_ids_and_schema():
     assert renumbered != same
     wider = Schema(table.schema.attributes, {**table.schema.domains, "Make": (*table.schema.domains["Make"], "Zz")})
     assert align_table(same, wider) != same
-
-
-@settings(max_examples=60)
-@given(tables(), st.integers(-60, 60))
-def test_row_by_id_reads_the_id_column(table, row_id):
-    derived = inject_nulls(table, [], 0.0, 0)
-    want = [row for row in table.rows if row.id == row_id]
-    for t in (table, derived):
-        if want:
-            assert t.row_by_id(row_id) == want[0]
-        else:
-            with pytest.raises(KeyError, match=f"no row with id {row_id}"):
-                t.row_by_id(row_id)
-
-
-def test_row_by_id_takes_what_equals_an_id():
-    table = demo_cars()
-    assert table.row_by_id(3.0) is table.row_by_id(3)
-    assert table.row_by_id(np.int64(3)) is table.row_by_id(3)
-    for absent in (3.5, "3", None, 2**70, float("nan")):
-        with pytest.raises(KeyError):
-            table.row_by_id(absent)
-
-
-# ids near the edges of what float64 and int64 hold exactly
-_BIG_IDS = [2**53, 2**53 + 1, 2**53 + 2, -(2**53) - 1, 2**63 - 1, -(2**63)]
-
-
-@st.composite
-def _id_tables(draw):
-    ids = draw(st.lists(
-        st.one_of(st.integers(-8, 8), st.sampled_from(_BIG_IDS)), max_size=8, unique=True
-    ))
-    return Table(Schema(("A",), {"A": ("x",)}), [Row(i, ("x",)) for i in ids])
-
-
-def _twins(row_id):
-    # the id as each number type, and halfway to the next one
-    return [
-        row_id, float(row_id), Fraction(row_id), np.int64(row_id), np.float64(row_id),
-        row_id + 0.5, Fraction(2 * row_id + 1, 2),
-    ]
-
-
-# bools equal the ids 0 and 1; the rest equal no id
-_OTHER_VALUES = [True, False, math.nan, math.inf, -math.inf, "1", None, [1]]
-
-
-def _id_forms(values):
-    """``values`` as a list, a generator and each array type that holds them."""
-    yield values
-    yield (v for v in values)
-    if all(isinstance(v, numbers.Integral) for v in values):
-        if all(-(2**63) <= v < 2**63 for v in values):
-            yield np.array(values, dtype=np.int64)
-        if all(0 <= v < 2**64 for v in values):
-            yield np.array(values, dtype=np.uint64)
-    if all(isinstance(v, numbers.Real) for v in values):
-        yield np.array([float(v) for v in values], dtype=np.float64)
-    objects = np.empty(len(values), dtype=object)
-    for k, v in enumerate(values):
-        objects[k] = v
-    yield objects
-
-
-def _exact(value):
-    return value.item() if isinstance(value, np.generic) else value
-
-
-@settings(max_examples=200)
-@given(_id_tables(), st.data())
-def test_positions_match_the_rows_whose_id_equals_a_number(table, data):
-    ids = [r.id for r in table.rows] + [-9, 9, *_BIG_IDS]
-    pool = [twin for row_id in ids for twin in _twins(row_id)] + _OTHER_VALUES
-    values = data.draw(st.lists(st.sampled_from(pool), max_size=8))
-    for form in _id_forms(values):
-        # an array is matched by the values it holds, which tolist reads
-        # exactly; a numpy scalar by its value as item reads it, since numpy's
-        # own == rounds an int through float64 (np.float64(2.0**53) == 2**53 + 1)
-        given = form.tolist() if isinstance(form, np.ndarray) else values
-        want = [
-            p for v in given if isinstance(v, numbers.Real)
-            for p, r in enumerate(table.rows) if r.id == _exact(v)
-        ]
-        got = table._positions(form)
-        assert got.dtype == np.int64 and got.tolist() == want, type(form)
-
-
-def test_positions_do_not_round_an_id_through_float():
-    # 2.0**53 equals the id 2**53, and not 2**53 + 1, which float64 rounds to it
-    table = Table(Schema(("A",), {"A": ("x",)}), [Row(2**53 + 1, ("x",)), Row(5, ("x",))])
-    for form in ([2.0**53], np.array([2.0**53]), np.array([2**53], dtype=np.uint64)):
-        assert table._positions(form).tolist() == []
-    with pytest.raises(KeyError):
-        table.row_by_id(2.0**53)
-    assert table.row_by_id(2**53 + 1) is table.rows[0]
-    assert table._positions(np.array([2**53 + 1, 5])).tolist() == [0, 1]
-
-
-def test_row_by_id_over_a_large_table_is_not_quadratic():
-    table = sample_rows(random_net(4, seed=3), 20_000, seed=4)
-    ids = table._id_column().tolist()
-    start = time.perf_counter()
-    for row_id in ids:
-        table.row_by_id(row_id)
-    assert time.perf_counter() - start < 3.0
 
 
 def test_huge_row_id_is_refused_on_construction():

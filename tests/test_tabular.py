@@ -25,14 +25,13 @@ from nullbayes import (
     inject_nulls,
     load_csv,
     project_distinct,
-    sample_table,
     save_csv,
     select,
 )
 
 from nullbayes.tabular import _bulk_build
 
-from conftest import CAR_ATTRS, demo_cars, in_generation, sparse_cars
+from conftest import CAR_ATTRS, demo_cars, in_generation, row_with_id, sparse_cars
 
 
 class TestSchema:
@@ -91,7 +90,7 @@ class TestTable:
     def test_null_cells_allowed(self):
         s = Schema(("A",), {"A": ("x",)})
         t = Table(s, [Row(1, (None,))])
-        assert t.value(t.rows[0], "A") is None
+        assert t.rows[0].cells == (None,)
 
     def test_duplicate_id_message(self):
         s = Schema(("A",), {"A": ("x",)})
@@ -136,11 +135,6 @@ class TestTable:
                 Table(s, [Row(0, ("x",)), Row(bad, ("x",)), Row(1.7, ("x",))])
         t = Table(s, [Row(np.int64(3), ("x",)), Row(True, ("x",)), Row(2, ("x",))])
         assert t._id_column().tolist() == [3, 1, 2]
-
-    def test_row_by_id(self, sparse_table):
-        assert sparse_table.row_by_id(7).cells[0] == "Hyundai"
-        with pytest.raises(KeyError):
-            sparse_table.row_by_id(99)
 
 
 class TestBulkBuild:
@@ -211,7 +205,7 @@ class TestSelectionQuery:
 
     def test_matches_null_is_not_a_match(self, sparse_table):
         q = SelectionQuery({"Body": "SUV"})
-        row8 = sparse_table.row_by_id(8)  # Body null
+        row8 = row_with_id(sparse_table, 8)  # Body null
         assert not q.matches(sparse_table.schema, row8)
         assert q.matches(sparse_table.schema, row8, null_wildcard=True)
 
@@ -484,11 +478,11 @@ class TestProjectDistinct:
         assert all(None not in c for c in combos)
 
     def test_single_row(self, demo_table):
-        row = demo_table.row_by_id(1)
+        row = row_with_id(demo_table, 1)
         assert project_distinct(demo_table.schema, [row], ("Make",)) == [("Audi",)]
 
     def test_all_null_gives_empty(self, demo_table):
-        rows = [demo_table.row_by_id(i) for i in (6, 7, 8)]
+        rows = [row_with_id(demo_table, i) for i in (6, 7, 8)]
         assert project_distinct(demo_table.schema, rows, ("Make",)) == []
 
 
@@ -529,22 +523,7 @@ class TestInjectNulls:
             inject_nulls(demo_table, ["Body"], 1.5, seed=0)
 
 
-class TestSampleAndAlign:
-    def test_sample_preserves_order_and_ids(self, demo_table):
-        s = sample_table(demo_table, 0.5, seed=3)
-        ids = [r.id for r in s.rows]
-        assert len(ids) == 5
-        assert ids == sorted(ids)
-        assert len(set(ids)) == len(ids)
-
-    def test_sample_deterministic(self, demo_table):
-        assert sample_table(demo_table, 0.4, seed=11) == sample_table(
-            demo_table, 0.4, seed=11
-        )
-
-    def test_sample_full_fraction(self, demo_table):
-        assert sample_table(demo_table, 1.0, seed=0) == demo_table
-
+class TestAlign:
     def test_align_reorders_columns(self, demo_table):
         shuffled_attrs = tuple(reversed(demo_table.schema.attributes))
         shuffled = Table(
@@ -574,11 +553,10 @@ def test_only_tabular_reads_the_schema_code_maps():
 
 
 def test_only_tabular_reads_the_table_slots():
-    """``Table`` owns its storage and its id lookup: every other module goes
-    through ``rows``, ``_column_codes``, ``_id_column``, ``_positions`` and
-    ``_taken_at``, never the slots behind them, so ids are matched in
-    ``tabular`` alone."""
-    slots = {"_codes", "_row_ids", "_by_id", "_rows", "_taken"}
+    """``Table`` owns its storage: every other module goes through ``rows``,
+    ``_column_codes``, ``_id_column`` and ``_taken_at``, never the slots
+    behind them."""
+    slots = {"_codes", "_row_ids", "_rows", "_taken"}
     assert slots < set(Table.__slots__)
     readers = set()
     for path in pathlib.Path(nullbayes.__file__).parent.glob("*.py"):
