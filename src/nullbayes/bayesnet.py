@@ -465,7 +465,6 @@ def _alignment(variables: tuple[str, ...], out_vars: tuple[str, ...]):
     )
 
 
-@lru_cache(maxsize=1024)
 def _blanket_plan(families, members: tuple[str, ...]):
     """How to multiply out P(C | Markov blanket), C = ``members``, at a
     row's codes in the DAG of ``families`` (a net's ``_families``): the CPTs
@@ -670,17 +669,15 @@ def load_model(text: str) -> BayesNet:
 # sampling
 
 
-def sample_rows(
-    net: BayesNet, n: int, seed: int | Sequence[int], start_id: int = 1
-) -> Table:
-    """Draw ``n`` complete rows by ancestral sampling.  Deterministic per seed.
+def sample_rows(net: BayesNet, n: int, seed: int | Sequence[int]) -> Table:
+    """Draw ``n`` complete rows, ids 1..n, by ancestral sampling.
+    Deterministic per seed.
 
     Row i draws the k-th node in topological order from ``u``, column k of
     row i of one ``rng.random((n, d))`` block: the label's index counts the
     cumulative CPT weights but the last that are at or below ``u * total``.
     """
     _check_count("n", n)
-    _check_count("start_id", start_id, -math.inf)
     rng = np.random.default_rng(seed)
     schema = net.schema
     order = net.topological_order()
@@ -695,5 +692,5 @@ def sample_rows(
         column = drawn[schema.index(attr)]
         for boundary in cum.T[:-1]:
             column += boundary[config] <= u
-    ids = np.arange(start_id, start_id + n, dtype=np.int64)
+    ids = np.arange(1, n + 1, dtype=np.int64)
     return Table._of(schema, ids, drawn.astype(np.int32))

@@ -136,8 +136,8 @@ class ExperimentConfig:
         for key, hint in get_type_hints(ExperimentConfig).items():
             if hint is int:
                 _check_count(key, getattr(self, key), least.get(key, -math.inf))
-        if self.query_limit is not None:
-            _check_count("query_limit", self.query_limit)
+        if self.query_limit is not None:  # the base query spends one
+            _check_count("query_limit", self.query_limit, 1)
         GibbsParams(self.gibbs_samples, self.gibbs_burn_in)
         StructureSearchConfig(
             self.max_parents, self.restarts, self.max_iterations, self.score, self.ess

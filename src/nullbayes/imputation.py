@@ -11,7 +11,7 @@ columns of the incomplete rows are filled in place, by exact inference (each
 missing cell keyed in one pass by its Markov-blanket component and blanket
 codes, one sort, one posterior per distinct key) or by Gibbs sampling (one
 chain per row); the output table decodes the filled codes on first read.
-Both multiply out one Markov-blanket plan per DAG and component
+Both multiply out one Markov-blanket plan per network and component
 (``bayesnet._blanket_plan``): a Gibbs full conditional is the posterior of
 a component of one variable.  A chain starts from the row's codes and
 splits by the same components: a missing cell whose blanket is all
@@ -265,7 +265,7 @@ def impute_table(
     matrix.  The exact engine splits each null pattern into its moral-graph
     components, keys every missing cell by its component and blanket codes
     in one pass, groups the keys with one sort and computes one posterior per
-    distinct key; components and plans are cached per DAG, holding no CPTs.
+    distinct key; components are cached per DAG, plans built once per net.
     The Gibbs engine runs one chain per incomplete tuple, seeded by (base
     seed, tuple id), making results independent of processing order; its
     chains read the same plans.  What depends on the CPTs (CPT views, full

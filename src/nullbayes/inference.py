@@ -305,7 +305,7 @@ def posterior_gibbs(
     states are those of one loop over every free variable.
 
     A conditional is ``bayesnet._blanket_plan``'s product for a component
-    of one variable, the plan cached per DAG.  What depends on the CPTs is
+    of one variable, the plan built once per net.  What depends on the CPTs is
     kept on the net's memo across calls: per free set its split, per
     variable its CPT views and conditionals keyed by its blanket.
     ``_codes`` (private to ``imputation``) is a row's codes, -1 at

@@ -261,19 +261,15 @@ def _tie(score: float) -> float:
     return float(f"{score:.12g}")
 
 
-def _issue(queries, source, limit, base_at) -> tuple[_Retrieved, list[RewrittenQuery], bool]:
+def _issue(queries, source, base_at) -> tuple[_Retrieved, list[RewrittenQuery], bool]:
     # every answer is taken from the source table at its rows' positions, so
     # the tuples already seen are one boolean array over those positions, set
     # at the first answer to ``base_at``: the base answer's positions
-    _check_count("limit", limit, or_none=True)
-    ordered = sorted(queries, key=_issue_key)
-    if limit is not None:
-        ordered = ordered[:limit]
     table = seen = None  # the source table and a mask over it, from the first answer on
     fresh: list[np.ndarray] = []  # per issued query, the positions it retrieved first
     issued: list[RewrittenQuery] = []
     truncated = False
-    for rq in ordered:
+    for rq in sorted(queries, key=_issue_key):
         try:
             taken = source.answer(rq.query)._taken_at()
         except QueryBudgetError:
@@ -321,7 +317,7 @@ def _rewrite(model, sample, source, query, k, alpha, sample_ratio, pick, candida
         return RewrittenQuery(candidate, QueryScore(p, sel, r, f_measure(p, r, alpha)))
 
     selected = sorted(candidates(picked, base, source.schema, score), key=key)[:k]
-    retrieved, issued, truncated = _issue(selected, source, k, base._taken_at())
+    retrieved, issued, truncated = _issue(selected, source, base._taken_at())
     return RewritingResult._unread(base, retrieved, issued, selected, truncated)
 
 

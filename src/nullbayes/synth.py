@@ -166,13 +166,11 @@ def random_net(
     seed: int | Sequence[int] = 0,
     max_parents: int = 2,
     min_domain: int = 2,
-    concentration: float = 1.5,
-    floor: float = 0.05,
 ) -> BayesNet:
-    """A random DAG with Dirichlet CPT rows, floored away from zero.
+    """A random DAG with Dirichlet(1.5) CPT rows, floored away from zero.
 
-    The floor keeps every conditional probability at least
-    ``floor / (1 + floor * domain_size)``, which keeps Gibbs chains mixing.
+    A floor of 0.05 keeps every conditional probability at least
+    ``0.05 / (1 + 0.05 * domain_size)``, which keeps Gibbs chains mixing.
     Deterministic per seed.
     """
     if n_nodes < 1 or n_nodes > 26:
@@ -204,8 +202,8 @@ def random_net(
         rows = int(np.prod(shape[:-1], dtype=np.int64)) if ps else 1
         flat = np.empty((rows, sizes[attr]))
         for r in range(rows):
-            row = rng.dirichlet(np.full(sizes[attr], concentration))
-            row = (row + floor) / (1.0 + floor * sizes[attr])
+            row = rng.dirichlet(np.full(sizes[attr], 1.5))
+            row = (row + 0.05) / (1.0 + 0.05 * sizes[attr])
             flat[r] = row
         cpts[attr] = flat.reshape(shape)
     return BayesNet(schema, parents, cpts)

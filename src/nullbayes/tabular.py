@@ -240,21 +240,17 @@ class Table:
     def _id_column(self) -> np.ndarray:
         return self._row_ids
 
-    def mask(self, query: "SelectionQuery", null_wildcard: bool = False) -> np.ndarray:
+    def mask(self, query: "SelectionQuery") -> np.ndarray:
         """Boolean array over ``rows``: True where ``query.matches`` would be.
 
-        A value outside an attribute's domain matches no cell (only nulls,
-        under ``null_wildcard``).  Raises KeyError for an unknown attribute.
+        A value outside an attribute's domain matches no cell.  Raises
+        KeyError for an unknown attribute.
         """
         codes = self._column_codes()
         keep = np.ones(codes.shape[1], dtype=bool)
         for attr, value in query.items:
             j = self.schema.index(attr)
-            column = codes[j]
-            hit = column == self.schema._label_codes[j].get(value, -2)
-            if null_wildcard:
-                hit |= column == -1
-            keep &= hit
+            keep &= codes[j] == self.schema._label_codes[j].get(value, -2)
         return keep
 
 
@@ -438,18 +434,11 @@ class SelectionQuery:
         for attr, value in self.items:
             schema.code(attr, value)
 
-    def matches(self, schema: Schema, row: Row, null_wildcard: bool = False) -> bool:
-        """True if the row satisfies every predicate.
-
-        With ``null_wildcard`` a null cell counts as a match; this is the
-        could-match semantics used by evaluation oracles, not by sources.
-        """
+    def matches(self, schema: Schema, row: Row) -> bool:
+        """True if the row satisfies every predicate; a null cell satisfies
+        none."""
         for attr, value in self.items:
-            cell = row.cells[schema.index(attr)]
-            if cell is None:
-                if not null_wildcard:
-                    return False
-            elif cell != value:
+            if row.cells[schema.index(attr)] != value:
                 return False
         return True
 
@@ -482,11 +471,15 @@ def load_csv(path: str, null_token: str = "") -> Table:
 
     Raises
     ------
+    ValueError
+        On a padded ``null_token``, which no trimmed cell could equal.
     ParseError
         On text that is not UTF-8 or CSV, an empty file, a blank or repeated
         name, a row whose arity differs from the header (the message names
         the line), or an all-null column.  Every message names the file.
     """
+    if null_token != null_token.strip():
+        raise ValueError(f"null token {null_token!r} would match no trimmed cell")
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -617,16 +610,15 @@ def discretize(table: Table, rules: Mapping[str, int]) -> Table:
     ]))
 
 
-def select(table: Table, query: SelectionQuery, include_null_matches: bool = False) -> Table:
+def select(table: Table, query: SelectionQuery) -> Table:
     """The rows satisfying the query, in table order, as a table whose rows
     are built only when read.
 
-    Default semantics are certain answers only: a null cell on a constrained
-    attribute never matches.  ``include_null_matches`` switches to
-    could-match semantics (nulls act as wildcards).
+    These are certain answers only: a null cell on a constrained attribute
+    never matches.
     """
     query.validate(table.schema)
-    return table._take(np.flatnonzero(table.mask(query, include_null_matches)))
+    return table._take(np.flatnonzero(table.mask(query)))
 
 
 def project_distinct(

@@ -504,11 +504,7 @@ class TestSampleRows:
         b = sample_rows(net, 50, seed=9)
         assert a == b
         assert all(all(c is not None for c in r.cells) for r in a.rows)
-
-    def test_ids_sequential_from_start(self):
-        net = _chain_net()
-        t = sample_rows(net, 5, seed=0, start_id=100)
-        assert [r.id for r in t.rows] == [100, 101, 102, 103, 104]
+        assert [r.id for r in a.rows] == list(range(1, 51))
 
     def test_root_frequency_tracks_cpt(self):
         net = _chain_net()

@@ -814,6 +814,13 @@ class TestOutOfRangeOptions:
         assert (rc, captured.out, captured.err) == (2, "", f"error: {message}\n")
         assert not out.exists()
 
+    def test_padded_null_token_refused(self, tmp_path, demo_csv, demo_model, capsys):
+        # cells are trimmed, so " NA" would match none and NA would be a label
+        out = tmp_path / "out.csv"
+        args = ["impute", "--model", demo_model, "--data", demo_csv, "--out", str(out)]
+        rc = main([*args, "--null-token", " NA"])
+        _assert_refused(rc, capsys.readouterr(), "null token ' NA'", out)
+
 
 class TestTopLevel:
     def test_help_exits_zero(self, capsys):

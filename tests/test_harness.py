@@ -174,7 +174,8 @@ class TestParseConfig:
             ("alpha = -0.5", "alpha must be >= 0"),
             ("beam_width = 0", "beam_width must be >= 1"),
             ("beam_depth = 0", "beam_depth must be >= 1"),
-            ("query_limit = -1", "query_limit must be >= 0"),
+            ("query_limit = -1", "query_limit must be >= 1"),
+            ("query_limit = 0", "query_limit must be >= 1"),  # the base query needs one
         ],
     )
     def test_rewriting_ranges(self, line, message):
@@ -182,7 +183,7 @@ class TestParseConfig:
         head = "mode = rewriting\nquery = Body=sedan\n"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_config(f"{head}{line}\n")
-        for edge in ("top_k = 1", "alpha = 0", "beam_width = 1", "beam_depth = 1", "query_limit = 0"):
+        for edge in ("top_k = 1", "alpha = 0", "beam_width = 1", "beam_depth = 1", "query_limit = 1"):
             parse_config(f"{head}{edge}\n")
 
     def test_load_config(self, tmp_path):

@@ -47,7 +47,7 @@ from nullbayes import (
     posterior_exact,
     sample_rows,
 )
-from nullbayes import bayesnet, imputation
+from nullbayes import bayesnet, imputation, inference
 from nullbayes.bayesnet import _blanket
 from nullbayes.inference import _blanket_product, _cpt_views, _getter, _lex_argmax, _normalized
 from nullbayes.synth import car_demo_net, random_net
@@ -594,24 +594,48 @@ def test_the_structure_cache_holds_no_cpts(joint, engine):
         )
 
 
-@pytest.mark.parametrize("joint", [True, False])
-def test_a_second_gibbs_call_builds_no_blanket_plan(joint):
-    # the plans depend on the DAG alone, so the first call on a net builds
-    # them all; a call with the same missing sets on an equal net, whose
-    # memo starts empty, only looks them up, and a later call on that net
-    # reads its memo without looking them up
-    net = _NETS[3]
+def _plans_built(monkeypatch, engine, joint):
+    """The sets C whose ``_blanket_plan`` imputing a striped table builds on
+    a net with an empty memo, then those that a second table call and a
+    tuple call on the same net build."""
+    calls = []
+
+    def counted(families, members):
+        calls.append(members)
+        return bayesnet._blanket_plan(families, members)
+
+    monkeypatch.setattr(imputation, "_blanket_plan", counted)
+    monkeypatch.setattr(inference, "_blanket_plan", counted)
+    net = BayesNet(_NETS[3].schema, _NETS[3].parents, _NETS[3].cpts)
     table = _striped_table(net)
     params = GibbsParams(samples=10, burn_in=2, seed=3)
-    impute_table(net, table, engine="gibbs", gibbs=params, joint=joint)
-    before = bayesnet._blanket_plan.cache_info()
-    twin = BayesNet(net.schema, net.parents, net.cpts)
-    impute_table(twin, table, engine="gibbs", gibbs=params, joint=joint)
-    impute_tuple(twin, table.rows[0], engine="gibbs", gibbs=params, joint=joint)
-    after = bayesnet._blanket_plan.cache_info()
-    assert after.misses == before.misses and after.hits > before.hits
-    impute_table(twin, table, engine="gibbs", gibbs=params, joint=joint)
-    assert bayesnet._blanket_plan.cache_info() == after
+    impute_table(net, table, engine=engine, gibbs=params, joint=joint)
+    first = list(calls)
+    impute_table(net, table, engine=engine, gibbs=params, joint=joint)
+    impute_tuple(net, table.rows[0], engine=engine, gibbs=params, joint=joint)
+    return first, calls[len(first):]
+
+
+@pytest.mark.parametrize("joint", [True, False])
+def test_a_second_gibbs_call_builds_no_blanket_plan(monkeypatch, joint):
+    # a chain plans each free variable alone, once per net: every attribute
+    # is missing from some striped row
+    first, later = _plans_built(monkeypatch, "gibbs", joint)
+    assert sorted(first) == [(a,) for a in sorted(_NETS[3].schema.attributes)]
+    assert later == []
+
+
+@pytest.mark.parametrize("joint", [True, False])
+def test_a_second_exact_call_builds_no_blanket_plan(monkeypatch, joint):
+    # one plan per net and component of a row's missing set
+    first, later = _plans_built(monkeypatch, "exact", joint)
+    net, table = _NETS[3], _striped_table(_NETS[3])
+    components = set()
+    for row in table:
+        missing = tuple(a for a, c in zip(net.schema.attributes, row.cells) if c is None)
+        components.update(bayesnet._components(net._families, missing))
+    assert sorted(first) == sorted(components)
+    assert later == []
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import nullbayes.rewriting as rw
 from nullbayes import (
     AutonomousSource,
     BeamConfig,
@@ -125,13 +124,10 @@ _COUNTED = {
     "BeamConfig(width=1.5)": (lambda: BeamConfig(width=1.5), "width"),
     "BeamConfig(depth=1.5)": (lambda: BeamConfig(depth=1.5), "depth"),
     "AutonomousSource(table, 1.5)": (lambda: AutonomousSource(demo_cars(), 1.5), "query_limit"),
-    "_issue(limit=1.5)": (
-        lambda: rw._issue([], AutonomousSource(demo_cars()), 1.5, np.zeros(0, dtype=np.int64)), "limit"
-    ),
     "mine_afds(max_lhs=1.5)": (lambda: mine_afds(demo_cars(), max_lhs=1.5), "max_lhs"),
     "sample_rows(n=1.5)": (lambda: sample_rows(demo_net(), 1.5, seed=0), "n"),
 }
-_OR_NONE = {"query_limit", "limit"}  # counts where None means unlimited
+_OR_NONE = {"query_limit"}  # counts where None means unlimited
 
 
 @pytest.mark.parametrize("call", _COUNTED)

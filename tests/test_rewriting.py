@@ -178,10 +178,10 @@ def _rq(text, precision, selectivity=1.0, alpha=0.0):
     return RewrittenQuery(q, QueryScore(precision, selectivity, r, f_measure(precision, r, alpha)))
 
 
-def _issued(queries, source, limit=None):
+def _issued(queries, source):
     """The strategies' issuing pass over ``queries`` with no base answer to
     drop, and the answers built from what it retrieved."""
-    retrieved, issued, truncated = rw._issue(queries, source, limit, np.zeros(0, dtype=np.int64))
+    retrieved, issued, truncated = rw._issue(queries, source, np.zeros(0, dtype=np.int64))
     return retrieved.answers(), issued, truncated
 
 
@@ -202,21 +202,6 @@ class TestIssue:
         assert by_id[1].relevance == 0.9  # retrieved by Model=A8 first
         assert sorted(by_id) == [1, 2]
         assert len(answers) == len(by_id)
-
-    def test_limit(self, demo_table):
-        qs = [_rq("Model=A8", 0.9), _rq("Model=745", 0.6), _rq("Model=tl", 0.3)]
-        _, issued, truncated = _issued(qs, self._source(demo_table), limit=2)
-        assert len(issued) == 2
-        assert not truncated  # limit is not a budget refusal
-
-    def test_negative_limit_rejected(self, demo_table):
-        # a negative limit would slice off the lowest-precision rewrites
-        qs = [_rq("Model=A8", 0.9), _rq("Model=745", 0.6), _rq("Model=tl", 0.3)]
-        source = self._source(demo_table)
-        with pytest.raises(ValueError, match="limit must be >= 0 or None"):
-            _issued(qs, source, limit=-1)
-        assert source.queries_used == 0
-        assert _issued(qs, source, limit=0) == ([], [], False)
 
     def test_answers_are_a_list_of_retrieved_answers(self, demo_table):
         qs = [_rq("Model=A8", 0.9), _rq("Year=2005", 0.5)]

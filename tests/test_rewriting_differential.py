@@ -476,10 +476,10 @@ def test_expected_selectivity_exception_order(demo_table):
     assert type(expected_selectivity(demo_table, sedan, 3)) is int
 
 
-def _issued(queries, source, limit, base_at):
+def _issued(queries, source, base_at):
     # the strategies' issuing pass, dropping the tuples at ``base_at``, and
     # the answers built from what it retrieved
-    retrieved, issued, truncated = rw._issue(queries, source, limit, np.array(base_at, dtype=np.int64))
+    retrieved, issued, truncated = rw._issue(queries, source, np.array(base_at, dtype=np.int64))
     return retrieved.answers(), issued, truncated
 
 
@@ -500,7 +500,9 @@ def test_issue_matches_reference(data):
     ids = [r.id for r in table.rows]
     exclude = data.draw(st.lists(st.sampled_from(ids), max_size=5)) if ids else []
     got_source, want_source = AutonomousSource(table, budget), AutonomousSource(table, budget)
-    got = _issued(iter(rewrites), got_source, limit, list(map(ids.index, exclude)))
+    # the strategies pass at most k selected; the references slice by ``limit``
+    first = sorted(rewrites, key=rw._issue_key)[:limit]
+    got = _issued(iter(first), got_source, list(map(ids.index, exclude)))
     want = _old_order_and_issue(rewrites, want_source, limit=limit, exclude_ids=exclude)
     assert got == want
     assert got_source.queries_used == want_source.queries_used
@@ -740,7 +742,8 @@ def test_issue_matches_the_eager_original(data):
     ids = [r.id for r in table.rows]
     exclude = data.draw(st.lists(st.sampled_from(ids), max_size=6)) if ids else []
     got_source, want_source = AutonomousSource(table, budget), AutonomousSource(table, budget)
-    got = _issued(rewrites, got_source, limit, list(map(ids.index, exclude)))
+    first = sorted(rewrites, key=rw._issue_key)[:limit]
+    got = _issued(first, got_source, list(map(ids.index, exclude)))
     want = _eager_order_and_issue(rewrites, want_source, limit=limit, exclude_ids=exclude)
     _same_answers(got[0], want[0])
     assert got[1:] == want[1:]  # issued, truncated

@@ -53,8 +53,8 @@ def queries(schema, unknown=False):
     )
 
 
-def _reference(table, query, null_wildcard=False):
-    return [r for r in table.rows if query.matches(table.schema, r, null_wildcard)]
+def _reference(table, query):
+    return [r for r in table.rows if query.matches(table.schema, r)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -64,15 +64,14 @@ def test_mask_and_select_match_reference(data):
     for _ in range(3):  # several queries per table reuse the cached codes
         query = data.draw(queries(table.schema))
         in_domain = all(v in table.schema.domains[a] for a, v in query.items)
-        for wildcard in (False, True):
-            expected = _reference(table, query, wildcard)
-            at = np.flatnonzero(table.mask(query, wildcard))
-            assert [table.rows[i] for i in at] == expected
-            if in_domain:
-                assert list(select(table, query, include_null_matches=wildcard)) == expected
-            else:
-                with pytest.raises(ValueError, match="not in domain"):
-                    select(table, query, include_null_matches=wildcard)
+        expected = _reference(table, query)
+        at = np.flatnonzero(table.mask(query))
+        assert [table.rows[i] for i in at] == expected
+        if in_domain:
+            assert list(select(table, query)) == expected
+        else:
+            with pytest.raises(ValueError, match="not in domain"):
+                select(table, query)
 
 
 @settings(max_examples=100, deadline=None)

@@ -168,7 +168,7 @@ def _ref_load_csv(path, null_token=""):
     return Table(schema, rows)
 
 
-def _ref_sample_rows(net, n, seed, start_id=1):
+def _ref_sample_rows(net, n, seed):
     _check_count("n", n)
     rng = np.random.default_rng(seed)
     schema = net.schema
@@ -187,7 +187,7 @@ def _ref_sample_rows(net, n, seed, start_id=1):
     # the private decoder spelled out per cell: its label layout has changed
     domains = [schema.domains[a] for a in schema.attributes]
     cells = [tuple(d[c] for d, c in zip(domains, col)) for col in drawn.T.tolist()]
-    rows = [Row(start_id + i, row) for i, row in enumerate(cells)]
+    rows = [Row(1 + i, row) for i, row in enumerate(cells)]
     return Table(schema, rows)
 
 
@@ -361,18 +361,10 @@ def _outcome_parse(fn, *args):
 
 
 @settings(max_examples=40)
-@given(
-    st.integers(1, 6), st.integers(0, 100), st.integers(0, 60), _seeds, st.integers(-5, 10**6)
-)
-def test_sample_rows_matches_row_version(nodes, net_seed, n, seed, start_id):
+@given(st.integers(1, 6), st.integers(0, 100), st.integers(0, 60), _seeds)
+def test_sample_rows_matches_row_version(nodes, net_seed, n, seed):
     net = random_net(nodes, seed=net_seed, max_parents=2)
-    _assert_same_table(sample_rows(net, n, seed, start_id), _ref_sample_rows(net, n, seed, start_id))
-
-
-def test_sample_rows_refuses_a_non_integer_start_id():
-    net = random_net(3, seed=0)
-    with pytest.raises(ValueError, match=r"^start_id must be an integer$"):
-        sample_rows(net, 4, 0, start_id=1.5)
+    _assert_same_table(sample_rows(net, n, seed), _ref_sample_rows(net, n, seed))
 
 
 # ---------------------------------------------------------------------------

@@ -207,7 +207,6 @@ class TestSelectionQuery:
         q = SelectionQuery({"Body": "SUV"})
         row8 = row_with_id(sparse_table, 8)  # Body null
         assert not q.matches(sparse_table.schema, row8)
-        assert q.matches(sparse_table.schema, row8, null_wildcard=True)
 
     def test_extended_returns_new_query(self):
         q = SelectionQuery({"A": "1"})
@@ -324,6 +323,14 @@ class TestCsv:
         t = load_csv(path)
         assert t.rows[0].cells == ("x", "y")
 
+    @pytest.mark.parametrize("token", [" NA", "NA ", " ", "\t"])
+    def test_padded_null_token_is_refused(self, tmp_path, token):
+        # no trimmed cell could equal it, so NA would load as a label
+        path = self._write(tmp_path, "A,B\nx,NA\ny,z\nNA,z\n")
+        with pytest.raises(ValueError, match=f"^null token {re.escape(repr(token))} ") as info:
+            load_csv(path, token)
+        assert type(info.value) is ValueError
+
 
 # names and labels with every character a CSV line or cell could misread:
 # separators, quotes, line breaks, padding, query syntax; "" is drawn too.
@@ -356,6 +363,9 @@ def test_csv_round_trip_or_refusal(data):
         except ParseError as exc:  # a column with no value left: no domain to infer
             assert "empty domain" in str(exc)
             assert any(all(r.cells[j] is None for r in rows) for j in range(len(names)))
+            return
+        except ValueError as exc:  # a padded token saves where no cell is null
+            assert token != token.strip() and repr(token) in str(exc)
             return
     assert again.schema.attributes == table.schema.attributes
     assert again.rows == table.rows
@@ -431,12 +441,6 @@ class TestSelect:
         hits = select(sparse_table, SelectionQuery({"Body": "SUV"}))
         assert [r.id for r in hits] == [7, 9]
 
-    def test_null_wildcard_flag(self, sparse_table):
-        hits = select(
-            sparse_table, SelectionQuery({"Body": "SUV"}), include_null_matches=True
-        )
-        assert [r.id for r in hits] == [7, 8, 9, 10]
-
     def test_demo_sedan_base(self, demo_table):
         hits = select(demo_table, SelectionQuery({"Body": "Sedan"}))
         assert [r.id for r in hits] == [1, 3, 4, 5]
@@ -459,9 +463,7 @@ class TestSelect:
         assert [r.id for r in select(demo_table, query)] == [1, 3, 4, 5]
         demo_table.rows = tuple(reversed(demo_table.rows[:4]))
         assert [r.id for r in select(demo_table, query)] == [4, 3, 1]
-        assert list(select(demo_table, query, include_null_matches=True)) == list(
-            demo_table.rows
-        )
+        assert list(select(demo_table, SelectionQuery())) == list(demo_table.rows)
 
 
 class TestProjectDistinct:
