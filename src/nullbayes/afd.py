@@ -64,12 +64,13 @@ class Afd:
 
 def mine_afds(
     train: Table, max_lhs: int = 2, min_confidence: float = 0.0
-) -> list[Afd]:
+) -> tuple[Afd, ...]:
     """Mine AFDs with determining sets of size 1..max_lhs for every target.
 
     Confidence for X -> A is computed over rows null-free on X and A; a
     candidate with no such rows is skipped.  Results are sorted by target,
-    then determining-set size, then determining set.
+    then determining-set size, then determining set.  The tuple returned is
+    the one ``best_afds`` and ``afd_impute_tuple`` recognize by identity.
     """
     _check_count("max_lhs", max_lhs, 1)
     if not 0.0 <= min_confidence <= 1.0:
@@ -93,21 +94,22 @@ def mine_afds(
                     continue
                 out.append(Afd(det, target, conf))
     out.sort(key=lambda r: (r.target, len(r.determining), r.determining))
-    return out
+    return tuple(out)
 
 
-# the last rule tuple ranked, each target's rule positions in rank order, and
-# every attribute its rules name
-_ranked: tuple[tuple[Afd, ...], dict[str, list[int]], frozenset[str]] = ((), {}, frozenset())
+# the last rule tuple ranked, each target's rule positions in rank order,
+# every attribute its rules name, and each target's best rule
+_Entry = tuple[tuple[Afd, ...], dict[str, list[int]], frozenset[str], dict[str, Afd]]
+_ranked: _Entry = ((), {}, frozenset(), {})
 
 
-def _ranking(afds: Iterable[Afd]) -> tuple[tuple[Afd, ...], dict[str, list[int]], frozenset[str]]:
+def _ranking(afds: Iterable[Afd]) -> _Entry:
     """The memo entry for the rule sequence ``afds``, holding the caller's
     own rule tuple; it is ranked once per sequence, and passing the entry's
     rule tuple back costs one identity check."""
     global _ranked
     rules = tuple(afds)
-    cached, order, named = _ranked
+    cached, order, named, best = _ranked
     if rules is not cached:
         if rules != cached:
             positions: dict[str, list[int]] = {}
@@ -118,8 +120,10 @@ def _ranking(afds: Iterable[Afd]) -> tuple[tuple[Afd, ...], dict[str, list[int]]
                 t: sorted(ix, key=lambda i: _afd_rank(rules[i])) for t, ix in positions.items()
             }
             named = frozenset(itertools.chain(positions, *(afd.determining for afd in rules)))
-        _ranked = (rules, order, named)  # one assignment, so a reader never sees a mixed entry
-    return rules, order, named
+        # rebuilt for an equal copy too, so its winners are its own rule objects
+        best = {t: rules[ranked[0]] for t, ranked in order.items()}
+        _ranked = (rules, order, named, best)  # one assignment, so a reader never sees a mixed entry
+    return rules, order, named, best
 
 
 def best_afds(afds: Iterable[Afd], exclude: Iterable[str] = ()) -> dict[str, Afd]:
@@ -131,20 +135,24 @@ def best_afds(afds: Iterable[Afd], exclude: Iterable[str] = ()) -> dict[str, Afd
     confidence go to the smaller determining set, then the lexicographically
     smaller one; equal rules resolve to the first listed.  The winners are
     the caller's own rule objects.  The iteration order of the returned dict
-    is not part of the contract.
+    is not part of the contract, and the dict is the caller's to change.
 
-    The ranking is memoized for the last rule sequence seen, so repeated
-    calls with an equal sequence cost one comparison and a walk of each
-    target's ranked rules.  The memo keeps that last rule tuple alive.
+    The ranking is memoized for the last rule sequence seen: that same
+    tuple (as ``mine_afds`` and ``load_afds`` return) costs one identity
+    check, any other sequence a copy and a comparison.  A hit copies the
+    cached winners, or with ``exclude`` walks each target's ranked rules.
+    The memo keeps that last rule tuple alive.
     """
     if isinstance(exclude, str):
         raise TypeError(f"exclude must be a collection of attribute names, not the string {exclude!r}")
-    rules, order, _ = _ranking(afds)
+    rules, order, _, winners = _ranking(afds)
     banned = set(exclude)
+    if not banned:
+        return dict(winners)
     best: dict[str, Afd] = {}
     for target, ranked in order.items():
         for i in ranked:
-            if not banned or banned.isdisjoint(rules[i].determining):
+            if banned.isdisjoint(rules[i].determining):
                 best[target] = rules[i]
                 break
     return best
@@ -245,7 +253,7 @@ def afd_impute_tuple(
     if len(row.cells) != arity:
         raise ValueError(f"row {row.id} has {len(row.cells)} cells, schema has {arity}")
     cells = dict(zip(schema.attributes, row.cells))
-    rules, _, named = _ranking(afds)
+    rules, _, named, _ = _ranking(afds)
     if not cells.keys() >= named:
         for attr in sorted(named):
             schema.index(attr)  # raises for the first unknown one
@@ -304,10 +312,11 @@ def save_afds(afds: Iterable[Afd]) -> str:
     return "".join(afd_to_line(a) + "\n" for a in afds)
 
 
-def load_afds(text: str) -> list[Afd]:
+def load_afds(text: str) -> tuple[Afd, ...]:
+    """The rules of ``save_afds`` text, one per non-blank line, in file order."""
     out = []
     for line in text.splitlines():
         line = line.strip()
         if line:
             out.append(afd_from_line(line))
-    return out
+    return tuple(out)

@@ -22,6 +22,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .afd import (
+    Afd,
     NoRuleError,
     NotApplicableError,
     afd_impute_tuple,
@@ -233,7 +234,7 @@ def _experiment_table(cfg: ExperimentConfig, seed: int, table: Table | None) -> 
 @dataclass(frozen=True)
 class _Models:
     net: BayesNet
-    afds: list
+    afds: tuple[Afd, ...]
     nb: object
 
 

@@ -519,13 +519,13 @@ def save_csv(table: Table, path: str, null_token: str = "") -> None:
     or a missing cell would not read back through ``load_csv``: a blank or
     padded name, a label equal to ``null_token``, a label with surrounding
     whitespace, or a padded ``null_token`` (cells are trimmed before the
-    comparison) where a cell is missing.
+    comparison, and ``load_csv`` refuses such a token), missing cells or not.
     """
     schema, codes = table.schema, table._column_codes()
     for attr in schema.attributes:
         if not attr or attr != attr.strip():
             raise ValueError(f"attribute name {attr!r} would not read back")
-    if null_token != null_token.strip() and (codes < 0).any():
+    if null_token != null_token.strip():
         raise ValueError(f"null token {null_token!r} would not read back")
     for j, attr in enumerate(schema.attributes):
         for k, label in enumerate(schema.domains[attr]):

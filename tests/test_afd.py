@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import nullbayes.afd as afd_module
 from nullbayes import (
     Afd,
     NaiveBayesModel,
@@ -22,8 +23,10 @@ from nullbayes import (
     fit_naive_bayes,
     load_afds,
     mine_afds,
+    sample_rows,
     save_afds,
 )
+from nullbayes.synth import random_net
 
 from conftest import row_with_id
 
@@ -95,7 +98,10 @@ class TestMineAfds:
     def test_never_co_observed_pair_skipped(self):
         s = Schema(("A", "B"), {"A": ("x",), "B": ("y",)})
         t = Table(s, [Row(1, ("x", None)), Row(2, (None, "y"))])
-        assert mine_afds(t) == []
+        assert mine_afds(t) == ()
+
+    def test_returns_a_tuple(self, sparse_table):
+        assert type(mine_afds(sparse_table)) is tuple
 
 
 class TestBestAfds:
@@ -339,11 +345,19 @@ class TestAfdFiles:
                 with pytest.raises(ValueError, match=re.escape(repr(name))):
                     save_afds([afd])
         fine = Afd(("a b", "c:d"), "e", 0.5)
-        assert load_afds(save_afds([fine])) == [fine]
+        assert load_afds(save_afds([fine])) == (fine,)
+
+    def test_loads_a_tuple_that_round_trips(self, sparse_table):
+        rules = (Afd(("A",), "B", 0.5), Afd(("A", "C"), "B", 7 / 8), Afd(("B",), "A", 1.0))
+        assert type(load_afds(save_afds(rules))) is tuple
+        assert load_afds(save_afds(rules)) == rules
+        # a mined tuple, once loaded, reads back equal
+        loaded = load_afds(save_afds(mine_afds(sparse_table)))
+        assert load_afds(save_afds(loaded)) == loaded
 
     def test_blank_lines_ignored(self):
         text = "\nA -> B : 0.5\n\n"
-        assert load_afds(text) == [Afd(("A",), "B", 0.5)]
+        assert load_afds(text) == (Afd(("A",), "B", 0.5),)
 
     def test_malformed_line(self):
         for bad in ("A B : 0.5", "A -> B", "A -> B : lots"):
@@ -505,6 +519,51 @@ def test_best_afds_memo_with_two_threads_alternating_lists():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
+
+
+# ---------------------------------------------------------------------------
+# the memo on a mined rule tuple
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """3,800 rules mined over 20 attributes, with their model and table."""
+    table = sample_rows(random_net(20, seed=3, max_parents=3), 400, 0)
+    rules = mine_afds(table)
+    assert len(rules) == 3800
+    return rules, fit_naive_bayes(table), table
+
+
+def test_a_mined_tuple_is_ranked_once(wide, monkeypatch):
+    rules, model, table = wide
+    calls = []
+
+    def counted(afd):
+        calls.append(afd)
+        return _ref_rank(afd)
+
+    monkeypatch.setattr(afd_module, "_afd_rank", counted)
+    best_afds(list(reversed(rules)))  # leaves the memo on a different sequence
+    calls.clear()
+    row = Row(1, (None, None, *table.rows[0].cells[2:]))
+    first = afd_impute_tuple(rules, model, row)
+    assert len(calls) == len(rules)
+    # the memo holds the caller's own tuple, so the next calls hit by identity
+    assert afd_module._ranked[0] is rules
+    calls.clear()
+    assert afd_impute_tuple(rules, model, row) == first
+    assert best_afds(rules) == _ref_best_afds(rules)
+    assert calls == []
+
+
+def test_mutating_the_returned_dict_leaves_the_memo_alone(wide):
+    rules = wide[0]
+    want = _ref_best_afds(rules)
+    got = best_afds(rules)
+    got.clear()
+    got["A"] = rules[-1]
+    again = best_afds(rules)
+    assert again == want and all(again[t] is want[t] for t in want)
 
 
 # ---------------------------------------------------------------------------

@@ -364,9 +364,6 @@ def test_csv_round_trip_or_refusal(data):
             assert "empty domain" in str(exc)
             assert any(all(r.cells[j] is None for r in rows) for j in range(len(names)))
             return
-        except ValueError as exc:  # a padded token saves where no cell is null
-            assert token != token.strip() and repr(token) in str(exc)
-            return
     assert again.schema.attributes == table.schema.attributes
     assert again.rows == table.rows
 
