@@ -65,10 +65,10 @@ class BayesNet:
     one of those can make evidence impossible.
 
     ``cpts`` is a read-only mapping of read-only arrays, so ``_memo`` keeps
-    what inference derives from them, filled lazily: per variable its Gibbs
-    entry, per free set its chain split, per exact component its CPT views,
-    fills, cells and blanket cells.  It lives and dies with the net: a
-    pickle or copy holds the schema, parents and CPTs only.
+    what inference derives from them, filled lazily: per Gibbs free set its
+    chain split, per set C (an exact component or a Gibbs variable) one
+    ``inference._entry`` for both engines.  It lives and dies with the net:
+    a pickle or copy holds the schema, parents and CPTs only.
     """
 
     __slots__ = ("schema", "parents", "cpts", "_order", "_families", "_zeros", "_memo")
@@ -112,7 +112,7 @@ class BayesNet:
             tables[attr] = arr
         self.cpts: Mapping[str, np.ndarray] = MappingProxyType(tables)
         self._zeros = tuple(vs for vs in self._families if not tables[vs[-1]].all())
-        self._memo = SimpleNamespace(variables={}, splits={}, components={})
+        self._memo = SimpleNamespace(splits={}, components={})
 
     def __reduce__(self):
         return type(self), (self.schema, self.parents, dict(self.cpts))
@@ -457,24 +457,62 @@ def _alignment(variables: tuple[str, ...], out_vars: tuple[str, ...]):
     """The transpose order, then the index inserting a unit axis per absent
     variable, that lay an array over ``variables`` on ``out_vars``' axes;
     None where either is the identity."""
-    perm = tuple(variables.index(v) for v in out_vars if v in variables)
-    index = tuple(slice(None) if v in variables else None for v in out_vars)
+    perm = tuple([variables.index(v) for v in out_vars if v in variables])
+    index = tuple([slice(None) if v in variables else None for v in out_vars])
     return (
         None if perm == tuple(range(len(perm))) else perm,
         None if len(index) == len(variables) else index,
     )
 
 
+def _plan(families, free: tuple[str, ...], observed: Mapping[str, int]):
+    """How to multiply out the CPTs of ``families`` (in product order) at a
+    row's codes, ``observed`` mapping each observed attribute to its position
+    there, summing out all but the ``free`` variables, fewest neighbours
+    first, ties by name; which CPTs enter is the caller's choice.  A plan is
+    its steps in order, the last over ``free``.  A step holds per CPT its
+    attribute, ``_alignment`` on (observed axes, the step's axes) and getter
+    of observed codes; per input, an earlier step's index and ``_alignment``;
+    and the axis it sums out (None in the last)."""
+    n = len(families)
+    eliminate = set().union(*families).difference(free, observed)
+    # each factor's unobserved variables, CPTs first; read only to eliminate
+    live = [[v for v in vs if v not in observed] for vs in families] if eliminate else []
+
+    def step(slots, out_vars, axis):
+        cpts = []
+        for vs in (families[f] for f in slots if f < n):
+            seen = [v for v in vs if v in observed]
+            getter = _getter([observed[v] for v in seen])
+            cpts.append((vs[-1], *_alignment(vs, (*seen, *out_vars)), getter))
+        inputs = [(f - n, *_alignment(live[f], out_vars)) for f in slots if f >= n]
+        return tuple(cpts), inputs, axis
+
+    steps, factors = [], list(range(n))
+    while eliminate:
+        neighbors: dict[str, set[str]] = {v: set() for v in eliminate}
+        for f in factors:
+            for v in live[f]:
+                if v in eliminate:
+                    neighbors[v].update(live[f])
+        victim = min(eliminate, key=lambda v: (len(neighbors[v] - {v}), v))
+        touching = [f for f in factors if victim in live[f]]
+        out_vars = tuple(dict.fromkeys(v for f in touching for v in live[f]))
+        axis = out_vars.index(victim)
+        steps.append(step(touching, out_vars, axis))
+        factors = [f for f in factors if victim not in live[f]] + [len(live)]
+        live.append(out_vars[:axis] + out_vars[axis + 1 :])
+        eliminate.discard(victim)
+    return (*steps, step(factors, free, None))
+
+
 def _blanket_plan(families, members: tuple[str, ...]):
     """How to multiply out P(C | Markov blanket), C = ``members``, at a
     row's codes in the DAG of ``families`` (a net's ``_families``): the CPTs
     of C's members and of their children, sliced at the observed cells
-    (Koller & Friedman, §12.3.1).  It holds no CPTs.  Returns C's positions
-    and the blanket's, sorted, as tuples, and per CPT its attribute, its
-    ``_alignment`` on (observed axes, C's axes), so that slicing it at the
-    observed codes broadcasts over C's axes, and a getter of the observed
-    codes from the row's.
-    """
+    (Koller & Friedman, §12.3.1).  Returns C's positions and the blanket's,
+    sorted, as tuples, and the ``_plan`` of those CPTs with C free and its
+    blanket observed, which sums out nothing."""
     pos = {vs[-1]: i for i, vs in enumerate(families)}
     group = set(members)
     touching, outside = _blanket(families, group)
@@ -485,13 +523,8 @@ def _blanket_plan(families, members: tuple[str, ...]):
     def rank(vs):
         return len(group.intersection(vs)), vs[-1] not in group, vs[-1]
 
-    factors = []
-    for vs in sorted(touching, key=rank):
-        observed = tuple(v for v in vs if v not in group)
-        getter = _getter([pos[v] for v in observed])
-        factors.append((vs[-1], *_alignment(vs, observed + members), getter))
-    at, blanket = tuple(pos[a] for a in members), tuple(sorted(pos[v] for v in outside))
-    return at, blanket, tuple(factors)
+    plan = _plan(tuple(sorted(touching, key=rank)), members, {v: pos[v] for v in outside})
+    return tuple(pos[a] for a in members), tuple(sorted(pos[v] for v in outside)), plan
 
 
 def _getter(positions: list[int]):

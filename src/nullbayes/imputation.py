@@ -11,13 +11,13 @@ columns of the incomplete rows are filled in place, by exact inference (each
 missing cell keyed in one pass by its Markov-blanket component and blanket
 codes, one sort, one posterior per distinct key) or by Gibbs sampling (one
 chain per row); the output table decodes the filled codes on first read.
-Both multiply out one Markov-blanket plan per network and component
-(``bayesnet._blanket_plan``): a Gibbs full conditional is the posterior of
-a component of one variable.  A chain starts from the row's codes and
-splits by the same components: a missing cell whose blanket is all
-observed draws every kept state in one ``np.searchsorted``, and the fill is
-read off the kept states' int array.  The net's memo keeps what depends on
-the CPTs across calls.  ``impute_tuple`` runs that path on a one-row table.
+Both multiply out one Markov-blanket plan per network and component, kept
+across calls in one memo entry for both (``inference._entry``): a Gibbs
+full conditional is the posterior of a component of one variable.  A chain
+starts from the row's codes and splits by the same components: a missing
+cell whose blanket is all observed draws every kept state in one
+``np.searchsorted``, and the fill is read off the kept states' int array.
+``impute_tuple`` runs that path on a one-row table.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from itertools import compress
 
 import numpy as np
 
-from .bayesnet import BayesNet, _blanket_plan, _components
-from .inference import _blanket_product, _check_chain, _cpt_views, _lex_argmax, _normalized
+from .bayesnet import BayesNet, _components
+from .inference import _check_chain, _entry, _lex_argmax, _normalized, _product
 from .inference import _refuse_impossible
 # posterior_exact is not called here, but perfbench/tracing.py patches this name
 from .inference import posterior_exact, posterior_gibbs  # noqa: F401
@@ -108,9 +108,8 @@ def _impute_exact(net: BayesNet, joint: bool, codes: np.ndarray, patterns, patte
     slots, places = [0] * (len(patterns) * d), [0] * (len(patterns) * d)  # by pattern, attribute
     for p, missing in enumerate(patterns):
         for c in _components(net._families, missing):
-            if c not in memo:  # C's CPT views, fills, cells and blanket cells
-                at, blanket, factors = _blanket_plan(net._families, c)
-                memo[c] = _cpt_views(net, factors), {}, at, list(blanket)
+            if c not in memo:
+                _entry(net, c)
             s = number.setdefault(c, len(number))
             for k, a in enumerate(memo[c][2]):
                 slots[p * d + a], places[p * d + a] = s, k
@@ -120,17 +119,17 @@ def _impute_exact(net: BayesNet, joint: bool, codes: np.ndarray, patterns, patte
     where = (pattern * d)[column] + attr
     slot, place = np.array(slots)[where], np.array(places)[where]
     width = max(len(e[3]) for e in entries)
-    rows = np.array([e[3] + [e[2][0]] * (width - len(e[3])) for e in entries], np.intp)
+    rows = np.array([e[3] + e[2][:1] * (width - len(e[3])) for e in entries], np.intp)
     radix = (np.array(net.schema.sizes)[rows].max(axis=0) + 1).tolist()  # pads only widen it
     digits = np.take(codes, (rows * n)[slot].T + column)
     inverse, first = _groups(_radix_key(np.vstack((slot, digits + 1)), (len(entries), *radix)))
     fills, starts = [], []  # the distinct keys' fills, end to end
     distinct = (a.tolist() for a in (slot[first], column[first], digits[:, first].T))
     for s, row, observed in zip(*distinct):
-        views, known, _, blanket = entries[s]
+        views, known, _, blanket, _ = entries[s]
         key = (joint, *observed[: len(blanket)])
         if key not in known:
-            probs = _normalized(_blanket_product(views, codes[:, row].tolist()))
+            probs = _normalized(_product(views, codes[:, row].tolist()))
             axes = range(probs.ndim)
             known[key] = _lex_argmax(probs) if joint else [
                 _lex_argmax(probs.sum(axis=tuple(j for j in axes if j != k)))[0] for k in axes

@@ -1,10 +1,10 @@
 """Posterior computation over discrete Bayesian networks.
 
-Exact inference is variable elimination over factor tables (one ndarray
-axis per variable, eliminated in min-degree order) over the ancestors of
-the query's variables.  Approximate inference is Gibbs sampling over the
-non-evidence variables.  Posteriors come back as JointDistribution objects:
-a probability array over the target domains, in target order, summing to 1.
+Exact inference is variable elimination over the query's ancestors, and
+approximate inference Gibbs sampling over the non-evidence variables; both,
+like exact imputation and ``enumerate_joint``, run ``bayesnet._plan``'s
+plans through ``_product``.  Posteriors are JointDistribution objects:
+probability arrays over the target domains, in target order, summing to 1.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bayesnet import BayesNet, _alignment, _ancestors, _blanket_plan, _components, _getter
+from .bayesnet import BayesNet, _ancestors, _blanket_plan, _components, _getter, _plan
 from .tabular import _check_count, _value_counts
 
 __all__ = [
@@ -114,7 +114,7 @@ def format_distribution(dist: JointDistribution) -> str:
 
 
 # ---------------------------------------------------------------------------
-# variable elimination: a plan per DAG and query shape, then array products
+# products: a ``bayesnet._plan``'s CPTs laid out, then run at a row's codes
 
 
 def _laid_out(arr: np.ndarray, perm, index) -> np.ndarray:
@@ -124,67 +124,54 @@ def _laid_out(arr: np.ndarray, perm, index) -> np.ndarray:
     return arr if index is None else arr[index]
 
 
-def _planned_product(arrays: list[np.ndarray], inputs) -> np.ndarray:
-    """Product, in ``inputs`` order, of ``arrays[slot]`` laid out as planned."""
-    values = None
-    for slot, perm, index in inputs:
-        arr = _laid_out(arrays[slot], perm, index)
-        values = arr if values is None else values * arr
-    return values
+def _cpt_views(net: BayesNet, plan):
+    """A ``_plan`` with each CPT laid out as planned, a view, by its getter."""
+    return [
+        ([(_laid_out(net.cpts[a], perm, index), get) for a, perm, index, get in cpts], inputs, axis)
+        for cpts, inputs, axis in plan
+    ]
+
+
+def _product(views, codes) -> np.ndarray:
+    """The product of ``_cpt_views`` at a row's ``codes``, unnormalized, an axis per
+    free variable: each step's CPTs at their observed codes, then its inputs."""
+    results = []
+    for cpts, inputs, axis in views:
+        values = None
+        for cpt, observed in cpts:
+            factor = cpt[observed(codes)]
+            values = factor if values is None else values * factor
+        for slot, perm, index in inputs:
+            factor = _laid_out(results[slot], perm, index)
+            values = factor if values is None else values * factor
+        if axis is None:
+            return values
+        results.append(values.sum(axis=axis))
 
 
 @lru_cache(maxsize=1024)
 def _elimination_plan(families, free: tuple[str, ...], observed: frozenset[str]):
-    """How to eliminate for P(free | evidence on ``observed``) in the DAG of
-    ``families`` (a net's ``_families``).
-
-    Only the CPTs of ancestors of ``free`` and ``observed`` are kept; the rest
-    are barren and sum to 1.  Returns, per kept CPT, its attribute and each
-    axis's evidence attribute (None where free, or None for the whole CPT
-    if no axis is observed); per elimination step, the live factors it
-    multiplies (slot, transpose order, index) and the axis it sums out,
-    each result taking the next slot; and the final product's inputs,
-    aligned on ``free``.  Unit axes are inserted by index, not reshape, so
-    the plan holds no domain sizes.
-    """
+    """The ``_plan`` for P(free | evidence on ``observed``) in a net's DAG: the
+    CPTs of ancestors of both, in family order; the rest are barren."""
     kept = _ancestors({vs[-1]: vs[:-1] for vs in families}, (*free, *observed))
-    cpts, live = [], []
-    for family in families:
-        if family[-1] in kept:
-            axes = tuple(v if v in observed else None for v in family)
-            cpts.append((family[-1], axes if observed.intersection(family) else None))
-            live.append(tuple(v for v in family if v not in observed))
-    factors = list(range(len(live)))
-    eliminate = kept - observed - set(free)
-    steps = []
-    while eliminate:
-        neighbors: dict[str, set[str]] = {v: set() for v in eliminate}
-        for f in factors:
-            for v in live[f]:
-                if v in eliminate:
-                    neighbors[v].update(live[f])
-        victim = min(eliminate, key=lambda v: (len(neighbors[v] - {v}), v))
-        touching = [f for f in factors if victim in live[f]]
-        out_vars = tuple(dict.fromkeys(v for f in touching for v in live[f]))
-        axis = out_vars.index(victim)
-        steps.append((tuple((f, *_alignment(live[f], out_vars)) for f in touching), axis))
-        factors = [f for f in factors if victim not in live[f]] + [len(live)]
-        live.append(out_vars[:axis] + out_vars[axis + 1 :])
-        eliminate.discard(victim)
-    final = tuple((f, *_alignment(live[f], free)) for f in factors)
-    return tuple(cpts), tuple(steps), final
+    positions = {vs[-1]: i for i, vs in enumerate(families) if vs[-1] in observed}
+    return _plan(tuple(vs for vs in families if vs[-1] in kept), free, positions)
 
 
-def _check_query(net: BayesNet, targets: Sequence[str], evidence: Mapping[str, str]) -> None:
+def _check_query(net: BayesNet, targets: Sequence[str], evidence: Mapping[str, str]) -> list[int]:
+    """Refuse a malformed query; return a row's codes, the evidence's, -1 where unobserved."""
     if not targets:
         raise ValueError("no target attributes")
     if len(set(targets)) != len(targets):
         raise ValueError("duplicate target attribute")
     for t in targets:
         net.schema.index(t)
+    codes = [-1] * len(net.schema.attributes)
     for attr, value in evidence.items():
         if value not in net.schema.domain(attr):
             raise ValueError(f"evidence value {value!r} not in domain of {attr!r}")
+        codes[net.schema.index(attr)] = net.schema.code(attr, value)
+    return codes
 
 
 def _expand_clamped(
@@ -207,14 +194,14 @@ def posterior_exact(
     Only the CPTs of ancestors of the targets and the evidence enter; every
     other variable is barren and sums to 1 (Koller & Friedman, §9.3).  The
     remaining non-target, non-evidence variables are eliminated in
-    min-degree order (lexicographic tie-break, so results are
+    min-neighbours order (lexicographic tie-break, so results are
     deterministic).  Evidence on a target clamps that target's axis to the
-    evidence value.
+    evidence value.  A blanket's CPTs alone could miss impossible evidence.
 
-    The elimination plan (order, factor products, axis layouts) depends only
-    on the DAG, the free targets and the evidence attributes, so it is
-    memoized on those (a bounded cache holding no CPTs); a call then slices
-    the CPTs at the evidence codes and runs the planned products and sums.
+    The ``bayesnet._plan`` (order, factor products, axis layouts) depends
+    only on the DAG, the free targets and the evidence attributes, so it is
+    memoized on those (a bounded cache holding no CPTs); a call lays the
+    kept CPTs out as planned and runs ``_product`` at the evidence codes.
     Results can differ from eliminating every variable in the last ulp.
 
     ``_at`` (private to ``rewriting``; no target may be evidence) is one
@@ -226,18 +213,10 @@ def posterior_exact(
         If the evidence has probability zero.
     """
     evidence = dict(evidence or {})
-    _check_query(net, targets, evidence)
-    free = [t for t in targets if t not in evidence]
-    cpts, steps, final = _elimination_plan(net._families, tuple(free), frozenset(evidence))
-    codes = {a: net.schema.code(a, v) for a, v in evidence.items()}
-    arrays = [
-        net.cpts[attr] if axes is None
-        else net.cpts[attr][tuple(slice(None) if v is None else codes[v] for v in axes)]
-        for attr, axes in cpts
-    ]
-    for inputs, axis in steps:
-        arrays.append(_planned_product(arrays, inputs).sum(axis=axis))
-    values = _normalized(_planned_product(arrays, final))
+    codes = _check_query(net, targets, evidence)
+    free = tuple(t for t in targets if t not in evidence)
+    plan = _elimination_plan(net._families, free, frozenset(evidence))
+    values = _normalized(_product(_cpt_views(net, plan), codes))
     if _at is not None:
         return _prob(targets, [net.schema.domains[t] for t in targets], values, _at)
     return _expand_clamped(net, targets, evidence, values)
@@ -268,10 +247,7 @@ def enumerate_joint(net: BayesNet) -> JointDistribution:
     if math.prod(net.schema.sizes) > _MAX_ENUM_STATES:
         raise ValueError(f"joint has more than {_MAX_ENUM_STATES} states")
     attrs = tuple(net.schema.attributes)
-    full = _planned_product(
-        [net.cpts[a] for a in attrs],
-        [(i, *_alignment(family, attrs)) for i, family in enumerate(net._families)],
-    )
+    full = _product(_cpt_views(net, _plan(net._families, attrs, {})), ())
     domains = tuple(net.schema.domain(a) for a in attrs)
     return JointDistribution(attrs, domains, _normalized(full))
 
@@ -304,10 +280,10 @@ def posterior_gibbs(
     uniforms.  The others run the per-update loop on their columns, so the
     states are those of one loop over every free variable.
 
-    A conditional is ``bayesnet._blanket_plan``'s product for a component
-    of one variable, the plan built once per net.  What depends on the CPTs is
-    kept on the net's memo across calls: per free set its split, per
-    variable its CPT views and conditionals keyed by its blanket.
+    A conditional is ``_product`` of the ``_blanket_plan`` of one variable.
+    What depends on the CPTs is kept on the net's memo across calls: per
+    free set its split, per variable the ``_entry`` exact imputation shares,
+    with its CPT views and conditionals keyed by its blanket.
     ``_codes`` (private to ``imputation``) is a row's codes, -1 at
     ``targets``, which must then be every unobserved attribute in schema
     order: the kept states come back as one int array, a row per sample,
@@ -317,12 +293,9 @@ def posterior_gibbs(
     if _codes is not None:
         return _chain(net, _codes, tuple(targets), samples, burn_in, seed)
     evidence = dict(evidence or {})
-    _check_query(net, targets, evidence)
+    state = _check_query(net, targets, evidence)
     _check_chain(samples, burn_in)
     schema = net.schema
-    state = [-1] * len(schema.attributes)
-    for attr, value in evidence.items():
-        state[schema.index(attr)] = schema.code(attr, value)
     _refuse_impossible(net, np.array(state)[:, None])
     if all(t in evidence for t in targets):
         return _expand_clamped(net, targets, evidence, np.array(1.0))
@@ -358,7 +331,7 @@ def _chain(net: BayesNet, state: list[int], free: tuple[str, ...], samples, burn
     # ancestral init draws; the bound keeps a draw at or past the last
     # boundary, which rounding can produce, on the last category
     for i, (at, _, _, views) in init:
-        cpt, parents = views[0]  # the variable's own CPT, planned first
+        cpt, parents = views[0][0][0]  # the variable's own CPT, planned first
         cum = np.cumsum(cpt[parents(state)]).tolist()
         state[at] = bisect_right(cum, uniforms[i] * cum[-1], 0, len(cum) - 1)
     values, trace = _getter([plan[0] for plan in plans]), []
@@ -379,40 +352,34 @@ def _split_chain(net: BayesNet, free: tuple[str, ...]):
     """The connected variables' (uniform index, entry) for their init draws,
     in topological order; (column, entry) of each lone variable, alone in
     its moral-graph component of ``free`` so its blanket is all evidence;
-    the connected variables' columns and entries.  A variable's entry, kept
-    on the net's memo under its name, is its position, a getter of its
-    blanket's codes, its full conditionals keyed by those, and its CPT views."""
-    memo = net._memo.variables
-    for attr in free:
-        if attr not in memo:
-            (at,), blanket, factors = _blanket_plan(net._families, (attr,))
-            memo[attr] = at, _getter(blanket), {}, _cpt_views(net, factors)
+    the connected variables' columns and entries, each the chain part of
+    the variable's ``_entry``."""
+    entries = {attr: _entry(net, (attr,))[4] for attr in free}
     lone = {members[0] for members in _components(net._families, free) if len(members) == 1}
     order = [a for a in net.topological_order() if a in free]
-    init = [(i, memo[a]) for i, a in enumerate(order) if a not in lone]
+    init = [(i, entries[a]) for i, a in enumerate(order) if a not in lone]
     columns = [k for k, a in enumerate(free) if a not in lone]
-    lone_plans = [(k, memo[a]) for k, a in enumerate(free) if a in lone]
-    return init, lone_plans, columns, [memo[free[k]] for k in columns]
+    lone_plans = [(k, entries[a]) for k, a in enumerate(free) if a in lone]
+    return init, lone_plans, columns, [entries[free[k]] for k in columns]
+
+
+def _entry(net: BayesNet, members: tuple[str, ...]):
+    """The net's memo entry for a set C (an exact component or a Gibbs variable):
+    C's ``_blanket_plan`` laid out, exact fills by (joint, blanket codes), C's
+    and its blanket's positions, and for C of one variable its chain part: its
+    position, a getter of the blanket's codes, conditionals by those, views."""
+    memo = net._memo.components
+    if members not in memo:
+        at, blanket, plan = _blanket_plan(net._families, members)
+        views = _cpt_views(net, plan)
+        chain = (at[0], _getter(blanket), {}, views) if len(members) == 1 else None
+        memo[members] = views, {}, at, blanket, chain
+    return memo[members]
 
 
 def _check_chain(samples: int, burn_in: int) -> None:
     _check_count("samples", samples, 1)
     _check_count("burn_in", burn_in)
-
-
-def _cpt_views(net: BayesNet, factors):
-    """A ``_blanket_plan``'s factors: each CPT laid out as planned, and its getter."""
-    return [(_laid_out(net.cpts[a], perm, index), get) for a, perm, index, get in factors]
-
-
-def _blanket_product(views, codes: list[int]) -> np.ndarray:
-    """The product of ``_cpt_views`` at a row's ``codes``, unnormalized: one
-    axis per member of the plan's set."""
-    values = None
-    for cpt, observed in views:
-        factor = cpt[observed(codes)]
-        values = factor if values is None else values * factor
-    return values
 
 
 def _full_conditional(views, state) -> tuple[list[float], float]:
@@ -423,7 +390,7 @@ def _full_conditional(views, state) -> tuple[list[float], float]:
     entries along X's axis.  ``bisect_right`` of a draw in the cut weights
     is ``np.searchsorted(cum, u, side="right")`` capped at the last category.
     """
-    weights = _blanket_product(views, state)
+    weights = _product(views, state)
     total = float(weights.sum())
     if total <= 0.0:
         raise ImpossibleEvidenceError(

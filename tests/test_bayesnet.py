@@ -1,12 +1,15 @@
 """Network representation, structure search, fitting, graph queries, model files."""
 
+import ast
 import io
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import nullbayes
 from nullbayes import (
     BayesNet,
     ModelFormatError,
@@ -515,3 +518,18 @@ class TestSampleRows:
     def test_seed_matters(self):
         net = _chain_net()
         assert sample_rows(net, 50, seed=1) != sample_rows(net, 50, seed=2)
+
+
+def test_only_the_planner_calls_the_cpt_alignment():
+    """``bayesnet._plan`` lays out every CPT, for exact inference, exact
+    imputation, Gibbs and ``enumerate_joint`` alike: every other function
+    takes its plans, never ``_alignment`` itself."""
+    callers = set()
+    for path in pathlib.Path(nullbayes.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "_alignment" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    callers.add((path.name, getattr(top, "name", "<module>")))
+    assert callers == {("bayesnet.py", "_plan")}

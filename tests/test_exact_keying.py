@@ -3,7 +3,8 @@
 ``imputation._impute_exact`` keys each missing cell by its Markov-blanket
 component's slot and its column's blanket codes, groups the keys with one
 sort and fills each group from the net's memo.  The reference below is the
-path it replaced, copied verbatim: one ``np.unique`` round per component.
+path it replaced, copied verbatim: one ``np.unique`` round per component,
+over the blanket planner and product of its day, also copied.
 Both must fill the same cells with the same codes, store the same fills in
 the net's memo (each component's in the same order), and refuse impossible
 evidence at the same key, on fresh and warm nets, in joint and marginal mode.
@@ -26,12 +27,59 @@ from nullbayes import (
     sample_rows,
 )
 from nullbayes import imputation
-from nullbayes.bayesnet import _blanket_plan, _components
-from nullbayes.inference import _blanket_product, _cpt_views, _lex_argmax, _normalized
+from nullbayes.bayesnet import _alignment, _blanket, _blanket_plan, _components, _getter
+from nullbayes.inference import _laid_out, _lex_argmax, _normalized
 from nullbayes.synth import random_net
 from nullbayes.tabular import _radix_key
 
 from test_net_memo import _fresh, _nets
+
+
+# the blanket planner, views and product the reference ran on before one
+# planner, ``bayesnet._plan``, served exact inference, exact imputation and
+# Gibbs, verbatim but for their names
+def _old_blanket_plan(families, members: tuple[str, ...]):
+    """How to multiply out P(C | Markov blanket), C = ``members``, at a
+    row's codes in the DAG of ``families`` (a net's ``_families``): the CPTs
+    of C's members and of their children, sliced at the observed cells
+    (Koller & Friedman, §12.3.1).  It holds no CPTs.  Returns C's positions
+    and the blanket's, sorted, as tuples, and per CPT its attribute, its
+    ``_alignment`` on (observed axes, C's axes), so that slicing it at the
+    observed codes broadcasts over C's axes, and a getter of the observed
+    codes from the row's.
+    """
+    pos = {vs[-1]: i for i, vs in enumerate(families)}
+    group = set(members)
+    touching, outside = _blanket(families, group)
+
+    # CPTs over fewer of C's members first, so the running product grows
+    # late; then C's own, then by name: a lone variable's own CPT and then
+    # its children's by name, as in a Gibbs update
+    def rank(vs):
+        return len(group.intersection(vs)), vs[-1] not in group, vs[-1]
+
+    factors = []
+    for vs in sorted(touching, key=rank):
+        observed = tuple(v for v in vs if v not in group)
+        getter = _getter([pos[v] for v in observed])
+        factors.append((vs[-1], *_alignment(vs, observed + members), getter))
+    at, blanket = tuple(pos[a] for a in members), tuple(sorted(pos[v] for v in outside))
+    return at, blanket, tuple(factors)
+
+
+def _old_cpt_views(net: BayesNet, factors):
+    """A ``_blanket_plan``'s factors: each CPT laid out as planned, and its getter."""
+    return [(_laid_out(net.cpts[a], perm, index), get) for a, perm, index, get in factors]
+
+
+def _old_blanket_product(views, codes: list[int]) -> np.ndarray:
+    """The product of ``_cpt_views`` at a row's ``codes``, unnormalized: one
+    axis per member of the plan's set."""
+    values = None
+    for cpt, observed in views:
+        factor = cpt[observed(codes)]
+        values = factor if values is None else values * factor
+    return values
 
 
 def _old_impute_exact(net: BayesNet, joint: bool, codes: np.ndarray, patterns, pattern) -> None:
@@ -48,7 +96,7 @@ def _old_impute_exact(net: BayesNet, joint: bool, codes: np.ndarray, patterns, p
             rows_of.setdefault(component, []).append(rows)
     memo = net._memo.components
     for component, parts in rows_of.items():
-        at, blanket, factors = _blanket_plan(net._families, component)
+        at, blanket, factors = _old_blanket_plan(net._families, component)
         radix = [net.schema.sizes[b] for b in blanket]
         at, blanket = np.array(at)[:, None], np.array(blanket, dtype=np.intp)[:, None]
         rows = np.concatenate(parts)
@@ -56,14 +104,14 @@ def _old_impute_exact(net: BayesNet, joint: bool, codes: np.ndarray, patterns, p
             _radix_key(codes[blanket, rows], radix), return_index=True, return_inverse=True
         )
         if component not in memo:
-            memo[component] = _cpt_views(net, factors), {}
+            memo[component] = _old_cpt_views(net, factors), {}
         views, known = memo[component]
         fills = []
         distinct = codes[:, rows[first]]  # a column per distinct blanket key
         for observed, row_codes in zip(distinct[blanket[:, 0]].T.tolist(), distinct.T.tolist()):
             key = (joint, *observed)
             if key not in known:
-                probs = _normalized(_blanket_product(views, row_codes))
+                probs = _normalized(_old_blanket_product(views, row_codes))
                 axes = range(probs.ndim)
                 known[key] = _lex_argmax(probs) if joint else [
                     _lex_argmax(probs.sum(axis=tuple(j for j in axes if j != k)))[0] for k in axes

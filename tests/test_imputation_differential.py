@@ -49,7 +49,7 @@ from nullbayes import (
 )
 from nullbayes import bayesnet, imputation, inference
 from nullbayes.bayesnet import _blanket
-from nullbayes.inference import _blanket_product, _cpt_views, _getter, _lex_argmax, _normalized
+from nullbayes.inference import _cpt_views, _getter, _lex_argmax, _normalized, _product
 from nullbayes.synth import car_demo_net, random_net
 
 from test_gibbs_differential import _impossible, _ref_chain
@@ -138,7 +138,7 @@ def test_component_posteriors_factor_the_whole_row_posterior(case):
         product = np.ones([1] * len(missing))
         for members, _, factors in components:
             attrs = tuple(names[i] for i in members)
-            got = _normalized(_blanket_product(_cpt_views(net, factors), codes))
+            got = _normalized(_product(_cpt_views(net, factors), codes))
             want = posterior_exact(net, attrs, evidence).probs
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
             shape = [got.shape[attrs.index(a)] if a in attrs else 1 for a in missing]
@@ -594,18 +594,23 @@ def test_the_structure_cache_holds_no_cpts(joint, engine):
         )
 
 
-def _plans_built(monkeypatch, engine, joint):
-    """The sets C whose ``_blanket_plan`` imputing a striped table builds on
-    a net with an empty memo, then those that a second table call and a
-    tuple call on the same net build."""
+def _counted_plans(monkeypatch) -> list:
+    """The sets C whose ``_blanket_plan`` is built from now on, in order."""
     calls = []
 
     def counted(families, members):
         calls.append(members)
         return bayesnet._blanket_plan(families, members)
 
-    monkeypatch.setattr(imputation, "_blanket_plan", counted)
     monkeypatch.setattr(inference, "_blanket_plan", counted)
+    return calls
+
+
+def _plans_built(monkeypatch, engine, joint):
+    """The sets C whose ``_blanket_plan`` imputing a striped table builds on
+    a net with an empty memo, then those that a second table call and a
+    tuple call on the same net build."""
+    calls = _counted_plans(monkeypatch)
     net = BayesNet(_NETS[3].schema, _NETS[3].parents, _NETS[3].cpts)
     table = _striped_table(net)
     params = GibbsParams(samples=10, burn_in=2, seed=3)
@@ -638,9 +643,26 @@ def test_a_second_exact_call_builds_no_blanket_plan(monkeypatch, joint):
     assert later == []
 
 
+@pytest.mark.parametrize("engines", [("exact", "gibbs"), ("gibbs", "exact")])
+def test_a_second_engine_call_builds_no_blanket_plan(monkeypatch, engines):
+    # Make's component in exact imputation and Make's variable in a chain
+    # are one set C, planned once per net whichever engine comes first
+    calls = _counted_plans(monkeypatch)
+    net = car_demo_net()
+    hidden = net.schema.index("Make")
+    table = Table(net.schema, [
+        Row(r.id, tuple(None if j == hidden else c for j, c in enumerate(r.cells)))
+        for r in sample_rows(net, 20, seed=4).rows
+    ])
+    for engine in engines:
+        impute_table(net, table, engine=engine, gibbs=GibbsParams(samples=10, burn_in=2))
+    assert calls == [("Make",)]
+
+
 # ---------------------------------------------------------------------------
 # blanket plans: the layout by ``_alignment`` against the transpose-and-reshape
-# it replaced, both copied verbatim
+# it replaced, and the product against the one-loop product that multiplied
+# the blanket views before the one planner, all copied verbatim
 
 
 @lru_cache(maxsize=1024)
@@ -685,6 +707,16 @@ def _old_cpt_views(net: BayesNet, factors):
     return [(net.cpts[a].transpose(order).reshape(shape), get) for a, order, get, shape in factors]
 
 
+def _old_blanket_product(views, codes: list[int]) -> np.ndarray:
+    """The product of ``_cpt_views`` at a row's ``codes``, unnormalized: one
+    axis per member of the plan's set."""
+    values = None
+    for cpt, observed in views:
+        factor = cpt[observed(codes)]
+        values = factor if values is None else values * factor
+    return values
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_blanket_plans_lay_out_the_cpts_as_before(data):
@@ -699,11 +731,12 @@ def test_blanket_plans_lay_out_the_cpts_as_before(data):
     got = bayesnet._blanket_plan(net._families, members)
     want = _old_blanket_plan(net._families, sizes, members)
     assert got[0] == want[0] and got[1] == tuple(want[2][:, 0].tolist())
-    assert [f[0] for f in got[2]] == [f[0] for f in want[4]]
+    (cpts, inputs, axis), = got[2]  # C's blanket is observed: one step, no sum
+    assert [f[0] for f in cpts] == [f[0] for f in want[4]] and inputs == [] and axis is None
     codes = [data.draw(st.integers(0, n - 1)) for n in sizes]
     views, old_views = _cpt_views(net, got[2]), _old_cpt_views(net, want[4])
-    for (view, get), (old_view, old_get) in zip(views, old_views):
+    for (view, get), (old_view, old_get) in zip(views[0][0], old_views):
         assert view.shape == old_view.shape and np.array_equal(view, old_view)
         assert get(codes) == old_get(codes)
         assert np.array_equal(view[get(codes)], old_view[old_get(codes)])
-    assert np.array_equal(_blanket_product(views, codes), _blanket_product(old_views, codes))
+    assert np.array_equal(_product(views, codes), _old_blanket_product(old_views, codes))

@@ -29,6 +29,22 @@ def _zero_link_net():
     )
 
 
+def _unconnected_target_net():
+    """A -> B, and C unconnected: B = b1 has probability zero under either
+    value of A, so evidence B = b1 is impossible, although C's Markov
+    blanket is empty and C's posterior alone never meets B's CPT."""
+    s = Schema(("A", "B", "C"), {"A": ("a0", "a1"), "B": ("b0", "b1"), "C": ("c0", "c1")})
+    return BayesNet(
+        s,
+        {"B": ("A",)},
+        {
+            "A": np.array([0.5, 0.5]),
+            "B": np.array([[1.0, 0.0], [1.0, 0.0]]),
+            "C": np.array([0.4, 0.6]),
+        },
+    )
+
+
 class TestJointDistribution:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -166,9 +182,14 @@ class TestPosteriorExact:
             assert got[combo] == pytest.approx(p, abs=1e-10)
 
     def test_impossible_evidence_raises(self):
-        net = _zero_link_net()
-        with pytest.raises(ImpossibleEvidenceError):
-            posterior_exact(net, ["A"], {"A": "a0", "B": "b1"})
+        cases = [
+            (_zero_link_net(), ["A"], {"A": "a0", "B": "b1"}),
+            # the query's ancestors, not C's blanket, decide which CPTs enter
+            (_unconnected_target_net(), ["C"], {"B": "b1"}),
+        ]
+        for net, targets, evidence in cases:
+            with pytest.raises(ImpossibleEvidenceError):
+                posterior_exact(net, targets, evidence)
 
     def test_bad_queries_rejected(self, fitted_demo_net):
         with pytest.raises(ValueError):
@@ -254,6 +275,9 @@ class TestPosteriorGibbs:
         )
         with pytest.raises(ImpossibleEvidenceError):
             posterior_gibbs(net, ["B"], {"A": "0", "C": "1"}, seed=0)
+        # A, free beside the target C, meets B's zero column
+        with pytest.raises(ImpossibleEvidenceError):
+            posterior_gibbs(_unconnected_target_net(), ["C"], {"B": "b1"}, seed=0)
 
     def test_bad_sample_count(self, fitted_demo_net):
         with pytest.raises(ValueError):

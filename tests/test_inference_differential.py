@@ -34,6 +34,7 @@ from nullbayes import (
     afd_rewrite_single,
     bn_all_mb,
     bn_beam,
+    enumerate_joint,
     fit_naive_bayes,
     inject_nulls,
     mine_afds,
@@ -44,8 +45,10 @@ from nullbayes.inference import (
     JointDistribution,
     _check_query,
     _elimination_plan,
-    _planned_product,
+    _laid_out,
+    _normalized,
 )
+from nullbayes.bayesnet import _alignment, _ancestors
 from nullbayes.synth import car_demo_net, random_net
 
 # ---------------------------------------------------------------------------
@@ -179,14 +182,79 @@ def _old_posterior_exact(net, targets, evidence=None) -> JointDistribution:
     return _expand_clamped(net, targets, evidence, free, values)
 
 
+# the elimination planner and product before one planner, ``bayesnet._plan``,
+# served exact inference, exact imputation and Gibbs, verbatim
+def _planned_product(arrays: list[np.ndarray], inputs) -> np.ndarray:
+    """Product, in ``inputs`` order, of ``arrays[slot]`` laid out as planned."""
+    values = None
+    for slot, perm, index in inputs:
+        arr = _laid_out(arrays[slot], perm, index)
+        values = arr if values is None else values * arr
+    return values
+
+
+def _old_elimination_plan(families, free: tuple[str, ...], observed: frozenset[str]):
+    """How to eliminate for P(free | evidence on ``observed``) in the DAG of
+    ``families`` (a net's ``_families``).
+
+    Only the CPTs of ancestors of ``free`` and ``observed`` are kept; the rest
+    are barren and sum to 1.  Returns, per kept CPT, its attribute and each
+    axis's evidence attribute (None where free, or None for the whole CPT
+    if no axis is observed); per elimination step, the live factors it
+    multiplies (slot, transpose order, index) and the axis it sums out,
+    each result taking the next slot; and the final product's inputs,
+    aligned on ``free``.  Unit axes are inserted by index, not reshape, so
+    the plan holds no domain sizes.
+    """
+    kept = _ancestors({vs[-1]: vs[:-1] for vs in families}, (*free, *observed))
+    cpts, live = [], []
+    for family in families:
+        if family[-1] in kept:
+            axes = tuple(v if v in observed else None for v in family)
+            cpts.append((family[-1], axes if observed.intersection(family) else None))
+            live.append(tuple(v for v in family if v not in observed))
+    factors = list(range(len(live)))
+    eliminate = kept - observed - set(free)
+    steps = []
+    while eliminate:
+        neighbors: dict[str, set[str]] = {v: set() for v in eliminate}
+        for f in factors:
+            for v in live[f]:
+                if v in eliminate:
+                    neighbors[v].update(live[f])
+        victim = min(eliminate, key=lambda v: (len(neighbors[v] - {v}), v))
+        touching = [f for f in factors if victim in live[f]]
+        out_vars = tuple(dict.fromkeys(v for f in touching for v in live[f]))
+        axis = out_vars.index(victim)
+        steps.append((tuple((f, *_alignment(live[f], out_vars)) for f in touching), axis))
+        factors = [f for f in factors if victim not in live[f]] + [len(live)]
+        live.append(out_vars[:axis] + out_vars[axis + 1 :])
+        eliminate.discard(victim)
+    final = tuple((f, *_alignment(live[f], free)) for f in factors)
+    return tuple(cpts), tuple(steps), final
+
+
+def _old_enumerate_joint(net: BayesNet) -> JointDistribution:
+    # enumerate_joint's product before the one planner, verbatim but for its
+    # size check
+    attrs = tuple(net.schema.attributes)
+    full = _planned_product(
+        [net.cpts[a] for a in attrs],
+        [(i, *_alignment(family, attrs)) for i, family in enumerate(net._families)],
+    )
+    domains = tuple(net.schema.domain(a) for a in attrs)
+    return JointDistribution(attrs, domains, _normalized(full))
+
+
 def _tail_posterior_exact(net, targets, evidence=None) -> JointDistribution:
     # posterior_exact before one normaliser served it and exact imputation,
-    # verbatim but for ``_at``: its own normalising tail and its two
-    # special-case returns (every target clamped, no target clamped)
+    # verbatim but for ``_at`` and the old planner's name: its own
+    # normalising tail and its two special-case returns (every target
+    # clamped, no target clamped)
     evidence = dict(evidence or {})
     _check_query(net, targets, evidence)
     free = [t for t in targets if t not in evidence]
-    cpts, steps, final = _elimination_plan(net._families, tuple(free), frozenset(evidence))
+    cpts, steps, final = _old_elimination_plan(net._families, tuple(free), frozenset(evidence))
     codes = {a: net.schema.domains[a].index(v) for a, v in evidence.items()}
     arrays = [
         net.cpts[attr] if axes is None
@@ -308,6 +376,14 @@ def test_posteriors_are_bitwise_those_of_the_old_tail(data, clamped):
     assert (got[1].targets, got[1].domains) == (want[1].targets, want[1].domains)
     assert got[1].probs.shape == want[1].probs.shape
     assert np.array_equal(got[1].probs, want[1].probs)
+
+
+@settings(max_examples=100)
+@given(net=random_nets())
+def test_joints_are_bitwise_those_of_the_old_product(net):
+    got, want = enumerate_joint(net), _old_enumerate_joint(net)
+    assert (got.targets, got.domains) == (want.targets, want.domains)
+    assert got.probs.shape == want.probs.shape and np.array_equal(got.probs, want.probs)
 
 
 @settings(max_examples=150)

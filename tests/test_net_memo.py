@@ -1,7 +1,8 @@
 """The network's memo: what inference derives from the CPTs, kept across calls.
 
-Gibbs conditionals and chain splits, and the exact engine's CPT views and
-fills, are kept on the ``BayesNet`` they were computed from.  Every call on
+Chain splits, and per set of variables its CPT views, exact fills and Gibbs
+conditionals (one entry whichever engine made it), are kept on the
+``BayesNet`` they were computed from.  Every call on
 a warm net must give what the same call gives on a freshly built equal net
 (whose memo is empty), refusals included; a refused call stores nothing, so
 it still raises when repeated.  The memo stays out of pickles and copies.
@@ -134,12 +135,12 @@ def test_a_repeated_call_computes_nothing_again(monkeypatch, joint):
     # the second identical call finds every Gibbs conditional and every
     # exact fill on the net: no conditional, no blanket product
     conditionals, products = [], []
-    full_conditional, blanket_product = inference._full_conditional, imputation._blanket_product
+    full_conditional, product = inference._full_conditional, imputation._product
     monkeypatch.setattr(
         inference, "_full_conditional", lambda *a: conditionals.append(1) or full_conditional(*a)
     )
     monkeypatch.setattr(
-        imputation, "_blanket_product", lambda *a: products.append(1) or blanket_product(*a)
+        imputation, "_product", lambda *a: products.append(1) or product(*a)
     )
     net = random_net(8, seed=4, max_parents=3)
     table = _striped_table(net)
@@ -180,10 +181,12 @@ def test_a_refused_call_stores_no_conditional_and_no_fill():
         for engine in ("gibbs", "exact"):
             with pytest.raises(ImpossibleEvidenceError):
                 impute_tuple(net, impossible, engine)
-        assert not net._memo.variables[a][2] and not net._memo.components[(a,)][1]
+        entry = net._memo.components[(a,)]  # its fills, and its chain part's conditionals
+        assert not entry[4][2] and not entry[1]
     for engine in ("gibbs", "exact"):
         assert impute_tuple(net, possible, engine) == impute_tuple(_fresh(net), possible, engine)
-    assert len(net._memo.variables[a][2]) == len(net._memo.components[(a,)][1]) == 1
+    entry = net._memo.components[(a,)]
+    assert len(entry[4][2]) == len(entry[1]) == 1
 
 
 def test_a_warm_net_pickles_and_copies_without_its_memo():
@@ -196,11 +199,11 @@ def test_a_warm_net_pickles_and_copies_without_its_memo():
         for engine in ("exact", "gibbs") for joint in (True, False)
     ]
     memo = net._memo
-    assert memo.variables and memo.splits and memo.components
+    assert memo.splits and memo.components
     assert pickle.dumps(net) == fresh
     for twin in (pickle.loads(pickle.dumps(net)), copy.copy(net), copy.deepcopy(net)):
         assert twin == net and twin is not net
-        assert not (twin._memo.variables or twin._memo.splits or twin._memo.components)
+        assert not (twin._memo.splits or twin._memo.components)
         assert [
             _outcome(impute_table, twin, table, engine=engine, gibbs=params, joint=joint)
             for engine in ("exact", "gibbs") for joint in (True, False)

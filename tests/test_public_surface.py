@@ -17,6 +17,7 @@ from nullbayes import (
     Schema,
     SelectionQuery,
     Table,
+    inference,
     rewriting,
     sample_rows,
     tabular,
@@ -67,6 +68,8 @@ def test_the_api_section_names_no_other_module():
         (Table, "value"),
         (Table, "_positions"),
         (Schema, "value"),
+        (inference, "_blanket_product"),
+        (inference, "_planned_product"),
     ],
 )
 def test_deleted_names_stay_deleted(owner, name):
