@@ -60,14 +60,15 @@ class BayesNet:
         non-negative.
 
     ``_families`` holds each attribute's parents, then the attribute, in
-    schema order: the DAG in names only, the key of every structural cache.
+    schema order: the DAG in names only, the key of ``_components``' cache.
     ``_zeros`` holds the families whose CPT holds a zero: observed in full,
     one of those can make evidence impossible.
 
     ``cpts`` is a read-only mapping of read-only arrays, so ``_memo`` keeps
     what inference derives from them, filled lazily: per Gibbs free set its
     chain split, per set C (an exact component or a Gibbs variable) one
-    ``inference._entry`` for both engines.  It lives and dies with the net:
+    ``inference._entry`` for both engines, and per (free targets, evidence
+    attributes) ``posterior_exact``'s plan.  It lives and dies with the net:
     a pickle or copy holds the schema, parents and CPTs only.
     """
 
@@ -112,7 +113,7 @@ class BayesNet:
             tables[attr] = arr
         self.cpts: Mapping[str, np.ndarray] = MappingProxyType(tables)
         self._zeros = tuple(vs for vs in self._families if not tables[vs[-1]].all())
-        self._memo = SimpleNamespace(splits={}, components={})
+        self._memo = SimpleNamespace(splits={}, components={}, posteriors={})
 
     def __reduce__(self):
         return type(self), (self.schema, self.parents, dict(self.cpts))
@@ -465,28 +466,36 @@ def _alignment(variables: tuple[str, ...], out_vars: tuple[str, ...]):
     )
 
 
-def _plan(families, free: tuple[str, ...], observed: Mapping[str, int]):
-    """How to multiply out the CPTs of ``families`` (in product order) at a
-    row's codes, ``observed`` mapping each observed attribute to its position
-    there, summing out all but the ``free`` variables, fewest neighbours
-    first, ties by name; which CPTs enter is the caller's choice.  A plan is
-    its steps in order, the last over ``free``.  A step holds per CPT its
-    attribute, ``_alignment`` on (observed axes, the step's axes) and getter
-    of observed codes; per input, an earlier step's index and ``_alignment``;
-    and the axis it sums out (None in the last)."""
+def _laid_out(arr: np.ndarray, perm, index) -> np.ndarray:
+    """``arr`` transposed by ``perm``, then indexed by ``index``: a view."""
+    if perm is not None:
+        arr = arr.transpose(perm)
+    return arr if index is None else arr[index]
+
+
+def _plan(families, free: tuple[str, ...], observed: Mapping[str, int], cpts):
+    """How to multiply out the ``cpts`` of ``families`` (in product order) at
+    a row's codes, ``observed`` mapping each observed attribute to its
+    position there, summing out all but the ``free`` variables, fewest
+    neighbours first, ties by name; which CPTs enter is the caller's choice.
+    A plan is its steps in order, the last over ``free``.  A step holds per
+    CPT its view laid out by ``_alignment`` on (observed axes, the step's
+    axes) and a getter of its observed codes; per input, an earlier step's
+    index and ``_alignment``; and the axis it sums out (None in the last).
+    It holds the CPTs' arrays, so it belongs to one net."""
     n = len(families)
     eliminate = set().union(*families).difference(free, observed)
     # each factor's unobserved variables, CPTs first; read only to eliminate
     live = [[v for v in vs if v not in observed] for vs in families] if eliminate else []
 
     def step(slots, out_vars, axis):
-        cpts = []
+        views = []
         for vs in (families[f] for f in slots if f < n):
             seen = [v for v in vs if v in observed]
-            getter = _getter([observed[v] for v in seen])
-            cpts.append((vs[-1], *_alignment(vs, (*seen, *out_vars)), getter))
+            view = _laid_out(cpts[vs[-1]], *_alignment(vs, (*seen, *out_vars)))
+            views.append((view, _getter([observed[v] for v in seen])))
         inputs = [(f - n, *_alignment(live[f], out_vars)) for f in slots if f >= n]
-        return tuple(cpts), inputs, axis
+        return tuple(views), inputs, axis
 
     steps, factors = [], list(range(n))
     while eliminate:
@@ -506,13 +515,13 @@ def _plan(families, free: tuple[str, ...], observed: Mapping[str, int]):
     return (*steps, step(factors, free, None))
 
 
-def _blanket_plan(families, members: tuple[str, ...]):
+def _blanket_plan(families, members: tuple[str, ...], cpts):
     """How to multiply out P(C | Markov blanket), C = ``members``, at a
-    row's codes in the DAG of ``families`` (a net's ``_families``): the CPTs
-    of C's members and of their children, sliced at the observed cells
-    (Koller & Friedman, §12.3.1).  Returns C's positions and the blanket's,
-    sorted, as tuples, and the ``_plan`` of those CPTs with C free and its
-    blanket observed, which sums out nothing."""
+    row's codes in the DAG of ``families`` (a net's ``_families``, with its
+    ``cpts``): the CPTs of C's members and of their children, sliced at the
+    observed cells (Koller & Friedman, §12.3.1).  Returns C's positions and
+    the blanket's, sorted, as tuples, and the ``_plan`` of those CPTs with C
+    free and its blanket observed, which sums out nothing."""
     pos = {vs[-1]: i for i, vs in enumerate(families)}
     group = set(members)
     touching, outside = _blanket(families, group)
@@ -523,7 +532,7 @@ def _blanket_plan(families, members: tuple[str, ...]):
     def rank(vs):
         return len(group.intersection(vs)), vs[-1] not in group, vs[-1]
 
-    plan = _plan(tuple(sorted(touching, key=rank)), members, {v: pos[v] for v in outside})
+    plan = _plan(tuple(sorted(touching, key=rank)), members, {v: pos[v] for v in outside}, cpts)
     return tuple(pos[a] for a in members), tuple(sorted(pos[v] for v in outside)), plan
 
 

@@ -14,11 +14,10 @@ import math
 from bisect import bisect_right
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .bayesnet import BayesNet, _ancestors, _blanket_plan, _components, _getter, _plan
+from .bayesnet import BayesNet, _ancestors, _blanket_plan, _components, _getter, _laid_out, _plan
 from .tabular import _check_count, _value_counts
 
 __all__ = [
@@ -114,29 +113,14 @@ def format_distribution(dist: JointDistribution) -> str:
 
 
 # ---------------------------------------------------------------------------
-# products: a ``bayesnet._plan``'s CPTs laid out, then run at a row's codes
+# products: a ``bayesnet._plan``, its CPTs laid out, run at a row's codes
 
 
-def _laid_out(arr: np.ndarray, perm, index) -> np.ndarray:
-    """``arr`` transposed by ``perm``, then indexed by ``index``: a view."""
-    if perm is not None:
-        arr = arr.transpose(perm)
-    return arr if index is None else arr[index]
-
-
-def _cpt_views(net: BayesNet, plan):
-    """A ``_plan`` with each CPT laid out as planned, a view, by its getter."""
-    return [
-        ([(_laid_out(net.cpts[a], perm, index), get) for a, perm, index, get in cpts], inputs, axis)
-        for cpts, inputs, axis in plan
-    ]
-
-
-def _product(views, codes) -> np.ndarray:
-    """The product of ``_cpt_views`` at a row's ``codes``, unnormalized, an axis per
+def _product(plan, codes) -> np.ndarray:
+    """The product of a ``_plan`` at a row's ``codes``, unnormalized, an axis per
     free variable: each step's CPTs at their observed codes, then its inputs."""
     results = []
-    for cpts, inputs, axis in views:
+    for cpts, inputs, axis in plan:
         values = None
         for cpt, observed in cpts:
             factor = cpt[observed(codes)]
@@ -149,13 +133,17 @@ def _product(views, codes) -> np.ndarray:
         results.append(values.sum(axis=axis))
 
 
-@lru_cache(maxsize=1024)
-def _elimination_plan(families, free: tuple[str, ...], observed: frozenset[str]):
-    """The ``_plan`` for P(free | evidence on ``observed``) in a net's DAG: the
-    CPTs of ancestors of both, in family order; the rest are barren."""
-    kept = _ancestors({vs[-1]: vs[:-1] for vs in families}, (*free, *observed))
-    positions = {vs[-1]: i for i, vs in enumerate(families) if vs[-1] in observed}
-    return _plan(tuple(vs for vs in families if vs[-1] in kept), free, positions)
+def _elimination_plan(net: BayesNet, free: tuple[str, ...], observed: frozenset[str]):
+    """The ``_plan`` for P(free | evidence on ``observed``) in ``net``: the
+    CPTs of ancestors of both, in family order; the rest are barren.  Kept
+    on the net's memo by (free, observed)."""
+    memo = net._memo.posteriors
+    if (free, observed) not in memo:
+        kept = _ancestors(net.parents, (*free, *observed))
+        positions = {vs[-1]: i for i, vs in enumerate(net._families) if vs[-1] in observed}
+        families = tuple(vs for vs in net._families if vs[-1] in kept)
+        memo[free, observed] = _plan(families, free, positions, net.cpts)
+    return memo[free, observed]
 
 
 def _check_query(net: BayesNet, targets: Sequence[str], evidence: Mapping[str, str]) -> list[int]:
@@ -198,11 +186,11 @@ def posterior_exact(
     deterministic).  Evidence on a target clamps that target's axis to the
     evidence value.  A blanket's CPTs alone could miss impossible evidence.
 
-    The ``bayesnet._plan`` (order, factor products, axis layouts) depends
-    only on the DAG, the free targets and the evidence attributes, so it is
-    memoized on those (a bounded cache holding no CPTs); a call lays the
-    kept CPTs out as planned and runs ``_product`` at the evidence codes.
-    Results can differ from eliminating every variable in the last ulp.
+    The ``bayesnet._plan`` (order, factor products, the kept CPTs laid out)
+    depends only on the net, the free targets and the evidence attributes,
+    so it is kept on the net's memo by the last two; a call runs
+    ``_product`` on it at the evidence codes.  Results can differ from
+    eliminating every variable in the last ulp.
 
     ``_at`` (private to ``rewriting``; no target may be evidence) is one
     combination of target values: its ``prob`` is returned, unbuilt.
@@ -215,8 +203,7 @@ def posterior_exact(
     evidence = dict(evidence or {})
     codes = _check_query(net, targets, evidence)
     free = tuple(t for t in targets if t not in evidence)
-    plan = _elimination_plan(net._families, free, frozenset(evidence))
-    values = _normalized(_product(_cpt_views(net, plan), codes))
+    values = _normalized(_product(_elimination_plan(net, free, frozenset(evidence)), codes))
     if _at is not None:
         return _prob(targets, [net.schema.domains[t] for t in targets], values, _at)
     return _expand_clamped(net, targets, evidence, values)
@@ -247,7 +234,7 @@ def enumerate_joint(net: BayesNet) -> JointDistribution:
     if math.prod(net.schema.sizes) > _MAX_ENUM_STATES:
         raise ValueError(f"joint has more than {_MAX_ENUM_STATES} states")
     attrs = tuple(net.schema.attributes)
-    full = _product(_cpt_views(net, _plan(net._families, attrs, {})), ())
+    full = _product(_plan(net._families, attrs, {}, net.cpts), ())
     domains = tuple(net.schema.domain(a) for a in attrs)
     return JointDistribution(attrs, domains, _normalized(full))
 
@@ -283,7 +270,7 @@ def posterior_gibbs(
     A conditional is ``_product`` of the ``_blanket_plan`` of one variable.
     What depends on the CPTs is kept on the net's memo across calls: per
     free set its split, per variable the ``_entry`` exact imputation shares,
-    with its CPT views and conditionals keyed by its blanket.
+    with its plan (its CPT views) and conditionals keyed by its blanket.
     ``_codes`` (private to ``imputation``) is a row's codes, -1 at
     ``targets``, which must then be every unobserved attribute in schema
     order: the kept states come back as one int array, a row per sample,
@@ -365,13 +352,12 @@ def _split_chain(net: BayesNet, free: tuple[str, ...]):
 
 def _entry(net: BayesNet, members: tuple[str, ...]):
     """The net's memo entry for a set C (an exact component or a Gibbs variable):
-    C's ``_blanket_plan`` laid out, exact fills by (joint, blanket codes), C's
-    and its blanket's positions, and for C of one variable its chain part: its
-    position, a getter of the blanket's codes, conditionals by those, views."""
+    C's ``_blanket_plan``, exact fills by (joint, blanket codes), C's and its
+    blanket's positions, and for C of one variable its chain part: its
+    position, a getter of the blanket's codes, conditionals by those, the plan."""
     memo = net._memo.components
     if members not in memo:
-        at, blanket, plan = _blanket_plan(net._families, members)
-        views = _cpt_views(net, plan)
+        at, blanket, views = _blanket_plan(net._families, members, net.cpts)
         chain = (at[0], _getter(blanket), {}, views) if len(members) == 1 else None
         memo[members] = views, {}, at, blanket, chain
     return memo[members]

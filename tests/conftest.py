@@ -1,5 +1,7 @@
 """Shared fixtures: two small used-car tables, a hand-wired net over them,
-and brute-force probability oracles that bypass the library's inference code.
+brute-force probability oracles that bypass the library's inference code,
+and the nets, tables and reference chain the differential and memo suites
+share (test modules import from here, never from each other).
 
 The oracles here deliberately use plain Python loops and direct CPT
 indexing so that agreement with the library is evidence, not tautology.
@@ -9,10 +11,22 @@ import gc
 import itertools
 import os
 
+import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
-from nullbayes import BayesNet, Row, Schema, Table, fit_parameters, uniform_cpts
+from nullbayes import (
+    BayesNet,
+    ImpossibleEvidenceError,
+    Row,
+    Schema,
+    Table,
+    fit_parameters,
+    sample_rows,
+    uniform_cpts,
+)
+from nullbayes.synth import random_net
 
 # CI runs property tests with HYPOTHESIS_PROFILE=ci: fixed examples and no
 # deadline, so a slow shared runner cannot make them flake.
@@ -180,3 +194,126 @@ def in_generation(objects, generation: int) -> int:
     """How many of ``objects`` the cyclic garbage collector holds in ``generation``."""
     ids = set(map(id, objects))
     return sum(id(o) in ids for o in gc.get_objects(generation=generation))
+
+
+# ---------------------------------------------------------------------------
+# the differential and memo suites' nets, tables and reference chain
+
+
+def _fresh(net: BayesNet) -> BayesNet:
+    # an equal net with an empty memo
+    return BayesNet(net.schema, net.parents, net.cpts)
+
+
+def _with_zeros(net, seed):
+    """``net`` with about a third of its CPT entries set to 0 and each row
+    renormalized (a row's largest entries stay), so some evidence is
+    impossible.  The DAG is ``net``'s, so the structure cache is shared."""
+    rng = np.random.default_rng(seed)
+    cpts = {}
+    for attr, cpt in net.cpts.items():
+        drop = (rng.random(cpt.shape) < 0.35) & (cpt < cpt.max(axis=-1, keepdims=True))
+        kept = np.where(drop, 0.0, cpt)
+        cpts[attr] = kept / kept.sum(axis=-1, keepdims=True)
+    return BayesNet(net.schema, net.parents, cpts)
+
+
+# small nets with Dirichlet, uniform or zero-holding CPTs
+@st.composite
+def _nets(draw):
+    seed = draw(st.integers(0, 10_000))
+    net = random_net(
+        draw(st.integers(1, 6)),
+        max_domain=draw(st.integers(2, 4)),
+        seed=seed,
+        max_parents=draw(st.integers(0, 3)),
+    )
+    kind = draw(st.sampled_from(["dirichlet", "uniform", "zeros"]))
+    if kind == "uniform":
+        return BayesNet(net.schema, net.parents, uniform_cpts(net.schema, net.parents))
+    return _with_zeros(net, seed) if kind == "zeros" else net
+
+
+def _striped_table(net):
+    # 30 rows, each missing every third attribute from an offset set by its id
+    rows = [
+        Row(r.id, tuple(None if j % 3 == r.id % 3 else c for j, c in enumerate(r.cells)))
+        for r in sample_rows(net, 30, seed=7).rows
+    ]
+    return Table(net.schema, rows)
+
+
+def _impossible(net, rows):
+    """Whether an incomplete row among ``rows`` observes every cell of a
+    family at a zero of its CPT: evidence that both engines refuse after
+    filling, checked here cell by cell."""
+    attrs = net.schema.attributes
+    for row in rows:
+        if None not in row.cells:
+            continue
+        cells = dict(zip(attrs, row.cells))
+        for attr in attrs:
+            family = net.parents[attr] + (attr,)
+            if all(cells[v] is not None for v in family):
+                at = tuple(net.schema.domain(v).index(cells[v]) for v in family)
+                if net.cpts[attr][at] == 0:
+                    return True
+    return False
+
+
+# the per-update Gibbs loop, the reference of the Gibbs engine
+def _ref_chain(net, free_targets, evidence, samples, burn_in, seed):
+    # yields the free targets' codes after each kept sweep
+    schema = net.schema
+    rng = np.random.default_rng(seed)
+    pos = {a: i for i, a in enumerate(schema.attributes)}
+    state = np.zeros(len(schema.attributes), dtype=np.int64)
+    fixed = np.zeros(len(schema.attributes), dtype=bool)
+    for attr, value in evidence.items():
+        state[pos[attr]] = schema.domain(attr).index(value)
+        fixed[pos[attr]] = True
+
+    # initialize free variables by ancestral draw given current parents
+    for attr in net.topological_order():
+        if fixed[pos[attr]]:
+            continue
+        idx = tuple(state[pos[p]] for p in net.parents[attr])
+        weights = net.cpts[attr][idx]
+        cum = np.cumsum(weights)
+        j = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        state[pos[attr]] = min(j, len(weights) - 1)
+
+    free = [a for a in schema.attributes if not fixed[pos[a]]]
+    # per free variable: own cpt + parent positions, and for each child its
+    # cpt, the child's parent positions, our axis among them, child position
+    plans = []
+    for attr in free:
+        own = (net.cpts[attr], [pos[p] for p in net.parents[attr]])
+        kids = []
+        for child in net.children(attr):
+            cps = net.parents[child]
+            kids.append(
+                (net.cpts[child], [pos[p] for p in cps], cps.index(attr), pos[child])
+            )
+        plans.append((pos[attr], own, kids))
+
+    t_pos = [pos[t] for t in free_targets]
+
+    for sweep in range(burn_in + samples):
+        for my_pos, (own_cpt, own_parents), kids in plans:
+            weights = own_cpt[tuple(state[p] for p in own_parents)].copy()
+            for child_cpt, child_parents, my_axis, child_pos in kids:
+                index: list[object] = [state[p] for p in child_parents]
+                index[my_axis] = slice(None)
+                index.append(state[child_pos])
+                weights *= child_cpt[tuple(index)]
+            total = float(weights.sum())
+            if total <= 0.0:
+                raise ImpossibleEvidenceError(
+                    "impossible evidence: zero-probability conditional in Gibbs sweep"
+                )
+            cum = np.cumsum(weights)
+            j = int(np.searchsorted(cum, rng.random() * total, side="right"))
+            state[my_pos] = min(j, len(weights) - 1)
+        if sweep >= burn_in:
+            yield tuple(state[p] for p in t_pos)

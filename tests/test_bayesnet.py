@@ -520,16 +520,32 @@ class TestSampleRows:
         assert sample_rows(net, 50, seed=1) != sample_rows(net, 50, seed=2)
 
 
-def test_only_the_planner_calls_the_cpt_alignment():
-    """``bayesnet._plan`` lays out every CPT, for exact inference, exact
-    imputation, Gibbs and ``enumerate_joint`` alike: every other function
-    takes its plans, never ``_alignment`` itself."""
+def _callers(name: str) -> set[tuple[str, str]]:
+    """The (module, top-level definition) pairs of the package that call ``name``."""
     callers = set()
     for path in pathlib.Path(nullbayes.__file__).parent.glob("*.py"):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and "_alignment" in (
+                if isinstance(node, ast.Call) and name in (
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)
                 ):
                     callers.add((path.name, getattr(top, "name", "<module>")))
-    assert callers == {("bayesnet.py", "_plan")}
+    return callers
+
+
+def test_only_the_planner_calls_the_cpt_alignment():
+    """``bayesnet._plan`` lays out every CPT, for exact inference, exact
+    imputation, Gibbs and ``enumerate_joint`` alike: every other function
+    takes its plans, never ``_alignment`` itself.  Only ``_product`` lays
+    out anything else, the results of earlier steps, and inference keeps
+    no plan in a module-level cache: a plan holds one net's CPTs."""
+    assert _callers("_alignment") == {("bayesnet.py", "_plan")}
+    assert _callers("_laid_out") == {("bayesnet.py", "_plan"), ("inference.py", "_product")}
+    path = pathlib.Path(nullbayes.__file__).parent / "inference.py"
+    decorators = [
+        ast.unparse(decorator)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        for decorator in node.decorator_list
+    ]
+    assert not [d for d in decorators if "cache" in d]

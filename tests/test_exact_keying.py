@@ -27,12 +27,12 @@ from nullbayes import (
     sample_rows,
 )
 from nullbayes import imputation
-from nullbayes.bayesnet import _alignment, _blanket, _blanket_plan, _components, _getter
-from nullbayes.inference import _laid_out, _lex_argmax, _normalized
+from nullbayes.bayesnet import _alignment, _blanket, _blanket_plan, _components, _getter, _laid_out
+from nullbayes.inference import _lex_argmax, _normalized
 from nullbayes.synth import random_net
 from nullbayes.tabular import _radix_key
 
-from test_net_memo import _fresh, _nets
+from conftest import _fresh, _nets
 
 
 # the blanket planner, views and product the reference ran on before one
@@ -192,7 +192,7 @@ def _hub_net(children: int, size: int, seed: int) -> BayesNet:
 @pytest.mark.parametrize("joint", [True, False])
 def test_a_key_wider_than_63_bits_is_re_ranked(joint):
     net = _hub_net(25, 6, seed=3)
-    _, blanket, _ = _blanket_plan(net._families, ("H",))
+    _, blanket, _ = _blanket_plan(net._families, ("H",), net.cpts)
     assert math.prod(net.schema.sizes[b] + 1 for b in blanket) >= 2**63  # _radix_key must re-rank
     codes = sample_rows(net, 60, seed=1)._column_codes().copy()
     codes[0] = -1  # H missing everywhere

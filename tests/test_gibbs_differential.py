@@ -38,6 +38,8 @@ from nullbayes import bayesnet, inference
 from nullbayes.synth import car_demo_net, random_net
 from nullbayes.inference import JointDistribution, _check_query, map_assignment
 
+from conftest import _impossible, _ref_chain
+
 # ---------------------------------------------------------------------------
 # reference: the per-update loop
 
@@ -88,63 +90,6 @@ def _ref_posterior_gibbs(net, targets, evidence=None, samples=250, burn_in=100, 
         domains = tuple(net.schema.domain(t) for t in targets)
         return JointDistribution(tuple(targets), domains, np.transpose(probs, perm))
     return _expand_clamped(net, targets, evidence, free_targets, probs)
-
-
-def _ref_chain(net, free_targets, evidence, samples, burn_in, seed):
-    # yields the free targets' codes after each kept sweep
-    schema = net.schema
-    rng = np.random.default_rng(seed)
-    pos = {a: i for i, a in enumerate(schema.attributes)}
-    state = np.zeros(len(schema.attributes), dtype=np.int64)
-    fixed = np.zeros(len(schema.attributes), dtype=bool)
-    for attr, value in evidence.items():
-        state[pos[attr]] = schema.domain(attr).index(value)
-        fixed[pos[attr]] = True
-
-    # initialize free variables by ancestral draw given current parents
-    for attr in net.topological_order():
-        if fixed[pos[attr]]:
-            continue
-        idx = tuple(state[pos[p]] for p in net.parents[attr])
-        weights = net.cpts[attr][idx]
-        cum = np.cumsum(weights)
-        j = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        state[pos[attr]] = min(j, len(weights) - 1)
-
-    free = [a for a in schema.attributes if not fixed[pos[a]]]
-    # per free variable: own cpt + parent positions, and for each child its
-    # cpt, the child's parent positions, our axis among them, child position
-    plans = []
-    for attr in free:
-        own = (net.cpts[attr], [pos[p] for p in net.parents[attr]])
-        kids = []
-        for child in net.children(attr):
-            cps = net.parents[child]
-            kids.append(
-                (net.cpts[child], [pos[p] for p in cps], cps.index(attr), pos[child])
-            )
-        plans.append((pos[attr], own, kids))
-
-    t_pos = [pos[t] for t in free_targets]
-
-    for sweep in range(burn_in + samples):
-        for my_pos, (own_cpt, own_parents), kids in plans:
-            weights = own_cpt[tuple(state[p] for p in own_parents)].copy()
-            for child_cpt, child_parents, my_axis, child_pos in kids:
-                index: list[object] = [state[p] for p in child_parents]
-                index[my_axis] = slice(None)
-                index.append(state[child_pos])
-                weights *= child_cpt[tuple(index)]
-            total = float(weights.sum())
-            if total <= 0.0:
-                raise ImpossibleEvidenceError(
-                    "impossible evidence: zero-probability conditional in Gibbs sweep"
-                )
-            cum = np.cumsum(weights)
-            j = int(np.searchsorted(cum, rng.random() * total, side="right"))
-            state[my_pos] = min(j, len(weights) - 1)
-        if sweep >= burn_in:
-            yield tuple(state[p] for p in t_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -335,24 +280,6 @@ def _ref_impute_rows(net, table, gibbs, joint):
 
 def _impute_rows(net, table, gibbs, joint):
     return list(impute_table(net, table, engine="gibbs", gibbs=gibbs, joint=joint)[0].rows)
-
-
-def _impossible(net, rows):
-    """Whether an incomplete row among ``rows`` observes every cell of a
-    family at a zero of its CPT: evidence that both engines refuse after
-    filling, checked here cell by cell."""
-    attrs = net.schema.attributes
-    for row in rows:
-        if None not in row.cells:
-            continue
-        cells = dict(zip(attrs, row.cells))
-        for attr in attrs:
-            family = net.parents[attr] + (attr,)
-            if all(cells[v] is not None for v in family):
-                at = tuple(net.schema.domain(v).index(cells[v]) for v in family)
-                if net.cpts[attr][at] == 0:
-                    return True
-    return False
 
 
 def _refused(net, rows, want):

@@ -26,7 +26,7 @@ reference loop: its accuracies now come from the same code-matrix scoring.
 import dataclasses
 import time
 from collections import Counter
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -49,10 +49,10 @@ from nullbayes import (
 )
 from nullbayes import bayesnet, imputation, inference
 from nullbayes.bayesnet import _blanket
-from nullbayes.inference import _cpt_views, _getter, _lex_argmax, _normalized, _product
+from nullbayes.inference import _getter, _lex_argmax, _normalized, _product
 from nullbayes.synth import car_demo_net, random_net
 
-from test_gibbs_differential import _impossible, _ref_chain
+from conftest import _impossible, _ref_chain, _striped_table, _with_zeros
 
 # ---------------------------------------------------------------------------
 # reference: the whole-row posterior
@@ -138,7 +138,7 @@ def test_component_posteriors_factor_the_whole_row_posterior(case):
         product = np.ones([1] * len(missing))
         for members, _, factors in components:
             attrs = tuple(names[i] for i in members)
-            got = _normalized(_product(_cpt_views(net, factors), codes))
+            got = _normalized(_product(factors, codes))
             want = posterior_exact(net, attrs, evidence).probs
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
             shape = [got.shape[attrs.index(a)] if a in attrs else 1 for a in missing]
@@ -148,8 +148,10 @@ def test_component_posteriors_factor_the_whole_row_posterior(case):
 
 
 def _components(net, missing):
-    plan = partial(bayesnet._blanket_plan, net._families)
-    return tuple(map(plan, bayesnet._components(net._families, missing)))
+    return tuple(
+        bayesnet._blanket_plan(net._families, members, net.cpts)
+        for members in bayesnet._components(net._families, missing)
+    )
 
 
 def _tied_net():
@@ -471,19 +473,6 @@ def _old_impute_table(
 # the table path against the per-row engine
 
 
-def _with_zeros(net, seed):
-    """``net`` with about a third of its CPT entries set to 0 and each row
-    renormalized (a row's largest entries stay), so some evidence is
-    impossible.  The DAG is ``net``'s, so the structure cache is shared."""
-    rng = np.random.default_rng(seed)
-    cpts = {}
-    for attr, cpt in net.cpts.items():
-        drop = (rng.random(cpt.shape) < 0.35) & (cpt < cpt.max(axis=-1, keepdims=True))
-        kept = np.where(drop, 0.0, cpt)
-        cpts[attr] = kept / kept.sum(axis=-1, keepdims=True)
-    return BayesNet(net.schema, net.parents, cpts)
-
-
 _DIFF_NETS = _NETS + [_with_zeros(net, k) for k, net in enumerate(_NETS[:4])]
 
 
@@ -573,15 +562,6 @@ def test_complete_and_empty_tables_match_the_per_row_engine(engine, joint):
             assert got[2].cell_accuracy is got[2].tuple_accuracy is None  # nothing to grade
 
 
-def _striped_table(net):
-    # 30 rows, each missing every third attribute from an offset set by its id
-    rows = [
-        Row(r.id, tuple(None if j % 3 == r.id % 3 else c for j, c in enumerate(r.cells)))
-        for r in sample_rows(net, 30, seed=7).rows
-    ]
-    return Table(net.schema, rows)
-
-
 @pytest.mark.parametrize("engine", ["exact", "gibbs"])
 @pytest.mark.parametrize("joint", [True, False])
 def test_the_structure_cache_holds_no_cpts(joint, engine):
@@ -598,9 +578,9 @@ def _counted_plans(monkeypatch) -> list:
     """The sets C whose ``_blanket_plan`` is built from now on, in order."""
     calls = []
 
-    def counted(families, members):
+    def counted(families, members, cpts):
         calls.append(members)
-        return bayesnet._blanket_plan(families, members)
+        return bayesnet._blanket_plan(families, members, cpts)
 
     monkeypatch.setattr(inference, "_blanket_plan", counted)
     return calls
@@ -728,15 +708,16 @@ def test_blanket_plans_lay_out_the_cpts_as_before(data):
     )
     attrs, sizes = net.schema.attributes, net.schema.sizes
     members = tuple(data.draw(st.lists(st.sampled_from(attrs), unique=True, min_size=1)))
-    got = bayesnet._blanket_plan(net._families, members)
+    got = bayesnet._blanket_plan(net._families, members, net.cpts)
     want = _old_blanket_plan(net._families, sizes, members)
     assert got[0] == want[0] and got[1] == tuple(want[2][:, 0].tolist())
-    (cpts, inputs, axis), = got[2]  # C's blanket is observed: one step, no sum
-    assert [f[0] for f in cpts] == [f[0] for f in want[4]] and inputs == [] and axis is None
+    (views, inputs, axis), = got[2]  # C's blanket is observed: one step, no sum
+    assert len(views) == len(want[4]) and inputs == [] and axis is None
     codes = [data.draw(st.integers(0, n - 1)) for n in sizes]
-    views, old_views = _cpt_views(net, got[2]), _old_cpt_views(net, want[4])
-    for (view, get), (old_view, old_get) in zip(views[0][0], old_views):
+    old_views = _old_cpt_views(net, want[4])
+    for (view, get), (old_view, old_get), old in zip(views, old_views, want[4]):
+        assert view.base is net.cpts[old[0]] or view is net.cpts[old[0]]  # the same CPT, a view
         assert view.shape == old_view.shape and np.array_equal(view, old_view)
         assert get(codes) == old_get(codes)
         assert np.array_equal(view[get(codes)], old_view[old_get(codes)])
-    assert np.array_equal(_product(views, codes), _old_blanket_product(old_views, codes))
+    assert np.array_equal(_product(got[2], codes), _old_blanket_product(old_views, codes))

@@ -1,10 +1,10 @@
 """Differential tests: ``posterior_exact`` against the full elimination it replaced.
 
 ``posterior_exact`` keeps only the CPTs of ancestors of the targets and the
-evidence, and runs an elimination plan memoized per (DAG, free targets,
-evidence attributes).  The reference below is the earlier path, copied
-verbatim: every CPT restricted at the evidence, every non-target variable
-eliminated, the min-degree order recomputed on each call.  Posteriors must
+evidence, and runs an elimination plan kept on the net's memo per (free
+targets, evidence attributes).  The reference below is the earlier path,
+copied verbatim: every CPT restricted at the evidence, every non-target
+variable eliminated, the min-degree order recomputed on each call.  Posteriors must
 match within ``rtol=1e-12`` (pruning can move the last ulp), over the same
 targets and domains, and ``ImpossibleEvidenceError`` must be raised in the
 same cases.  Whole rewriting runs must issue the same queries and retrieve
@@ -41,14 +41,9 @@ from nullbayes import (
     posterior_exact,
     sample_rows,
 )
-from nullbayes.inference import (
-    JointDistribution,
-    _check_query,
-    _elimination_plan,
-    _laid_out,
-    _normalized,
-)
-from nullbayes.bayesnet import _alignment, _ancestors
+from nullbayes import inference
+from nullbayes.inference import JointDistribution, _check_query, _normalized
+from nullbayes.bayesnet import _alignment, _ancestors, _laid_out
 from nullbayes.synth import car_demo_net, random_net
 
 # ---------------------------------------------------------------------------
@@ -429,7 +424,7 @@ def test_zero_only_in_a_barren_descendant_does_not_raise():
 
 
 # ---------------------------------------------------------------------------
-# the plan cache
+# the plans on the net's memo
 
 
 def _reversed_chain_net() -> BayesNet:
@@ -454,20 +449,21 @@ _SHAPES = [
 ]
 
 
-def test_plan_cache_interleaves_nets_with_the_same_names():
+def test_plan_cache_interleaves_nets_with_the_same_names(monkeypatch):
     nets = [_chain_net(), _reversed_chain_net()]
     assert nets[0].schema == nets[1].schema and nets[0].parents != nets[1].parents
-    _elimination_plan.cache_clear()
-    for _ in range(2):  # the second round hits the cache for every shape
+    built, plan = [], inference._plan
+    monkeypatch.setattr(inference, "_plan", lambda *a: built.append(1) or plan(*a))
+    for _ in range(2):  # the second round finds every shape's plan on its net
         for targets, evidence in _SHAPES:
             for net in nets:
                 got = posterior_exact(net, targets, evidence)
                 want = _old_posterior_exact(net, targets, evidence)
                 assert got.targets == want.targets
                 np.testing.assert_allclose(got.probs, want.probs, rtol=1e-12, atol=0)
-    # one plan per net and shape: the key tells the two DAGs apart
-    info = _elimination_plan.cache_info()
-    assert (info.misses, info.hits) == (len(_SHAPES) * 2, len(_SHAPES) * 2)
+        # one plan per net and shape, each on its own net's memo
+        assert [len(net._memo.posteriors) for net in nets] == [len(_SHAPES)] * 2
+        assert len(built) == len(_SHAPES) * 2
 
 
 def test_plan_needs_every_ancestor_of_targets_and_evidence():

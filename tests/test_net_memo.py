@@ -1,11 +1,12 @@
 """The network's memo: what inference derives from the CPTs, kept across calls.
 
-Chain splits, and per set of variables its CPT views, exact fills and Gibbs
-conditionals (one entry whichever engine made it), are kept on the
-``BayesNet`` they were computed from.  Every call on
-a warm net must give what the same call gives on a freshly built equal net
-(whose memo is empty), refusals included; a refused call stores nothing, so
-it still raises when repeated.  The memo stays out of pickles and copies.
+Chain splits, per set of variables its CPT views, exact fills and Gibbs
+conditionals (one entry whichever engine made it), and exact posteriors'
+plans, CPT views and all, are kept on the ``BayesNet`` they were computed
+from.  Every call on a warm net must give what the same call gives on a
+freshly built equal net (whose memo is empty), refusals included; a refused
+call stores nothing, so it still raises when repeated.  The memo stays out
+of pickles and copies.
 """
 
 import copy
@@ -25,19 +26,14 @@ from nullbayes import (
     Table,
     impute_table,
     impute_tuple,
+    posterior_exact,
     posterior_gibbs,
     sample_rows,
-    uniform_cpts,
 )
-from nullbayes import imputation, inference
+from nullbayes import bayesnet, imputation, inference
 from nullbayes.synth import correlated_pair_net, random_net
 
-from test_imputation_differential import _striped_table, _with_zeros
-
-
-def _fresh(net: BayesNet) -> BayesNet:
-    # an equal net with an empty memo
-    return BayesNet(net.schema, net.parents, net.cpts)
+from conftest import _fresh, _nets, _striped_table
 
 
 def _outcome(fn, *args, **kwargs):
@@ -55,23 +51,8 @@ def _outcome(fn, *args, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# strategies: small nets with Dirichlet, uniform or zero-holding CPTs, and
-# calls drawn from few seeds, so that keys recur between calls
-
-
-@st.composite
-def _nets(draw):
-    seed = draw(st.integers(0, 10_000))
-    net = random_net(
-        draw(st.integers(1, 6)),
-        max_domain=draw(st.integers(2, 4)),
-        seed=seed,
-        max_parents=draw(st.integers(0, 3)),
-    )
-    kind = draw(st.sampled_from(["dirichlet", "uniform", "zeros"]))
-    if kind == "uniform":
-        return BayesNet(net.schema, net.parents, uniform_cpts(net.schema, net.parents))
-    return _with_zeros(net, seed) if kind == "zeros" else net
+# strategies: rows and calls drawn from few seeds, on ``conftest._nets``'
+# small nets, so that keys recur between calls
 
 
 @st.composite
@@ -153,6 +134,27 @@ def test_a_repeated_call_computes_nothing_again(monkeypatch, joint):
         assert counted == []
 
 
+def test_a_warm_posterior_lays_out_no_cpt(monkeypatch):
+    # the second call runs the plan kept on the net, its CPT views laid out
+    # when it was planned; only earlier steps' results are laid out again
+    net = random_net(20, seed=3, max_parents=3)
+    cpts, laid, laid_out = set(map(id, net.cpts.values())), [], inference._laid_out
+
+    def counted(arr, *layout):
+        laid.append(id(arr) in cpts)
+        return laid_out(arr, *layout)
+
+    for module in (bayesnet, inference):
+        monkeypatch.setattr(module, "_laid_out", counted)
+    target, *observed = net.schema.attributes[::5]
+    evidence = {a: net.schema.domain(a)[0] for a in observed}
+    cold = posterior_exact(net, [target], evidence)
+    assert any(laid)
+    laid.clear()
+    warm = posterior_exact(net, [target], evidence)
+    assert not any(laid) and np.array_equal(warm.probs, cold.probs)
+
+
 def test_joint_and_marginal_fills_are_kept_apart():
     # with both readings' pair hidden, the joint MAP and the two marginal
     # argmaxes differ on some blanket keys, which both modes then share
@@ -198,12 +200,14 @@ def test_a_warm_net_pickles_and_copies_without_its_memo():
         _outcome(impute_table, net, table, engine=engine, gibbs=params, joint=joint)
         for engine in ("exact", "gibbs") for joint in (True, False)
     ]
+    a, b = net.schema.attributes[:2]
+    posterior_exact(net, [a], {b: net.schema.domain(b)[0]})
     memo = net._memo
-    assert memo.splits and memo.components
+    assert memo.splits and memo.components and memo.posteriors
     assert pickle.dumps(net) == fresh
     for twin in (pickle.loads(pickle.dumps(net)), copy.copy(net), copy.deepcopy(net)):
         assert twin == net and twin is not net
-        assert not (twin._memo.splits or twin._memo.components)
+        assert not (twin._memo.splits or twin._memo.components or twin._memo.posteriors)
         assert [
             _outcome(impute_table, twin, table, engine=engine, gibbs=params, joint=joint)
             for engine in ("exact", "gibbs") for joint in (True, False)
