@@ -17,7 +17,7 @@ import time
 import warnings
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import itemgetter
 from types import MappingProxyType, SimpleNamespace
 
@@ -200,60 +200,55 @@ class StructureSearchConfig:
             raise ValueError("ess must be finite")
 
 
-class _LocalScores:
-    """Decomposable local score with caching, over a null-free ``(d, N)`` code matrix."""
+def _family_counts(
+    data: np.ndarray, sizes: Sequence[int], y: int, parents: tuple[int, ...]
+) -> np.ndarray:
+    """Counts of ``y``'s codes in the ``(d, N)`` code matrix ``data``, one row
+    per joint code of ``parents``: a ``(q, r)`` float array."""
+    family = [*parents, y]
+    counts = _value_counts(data[family], [sizes[v] for v in family])
+    return counts.reshape(-1, sizes[y]).astype(float)
 
-    def __init__(self, data: np.ndarray, sizes: Sequence[int], cfg: StructureSearchConfig):
-        self.data = data
-        self.sizes = tuple(sizes)
-        self.n = data.shape[1]
-        self.cfg = cfg
-        self._cache: dict[tuple[int, frozenset[int]], float] = {}
 
-    def local(self, y: int, parents: frozenset[int]) -> float:
-        key = (y, parents)
-        got = self._cache.get(key)
-        if got is not None:
-            return got
-        val = self._compute(y, tuple(sorted(parents)))
-        self._cache[key] = val
-        return val
+def _local_scores(data: np.ndarray, sizes: Sequence[int], cfg: StructureSearchConfig):
+    """The decomposable local score over a null-free ``(d, N)`` code matrix,
+    as ``local(y, parents)`` for a node and a frozenset of parents.  Each
+    (node, parent set) is counted and scored once; ``local.cache_info()``
+    reports the hits."""
+    n = data.shape[1]
 
-    def _counts(self, y: int, parents: tuple[int, ...]) -> np.ndarray:
-        family = [*parents, y]
-        counts = _value_counts(self.data[family], [self.sizes[v] for v in family])
-        return counts.reshape(-1, self.sizes[y]).astype(float)
-
-    def _compute(self, y: int, parents: tuple[int, ...]) -> float:
-        counts = self._counts(y, parents)
+    @cache
+    def local(y: int, parents: frozenset[int]) -> float:
+        counts = _family_counts(data, sizes, y, tuple(sorted(parents)))
         q, r = counts.shape
         row_tot = counts.sum(axis=1)
-        if self.cfg.score == "bic":
+        if cfg.score == "bic":
             nz = counts > 0
             ll = float(np.sum(counts[nz] * np.log(counts[nz] / row_tot[:, None].repeat(r, 1)[nz])))
-            return ll - 0.5 * math.log(self.n) * (r - 1) * q
+            return ll - 0.5 * math.log(n) * (r - 1) * q
         from scipy.special import gammaln  # only BDeu needs scipy, so it loads here
-        a_row = self.cfg.ess / q
-        a_cell = self.cfg.ess / (q * r)
-        val = float(
+        a_row = cfg.ess / q
+        a_cell = cfg.ess / (q * r)
+        return float(
             np.sum(gammaln(a_row) - gammaln(a_row + row_tot))
             + np.sum(gammaln(a_cell + counts) - gammaln(a_cell))
         )
-        return val
+
+    return local
 
 
 def _random_start(
     n: int, max_in_degree: int, rng: np.random.Generator
-) -> dict[int, set[int]]:
+) -> dict[int, frozenset[int]]:
     order = rng.permutation(n)
-    parents: dict[int, set[int]] = {i: set() for i in range(n)}
+    parents = dict.fromkeys(range(n), frozenset())
     for pos in range(1, n):
         y = int(order[pos])
         pool = [int(order[j]) for j in range(pos)]
         k = int(rng.integers(0, min(max_in_degree, len(pool)) + 1))
         if k:
             picked = rng.choice(len(pool), size=k, replace=False)
-            parents[y] = {pool[int(j)] for j in picked}
+            parents[y] = frozenset(pool[int(j)] for j in picked)
     return parents
 
 
@@ -279,20 +274,22 @@ def _moves(parents: Mapping[int, frozenset[int]], max_in_degree: int):
 
 
 def _hill_climb(
-    start: dict[int, set[int]],
-    scores: _LocalScores,
+    start: Mapping[int, frozenset[int]],
+    local,
     cfg: StructureSearchConfig,
     deadline: float | None,
-) -> tuple[dict[int, set[int]], float]:
-    """Greedy ascent from ``start``; returns the parent sets and their score.
+) -> tuple[dict[int, frozenset[int]], float]:
+    """Greedy ascent from ``start``, node ``i``'s parent set at key ``i``,
+    scored by ``local`` (see :func:`_local_scores`); returns the parent
+    sets, frozensets still, and their score.
 
     Each step applies the move that gains most.  A move replaces the best
     one seen before it only if it gains more by over ``_TIE_TOL``, so of
     near-tied moves the first in ``_moves`` order wins; the climb stops when
     no move gains over ``_TIE_TOL``.
     """
-    parents = {y: frozenset(ps) for y, ps in start.items()}
-    local = {y: scores.local(y, parents[y]) for y in range(len(scores.sizes))}
+    parents = dict(start)
+    current = {y: local(y, ps) for y, ps in parents.items()}
     for _ in range(cfg.max_iterations):
         if deadline is not None and time.monotonic() > deadline:
             break
@@ -300,15 +297,15 @@ def _hill_climb(
         for move in _moves(parents, cfg.max_in_degree):
             delta = 0.0
             for v, ps in move:
-                delta = delta + scores.local(v, ps) - local[v]
+                delta = delta + local(v, ps) - current[v]
             if delta > best_delta + _TIE_TOL:
                 best_delta, best_move = delta, move
         if best_move is None:
             break
         for v, ps in best_move:
             parents[v] = ps
-            local[v] = scores.local(v, ps)
-    return {y: set(ps) for y, ps in parents.items()}, sum(local.values())
+            current[v] = local(v, ps)
+    return parents, sum(current.values())
 
 
 def learn_structure(train: Table, cfg: StructureSearchConfig | None = None) -> BayesNet:
@@ -316,7 +313,10 @@ def learn_structure(train: Table, cfg: StructureSearchConfig | None = None) -> B
 
     Rows containing any null are dropped (with a warning).  Returns a
     BayesNet carrying the learned parent sets and uniform placeholder CPTs;
-    follow with :func:`fit_parameters`.
+    follow with :func:`fit_parameters`.  Every restart's climb scores
+    through one cached ``local`` (see :func:`_local_scores`), so a family
+    met again is not counted again; the best climb wins, an earlier one on
+    a near-tie (within ``_TIE_TOL``).
 
     Raises
     ------
@@ -338,25 +338,24 @@ def learn_structure(train: Table, cfg: StructureSearchConfig | None = None) -> B
         warnings.warn(f"dropped {dropped} rows with nulls for structure search", stacklevel=2)
     if data.shape[1] < 2:
         raise ValueError("structure search needs at least 2 complete rows")
-    scores = _LocalScores(data, schema.sizes, cfg)
+    local = _local_scores(data, schema.sizes, cfg)
     deadline = None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
     n = len(schema.sizes)
 
-    best_parents: dict[int, set[int]] | None = None
+    # at least one restart runs, and its score is finite, so it beats -inf
     best_score = -math.inf
     for restart in range(cfg.restarts):
         if restart == 0:
-            start: dict[int, set[int]] = {i: set() for i in range(n)}
+            start = dict.fromkeys(range(n), frozenset())
         else:
             rng = np.random.default_rng([cfg.seed, restart])
             start = _random_start(n, cfg.max_in_degree, rng)
-        parents, score = _hill_climb(start, scores, cfg, deadline)
-        if best_parents is None or score > best_score + _TIE_TOL:
+        parents, score = _hill_climb(start, local, cfg, deadline)
+        if score > best_score + _TIE_TOL:
             best_parents, best_score = parents, score
         if deadline is not None and time.monotonic() > deadline:
             break
 
-    assert best_parents is not None
     attr_of = schema.attributes
     named = {attr_of[y]: tuple(sorted(attr_of[p] for p in ps)) for y, ps in best_parents.items()}
     return BayesNet(schema, named, uniform_cpts(schema, named))

@@ -282,8 +282,6 @@ def _curve_points(
     # no answer objects: uncertain where a constrained code is null (-1),
     # relevant where wanted, each counted at its issuing step
     table, at, step, issued = result._retrieved
-    if table is None:  # nothing was issued
-        return ()
     q_idx = [table.schema.index(a) for a in query.attributes]
     uncertain = (table._column_codes()[np.ix_(q_idx, at)] < 0).any(axis=0)
     relevant = uncertain & wanted[at]

@@ -104,11 +104,11 @@ class RetrievedAnswer:
 
 
 class _Retrieved(NamedTuple):
-    """Retrieved tuples as positions ``at`` in ``table.rows`` (``table`` is
-    None when no query was answered), each with ``step``, its index in
-    ``issued``: the query that retrieved it first."""
+    """Retrieved tuples as positions ``at`` in ``table.rows``, the source's
+    table, each with ``step``, its index in ``issued``: the query that
+    retrieved it first."""
 
-    table: Table | None
+    table: Table
     at: np.ndarray
     step: np.ndarray
     issued: tuple[RewrittenQuery, ...]
@@ -263,9 +263,11 @@ def _tie(score: float) -> float:
 
 def _issue(queries, source, base_at) -> tuple[_Retrieved, list[RewrittenQuery], bool]:
     # every answer is taken from the source table at its rows' positions, so
-    # the tuples already seen are one boolean array over those positions, set
-    # at the first answer to ``base_at``: the base answer's positions
-    table = seen = None  # the source table and a mask over it, from the first answer on
+    # the tuples already seen are one boolean array over those positions,
+    # starting at ``base_at``: the base answer's positions
+    table = source._table
+    seen = np.zeros(len(table), dtype=bool)
+    seen[base_at] = True
     fresh: list[np.ndarray] = []  # per issued query, the positions it retrieved first
     issued: list[RewrittenQuery] = []
     truncated = False
@@ -276,10 +278,6 @@ def _issue(queries, source, base_at) -> tuple[_Retrieved, list[RewrittenQuery], 
             truncated = True
             break
         issued.append(rq)
-        if seen is None:
-            table = source._table
-            seen = np.zeros(len(table), dtype=bool)
-            seen[base_at] = True
         # positions are unique within one answer, so only earlier answers can repeat them
         fresh.append(taken[~seen[taken]])
         seen[taken] = True

@@ -1,6 +1,7 @@
 """Shared fixtures: two small used-car tables, a hand-wired net over them,
 brute-force probability oracles that bypass the library's inference code,
-and the nets, tables and reference chain the differential and memo suites
+and the nets, tables and verbatim references (the Gibbs chain, the blanket
+product, the clamped expansion) that the differential and memo suites
 share (test modules import from here, never from each other).
 
 The oracles here deliberately use plain Python loops and direct CPT
@@ -10,6 +11,7 @@ indexing so that agreement with the library is evidence, not tautology.
 import gc
 import itertools
 import os
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from nullbayes import (
     sample_rows,
     uniform_cpts,
 )
+from nullbayes.inference import JointDistribution
 from nullbayes.synth import random_net
 
 # CI runs property tests with HYPOTHESIS_PROFILE=ci: fixed examples and no
@@ -317,3 +320,40 @@ def _ref_chain(net, free_targets, evidence, samples, burn_in, seed):
             state[my_pos] = min(j, len(weights) - 1)
         if sweep >= burn_in:
             yield tuple(state[p] for p in t_pos)
+
+
+# the earlier blanket product, verbatim, that the exact-keying and
+# imputation references run on
+def _old_blanket_product(views, codes: list[int]) -> np.ndarray:
+    """The product of ``_cpt_views`` at a row's ``codes``, unnormalized: one
+    axis per member of the plan's set."""
+    values = None
+    for cpt, observed in views:
+        factor = cpt[observed(codes)]
+        values = factor if values is None else values * factor
+    return values
+
+
+# the earlier inference._expand_clamped, verbatim: one-hot outer products,
+# then an axis permutation
+def _expand_clamped(
+    net: BayesNet,
+    targets: Sequence[str],
+    evidence: Mapping[str, str],
+    free: list[str],
+    free_probs: np.ndarray,
+) -> JointDistribution:
+    # free_probs has one axis per free target, in `free` order; clamped
+    # targets get a one-hot axis at their evidence value
+    arrays = free_probs
+    out_order: list[str] = list(free)
+    for t in targets:
+        if t in evidence:
+            onehot = np.zeros(len(net.schema.domain(t)))
+            onehot[net.schema.code(t, evidence[t])] = 1.0
+            arrays = np.multiply.outer(arrays, onehot)
+            out_order.append(t)
+    perm = [out_order.index(t) for t in targets]
+    probs = np.transpose(arrays, perm) if len(out_order) > 1 else arrays
+    domains = tuple(net.schema.domain(t) for t in targets)
+    return JointDistribution(tuple(targets), domains, probs)

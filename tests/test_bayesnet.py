@@ -318,6 +318,23 @@ class TestLearnStructure:
         got = learn_structure(data, StructureSearchConfig(seed=0, time_limit=1e-9))
         assert isinstance(got, BayesNet)
 
+    @pytest.mark.parametrize("score", ["bic", "bdeu"])
+    def test_each_family_is_counted_once_across_restarts(self, monkeypatch, score):
+        from nullbayes import bayesnet
+        from nullbayes.synth import car_demo_net
+
+        counted = []  # each family's code rows and domain sizes, per count
+        value_counts = bayesnet._value_counts
+
+        def counting(codes, sizes, *args, **kwargs):
+            counted.append((codes.tobytes(), tuple(sizes)))
+            return value_counts(codes, sizes, *args, **kwargs)
+
+        monkeypatch.setattr(bayesnet, "_value_counts", counting)
+        data = sample_rows(car_demo_net(), 300, seed=1)
+        learn_structure(data, StructureSearchConfig(seed=0, restarts=4, score=score))
+        assert counted and len(set(counted)) == len(counted)
+
 
 class TestModelFile:
     def test_round_trip_equality(self, fitted_demo_net):

@@ -32,7 +32,7 @@ from nullbayes.inference import _lex_argmax, _normalized
 from nullbayes.synth import random_net
 from nullbayes.tabular import _radix_key
 
-from conftest import _fresh, _nets
+from conftest import _fresh, _nets, _old_blanket_product
 
 
 # the blanket planner, views and product the reference ran on before one
@@ -70,16 +70,6 @@ def _old_blanket_plan(families, members: tuple[str, ...]):
 def _old_cpt_views(net: BayesNet, factors):
     """A ``_blanket_plan``'s factors: each CPT laid out as planned, and its getter."""
     return [(_laid_out(net.cpts[a], perm, index), get) for a, perm, index, get in factors]
-
-
-def _old_blanket_product(views, codes: list[int]) -> np.ndarray:
-    """The product of ``_cpt_views`` at a row's ``codes``, unnormalized: one
-    axis per member of the plan's set."""
-    values = None
-    for cpt, observed in views:
-        factor = cpt[observed(codes)]
-        values = factor if values is None else values * factor
-    return values
 
 
 def _old_impute_exact(net: BayesNet, joint: bool, codes: np.ndarray, patterns, pattern) -> None:

@@ -52,7 +52,7 @@ from nullbayes.bayesnet import _blanket
 from nullbayes.inference import _getter, _lex_argmax, _normalized, _product
 from nullbayes.synth import car_demo_net, random_net
 
-from conftest import _impossible, _ref_chain, _striped_table, _with_zeros
+from conftest import _impossible, _old_blanket_product, _ref_chain, _striped_table, _with_zeros
 
 # ---------------------------------------------------------------------------
 # reference: the whole-row posterior
@@ -685,16 +685,6 @@ def _old_cpt_views(net: BayesNet, factors):
     """A ``_blanket_plan``'s factors with each CPT transposed and reshaped
     as planned (a view: only unit axes are inserted), and its getter."""
     return [(net.cpts[a].transpose(order).reshape(shape), get) for a, order, get, shape in factors]
-
-
-def _old_blanket_product(views, codes: list[int]) -> np.ndarray:
-    """The product of ``_cpt_views`` at a row's ``codes``, unnormalized: one
-    axis per member of the plan's set."""
-    values = None
-    for cpt, observed in views:
-        factor = cpt[observed(codes)]
-        values = factor if values is None else values * factor
-    return values
 
 
 @settings(max_examples=200, deadline=None)

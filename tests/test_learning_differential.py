@@ -4,8 +4,8 @@ against per-row reference implementations.
 ``sample_rows``, ``mine_afds``, ``fit_parameters``, ``fit_naive_bayes`` and
 the structure scores count over ``Table``'s cached code matrix.  The
 references below are the earlier per-row loops, one ``Row`` at a time, which
-share none of that code.  The structure search runs against a verbatim copy
-of the earlier hill climb.  Results must be equal (``==``), not merely close.
+share none of that code.  The structure search runs against verbatim copies
+of the earlier hill climb and scorer class.  Results must be equal (``==``), not merely close.
 """
 
 import itertools
@@ -13,6 +13,7 @@ import math
 import time
 import warnings
 from collections import Counter
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -157,7 +158,53 @@ def _ref_complete_rows(train):
     return np.array(rows, dtype=np.int64).reshape(len(rows), len(schema.attributes))
 
 
-class _RefScores(bayesnet._LocalScores):
+# the scorer class structure search used before it scored through one cached
+# function (``bayesnet._local_scores``), verbatim
+
+
+class _LocalScores:
+    """Decomposable local score with caching, over a null-free ``(d, N)`` code matrix."""
+
+    def __init__(self, data: np.ndarray, sizes: Sequence[int], cfg: StructureSearchConfig):
+        self.data = data
+        self.sizes = tuple(sizes)
+        self.n = data.shape[1]
+        self.cfg = cfg
+        self._cache: dict[tuple[int, frozenset[int]], float] = {}
+
+    def local(self, y: int, parents: frozenset[int]) -> float:
+        key = (y, parents)
+        got = self._cache.get(key)
+        if got is not None:
+            return got
+        val = self._compute(y, tuple(sorted(parents)))
+        self._cache[key] = val
+        return val
+
+    def _counts(self, y: int, parents: tuple[int, ...]) -> np.ndarray:
+        family = [*parents, y]
+        counts = _value_counts(self.data[family], [self.sizes[v] for v in family])
+        return counts.reshape(-1, self.sizes[y]).astype(float)
+
+    def _compute(self, y: int, parents: tuple[int, ...]) -> float:
+        counts = self._counts(y, parents)
+        q, r = counts.shape
+        row_tot = counts.sum(axis=1)
+        if self.cfg.score == "bic":
+            nz = counts > 0
+            ll = float(np.sum(counts[nz] * np.log(counts[nz] / row_tot[:, None].repeat(r, 1)[nz])))
+            return ll - 0.5 * math.log(self.n) * (r - 1) * q
+        from scipy.special import gammaln  # only BDeu needs scipy, so it loads here
+        a_row = self.cfg.ess / q
+        a_cell = self.cfg.ess / (q * r)
+        val = float(
+            np.sum(gammaln(a_row) - gammaln(a_row + row_tot))
+            + np.sum(gammaln(a_cell + counts) - gammaln(a_cell))
+        )
+        return val
+
+
+class _RefScores(_LocalScores):
     """Local scores counted over an ``(N, d)`` row matrix, as before."""
 
     def __init__(self, rows, sizes, cfg):
@@ -467,11 +514,11 @@ def test_hill_climb_matches_old_climber(matrix, max_in_degree, max_iterations, s
     )
     n = len(sizes)
     rng = np.random.default_rng(seed)
-    starts = [{i: set() for i in range(n)}]
+    starts = [{i: frozenset() for i in range(n)}]
     starts += [bayesnet._random_start(n, max_in_degree, rng) for _ in range(2)]
     for start in starts:
-        got = bayesnet._hill_climb(start, bayesnet._LocalScores(data, sizes, cfg), cfg, None)
-        want = _old_hill_climb(start, bayesnet._LocalScores(data, sizes, cfg), cfg, None)
+        got = bayesnet._hill_climb(start, bayesnet._local_scores(data, sizes, cfg), cfg, None)
+        want = _old_hill_climb(start, _LocalScores(data, sizes, cfg), cfg, None)
         assert got == want
 
 
@@ -481,17 +528,19 @@ def test_local_score_counts_match_reference(train):
     rows = _ref_complete_rows(train)
     sizes = [len(train.schema.domain(a)) for a in train.schema.attributes]
     cfg = StructureSearchConfig()
-    new = bayesnet._LocalScores(np.ascontiguousarray(rows.T), sizes, cfg)
+    data = np.ascontiguousarray(rows.T)
+    local = bayesnet._local_scores(data, sizes, cfg)
     ref = _RefScores(rows, sizes, cfg)
     d = len(sizes)
     for y in range(d):
         others = [v for v in range(d) if v != y]
         for k in range(3):
             for parents in itertools.combinations(others, k):
-                got, want = new._counts(y, parents), ref._counts(y, parents)
+                got = bayesnet._family_counts(data, sizes, y, parents)
+                want = ref._counts(y, parents)
                 assert got.dtype == want.dtype and np.array_equal(got, want)
                 if len(rows) >= 2:  # learn_structure's minimum
-                    assert new.local(y, frozenset(parents)) == ref.local(y, frozenset(parents))
+                    assert local(y, frozenset(parents)) == ref.local(y, frozenset(parents))
 
 
 def test_mine_afds_with_a_determining_domain_beyond_int64():

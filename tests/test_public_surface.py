@@ -17,6 +17,7 @@ from nullbayes import (
     Schema,
     SelectionQuery,
     Table,
+    bayesnet,
     inference,
     rewriting,
     sample_rows,
@@ -70,6 +71,7 @@ def test_the_api_section_names_no_other_module():
         (Schema, "value"),
         (inference, "_blanket_product"),
         (inference, "_planned_product"),
+        (bayesnet, "_LocalScores"),
     ],
 )
 def test_deleted_names_stay_deleted(owner, name):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import nullbayes.rewriting as rw
+from nullbayes import harness
 from nullbayes import (
     Afd,
     AutonomousSource,
@@ -216,6 +217,18 @@ class TestIssue:
         assert truncated
         assert [rq.text() for rq in issued] == ["Model=A8"]
         assert [a.row.id for a in answers] == [1, 2]
+
+    def test_a_budget_the_base_query_spends_still_holds_the_source(self, demo_table):
+        source = self._source(demo_table, limit=1)
+        query = SelectionQuery({"Model": "A8"})
+        base = source.answer(query)
+        qs = [_rq("Year=2005", 0.9)]
+        retrieved, issued, truncated = rw._issue(qs, source, base._taken_at())
+        assert truncated and issued == [] and not len(retrieved.at)
+        assert retrieved.table is source._table
+        result = RewritingResult._unread(base, retrieved, issued, qs, truncated)
+        assert result.answers == []
+        assert harness._curve_points(result, query, np.ones(len(demo_table), dtype=bool)) == ()
 
     def test_tie_breaks_deterministic(self, demo_table):
         qs = [_rq("Model=tl", 0.5), _rq("Model=A8", 0.5), _rq("Model=745 & Year=2002", 0.5)]
