@@ -65,8 +65,8 @@ class BayesNet:
     one of those can make evidence impossible.
 
     ``cpts`` is a read-only mapping of read-only arrays, so ``_memo`` keeps
-    what inference derives from them, filled lazily: per Gibbs free set its
-    chain split, per set C (an exact component or a Gibbs variable) one
+    what inference derives from them, filled lazily and read by ``inference``
+    alone: per set C (an exact component or a Gibbs variable) one
     ``inference._entry`` for both engines, and per (free targets, evidence
     attributes) ``posterior_exact``'s plan.  It lives and dies with the net:
     a pickle or copy holds the schema, parents and CPTs only.
@@ -113,7 +113,7 @@ class BayesNet:
             tables[attr] = arr
         self.cpts: Mapping[str, np.ndarray] = MappingProxyType(tables)
         self._zeros = tuple(vs for vs in self._families if not tables[vs[-1]].all())
-        self._memo = SimpleNamespace(splits={}, components={}, posteriors={})
+        self._memo = SimpleNamespace(components={}, posteriors={})
 
     def __reduce__(self):
         return type(self), (self.schema, self.parents, dict(self.cpts))

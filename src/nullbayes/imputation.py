@@ -104,16 +104,14 @@ def _impute_exact(net: BayesNet, joint: bool, codes: np.ndarray, patterns, patte
     a cell of C (-1, a constant digit); one sort groups them, any cell serves
     its group (the product reads only blanket cells) and takes its place in C."""
     d, n = codes.shape
-    memo, number = net._memo.components, {}  # each component's slot, first seen first
+    number = {}  # each component's slot, first seen first
     slots, places = [0] * (len(patterns) * d), [0] * (len(patterns) * d)  # by pattern, attribute
     for p, missing in enumerate(patterns):
         for c in _components(net._families, missing):
-            if c not in memo:
-                _entry(net, c)
             s = number.setdefault(c, len(number))
-            for k, a in enumerate(memo[c][2]):
+            for k, a in enumerate(_entry(net, c)[2]):
                 slots[p * d + a], places[p * d + a] = s, k
-    entries = [memo[c] for c in number]
+    entries = [_entry(net, c) for c in number]
     cells = np.flatnonzero(codes < 0)
     attr, column = np.divmod(cells, n)
     where = (pattern * d)[column] + attr
@@ -266,10 +264,11 @@ def impute_table(
     in one pass, groups the keys with one sort and computes one posterior per
     distinct key; components are cached per DAG, plans built once per net.
     The Gibbs engine runs one chain per incomplete tuple, seeded by (base
-    seed, tuple id), making results independent of processing order; its
-    chains read the same plans.  What depends on the CPTs (CPT views, full
-    conditionals, chain splits and exact fills) is kept on ``net`` across
-    calls, so a repeated key costs a lookup.
+    seed, tuple id as an unsigned 64-bit value, so a negative id seeds one
+    too), making results independent of processing order; its chains read
+    the same plans.  What depends on the CPTs (CPT views, full conditionals
+    and exact fills) is kept on ``net`` across calls, so a repeated key
+    costs a lookup.
     ``truth`` must have the same schema and row ids; accuracy is measured
     over imputed cells only, and cells whose ground truth is itself null
     are left out of every denominator (a tuple counts as correct when all
@@ -288,7 +287,7 @@ def impute_table(
 
     t0 = time.perf_counter()
     g = gibbs or GibbsParams()
-    out, *tail = _impute(net, table, engine, g, joint, lambda row_id: (g.seed, row_id))
+    out, *tail = _impute(net, table, engine, g, joint, lambda row_id: (g.seed, row_id % 2**64))
     incomplete, _, missing = tail
     accuracies = (None,) * 4 if truth is None else _accuracies(table, truth, *tail)
     counts = zip(table.schema.attributes, missing.sum(axis=1).tolist())

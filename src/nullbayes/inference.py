@@ -269,8 +269,9 @@ def posterior_gibbs(
 
     A conditional is ``_product`` of the ``_blanket_plan`` of one variable.
     What depends on the CPTs is kept on the net's memo across calls: per
-    free set its split, per variable the ``_entry`` exact imputation shares,
-    with its plan (its CPT views) and conditionals keyed by its blanket.
+    variable the ``_entry`` exact imputation shares, with its plan (its CPT
+    views) and conditionals keyed by its blanket.  A chain lays out its free
+    set per call from those entries and the cached components.
     ``_codes`` (private to ``imputation``) is a row's codes, -1 at
     ``targets``, which must then be every unobserved attribute in schema
     order: the kept states come back as one int array, a row per sample,
@@ -297,30 +298,41 @@ def posterior_gibbs(
 
 def _chain(net: BayesNet, state: list[int], free: tuple[str, ...], samples, burn_in, seed):
     """The kept states, ``(samples, len(free))`` codes, of a chain over
-    ``free`` (the unobserved attributes, in schema order) from ``state``."""
+    ``free`` (the unobserved attributes, in schema order) from ``state``:
+    each variable by its ``_entry``'s chain part, a lone one (alone in its
+    moral-graph component of ``free``, so its blanket is all evidence) in
+    one draw, the connected ones in the sweep loop."""
     n = len(free)
     # one block of uniforms in the scalar-draw order: the init draws in
     # topological order, then per sweep one per free variable (column k)
     uniforms = np.random.default_rng(seed).random(n * (1 + burn_in + samples))
     block = uniforms[n:].reshape(burn_in + samples, n)
-    if free not in net._memo.splits:
-        net._memo.splits[free] = _split_chain(net, free)
-    init, lone, columns, plans = net._memo.splits[free]
+    lone = {members[0] for members in _components(net._families, free) if len(members) == 1}
     kept = np.empty((samples, n), dtype=np.intp)
-    for k, (_, blanket, conditionals, views) in lone:
+    connected = {}  # each connected variable's column and chain part, in free order
+    for k, attr in enumerate(free):
+        chain = _entry(net, (attr,))[4]
+        if attr not in lone:
+            connected[attr] = k, chain
+            continue
+        _, blanket, conditionals, views = chain
         key = blanket(state)
         if key not in conditionals:
             conditionals[key] = _full_conditional(views, state)
         cut, total = conditionals[key]
         kept[:, k] = np.searchsorted(cut, block[burn_in:, k] * total, side="right")
-    if not plans:
+    if not connected:
         return kept
-    # ancestral init draws; the bound keeps a draw at or past the last
-    # boundary, which rounding can produce, on the last category
-    for i, (at, _, _, views) in init:
-        cpt, parents = views[0][0][0]  # the variable's own CPT, planned first
-        cum = np.cumsum(cpt[parents(state)]).tolist()
-        state[at] = bisect_right(cum, uniforms[i] * cum[-1], 0, len(cum) - 1)
+    # ancestral init draws, uniform i for the i-th free variable in topological
+    # order; the bound keeps a draw at or past the last boundary, which
+    # rounding can produce, on the last category
+    for i, attr in enumerate(a for a in net.topological_order() if a in free):
+        if attr in connected:
+            at, _, _, views = connected[attr][1]
+            cpt, parents = views[0][0][0]  # the variable's own CPT, planned first
+            cum = np.cumsum(cpt[parents(state)]).tolist()
+            state[at] = bisect_right(cum, uniforms[i] * cum[-1], 0, len(cum) - 1)
+    columns, plans = zip(*connected.values())
     values, trace = _getter([plan[0] for plan in plans]), []
     for row in block[:, columns].tolist():
         for (my_pos, blanket, conditionals, views), u in zip(plans, row):
@@ -333,21 +345,6 @@ def _chain(net: BayesNet, state: list[int], free: tuple[str, ...], samples, burn
         trace.append(values(state))
     kept[:, columns] = trace[burn_in:]
     return kept
-
-
-def _split_chain(net: BayesNet, free: tuple[str, ...]):
-    """The connected variables' (uniform index, entry) for their init draws,
-    in topological order; (column, entry) of each lone variable, alone in
-    its moral-graph component of ``free`` so its blanket is all evidence;
-    the connected variables' columns and entries, each the chain part of
-    the variable's ``_entry``."""
-    entries = {attr: _entry(net, (attr,))[4] for attr in free}
-    lone = {members[0] for members in _components(net._families, free) if len(members) == 1}
-    order = [a for a in net.topological_order() if a in free]
-    init = [(i, entries[a]) for i, a in enumerate(order) if a not in lone]
-    columns = [k for k, a in enumerate(free) if a not in lone]
-    lone_plans = [(k, entries[a]) for k, a in enumerate(free) if a in lone]
-    return init, lone_plans, columns, [entries[free[k]] for k in columns]
 
 
 def _entry(net: BayesNet, members: tuple[str, ...]):

@@ -265,6 +265,18 @@ class TestImputeTable:
         by_id = {r.id: r for r in rev.rows}
         assert all(by_id[r.id] == r for r in fwd.rows)
 
+    @pytest.mark.parametrize("joint", [True, False])
+    def test_gibbs_imputes_negative_row_ids(self, fitted_demo_net, demo_table, joint):
+        # a chain is seeded by the id's unsigned 64-bit value, never refused
+        incomplete = [r for r in demo_table.rows if None in r.cells][:3]
+        table = Table(demo_table.schema, [Row(i, r.cells) for i, r in zip((-3, -2, -1), incomplete)])
+        params = GibbsParams(samples=20, burn_in=5, seed=4)
+        runs = [impute_table(fitted_demo_net, table, "gibbs", params, joint) for _ in range(2)]
+        (first, report), (second, _) = runs
+        assert first == second and report.tuples_imputed == 3
+        assert [r.id for r in first.rows] == [-3, -2, -1]
+        assert all(None not in r.cells for r in first.rows)
+
     def test_exact_and_gibbs_agree_on_easy_case(self, fitted_demo_net, demo_table):
         exact, _ = impute_table(fitted_demo_net, demo_table)
         sampled, _ = impute_table(

@@ -1,16 +1,18 @@
 """The network's memo: what inference derives from the CPTs, kept across calls.
 
-Chain splits, per set of variables its CPT views, exact fills and Gibbs
-conditionals (one entry whichever engine made it), and exact posteriors'
-plans, CPT views and all, are kept on the ``BayesNet`` they were computed
-from.  Every call on a warm net must give what the same call gives on a
-freshly built equal net (whose memo is empty), refusals included; a refused
-call stores nothing, so it still raises when repeated.  The memo stays out
-of pickles and copies.
+Per set of variables its CPT views, exact fills and Gibbs conditionals
+(one entry whichever engine made it), and exact posteriors' plans, CPT
+views and all, are kept on the ``BayesNet`` they were computed from.
+Every call on a warm net must give what the same call gives on a freshly
+built equal net (whose memo is empty), refusals included; a refused call
+stores nothing, so it still raises when repeated.  The memo stays out of
+pickles and copies, and only ``inference`` reads it.
 """
 
+import ast
 import copy
 import dataclasses
+import pathlib
 import pickle
 
 import numpy as np
@@ -203,12 +205,25 @@ def test_a_warm_net_pickles_and_copies_without_its_memo():
     a, b = net.schema.attributes[:2]
     posterior_exact(net, [a], {b: net.schema.domain(b)[0]})
     memo = net._memo
-    assert memo.splits and memo.components and memo.posteriors
+    assert vars(memo).keys() == {"components", "posteriors"}
+    assert memo.components and memo.posteriors
     assert pickle.dumps(net) == fresh
     for twin in (pickle.loads(pickle.dumps(net)), copy.copy(net), copy.deepcopy(net)):
         assert twin == net and twin is not net
-        assert not (twin._memo.splits or twin._memo.components or twin._memo.posteriors)
+        assert not (twin._memo.components or twin._memo.posteriors)
         assert [
             _outcome(impute_table, twin, table, engine=engine, gibbs=params, joint=joint)
             for engine in ("exact", "gibbs") for joint in (True, False)
         ] == want
+
+
+def test_only_inference_reads_the_memo():
+    # the memo's layout is known to one module: ``BayesNet.__init__`` only
+    # creates it, and imputation reaches its entries through ``_entry``
+    uses = {
+        (path.name, type(node.ctx).__name__)
+        for path in pathlib.Path(inference.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "_memo"
+    }
+    assert uses == {("bayesnet.py", "Store"), ("inference.py", "Load")}

@@ -71,6 +71,7 @@ def test_the_api_section_names_no_other_module():
         (Schema, "value"),
         (inference, "_blanket_product"),
         (inference, "_planned_product"),
+        (inference, "_split_chain"),
         (bayesnet, "_LocalScores"),
     ],
 )
