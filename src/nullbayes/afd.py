@@ -12,6 +12,7 @@ bites its own tail makes the attribute unpredictable.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -68,9 +69,13 @@ def mine_afds(
     """Mine AFDs with determining sets of size 1..max_lhs for every target.
 
     Confidence for X -> A is computed over rows null-free on X and A; a
-    candidate with no such rows is skipped.  Results are sorted by target,
-    then determining-set size, then determining set.  The tuple returned is
-    the one ``best_afds`` and ``afd_impute_tuple`` recognize by identity.
+    candidate with no such rows is skipped.  Each attribute set U of 2 to
+    max_lhs + 1 attributes is counted once, into a table over U's domain that
+    serves every rule X -> A with X + {A} = U; where U's domain product passes
+    the row count, each rule counts only the combinations that occur instead.
+    Results are sorted by target, then determining-set size, then determining
+    set.  The tuple returned is the one ``best_afds`` and ``afd_impute_tuple``
+    recognize by identity.
     """
     _check_count("max_lhs", max_lhs, 1)
     if not 0.0 <= min_confidence <= 1.0:
@@ -79,20 +84,27 @@ def mine_afds(
     codes = train._column_codes()
     sizes = schema.sizes
     out: list[Afd] = []
-    for target in schema.attributes:
-        others = [a for a in schema.attributes if a != target]
-        for size in range(1, max_lhs + 1):
-            for det in itertools.combinations(sorted(others), size):
-                cols = [schema.index(a) for a in (*det, target)]
-                groups, counts = _value_counts(codes[cols], [sizes[c] for c in cols], observed=True)
-                if not len(counts):
-                    continue
-                # each determining group keeps the rows of its majority target value
-                starts = np.flatnonzero(np.diff(groups, prepend=-1))
-                conf = int(np.maximum.reduceat(counts, starts).sum()) / int(counts.sum())
-                if conf < min_confidence:
-                    continue
-                out.append(Afd(det, target, conf))
+    for size in range(2, max_lhs + 2):
+        for attrs in itertools.combinations(sorted(schema.attributes), size):
+            cols = [schema.index(a) for a in attrs]
+            if math.prod(sizes[c] for c in cols) <= codes.shape[1]:
+                counts = _value_counts(codes[cols], [sizes[c] for c in cols])
+                kept = [int(counts.max(axis=k).sum()) for k in range(size)] if counts.any() else []
+            else:
+                kept = []
+                for k in range(size):  # the rule whose target is attrs[k]
+                    rule = cols[:k] + cols[k + 1 :] + cols[k : k + 1]
+                    groups, counts = _value_counts(codes[rule], [sizes[c] for c in rule], observed=True)
+                    if not len(counts):
+                        break
+                    # each determining group keeps the rows of its majority target value
+                    starts = np.flatnonzero(np.diff(groups, prepend=-1))
+                    kept.append(int(np.maximum.reduceat(counts, starts).sum()))
+            total = int(counts.sum())  # every rule of U counts the same rows
+            for k, majority in enumerate(kept):
+                conf = majority / total
+                if conf >= min_confidence:
+                    out.append(Afd(attrs[:k] + attrs[k + 1 :], attrs[k], conf))
     out.sort(key=lambda r: (r.target, len(r.determining), r.determining))
     return tuple(out)
 
@@ -218,12 +230,11 @@ def fit_naive_bayes(train: Table) -> NaiveBayesModel:
         a: _value_counts(codes[[i]], [schema.sizes[i]]).astype(float)
         for i, a in enumerate(schema.attributes)
     }
-    pair_counts = {
-        (f, t): _value_counts(codes[[i, j]], [schema.sizes[i], schema.sizes[j]]).astype(float)
-        for i, f in enumerate(schema.attributes)
-        for j, t in enumerate(schema.attributes)
-        if i != j
-    }
+    pair_counts = {}  # each unordered pair counted once: its second order takes the transpose
+    for (i, f), (j, t) in itertools.permutations(enumerate(schema.attributes), 2):
+        pair_counts[f, t] = pair_counts[t, f].T if j < i else (
+            _value_counts(codes[[i, j]], [schema.sizes[i], schema.sizes[j]]).astype(float)
+        )
     return NaiveBayesModel(schema, class_counts, pair_counts)
 
 

@@ -278,14 +278,17 @@ def _codes_at(schema: Schema, rows: Sequence[Row], idx: Sequence[int]) -> np.nda
 def _radix_key(codes: np.ndarray, sizes) -> np.ndarray:
     """One int64 per column of ``codes`` (row i in ``range(sizes[i])``), equal
     and ordered as the columns are: mixed radix, first row most significant,
-    re-ranked by ``np.unique`` only where the next digit could overflow."""
-    key = np.zeros(codes.shape[1], dtype=np.int64)
-    radix = 1
-    for row, size in zip(codes, sizes):
+    re-ranked by ``np.unique`` only where the next digit could overflow;
+    built in place from a copy of the first row."""
+    digits = zip(codes, sizes)
+    row, radix = next(digits, (np.zeros(codes.shape[1], dtype=np.int64), 1))
+    key = row.astype(np.int64)
+    for row, size in digits:
         if radix * size >= 2**63:
             seen, key = np.unique(key, return_inverse=True)
             radix = len(seen)
-        key = key * size + row
+        key *= size
+        key += row
         radix *= size
     return key
 

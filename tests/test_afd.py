@@ -26,7 +26,8 @@ from nullbayes import (
     sample_rows,
     save_afds,
 )
-from nullbayes.synth import random_net
+from nullbayes.synth import car_demo_net, random_net
+from nullbayes.tabular import _value_counts
 
 from conftest import row_with_id
 
@@ -102,6 +103,22 @@ class TestMineAfds:
 
     def test_returns_a_tuple(self, sparse_table):
         assert type(mine_afds(sparse_table)) is tuple
+
+    def test_each_attribute_set_is_counted_once(self, monkeypatch):
+        # the car net's largest three-attribute domain product is 576, so on
+        # 1,000 rows every set's table fits: C(6, 2) + C(6, 3) counts, one
+        # per set, where one count per rule would take 6 * (5 + 10) = 90
+        table = sample_rows(car_demo_net(), 1000, 0)
+        calls = []
+
+        def counted(codes, sizes, observed=False):
+            calls.append(len(sizes))
+            return _value_counts(codes, sizes, observed)
+
+        monkeypatch.setattr(afd_module, "_value_counts", counted)
+        rules = mine_afds(table, 2)
+        assert sorted(calls) == [2] * 15 + [3] * 20
+        assert len(rules) == 90
 
 
 class TestBestAfds:

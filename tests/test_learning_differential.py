@@ -35,7 +35,7 @@ from nullbayes import (
     uniform_cpts,
 )
 from nullbayes import bayesnet
-from nullbayes.tabular import _value_counts
+from nullbayes.tabular import _radix_key, _value_counts
 
 _LABELS = ("a", "b", "c", "d")
 
@@ -434,12 +434,30 @@ def test_sample_rows_matches_scalar_draws(net, n, seed):
     assert sample_rows(net, n, seed) == _ref_sample_rows(net, n, seed)
 
 
+def _mixed_width_table():
+    """Two narrow columns (2 and 3 labels) and two wide ones (150 labels)
+    over 120 rows with nulls: only the narrow pair's domain product fits
+    under the row count, so mining counts it as one table and every set with
+    a wide column one rule at a time."""
+    wide = tuple(f"w{i:03d}" for i in range(150))
+    domains = {"N1": ("a", "b"), "N2": ("p", "q", "r"), "W1": wide, "W2": wide}
+    schema = Schema(tuple(domains), domains)
+    rng = np.random.default_rng(5)
+    rows = []
+    for i in range(120):
+        n1, n2, w = int(rng.integers(2)), int(rng.integers(3)), int(rng.integers(150))
+        cells = ("ab"[n1], "pqr"[n2], wide[w], wide[(w + n1) % 150] if rng.random() < 0.8 else wide[n2])
+        rows.append(Row(i + 1, tuple(None if rng.random() < 0.1 else c for c in cells)))
+    return Table(schema, rows)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     train=tables(),
     max_lhs=st.integers(1, 3),
     min_confidence=st.sampled_from((0.0, 0.5, 0.9)),
 )
+@example(train=_mixed_width_table(), max_lhs=2, min_confidence=0.0)
 def test_mine_afds_matches_reference(train, max_lhs, min_confidence):
     assert mine_afds(train, max_lhs, min_confidence) == tuple(
         _ref_mine_afds(train, max_lhs, min_confidence)
@@ -632,6 +650,31 @@ def test_value_counts_match_the_old_radix_loop(columns):
     # re-ranking at other digits numbers the groups differently, but their
     # boundaries, all that mine_afds reads, are the same
     assert np.array_equal(np.diff(groups) != 0, np.diff(old_groups) != 0)
+
+
+def _old_radix_key(codes: np.ndarray, sizes) -> np.ndarray:
+    key = np.zeros(codes.shape[1], dtype=np.int64)
+    radix = 1
+    for row, size in zip(codes, sizes):
+        if radix * size >= 2**63:
+            seen, key = np.unique(key, return_inverse=True)
+            radix = len(seen)
+        key = key * size + row
+        radix *= size
+    return key
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=counted_columns(), widen=st.sampled_from((0, 2**20)), rows=st.integers(0, 4))
+@example(columns=(np.arange(12, dtype=np.int32).reshape(4, 3) % 3, [3] * 4), widen=2**20, rows=4)
+def test_radix_keys_match_the_zero_started_loop(columns, widen, rows):
+    """Bitwise, from no row to four; widened sizes overflow int64 and re-rank."""
+    codes, sizes = columns
+    codes, sizes = codes[:rows, (codes >= 0).all(axis=0)], [s + widen for s in sizes[:rows]]
+    for digits in (codes, codes.astype(np.uint8)):
+        got, want = _radix_key(digits, iter(sizes)), _old_radix_key(digits, sizes)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not np.shares_memory(got, digits)
 
 
 def test_observed_counts_stay_within_the_row_count(monkeypatch):
