@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tabular import Row, Schema, Table, _check_count, _value_counts
+from .tabular import Row, Schema, Table, _check_count, _radix_key, _value_counts
 
 __all__ = [
     "Afd",
@@ -91,13 +91,18 @@ def mine_afds(
                 counts = _value_counts(codes[cols], [sizes[c] for c in cols])
                 kept = [int(counts.max(axis=k).sum()) for k in range(size)] if counts.any() else []
             else:
+                # only the combinations that occur are counted, so no count
+                # spans more than the row count, however wide the domains
+                nonnull = (codes[cols] >= 0).all(axis=0)
                 kept = []
                 for k in range(size):  # the rule whose target is attrs[k]
                     rule = cols[:k] + cols[k + 1 :] + cols[k : k + 1]
-                    groups, counts = _value_counts(codes[rule], [sizes[c] for c in rule], observed=True)
+                    key = _radix_key(codes[rule].compress(nonnull, axis=1), [sizes[c] for c in rule])
+                    seen, counts = np.unique(key, return_counts=True)
                     if not len(counts):
                         break
                     # each determining group keeps the rows of its majority target value
+                    groups = seen // sizes[rule[-1]]
                     starts = np.flatnonzero(np.diff(groups, prepend=-1))
                     kept.append(int(np.maximum.reduceat(counts, starts).sum()))
             total = int(counts.sum())  # every rule of U counts the same rows
@@ -264,11 +269,10 @@ def afd_impute_tuple(
     if len(row.cells) != arity:
         raise ValueError(f"row {row.id} has {len(row.cells)} cells, schema has {arity}")
     cells = dict(zip(schema.attributes, row.cells))
-    rules, _, named, _ = _ranking(afds)
+    _, _, named, best = _ranking(afds)  # the winners are only read here
     if not cells.keys() >= named:
         for attr in sorted(named):
             schema.index(attr)  # raises for the first unknown one
-    best = best_afds(rules)
 
     def predict(attr: str, path: frozenset[str]) -> str | None:
         if attr in path:

@@ -344,29 +344,20 @@ def _beam_candidates(cfg, cand_attrs, base, schema, score):
     if not cand_attrs:
         warnings.warn("no rewrite candidates: the Markov blanket is empty", stacklevel=4)
         return []
-    idx = [schema.index(a) for a in cand_attrs]
-    columns = dict(zip(cand_attrs, base._column_codes()[idx]))  # codes over the base
-
-    def matching(partial_query: SelectionQuery) -> np.ndarray:
-        # a mask over the base: its tuples that match the partial query
-        keep = np.ones(len(base), dtype=bool)
-        for a, v in partial_query.items:
-            keep &= columns[a] == schema.code(a, v)
-        return keep
-
+    codes = base._column_codes()
     beam: list[RewrittenQuery] = []
     for level in range(cfg.depth):
         pool: dict[SelectionQuery, RewrittenQuery] = {rq.query: rq for rq in beam}
-        parents = beam if level else [RewrittenQuery(SelectionQuery(), QueryScore(0, 0, 0, 0))]
+        parents = [rq.query for rq in beam] if level else [SelectionQuery()]
         for parent in parents:
-            used = set(parent.query.attributes)
-            keep = matching(parent.query)
+            used = set(parent.attributes)
+            keep = base.mask(parent)  # the base tuples that match the partial query
             for attr in cand_attrs:
                 if attr in used:
                     continue
-                column = columns[attr][None, keep]
-                for (value,) in _distinct(schema, column, [schema.index(attr)]):
-                    cand = parent.query.extended(attr, value)
+                j = schema.index(attr)
+                for (value,) in _distinct(schema, codes[None, j, keep], [j]):
+                    cand = parent.extended(attr, value)
                     if cand not in pool:
                         pool[cand] = score(cand)
         beam = sorted(pool.values(), key=_rank_key)[: cfg.width]
@@ -419,6 +410,9 @@ def bn_beam(
     query.
     After the last level, queries with zero F-measure are dropped and the
     top ``cfg.top_k`` survivors are issued in decreasing expected precision.
+    The survivors come from the last beam, which holds at most ``cfg.width``
+    queries, so no more than ``cfg.width`` are issued, whatever ``cfg.top_k``
+    is: ``BeamConfig(5, 2, 0.0, 20)`` issues 5 at most.
     """
     cfg = cfg or BeamConfig()
     return _rewrite(

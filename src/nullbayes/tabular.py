@@ -358,30 +358,18 @@ def _check_count(name: str, value, least: int = 0, *, or_none: bool = False) -> 
         raise ValueError(f"{name} must be >= {least}{tail}")
 
 
-def _value_counts(codes: np.ndarray, sizes: Sequence[int], observed: bool = False):
+def _value_counts(codes: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     """How many rows take each value combination of the columns of ``codes``.
 
     ``codes`` is ``(k, N)``: domain indices, -1 for null, one row per column
     of domain size ``sizes[i]``; rows with a null among them are skipped.
     ``_radix_key`` keys the rest for one ``np.bincount``; returns int64
-    counts of shape ``sizes``.  With ``observed``, where the key's range
-    passes the kept row count, ``np.unique`` counts the keys instead, so the
-    counts never span more than the kept row count + 1, however large the
-    domains are; returns ``(groups, counts)`` over the occurring combinations
-    in lexicographic order, ``groups`` numbering, in order, their values on
-    all columns but the last.
+    counts of shape ``sizes``.
     """
     keep = (codes >= 0).all(axis=0)
     kept = codes if keep.all() else codes.compress(keep, axis=1)
-    key = _radix_key(kept, sizes)
-    if observed and math.prod(sizes) > len(key):
-        seen, counts = np.unique(key, return_counts=True)
-        return seen // sizes[-1], counts
-    counts = np.bincount(key, minlength=math.prod(sizes))
-    if not observed:
-        return counts.reshape(tuple(sizes))
-    seen = np.flatnonzero(counts)
-    return seen // sizes[-1], counts[seen]
+    counts = np.bincount(_radix_key(kept, sizes), minlength=math.prod(sizes))
+    return counts.reshape(tuple(sizes))
 
 
 class SelectionQuery:

@@ -111,9 +111,9 @@ class TestMineAfds:
         table = sample_rows(car_demo_net(), 1000, 0)
         calls = []
 
-        def counted(codes, sizes, observed=False):
+        def counted(codes, sizes):
             calls.append(len(sizes))
-            return _value_counts(codes, sizes, observed)
+            return _value_counts(codes, sizes)
 
         monkeypatch.setattr(afd_module, "_value_counts", counted)
         rules = mine_afds(table, 2)
@@ -571,6 +571,22 @@ def test_a_mined_tuple_is_ranked_once(wide, monkeypatch):
     assert afd_impute_tuple(rules, model, row) == first
     assert best_afds(rules) == _ref_best_afds(rules)
     assert calls == []
+
+
+def test_each_row_asks_the_ranking_once(wide, monkeypatch):
+    # the named-attribute check and the winners come from one memo entry
+    rules, model, table = wide
+    calls = []
+    ranking = afd_module._ranking
+
+    def counted(afds):
+        calls.append(afds)
+        return ranking(afds)
+
+    monkeypatch.setattr(afd_module, "_ranking", counted)
+    for row in table.rows[:20]:
+        afd_impute_tuple(rules, model, Row(row.id, (None, None, *row.cells[2:])))
+    assert len(calls) == 20
 
 
 def test_mutating_the_returned_dict_leaves_the_memo_alone(wide):

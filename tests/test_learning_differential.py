@@ -600,10 +600,11 @@ def test_empty_and_all_null_tables():
 
 # ---------------------------------------------------------------------------
 # the counting step: ``_value_counts`` keys rows with ``_radix_key``; the
-# reference is its own mixed-radix loop as it was before, verbatim
+# reference is its own mixed-radix loop as it was before, verbatim but for
+# the occurring-only mode, which mining now counts itself
 
 
-def _old_value_counts(codes: np.ndarray, sizes, observed: bool = False):
+def _old_value_counts(codes: np.ndarray, sizes):
     keep = (codes >= 0).all(axis=0)
     n = int(np.count_nonzero(keep))
     key = np.zeros(n, dtype=np.int64)
@@ -611,23 +612,14 @@ def _old_value_counts(codes: np.ndarray, sizes, observed: bool = False):
     for col, size in zip(codes, sizes):
         key = key * size + col[keep]
         radix *= size
-        seen = None
-        if observed and radix > n:
-            seen, key = np.unique(key, return_inverse=True)
-            radix = len(seen)
     counts = np.bincount(key, minlength=radix)
-    if not observed:
-        return counts.reshape(tuple(sizes))
-    if seen is None:
-        seen = np.flatnonzero(counts)
-        counts = counts[seen]
-    return seen // sizes[-1], counts
+    return counts.reshape(tuple(sizes))
 
 
 @st.composite
 def counted_columns(draw):
-    """``(k, N)`` codes with nulls, 1-4 columns of domain sizes 1-40 (wide
-    enough that observed counting re-ranks), and zero rows sometimes."""
+    """``(k, N)`` codes with nulls, 1-4 columns of domain sizes 1-40, and
+    zero rows sometimes."""
     sizes = [draw(st.integers(1, 40)) for _ in range(draw(st.integers(1, 4)))]
     n_rows = draw(st.integers(0, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -643,13 +635,6 @@ def test_value_counts_match_the_old_radix_loop(columns):
     codes, sizes = columns
     got, want = _value_counts(codes, sizes), _old_value_counts(codes, sizes)
     assert got.shape == want.shape and (got == want).all()
-    (groups, counts), (old_groups, old_counts) = (
-        _value_counts(codes, sizes, observed=True), _old_value_counts(codes, sizes, observed=True)
-    )
-    assert counts.shape == old_counts.shape and (counts == old_counts).all()
-    # re-ranking at other digits numbers the groups differently, but their
-    # boundaries, all that mine_afds reads, are the same
-    assert np.array_equal(np.diff(groups) != 0, np.diff(old_groups) != 0)
 
 
 def _old_radix_key(codes: np.ndarray, sizes) -> np.ndarray:
@@ -678,10 +663,14 @@ def test_radix_keys_match_the_zero_started_loop(columns, widen, rows):
 
 
 def test_observed_counts_stay_within_the_row_count(monkeypatch):
-    # two near-unique columns: a key range of n * n, counted over n rows
+    # two near-unique columns: mining's key range is n * n, counted over n rows
     n = 300
+    labels = [f"v{i:05d}" for i in range(50_000)]
+    schema = Schema(("A", "B"), {"A": labels, "B": labels})
     rng = np.random.default_rng(0)
-    codes = np.stack([rng.permutation(50_000)[:n], rng.permutation(50_000)[:n]]).astype(np.int32)
+    columns = rng.permutation(50_000)[:n], rng.permutation(50_000)[:n]
+    train = Table(schema, [Row(i, (labels[a], labels[b])) for i, (a, b) in enumerate(zip(*columns))])
+    want = tuple(_ref_mine_afds(train))
     bincount = np.bincount
 
     def bounded_bincount(x, *args, **kwargs):
@@ -691,8 +680,5 @@ def test_observed_counts_stay_within_the_row_count(monkeypatch):
         return bincount(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "bincount", bounded_bincount)
-    groups, counts = _value_counts(codes, [50_000, 50_000], observed=True)
-    assert len(counts) == n and (counts == 1).all()
-    old_groups, old_counts = _old_value_counts(codes, [50_000, 50_000], observed=True)
-    assert (counts == old_counts).all()
-    assert np.array_equal(np.diff(groups) != 0, np.diff(old_groups) != 0)
+    assert mine_afds(train) == want
+    assert [rule.confidence for rule in want] == [1.0, 1.0]

@@ -97,6 +97,9 @@ _DELETED_PARAMETERS = {
     "sample_rows(start_id)": (lambda: (sample_rows, (demo_net(), 2, 0)), "start_id"),
     "random_net(concentration)": (lambda: (random_net, (3,)), "concentration"),
     "random_net(floor)": (lambda: (random_net, (3,)), "floor"),
+    "_value_counts(observed)": (
+        lambda: (tabular._value_counts, (np.zeros((1, 2), dtype=np.int32), [1])), "observed"
+    ),
     "_issue(limit)": (
         lambda: (rewriting._issue, ([], AutonomousSource(demo_cars()), np.zeros(0, np.int64))),
         "limit",
