@@ -12,13 +12,12 @@ bites its own tail makes the attribute unpredictable.
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tabular import Row, Schema, Table, _check_count, _radix_key, _value_counts
+from .tabular import Row, Schema, Table, _check_count, _fits_dense, _radix_key, _value_counts
 
 __all__ = [
     "Afd",
@@ -87,8 +86,9 @@ def mine_afds(
     for size in range(2, max_lhs + 2):
         for attrs in itertools.combinations(sorted(schema.attributes), size):
             cols = [schema.index(a) for a in attrs]
-            if math.prod(sizes[c] for c in cols) <= codes.shape[1]:
-                counts = _value_counts(codes[cols], [sizes[c] for c in cols])
+            widths = [sizes[c] for c in cols]
+            if _fits_dense(widths, codes.shape[1]):
+                counts = _value_counts(codes[cols], widths)
                 kept = [int(counts.max(axis=k).sum()) for k in range(size)] if counts.any() else []
             else:
                 # only the combinations that occur are counted, so no count

@@ -479,7 +479,8 @@ def _plan(families, free: tuple[str, ...], observed: Mapping[str, int], cpts):
     neighbours first, ties by name; which CPTs enter is the caller's choice.
     A plan is its steps in order, the last over ``free``.  A step holds per
     CPT its view laid out by ``_alignment`` on (observed axes, the step's
-    axes) and a getter of its observed codes; per input, an earlier step's
+    axes) and a getter of its observed codes (None where it has no observed
+    axis, so the view is used as it is); per input, an earlier step's
     index and ``_alignment``; and the axis it sums out (None in the last).
     It holds the CPTs' arrays, so it belongs to one net."""
     n = len(families)
@@ -492,7 +493,7 @@ def _plan(families, free: tuple[str, ...], observed: Mapping[str, int], cpts):
         for vs in (families[f] for f in slots if f < n):
             seen = [v for v in vs if v in observed]
             view = _laid_out(cpts[vs[-1]], *_alignment(vs, (*seen, *out_vars)))
-            views.append((view, _getter([observed[v] for v in seen])))
+            views.append((view, _getter([observed[v] for v in seen]) if seen else None))
         inputs = [(f - n, *_alignment(live[f], out_vars)) for f in slots if f >= n]
         return tuple(views), inputs, axis
 

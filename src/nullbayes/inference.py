@@ -123,7 +123,7 @@ def _product(plan, codes) -> np.ndarray:
     for cpts, inputs, axis in plan:
         values = None
         for cpt, observed in cpts:
-            factor = cpt[observed(codes)]
+            factor = cpt if observed is None else cpt[observed(codes)]
             values = factor if values is None else values * factor
         for slot, perm, index in inputs:
             factor = _laid_out(results[slot], perm, index)
@@ -330,7 +330,7 @@ def _chain(net: BayesNet, state: list[int], free: tuple[str, ...], samples, burn
         if attr in connected:
             at, _, _, views = connected[attr][1]
             cpt, parents = views[0][0][0]  # the variable's own CPT, planned first
-            cum = np.cumsum(cpt[parents(state)]).tolist()
+            cum = np.cumsum(cpt if parents is None else cpt[parents(state)]).tolist()
             state[at] = bisect_right(cum, uniforms[i] * cum[-1], 0, len(cum) - 1)
     columns, plans = zip(*connected.values())
     values, trace = _getter([plan[0] for plan in plans]), []

@@ -43,7 +43,7 @@ from .inference import posterior_exact
 from .source import AutonomousSource, QueryBudgetError
 # select is no longer called here, but perfbench/tracing.py patches this name
 from .tabular import Row, SelectionQuery, Table, project_distinct, select  # noqa: F401
-from .tabular import _bulk_build, _check_count, _check_scale, _distinct
+from .tabular import _bulk_build, _check_count, _check_scale, _distinct, _fits_dense, _value_counts
 
 __all__ = [
     "QueryScore",
@@ -291,7 +291,14 @@ def _rewrite(model, sample, source, query, k, alpha, sample_ratio, pick, candida
     rewrites through, or raises if it does not apply; ``candidates`` scores
     what it generates from the base answer with ``score``; the top ``k`` by
     ``key`` are issued.  ``model`` is the Bayes net, or the AFD strategies'
-    naive Bayes model, whose candidates pass their precision to ``score``."""
+    naive Bayes model, whose candidates pass their precision to ``score``.
+
+    ``score`` counts a candidate's sample matches in the count table of its
+    attribute set: ``_value_counts`` over the sample, built on the set's
+    first candidate in the call where the set's domain product is at most
+    the sample's row count (``_fits_dense``); past that it masks the sample
+    per candidate (``expected_selectivity``).  Either way the count is the
+    same int, scaled by the same ratio."""
     _check_count("k", k, 1)
     query.validate(model.schema)
     if not len(query):
@@ -304,13 +311,31 @@ def _rewrite(model, sample, source, query, k, alpha, sample_ratio, pick, candida
         sample_ratio = source.estimate_ratio(sample)
     base = source.answer(query)
     precisions: dict[SelectionQuery, float] = {}
+    schema = sample.schema
+    tables: dict[tuple[str, ...], np.ndarray | None] = {}  # None: too wide for one
+
+    def selectivity(candidate: SelectionQuery) -> float:
+        try:  # item by item, as expected_selectivity validates
+            at = tuple([schema.code(attr, value) for attr, value in candidate.items])
+        except ValueError:  # a value outside the sample's domains
+            return 0.0
+        attrs = candidate.attributes
+        if attrs not in tables:
+            idx = [schema.index(attr) for attr in attrs]
+            sizes = [schema.sizes[j] for j in idx]
+            dense = _fits_dense(sizes, len(sample))
+            tables[attrs] = _value_counts(sample._column_codes()[idx], sizes) if dense else None
+        counts = tables[attrs]
+        if counts is None:
+            return expected_selectivity(sample, candidate, sample_ratio)
+        return int(counts[at]) * sample_ratio
 
     def score(candidate: SelectionQuery, precision: float | None = None) -> RewrittenQuery:
         # the net's posterior of the query's values, once per candidate
         p = precisions.get(candidate) if precision is None else precision
         if p is None:
             p = precisions[candidate] = expected_precision(model, query, candidate)
-        sel = expected_selectivity(sample, candidate, sample_ratio)
+        sel = selectivity(candidate)
         r = p * sel
         return RewrittenQuery(candidate, QueryScore(p, sel, r, f_measure(p, r, alpha)))
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import warnings
 
-import numpy as np
-
 from .tabular import SelectionQuery, Table, _check_count
 
 __all__ = ["AutonomousSource", "QueryBudgetError"]
@@ -55,16 +53,20 @@ class AutonomousSource:
         field).  Raises QueryBudgetError when the budget is already spent;
         the failed attempt is not counted.
 
-        The answer is a ``Table`` of the rows in source order, stored as
-        their codes; its ``Row``s are built only when read.
+        The rows come from the source table's column index
+        (``Table._matching``): the shortest predicate's positions, kept where
+        the other predicates' codes match, so a query reads no full column
+        once its columns are indexed.  The answer is a ``Table`` of the rows
+        in source order; its codes are gathered and its ``Row``s built only
+        when read.
         """
         if self._limit is not None and self._used >= self._limit:
             raise QueryBudgetError(
                 f"query budget of {self._limit} exhausted after {self._used} queries"
             )
-        mask = self._table.mask(query)
+        at = self._table._matching(query)
         self._used += 1
-        return self._table._take(np.flatnonzero(mask))
+        return self._table._take(at)
 
     def estimate_ratio(self, sample: Table) -> float:
         """|source| / |sample|, measured with one unconstrained probe.

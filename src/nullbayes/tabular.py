@@ -141,10 +141,17 @@ class Table:
     tuple (one given, of a subclass too, as it is), which nothing can change
     later.  A table taken from another (``_take``: a ``select`` or
     ``AutonomousSource.answer`` result, say) records the positions it was
-    taken at, not the table.  A pickle holds the schema, ids and codes only.
+    taken at and the other table's code matrix, not the table, and gathers
+    its own codes from that matrix on first use.
+
+    Each column gets an index the first time ``_matching`` (a source query)
+    constrains it: its positions sorted stably by code, 8 bytes per row, and
+    where each code's run ends.  The index arrays are read-only; rebinding
+    ``rows`` drops the index.  A pickle (a copy too) holds the schema, ids
+    and codes only, and neither a derived nor a taken table starts with one.
     """
 
-    __slots__ = ("schema", "_rows", "_codes", "_row_ids", "_taken")
+    __slots__ = ("schema", "_rows", "_codes", "_row_ids", "_taken", "_parent_codes", "_sorted")
 
     def __init__(self, schema: Schema, rows: Iterable[Row]):
         self.schema = schema
@@ -155,13 +162,13 @@ class Table:
         """A table stored as ``ids`` and ``codes``, valid by construction."""
         table = object.__new__(cls)
         table.schema, table._row_ids, table._codes = schema, ids, codes
-        table._rows = table._taken = None
+        table._rows = table._taken = table._parent_codes = table._sorted = None
         return table
 
     def _take(self, at: np.ndarray) -> "Table":
-        # the rows at the positions ``at``; take keeps the codes C-contiguous
-        table = Table._of(self.schema, self._id_column()[at], self._column_codes().take(at, axis=1))
-        table._taken = at
+        # the rows at the positions ``at``; their codes are gathered on first use
+        table = Table._of(self.schema, self._id_column()[at], None)
+        table._taken, table._parent_codes = at, self._column_codes()
         return table
 
     def _taken_at(self) -> np.ndarray | None:
@@ -170,14 +177,14 @@ class Table:
         return self._taken
 
     def __reduce__(self):
-        return type(self)._of, (self.schema, self._row_ids, self._codes)
+        return type(self)._of, (self.schema, self._row_ids, self._column_codes())
 
     @property
     def rows(self) -> tuple[Row, ...]:
         """The rows, built from the codes and ids on first read and kept."""
         if self._rows is None:
             with _bulk_build():
-                cells = _decode(self.schema, self._codes, range(len(self.schema.attributes)))
+                cells = _decode(self.schema, self._column_codes(), range(len(self.schema.attributes)))
                 self._rows = tuple(map(Row, self._row_ids.tolist(), cells))
         return self._rows
 
@@ -196,7 +203,7 @@ class Table:
         if fault:
             self._raise_first_fault(rows)
         self._rows, self._codes, self._row_ids = rows, codes, ids
-        self._taken = None
+        self._taken = self._parent_codes = self._sorted = None
 
     def _raise_first_fault(self, rows: Sequence[Row]) -> None:
         # the constructor's checks, row by row, so the message names the first bad row
@@ -228,13 +235,16 @@ class Table:
             isinstance(other, Table)
             and self.schema == other.schema
             and np.array_equal(self._row_ids, other._row_ids)
-            and np.array_equal(self._codes, other._codes)
+            and np.array_equal(self._column_codes(), other._column_codes())
         )
 
     def __repr__(self) -> str:
         return f"Table({len(self)} rows, {len(self.schema.attributes)} attributes)"
 
     def _column_codes(self) -> np.ndarray:
+        if self._codes is None:  # a taken table's, gathered once; take keeps them C-contiguous
+            self._codes = self._parent_codes.take(self._taken, axis=1)
+            self._parent_codes = None
         return self._codes
 
     def _id_column(self) -> np.ndarray:
@@ -252,6 +262,43 @@ class Table:
             j = self.schema.index(attr)
             keep &= codes[j] == self.schema._label_codes[j].get(value, -2)
         return keep
+
+    def _matching(self, query: "SelectionQuery") -> np.ndarray:
+        """The positions of the rows ``mask`` keeps, ascending, read from the
+        column index: the shortest predicate's run of positions, kept where
+        every other predicate's code matches.  Raises KeyError for an unknown
+        attribute, whatever the other values."""
+        wanted = []  # (column, code) per predicate, every attribute looked up first
+        for attr, value in query.items:
+            j = self.schema.index(attr)
+            wanted.append((j, self.schema._label_codes[j].get(value, -2)))
+        if not wanted:
+            return np.arange(len(self))
+        runs = [self._run(j, code) for j, code in wanted]
+        shortest = min(range(len(runs)), key=lambda i: len(runs[i]))
+        at, codes = runs[shortest], self._column_codes()
+        for i, (j, code) in enumerate(wanted):
+            if i != shortest:
+                at = at[codes[j, at] == code]
+        return at
+
+    def _run(self, j: int, code: int) -> np.ndarray:
+        """The positions, ascending and read-only, holding ``code`` in column
+        ``j``; none for a code outside the domain.  Builds the column's index
+        on first use: a stable argsort of its codes and the end of each code's
+        run, nulls' first."""
+        if code < 0:
+            return np.zeros(0, dtype=np.intp)
+        if self._sorted is None:
+            self._sorted = {}
+        if j not in self._sorted:
+            column = self._column_codes()[j]
+            order = np.argsort(column, kind="stable")
+            ends = np.cumsum(np.bincount(column + 1, minlength=self.schema.sizes[j] + 1))
+            order.flags.writeable = ends.flags.writeable = False
+            self._sorted[j] = order, ends
+        order, ends = self._sorted[j]
+        return order[ends[code] : ends[code + 1]]
 
 
 def _encode(lookups: Sequence[Mapping], columns: Iterable[Iterable], n: int) -> np.ndarray:
@@ -370,6 +417,13 @@ def _value_counts(codes: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     kept = codes if keep.all() else codes.compress(keep, axis=1)
     counts = np.bincount(_radix_key(kept, sizes), minlength=math.prod(sizes))
     return counts.reshape(tuple(sizes))
+
+
+def _fits_dense(sizes: Sequence[int], rows: int) -> bool:
+    """Whether ``_value_counts`` over columns of domain ``sizes`` is worth a
+    dense table for ``rows`` rows: its domain product is at most the row
+    count, so the table is no larger than the rows it counts."""
+    return math.prod(sizes) <= rows
 
 
 class SelectionQuery:
