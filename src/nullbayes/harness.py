@@ -322,7 +322,9 @@ def run_rewriting_experiment(
             # nulls only hide values (rows keep their order, so a mask over
             # test is one over the source), and the relevant tuples the
             # visible data still matches are certain answers
-            wanted = test.mask(query) & ~visible.mask(query)
+            wanted = np.zeros(len(test), dtype=bool)
+            wanted[test._matching(query)] = True
+            wanted[visible._matching(query)] = False
             relevant = int(np.count_nonzero(wanted))
             if not relevant:
                 warnings.warn(

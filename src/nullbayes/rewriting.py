@@ -41,8 +41,7 @@ from .afd import Afd, NaiveBayesModel, NoRuleError, NotApplicableError, best_afd
 from .bayesnet import BayesNet, _blanket
 from .inference import posterior_exact
 from .source import AutonomousSource, QueryBudgetError
-# select is no longer called here, but perfbench/tracing.py patches this name
-from .tabular import Row, SelectionQuery, Table, project_distinct, select  # noqa: F401
+from .tabular import Row, SelectionQuery, Table, project_distinct, select
 from .tabular import _bulk_build, _check_count, _check_scale, _distinct, _fits_dense, _value_counts
 
 __all__ = [
@@ -234,16 +233,16 @@ def expected_selectivity(
 ) -> float:
     """Estimated number of source tuples matching the candidate.
 
-    Counts certain matches in the sample and scales by ``ratio``, the
-    source-size / sample-size factor (see AutonomousSource.estimate_ratio).
-    A candidate holding a value outside the sample's domains matches nothing.
+    Counts the certain matches ``select`` finds in the sample and scales by
+    ``ratio``, the source-size / sample-size factor (see
+    AutonomousSource.estimate_ratio).  A candidate holding a value outside
+    the sample's domains matches nothing.
     """
     _check_scale("ratio", ratio)
     try:
-        candidate.validate(sample.schema)
+        return len(select(sample, candidate)) * ratio
     except ValueError:  # a value outside the sample's domains
         return 0.0
-    return int(np.count_nonzero(sample.mask(candidate))) * ratio
 
 
 def _rank_key(rq: RewrittenQuery) -> tuple:
@@ -296,9 +295,9 @@ def _rewrite(model, sample, source, query, k, alpha, sample_ratio, pick, candida
     ``score`` counts a candidate's sample matches in the count table of its
     attribute set: ``_value_counts`` over the sample, built on the set's
     first candidate in the call where the set's domain product is at most
-    the sample's row count (``_fits_dense``); past that it masks the sample
-    per candidate (``expected_selectivity``).  Either way the count is the
-    same int, scaled by the same ratio."""
+    the sample's row count (``_fits_dense``); past that it selects from the
+    sample per candidate (``expected_selectivity``).  Either way the count is
+    the same int, scaled by the same ratio."""
     _check_count("k", k, 1)
     query.validate(model.schema)
     if not len(query):
@@ -376,7 +375,7 @@ def _beam_candidates(cfg, cand_attrs, base, schema, score):
         parents = [rq.query for rq in beam] if level else [SelectionQuery()]
         for parent in parents:
             used = set(parent.attributes)
-            keep = base.mask(parent)  # the base tuples that match the partial query
+            keep = base._matching(parent)  # the base tuples that match the partial query
             for attr in cand_attrs:
                 if attr in used:
                     continue

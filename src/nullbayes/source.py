@@ -53,12 +53,12 @@ class AutonomousSource:
         field).  Raises QueryBudgetError when the budget is already spent;
         the failed attempt is not counted.
 
-        The rows come from the source table's column index
-        (``Table._matching``): the shortest predicate's positions, kept where
-        the other predicates' codes match, so a query reads no full column
-        once its columns are indexed.  The answer is a ``Table`` of the rows
-        in source order; its codes are gathered and its ``Row``s built only
-        when read.
+        The rows are those ``Table._matching`` finds: the shortest
+        predicate's run of positions, kept where the other predicates' codes
+        match.  The source table keeps each (column, code) run it scans for,
+        so a query reads no full column once its values have been asked for.
+        The answer is a ``Table`` of the rows in source order; its codes are
+        gathered and its ``Row``s built only when read.
         """
         if self._limit is not None and self._used >= self._limit:
             raise QueryBudgetError(

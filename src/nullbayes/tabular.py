@@ -144,14 +144,15 @@ class Table:
     taken at and the other table's code matrix, not the table, and gathers
     its own codes from that matrix on first use.
 
-    Each column gets an index the first time ``_matching`` (a source query)
-    constrains it: its positions sorted stably by code, 8 bytes per row, and
-    where each code's run ends.  The index arrays are read-only; rebinding
-    ``rows`` drops the index.  A pickle (a copy too) holds the schema, ids
-    and codes only, and neither a derived nor a taken table starts with one.
+    ``_matching`` finds the rows of a query (for ``select`` and
+    ``AutonomousSource.answer`` alike) from runs: the positions holding one
+    code in one column, found by one scan the first time that (column, code)
+    is asked for and kept, read-only, in ``_runs``.  Rebinding ``rows`` drops
+    them.  A pickle (a copy too) holds the schema, ids and codes only, and
+    neither a derived nor a taken table starts with any.
     """
 
-    __slots__ = ("schema", "_rows", "_codes", "_row_ids", "_taken", "_parent_codes", "_sorted")
+    __slots__ = ("schema", "_rows", "_codes", "_row_ids", "_taken", "_parent_codes", "_runs")
 
     def __init__(self, schema: Schema, rows: Iterable[Row]):
         self.schema = schema
@@ -162,7 +163,7 @@ class Table:
         """A table stored as ``ids`` and ``codes``, valid by construction."""
         table = object.__new__(cls)
         table.schema, table._row_ids, table._codes = schema, ids, codes
-        table._rows = table._taken = table._parent_codes = table._sorted = None
+        table._rows = table._taken = table._parent_codes = table._runs = None
         return table
 
     def _take(self, at: np.ndarray) -> "Table":
@@ -203,7 +204,7 @@ class Table:
         if fault:
             self._raise_first_fault(rows)
         self._rows, self._codes, self._row_ids = rows, codes, ids
-        self._taken = self._parent_codes = self._sorted = None
+        self._taken = self._parent_codes = self._runs = None
 
     def _raise_first_fault(self, rows: Sequence[Row]) -> None:
         # the constructor's checks, row by row, so the message names the first bad row
@@ -250,24 +251,11 @@ class Table:
     def _id_column(self) -> np.ndarray:
         return self._row_ids
 
-    def mask(self, query: "SelectionQuery") -> np.ndarray:
-        """Boolean array over ``rows``: True where ``query.matches`` would be.
-
-        A value outside an attribute's domain matches no cell.  Raises
-        KeyError for an unknown attribute.
-        """
-        codes = self._column_codes()
-        keep = np.ones(codes.shape[1], dtype=bool)
-        for attr, value in query.items:
-            j = self.schema.index(attr)
-            keep &= codes[j] == self.schema._label_codes[j].get(value, -2)
-        return keep
-
     def _matching(self, query: "SelectionQuery") -> np.ndarray:
-        """The positions of the rows ``mask`` keeps, ascending, read from the
-        column index: the shortest predicate's run of positions, kept where
-        every other predicate's code matches.  Raises KeyError for an unknown
-        attribute, whatever the other values."""
+        """The positions of the rows ``query.matches``, ascending: the
+        shortest predicate's run, kept where every other predicate's code
+        matches.  A value outside an attribute's domain matches no cell.
+        Raises KeyError for an unknown attribute, whatever the other values."""
         wanted = []  # (column, code) per predicate, every attribute looked up first
         for attr, value in query.items:
             j = self.schema.index(attr)
@@ -284,21 +272,16 @@ class Table:
 
     def _run(self, j: int, code: int) -> np.ndarray:
         """The positions, ascending and read-only, holding ``code`` in column
-        ``j``; none for a code outside the domain.  Builds the column's index
-        on first use: a stable argsort of its codes and the end of each code's
-        run, nulls' first."""
-        if code < 0:
-            return np.zeros(0, dtype=np.intp)
-        if self._sorted is None:
-            self._sorted = {}
-        if j not in self._sorted:
-            column = self._column_codes()[j]
-            order = np.argsort(column, kind="stable")
-            ends = np.cumsum(np.bincount(column + 1, minlength=self.schema.sizes[j] + 1))
-            order.flags.writeable = ends.flags.writeable = False
-            self._sorted[j] = order, ends
-        order, ends = self._sorted[j]
-        return order[ends[code] : ends[code + 1]]
+        ``j`` (none for a code outside the domain): one scan of the column the
+        first time the pair is asked for, kept in ``_runs``."""
+        if self._runs is None:
+            self._runs = {}
+        run = self._runs.get((j, code))
+        if run is None:
+            run = np.flatnonzero(self._column_codes()[j] == code)
+            run.flags.writeable = False
+            self._runs[j, code] = run
+        return run
 
 
 def _encode(lookups: Sequence[Mapping], columns: Iterable[Iterable], n: int) -> np.ndarray:
@@ -660,10 +643,11 @@ def select(table: Table, query: SelectionQuery) -> Table:
     are built only when read.
 
     These are certain answers only: a null cell on a constrained attribute
-    never matches.
+    never matches.  The query is validated item by item (ValueError for a
+    value outside its domain); the rows are those ``Table._matching`` finds.
     """
     query.validate(table.schema)
-    return table._take(np.flatnonzero(table.mask(query)))
+    return table._take(table._matching(query))
 
 
 def project_distinct(

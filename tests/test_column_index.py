@@ -1,10 +1,11 @@
-"""The column index behind ``AutonomousSource.answer``, and taken tables.
+"""The runs behind ``Table._matching``, and taken tables.
 
-A source answers from ``Table._matching``: per constrained column, positions
-sorted stably by code, filtered by the other predicates' codes.  The
-reference is ``np.flatnonzero(table.mask(query))``, the scan that ``select``
-still runs.  A table taken from another keeps the other's code matrix and
-gathers its own codes on first use.
+``select`` and ``AutonomousSource.answer`` find a query's rows with
+``Table._matching``: the shortest predicate's run (the positions holding one
+code in one column, scanned for once per table and kept), filtered by the
+other predicates' codes.  The reference is a comprehension over
+``SelectionQuery.matches``, one row at a time.  A table taken from another
+keeps the other's code matrix and gathers its own codes on first use.
 """
 
 import copy
@@ -24,7 +25,9 @@ from nullbayes import (
     SelectionQuery,
     Table,
     load_csv,
+    project_distinct,
     save_csv,
+    select,
 )
 
 from conftest import demo_cars
@@ -60,7 +63,7 @@ def queries(schema):
 
 
 def _scanned(table, query):
-    return np.flatnonzero(table.mask(query))
+    return [i for i, row in enumerate(table.rows) if query.matches(table.schema, row)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -68,12 +71,12 @@ def _scanned(table, query):
 def test_index_answers_equal_the_mask(data):
     table = data.draw(tables())
     source = AutonomousSource(table)
-    for _ in range(4):  # later queries reuse the columns indexed by earlier ones
+    for _ in range(4):  # later queries reuse the runs scanned for by earlier ones
         query = data.draw(queries(table.schema))
         want = _scanned(table, query)
         at = source.answer(query)._taken_at()
-        assert at.tolist() == want.tolist()
-        assert table._matching(query).tolist() == want.tolist()
+        assert at.tolist() == want
+        assert table._matching(query).tolist() == want
     assert source.queries_used == 4
 
 
@@ -102,7 +105,7 @@ def test_out_of_domain_value_in_any_position_matches_nothing(data):
 
 @pytest.mark.parametrize("value", ["Sedan", _UNSEEN])
 def test_unknown_attribute_after_any_value_raises(value):
-    # the unknown attribute sorts last, after a value the index has no run for
+    # the unknown attribute sorts last, after a value no cell holds
     table = demo_cars()
     query = SelectionQuery({"Body": value, _UNKNOWN_ATTR: "x"})
     assert query.attributes[-1] == _UNKNOWN_ATTR
@@ -125,7 +128,7 @@ def test_budget_refusals_leave_the_count_and_the_answers(data):
             with pytest.raises(QueryBudgetError):
                 source.answer(query)
         else:
-            assert source.answer(query)._taken_at().tolist() == _scanned(table, query).tolist()
+            assert source.answer(query)._taken_at().tolist() == _scanned(table, query)
         assert source.queries_used == min(i + 1, limit)
 
 
@@ -133,11 +136,12 @@ def test_rebinding_rows_resets_the_index():
     table = demo_cars()
     query = SelectionQuery({"Body": "Sedan"})
     before = AutonomousSource(table).answer(query)._taken_at().tolist()
-    assert before
-    # the same ids and schema, the rows reversed: a stale index answers wrongly
+    assert before and table._runs
+    # the same ids and schema, the rows reversed: a stale run answers wrongly
     table.rows = table.rows[::-1]
+    assert table._runs is None
     after = AutonomousSource(table).answer(query)._taken_at()
-    assert after.tolist() == _scanned(table, query).tolist() != before
+    assert after.tolist() == _scanned(table, query) != before
 
 
 def test_pickles_and_copies_leave_the_index_out():
@@ -145,10 +149,12 @@ def test_pickles_and_copies_leave_the_index_out():
     size = len(pickle.dumps(table))
     query = SelectionQuery({"Body": "Sedan", "Make": "Toyota"})
     AutonomousSource(table).answer(query)
+    assert len(table._runs) == 2
     assert len(pickle.dumps(table)) == size
     for twin in (pickle.loads(pickle.dumps(table)), copy.copy(table), copy.deepcopy(table)):
-        assert twin == table
-        assert twin._matching(query).tolist() == _scanned(table, query).tolist()
+        assert twin == table and twin._runs is None
+        assert twin._matching(query).tolist() == _scanned(table, query)
+    assert table._take(np.arange(3))._runs is None
 
 
 def test_no_index_before_a_source_query(tmp_path):
@@ -158,25 +164,56 @@ def test_no_index_before_a_source_query(tmp_path):
     built = Table(loaded.schema, loaded.rows)
     taken = loaded._take(np.arange(0, len(loaded), 2))
     query = SelectionQuery({"Body": "Sedan"})
-    for table in (loaded, built, taken):
-        table.mask(query)
-        assert table._sorted is None
+    for table in (loaded, built, taken):  # reading rows, codes and projections scans for none
+        assert table.rows and table._column_codes().size and table == table
+        project_distinct(table.schema, table, ["Body"])
+        assert table._runs is None
     AutonomousSource(loaded).answer(query)
-    assert loaded._sorted is not None and taken._sorted is None
+    select(built, query)
+    assert len(loaded._runs) == len(built._runs) == 1 and taken._runs is None
 
 
 def test_positions_cannot_write_into_the_index():
     table = demo_cars()
-    query = SelectionQuery({"Body": "Sedan"})
-    want = _scanned(table, query).tolist()
-    at = AutonomousSource(table).answer(query)._taken_at()  # one run of the index
+    query = SelectionQuery({"Body": "Sedan", "Make": "Audi"})
+    want = _scanned(table, query)
+    assert want
+    at = AutonomousSource(table).answer(SelectionQuery({"Body": "Sedan"}))._taken_at()
     with pytest.raises(ValueError, match="read-only"):
         at[0] = 0
-    j = table.schema.index("Body")
-    for arr in table._sorted[j]:
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 0
     assert table._matching(query).tolist() == want
+    assert len(table._runs) == 2
+    for run in table._runs.values():
+        with pytest.raises(ValueError, match="read-only"):
+            run[0] = 0
+    assert table._matching(query).tolist() == want
+
+
+def test_a_taken_table_scans_once_per_code_and_sorts_nothing(monkeypatch):
+    # a base answer asked a one-predicate query twice, as bn_beam's splits do
+    calls = {"argsort": 0, "flatnonzero": 0}
+
+    def counted(name):
+        original = getattr(np, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    base = AutonomousSource(demo_cars()).answer(SelectionQuery({"Body": "Sedan"}))
+    query = SelectionQuery({"Make": "Audi"})
+    want = _scanned(base, query)
+    assert want and base._runs is None
+    for name in calls:
+        monkeypatch.setattr(np, name, counted(name))
+    first = base._matching(query)
+    assert first.tolist() == want
+    assert calls == {"argsort": 0, "flatnonzero": 1}
+    assert list(base._runs) == [(base.schema.index("Make"), base.schema.code("Make", "Audi"))]
+    assert base._matching(query) is first
+    assert select(base, query)._taken_at() is first
+    assert calls == {"argsort": 0, "flatnonzero": 1} and len(base._runs) == 1
 
 
 class TestTakenTables:

@@ -68,6 +68,7 @@ def test_the_api_section_names_no_other_module():
         (Table, "row_by_id"),
         (Table, "value"),
         (Table, "_positions"),
+        (Table, "mask"),
         (Schema, "value"),
         (inference, "_blanket_product"),
         (inference, "_planned_product"),
@@ -86,9 +87,6 @@ def test_deleted_names_stay_deleted(owner, name):
 _DELETED_PARAMETERS = {
     "select(include_null_matches)": (
         lambda: (tabular.select, (demo_cars(), SelectionQuery())), "include_null_matches"
-    ),
-    "Table.mask(null_wildcard)": (
-        lambda: (Table.mask, (demo_cars(), SelectionQuery())), "null_wildcard"
     ),
     "SelectionQuery.matches(null_wildcard)": (
         lambda: (SelectionQuery.matches, (SelectionQuery(), demo_cars().schema, demo_cars().rows[0])),

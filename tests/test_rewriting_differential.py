@@ -2,10 +2,10 @@
 
 ``project_distinct`` deduplicates the code matrix's columns with one key
 each (sliced from the source table's cached matrix for an answer, encoded
-for any other rows), ``expected_selectivity`` counts a boolean mask,
-``expected_precision`` reads one entry of the eliminated array,
+for any other rows), ``expected_selectivity`` counts the rows ``select``
+finds, ``expected_precision`` reads one entry of the eliminated array,
 ``rewriting._issue`` dedups answers over source positions, ``bn_beam``
-splits the base with masks over its codes, and
+splits the base at the positions ``Table._matching`` finds, and
 ``NaiveBayesModel.posterior`` reads priors and denominators computed once per
 model.  Strategies keep their answers as source positions and build the
 ``RetrievedAnswer``s on first read, and the harness counts its PR curves at

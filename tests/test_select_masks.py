@@ -1,13 +1,12 @@
-"""Differential tests: mask-based selection against a per-row reference.
+"""Differential tests: code-based selection against a per-row reference.
 
-``select``, ``Table.mask`` and ``AutonomousSource.answer`` answer from a
-cached int-coded column matrix.  The reference here is a comprehension over
+``select``, ``Table._matching`` and ``AutonomousSource.answer`` answer from
+a cached int-coded column matrix.  The reference here is a comprehension over
 ``SelectionQuery.matches``, one row at a time, which shares none of that
 code.  Rows must come back identical and in table order, and the source's
 budget accounting must follow its documented rules.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,7 +64,7 @@ def test_mask_and_select_match_reference(data):
         query = data.draw(queries(table.schema))
         in_domain = all(v in table.schema.domains[a] for a, v in query.items)
         expected = _reference(table, query)
-        at = np.flatnonzero(table.mask(query))
+        at = table._matching(query)
         assert [table.rows[i] for i in at] == expected
         if in_domain:
             assert list(select(table, query)) == expected

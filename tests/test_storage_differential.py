@@ -480,7 +480,8 @@ def test_rebinding_rows_keeps_a_tuple():
     rows.append(cars.rows[2])
     assert type(table.rows) is tuple and table.rows == tuple(rows[:2])
     assert len(table) == len(table.rows) == 2
-    assert table.mask(SelectionQuery()).tolist() == [True, True]
+    assert [SelectionQuery().matches(table.schema, row) for row in table.rows] == [True, True]
+    assert table._column_codes().shape == (len(table.schema.attributes), 2)
     table.rows = (row for row in rows)
     assert type(table.rows) is tuple and len(table) == len(table.rows) == 3
 
