@@ -46,6 +46,7 @@ from .tabular import (
     load_csv,
     save_csv,
     parse_discretize_rules,
+    _label_columns,
 )
 
 __all__ = ["main"]
@@ -256,17 +257,17 @@ def _cmd_rewrite(args) -> int:
         )
     if result.truncated:
         print("(query budget exhausted; results truncated)")
-    # counted at their source positions: the answers are built for --out only
+    # counted, and written for --out, at their source positions: no answer is built
     print(f"extended: {len(result._retrieved.at)} additional tuples")
 
     if args.out:
-        schema = source_table.schema
+        table, at, step, issued = result._retrieved
+        cells = _label_columns(table.schema, table._take(at)._column_codes(), null=args.null_token)
+        relevance = [f"{rq.score.precision:.10g}" for rq in issued]  # read at each answer's step
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(list(schema.attributes) + ["relevance"])
-            for ans in result.answers:
-                cells = [args.null_token if c is None else c for c in ans.row.cells]
-                writer.writerow(cells + [f"{ans.relevance:.10g}"])
+            writer.writerow(list(table.schema.attributes) + ["relevance"])
+            writer.writerows(zip(*cells, map(relevance.__getitem__, step.tolist())))
     return 0
 
 

@@ -29,6 +29,7 @@ predicates, then query text.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -357,7 +358,7 @@ def _blanket_candidates(cand_attrs, base, schema, score):
             else "no base tuple is null-free on the Markov blanket"
         )
         warnings.warn(f"no rewrite candidates: {cause}", stacklevel=4)  # the strategy's caller
-    return [score(SelectionQuery(zip(cand_attrs, c))) for c in combos]
+    return [score(SelectionQuery._of(tuple(zip(cand_attrs, c)))) for c in combos]
 
 
 def _beam_candidates(cfg, cand_attrs, base, schema, score):
@@ -490,17 +491,14 @@ def _afd_candidates(model, query, rules, base, schema, score):
     per_attr = []
     for attr, afd in rules.items():
         value = query.value(attr)
-        parts = [SelectionQuery(zip(afd.determining, c))
+        parts = [SelectionQuery._of(tuple(zip(afd.determining, c)))
                  for c in project_distinct(schema, base, afd.determining)]
         per_attr.append([(cand, _nb_precision(model, attr, value, cand)) for cand in parts])
     scored = []
     for parts in itertools.product(*per_attr):
-        predicates: list[tuple[str, str]] = []
-        precision = 1.0
-        for cand, p in parts:
-            predicates.extend(cand.items)
-            precision *= p
-        scored.append(score(SelectionQuery(predicates), precision))
+        queries, precisions = zip(*parts)  # one part's query is its own
+        cand = SelectionQuery(sum((q.items for q in queries), ())) if queries[1:] else queries[0]
+        scored.append(score(cand, math.prod(precisions)))
     return scored
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import gc
+import itertools
 import math
 import numbers
 import operator
@@ -185,7 +186,7 @@ class Table:
         """The rows, built from the codes and ids on first read and kept."""
         if self._rows is None:
             with _bulk_build():
-                cells = _decode(self.schema, self._column_codes(), range(len(self.schema.attributes)))
+                cells = zip(*_label_columns(self.schema, self._column_codes()))
                 self._rows = tuple(map(Row, self._row_ids.tolist(), cells))
         return self._rows
 
@@ -285,9 +286,9 @@ class Table:
 
 
 def _encode(lookups: Sequence[Mapping], columns: Iterable[Iterable], n: int) -> np.ndarray:
-    """A ``(len(lookups), n)`` int32 matrix of the ``n``-cell label
-    ``columns``, each through its ``Schema._label_codes`` lookup: a domain
-    index, or -1 for null.  A label outside its lookup raises KeyError."""
+    """A ``(len(lookups), n)`` int32 matrix of the ``n``-cell ``columns``, one
+    ``np.fromiter`` each through its cell -> code lookup (``Schema._label_codes``,
+    or ``load_csv``'s per raw cell): -1 for null, KeyError for a cell outside it."""
     codes = np.empty((len(lookups), n), dtype=np.int32)
     for j, (lookup, column) in enumerate(zip(lookups, columns)):
         codes[j] = np.fromiter(map(lookup.__getitem__, column), np.int32, n)
@@ -323,12 +324,14 @@ def _radix_key(codes: np.ndarray, sizes) -> np.ndarray:
     return key
 
 
-def _decode(schema: Schema, codes: np.ndarray, idx: Sequence[int]) -> list[tuple[str | None, ...]]:
-    """The columns of ``codes`` (codes of ``schema``'s columns ``idx``, one
-    row each, -1 for null) as label tuples, None for null, decoded one row at
-    a time (one ``tolist`` of the 2-D label array costs twice as much)."""
+def _label_columns(schema: Schema, codes: np.ndarray, idx=slice(None), null=None) -> list[list]:
+    """The rows of ``codes`` (codes of ``schema``'s columns ``idx``, all by
+    default; -1 for null) as lists of labels, ``null`` for a null: one gather
+    per column (one ``tolist`` of the 2-D label array costs twice as much)."""
     labels, offsets = schema._code_labels
-    return list(zip(*[labels[row].tolist() for row in codes + offsets[idx]]))
+    if null is not None:
+        labels = np.array([null if v is None else v for v in labels], dtype=object)
+    return [labels[row].tolist() for row in codes + offsets[idx]]
 
 
 def _distinct(schema: Schema, codes: np.ndarray, idx: Sequence[int]) -> list[tuple[str, ...]]:
@@ -336,7 +339,7 @@ def _distinct(schema: Schema, codes: np.ndarray, idx: Sequence[int]) -> list[tup
     columns ``idx``, one row each) in order of first occurrence, as labels."""
     codes = codes[:, (codes >= 0).all(axis=0)]
     _, first = np.unique(_radix_key(codes, [schema.sizes[j] for j in idx]), return_index=True)
-    return _decode(schema, codes[:, np.sort(first)], idx)
+    return list(zip(*_label_columns(schema, codes[:, np.sort(first)], idx)))
 
 
 @contextlib.contextmanager
@@ -415,14 +418,18 @@ class SelectionQuery:
     __slots__ = ("items",)
 
     def __init__(self, predicates: Mapping[str, str] | Iterable[tuple[str, str]] = ()):
-        if isinstance(predicates, Mapping):
-            pairs = list(predicates.items())
-        else:
-            pairs = list(predicates)
+        pairs = predicates.items() if isinstance(predicates, Mapping) else predicates
         items = tuple(sorted((str(a), str(v)) for a, v in pairs))
         if len({a for a, _ in items}) != len(items):
             raise ValueError("duplicate attribute in query")
         object.__setattr__(self, "items", items)
+
+    @classmethod
+    def _of(cls, items: tuple[tuple[str, str], ...]) -> "SelectionQuery":
+        """A query over ``str`` pairs sorted by distinct attribute: valid by construction."""
+        query = object.__new__(cls)
+        query.items = items
+        return query
 
     @classmethod
     def parse(cls, text: str) -> "SelectionQuery":
@@ -471,7 +478,9 @@ class SelectionQuery:
         return True
 
     def extended(self, attr: str, value: str) -> "SelectionQuery":
-        return SelectionQuery(self.items + ((attr, value),))
+        if str(attr) in dict(self.items):
+            raise ValueError("duplicate attribute in query")
+        return SelectionQuery._of(tuple(sorted((*self.items, (str(attr), str(value))))))
 
     def text(self) -> str:
         return " & ".join(f"{a}={v}" for a, v in self.items)
@@ -497,6 +506,10 @@ def load_csv(path: str, null_token: str = "") -> Table:
     sets of observed non-null values per column.  A leading UTF-8 byte-order
     mark (Excel's "CSV UTF-8" writes one) is not part of the first name.
 
+    The records are read with the collector paused (``_bulk_build``), then
+    each column's distinct raw cells are trimmed once, into its domain and a
+    raw cell -> code map that encodes the column in one pass.
+
     Raises
     ------
     ValueError
@@ -509,7 +522,7 @@ def load_csv(path: str, null_token: str = "") -> Table:
     if null_token != null_token.strip():
         raise ValueError(f"null token {null_token!r} would match no trimmed cell")
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh, _bulk_build():
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -520,24 +533,23 @@ def load_csv(path: str, null_token: str = "") -> Table:
                 raise ParseError(f"{path}: blank attribute name in header")
             if len(set(attrs)) != len(attrs):
                 raise ParseError(f"{path}: duplicate attribute names in header")
-            raw_rows: list[list[str | None]] = []
-            for lineno, record in enumerate(reader, start=2):
-                if len(record) != len(attrs):
-                    raise ParseError(
-                        f"{path}: line {lineno}: expected {len(attrs)} fields, got {len(record)}"
-                    )
-                raw_rows.append([None if c == null_token else c for c in map(str.strip, record)])
+            records, scan = itertools.tee(reader)  # scan reads up to the first bad arity
+            n = operator.countOf(itertools.takewhile(len(attrs).__eq__, map(len, scan)), len(attrs))
+            raw_rows, bad = list(itertools.islice(records, n)), next(records, None)
+            columns = list(zip(*raw_rows)) or [()] * len(attrs)  # paused: an iterator per record
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: {exc}") from None
-    columns = list(zip(*raw_rows)) or [()] * len(attrs)
-    domains = {attr: set(column) - {None} for attr, column in zip(attrs, columns)}
+    if bad is not None:
+        raise ParseError(f"{path}: line {n + 2}: expected {len(attrs)} fields, got {len(bad)}")
+    trimmed = [{raw: raw.strip() for raw in dict.fromkeys(column)} for column in columns]
+    domains = {attr: set(labels.values()) - {null_token} for attr, labels in zip(attrs, trimmed)}
     for attr in attrs:
         if not domains[attr]:
             raise ParseError(f"{path}: empty domain for attribute {attr!r}")
     schema = Schema(attrs, domains)
-    n = len(raw_rows)
-    codes = _encode(schema._label_codes, columns, n)
-    return Table._of(schema, np.arange(1, n + 1, dtype=np.int64), codes)
+    lookups = [{raw: codes.get(v, -1) for raw, v in labels.items()}
+               for codes, labels in zip(schema._label_codes, trimmed)]
+    return Table._of(schema, np.arange(1, n + 1, dtype=np.int64), _encode(lookups, columns, n))
 
 
 def save_csv(table: Table, path: str, null_token: str = "") -> None:
@@ -548,6 +560,7 @@ def save_csv(table: Table, path: str, null_token: str = "") -> None:
     padded name, a label equal to ``null_token``, a label with surrounding
     whitespace, or a padded ``null_token`` (cells are trimmed before the
     comparison, and ``load_csv`` refuses such a token), missing cells or not.
+    Each column is decoded once; one ``writerows`` writes the rows.
     """
     schema, codes = table.schema, table._column_codes()
     for attr in schema.attributes:
@@ -557,14 +570,12 @@ def save_csv(table: Table, path: str, null_token: str = "") -> None:
         raise ValueError(f"null token {null_token!r} would not read back")
     for j, attr in enumerate(schema.attributes):
         for k, label in enumerate(schema.domains[attr]):
-            bad = label == null_token or label != label.strip()
-            if bad and (codes[j] == k).any():
+            if (label == null_token or label != label.strip()) and (codes[j] == k).any():
                 raise ValueError(f"label {label!r} of attribute {attr!r} would not read back")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(schema.attributes)
-        for cells in _decode(schema, codes, range(len(schema.attributes))):
-            writer.writerow([null_token if c is None else c for c in cells])
+        writer.writerows(zip(*_label_columns(schema, codes, null=null_token)))
 
 
 def _bucket(label: str, granularity: int) -> str | None:

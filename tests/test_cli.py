@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output shapes, file side effects."""
 
+import csv
 import os
 import re
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import nullbayes.cli as cli
 import nullbayes.rewriting as rewriting
 from nullbayes import (
     Row,
@@ -21,7 +23,9 @@ from nullbayes import (
     load_afds,
     load_csv,
     load_model,
+    mine_afds,
     sample_rows,
+    save_afds,
     save_csv,
     save_model,
 )
@@ -351,9 +355,8 @@ class TestRewrite:
         assert lines[0] == "Make,Model,Year,Body,Mileage,relevance"
         assert lines[1] == "Audi,A8,2005,,15000,0.5"
 
-    def test_answers_are_built_only_for_out(
-        self, tmp_path, demo_csv, demo_model, capsys, monkeypatch
-    ):
+    def test_answers_are_never_built(self, tmp_path, demo_csv, demo_model, capsys, monkeypatch):
+        # --out writes the retrieved tuples from their source codes, not from answers
         built = []
         build = rewriting._Retrieved.answers
         monkeypatch.setattr(
@@ -365,8 +368,43 @@ class TestRewrite:
         assert "extended: 1 additional tuples" in capsys.readouterr().out and built == []
         out = tmp_path / "answers.csv"
         assert main([*args, "--out", str(out)]) == 0
-        assert "extended: 1 additional tuples" in capsys.readouterr().out and built == [1]
+        assert "extended: 1 additional tuples" in capsys.readouterr().out and built == []
         assert len(out.read_text(encoding="utf-8").splitlines()) == 2
+
+    @pytest.mark.parametrize("method", ["bn-all-mb", "bn-beam", "afd-all-attributes"])
+    def test_out_holds_the_bytes_of_the_answer_loop(self, tmp_path, capsys, monkeypatch, method):
+        # --out decodes the retrieved tuples a column at a time; the file must
+        # be the one the loop over ``result.answers`` wrote, nulls and all
+        net = car_demo_net()
+        data = sample_rows(net, 900, seed=4)
+        sample = Table(data.schema, data.rows[:300])
+        source = inject_nulls(Table(data.schema, data.rows[300:]), ["Body", "Price"], 0.3, seed=2)
+        paths = {name: str(tmp_path / f"{name}.csv") for name in ("sample", "source", "out", "ref")}
+        save_csv(sample, paths["sample"], "NA")
+        save_csv(source, paths["source"], "NA")
+        (tmp_path / "car.model").write_text(save_model(net), encoding="utf-8")
+        (tmp_path / "car.afd").write_text(save_afds(mine_afds(sample)), encoding="utf-8")
+        results = []
+        monkeypatch.setattr(
+            cli, "run_method", lambda *args: results.append(rewriting.run_method(*args)) or results[-1]
+        )
+        assert main([
+            "rewrite", "--query", "Body=sedan", "--method", method, "--null-token", "NA",
+            "--source", paths["source"], "--sample", paths["sample"], "--out", paths["out"],
+            "--model", str(tmp_path / "car.model"), "--rules", str(tmp_path / "car.afd"),
+        ]) == 0
+        capsys.readouterr()
+        (result,) = results
+        assert any(None in answer.row.cells for answer in result.answers)
+        # the writer as it was, one row per answer
+        schema = load_csv(paths["source"], "NA").schema
+        with open(paths["ref"], "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(list(schema.attributes) + ["relevance"])
+            for ans in result.answers:
+                cells = ["NA" if c is None else c for c in ans.row.cells]
+                writer.writerow(cells + [f"{ans.relevance:.10g}"])
+        assert Path(paths["out"]).read_bytes() == Path(paths["ref"]).read_bytes()
 
     def test_beam_method(self, demo_csv, demo_model, capsys):
         rc = main(

@@ -169,6 +169,19 @@ def test_selection_query_refuses_attributes_equal_as_names():
             SelectionQuery(predicates)
 
 
+def test_extended_refuses_an_attribute_it_holds_and_strs_its_new_pair():
+    # extended merges one pair into checked items, so it does the constructor's checks itself
+    query = SelectionQuery({"B": "x", "D": "y", "1": "z"})
+    for attr in ("B", "D", "1", 1):
+        with pytest.raises(ValueError, match="^duplicate attribute in query$"):
+            query.extended(attr, "w")
+    for attr, value in (("A", "v"), ("C", 3), ("E", "v"), (0, 2.5), ("D ", "v")):
+        got = query.extended(attr, value)
+        assert got.items == SelectionQuery([*query.items, (attr, value)]).items
+        assert all(type(a) is str and type(v) is str for a, v in got.items)
+    assert query.items == (("1", "z"), ("B", "x"), ("D", "y"))
+
+
 # ---------------------------------------------------------------------------
 # the CLI
 

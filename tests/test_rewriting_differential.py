@@ -16,6 +16,7 @@ all five strategies must not change when the references are patched in.
 """
 
 import warnings
+from collections import Counter
 from itertools import accumulate
 from unittest import mock
 
@@ -636,6 +637,26 @@ def test_strategies_unchanged_with_reference_helpers(world_name, budget, monkeyp
     assert any(r[0] == "raised" for r in results), "no strategy declined"
     if budget is not None:
         assert any(r[0] == "ok" and r[1].truncated for r in results), "no run was truncated"
+
+
+def test_candidates_hold_the_items_the_constructor_makes():
+    # strategies build candidates from items already sorted and distinct,
+    # past the checking constructor: each must be what that would make
+    checked = Counter()
+    runs = [(world, t, q) for _, world, attr, value, tables in _WORLDS
+            for t in tables.values() for q in _queries_for(world, attr, value)]
+    for world, table, query in runs:
+        for name, ((outcome, _warnings), _used) in _run_all(
+            _strategies(bn_beam), world, table, query, None
+        ).items():
+            if outcome[0] != "ok":
+                continue
+            for rq in (*outcome[1].candidates, *outcome[1].issued):
+                assert rq.query.items == SelectionQuery(rq.query.items).items
+                assert all(type(a) is str and type(v) is str for a, v in rq.query.items)
+                checked[name, len(rq.query) > 1] += 1
+    assert {name for name, _ in checked} == set(_strategies(bn_beam))
+    assert any(many for _, many in checked), "no candidate of two or more predicates"
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,11 @@ must give an equal schema, equal ids, equal rows and an equal code matrix,
 or refuse with the same message.
 """
 
+import contextlib
 import copy
 import csv
+import gc
+import io
 import math
 import os
 import pickle
@@ -330,27 +333,94 @@ def test_discretize_refuses_at_the_first_row_then_rule():
         assert _outcome(discretize, t, rules) == want
 
 
+def _csv_line(record):
+    out = io.StringIO()
+    csv.writer(out).writerow(record)
+    return out.getvalue().encode("utf-8")
+
+
+_FIELD_LIMIT = 20  # csv's longest field while a test reads: a longer one raises csv.Error
+
+
+@contextlib.contextmanager
+def _field_limit():
+    old = csv.field_size_limit(_FIELD_LIMIT)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
 @st.composite
 def csv_texts(draw):
+    """A CSV file's bytes: a header and records mostly of its arity, whose
+    cells ``csv`` quotes when they hold a separator, a quote or a line break;
+    perhaps a leading UTF-8 byte-order mark, and perhaps, between two
+    records, a field longer than ``_FIELD_LIMIT`` or bytes that are not UTF-8."""
     d = draw(st.integers(1, 3))
     header = draw(st.lists(st.sampled_from(["A", "B", " C", "A ", ""]), min_size=d, max_size=d))
-    cells = st.sampled_from(["x", "y", " x", "", "NA", "z "])
+    cells = st.sampled_from(["x", "y", " x", "", "NA", "z ", "x,y", ' "x"', "x\ny", "y\r\n"])
     arity = st.sampled_from([d, d, d, d - 1, d + 1])  # mostly right, sometimes not
     records = draw(
         st.lists(arity.flatmap(lambda k: st.lists(cells, min_size=k, max_size=k)), max_size=8)
     )
-    return [header, *records]
+    lines = [_csv_line(r) for r in [header, *records]]
+    fault = draw(st.sampled_from([None, None, b"x" * (_FIELD_LIMIT + 1) + b"\n", b"\xff\n"]))
+    if fault is not None:
+        lines.insert(draw(st.integers(1, len(lines))), fault)
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + b"".join(lines)
 
 
-@settings(max_examples=120)
+@settings(max_examples=200)
 @given(csv_texts(), st.sampled_from(["", "NA"]))
-def test_load_csv_matches_row_version(records, null_token):
+def test_load_csv_matches_row_version(text, null_token):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(records)
-        want = _outcome_parse(_ref_load_csv, path, null_token)
-        _assert_same(_outcome_parse(load_csv, path, null_token), want)
+        with open(path, "wb") as fh:
+            fh.write(text)
+        with _field_limit():
+            want = _outcome_parse(_ref_load_csv, path, null_token)
+            _assert_same(_outcome_parse(load_csv, path, null_token), want)
+
+
+@pytest.mark.parametrize("text, fault", [
+    # the line is the record's number, not the file's: a quoted line break
+    # makes one record of two lines
+    (b'A,B\n"x\ny",z\nx\n', "line 3: expected 2 fields, got 1"),
+    (b'\xef\xbb\xbfA,B\n"x,y",z\nx\n' + b"x" * 21 + b",z\n", "line 3: expected 2 fields, got 1"),
+    (b"A,B\nx,z\n" + b"x" * 21 + b",z\nx\n", "field larger than field limit (20)"),
+    (b"A,B\nx,z\n\xff,z\n", "can't decode byte 0xff"),
+])
+def test_load_csv_reports_the_first_fault_as_the_row_version_does(tmp_path, text, fault):
+    # an arity fault stops the reading before a later record ``csv`` refuses
+    path = tmp_path / "t.csv"
+    path.write_bytes(text)
+    with _field_limit():
+        want = _outcome_parse(_ref_load_csv, str(path))
+        assert want[0] == "ParseError" and fault in want[1]
+        assert _outcome_parse(load_csv, str(path)) == want
+
+
+def test_load_csv_parses_without_automatic_collections(tmp_path):
+    # 5k record lists made with the collector running would start several
+    # collections; only _bulk_build's young one on the way out may run
+    path = tmp_path / "t.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([("A", "B", "C"), *[(i % 3, i % 5, "") for i in range(5000)]])
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(hook)
+    try:
+        table = load_csv(str(path), "NA")
+    finally:
+        gc.callbacks.remove(hook)
+    assert len(table) == 5000
+    assert starts in ([], [0])
 
 
 def _outcome_parse(fn, *args):

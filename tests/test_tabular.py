@@ -1,6 +1,7 @@
 """Tables, queries, CSV round trips, discretization, null injection."""
 
 import ast
+import csv
 import gc
 import math
 import os
@@ -366,6 +367,50 @@ def test_csv_round_trip_or_refusal(data):
             return
     assert again.schema.attributes == table.schema.attributes
     assert again.rows == table.rows
+
+
+def _row_save_csv(table, path, null_token=""):
+    # save_csv as it wrote a row at a time, its decoding spelled out through rows
+    schema, codes = table.schema, table._column_codes()
+    for attr in schema.attributes:
+        if not attr or attr != attr.strip():
+            raise ValueError(f"attribute name {attr!r} would not read back")
+    if null_token != null_token.strip():
+        raise ValueError(f"null token {null_token!r} would not read back")
+    for j, attr in enumerate(schema.attributes):
+        for k, label in enumerate(schema.domains[attr]):
+            bad = label == null_token or label != label.strip()
+            if bad and (codes[j] == k).any():
+                raise ValueError(f"label {label!r} of attribute {attr!r} would not read back")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(schema.attributes)
+        for cells in (row.cells for row in table.rows):
+            writer.writerow([null_token if c is None else c for c in cells])
+
+
+def _written(save, table, path, null_token):
+    try:
+        save(table, path, null_token)
+    except ValueError as exc:
+        return "refused", str(exc), os.path.exists(path)
+    with open(path, "rb") as fh:
+        return "ok", fh.read()
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_save_csv_writes_the_bytes_of_the_row_writer(data):
+    names = data.draw(st.lists(_WORD, min_size=1, max_size=3, unique=True))
+    domains = {n: data.draw(st.lists(_WORD, min_size=1, max_size=3, unique=True)) for n in names}
+    token = data.draw(st.sampled_from(["", "NA", "a"]))
+    cells = st.tuples(*(st.sampled_from([None, *domains[n], *domains[n]]) for n in names))
+    rows = [Row(i, c) for i, c in enumerate(data.draw(st.lists(cells, max_size=5)), 1)]
+    table = Table(Schema(names, domains), rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        got = _written(save_csv, table, os.path.join(tmp, "got.csv"), token)
+        want = _written(_row_save_csv, table, os.path.join(tmp, "want.csv"), token)
+    assert got == want
 
 
 class TestDiscretize:
