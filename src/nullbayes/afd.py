@@ -204,6 +204,7 @@ class NaiveBayesModel:
         }
         self._smoothed = {key: pair + 1.0 for key, pair in pair_counts.items()}
         self._predictions: dict = {}  # predict's answers
+        self._plans: tuple = ((), {})  # afd_impute_tuple's rule tuple and its plans
 
     def posterior(self, target: str, evidence: Mapping[str, str]) -> np.ndarray:
         """P(target | evidence) as an array over the target's sorted domain."""
@@ -258,8 +259,11 @@ def afd_impute_tuple(
     unpredictable and its cell stays null.  Returns the completed row and
     the sorted list of unpredictable attributes.
 
-    Termination: the path only grows, so depth is bounded by the number of
-    attributes.
+    Each null pattern's chains are resolved once (``_reach``) into a plan:
+    the predictions in the order the recursion first makes them, and the
+    unpredictable attributes.  A row replays its pattern's plan, so a label
+    outside its domain is refused at the prediction that first reads it.  The
+    model keeps the plans for the last rule tuple it was given, or an equal one.
 
     A rule naming an attribute outside the model's schema, as target or
     determining attribute, raises KeyError whether or not the row needs it.
@@ -268,32 +272,40 @@ def afd_impute_tuple(
     arity = len(schema.attributes)
     if len(row.cells) != arity:
         raise ValueError(f"row {row.id} has {len(row.cells)} cells, schema has {arity}")
-    cells = dict(zip(schema.attributes, row.cells))
-    _, _, named, best = _ranking(afds)  # the winners are only read here
-    if not cells.keys() >= named:
-        for attr in sorted(named):
-            schema.index(attr)  # raises for the first unknown one
+    rules, _, named, best = _ranking(afds)  # the winners are only read here
+    kept, plans = model._plans
+    if rules is not kept:
+        if rules != kept:  # no plan is kept for rules that fail this check
+            for attr in sorted(named.difference(schema.attributes)):
+                schema.index(attr)  # raises for the first unknown one
+            plans = {}
+        model._plans = (rules, plans)
+    nulls = tuple([cell is None for cell in row.cells])
+    plan = plans.get(nulls)
+    if plan is None:  # the pattern's first row resolves its chains
+        missing = dict.fromkeys(itertools.compress(schema.attributes, nulls))  # in schema order
+        reached: dict[str, Afd] = {}
+        stuck = [a for a in missing if not _reach(a, frozenset(), best, missing, reached)]
+        steps = [(schema.index(a), a, [(d, schema.index(d)) for d in r.determining])
+                 for a, r in reached.items()]
+        plan = plans[nulls] = (steps, sorted(stuck))
+    cells = list(row.cells)
+    for at, target, determining in plan[0]:
+        cells[at] = model.predict(target, {d: cells[j] for d, j in determining})[0]
+    return Row(row.id, tuple(cells)), list(plan[1])
 
-    def predict(attr: str, path: frozenset[str]) -> str | None:
-        if attr in path:
-            return None
-        afd = best.get(attr)
-        if afd is None:
-            return None
-        path = path | {attr}
-        evidence: dict[str, str] = {}
-        for det in afd.determining:
-            value = cells[det]
-            if value is None:
-                value = predict(det, path)
-                if value is None:
-                    return None
-            evidence[det] = value
-        return model.predict(attr, evidence)[0]
 
-    fills = {attr: predict(attr, frozenset()) for attr, value in cells.items() if value is None}
-    new_cells = tuple(fills.get(attr, value) for attr, value in cells.items())
-    return Row(row.id, new_cells), sorted(attr for attr, value in fills.items() if value is None)
+def _reach(attr: str, path: frozenset, best: dict, missing: dict, reached: dict) -> bool:
+    """Whether the chain predicting the missing ``attr`` off ``path`` resolves; each
+    attribute it predicts joins ``reached``, with its rule, when first predicted."""
+    rule = best.get(attr)
+    if attr in path or rule is None:
+        return False
+    path |= {attr}
+    if all(d not in missing or _reach(d, path, best, missing, reached) for d in rule.determining):
+        reached.setdefault(attr, rule)
+        return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -233,23 +233,23 @@ def _experiment_table(cfg: ExperimentConfig, seed: int, table: Table | None) -> 
 
 @dataclass(frozen=True)
 class _Models:
-    net: BayesNet
-    afds: tuple[Afd, ...]
+    net: BayesNet | None
+    afds: tuple[Afd, ...] | None
     nb: object
 
 
 def _train_models(cfg: ExperimentConfig, train: Table, seed: int) -> _Models:
-    scfg = StructureSearchConfig(
-        max_in_degree=cfg.max_parents,
-        restarts=cfg.restarts,
-        max_iterations=cfg.max_iterations,
-        score=cfg.score,
-        ess=cfg.ess,
-        seed=seed,
-    )
-    net = fit_parameters(learn_structure(train, scfg), train, cfg.pseudo_count)
-    afds = mine_afds(train, cfg.afd_max_lhs, cfg.afd_min_confidence)
-    nb = fit_naive_bayes(train)
+    """The network if a ``bn-*`` method runs, the AFDs and naive Bayes if an ``afd*`` one does."""
+    net = afds = nb = None
+    if any(m.startswith("bn-") for m in cfg.effective_methods()):
+        scfg = StructureSearchConfig(
+            max_in_degree=cfg.max_parents, restarts=cfg.restarts,
+            max_iterations=cfg.max_iterations, score=cfg.score, ess=cfg.ess, seed=seed,
+        )
+        net = fit_parameters(learn_structure(train, scfg), train, cfg.pseudo_count)
+    if any(m.startswith("afd") for m in cfg.effective_methods()):
+        afds = mine_afds(train, cfg.afd_max_lhs, cfg.afd_min_confidence)
+        nb = fit_naive_bayes(train)
     return _Models(net, afds, nb)
 
 

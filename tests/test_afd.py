@@ -26,6 +26,7 @@ from nullbayes import (
     sample_rows,
     save_afds,
 )
+from nullbayes.afd import _ranking
 from nullbayes.synth import car_demo_net, random_net
 from nullbayes.tabular import _value_counts
 
@@ -701,6 +702,129 @@ def test_a_refused_prediction_stores_nothing(data, queries):
         assert got == _outcome(_fresh_model(model).predict, target, evidence)
         if isinstance(got[0], type):
             assert model._predictions == kept
+
+
+# ---------------------------------------------------------------------------
+# plans per null pattern against the per-row recursion they replaced
+
+
+def _ref_impute_tuple(afds, model, row):  # the earlier afd_impute_tuple, verbatim
+    schema = model.schema
+    arity = len(schema.attributes)
+    if len(row.cells) != arity:
+        raise ValueError(f"row {row.id} has {len(row.cells)} cells, schema has {arity}")
+    cells = dict(zip(schema.attributes, row.cells))
+    _, _, named, best = _ranking(afds)  # the winners are only read here
+    if not cells.keys() >= named:
+        for attr in sorted(named):
+            schema.index(attr)  # raises for the first unknown one
+
+    def predict(attr: str, path: frozenset[str]) -> str | None:
+        if attr in path:
+            return None
+        afd = best.get(attr)
+        if afd is None:
+            return None
+        path = path | {attr}
+        evidence: dict[str, str] = {}
+        for det in afd.determining:
+            value = cells[det]
+            if value is None:
+                value = predict(det, path)
+                if value is None:
+                    return None
+            evidence[det] = value
+        return model.predict(attr, evidence)[0]
+
+    fills = {attr: predict(attr, frozenset()) for attr, value in cells.items() if value is None}
+    new_cells = tuple(fills.get(attr, value) for attr, value in cells.items())
+    return Row(row.id, new_cells), sorted(attr for attr, value in fills.items() if value is None)
+
+
+# one rule tuple serves models over three schemas: the attributes in other
+# orders (so other positions), other domains, and one without E (so a rule
+# naming E is refused there)
+_PLAN_SCHEMAS = (
+    Schema(("E", "D", "C", "B", "A"), {a: ("0", "1", "2") for a in _ATTRS}),
+    Schema(("C", "A", "E", "B", "D"), {a: ("0", "1") for a in _ATTRS}),
+    Schema(("B", "A", "D", "C"), {a: ("1", "2") for a in "ABCD"}),
+)
+# "9" is outside every domain, so a chain that reads it is refused
+_PLAN_LABELS = st.sampled_from((None, None, "0", "1", "2", "9"))
+
+
+def _plan_cells(arity):
+    # now and then a cell too many or too few, which the arity check refuses
+    return st.sampled_from((0, 0, 0, 0, 0, 1, -1)).flatmap(
+        lambda extra: st.lists(_PLAN_LABELS, min_size=arity + extra, max_size=arity + extra)
+    )
+
+
+def _plan_models(trains):
+    # each training cell is a code into its attribute's domain, or None
+    return [
+        fit_naive_bayes(Table(s, [
+            Row(i, tuple(None if k is None else s.domains[a][k] for a, k in zip(s.attributes, c)))
+            for i, c in enumerate(train)
+        ]))
+        for s, train in zip(_PLAN_SCHEMAS, trains)
+    ]
+
+
+def _check_against_the_recursion(afds, new, ref, cells, i=0):
+    """``afd_impute_tuple`` on ``new`` as the recursion on ``ref``: the same
+    outcome, refusals included, and the same predictions kept in the same
+    order, which is the order of each prediction's first call."""
+    got = _outcome(afd_impute_tuple, afds, new, Row(i, tuple(cells)))
+    assert got == _outcome(_ref_impute_tuple, afds, ref, Row(i, tuple(cells)))
+    assert list(new._predictions.items()) == list(ref._predictions.items())
+    return got
+
+
+@given(
+    trains=st.tuples(*[st.lists(st.tuples(*[st.sampled_from((None, 0, 1))] * 5), max_size=10)] * 3),
+    first=st.lists(_afds(), max_size=12),
+    second=st.lists(_afds(), max_size=12),
+    calls=st.lists(
+        st.tuples(
+            st.integers(0, len(_PLAN_SCHEMAS) - 1),
+            st.sampled_from(("tuple", "list", "copy", "second")),
+            st.data(),
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+)
+def test_plans_impute_as_the_recursion_did(trains, first, second, calls):
+    news, refs = _plan_models(trains), _plan_models(trains)
+    rules, other = tuple(first), tuple(second)
+    for i, (which, variant, data) in enumerate(calls):
+        afds = {
+            "tuple": rules,
+            "list": list(rules),
+            "copy": tuple(Afd(a.determining, a.target, a.confidence) for a in rules),
+            "second": other,
+        }[variant]
+        cells = data.draw(_plan_cells(len(_PLAN_SCHEMAS[which].attributes)))
+        _check_against_the_recursion(afds, news[which], refs[which], cells, i)
+        # the row again, now from its kept plan and predictions
+        _check_against_the_recursion(afds, news[which], refs[which], cells, i)
+
+
+def test_a_refusal_comes_from_the_first_prediction_the_recursion_made():
+    # X's chain predicts Y from W and then stops at Z, which has no rule, so
+    # the recursion reads W's "9" before V's chain reads U's "8"
+    attrs = ("X", "V", "Y", "Z", "W", "U")
+    schema = Schema(attrs, {a: ("0", "1") for a in attrs})
+    new, ref = (fit_naive_bayes(Table(schema, [Row(1, ("0",) * 6)])) for _ in range(2))
+    rules = (Afd(("Y", "Z"), "X", 1.0), Afd(("W",), "Y", 1.0), Afd(("U",), "V", 1.0))
+    for cells, refusal in (
+        ((None, None, None, None, "9", "8"), "value '9' not in domain of 'W'"),
+        ((None, None, None, None, "1", "8"), "value '8' not in domain of 'U'"),
+    ):
+        assert _check_against_the_recursion(rules, new, ref, cells) == (ValueError, refusal)
+    filled, stuck = afd_impute_tuple(rules, new, Row(1, (None, None, None, None, "1", "0")))
+    assert filled.cells == (None, "0", "0", None, "1", "0") and stuck == ["X", "Z"]
 
 
 # ---------------------------------------------------------------------------

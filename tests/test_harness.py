@@ -19,14 +19,17 @@ from nullbayes import (
     Table,
     format_timing_table,
     imputation_csv_lines,
+    inject_nulls,
     load_config,
     parse_config,
     pr_csv_lines,
     run_imputation_experiment,
     run_rewriting_experiment,
+    sample_rows,
     split_table,
 )
-from nullbayes.harness import _target_accuracy
+from nullbayes.harness import _target_accuracy, _train_models
+from nullbayes.synth import car_demo_net
 
 _FULL_CONFIG = """
 # rewriting sweep over the synthetic table
@@ -395,6 +398,30 @@ class TestImputationExperiment:
         )
         with pytest.raises(ValueError, match="imputation"):
             run_imputation_experiment(cfg)
+
+    def test_afd_alone_runs_where_most_training_rows_hold_a_null(self):
+        # Model, Body and Price each nulled in 30% of the rows by its own
+        # call, so about a third of the rows are complete: structure search
+        # refuses such a sample, and afd alone never asks for a network
+        table = sample_rows(car_demo_net(), 300, 0)
+        for i, attr in enumerate(("Model", "Body", "Price")):
+            table = inject_nulls(table, [attr], 0.3, (0, i))
+        assert sum(None not in row.cells for row in table.rows) < len(table) / 2
+        cfg = ExperimentConfig(
+            mode="imputation", targets=("Body", "Price"), methods=("afd",), levels=(0, 50)
+        )
+        runs = run_imputation_experiment(cfg, table)
+        assert [(r.method, r.level) for r in runs] == [("afd", 0), ("afd", 50)]
+
+    def test_only_the_models_the_methods_use_are_learned(self):
+        train = sample_rows(car_demo_net(), 200, 0)
+        for methods, learned in (
+            (("afd",), {"afds", "nb"}),
+            (("bn-exact", "bn-gibbs"), {"net"}),
+            (("afd", "bn-gibbs"), {"net", "afds", "nb"}),
+        ):
+            models = _train_models(_imputation_cfg(methods=methods), train, 0)
+            assert {k for k, v in vars(models).items() if v is not None} == learned
 
 
 class TestRendering:
