@@ -259,11 +259,11 @@ def afd_impute_tuple(
     unpredictable and its cell stays null.  Returns the completed row and
     the sorted list of unpredictable attributes.
 
-    Each null pattern's chains are resolved once (``_reach``) into a plan:
-    the predictions in the order the recursion first makes them, and the
-    unpredictable attributes.  A row replays its pattern's plan, so a label
-    outside its domain is refused at the prediction that first reads it.  The
-    model keeps the plans for the last rule tuple it was given, or an equal one.
+    Each null pattern is walked once (``_reach``) into a plan, kept on the model
+    for the last rule tuple given or an equal one: the predictions in the order
+    the recursion above first makes them, so a label outside its domain is
+    refused at the first one that reads it, and the unpredictable attributes.
+    Later rows of the pattern only replay it.
 
     A rule naming an attribute outside the model's schema, as target or
     determining attribute, raises KeyError whether or not the row needs it.
@@ -284,28 +284,30 @@ def afd_impute_tuple(
     plan = plans.get(nulls)
     if plan is None:  # the pattern's first row resolves its chains
         missing = dict.fromkeys(itertools.compress(schema.attributes, nulls))  # in schema order
-        reached: dict[str, Afd] = {}
-        stuck = [a for a in missing if not _reach(a, frozenset(), best, missing, reached)]
-        steps = [(schema.index(a), a, [(d, schema.index(d)) for d in r.determining])
-                 for a, r in reached.items()]
-        plan = plans[nulls] = (steps, sorted(stuck))
-    cells = list(row.cells)
-    for at, target, determining in plan[0]:
-        cells[at] = model.predict(target, {d: cells[j] for d, j in determining})[0]
+        reached: dict[str, Afd] = {}  # a root reached inside an earlier chain resolves alone too
+        stuck = [a for a in missing
+                 if a not in reached and not _reach(a, set(), best, missing, reached)]
+        plan = plans[nulls] = (reached, sorted(stuck))
+    at, cells = schema.index, list(row.cells)
+    for target, rule in plan[0].items():
+        cells[at(target)] = model.predict(target, {d: cells[at(d)] for d in rule.determining})[0]
     return Row(row.id, tuple(cells)), list(plan[1])
 
 
-def _reach(attr: str, path: frozenset, best: dict, missing: dict, reached: dict) -> bool:
+def _reach(attr: str, path: set, best: dict, missing: dict, reached: dict) -> bool:
     """Whether the chain predicting the missing ``attr`` off ``path`` resolves; each
     attribute it predicts joins ``reached``, with its rule, when first predicted."""
     rule = best.get(attr)
-    if attr in path or rule is None:
+    if rule is None or attr in path:
         return False
-    path |= {attr}
-    if all(d not in missing or _reach(d, path, best, missing, reached) for d in rule.determining):
-        reached.setdefault(attr, rule)
-        return True
-    return False
+    path.add(attr)
+    for det in rule.determining:
+        if det in missing and not _reach(det, path, best, missing, reached):
+            path.remove(attr)
+            return False
+    path.remove(attr)
+    reached.setdefault(attr, rule)
+    return True
 
 
 # ---------------------------------------------------------------------------

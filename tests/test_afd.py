@@ -280,46 +280,6 @@ class TestChainedImputation:
 
 
     def test_fills_are_those_of_the_two_accumulator_loop(self):
-        def old_impute(afds, model, row):  # the earlier afd_impute_tuple, verbatim
-            schema = model.schema
-            arity = len(schema.attributes)
-            if len(row.cells) != arity:
-                raise ValueError(f"row {row.id} has {len(row.cells)} cells, schema has {arity}")
-            best = best_afds(afds)
-            cells = dict(zip(schema.attributes, row.cells))
-
-            def predict(attr: str, path: frozenset[str]) -> str | None:
-                if attr in path:
-                    return None
-                afd = best.get(attr)
-                if afd is None:
-                    return None
-                path = path | {attr}
-                evidence: dict[str, str] = {}
-                for det in afd.determining:
-                    value = cells[det]
-                    if value is None:
-                        value = predict(det, path)
-                        if value is None:
-                            return None
-                    evidence[det] = value
-                return model.predict(attr, evidence)[0]
-
-            unpredictable: list[str] = []
-            filled: dict[str, str] = {}
-            for attr in schema.attributes:
-                if cells[attr] is not None:
-                    continue
-                value = predict(attr, frozenset())
-                if value is None:
-                    unpredictable.append(attr)
-                else:
-                    filled[attr] = value
-            new_cells = tuple(
-                filled.get(a, cells[a]) for a in schema.attributes
-            )
-            return Row(row.id, new_cells), sorted(unpredictable)
-
         rng = np.random.default_rng(5)
         attrs = ("E", "D", "C", "B", "A")  # not sorted, so sorting the report matters
         s = Schema(attrs, {a: ("0", "1", "2") for a in attrs})
@@ -335,7 +295,7 @@ class TestChainedImputation:
                     rules.append(Afd(tuple(sorted(det)), target, float(rng.random())))
             cells = tuple(None if rng.random() < 0.5 else str(int(rng.integers(0, 3))) for _ in attrs)
             row = Row(i, cells)
-            assert afd_impute_tuple(rules, model, row) == old_impute(rules, model, row)
+            assert afd_impute_tuple(rules, model, row) == _ref_impute_tuple(rules, model, row)
 
 
 class TestAfdFiles:
