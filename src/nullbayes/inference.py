@@ -63,7 +63,7 @@ class JointDistribution:
 
     def prob(self, combo: Sequence[str]) -> float:
         """Probability of one combination of target values."""
-        return _prob(self.targets, self.domains, self.probs, combo)
+        return float(self.probs[_index(self.targets, self.domains, combo)])
 
     def items(self):
         """Yield (combination, probability) in C (= lexicographic) order."""
@@ -77,7 +77,8 @@ class JointDistribution:
         return JointDistribution((attr,), (self.domains[keep],), self.probs.sum(axis=axes))
 
 
-def _prob(targets, domains, probs: np.ndarray, combo: Sequence[str]) -> float:
+def _index(targets, domains, combo: Sequence[str]) -> tuple[int, ...]:
+    """The codes of ``combo``, a value per target, in ``domains``."""
     if len(combo) != len(targets):
         raise ValueError(f"expected {len(targets)} values, got {len(combo)}")
     idx = []
@@ -86,7 +87,7 @@ def _prob(targets, domains, probs: np.ndarray, combo: Sequence[str]) -> float:
             idx.append(dom.index(value))
         except ValueError:
             raise KeyError(f"value {value!r} not in domain of {attr!r}") from None
-    return float(probs[tuple(idx)])
+    return tuple(idx)
 
 
 def map_assignment(dist: JointDistribution) -> tuple[str, ...]:
@@ -117,20 +118,37 @@ def format_distribution(dist: JointDistribution) -> str:
 
 
 def _product(plan, codes) -> np.ndarray:
-    """The product of a ``_plan`` at a row's ``codes``, unnormalized, an axis per
-    free variable: each step's CPTs at their observed codes, then its inputs."""
-    results = []
+    """The product of a ``_plan`` at ``codes``, unnormalized, an axis per free
+    variable: each step's CPTs at their observed codes, then its inputs.
+
+    ``codes`` is a row's codes (a list), whose getters read ints, so a CPT
+    enters as a view; or a ``(d, B)`` array of B rows, one per column, whose
+    getters read rows, so fancy indexing puts a leading batch axis on that
+    step.  An input or sum that carries the batch axis shifts its alignment
+    and sum axis by one.  Column b of the result is the product at column b
+    of ``codes``, bit for bit: fancy indexing keeps a view's axis order, so
+    every reduction walks a column as the one-row run walks its row."""
+    batch = isinstance(codes, np.ndarray)
+    results = []  # per step, its sum and whether that leads with the batch axis
     for cpts, inputs, axis in plan:
-        values = None
+        values, lead = None, False
         for cpt, observed in cpts:
-            factor = cpt if observed is None else cpt[observed(codes)]
+            if observed is None:
+                factor = cpt
+            else:
+                factor, lead = cpt[observed(codes)], batch
             values = factor if values is None else values * factor
         for slot, perm, index in inputs:
-            factor = _laid_out(results[slot], perm, index)
+            result, shift = results[slot]
+            if shift:
+                perm = None if perm is None else (0, *[p + 1 for p in perm])
+                index = None if index is None else (slice(None), *index)
+                lead = True
+            factor = _laid_out(result, perm, index)
             values = factor if values is None else values * factor
         if axis is None:
             return values
-        results.append(values.sum(axis=axis))
+        results.append((values.sum(axis=axis + lead), lead))
 
 
 def _elimination_plan(net: BayesNet, free: tuple[str, ...], observed: frozenset[str]):
@@ -192,8 +210,13 @@ def posterior_exact(
     ``_product`` on it at the evidence codes.  Results can differ from
     eliminating every variable in the last ulp.
 
-    ``_at`` (private to ``rewriting``; no target may be evidence) is one
-    combination of target values: its ``prob`` is returned, unbuilt.
+    ``_at`` (private to ``rewriting``) is one combination of target values,
+    read for B evidence assignments at once: ``evidence`` then maps each of
+    its attributes, none a target, to a tuple of B values, a column each,
+    and the call returns a list of B probabilities of ``_at``, from one
+    ``_product`` over the ``(d, B)`` codes.  Each equals the entry of the
+    posterior given that column alone, bit for bit; a column that is
+    impossible, or holds a value outside the domains, reads 0.0.
 
     Raises
     ------
@@ -201,12 +224,42 @@ def posterior_exact(
         If the evidence has probability zero.
     """
     evidence = dict(evidence or {})
+    if _at is not None:
+        return _columns_at(net, targets, evidence, _at)
     codes = _check_query(net, targets, evidence)
     free = tuple(t for t in targets if t not in evidence)
     values = _normalized(_product(_elimination_plan(net, free, frozenset(evidence)), codes))
-    if _at is not None:
-        return _prob(targets, [net.schema.domains[t] for t in targets], values, _at)
     return _expand_clamped(net, targets, evidence, values)
+
+
+def _columns_at(net: BayesNet, targets, evidence, at) -> list[float]:
+    """``posterior_exact``'s ``_at`` read: P(``at`` | column b of ``evidence``)
+    per column b, 0.0 where the column is impossible or outside the domains.
+    Those columns are masked before dividing, never divided by zero."""
+    _check_query(net, targets, {})
+    schema = net.schema
+    width = len(next(iter(evidence.values())))
+    codes = np.zeros((len(schema.attributes), width), dtype=np.intp)
+    known = np.ones(width, dtype=bool)
+    for attr, values in evidence.items():
+        if not known.any():  # as a lone call stops at its first bad value
+            return [0.0] * width
+        row = []
+        for b, value in enumerate(values):
+            try:
+                row.append(schema.code(attr, value))
+            except ValueError:  # a column outside the domains; code 0 stands in
+                row.append(0)
+                known[b] = False
+        codes[schema.index(attr)] = row
+    plan = _elimination_plan(net, tuple(targets), frozenset(evidence))
+    values = _product(plan, codes)  # (B, *target sizes)
+    z = values.sum(axis=tuple(range(1, values.ndim)))
+    ok = known & (z > 0.0)
+    if not ok.any():  # a lone call reads ``at`` only given possible evidence
+        return [0.0] * width
+    entry = values[(slice(None), *_index(targets, [schema.domains[t] for t in targets], at))]
+    return np.divide(entry, z, out=np.zeros(width), where=ok).tolist()
 
 
 def _normalized(values: np.ndarray) -> np.ndarray:

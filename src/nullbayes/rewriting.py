@@ -216,17 +216,25 @@ def expected_precision(
     The attribute sets must be disjoint.  A candidate that the network
     considers impossible scores 0, and so does one holding a value outside
     the network's domains (a source can hold values the model never saw).
+    This is the one-candidate case of the scoring a rewrite runs over all
+    its candidates on one attribute set at once (``_precisions``), with the
+    same float.
     """
     overlap = set(original.attributes) & set(candidate.attributes)
     if overlap:
         raise ValueError(f"candidate constrains original attributes: {sorted(overlap)}")
     if not len(original) or not len(candidate):
         raise ValueError("original and candidate must both be non-empty")
-    values = [v for _, v in original.items]
-    try:
-        return posterior_exact(net, original.attributes, dict(candidate.items), _at=values)
-    except ValueError:  # impossible evidence, or a value outside the domains
-        return 0.0
+    return _precisions(net, original, [candidate])[0]
+
+
+def _precisions(net: BayesNet, original: SelectionQuery, group) -> list[float]:
+    """``expected_precision`` of each candidate of ``group``, non-empty and
+    over one attribute set disjoint from ``original``'s: one ``posterior_exact``
+    elimination, a column per candidate."""
+    columns = zip(*[[v for _, v in c.items] for c in group])
+    evidence = dict(zip(group[0].attributes, columns))
+    return posterior_exact(net, original.attributes, evidence, _at=[v for _, v in original.items])
 
 
 def expected_selectivity(
@@ -289,9 +297,11 @@ def _issue(queries, source, base_at) -> tuple[_Retrieved, list[RewrittenQuery], 
 def _rewrite(model, sample, source, query, k, alpha, sample_ratio, pick, candidates, key):
     """The pipeline of every strategy.  ``pick(query)`` chooses what it
     rewrites through, or raises if it does not apply; ``candidates`` scores
-    what it generates from the base answer with ``score``; the top ``k`` by
-    ``key`` are issued.  ``model`` is the Bayes net, or the AFD strategies'
-    naive Bayes model, whose candidates pass their precision to ``score``.
+    what it generates from the base answer with ``score``, a group of
+    candidates at a time; the top ``k`` by ``key`` are issued.  ``model`` is
+    the Bayes net, which scores a group over one attribute set in one
+    elimination (``_precisions``), or the AFD strategies' naive Bayes model,
+    whose candidates pass their precisions to ``score``.
 
     ``score`` counts a candidate's sample matches in the count table of its
     attribute set: ``_value_counts`` over the sample, built on the set's
@@ -310,7 +320,6 @@ def _rewrite(model, sample, source, query, k, alpha, sample_ratio, pick, candida
     if sample_ratio is None:
         sample_ratio = source.estimate_ratio(sample)
     base = source.answer(query)
-    precisions: dict[SelectionQuery, float] = {}
     schema = sample.schema
     tables: dict[tuple[str, ...], np.ndarray | None] = {}  # None: too wide for one
 
@@ -330,14 +339,15 @@ def _rewrite(model, sample, source, query, k, alpha, sample_ratio, pick, candida
             return expected_selectivity(sample, candidate, sample_ratio)
         return int(counts[at]) * sample_ratio
 
-    def score(candidate: SelectionQuery, precision: float | None = None) -> RewrittenQuery:
-        # the net's posterior of the query's values, once per candidate
-        p = precisions.get(candidate) if precision is None else precision
-        if p is None:
-            p = precisions[candidate] = expected_precision(model, query, candidate)
-        sel = selectivity(candidate)
-        r = p * sel
-        return RewrittenQuery(candidate, QueryScore(p, sel, r, f_measure(p, r, alpha)))
+    def score(group: list[SelectionQuery], precisions=None) -> list[RewrittenQuery]:
+        if precisions is None:  # the net's posteriors of the query's values
+            precisions = _precisions(model, query, group) if group else []
+        scored = []
+        for candidate, p in zip(group, precisions):
+            sel = selectivity(candidate)
+            r = p * sel
+            scored.append(RewrittenQuery(candidate, QueryScore(p, sel, r, f_measure(p, r, alpha))))
+        return scored
 
     selected = sorted(candidates(picked, base, source.schema, score), key=key)[:k]
     retrieved, issued, truncated = _issue(selected, source, base._taken_at())
@@ -358,7 +368,7 @@ def _blanket_candidates(cand_attrs, base, schema, score):
             else "no base tuple is null-free on the Markov blanket"
         )
         warnings.warn(f"no rewrite candidates: {cause}", stacklevel=4)  # the strategy's caller
-    return [score(SelectionQuery._of(tuple(zip(cand_attrs, c)))) for c in combos]
+    return score([SelectionQuery._of(tuple(zip(cand_attrs, c))) for c in combos])
 
 
 def _beam_candidates(cfg, cand_attrs, base, schema, score):
@@ -374,6 +384,7 @@ def _beam_candidates(cfg, cand_attrs, base, schema, score):
     for level in range(cfg.depth):
         pool: dict[SelectionQuery, RewrittenQuery] = {rq.query: rq for rq in beam}
         parents = [rq.query for rq in beam] if level else [SelectionQuery()]
+        fresh: dict[SelectionQuery, None] = {}  # the level's new queries, in pool order
         for parent in parents:
             used = set(parent.attributes)
             keep = base._matching(parent)  # the base tuples that match the partial query
@@ -384,7 +395,12 @@ def _beam_candidates(cfg, cand_attrs, base, schema, score):
                 for (value,) in _distinct(schema, codes[None, j, keep], [j]):
                     cand = parent.extended(attr, value)
                     if cand not in pool:
-                        pool[cand] = score(cand)
+                        fresh[cand] = None
+        groups: dict[tuple[str, ...], list[SelectionQuery]] = {}  # scored by attribute set
+        for cand in fresh:
+            groups.setdefault(cand.attributes, []).append(cand)
+        scored = {rq.query: rq for group in groups.values() for rq in score(group)}
+        pool.update((cand, scored[cand]) for cand in fresh)
         beam = sorted(pool.values(), key=_rank_key)[: cfg.width]
     return [rq for rq in beam if rq.score.f_measure > 0]
 
@@ -494,12 +510,13 @@ def _afd_candidates(model, query, rules, base, schema, score):
         parts = [SelectionQuery._of(tuple(zip(afd.determining, c)))
                  for c in project_distinct(schema, base, afd.determining)]
         per_attr.append([(cand, _nb_precision(model, attr, value, cand)) for cand in parts])
-    scored = []
+    group, precisions = [], []
     for parts in itertools.product(*per_attr):
-        queries, precisions = zip(*parts)  # one part's query is its own
+        queries, part_precisions = zip(*parts)  # one part's query is its own
         cand = SelectionQuery(sum((q.items for q in queries), ())) if queries[1:] else queries[0]
-        scored.append(score(cand, math.prod(precisions)))
-    return scored
+        group.append(cand)
+        precisions.append(math.prod(part_precisions))
+    return score(group, precisions)
 
 
 def afd_rewrite_single(

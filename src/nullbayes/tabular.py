@@ -397,10 +397,12 @@ def _value_counts(codes: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     ``codes`` is ``(k, N)``: domain indices, -1 for null, one row per column
     of domain size ``sizes[i]``; rows with a null among them are skipped.
     ``_radix_key`` keys the rest for one ``np.bincount``; returns int64
-    counts of shape ``sizes``.
+    counts of shape ``sizes``.  One reduction tells whether any null is
+    present, so a null-free matrix (as structure search passes) builds no
+    row mask.
     """
-    keep = (codes >= 0).all(axis=0)
-    kept = codes if keep.all() else codes.compress(keep, axis=1)
+    null_free = codes.min(initial=0) >= 0
+    kept = codes if null_free else codes.compress((codes >= 0).all(axis=0), axis=1)
     counts = np.bincount(_radix_key(kept, sizes), minlength=math.prod(sizes))
     return counts.reshape(tuple(sizes))
 

@@ -83,7 +83,7 @@ def test_count_tables_equal_the_mask_and_count_each_set_once(data):
         calls = _counting(patch)
         result = rewriting._rewrite(
             SimpleNamespace(schema=schema), sample, source, query, max(len(cands), 1), 0.0, ratio,
-            lambda q: None, lambda picked, base, sch, score: [score(c, 0.5) for c in cands],
+            lambda q: None, lambda picked, base, sch, score: score(cands, [0.5] * len(cands)),
             rewriting._issue_key,
         )
     assert len(result.candidates) == len(cands)

@@ -502,9 +502,17 @@ def _queries(source, attrs):
 
 def _old_posterior_at(net, targets, evidence=None, *, _at=None):
     # posterior_exact's private one-entry read (expected_precision uses it),
-    # taken from the whole-DAG elimination
-    dist = _old_posterior_exact(net, targets, evidence)
-    return dist if _at is None else dist.prob(_at)
+    # taken from the whole-DAG elimination, one evidence column at a time;
+    # a column that is impossible or outside the domains reads 0.0
+    if _at is None:
+        return _old_posterior_exact(net, targets, evidence)
+    out = []
+    for column in zip(*evidence.values()):
+        try:
+            out.append(_old_posterior_exact(net, targets, dict(zip(evidence, column))).prob(_at))
+        except ValueError:
+            out.append(0.0)
+    return out
 
 
 @pytest.mark.parametrize(

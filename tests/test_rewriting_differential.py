@@ -629,6 +629,10 @@ def test_strategies_unchanged_with_reference_helpers(world_name, budget, monkeyp
     monkeypatch.setattr(rw, "project_distinct", _old_project_distinct)
     monkeypatch.setattr(rw, "expected_selectivity", _old_expected_selectivity)
     monkeypatch.setattr(rw, "expected_precision", _old_expected_precision)
+    # bn_all_mb scores a group in one elimination; route it through the reference
+    monkeypatch.setattr(
+        rw, "_precisions", lambda net, q, group: [rw.expected_precision(net, q, c) for c in group]
+    )
     monkeypatch.setattr(NaiveBayesModel, "posterior", _old_posterior)
     want = [_run_all(_strategies(_old_bn_beam), world, t, q, budget) for t, q in runs]
     assert got == want
@@ -711,7 +715,7 @@ def _eager_rewrite(model, sample, source, query, k, alpha, sample_ratio, pick, c
     base = source.answer(query)
     precisions = {}
 
-    def score(candidate, precision=None):
+    def score_one(candidate, precision=None):
         # the net's posterior of the query's values, once per candidate
         p = precisions.get(candidate) if precision is None else precision
         if p is None:
@@ -719,6 +723,12 @@ def _eager_rewrite(model, sample, source, query, k, alpha, sample_ratio, pick, c
         sel = rw.expected_selectivity(sample, candidate, sample_ratio)
         r = p * sel
         return RewrittenQuery(candidate, QueryScore(p, sel, r, rw.f_measure(p, r, alpha)))
+
+    def score(group, group_precisions=None):
+        # the strategies hand over a group of candidates; score them one by one
+        if group_precisions is None:
+            return [score_one(candidate) for candidate in group]
+        return [score_one(c, p) for c, p in zip(group, group_precisions)]
 
     selected = sorted(candidates(picked, base, source.schema, score), key=key)[:k]
     ids = [row.id for row in base]
